@@ -54,16 +54,10 @@ class SwitchPointerDeployment:
     enforce_commodity_limit:
         Refuse α below the 15 ms OpenFlow rule-update floor (off by
         default — the simulated switches are not so constrained).
-    records_per_host / record_shards / ingest_batch:
+    records_per_host / ingest_batch:
         Host-agent storage knobs for scale sweeps: the per-host record
-        bound (None = unbounded), the number of record-store shards
-        (>1 = :class:`~repro.hostd.sharded.ShardedRecordStore`), and the
-        sniffed-packet batch size for deferred-eviction ingestion.
-    record_backend:
-        Which record-store backend every host agent builds
-        (:mod:`repro.hostd.backends`): ``"flat"``, ``"sharded"``,
-        ``"columnar"``, or ``"auto"`` (historical default, override-able
-        process-wide).  All backends are query-equivalent.
+        bound (None = unbounded) and the sniffed-packet batch size for
+        deferred-eviction ingestion.
     directory_backend / directory_bits / directory_hashes:
         Which directory-set backend every switch's pointer hierarchy
         builds (:mod:`repro.directory`): ``"exact"``, ``"bloom"``,
@@ -84,9 +78,7 @@ class SwitchPointerDeployment:
                  latency_model: Optional[LatencyModel] = None,
                  enforce_commodity_limit: bool = False,
                  records_per_host: Optional[int] = None,
-                 record_shards: int = 1,
                  ingest_batch: int = 1,
-                 record_backend: str = "auto",
                  directory_backend: str = "auto",
                  directory_bits: int = 0,
                  directory_hashes: int = 4):
@@ -147,9 +139,7 @@ class SwitchPointerDeployment:
                 host, clock=clock, planner=self.planner,
                 estimator=self.estimator,
                 max_records=records_per_host,
-                record_shards=record_shards,
-                ingest_batch=ingest_batch,
-                record_backend=record_backend)
+                ingest_batch=ingest_batch)
 
         #: stripped-switch stash: name -> (datapath, agent), maintained
         #: by uninstrument_switch/reinstrument_switch

@@ -29,7 +29,7 @@ This module is the registry deployments select from:
 * :func:`use_directory_backend` / :func:`set_default_directory_backend`
   — override what ``"auto"`` resolves to, so a test harness can run
   every scenario on a chosen backend without threading a knob through
-  each scenario (the ``hostd.backends`` idiom, one registry up).
+  each scenario.
 """
 
 from __future__ import annotations

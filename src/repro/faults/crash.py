@@ -1,16 +1,10 @@
 """Agent-crash fault: kill (and optionally restart) telemetry state.
 
-Two blast radii, selected by ``shard``:
-
-* ``shard < 0`` (default): the whole host agent dies — sniffing stops,
-  the in-memory record table and any batched-ingest buffer are lost.
-  ``stop`` restarts the agent with an empty table (the real daemon's
-  supervisor restart); telemetry from before the crash is gone, which
-  is exactly the evidence loss a mid-diagnosis crash inflicts.
-* ``shard >= 0``: one shard of a
-  :class:`~repro.hostd.sharded.ShardedRecordStore` loses its records
-  (a backing-store partition failure); the agent keeps sniffing and
-  repopulates the shard from post-crash traffic.
+The whole host agent dies — sniffing stops, the in-memory record table
+and any batched-ingest buffer are lost.  ``stop`` restarts the agent
+with an empty table (the real daemon's supervisor restart); telemetry
+from before the crash is gone, which is exactly the evidence loss a
+mid-diagnosis crash inflicts.
 """
 
 from __future__ import annotations
@@ -22,19 +16,18 @@ from .base import Fault, FaultContext, FaultError, FaultParam, FaultSpec, regist
 
 @register_fault
 class AgentCrashFault(Fault):
-    """Crash a host agent (or one record-store shard) mid-run."""
+    """Crash a host agent mid-run."""
 
     spec = FaultSpec(
         name="agent-crash",
-        summary="kill a host agent (or one record-store shard) mid-run; "
-        "stop= restarts it with an empty table",
+        summary="kill a host agent mid-run; stop= restarts it with an "
+        "empty table",
         degrades="host evidence: every record the host held vanishes; "
         "diagnoses that needed its telemetry lose their witness",
         diagnosed_by="(none — a stressor; the analyzer sees a host with "
         "no matching records)",
         params={
             "host": FaultParam("", "the host whose agent crashes"),
-            "shard": FaultParam(-1, "record-store shard to lose (-1 = whole agent)"),
         },
     )
 
@@ -54,23 +47,11 @@ class AgentCrashFault(Fault):
             ) from None
 
     def schedule(self, ctx: FaultContext) -> None:
-        agent = self._agent(ctx)
-        shard = self.p["shard"]
-        if shard >= 0 and not hasattr(agent.store, "drop_shard"):
-            raise FaultError(
-                f"agent-crash: host {self.p['host']!r} has a flat record "
-                f"store; shard crashes need record_shards > 1"
-            )
+        self._agent(ctx)  # an unknown host fails at schedule time
         super().schedule(ctx)
 
     def inject(self, ctx: FaultContext) -> None:
-        agent = self._agent(ctx)
-        shard = self.p["shard"]
-        if shard >= 0:
-            self.records_lost = agent.store.drop_shard(shard)
-        else:
-            self.records_lost = agent.crash()
+        self.records_lost = self._agent(ctx).crash()
 
     def heal(self, ctx: FaultContext) -> None:
-        if self.p["shard"] < 0:
-            self._agent(ctx).restart()
+        self._agent(ctx).restart()

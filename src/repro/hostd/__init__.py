@@ -1,11 +1,6 @@
 """SwitchPointer end-host component (PathDump extended, §4.2)."""
 
-from .records import FlowRecord, FlowRecordStore, SeqCounter
-from .sharded import ShardedRecordStore
-from .backends import (available_backends, backend_summaries, make_store,
-                       register_backend, resolve_backend,
-                       set_default_backend, use_backend)
-from .columnar import ColumnarRecordStore, ColumnarRecordView
+from .records import FlowRecord, FlowRecordStore, SpillFormatError
 from .decoder import TelemetryDecoder
 from .triggers import (SwitchEpochTuple, TcpTimeoutTrigger,
                        ThroughputDropTrigger, VictimAlert,
@@ -15,12 +10,7 @@ from .agent import HostAgent
 from . import aggregate
 
 __all__ = [
-    "FlowRecord", "FlowRecordStore", "SeqCounter",
-    "ShardedRecordStore",
-    "ColumnarRecordStore", "ColumnarRecordView",
-    "available_backends", "backend_summaries", "make_store",
-    "register_backend", "resolve_backend", "set_default_backend",
-    "use_backend",
+    "FlowRecord", "FlowRecordStore", "SpillFormatError",
     "TelemetryDecoder",
     "ThroughputDropTrigger", "TcpTimeoutTrigger", "VictimAlert",
     "SwitchEpochTuple", "alert_tuples_from_record",

@@ -21,9 +21,9 @@ from ..simnet.host import Host
 from ..simnet.packet import FlowKey
 from ..simnet.tcp import TcpSender
 from ..switchd.cherrypick import CherryPickPlanner
-from .backends import make_store
 from .decoder import TelemetryDecoder
 from .query import QueryEngine
+from .records import FlowRecordStore
 from .triggers import AlertSink, TcpTimeoutTrigger, ThroughputDropTrigger
 
 
@@ -34,22 +34,12 @@ class HostAgent:
     ----------
     max_records:
         Memory bound on the record table (None = unbounded).
-    record_shards:
-        >1 swaps the flat :class:`FlowRecordStore` for a
-        :class:`~repro.hostd.sharded.ShardedRecordStore` with that many
-        shards (query-equivalent; sublinear maintenance at sweep scale).
     ingest_batch:
         >1 buffers that many sniffed packets and decodes them in one
         go with the store's eviction check deferred to the batch end.
         Queries are unaffected: the query engine flushes the buffer
         before serving (``before_query``), so results always reflect
         every packet sniffed so far.
-    record_backend:
-        Which record-store backend to build
-        (:mod:`repro.hostd.backends`): ``"flat"``, ``"sharded"``,
-        ``"columnar"``, or ``"auto"`` (the default — sharded when
-        ``record_shards > 1``, flat otherwise, unless a process-wide
-        override is active).  All backends are query-equivalent.
     """
 
     def __init__(self, host: Host, *, clock: EpochClock,
@@ -57,18 +47,15 @@ class HostAgent:
                  estimator: EpochRangeEstimator,
                  spill_path: Optional[Path] = None,
                  max_records: Optional[int] = None,
-                 record_shards: int = 1,
-                 ingest_batch: int = 1,
-                 record_backend: str = "auto"):
+                 ingest_batch: int = 1):
         if ingest_batch < 1:
             raise ValueError("ingest_batch must be >= 1")
         self.host = host
         self.clock = clock
         self.ingest_batch = ingest_batch
         self._pending: list[tuple[Host, object, float]] = []
-        self.store = make_store(
-            record_backend, host.name, spill_path=spill_path,
-            max_records=max_records, record_shards=record_shards)
+        self.store = FlowRecordStore(host.name, spill_path=spill_path,
+                                     max_records=max_records)
         # every read-side consumer — query engine, triggers, analyzer
         # apps reading agent.store directly — sees a flushed table
         self.store.before_read = self.flush_ingest
@@ -106,22 +93,10 @@ class HostAgent:
             self.flush_ingest()
 
     def flush_ingest(self) -> int:
-        """Decode every buffered packet (one deferred eviction check).
-
-        A store exposing ``apply_groups`` (the columnar backend) gets
-        the whole batch through the decoder's fused
-        :meth:`~TelemetryDecoder.flush_batch` — one loop decodes and
-        groups by flow, then the store scatters the groups with batched
-        index maintenance, equivalent to the per-packet loop by the
-        store's batch contract.  Other stores take the per-packet loop
-        under ``begin_batch``/``end_batch``.
-        """
+        """Decode every buffered packet (one deferred eviction check)."""
         if not self._pending:
             return 0
         batch, self._pending = self._pending, []
-        if hasattr(self.store, "apply_groups"):
-            self.decoder.flush_batch(batch)
-            return len(batch)
         self.store.begin_batch()
         try:
             for host, pkt, now in batch:

@@ -15,7 +15,6 @@ it into a flow-record update:
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from ..core.epoch import (EpochClock, EpochRange, EpochRangeEstimator,
@@ -52,16 +51,6 @@ class TelemetryDecoder:
         self.estimator = estimator
         self.decoded = 0
         self.undecodable = 0
-        #: (src, dst, linkID) -> (switch path, [(switch, dlo, dhi)]):
-        #: the VLAN parse minus the observed epoch.  Every epoch range
-        #: is ``observed + (dlo, dhi)`` where the offsets depend only on
-        #: hop distance from the embedder, so one entry serves every
-        #: epoch.  Valid as long as routes and (α, ε, Δ) stay fixed —
-        #: the same static-rules assumption the planner's own permanent
-        #: reconstruct_path cache already makes.
-        self._vlan_offsets: dict[tuple[str, str, int],
-                                 tuple[list[str],
-                                       list[tuple[str, int, int]]]] = {}
 
     # -- sniffer entry point --------------------------------------------------
 
@@ -77,244 +66,6 @@ class TelemetryDecoder:
             self.undecodable += 1
             return
         self._update(pkt, now, switches, ranges, observed)
-
-    def decode_batch(self, batch: list) -> list:
-        """Decode a buffered sniffer batch into store ingest entries.
-
-        Returns one ``(flow, nbytes, t, priority, switch_path, pairs,
-        observed_epoch)`` tuple per decodable packet — the batch ABI of
-        :meth:`ColumnarRecordStore.ingest_batch`, with epoch ranges as
-        plain ``{switch: (lo, hi)}`` int pairs instead of per-packet
-        :class:`EpochRange` objects.  The VLAN parse (path
-        reconstruction, embedder search, range extrapolation) reduces
-        to ``observed + offsets`` with the offsets memoized per
-        ``(src, dst, linkID)`` across flushes (see ``_vlan_offsets``);
-        the built pairs dicts (epoch unwrap included) are memoized
-        within the flush so repeated packets of a flow inside an epoch
-        share one pairs object.  All of this is exact, not approximate — the
-        offsets are epoch-independent by construction and every other
-        parse input is constant for the duration of one flush.  The
-        ``decoded``/``undecodable`` counters advance exactly as the
-        per-packet path would have at this flush boundary.
-        """
-        entries = []
-        append = entries.append
-        memo: dict = {}
-        offsets = self._vlan_offsets
-        clock = self.host_clock
-        alpha_s = clock.alpha_s
-        skew_s = clock.skew_s
-        floor = math.floor
-        vlan = VlanDoubleTag
-        decoded = 0
-        for _host, pkt, now in batch:
-            telemetry = pkt.telemetry
-            if type(telemetry) is vlan:
-                key = pkt.flow
-                # inlined clock.epoch_of(now) — skew cannot change
-                # mid-flush (single-threaded, no reentrant callbacks)
-                reference = floor((now + skew_s) / alpha_s + 1e-9)
-                link_id = telemetry.link_id
-                # one probe resolves unwrap + parse: (tag, reference)
-                # determines the observed epoch, which with the flow
-                # triple determines the pairs dict
-                mkey = (key.src, key.dst, link_id,
-                        telemetry.epoch_tag, reference)
-                hit = memo.get(mkey)
-                if hit is None:
-                    observed = unwrap_epoch(telemetry.epoch_tag,
-                                            reference)
-                    okey = (key.src, key.dst, link_id)
-                    off = offsets.get(okey)
-                    if off is None:
-                        off = offsets[okey] = self._vlan_offsets_for(
-                            key.src, key.dst, link_id)
-                    switches, offs = off
-                    hit = memo[mkey] = (
-                        switches,
-                        {sw: (observed + dlo, observed + dhi)
-                         for sw, dlo, dhi in offs},
-                        observed)
-                decoded += 1
-                append((key, pkt.size, now, pkt.priority,
-                        hit[0], hit[1], hit[2]))
-            elif isinstance(telemetry, IntStack):
-                switches, ranges, observed = self._parse_int(telemetry)
-                decoded += 1
-                append(
-                    (pkt.flow, pkt.size, now, pkt.priority, switches,
-                     {sw: (r.lo, r.hi) for sw, r in ranges.items()},
-                     observed))
-            else:
-                self.undecodable += 1
-        self.decoded += decoded
-        return entries
-
-    def flush_batch(self, batch: list) -> int:
-        """Decode a sniffer batch and fold it straight into the store.
-
-        The fused fast path: one loop performs the memoized decode of
-        :meth:`decode_batch` *and* the per-flow grouping of
-        :meth:`ColumnarRecordStore.ingest_batch`, so the per-packet
-        entry tuples never materialize, then hands the groups to
-        :meth:`ColumnarRecordStore.apply_groups`.  Semantically
-        identical to ``store.ingest_batch(self.decode_batch(batch))``
-        — same group contents, same creation order, same update
-        watermarks, same counters.  Requires a store exposing
-        ``apply_groups`` (the columnar backend).  Returns the number of
-        packets folded.
-        """
-        groups: dict = {}
-        get = groups.get
-        offsets = self._vlan_offsets
-        clock = self.host_clock
-        alpha_s = clock.alpha_s
-        skew_s = clock.skew_s
-        floor = math.floor
-        vlan = VlanDoubleTag
-        count = 0
-        for _host, pkt, now in batch:
-            telemetry = pkt.telemetry
-            if type(telemetry) is vlan:
-                count += 1
-                nbytes = pkt.size
-                key = pkt.flow
-                tag = telemetry.epoch_tag
-                # inlined clock.epoch_of(now) — skew cannot change
-                # mid-flush (single-threaded, no reentrant callbacks)
-                reference = floor((now + skew_s) / alpha_s + 1e-9)
-                g = get(key)
-                if g is not None and g[10] == tag and g[11] == reference:
-                    # the flow's previous packet decoded this exact
-                    # (tag, reference): same observed epoch, and its
-                    # pairs are already absorbed into the group, so the
-                    # fold is pure accumulation
-                    g[0] += nbytes
-                    g[1] += 1
-                    g[3] = now
-                    g[4] = pkt.priority
-                    be = g[7]
-                    epoch = g[12]
-                    be[epoch] = be.get(epoch, 0) + nbytes
-                    g[8] = count
-                    continue
-                # inlined unwrap_epoch(tag, reference): pick the epoch
-                # congruent to the 12-bit tag nearest the reference
-                # (ties resolved exactly as unwrap_epoch's min does)
-                d = (tag & 4095) - (reference & 4095)
-                observed = reference - (reference & 4095) + (tag & 4095)
-                if d >= 2048:
-                    observed -= 4096
-                elif d < -2048:
-                    observed += 4096
-                link_id = telemetry.link_id
-                okey = (key.src, key.dst, link_id)
-                off = offsets.get(okey)
-                if off is None:
-                    off = offsets[okey] = self._vlan_offsets_for(
-                        key.src, key.dst, link_id)
-                switches, offs = off
-                pairs = {sw: (observed + dlo, observed + dhi)
-                         for sw, dlo, dhi in offs}
-                if g is None:
-                    groups[key] = [
-                        nbytes, 1, now, now, pkt.priority,
-                        switches if switches else None, dict(pairs),
-                        {observed: nbytes}, count, pairs,
-                        tag, reference, observed,
-                    ]
-                else:
-                    g[0] += nbytes
-                    g[1] += 1
-                    g[3] = now
-                    g[4] = pkt.priority
-                    if switches:
-                        g[5] = switches
-                    rd = g[6]
-                    for sw, pair in pairs.items():
-                        cur = rd.get(sw)
-                        if cur is None:
-                            rd[sw] = pair
-                        elif pair != cur:
-                            lo, hi = pair
-                            clo, chi = cur
-                            if lo < clo or hi > chi:
-                                rd[sw] = (
-                                    lo if lo < clo else clo,
-                                    hi if hi > chi else chi,
-                                )
-                    g[9] = pairs
-                    be = g[7]
-                    be[observed] = be.get(observed, 0) + nbytes
-                    g[8] = count
-                    g[10] = tag
-                    g[11] = reference
-                    g[12] = observed
-            elif isinstance(telemetry, IntStack):
-                count += 1
-                nbytes = pkt.size
-                path, ranges, epoch = self._parse_int(telemetry)
-                pairs = {sw: (r.lo, r.hi) for sw, r in ranges.items()}
-                g = get(pkt.flow)
-                if g is None:
-                    be = {}
-                    if epoch is not None:
-                        be[epoch] = nbytes
-                    groups[pkt.flow] = [
-                        nbytes, 1, now, now, pkt.priority,
-                        path if path else None, dict(pairs), be, count,
-                        pairs, None, None, None,
-                    ]
-                else:
-                    g[0] += nbytes
-                    g[1] += 1
-                    g[3] = now
-                    g[4] = pkt.priority
-                    if path:
-                        g[5] = path
-                    rd = g[6]
-                    for sw, pair in pairs.items():
-                        cur = rd.get(sw)
-                        if cur is None:
-                            rd[sw] = pair
-                        elif pair != cur:
-                            lo, hi = pair
-                            clo, chi = cur
-                            if lo < clo or hi > chi:
-                                rd[sw] = (
-                                    lo if lo < clo else clo,
-                                    hi if hi > chi else chi,
-                                )
-                    g[9] = pairs
-                    if epoch is not None:
-                        be = g[7]
-                        be[epoch] = be.get(epoch, 0) + nbytes
-                    g[8] = count
-                    # an INT packet invalidates the VLAN decode cache
-                    # for this flow (slots 10-12) conservatively
-                    g[10] = None
-            else:
-                self.undecodable += 1
-        self.decoded += count
-        return self.store.apply_groups(groups, count)
-
-    def _vlan_offsets_for(self, src: str, dst: str, link_id: int
-                          ) -> tuple[list[str],
-                                     list[tuple[str, int, int]]]:
-        """Epoch-independent VLAN parse: path + per-switch offsets.
-
-        ``range_for(observed, d)`` is ``observed`` plus bounds that
-        depend only on the hop distance ``d`` (and the fixed α, ε, Δ),
-        so the ranges for any epoch are the observed=0 ranges shifted
-        by the observed epoch.
-        """
-        path_nodes = self.planner.reconstruct_path(src, dst, link_id)
-        switches = [n for n in path_nodes
-                    if n in self.planner.network.switches]
-        embedder = self._embedding_switch(path_nodes, link_id)
-        ranges = self.estimator.ranges_for_path(
-            switches, switches.index(embedder), 0)
-        return switches, [(sw, r.lo, r.hi) for sw, r in ranges.items()]
 
     # -- VLAN double tag -----------------------------------------------------
 

@@ -180,20 +180,13 @@ class QueryEngine:
         """The ``k`` largest flows (by bytes) seen through ``switch``.
 
         Selection runs on a size-``k`` heap (O(m log k)) and only the
-        winners are summarized — the losers are never materialized.  On
-        a sharded store the per-shard winners are merged directly
-        (:meth:`ShardedRecordStore.topk_through`), skipping the global
-        creation-order merge a plain scan would pay for.
+        winners are summarized — the losers are never materialized.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         self._begin()
-        topk = getattr(self.store, "topk_through", None)
-        if switch is not None and topk is not None:
-            top, scanned = topk(k, _topk_key, switch, epochs)
-        else:
-            matches, scanned = self._scan(switch, epochs)
-            top = heapq.nsmallest(k, matches, key=_topk_key)
+        matches, scanned = self._scan(switch, epochs)
+        top = heapq.nsmallest(k, matches, key=_topk_key)
         payload = [FlowSummary.of(r) for r in top]
         return QueryResult(payload=payload, records_scanned=scanned,
                            records_returned=len(payload))

@@ -30,6 +30,7 @@ every record on the host.  Index invariants:
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -145,37 +146,25 @@ class FlowRecord:
         return rec
 
 
+class SpillFormatError(ValueError):
+    """A spill-file line that is not a serialized :class:`FlowRecord`."""
+
+    def __init__(self, path: Path, lineno: int, reason: str):
+        super().__init__(f"{path}:{lineno}: {reason}")
+        self.path = Path(path)
+        self.lineno = lineno
+        self.reason = reason
+
+
 def _record_seq(rec: "FlowRecord") -> int:
     return rec._seq
-
-
-class SeqCounter:
-    """Monotonic record-creation counter, shareable across stores.
-
-    Query results are ordered by record-creation sequence; a
-    :class:`~repro.hostd.sharded.ShardedRecordStore` hands one counter
-    to all of its shards so the merged order equals the order a single
-    flat store would have produced.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, start: int = 0):
-        self.value = start
-
-    def take(self) -> int:
-        v = self.value
-        self.value += 1
-        return v
 
 
 def _staleness(rec: FlowRecord) -> tuple[float, int]:
     # a record with no observation yet is the one being created right
     # now — never the eviction victim.  Ties on last_seen (simultaneous
-    # delivery events are common) break by creation sequence, which
-    # keeps flat and sharded stores choosing identical victims: the
-    # flat store's candidate order is already seq order, the sharded
-    # store's is shard-grouped, so the tie-break must be explicit.
+    # delivery events are common) break by creation sequence, so the
+    # victim never depends on the table's iteration order.
     t = rec.last_seen if rec.last_seen is not None else float("inf")
     return (t, rec._seq)
 
@@ -196,8 +185,7 @@ class FlowRecordStore:
 
     def __init__(self, host_name: str,
                  spill_path: Optional[Path] = None,
-                 max_records: Optional[int] = None,
-                 seq_counter: Optional[SeqCounter] = None):
+                 max_records: Optional[int] = None):
         if max_records is not None and max_records < 1:
             raise ValueError("max_records must be >= 1")
         self.host_name = host_name
@@ -210,7 +198,8 @@ class FlowRecordStore:
         #: switchID -> ([lo epochs], [(lo, seq, record)]) sorted cache
         self._sorted: dict[str, tuple[list[int],
                                       list[tuple[int, int, FlowRecord]]]] = {}
-        self._seq = seq_counter if seq_counter is not None else SeqCounter()
+        #: record-creation counter; query results come back in this order
+        self._seq = itertools.count()
         self._deferring = False
         #: Optional hook run before any read-side entry point (`get`,
         #: `scan_through`, ...).  The host agent points it at its
@@ -227,8 +216,7 @@ class FlowRecordStore:
     def record_for(self, flow: FlowKey) -> FlowRecord:
         rec = self._records.get(flow)
         if rec is None:
-            rec = FlowRecord(flow=flow, _store=self,
-                             _seq=self._seq.take())
+            rec = FlowRecord(flow=flow, _store=self, _seq=next(self._seq))
             self._records[flow] = rec
             if len(self._records) > self.peak_records:
                 self.peak_records = len(self._records)
@@ -323,13 +311,7 @@ class FlowRecordStore:
 
     def _drop_records(self, victims: list[FlowRecord], *,
                       spill: bool = True) -> None:
-        """Spill (optionally) then unindex+drop the given records.
-
-        Shared by the local eviction policy above and by
-        :class:`~repro.hostd.sharded.ShardedRecordStore`, whose global
-        memory bound picks victims across shards and hands each shard
-        its share — the index bookkeeping is identical either way.
-        """
+        """Spill (optionally) then unindex+drop the given records."""
         if spill and self.spill_path is not None:
             self.spill_path.parent.mkdir(parents=True, exist_ok=True)
             with self.spill_path.open("a", encoding="utf-8") as fh:
@@ -443,15 +425,19 @@ class FlowRecordStore:
     # -- MongoDB-substitute spill --------------------------------------------
 
     def flush_to_disk(self) -> int:
-        """Append all in-memory records to the JSON-lines spill file."""
+        """Append all in-memory records to the JSON-lines spill file.
+
+        Returns the number of records this call wrote.
+        """
         if self.spill_path is None:
             raise RuntimeError("no spill path configured")
         self.spill_path.parent.mkdir(parents=True, exist_ok=True)
         with self.spill_path.open("a", encoding="utf-8") as fh:
             for rec in self._records.values():
                 fh.write(json.dumps(rec.to_json()) + "\n")
-                self.spilled += 1
-        return self.spilled
+        written = len(self._records)
+        self.spilled += written
+        return written
 
     @classmethod
     def load_from_disk(cls, host_name: str, spill_path: Path, *,
@@ -463,26 +449,40 @@ class FlowRecordStore:
         store: if the file holds more records than the bound, the
         stalest surplus is dropped (counted in ``evicted``) — never
         re-appended to the file being read.
+
+        A line that is not a serialized record (a file cut mid-write,
+        a foreign file) raises :class:`SpillFormatError` naming the
+        file and line.
         """
         store = cls(host_name, spill_path=spill_path,
                     max_records=max_records)
         with Path(spill_path).open(encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                store._adopt_json_line(line)
+                try:
+                    doc = json.loads(line)
+                    if not isinstance(doc, dict):
+                        raise TypeError("not a JSON object")
+                    rec = FlowRecord.from_json(doc)
+                except (KeyError, TypeError, ValueError) as exc:
+                    if isinstance(exc, json.JSONDecodeError):
+                        reason = f"undecodable JSON ({exc.msg})"
+                    elif isinstance(exc, KeyError):
+                        reason = f"record is missing field {exc.args[0]!r}"
+                    else:
+                        reason = f"malformed record ({exc})"
+                    raise SpillFormatError(spill_path, lineno,
+                                           reason) from exc
+                store._adopt_record(rec)
         store.peak_records = max(store.peak_records, len(store._records))
         if max_records is not None:
             store._evict(spill=False)
         return store
 
-    def _adopt_json_line(self, line: str) -> None:
-        """Replay one spill-file line into the table (reload path)."""
-        self._adopt_record(FlowRecord.from_json(json.loads(line)))
-
-    def _adopt_record(self, rec: FlowRecord) -> bool:
-        """Adopt a deserialized record; True when its flow is new here."""
+    def _adopt_record(self, rec: FlowRecord) -> None:
+        """Replay one deserialized spill-file record into the table."""
         prev = self._records.get(rec.flow)
         if prev is not None:
             # a later spill of the same flow supersedes the
@@ -490,7 +490,6 @@ class FlowRecordStore:
             self._unindex_record(prev)
             rec._seq = prev._seq
         else:
-            rec._seq = self._seq.take()
+            rec._seq = next(self._seq)
         self._records[rec.flow] = rec
         self._index_record(rec)
-        return prev is None

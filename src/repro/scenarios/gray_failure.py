@@ -72,13 +72,8 @@ class GrayFailureScenario(Scenario):
             "k": Knob(2, "pointer hierarchy depth"),
             "records_per_host": Knob(0, "hostd record-table bound "
                                         "(0 = unbounded)"),
-            "record_shards": Knob(1, "record-store shards per host "
-                                     "agent (>1 = sharded store)"),
             "ingest_batch": Knob(1, "sniffed packets decoded per "
                                     "ingest batch"),
-            "record_backend": Knob("auto", "record-store backend: "
-                                           "flat, sharded, columnar, "
-                                           "or auto"),
             "online": Knob(1, "diagnose through an online session "
                               "(RPCs advance simulated time; 0 = "
                               "offline zero-cost queries)"),
@@ -116,9 +111,7 @@ class GrayFailureScenario(Scenario):
             latency_model=LatencyModel().with_extra(
                 p["rpc_latency_ms"] * 1e-3),
             records_per_host=p["records_per_host"] or None,
-            record_shards=p["record_shards"],
             ingest_batch=p["ingest_batch"],
-            record_backend=p["record_backend"],
             directory_backend=p["directory_backend"],
             directory_bits=p["directory_bits"],
             directory_hashes=p["directory_hashes"])
@@ -230,15 +223,13 @@ register_sweep(SweepSpec(
         "victims": "n_flows",
         "records": "records_per_host",
         "alpha_ms": "alpha_ms",
-        "shards": "record_shards",
         "batch": "ingest_batch",
-        "backend": "record_backend",
         "mix": "bg_mix",
         "skew_ms": "skew_ms",
     },
     default_grid={"flows": (0, 200, 1000), "victims": (4, 16)},
     nightly_grid={"flows": (0, 200), "victims": (4,)},
-    base_knobs={"record_shards": 4, "ingest_batch": 8},
+    base_knobs={"ingest_batch": 8},
 ))
 
 register_sweep(SweepSpec(

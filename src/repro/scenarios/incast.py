@@ -84,13 +84,8 @@ class IncastScenario(Scenario):
                            "fabric family: leaf-spine or fat-tree"),
             "records_per_host": Knob(0, "hostd record-table bound "
                                         "(0 = unbounded)"),
-            "record_shards": Knob(1, "record-store shards per host "
-                                     "agent (>1 = sharded store)"),
             "ingest_batch": Knob(1, "sniffed packets decoded per "
                                     "ingest batch"),
-            "record_backend": Knob("auto", "record-store backend: "
-                                           "flat, sharded, columnar, "
-                                           "or auto"),
             **background_knobs(),
             **fault_knobs(),
         },
@@ -149,9 +144,7 @@ class IncastScenario(Scenario):
         deploy = SwitchPointerDeployment(
             net, alpha_ms=p["alpha_ms"], k=p["k"],
             records_per_host=p["records_per_host"] or None,
-            record_shards=p["record_shards"],
-            ingest_batch=p["ingest_batch"],
-            record_backend=p["record_backend"])
+            ingest_batch=p["ingest_batch"])
         self.network, self.deployment = net, deploy
         self.receiver = net.host_names[0]
         # the receiver's last-hop switch is where the fan-in converges
@@ -256,15 +249,13 @@ register_sweep(SweepSpec(
         "records": "records_per_host",
         "alpha_ms": "alpha_ms",
         "senders": "n_senders",
-        "shards": "record_shards",
         "batch": "ingest_batch",
-        "backend": "record_backend",
         "fabric": "fabric",
         "mix": "bg_mix",
     },
     default_grid={"hosts": (64, 256, 1024, 4096)},
     nightly_grid={"hosts": (64, 256, 1024)},
-    base_knobs={"record_shards": 8, "ingest_batch": 16},
+    base_knobs={"ingest_batch": 16},
 ))
 
 register_sweep(SweepSpec(
@@ -280,7 +271,6 @@ register_sweep(SweepSpec(
         "flow_kb": "bg_flow_kb",
         "alpha_ms": "alpha_ms",
         "records": "records_per_host",
-        "backend": "record_backend",
     },
     default_grid={"hosts": (256,), "flows": (200, 1000, 2000)},
     nightly_grid={"hosts": (64,), "flows": (200, 1000)},
@@ -289,18 +279,18 @@ register_sweep(SweepSpec(
     # budget, these two points do (see budget_note)
     nightly_points=(
         {"hosts": 4096, "flows": 2000},
-        {"hosts": 65536, "flows": 100000, "backend": "columnar"},
+        {"hosts": 65536, "flows": 100000},
     ),
     budget_note="hosts=4096 flows=2000 measured at ~15 s wall on one "
                 "dev-container core (build 3.8 s, run 10.6 s, diagnose "
                 "0.05 s; 80-switch leaf-spine, 2009 concurrent flows). "
-                "hosts=65536 flows=100000 backend=columnar measured at "
-                "~115 s wall (build 26 s, run 79 s, diagnose 10 s; "
-                "64-leaf/16-spine fabric, 65,536 hosts, 100k background "
-                "flows on the columnar record store with host-to-host "
+                "hosts=65536 flows=100000 measured at ~102 s wall on the "
+                "2-core sandbox (build 25 s, run 72 s, diagnose 6 s; "
+                "1.3 GB peak RSS; 64-leaf/16-spine fabric, 65,536 hosts, "
+                "100k background flows, ingest_batch=16, host-to-host "
                 "shortest paths decomposed through the 80-switch "
                 "subgraph). Adding further top-end points must "
                 "re-measure and keep the whole nightly run under "
                 "~10 min.",
-    base_knobs={"record_shards": 8, "ingest_batch": 16},
+    base_knobs={"ingest_batch": 16},
 ))

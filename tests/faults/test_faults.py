@@ -136,39 +136,6 @@ class TestAgentCrash:
         # post-restart traffic repopulated the table
         assert len(agent.store) == 1
 
-    def test_shard_crash_loses_only_that_shard(self):
-        net = build_linear(2, hosts_per_switch=1)
-        deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2,
-                                         record_shards=4)
-        # several flows so shards are populated
-        for i in range(8):
-            UdpSink(net.hosts["h2_0"], 100 + i)
-            UdpCbrSource(net.sim, net.hosts["h1_0"], "h2_0",
-                         sport=100 + i, dport=100 + i, rate_bps=1e6,
-                         packet_size=500, priority=PRIO_LOW, start=0.0,
-                         duration=0.01)
-        net.run(until=0.015)
-        agent = deploy.host_agents["h2_0"]
-        store = agent.store
-        populated = [i for i, shard in enumerate(store.shards)
-                     if len(shard)][0]
-        before = len(store)
-        lost_expected = len(store.shards[populated])
-        fault = FAULTS.create("agent-crash", host="h2_0",
-                              shard=populated)
-        fault.inject(FaultContext(net, deploy))
-        assert fault.records_lost == lost_expected
-        assert len(store) == before - lost_expected
-        assert agent.alive                   # the agent itself survives
-
-    def test_shard_crash_on_flat_store_rejected_at_schedule(self):
-        net = build_linear(2, hosts_per_switch=1)
-        deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2)
-        plan = FaultPlan()
-        plan.add_named("agent-crash", host="h2_0", shard=0, start=0.001)
-        with pytest.raises(FaultError, match="flat record store"):
-            plan.schedule(FaultContext(net, deploy))
-
     def test_crash_is_idempotent(self):
         net = build_linear(2, hosts_per_switch=1)
         deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2)

@@ -3,7 +3,6 @@
 from repro.core.epoch import EpochRange
 from repro.deployment import SwitchPointerDeployment
 from repro.hostd.records import FlowRecordStore
-from repro.hostd.sharded import ShardedRecordStore
 from repro.simnet.packet import PRIO_LOW
 from repro.simnet.topology import build_linear
 from repro.simnet.traffic import UdpCbrSource, UdpSink
@@ -47,14 +46,6 @@ class TestBatchedIngestion:
         res = agent.query.flows_matching("S1", EpochRange(0, 100))
         assert agent._pending == []
         assert res.records_returned > 0
-
-    def test_batched_sharded_bounded_combination(self):
-        _, deploy = run_deployment(ingest_batch=8, record_shards=4,
-                                   records_per_host=4)
-        for agent in deploy.host_agents.values():
-            agent.flush_ingest()
-            assert isinstance(agent.store, ShardedRecordStore)
-            assert len(agent.store) <= 4
 
     def test_default_store_remains_flat_unbounded(self):
         _, deploy = run_deployment()

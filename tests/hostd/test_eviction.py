@@ -35,6 +35,40 @@ class TestEviction:
         assert store.get(key(1)) is None  # stalest gone
         assert store.get(key(0)) is not None  # refreshed kept
 
+    def test_ties_on_last_seen_evict_oldest_created(self):
+        """Simultaneous deliveries tie on last_seen; the victim is the
+        earliest-created record, whatever order the table iterates."""
+        store = FlowRecordStore("h", max_records=2)
+        for i in range(4):
+            touch(store, i, t=0.001)
+        assert [rec.flow for rec in store] == [key(2), key(3)]
+
+    def test_batch_defers_eviction_to_batch_end(self):
+        store = FlowRecordStore("h", max_records=5)
+        store.begin_batch()
+        for i in range(20):
+            touch(store, i, t=i * 0.001)
+        assert len(store) == 20  # bound deferred inside the batch
+        store.end_batch()
+        assert len(store) == 5
+        assert store.evicted == 15
+        assert store.peak_records == 20  # the within-batch high water
+
+    def test_drop_all_then_reingest(self):
+        """Crash loss: nothing spilled or counted as evicted, and the
+        emptied index serves what arrives afterwards."""
+        store = FlowRecordStore("h", max_records=3)
+        for i in range(3):
+            touch(store, i, t=i * 0.001)
+        assert store.drop_all() == 3
+        assert len(store) == 0 and store.flows_through("S1") == []
+        assert (store.evicted, store.spilled) == (0, 0)
+        touch(store, 1, t=0.010)
+        touch(store, 7, t=0.011)
+        assert ([rec.flow for rec in store.flows_through("S1")]
+                == [key(1), key(7)])
+        assert store.get(key(1)).packets == 1  # a fresh record
+
     def test_spill_preserves_evicted_records(self, tmp_path):
         spill = tmp_path / "spill.jsonl"
         store = FlowRecordStore("h", spill_path=spill, max_records=2)

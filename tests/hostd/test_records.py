@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.epoch import EpochRange
-from repro.hostd.records import FlowRecord, FlowRecordStore
+from repro.hostd.records import (FlowRecord, FlowRecordStore,
+                                 SpillFormatError)
 from repro.simnet.packet import FlowKey, PROTO_TCP
 
 
@@ -112,6 +113,57 @@ class TestDiskSpill:
         loaded = FlowRecordStore.load_from_disk("h1", spill)
         assert len(loaded) == 4
         assert loaded.get(key(2)).bytes == 300
+
+    def test_flush_returns_what_this_call_wrote(self, tmp_path):
+        """...not the cumulative spill counter: eviction spills that
+        came before the flush are not part of its count."""
+        spill = tmp_path / "records.jsonl"
+        store = FlowRecordStore("h1", spill_path=spill, max_records=3)
+        for i in range(8):
+            observe(store.record_for(key(i)), t=0.001 * i)
+        assert store.spilled == 5
+        assert store.flush_to_disk() == 3
+        assert store.spilled == 8
+        assert store.flush_to_disk() == 3
+
+    def test_reload_later_spill_supersedes_in_place(self, tmp_path):
+        """A flow spilled twice reloads once, with the later line's
+        contents at the earlier line's position in the table."""
+        spill = tmp_path / "records.jsonl"
+        store = FlowRecordStore("h1", spill_path=spill)
+        for i in range(3):
+            observe(store.record_for(key(i)), nbytes=100, t=0.001 * i)
+        store.flush_to_disk()
+        observe(store.record_for(key(0)), nbytes=50, t=0.010,
+                ranges={"S1": EpochRange(9, 9)})
+        store.flush_to_disk()
+        loaded = FlowRecordStore.load_from_disk("h1", spill)
+        assert [r.flow for r in loaded] == [key(0), key(1), key(2)]
+        assert loaded.get(key(0)).bytes == 150
+        hits = loaded.flows_through("S1", EpochRange(9, 9))
+        assert [r.flow for r in hits] == [key(0)]
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda line: line[:len(line) // 2], "undecodable JSON"),
+        (lambda line: "[1, 2, 3]", "not a JSON object"),
+        (lambda line: line.replace('"packets"', '"pkts"'),
+         "missing field 'packets'"),
+    ], ids=["cut-mid-line", "non-object-line", "missing-key"])
+    def test_corrupt_spill_file_is_a_named_error(self, tmp_path, damage,
+                                                 reason):
+        spill = tmp_path / "records.jsonl"
+        store = FlowRecordStore("h1", spill_path=spill)
+        for i in range(3):
+            observe(store.record_for(key(i)))
+        store.flush_to_disk()
+        lines = spill.read_text(encoding="utf-8").splitlines()
+        lines[2] = damage(lines[2])
+        spill.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(SpillFormatError, match=reason) as err:
+            FlowRecordStore.load_from_disk("h1", spill)
+        assert isinstance(err.value, ValueError)
+        assert (err.value.path, err.value.lineno) == (spill, 3)
+        assert str(err.value).startswith(f"{spill}:3: ")
 
     def test_flush_without_path_raises(self):
         store = FlowRecordStore("h1")

@@ -3,9 +3,8 @@
 The incremental analyzer's evidence model: a reader issuing
 ``since_seq`` delta rounds against a store that keeps ingesting,
 merging newer summaries over older ones by flow, must converge on
-exactly what a single query at the final watermark returns — for the
-flat and the sharded store alike, for any interleaving of ingests and
-query rounds.
+exactly what a single query at the final watermark returns, for any
+interleaving of ingests and query rounds.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.epoch import EpochRange
 from repro.hostd.query import QueryEngine
 from repro.hostd.records import FlowRecordStore
-from repro.hostd.sharded import ShardedRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
 SWITCH_SETS = (("S1",), ("S2",), ("S1", "S2"))
@@ -76,7 +74,6 @@ def _one_shot(store_factory, ops, switch, epochs):
 
 STORES = {
     "flat": lambda: FlowRecordStore("h"),
-    "sharded": lambda: ShardedRecordStore("h", n_shards=4),
 }
 
 
@@ -116,3 +113,18 @@ def test_updated_record_reappears_in_the_next_delta(layout):
     res = QueryEngine(store).flows_matching("S1", since_seq=seq)
     assert [s.flow for s in res.payload] == [flow_key(0)]
     assert res.payload[0].packets == 2
+
+
+def test_watermark_survives_eviction():
+    """Eviction never rewinds the watermark: a delta round after the
+    bound dropped an already-reported flow returns exactly the live
+    records updated since, in creation order."""
+    store = FlowRecordStore("h", max_records=2)
+    _ingest(store, 0, ("S1",), 0, t=0.001)
+    _ingest(store, 1, ("S1",), 0, t=0.002)
+    seq = QueryEngine(store).flows_matching("S1").as_of_seq
+    _ingest(store, 2, ("S1",), 0, t=0.003)        # evicts flow 0
+    _ingest(store, 1, ("S1",), 3, t=0.004)
+    res = QueryEngine(store).flows_matching("S1", since_seq=seq)
+    assert [s.flow for s in res.payload] == [flow_key(1), flow_key(2)]
+    assert res.as_of_seq == store.ingested == 4

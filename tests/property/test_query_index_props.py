@@ -6,12 +6,14 @@ heap-based :meth:`QueryEngine.top_k_flows` — is observationally
 identical to the O(N) linear scan it replaced: same records, same
 order, byte-identical summary payloads."""
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.epoch import EpochRange
 from repro.hostd.query import FlowSummary, QueryEngine
 from repro.hostd.records import FlowRecordStore
-from repro.hostd.sharded import ShardedRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
 SWITCHES = ["S1", "S2", "S3", "S4", "S5"]
@@ -37,15 +39,20 @@ observation = st.tuples(
 observations = st.lists(observation, min_size=1, max_size=80)
 
 
-def build(ops, max_records=None, store=None, tie_every=None):
+def build(ops, max_records=None, tie_every=None, crash_at=None,
+          spill_path=None):
     """Replay ``ops`` into a store (evictions interleave via the bound).
 
     ``tie_every=k`` gives groups of k consecutive observations the same
-    timestamp, covering eviction tie-breaking on equal staleness.
+    timestamp, covering eviction tie-breaking on equal staleness;
+    ``crash_at=i`` loses the whole table (``drop_all``) before
+    observation ``i``, so the rest re-ingests into an emptied index.
     """
-    if store is None:
-        store = FlowRecordStore("h", max_records=max_records)
+    store = FlowRecordStore("h", spill_path=spill_path,
+                            max_records=max_records)
     for i, (fid, nbytes, ranges) in enumerate(ops):
+        if i == crash_at:
+            store.drop_all()
         tick = i if tie_every is None else i // tie_every
         store.ingest(flow_key(fid), nbytes=nbytes, t=0.001 * tick,
                      priority=0, switch_path=sorted(ranges),
@@ -63,9 +70,33 @@ def payload_bytes(summaries: list[FlowSummary]) -> list[tuple]:
 @settings(max_examples=80, deadline=None)
 @given(ops=observations,
        max_records=st.sampled_from([None, 3, 6]),
-       window=st.one_of(st.none(), epoch_range))
-def test_flows_through_matches_linear_scan(ops, max_records, window):
-    store = build(ops, max_records=max_records)
+       window=st.one_of(st.none(), epoch_range),
+       tie_every=st.sampled_from([None, 1, 4]),
+       crash_at=st.one_of(st.none(), st.integers(min_value=0, max_value=79)),
+       reload=st.booleans())
+def test_flows_through_matches_linear_scan(ops, max_records, window,
+                                           tie_every, crash_at, reload):
+    """...for any interleaving of observations, evictions (including
+    ties on last_seen), a crash loss, and a flush → ``load_from_disk``
+    round trip whose file holds superseded eviction spills."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spill.jsonl" if reload else None
+        store = build(ops, max_records=max_records, tie_every=tie_every,
+                      crash_at=crash_at, spill_path=path)
+        if reload:
+            live = [r.flow for r in store]
+            store.flush_to_disk()
+            store = FlowRecordStore.load_from_disk(
+                "h", path, max_records=max_records)
+            if max_records is None:
+                # no eviction spills: the file is exactly the table
+                assert [r.flow for r in store] == live
+            else:
+                # earlier eviction spills come back too (superseded by
+                # the final flush where the flow lived on), but the
+                # reload bound never costs a live record
+                assert len(store) <= max_records
+                assert set(live) <= {r.flow for r in store}
     for sw in SWITCHES:
         indexed = store.flows_through(sw, window)
         linear = store.linear_flows_through(sw, window)
@@ -110,75 +141,4 @@ def test_index_never_resurrects_evicted_records(ops, max_records):
     live = set(id(r) for r in store)
     for sw in SWITCHES:
         for rec in store.flows_through(sw):
-            assert id(rec) in live
-
-
-# -- sharded-store equivalence (shard merge × eviction interleavings) ------
-
-@settings(max_examples=60, deadline=None)
-@given(ops=observations,
-       max_records=st.sampled_from([None, 3, 6]),
-       n_shards=st.sampled_from([2, 4, 7]),
-       tie_every=st.sampled_from([None, 1, 4]),
-       window=st.one_of(st.none(), epoch_range))
-def test_sharded_store_is_flat_store_equivalent(ops, max_records,
-                                                n_shards, tie_every,
-                                                window):
-    """For any interleaving of observations and (global-bound)
-    evictions — including ties on last_seen, where victim choice must
-    fall back to creation order on both sides — the sharded store's
-    merged queries return the same flows in the same order as the flat
-    store, and its merged top-k payloads are byte-identical."""
-    flat = build(ops, max_records=max_records, tie_every=tie_every)
-    sharded = build(ops, tie_every=tie_every,
-                    store=ShardedRecordStore(
-                        "h", max_records=max_records,
-                        n_shards=n_shards))
-    assert len(sharded) == len(flat)
-    assert [r.flow for r in sharded] == [r.flow for r in flat]
-    flat_engine, sharded_engine = QueryEngine(flat), QueryEngine(sharded)
-    for sw in SWITCHES:
-        a = flat.flows_through(sw, window)
-        b = sharded.flows_through(sw, window)
-        assert [r.flow for r in a] == [r.flow for r in b]
-        ta = flat_engine.top_k_flows(4, switch=sw, epochs=window)
-        tb = sharded_engine.top_k_flows(4, switch=sw, epochs=window)
-        assert (payload_bytes(ta.payload)
-                == payload_bytes(tb.payload))
-
-
-@settings(max_examples=40, deadline=None)
-@given(ops=observations,
-       max_records=st.sampled_from([None, 4]),
-       n_shards=st.sampled_from([2, 5]),
-       reload_bound=st.sampled_from([None, 3]))
-def test_sharded_spill_reload_keeps_index_consistent(
-        tmp_path_factory, ops, max_records, n_shards, reload_bound):
-    """flush → load_from_disk (with or without a reload bound) must
-    leave the per-shard inverted indexes exactly describing the live
-    table — reloads and evictions never resurrect or strand records."""
-    path = tmp_path_factory.mktemp("spill") / "records.jsonl"
-    store = build(ops, store=ShardedRecordStore(
-        "h", spill_path=path, max_records=max_records,
-        n_shards=n_shards))
-    store.flush_to_disk()
-    again = ShardedRecordStore.load_from_disk(
-        "h", path, max_records=reload_bound, n_shards=n_shards)
-    if reload_bound is not None:
-        assert len(again) <= reload_bound
-    elif max_records is None:
-        # no mid-run eviction spills: the file is exactly the table
-        assert [r.flow for r in again] == [r.flow for r in store]
-    else:
-        # eviction victims were spilled before the final flush; the
-        # reload resurrects them (flat-store semantics), never loses
-        # a live record
-        reloaded = {r.flow for r in again}
-        assert {r.flow for r in store} <= reloaded
-    live = {id(r) for r in again}
-    for sw in SWITCHES:
-        indexed = again.flows_through(sw)
-        linear = again.linear_flows_through(sw)
-        assert [r.flow for r in indexed] == [r.flow for r in linear]
-        for rec in indexed:
             assert id(rec) in live

@@ -22,8 +22,6 @@ TYPED_CORE = (
     "src/repro/directory",
     "src/repro/scenarios/base.py",
     "src/repro/simnet/workload.py",
-    "src/repro/hostd/columnar.py",
-    "src/repro/hostd/backends.py",
 )
 
 

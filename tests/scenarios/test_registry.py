@@ -1,5 +1,10 @@
 """Tests for the scenario registry and the four-phase protocol."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.scenarios import (REGISTRY, Knob, Scenario, ScenarioError,
@@ -111,6 +116,18 @@ class TestScenarioProtocol:
                 assert knob.help
             unknown_smoke = set(spec.smoke_knobs) - set(spec.knobs)
             assert not unknown_smoke, (spec.name, unknown_smoke)
+
+
+def test_importing_the_scenarios_does_not_import_numpy():
+    """The simulation core is pure Python: numpy is a test-time
+    dependency only, and costs a third of the import when it sneaks
+    back in."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    subprocess.run(
+        [sys.executable, "-c",
+         "import repro.scenarios, sys; assert 'numpy' not in sys.modules"],
+        check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120)
 
 
 class TestRoundTrips:

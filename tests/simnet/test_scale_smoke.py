@@ -48,7 +48,6 @@ def test_65k_incast_point_full_flows():
     from repro.scenarios import run_scenario
 
     res = run_scenario("incast", hosts=65536, bg_flows=100000,
-                       record_backend="columnar", record_shards=8,
-                       ingest_batch=256)
+                       ingest_batch=16)
     assert res.measurements["fabric_hosts"] == 65536
     assert [v.problem for v in res.verdicts] == ["incast"]

@@ -68,7 +68,7 @@ class TestNightlyPoints:
         spec = SWEEPS.get("incast-scale")
         assert spec.nightly_points == (
             {"hosts": 4096, "flows": 2000},
-            {"hosts": 65536, "flows": 100000, "backend": "columnar"},
+            {"hosts": 65536, "flows": 100000},
         )
         sweep = Sweep(spec, {"hosts": [64], "flows": [200]},
                       workers=1,

@@ -10,7 +10,7 @@ def make_report() -> SweepReport:
         PointResult(
             index=i,
             params={"hosts": 64 * (i + 1)},
-            knobs={"hosts": 64 * (i + 1), "record_shards": 8},
+            knobs={"hosts": 64 * (i + 1), "ingest_batch": 16},
             seed=1000 + i,
             diagnosis_ok=(i != 1),
             problems=["incast"] if i != 1 else [],

@@ -60,7 +60,7 @@ class TestRegistry:
         assert knobs["hosts"] == 256
         assert knobs["records_per_host"] == 512
         # base knobs ride along on every point
-        assert knobs["record_shards"] == 8
+        assert knobs["ingest_batch"] == 16
 
     def test_unknown_axis_rejected_before_running(self):
         spec = SWEEPS.get("incast")

@@ -46,7 +46,6 @@ results and commit the diff deliberately — it is the new reference:
 ```sh
 python -m pytest benchmarks/test_query_index.py \\
     benchmarks/test_sweep_smoke.py \\
-    benchmarks/test_columnar_ingest.py \\
     benchmarks/test_engine_eventloop.py -q
 python tools/check_bench_regression.py --update
 ```

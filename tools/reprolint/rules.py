@@ -53,8 +53,6 @@ TYPED_CORE = (
     f"{SRC}/directory",
     f"{SRC}/scenarios/base.py",
     f"{SRC}/simnet/workload.py",
-    f"{SRC}/hostd/columnar.py",
-    f"{SRC}/hostd/backends.py",
 )
 
 #: Registry packages whose ``__init__.py`` must import every
@@ -64,7 +62,6 @@ REGISTRY_PACKAGES = (
     f"{SRC}/faults",
     f"{SRC}/sweep",
     f"{SRC}/experiment",
-    f"{SRC}/hostd",
     f"{SRC}/directory",
 )
 
@@ -697,8 +694,7 @@ class FaultProtocol(Rule):
 # ---------------------------------------------------------------------------
 
 _REGISTER_DECORATORS = {"register", "register_fault"}
-_REGISTER_CALLS = {"register_sweep", "register_experiment",
-                   "register_backend", "register_directory"}
+_REGISTER_CALLS = {"register_sweep", "register_experiment", "register_directory"}
 
 
 def _registers_something(
@@ -741,7 +737,7 @@ class RegistryCoverage(Rule):
         "nightly driver, and the generated catalogues, with no error "
         "anywhere.",
         scope="src/repro/scenarios/, src/repro/faults/, "
-        "src/repro/sweep/, src/repro/experiment/, src/repro/hostd/",
+        "src/repro/sweep/, src/repro/experiment/",
         pragma=None,
         fix="Import the module from the package __init__.py (the "
         "catalogue aggregator), the way every sibling module is.",
@@ -951,8 +947,7 @@ class TypedDefs(Rule):
         scope="src/repro/sweep/, src/repro/faults/, "
         "src/repro/analyzer/, src/repro/directory/, "
         "src/repro/scenarios/base.py, "
-        "src/repro/simnet/workload.py, src/repro/hostd/columnar.py, "
-        "src/repro/hostd/backends.py",
+        "src/repro/simnet/workload.py",
         pragma=None,
         fix="Annotate every parameter (typing.Any is acceptable where "
         "the value is genuinely dynamic) and the return type; "
