@@ -94,7 +94,7 @@ def test_fig10_live_store_cross_check(benchmark):
 def test_fig10_mphf_measured_size(benchmark):
     """§6.1: the MPHF auxiliary state is small (paper: 70 KB/100K keys).
 
-    We measure our hash-displace construction at n=20K and extrapolate
+    We measure our FCH-style construction at n=20K and extrapolate
     linearly — construction is offline, so benchmark time here is the
     (analyzer-side) build cost."""
     n = 20_000

@@ -21,7 +21,7 @@ is how the Fig 7/8/12 latency decompositions are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import networkx as nx
 
@@ -48,6 +48,11 @@ class HostsPerSwitch:
     epochs: EpochRange
     hosts: list[str] = field(default_factory=list)
     pruned: list[str] = field(default_factory=list)
+
+
+def _links_of(path: Sequence[str]) -> Iterator[frozenset]:
+    """The undirected links of a node path, one per hop."""
+    return (frozenset(pair) for pair in zip(path, path[1:]))
 
 
 class Analyzer:
@@ -78,10 +83,10 @@ class Analyzer:
         self.dir_approx_queries = 0
         self.dir_false_positive_slots = 0
         self.dir_negative_slots = 0
-        # topology cache (§4.3 pruning): per-source shortest-path link
-        # sets, computed with one BFS per source per topology version
+        # topology cache (§4.3 pruning): per-source shortest paths,
+        # computed with one BFS per source per topology version
         self._topo_graph: Optional[nx.Graph] = None
-        self._links_from: dict[str, dict[str, frozenset]] = {}
+        self._paths_from: dict[str, dict[str, list[str]]] = {}
 
     # -- alert ingestion -------------------------------------------------------
 
@@ -104,15 +109,14 @@ class Analyzer:
         """Topology hop count from the analyzer site to ``server``.
 
         Served from the memoized per-source BFS the §4.3 pruning
-        already maintains (a shortest path's link set has exactly one
-        link per hop).  Unreachable or unknown servers cost 0 extra —
-        the timeout machinery, not wire distance, prices those.
+        already maintains.  Unreachable or unknown servers cost 0 extra
+        — the timeout machinery, not wire distance, prices those.
         """
         site = self.site
         if site is None:
             return 0
-        links = self._path_link_sets_from(site).get(server)
-        return len(links) if links is not None else 0
+        path = self._shortest_paths_from(site).get(server)
+        return len(path) - 1 if path is not None else 0
 
     def host_responsive(self, host: str) -> bool:
         """Can ``host`` answer an analyzer RPC right now?
@@ -258,12 +262,12 @@ class Analyzer:
     # -- topology cache ---------------------------------------------------------
 
     def invalidate_topology_cache(self) -> None:
-        """Drop memoized shortest-path link sets (topology changed)."""
+        """Drop memoized shortest paths (topology changed)."""
         self._topo_graph = None
-        self._links_from.clear()
+        self._paths_from.clear()
 
     def _cached_graph(self) -> nx.Graph:
-        """The network graph, auto-invalidating the path-link cache.
+        """The network graph, auto-invalidating the path cache.
 
         :meth:`Network.graph` returns a new object whenever nodes or
         links changed, so an identity check is enough to notice any
@@ -272,26 +276,23 @@ class Analyzer:
         g = self.network.graph()
         if g is not self._topo_graph:
             self._topo_graph = g
-            self._links_from.clear()
+            self._paths_from.clear()
         return g
 
-    def _path_link_sets_from(self, source: str) -> dict[str, frozenset]:
-        """For every node reachable from ``source``: the undirected link
-        set of one shortest path to it.
+    def _shortest_paths_from(self, source: str) -> dict[str, list[str]]:
+        """One shortest path to every node reachable from ``source``.
 
         One BFS per (topology, source), memoized — pruning an alert no
-        longer costs one shortest-path search per candidate host.
+        longer costs one shortest-path search per candidate host.  Link
+        sets are built by :func:`_links_of` for the nodes asked about,
+        not for the whole fabric.
         """
         g = self._cached_graph()
-        cached = self._links_from.get(source)
+        cached = self._paths_from.get(source)
         if cached is None:
-            cached = {}
-            if source in g:
-                for node, path in nx.single_source_shortest_path(
-                        g, source).items():
-                    cached[node] = frozenset(
-                        frozenset(pair) for pair in zip(path, path[1:]))
-            self._links_from[source] = cached
+            cached = self._paths_from[source] = (
+                nx.single_source_shortest_path(g, source)
+                if source in g else {})
         return cached
 
     # -- search-radius pruning (§4.3) ------------------------------------------
@@ -310,10 +311,10 @@ class Analyzer:
         for a, b in zip(nodes, nodes[1:]):
             if a == b or a not in g or b not in g:
                 continue
-            segment_links = self._path_link_sets_from(a).get(b)
-            if segment_links is None:
+            segment = self._shortest_paths_from(a).get(b)
+            if segment is None:
                 continue  # no path between the waypoints
-            links.update(segment_links)
+            links.update(_links_of(segment))
         return links
 
     def _prune(self, switch: str, hosts: list[str],
@@ -326,11 +327,12 @@ class Analyzer:
         reached via disjoint segments cannot have shared a queue with
         the victim and are dropped from the search radius.
         """
-        reach = self._path_link_sets_from(switch)
+        reach = self._shortest_paths_from(switch)
         kept, dropped = [], []
         for h in hosts:
-            links = reach.get(h)
-            if links is not None and links & victim_links:
+            path = reach.get(h)
+            if path is not None and not victim_links.isdisjoint(
+                    _links_of(path)):
                 kept.append(h)
             else:
                 dropped.append(h)

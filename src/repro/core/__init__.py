@@ -10,7 +10,8 @@
   models behind Figs 10 and 11.
 """
 
-from .mphf import HostDirectory, MinimalPerfectHash, MphfBuildError
+from .mphf import (HostDirectory, MinimalPerfectHash, MphfBuildError,
+                   MphfFormatError)
 from .epoch import (EpochClock, EpochRange, EpochRangeEstimator,
                     max_pointers_to_examine, unwrap_epoch)
 from .pointer import HierarchicalPointerStore, PointerSet, PointerSnapshot
@@ -23,6 +24,7 @@ from .sizing import (MPHF_BITS_PER_KEY, SizingPoint, mphf_bytes,
 
 __all__ = [
     "MinimalPerfectHash", "HostDirectory", "MphfBuildError",
+    "MphfFormatError",
     "EpochClock", "EpochRange", "EpochRangeEstimator", "unwrap_epoch",
     "max_pointers_to_examine",
     "PointerSet", "PointerSnapshot", "HierarchicalPointerStore",

@@ -284,9 +284,9 @@ register_sweep(SweepSpec(
     budget_note="hosts=4096 flows=2000 measured at ~15 s wall on one "
                 "dev-container core (build 3.8 s, run 10.6 s, diagnose "
                 "0.05 s; 80-switch leaf-spine, 2009 concurrent flows). "
-                "hosts=65536 flows=100000 measured at ~102 s wall on the "
-                "2-core sandbox (build 25 s, run 72 s, diagnose 6 s; "
-                "1.3 GB peak RSS; 64-leaf/16-spine fabric, 65,536 hosts, "
+                "hosts=65536 flows=100000 measured at ~65 s wall on the "
+                "2-core sandbox (build 8 s, run 57 s, diagnose 0.4 s; "
+                "1.1 GB peak RSS; 64-leaf/16-spine fabric, 65,536 hosts, "
                 "100k background flows, ingest_batch=16, host-to-host "
                 "shortest paths decomposed through the 80-switch "
                 "subgraph). Adding further top-end points must "

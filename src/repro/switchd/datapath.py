@@ -74,6 +74,17 @@ class SwitchPointerDatapath:
         self.mode = mode
         self.packets_processed = 0
         self.tags_embedded = 0
+        switch.pipeline.append(self._hook)
+
+    @property
+    def mphf(self) -> MinimalPerfectHash:
+        """The distributed MPHF; assigning a rebuilt one (the analyzer's
+        push, §4.3) drops every slot remembered under the old function."""
+        return self._mphf
+
+    @mphf.setter
+    def mphf(self, mphf: MinimalPerfectHash) -> None:
+        self._mphf = mphf
         #: dst -> slot: the MPHF is static (rebuilt only offline, §4.1.2),
         #: so one evaluation per destination suffices — the cache stands
         #: in for the O(1) hash a hardware pipeline computes for free.
@@ -86,7 +97,6 @@ class SwitchPointerDatapath:
         #: rotation the per-packet path would perform still happens.
         self._dedup_epoch: Optional[int] = None
         self._dedup_slots: set[int] = set()
-        switch.pipeline.append(self._hook)
 
     # -- pipeline hook --------------------------------------------------------
 
@@ -114,7 +124,7 @@ class SwitchPointerDatapath:
         cache = self._slot_cache
         slot = cache.get(dst)
         if slot is None:
-            slot = cache[dst] = self.mphf.lookup(dst)
+            slot = cache[dst] = self._mphf.lookup(dst)
         if epoch != self._dedup_epoch:
             self._dedup_epoch = epoch
             seen = self._dedup_slots

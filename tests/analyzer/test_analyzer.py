@@ -1,12 +1,13 @@
 """Unit tests for the analyzer's coordination primitives."""
 
+import networkx as nx
 import pytest
 
 from repro import SwitchPointerDeployment
 from repro.core.epoch import EpochRange
 from repro.hostd.triggers import SwitchEpochTuple, VictimAlert
 from repro.simnet.packet import FlowKey, PROTO_TCP, PROTO_UDP, make_udp
-from repro.simnet.topology import build_linear
+from repro.simnet.topology import build_leaf_spine, build_linear
 
 
 @pytest.fixture
@@ -95,6 +96,43 @@ class TestPruning:
                                      epochs=EpochRange(0, 0))])
         located, _ = deploy.analyzer.locate_relevant_hosts(alert)
         assert "h2_0" in located[0].hosts
+
+
+class TestOnDemandLinkSets:
+    """Link sets are built for the nodes asked about, from one memoized
+    BFS per source; every answer must equal the eager reference that
+    materializes a link set for every reachable node."""
+
+    @staticmethod
+    def eager(net, source):
+        return {node: frozenset(frozenset(pair)
+                                for pair in zip(path, path[1:]))
+                for node, path in nx.single_source_shortest_path(
+                    net.graph(), source).items()}
+
+    def test_prune_links_and_hops_match_eager_reference(self):
+        net = build_leaf_spine(4, 2, 3)
+        analyzer = SwitchPointerDeployment(net, alpha_ms=10, k=2).analyzer
+        flow = FlowKey("h0_0", "h3_1", 1, 9, PROTO_UDP)
+        asked = net.host_names + ["ghost"]
+        for _ in ("cold cache", "after invalidation"):
+            victim_links = analyzer._path_links(flow, ["leaf0", "leaf3"])
+            assert victim_links == (self.eager(net, "h0_0")["leaf0"]
+                                    | self.eager(net, "leaf0")["leaf3"]
+                                    | self.eager(net, "leaf3")["h3_1"])
+            for switch in net.switches:
+                reach = self.eager(net, switch)
+                kept = [h for h in asked
+                        if h in reach and reach[h] & victim_links]
+                assert kept and len(kept) < len(net.host_names)
+                assert analyzer._prune(switch, asked, victim_links) == (
+                    kept, [h for h in asked if h not in kept])
+            from_site = self.eager(net, analyzer.site)
+            assert {node: analyzer.hops_to(node) for node in net.graph()
+                    } == {node: len(links)
+                          for node, links in from_site.items()}
+            assert analyzer.hops_to("ghost") == 0
+            analyzer.invalidate_topology_cache()
 
 
 class TestConsultation:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import SwitchPointerDeployment
 from repro.core.epoch import EpochRange
+from repro.core.mphf import HostDirectory
 from repro.core.sizing import store_memory_bits
 from repro.simnet.packet import make_udp
 from repro.simnet.topology import build_fat_tree, build_linear
@@ -129,3 +130,26 @@ class TestDirectoryChurn:
         net.run()
         slots = deploy.switch_agents["S1"].pull_hosts_slots(0, 0)
         assert new_dir.hosts_of(slots) == ["h2_0"]
+
+    def test_swap_after_traffic_forgets_old_slots(self):
+        """A datapath that already forwarded to a destination must not
+        keep using the slot the *old* function gave it: the analyzer
+        would decode that bit to a different host under the new one."""
+        net = build_linear(2, 8)
+        deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2)
+
+        def send():
+            net.hosts["h1_0"].send(make_udp("h1_0", "h2_0", 1, 9, 500))
+
+        send()
+        net.run()
+        assert deploy.analyzer.hosts_for("S1", EpochRange(0, 0)) == ["h2_0"]
+        # a second, different function over the same hosts
+        new_dir = HostDirectory(net.host_names, bucket_load=1.0)
+        assert new_dir.slot_of("h2_0") != deploy.directory.slot_of("h2_0")
+        deploy.analyzer.directory = new_dir
+        for dp in deploy.datapaths.values():
+            dp.mphf = new_dir.mphf
+        net.sim.schedule_at(0.050, send)
+        net.run()
+        assert deploy.analyzer.hosts_for("S1", EpochRange(5, 5)) == ["h2_0"]
