@@ -133,6 +133,9 @@ class EpochRangeEstimator:
         self.alpha_ms = alpha_ms
         self.epsilon_ms = epsilon_ms
         self.delta_ms = delta_ms
+        #: (path length, embed index) -> per-position (lo, hi) offsets
+        self._offsets: dict[tuple[int, int],
+                            tuple[tuple[int, int], ...]] = {}
 
     def _eps_epochs(self) -> int:
         return math.ceil(self.epsilon_ms / self.alpha_ms)
@@ -164,14 +167,20 @@ class EpochRangeEstimator:
 
         ``switch_path`` lists switch names in traversal order;
         ``embed_index`` is the position of the switch whose epochID the
-        packet carried.
+        packet carried.  The widening depends only on the two positions,
+        so it is derived once per (path length, embed index).
         """
-        if not 0 <= embed_index < len(switch_path):
-            raise ValueError("embed_index outside the path")
-        out = {}
-        for pos, name in enumerate(switch_path):
-            out[name] = self.range_for(observed_epoch, pos - embed_index)
-        return out
+        shape = (len(switch_path), embed_index)
+        offsets = self._offsets.get(shape)
+        if offsets is None:
+            if not 0 <= embed_index < len(switch_path):
+                raise ValueError("embed_index outside the path")
+            spans = (self.range_for(0, pos - embed_index)
+                     for pos in range(len(switch_path)))
+            offsets = self._offsets[shape] = tuple(
+                (rng.lo, rng.hi) for rng in spans)
+        return {name: EpochRange(observed_epoch + lo, observed_epoch + hi)
+                for name, (lo, hi) in zip(switch_path, offsets)}
 
 
 def unwrap_epoch(tag_epoch: int, reference_epoch: int,

@@ -4,10 +4,13 @@ When a packet arrives, the host extracts the telemetry header and turns
 it into a flow-record update:
 
 * **VLAN mode** — the two tags give (linkID, epochID mod 4096).  The
-  full path is reconstructed from (src, dst, linkID) via CherryPick; the
-  epoch tag is unwrapped against the host's own epoch estimate; and the
-  §4.2.1 range extrapolation assigns every switch on the path an epoch
-  range around the embedder's observed epoch.
+  switch path and the embedder's place on it come from the CherryPick
+  plan of (src, dst, linkID); the epoch tag is unwrapped against the
+  host's own epoch estimate; and the §4.2.1 range extrapolation assigns
+  every switch on the path an epoch range around the embedder's
+  observed epoch.  Packets that carry the same tag over the same path
+  within one host epoch share one result (``_parsed``): the store only
+  reads it, and :class:`EpochRange` is frozen.
 * **INT mode** — each hop carried its own (switchID, epochID); ranges
   collapse to the observed epoch ± the skew allowance.
 * **No telemetry** — counted (``undecodable``); nothing is invented.
@@ -24,6 +27,9 @@ from ..simnet.host import Host
 from ..simnet.packet import Packet
 from ..switchd.cherrypick import CherryPickPlanner
 from .records import FlowRecordStore
+
+#: what one header parses to: (switch path, ranges, observed epoch)
+Parsed = tuple[list[str], dict[str, EpochRange], Optional[int]]
 
 
 class TelemetryDecoder:
@@ -49,6 +55,11 @@ class TelemetryDecoder:
         self.host_clock = host_clock
         self.planner = planner
         self.estimator = estimator
+        #: (this host's epoch — the unwrap reference, {(decoded path,
+        #: epoch tag): its VLAN parse}); replaced when the host's epoch
+        #: moves, so it never outgrows the paths and tags one epoch
+        #: delivers here, and costs an idle host nothing
+        self._parsed: Optional[tuple[int, dict[tuple, Parsed]]] = None
         self.decoded = 0
         self.undecodable = 0
 
@@ -69,38 +80,29 @@ class TelemetryDecoder:
 
     # -- VLAN double tag -----------------------------------------------------
 
-    def _parse_vlan(self, pkt: Packet, tag: VlanDoubleTag, now: float
-                    ) -> tuple[list[str], dict[str, EpochRange],
-                               Optional[int]]:
+    def _parse_vlan(self, pkt: Packet, tag: VlanDoubleTag,
+                    now: float) -> Parsed:
         key = pkt.flow
-        path_nodes = self.planner.reconstruct_path(key.src, key.dst,
-                                                   tag.link_id)
-        switches = [n for n in path_nodes
-                    if n in self.planner.network.switches]
-        embedder = self._embedding_switch(path_nodes, tag.link_id)
-        embed_index = switches.index(embedder)
+        decoded = self.planner.decode_path(key.src, key.dst, tag.link_id)
         reference = self.host_clock.epoch_of(now)
-        observed = unwrap_epoch(tag.epoch_tag, reference)
-        ranges = self.estimator.ranges_for_path(switches, embed_index,
-                                                observed)
-        return switches, ranges, observed
-
-    def _embedding_switch(self, path_nodes: list[str],
-                          link_id: int) -> str:
-        """The upstream endpoint of the picked link along the path."""
-        link = self.planner.network.link_by_vlan(link_id)
-        a, b = link.a.name, link.b.name
-        for here, nxt in zip(path_nodes, path_nodes[1:]):
-            if {here, nxt} == {a, b}:
-                return here
-        raise ValueError(
-            f"link {link.endpoints} not on reconstructed path {path_nodes}")
+        memo = self._parsed
+        if memo is None or memo[0] != reference:
+            memo = self._parsed = (reference, {})
+        tagged = (decoded, tag.epoch_tag)
+        parsed = memo[1].get(tagged)
+        if parsed is None:
+            switches, embed_index = decoded
+            observed = unwrap_epoch(tag.epoch_tag, reference)
+            parsed = memo[1][tagged] = (
+                list(switches),
+                self.estimator.ranges_for_path(switches, embed_index,
+                                               observed),
+                observed)
+        return parsed
 
     # -- INT stack -----------------------------------------------------------
 
-    def _parse_int(self, stack: IntStack
-                   ) -> tuple[list[str], dict[str, EpochRange],
-                              Optional[int]]:
+    def _parse_int(self, stack: IntStack) -> Parsed:
         switches = stack.switch_path()
         eps = self.estimator.range_for(0, 0)  # ± skew allowance around 0
         ranges = {}

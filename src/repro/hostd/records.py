@@ -79,14 +79,19 @@ class FlowRecord:
                 switch_path: list[str],
                 ranges: dict[str, EpochRange],
                 observed_epoch: Optional[int]) -> None:
-        """Fold one decoded packet into the record."""
+        """Fold one decoded packet into the record.
+
+        ``switch_path`` and ``ranges`` are only read — the decoder hands
+        the same objects to every packet that decodes alike — and the
+        record keeps its own list and dict.
+        """
         self.packets += 1
         self.bytes += nbytes
         self.priority = priority
         if self.first_seen is None:
             self.first_seen = t
         self.last_seen = t
-        if switch_path:
+        if switch_path and switch_path != self.switch_path:
             self.switch_path = list(switch_path)
         new_switches: list[str] = []
         lo_moved: list[str] = []
@@ -95,11 +100,9 @@ class FlowRecord:
             if prev is None:
                 self.epoch_ranges[sw] = rng
                 new_switches.append(sw)
-                continue
-            merged = prev.union(rng)
-            if merged != prev:
-                self.epoch_ranges[sw] = merged
-                if merged.lo != prev.lo:
+            elif rng.lo < prev.lo or rng.hi > prev.hi:
+                self.epoch_ranges[sw] = prev.union(rng)
+                if rng.lo < prev.lo:
                     lo_moved.append(sw)
         if self._store is not None and (new_switches or lo_moved):
             self._store._on_epochs_updated(self, new_switches, lo_moved)

@@ -47,12 +47,14 @@ class Network:
         self.switches: dict[str, Switch] = {}
         self.links: list[Link] = []
         self._graph: Optional[nx.Graph] = None
-        #: switch-induced subgraph + per-pair shortest-path memo; both
+        #: switch-induced subgraph, host -> attach switch map and the
+        #: shortest-path memo (one entry per :meth:`attach_pair`); all
         #: derive from the static physical graph, so they reset exactly
         #: where ``_graph`` does (topology edits, not link flaps)
         self._switch_graph: Optional[nx.Graph] = None
         self._hosts_single_homed = False
-        self._spaths: dict[tuple[str, str], list[list[str]]] = {}
+        self._attach: dict[str, str] = {}
+        self._spaths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -88,6 +90,7 @@ class Network:
         self._graph = None
         self._switch_graph = None
         self._hosts_single_homed = False
+        self._attach = {}
         self._spaths.clear()
 
     def _check_fresh_name(self, name: str) -> None:
@@ -153,10 +156,10 @@ class Network:
                 if link.a.name in self.switches and link.b.name in self.switches:
                     sub.add_edge(link.a.name, link.b.name)
             self._switch_graph = sub
-            self._hosts_single_homed = all(
-                g.degree(h) == 1 and next(iter(g[h])) in self.switches
-                for h in self.hosts
-            )
+            attach = {h: sw for h in self.hosts if g.degree(h) == 1
+                      for sw in g[h] if sw in self.switches}
+            self._hosts_single_homed = len(attach) == len(self.hosts)
+            self._attach = attach if self._hosts_single_homed else {}
         return self._graph
 
     def live_graph(self) -> nx.Graph:
@@ -175,39 +178,45 @@ class Network:
                 g.add_edge(link.a.name, link.b.name, link=link)
         return g
 
+    def attach_pair(self, src: str, dst: str) -> tuple[str, str]:
+        """The node pair whose shortest paths decide src→dst's.
+
+        When every host hangs off exactly one switch (true for all the
+        builders here), a degree-1 host can never be a transit node, so
+        each shortest path between two distinct hosts is exactly
+        ``[src] + P + [dst]`` with ``P`` ranging over the shortest paths
+        between the two attachment switches — the pair returned.  Any
+        other query (multi-homed fabrics, host-host wires, switch
+        endpoints, ``src == dst``, unknown names) is decided by the two
+        names themselves.
+        """
+        self.graph()  # (re)builds the attach map with the graph
+        a, b = self._attach.get(src), self._attach.get(dst)
+        if a is None or b is None or src == dst:
+            return src, dst
+        return a, b
+
     def shortest_paths(self, src: str, dst: str) -> list[list[str]]:
         """All shortest src→dst node-name paths (deterministic order).
 
-        Host→host queries decompose through the switch fabric: when
-        every host hangs off exactly one switch (true for all the
-        builders here), a degree-1 host can never be a transit node, so
-        each shortest path is exactly ``[src] + P + [dst]`` with ``P``
-        ranging over the shortest paths between the two attachment
-        switches in the switch-only subgraph.  That turns a BFS over the
-        whole fabric (65k+ nodes on large leaf-spines) into one over the
-        few dozen switches.  Multi-homed or host-to-switch queries fall
-        back to the full-graph enumeration.  Results are memoized per
-        (src, dst); topology edits reset the memo along with the cached
+        One search per :meth:`attach_pair`, memoized: every host pair
+        behind the same two switches shares it, and on a single-homed
+        fabric it runs over the few dozen switches rather than the whole
+        graph (65k+ nodes on large leaf-spines).  Callers get fresh
+        lists; topology edits reset the memo along with the cached
         physical graph.
         """
-        key = (src, dst)
-        cached = self._spaths.get(key)
-        if cached is None:
-            cached = self._spaths[key] = self._shortest_paths_uncached(src, dst)
-        return [list(p) for p in cached]
-
-    def _shortest_paths_uncached(self, src: str, dst: str) -> list[list[str]]:
-        g = self.graph()  # also (re)builds the switch subgraph caches
-        if (self._hosts_single_homed and src != dst
-                and src in self.hosts and dst in self.hosts):
-            sa = next(iter(g[src]))
-            sb = next(iter(g[dst]))
-            if sa == sb:
-                return [[src, sa, dst]]
-            assert self._switch_graph is not None
-            middles = nx.all_shortest_paths(self._switch_graph, sa, sb)
-            return sorted([src, *p, dst] for p in middles)
-        return sorted(nx.all_shortest_paths(g, src, dst))
+        a, b = pair = self.attach_pair(src, dst)
+        cores = self._spaths.get(pair)
+        if cores is None:
+            fabric = (self._switch_graph if self._hosts_single_homed
+                      and a in self.switches and b in self.switches
+                      else self._graph)
+            cores = self._spaths[pair] = sorted(
+                map(tuple, nx.all_shortest_paths(fabric, a, b)))
+        if a == src:
+            return [list(p) for p in cores]
+        return [[src, *p, dst] for p in cores]
 
     def path_through_link(self, src: str, dst: str,
                           link: Link) -> Optional[list[str]]:

@@ -8,29 +8,98 @@ link pins the path embeds that linkID plus its current epochID as two
 VLAN tags; the destination reconstructs the full switch list from
 (src, dst, linkID) alone.
 
-:class:`CherryPickPlanner` answers the per-packet question "does *this*
-egress link pin the *src→dst* path?" directly from the topology: the
-link pins the path iff exactly one shortest src→dst path crosses it.
-Decisions are cached, mirroring how the real system compiles them into
-static OpenFlow rules (one rule per port, §4.1.3).
+:class:`CherryPickPlanner` answers both sides — the switch's "does
+*this* egress link pin the *src→dst* path?" and the host's "which path
+did this linkID pin?" — from one **path plan** per
+:meth:`Network.attach_pair`: for each link asked about, the one
+shortest path between the two attach switches that crosses it (or that
+none or several do), found in the sorted paths :class:`Network` keeps
+for the pair.  Every host pair behind the same two switches is answered
+by dict probes after the first — the analogue of the real system
+compiling the decision into static OpenFlow rules (one rule per port,
+§4.1.3) and of the host holding the topology map (§4.2.1).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
+
+import networkx as nx
 
 from ..simnet.link import Link
 from ..simnet.topology import Network, TopologyError
 
+NodePath = tuple[str, ...]
+#: (path between the plan's endpoints, (its switches, embedder index))
+Route = tuple[NodePath, tuple[NodePath, int]]
+#: (the pair's shortest path when there is only one,
+#:  {hop asked about: the route of the one path crossing it, else False})
+Plan = tuple[Optional[NodePath], dict[tuple[str, str], Union[Route, bool]]]
+
 
 class CherryPickPlanner:
-    """Precomputed/cached link-pinning decisions over one topology."""
+    """Link-pinning decisions over one topology, planned once per path."""
 
     def __init__(self, network: Network):
         self.network = network
-        self._pins_cache: dict[tuple[str, str, int], bool] = {}
-        self._path_cache: dict[tuple[str, str, int],
-                               Optional[list[str]]] = {}
+        #: the physical graph the plans below were derived from
+        self._graph: Optional[nx.Graph] = None
+        self._plans: dict[tuple[str, str], Plan] = {}
+
+    def _route(self, src: str, dst: str, link: Link) -> Optional[Route]:
+        """The one shortest src→dst path crossing ``link``, if it pins."""
+        net = self.network
+        graph = net.graph()
+        if graph is not self._graph:
+            # a new object after every topology edit, the same one across
+            # link flaps: plans follow the cabling, not liveness
+            self._graph = graph
+            self._plans.clear()
+        pair = net.attach_pair(src, dst)
+        plan = self._plans.get(pair)
+        if plan is None:
+            try:
+                paths = net.shortest_paths(*pair)
+            except (nx.NetworkXNoPath, nx.NodeNotFound):
+                paths = []  # unknown or unreachable endpoints: nothing pins
+            plan = self._plans[pair] = (
+                tuple(paths[0]) if len(paths) == 1 else None, {})
+        only, routes = plan
+        hop = (link.a.name, link.b.name)
+        if pair[0] != src and (src in hop or dst in hop):
+            # a plan shared through the attach switches leaves the two
+            # access links out: they lie on every path of the pair, so
+            # they pin iff there is only one (a host embeds nothing: -1)
+            if only is None:
+                return None
+            return only, (only, len(only) - 1 if dst in hop else -1)
+        route = routes.get(hop)
+        if route is None:
+            route = routes[hop] = self._search(pair, link)
+        return route or None
+
+    def _search(self, pair: tuple[str, str],
+                link: Link) -> Union[Route, bool]:
+        """The route of the pair's only path crossing ``link``, else False."""
+        try:
+            path = self.network.path_through_link(*pair, link)
+        except (TopologyError, nx.NetworkXNoPath, nx.NodeNotFound):
+            return False  # several paths cross it, or there is none at all
+        if path is None:
+            return False
+        switches = self.network.switches
+        here = path[min(path.index(link.a.name), path.index(link.b.name))]
+        on_path = tuple(n for n in path if n in switches)
+        return tuple(path), (on_path, on_path.index(here)
+                             if here in switches else -1)
+
+    def _pinned_route(self, src: str, dst: str, vlan_id: int) -> Route:
+        link = self.network.link_by_vlan(vlan_id)
+        route = self._route(src, dst, link)
+        if route is None:
+            raise TopologyError(
+                f"link {link.endpoints} does not pin {src}->{dst}")
+        return route
 
     def pins_path(self, src: str, dst: str, link: Link) -> bool:
         """True iff ``link`` lies on exactly one shortest src→dst path.
@@ -39,30 +108,7 @@ class CherryPickPlanner:
         decommissioned while routes linger) simply do not pin — the
         datapath then skips embedding rather than failing the packet.
         """
-        key = (src, dst, link.link_id)
-        hit = self._pins_cache.get(key)
-        if hit is not None:
-            return hit
-        graph = self.network.graph()
-        if src not in graph or dst not in graph:
-            self._pins_cache[key] = False
-            return False
-        a, b = link.a.name, link.b.name
-        count = 0
-        match: Optional[list[str]] = None
-        try:
-            paths = self.network.shortest_paths(src, dst)
-        except Exception:
-            paths = []
-        for path in paths:
-            hops = set(zip(path, path[1:]))
-            if (a, b) in hops or (b, a) in hops:
-                count += 1
-                match = path
-        pins = count == 1
-        self._pins_cache[key] = pins
-        self._path_cache[key] = match if pins else None
-        return pins
+        return self._route(src, dst, link) is not None
 
     def reconstruct_path(self, src: str, dst: str,
                          vlan_id: int) -> list[str]:
@@ -74,19 +120,22 @@ class CherryPickPlanner:
         which means the embedding rule was wrong, never that data was
         lost.
         """
-        link = self.network.link_by_vlan(vlan_id)
-        cached = self._path_cache.get((src, dst, link.link_id))
-        if cached is not None:
-            return list(cached)
-        if not self.pins_path(src, dst, link):
-            raise TopologyError(
-                f"link {link.endpoints} does not pin {src}->{dst}")
-        return list(self._path_cache[(src, dst, link.link_id)] or [])
+        path = self._pinned_route(src, dst, vlan_id)[0]
+        return list(path) if path[0] == src else [src, *path, dst]
 
     def switch_path(self, src: str, dst: str, vlan_id: int) -> list[str]:
         """Switch names only (hosts trimmed) for the reconstructed path."""
-        return [n for n in self.reconstruct_path(src, dst, vlan_id)
-                if n in self.network.switches]
+        return list(self._pinned_route(src, dst, vlan_id)[1][0])
+
+    def decode_path(self, src: str, dst: str,
+                    vlan_id: int) -> tuple[tuple[str, ...], int]:
+        """``(switch path, index of the embedding switch on it)``.
+
+        What the per-packet decoder needs of :meth:`reconstruct_path`
+        (and raising like it), as the plan's own shared tuples; the
+        index is -1 when the link's upstream end is a host.
+        """
+        return self._pinned_route(src, dst, vlan_id)[1]
 
     def embedding_hop(self, src: str, dst: str) -> Optional[str]:
         """Which switch on the (first) shortest path would embed.

@@ -1,12 +1,14 @@
 """Unit tests for destination-side telemetry decoding."""
 
-from repro.core.epoch import EpochClock, EpochRangeEstimator
+from repro.core.epoch import (EpochClock, EpochRange, EpochRangeEstimator,
+                              unwrap_epoch)
 from repro.core.mphf import HostDirectory
 from repro.core.pointer import HierarchicalPointerStore
 from repro.hostd.decoder import TelemetryDecoder
 from repro.hostd.records import FlowRecordStore
 from repro.simnet.packet import make_udp
-from repro.simnet.topology import build_fat_tree, build_linear
+from repro.simnet.topology import (build_fat_tree, build_leaf_spine,
+                                   build_linear)
 from repro.switchd.cherrypick import CherryPickPlanner
 from repro.switchd.datapath import (MODE_INT, MODE_VLAN,
                                     SwitchPointerDatapath)
@@ -133,3 +135,107 @@ class TestUndecodable:
         host.receive(pkt, host.nic)
         assert decoders["h2_0"].undecodable == 1
         assert len(decoders["h2_0"].store) == 0
+
+
+class TestPlanDecodeEquivalence:
+    """``on_packet`` decodes through the planner's shared path plans and
+    reuses one parse per (path, observed epoch); the records it leaves
+    must equal the packet-by-packet reference: scan the pair's shortest
+    paths for the tagged link, extrapolate every hop."""
+
+    ALPHA, EPS, DELTA = 10, 1.0, 2.0
+    #: the host ahead of the switches, within ε: a tag embedded in the
+    #: last epoch before the 12-bit wrap is decoded just after it
+    SKEWS = {"h1_0": 0.0006, "h0_0": -0.0004, "leaf0": 0.0002,
+             "spine1": -0.0003}
+
+    def _run(self):
+        net = build_leaf_spine(2, 2, 2)
+        decoders = instrument(net, alpha_ms=self.ALPHA, epsilon_ms=self.EPS,
+                              delta_ms=self.DELTA,
+                              skew=lambda n: self.SKEWS.get(n, 0.0))
+        seen = []
+        for host in net.hosts.values():
+            host.sniffers.append(
+                lambda h, p, now: seen.append(
+                    (h.name, p.flow, p.size, p.telemetry.link_id,
+                     p.telemetry.epoch_tag, now)))
+        # several ports per source so ECMP puts both on both spines
+        flows = [(src, "h1_0", sport) for src in ("h0_0", "h0_1")
+                 for sport in range(1, 5)]
+        flows += [("h1_1", "h0_0", 5), ("h1_1", "h1_0", 6)]
+        # epochs 4093..4098 at α = 10 ms: the tag wraps at 40.96 s
+        times = [40.930 + 0.0013 * i for i in range(40)] + [40.9595]
+        for i, when in enumerate(times):
+            for src, dst, sport in flows:
+                net.sim.schedule_at(
+                    when, lambda s=src, d=dst, sp=sport, n=100 + i:
+                    net.hosts[s].send(make_udp(s, d, sp, 9, n)))
+        net.run()
+        return net, decoders, seen
+
+    def _reference(self, net, decoders, seen):
+        estimator = EpochRangeEstimator(self.ALPHA, self.EPS, self.DELTA)
+        want = {}
+        wrapped = 0
+        for host, flow, size, link_id, epoch_tag, now in seen:
+            link = net.link_by_vlan(link_id)
+            path = net.path_through_link(flow.src, flow.dst, link)
+            switches = [n for n in path if n in net.switches]
+            embedder = next(a for a, b in zip(path, path[1:])
+                            if {a, b} == {link.a.name, link.b.name})
+            reference = decoders[host].host_clock.epoch_of(now)
+            observed = unwrap_epoch(epoch_tag, reference)
+            wrapped += reference // 4096 != observed // 4096
+            ranges = estimator.ranges_for_path(
+                switches, switches.index(embedder), observed)
+            rec = want.setdefault((host, flow), {
+                "switch_path": switches, "epoch_ranges": {},
+                "bytes_by_epoch": {}, "packets": 0, "bytes": 0})
+            rec["switch_path"] = switches
+            for sw, rng in ranges.items():
+                prev = rec["epoch_ranges"].get(sw, rng)
+                rec["epoch_ranges"][sw] = prev.union(rng)
+            rec["bytes_by_epoch"][observed] = (
+                rec["bytes_by_epoch"].get(observed, 0) + size)
+            rec["packets"] += 1
+            rec["bytes"] += size
+        return want, wrapped
+
+    def test_records_equal_the_per_packet_reference(self):
+        net, decoders, seen = self._run()
+        want, wrapped = self._reference(net, decoders, seen)
+        assert len(seen) == 41 * 10 and wrapped > 0
+        assert {tag for *_, tag, _now in seen} >= {4095, 0}
+        got = {(host, rec.flow): {
+                   "switch_path": rec.switch_path,
+                   "epoch_ranges": rec.epoch_ranges,
+                   "bytes_by_epoch": rec.bytes_by_epoch,
+                   "packets": rec.packets, "bytes": rec.bytes}
+               for host, dec in decoders.items() for rec in dec.store}
+        assert got == want
+        # both spines carried traffic, so several paths share each plan
+        assert len({tuple(r["switch_path"]) for r in got.values()}) >= 4
+
+    def test_records_over_one_plan_do_not_alias(self):
+        net, decoders, _seen = self._run()
+        store = decoders["h1_0"].store
+        # two source hosts behind leaf0, one plan, the same spine
+        first, second = next(
+            (a, b) for a in store for b in store
+            if a.flow.src != b.flow.src and a.switch_path == b.switch_path)
+        path = list(second.switch_path)
+        ranges = dict(second.epoch_ranges)
+        first.switch_path.append("mutated")
+        first.epoch_ranges["mutated"] = EpochRange(0, 0)
+        del first.epoch_ranges[path[0]]
+        assert second.switch_path == path
+        assert second.epoch_ranges == ranges
+        # nor did the mutation reach what the decoder hands the next flow
+        now = net.sim.now
+        net.hosts[first.flow.src].send(
+            make_udp(first.flow.src, "h1_0", first.flow.sport, 77, 64))
+        net.run()
+        fresh = next(rec for rec in store if rec.flow.dport == 77)
+        assert net.sim.now > now and fresh.switch_path == path
+        assert set(fresh.epoch_ranges) == set(path)

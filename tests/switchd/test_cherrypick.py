@@ -1,5 +1,6 @@
 """Unit tests for CherryPick link sampling and path reconstruction."""
 
+import networkx as nx
 import pytest
 
 from repro.simnet.packet import PROTO_UDP, make_udp
@@ -103,12 +104,105 @@ class TestFatTree:
         assert planner.switch_path(src, dst, pinning.vlan_id) == true_hops
 
 
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """Every ``nx.all_shortest_paths`` search the topology runs."""
+    calls = []
+    real = nx.all_shortest_paths
+
+    def counting(graph, source, target, *args, **kwargs):
+        calls.append((source, target))
+        return real(graph, source, target, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "all_shortest_paths", counting)
+    return calls
+
+
 class TestCaching:
-    def test_pins_cached(self):
+    def test_pins_cached(self, bfs_calls):
         net = build_linear(3, 1)
         planner = CherryPickPlanner(net)
         link = net.link_between("S1", "S2")
         assert planner.pins_path("h1_0", "h3_0", link)
-        assert ("h1_0", "h3_0", link.link_id) in planner._pins_cache
-        # second call hits the cache (same answer)
+        assert len(bfs_calls) == 1
+        # every later question about the pair is answered by the plan
         assert planner.pins_path("h1_0", "h3_0", link)
+        assert planner.pins_path("h1_0", "h3_0",
+                                 net.link_between("S2", "S3"))
+        assert planner.reconstruct_path("h1_0", "h3_0", link.vlan_id) == [
+            "h1_0", "S1", "S2", "S3", "h3_0"]
+        assert planner.decode_path("h1_0", "h3_0", link.vlan_id) == (
+            ("S1", "S2", "S3"), 0)
+        assert len(bfs_calls) == 1
+
+    def test_one_search_per_leaf_pair(self, bfs_calls):
+        """The mechanism, by count: host pairs behind the same two
+        leaves share one plan, on the switch side and the host side."""
+        leaves = 4
+        net = build_leaf_spine(leaves, 2, 4)
+        planner = CherryPickPlanner(net)
+        hosts = net.host_names
+        pairs = [(s, d) for s in hosts for d in hosts if s != d]
+        assert len(pairs) >= 200
+        uplinks = [l for l in net.links
+                   if l.a.name in net.switches and l.b.name in net.switches]
+        for src, dst in pairs:
+            pinning = [l for l in uplinks if planner.pins_path(src, dst, l)]
+            for link in pinning:
+                planner.decode_path(src, dst, link.vlan_id)
+        assert 0 < len(bfs_calls) <= leaves * leaves
+        assert len(set(bfs_calls)) == len(bfs_calls)  # none ran twice
+
+    def test_topology_edit_drops_the_plans(self):
+        """A plan made before a host was cabled must not outlive the
+        cabling (the per-pair memos this replaced never expired)."""
+        net = build_linear(3, 1)
+        planner = CherryPickPlanner(net)
+        link = net.link_between("S1", "S2")
+        hx = net.add_host("hx")
+        assert not planner.pins_path("h1_0", "hx", link)  # unreachable
+        net.connect(hx, net.node("S3"))
+        assert CherryPickPlanner(net).pins_path("h1_0", "hx", link)
+        assert planner.pins_path("h1_0", "hx", link)
+        assert planner.reconstruct_path("h1_0", "hx", link.vlan_id) == [
+            "h1_0", "S1", "S2", "S3", "hx"]
+
+    def test_link_flap_keeps_the_plans(self, bfs_calls):
+        """Plans derive from the physical graph: a port going down and
+        up again changes routing, not which link pins which path."""
+        net = build_leaf_spine(2, 2, 1)
+        planner = CherryPickPlanner(net)
+        link = net.link_between("leaf0", "spine1")
+        assert planner.pins_path("h0_0", "h1_0", link)
+        searches = len(bfs_calls)
+        net.set_link_state("leaf0", "spine1", up=False)
+        assert planner.pins_path("h0_0", "h1_0", link)
+        net.set_link_state("leaf0", "spine1", up=True)
+        assert planner.pins_path("h0_0", "h1_0", link)
+        assert len(bfs_calls) == searches
+
+
+class TestErrors:
+    def test_unreachable_or_unknown_endpoint_does_not_pin(self):
+        net = build_linear(3, 1)
+        net.add_host("island")
+        planner = CherryPickPlanner(net)
+        link = net.link_between("S1", "S2")
+        for src, dst in (("h1_0", "island"), ("island", "h3_0"),
+                         ("h1_0", "nobody"), ("nobody", "h3_0")):
+            assert not planner.pins_path(src, dst, link)
+            with pytest.raises(TopologyError):
+                planner.reconstruct_path(src, dst, link.vlan_id)
+
+    def test_unrelated_error_propagates(self, monkeypatch):
+        """Only "no such path" means "does not pin"; anything else that
+        goes wrong inside the search is a bug to surface."""
+        net = build_linear(3, 1)
+        planner = CherryPickPlanner(net)
+
+        def broken(src, dst):
+            raise RuntimeError("search blew up")
+
+        monkeypatch.setattr(net, "shortest_paths", broken)
+        with pytest.raises(RuntimeError, match="search blew up"):
+            planner.pins_path("h1_0", "h3_0", net.link_between("S1", "S2"))
