@@ -10,7 +10,9 @@ The analyzer coordinates switch agents and host agents:
 * **prunes the search radius** using topology: a host in the pointer is
   only relevant if the suspect switch reaches it through a link the
   victim's path also uses (§4.3 — "filters out irrelevant end-hosts
-  ... if the paths ... do not share any path segment of the flow"),
+  ... if the paths ... do not share any path segment of the flow") —
+  read off the static topology map (:meth:`Network.paths_from`, one
+  BFS per source per ``topology_version``), never searched per host,
 * fans out queries to the surviving hosts through the latency-modelled
   RPC fabric.
 
@@ -22,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
-
-import networkx as nx
 
 from ..core.epoch import EpochRange
 from ..core.mphf import HostDirectory
@@ -85,7 +85,7 @@ class Analyzer:
         self.dir_negative_slots = 0
         # topology cache (§4.3 pruning): per-source shortest paths,
         # computed with one BFS per source per topology version
-        self._topo_graph: Optional[nx.Graph] = None
+        self._topo_version = -1
         self._paths_from: dict[str, dict[str, list[str]]] = {}
 
     # -- alert ingestion -------------------------------------------------------
@@ -263,36 +263,26 @@ class Analyzer:
 
     def invalidate_topology_cache(self) -> None:
         """Drop memoized shortest paths (topology changed)."""
-        self._topo_graph = None
         self._paths_from.clear()
-
-    def _cached_graph(self) -> nx.Graph:
-        """The network graph, auto-invalidating the path cache.
-
-        :meth:`Network.graph` returns a new object whenever nodes or
-        links changed, so an identity check is enough to notice any
-        topology edit without the network having to call back into us.
-        """
-        g = self.network.graph()
-        if g is not self._topo_graph:
-            self._topo_graph = g
-            self._paths_from.clear()
-        return g
 
     def _shortest_paths_from(self, source: str) -> dict[str, list[str]]:
         """One shortest path to every node reachable from ``source``.
 
-        One BFS per (topology, source), memoized — pruning an alert no
-        longer costs one shortest-path search per candidate host.  Link
-        sets are built by :func:`_links_of` for the nodes asked about,
-        not for the whole fabric.
+        :meth:`Network.paths_from`, memoized per (topology, source) —
+        pruning an alert does not cost one search per candidate host.
+        ``Network.topology_version`` moves with every node or link
+        added, so comparing it is enough to notice any topology edit
+        without the network having to call back into us.  Link sets are
+        built by :func:`_links_of` for the nodes asked about, not for
+        the whole fabric.
         """
-        g = self._cached_graph()
+        net = self.network
+        if net.topology_version != self._topo_version:
+            self._topo_version = net.topology_version
+            self._paths_from.clear()
         cached = self._paths_from.get(source)
         if cached is None:
-            cached = self._paths_from[source] = (
-                nx.single_source_shortest_path(g, source)
-                if source in g else {})
+            cached = self._paths_from[source] = net.paths_from(source)
         return cached
 
     # -- search-radius pruning (§4.3) ------------------------------------------
@@ -305,15 +295,14 @@ class Analyzer:
         between consecutive waypoints are filled by shortest paths so
         pruning never sees a disconnected fragment.
         """
-        g = self._cached_graph()
         nodes = [flow.src] + [s for s in switch_path] + [flow.dst]
         links: set[frozenset] = set()
         for a, b in zip(nodes, nodes[1:]):
-            if a == b or a not in g or b not in g:
+            if a == b:
                 continue
             segment = self._shortest_paths_from(a).get(b)
             if segment is None:
-                continue  # no path between the waypoints
+                continue  # unknown waypoint, or no path between them
             links.update(_links_of(segment))
         return links
 

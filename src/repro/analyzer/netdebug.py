@@ -24,7 +24,7 @@ from typing import Optional
 from ..core.epoch import EpochRange
 from ..rpc.fabric import Breakdown
 from ..simnet.packet import FlowKey
-from ..simnet.topology import Network
+from ..simnet.topology import Network, NoPathError
 from .analyzer import Analyzer
 
 
@@ -176,8 +176,8 @@ def _is_shortest(net: Network, flow: FlowKey, switch_path: list[str],
         try:
             cache[pair] = {tuple(p)
                            for p in net.shortest_paths(*pair)}
-        except Exception:
-            cache[pair] = None
+        except NoPathError:
+            cache[pair] = None  # unknown or unreachable: no shortest path
     candidates = cache[pair]
     if candidates is None:
         return False

@@ -108,11 +108,11 @@ class IncastScenario(Scenario):
             for _ in range(8):
                 net = build_fat_tree_for_hosts(size, rate_bps=GBPS)
                 receiver = net.host_names[0]
-                graph = net.graph()
-                edge = next(nb for nb in graph.neighbors(receiver)
+                peers = net.adjacency
+                edge = next(nb for nb in peers[receiver]
                             if nb in net.switches)
                 remote = sum(1 for h in net.host_names
-                             if h != receiver and edge not in graph[h])
+                             if h != receiver and edge not in peers[h])
                 if remote >= n + 1:
                     break
                 size += (n + 1) - remote
@@ -148,15 +148,14 @@ class IncastScenario(Scenario):
         self.network, self.deployment = net, deploy
         self.receiver = net.host_names[0]
         # the receiver's last-hop switch is where the fan-in converges
-        graph = net.graph()
+        peers = net.adjacency
         self.convergence_switch = next(
-            nb for nb in graph.neighbors(self.receiver)
-            if nb in net.switches)
+            nb for nb in peers[self.receiver] if nb in net.switches)
         # victim source + burst senders live behind *other* switches so
         # every flow crosses the fabric into the receiver's downlink
         remote = [h for h in net.host_names
                   if h != self.receiver
-                  and self.convergence_switch not in graph[h]]
+                  and self.convergence_switch not in peers[h]]
         if len(remote) < n + 1:
             raise ValueError(
                 f"fabric too small: {len(remote)} hosts outside the "

@@ -140,7 +140,7 @@ class PolarizationScenario(Scenario):
         self.background = launch_background(
             net, p, duration=p["duration"],
             exclude=[h for h in net.host_names
-                     if self.branch_switch in net.graph()[h]])
+                     if self.branch_switch in net.adjacency[h]])
 
     def run(self) -> None:
         self.network.run(until=self.p["duration"] + 0.010)

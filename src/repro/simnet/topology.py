@@ -1,7 +1,14 @@
 """Network container and topology builders.
 
-:class:`Network` owns the simulator, nodes and links, and computes
-forwarding tables.  Builders cover the topologies the paper uses:
+:class:`Network` owns the simulator, nodes and links.  The fabric is
+what the paper says hosts and the analyzer hold — a static topology
+map (§4.2.1, §4.3): one adjacency map ``{node: {peer: link}}`` in
+link-creation order, versioned by ``topology_version``.  Forwarding
+tables (:meth:`Network.compute_routes`), the per-target distance tables
+behind :meth:`Network.shortest_paths` and the first-discovered paths
+the analyzer prunes by (:meth:`Network.paths_from`) all come from one
+level-order BFS over it; nothing here imports a graph library.
+Builders cover the topologies the paper uses:
 
 * :func:`build_linear` — the 3-switch chain of Figs 1(b)/1(c), used by
   the "too many red lights" and "traffic cascades" scenarios.
@@ -18,9 +25,7 @@ whole fabric between FIFO (microburst) and strict-priority experiments.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import networkx as nx
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .engine import AlternatingTimer, Simulator
 from .link import Link, Node
@@ -31,8 +36,53 @@ from .host import Host
 QueueFactory = Callable[[], PacketQueue]
 
 
+NodePath = tuple[str, ...]
+
+
 class TopologyError(Exception):
     """Raised for malformed topologies or unknown nodes."""
+
+
+class NoPathError(TopologyError):
+    """No path joins ``src`` and ``dst``.
+
+    ``unknown`` tells an endpoint that is not a node of the fabric at
+    all from one that is merely unreachable over its cabling.
+    """
+
+    def __init__(self, src: str, dst: str, *, unknown: bool):
+        super().__init__(
+            f"{'unknown endpoint in' if unknown else 'no path'} "
+            f"{src!r} -> {dst!r}")
+        self.src, self.dst, self.unknown = src, dst, unknown
+
+
+def _bfs(adj: Mapping[str, Iterable[str]], source: str
+         ) -> tuple[dict[str, int], dict[str, str]]:
+    """Level-order BFS from ``source`` over ``adj`` (``{node: peers}``).
+
+    Returns ``(hop count, first discoverer)`` of every reachable node,
+    both in discovery order.  Peers are tried in ``adj`` order and the
+    first discoverer wins, so everything derived from the tree (routes,
+    path plans, the analyzer's pruning paths) is a function of
+    link-creation order alone; ``tests/simnet/oracles.py`` pins it to a
+    graph library's answer on the same cabling.
+    """
+    dist = {source: 0}
+    parent: dict[str, str] = {}
+    frontier = [source]
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = hops
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    return dist, parent
 
 
 class Network:
@@ -46,15 +96,24 @@ class Network:
         self.hosts: dict[str, Host] = {}
         self.switches: dict[str, Switch] = {}
         self.links: list[Link] = []
-        self._graph: Optional[nx.Graph] = None
-        #: switch-induced subgraph, host -> attach switch map and the
-        #: shortest-path memo (one entry per :meth:`attach_pair`); all
-        #: derive from the static physical graph, so they reset exactly
-        #: where ``_graph`` does (topology edits, not link flaps)
-        self._switch_graph: Optional[nx.Graph] = None
-        self._hosts_single_homed = False
-        self._attach: dict[str, str] = {}
-        self._spaths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+        #: the fabric itself: ``{node: {peer: first link to it}}``, peers
+        #: in link-creation order.  Cabling only — a downed link stays
+        #: (routing reads ``link.up`` off :attr:`links` instead)
+        self.adjacency: dict[str, dict[str, Link]] = {}
+        #: bumped by every add_host / add_switch / connect and by
+        #: nothing else: what planners and the analyzer key their
+        #: caches on (a link flap moves no cable)
+        self.topology_version = 0
+        #: searches :meth:`attach_paths` has run, for tests to count
+        self.path_searches = 0
+        # derived from the cabling and dropped with every edit: the
+        # (host -> attach switch, switch-only adjacency) pair, the
+        # per-target predecessor tables and the shortest-path memo (one
+        # entry per :meth:`attach_pair`)
+        self._fabric: Optional[tuple[dict[str, str],
+                                     dict[str, list[str]]]] = None
+        self._toward: dict[tuple[str, bool], dict[str, list[str]]] = {}
+        self._spaths: dict[tuple[str, str], tuple[NodePath, ...]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -62,14 +121,16 @@ class Network:
         self._check_fresh_name(name)
         host = Host(self.sim, name)
         self.hosts[name] = host
-        self._invalidate_graph()
+        self.adjacency[name] = {}
+        self._edited()
         return host
 
     def add_switch(self, name: str) -> Switch:
         self._check_fresh_name(name)
         sw = Switch(self.sim, name)
         self.switches[name] = sw
-        self._invalidate_graph()
+        self.adjacency[name] = {}
+        self._edited()
         return sw
 
     def connect(self, a: Node, b: Node, *, rate_bps: float = 1e9,
@@ -83,14 +144,16 @@ class Network:
             node.attach(iface)
         link.vlan_id = len(self.links)  # network-local 12-bit wire id
         self.links.append(link)
-        self._invalidate_graph()
+        # the first-created of parallel links keeps the adjacency entry
+        self.adjacency.setdefault(a.name, {}).setdefault(b.name, link)
+        self.adjacency.setdefault(b.name, {}).setdefault(a.name, link)
+        self._edited()
         return link
 
-    def _invalidate_graph(self) -> None:
-        self._graph = None
-        self._switch_graph = None
-        self._hosts_single_homed = False
-        self._attach = {}
+    def _edited(self) -> None:
+        self.topology_version += 1
+        self._fabric = None
+        self._toward.clear()
         self._spaths.clear()
 
     def _check_fresh_name(self, name: str) -> None:
@@ -107,10 +170,10 @@ class Network:
         raise TopologyError(f"unknown node {name!r}")
 
     def link_between(self, a: str, b: str) -> Link:
-        for link in self.links:
-            if {link.a.name, link.b.name} == {a, b}:
-                return link
-        raise TopologyError(f"no link between {a!r} and {b!r}")
+        link = self.adjacency.get(a, {}).get(b)
+        if link is None:
+            raise TopologyError(f"no link between {a!r} and {b!r}")
+        return link
 
     def link_by_id(self, link_id: int) -> Link:
         for link in self.links:
@@ -132,91 +195,116 @@ class Network:
     def switch_names(self) -> list[str]:
         return sorted(self.switches)
 
-    # -- graph & paths -----------------------------------------------------
+    # -- fabric & paths ----------------------------------------------------
 
-    def graph(self) -> nx.Graph:
-        """The *physical* topology as a networkx graph (nodes are names).
+    def _derived(self) -> tuple[dict[str, str], dict[str, list[str]]]:
+        """``(host -> attach switch, switch-only adjacency)``.
 
-        Down links stay in this graph: cabling does not disappear when a
-        port flaps, and the analyzer's policy checks compare against the
-        physical design.  Routing uses :meth:`live_graph` instead.
+        The attach map is filled only when *every* host hangs off
+        exactly one switch (true of all the builders here) and is empty
+        otherwise; both follow the cabling, never link state.
         """
-        if self._graph is None:
-            g = nx.Graph()
-            for name in self.hosts:
-                g.add_node(name, kind="host")
-            for name in self.switches:
-                g.add_node(name, kind="switch")
-            for link in self.links:
-                g.add_edge(link.a.name, link.b.name, link=link)
-            self._graph = g
-            sub = nx.Graph()
-            sub.add_nodes_from(self.switches)
-            for link in self.links:
-                if link.a.name in self.switches and link.b.name in self.switches:
-                    sub.add_edge(link.a.name, link.b.name)
-            self._switch_graph = sub
-            attach = {h: sw for h in self.hosts if g.degree(h) == 1
-                      for sw in g[h] if sw in self.switches}
-            self._hosts_single_homed = len(attach) == len(self.hosts)
-            self._attach = attach if self._hosts_single_homed else {}
-        return self._graph
-
-    def live_graph(self) -> nx.Graph:
-        """The topology restricted to links that are currently up.
-
-        Built fresh on every call (liveness changes do not version the
-        cached physical graph); used by :meth:`compute_routes`.
-        """
-        g = nx.Graph()
-        for name in self.hosts:
-            g.add_node(name, kind="host")
-        for name in self.switches:
-            g.add_node(name, kind="switch")
-        for link in self.links:
-            if link.up:
-                g.add_edge(link.a.name, link.b.name, link=link)
-        return g
+        if self._fabric is None:
+            adj, switches = self.adjacency, self.switches
+            attach = {h: sw for h in self.hosts if len(adj.get(h, ())) == 1
+                      for sw in adj[h] if sw in switches}
+            self._fabric = (
+                attach if len(attach) == len(self.hosts) else {},
+                {s: [p for p in adj[s] if p in switches] for s in switches})
+        return self._fabric
 
     def attach_pair(self, src: str, dst: str) -> tuple[str, str]:
         """The node pair whose shortest paths decide src→dst's.
 
-        When every host hangs off exactly one switch (true for all the
-        builders here), a degree-1 host can never be a transit node, so
-        each shortest path between two distinct hosts is exactly
-        ``[src] + P + [dst]`` with ``P`` ranging over the shortest paths
-        between the two attachment switches — the pair returned.  Any
-        other query (multi-homed fabrics, host-host wires, switch
-        endpoints, ``src == dst``, unknown names) is decided by the two
-        names themselves.
+        When every host hangs off exactly one switch, a degree-1 host
+        can never be a transit node, so each shortest path between two
+        distinct hosts is exactly ``[src] + P + [dst]`` with ``P``
+        ranging over the shortest paths between the two attachment
+        switches — the pair returned.  Any other query (multi-homed
+        fabrics, host-host wires, switch endpoints, ``src == dst``,
+        unknown names) is decided by the two names themselves.
         """
-        self.graph()  # (re)builds the attach map with the graph
-        a, b = self._attach.get(src), self._attach.get(dst)
+        attach = self._derived()[0]
+        a, b = attach.get(src), attach.get(dst)
         if a is None or b is None or src == dst:
             return src, dst
         return a, b
 
+    def attach_paths(self, a: str, b: str) -> tuple[NodePath, ...]:
+        """All shortest a→b paths of one :meth:`attach_pair`, sorted.
+
+        The memo's own immutable tuples (what the CherryPick planner
+        shares between every host pair behind ``a`` and ``b``).  A miss
+        walks the distance table *toward* ``b`` — one BFS per target,
+        over the switches alone when the pair is two switches of a
+        single-homed fabric, kept as each node's peers one hop closer —
+        so expanding a pair costs its output, not a search.  Raises
+        :class:`NoPathError`.
+        """
+        cores = self._spaths.get((a, b))
+        if cores is not None:
+            return cores
+        attach, core = self._derived()
+        scoped = bool(attach) and a in core and b in core
+        adj: Mapping[str, Iterable[str]] = core if scoped else self.adjacency
+        if a not in adj or b not in adj:
+            raise NoPathError(a, b, unknown=True)
+        toward = self._toward.get((b, scoped))
+        if toward is None:
+            self.path_searches += 1
+            dist = _bfs(adj, b)[0]
+            toward = self._toward[b, scoped] = {
+                v: [w for w in adj[v] if dist.get(w) == d - 1]
+                for v, d in dist.items()}
+        if a not in toward:
+            raise NoPathError(a, b, unknown=False)
+        paths = [(a,)]
+        while paths[0][-1] != b:  # every shortest path is equally long
+            paths = [p + (w,) for p in paths for w in toward[p[-1]]]
+        cores = self._spaths[a, b] = tuple(sorted(paths))
+        return cores
+
+    def _paths(self, src: str, dst: str) -> Sequence[NodePath]:
+        """:meth:`attach_paths` of the :meth:`attach_pair`, wrapped in
+        the two hosts when the pair is their attach switches."""
+        a, b = self.attach_pair(src, dst)
+        try:
+            cores = self.attach_paths(a, b)
+        except NoPathError as err:  # name the ends that were asked about
+            raise NoPathError(src, dst, unknown=err.unknown) from None
+        return cores if a == src else [(src, *p, dst) for p in cores]
+
     def shortest_paths(self, src: str, dst: str) -> list[list[str]]:
         """All shortest src→dst node-name paths (deterministic order).
 
-        One search per :meth:`attach_pair`, memoized: every host pair
-        behind the same two switches shares it, and on a single-homed
-        fabric it runs over the few dozen switches rather than the whole
-        graph (65k+ nodes on large leaf-spines).  Callers get fresh
-        lists; topology edits reset the memo along with the cached
-        physical graph.
+        Callers get fresh lists; raises :class:`NoPathError` for an
+        unknown or unreachable endpoint.
         """
-        a, b = pair = self.attach_pair(src, dst)
-        cores = self._spaths.get(pair)
-        if cores is None:
-            fabric = (self._switch_graph if self._hosts_single_homed
-                      and a in self.switches and b in self.switches
-                      else self._graph)
-            cores = self._spaths[pair] = sorted(
-                map(tuple, nx.all_shortest_paths(fabric, a, b)))
-        if a == src:
-            return [list(p) for p in cores]
-        return [[src, *p, dst] for p in cores]
+        return [list(p) for p in self._paths(src, dst)]
+
+    def paths_from(self, source: str) -> dict[str, list[str]]:
+        """One shortest path from ``source`` to every reachable node.
+
+        The first-discovered BFS tree, peers in link order — which of
+        several equally short paths a node gets matters, because the
+        analyzer keeps or drops a host by the links of this one.  On a
+        single-homed fabric the search runs over the switches only — a
+        host's path is its attach switch's plus itself.  Empty for an
+        unknown ``source``.
+        """
+        if source not in self.adjacency:
+            return {}
+        attach, core = self._derived()
+        root = attach.get(source, source)
+        parent = _bfs(core if attach else self.adjacency, root)[1]
+        paths = {root: [root] if root == source else [source, root]}
+        for node, via in parent.items():
+            paths[node] = [*paths[via], node]
+        for host, sw in attach.items():
+            if sw in paths:
+                paths[host] = [*paths[sw], host]
+        paths[source] = [source]
+        return paths
 
     def path_through_link(self, src: str, dst: str,
                           link: Link) -> Optional[list[str]]:
@@ -226,20 +314,19 @@ class Network:
         one picked link disambiguates the end-to-end path.  Returns None
         when no shortest path through the link exists; raises
         :class:`TopologyError` when more than one does (topology is not
-        CherryPick-compatible for this pair).
+        CherryPick-compatible for this pair) and :class:`NoPathError`
+        when there is no src→dst path at all.
         """
-        matches = []
-        a, b = link.a.name, link.b.name
-        for path in self.shortest_paths(src, dst):
-            hops = list(zip(path, path[1:]))
-            if (a, b) in hops or (b, a) in hops:
-                matches.append(path)
+        x, y = link.a.name, link.b.name
+        # a shortest path visits a node once: one index each
+        matches = [p for p in self._paths(src, dst) if x in p and y in p
+                   and abs(p.index(x) - p.index(y)) == 1]
         if not matches:
             return None
         if len(matches) > 1:
             raise TopologyError(
                 f"link {link.endpoints} does not pin the {src}->{dst} path")
-        return matches[0]
+        return list(matches[0])
 
     # -- routing ---------------------------------------------------------------
 
@@ -267,11 +354,10 @@ class Network:
         """
         if self._compute_routes_fast():
             return
-        g = self.live_graph()
-        dist = {name: nx.single_source_shortest_path_length(g, name)
-                for name in self.switches}
-        # per-switch live links in global creation order, so the ECMP
-        # candidate order is identical to the previous all-links scan
+        # live links only, in global creation order (so is the ECMP
+        # candidate order): the whole graph for distances — a
+        # multi-homed host is a transit node there — and per switch
+        live: dict[str, list[str]] = {name: [] for name in self.adjacency}
         to_switch: dict[str, list[tuple[str, Link]]] = \
             {name: [] for name in self.switches}
         to_host: dict[str, dict[str, list[Link]]] = \
@@ -280,6 +366,7 @@ class Network:
             if not link.up:
                 continue
             for node, peer in ((link.a, link.b), (link.b, link.a)):
+                live[node.name].append(peer.name)
                 if node.name not in self.switches:
                     continue
                 if peer.name in self.switches:
@@ -287,6 +374,7 @@ class Network:
                 else:
                     to_host[node.name].setdefault(peer.name,
                                                   []).append(link)
+        dist = {name: _bfs(live, name)[0] for name in self.switches}
         for sw_name, sw in self.switches.items():
             sw.clear_routes()
             d_sw = dist[sw_name]
@@ -318,7 +406,7 @@ class Network:
         """
         switches = self.switches
         #: host -> (attach switch, link); live links only, like the
-        #: generic path's live_graph
+        #: generic path
         attach: dict[str, tuple[str, Link]] = {}
         sw_adj: dict[str, list[tuple[str, Link]]] = \
             {name: [] for name in switches}
@@ -343,22 +431,9 @@ class Network:
             info = attach.get(host)
             if info is not None:
                 by_switch.setdefault(info[0], []).append(host)
-        # BFS over the switch subgraph only
-        sdist: dict[str, dict[str, int]] = {}
-        for name in switches:
-            d = {name: 0}
-            frontier = [name]
-            hops = 0
-            while frontier:
-                hops += 1
-                nxt = []
-                for u in frontier:
-                    for v, _ in sw_adj[u]:
-                        if v not in d:
-                            d[v] = hops
-                            nxt.append(v)
-                frontier = nxt
-            sdist[name] = d
+        # distances over the live switch-to-switch links only
+        peers = {u: [v for v, _ in adj] for u, adj in sw_adj.items()}
+        sdist = {name: _bfs(peers, name)[0] for name in switches}
         for sw_name, sw in switches.items():
             sw.clear_routes()
             d_sw = sdist[sw_name]

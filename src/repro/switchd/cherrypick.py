@@ -13,23 +13,21 @@ VLAN tags; the destination reconstructs the full switch list from
 did this linkID pin?" — from one **path plan** per
 :meth:`Network.attach_pair`: for each link asked about, the one
 shortest path between the two attach switches that crosses it (or that
-none or several do), found in the sorted paths :class:`Network` keeps
-for the pair.  Every host pair behind the same two switches is answered
-by dict probes after the first — the analogue of the real system
-compiling the decision into static OpenFlow rules (one rule per port,
-§4.1.3) and of the host holding the topology map (§4.2.1).
+none or several do), found in the sorted path tuples :class:`Network`
+expands for the pair from its per-target distance table.  Every host
+pair behind the same two switches is answered by dict probes after the
+first — the analogue of the real system compiling the decision into
+static OpenFlow rules (one rule per port, §4.1.3) and of the host
+holding the topology map (§4.2.1).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-import networkx as nx
-
 from ..simnet.link import Link
-from ..simnet.topology import Network, TopologyError
+from ..simnet.topology import Network, NodePath, NoPathError, TopologyError
 
-NodePath = tuple[str, ...]
 #: (path between the plan's endpoints, (its switches, embedder index))
 Route = tuple[NodePath, tuple[NodePath, int]]
 #: (the pair's shortest path when there is only one,
@@ -42,28 +40,27 @@ class CherryPickPlanner:
 
     def __init__(self, network: Network):
         self.network = network
-        #: the physical graph the plans below were derived from
-        self._graph: Optional[nx.Graph] = None
+        #: the ``Network.topology_version`` the plans below derive from
+        self._version = -1
         self._plans: dict[tuple[str, str], Plan] = {}
 
     def _route(self, src: str, dst: str, link: Link) -> Optional[Route]:
         """The one shortest src→dst path crossing ``link``, if it pins."""
         net = self.network
-        graph = net.graph()
-        if graph is not self._graph:
-            # a new object after every topology edit, the same one across
-            # link flaps: plans follow the cabling, not liveness
-            self._graph = graph
+        if net.topology_version != self._version:
+            # moves with every topology edit and never with a link
+            # flap: plans follow the cabling, not liveness
+            self._version = net.topology_version
             self._plans.clear()
         pair = net.attach_pair(src, dst)
         plan = self._plans.get(pair)
         if plan is None:
             try:
-                paths = net.shortest_paths(*pair)
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                paths = []  # unknown or unreachable endpoints: nothing pins
+                paths = net.attach_paths(*pair)
+            except NoPathError:
+                paths = ()  # unknown or unreachable endpoints: nothing pins
             plan = self._plans[pair] = (
-                tuple(paths[0]) if len(paths) == 1 else None, {})
+                paths[0] if len(paths) == 1 else None, {})
         only, routes = plan
         hop = (link.a.name, link.b.name)
         if pair[0] != src and (src in hop or dst in hop):
@@ -83,8 +80,8 @@ class CherryPickPlanner:
         """The route of the pair's only path crossing ``link``, else False."""
         try:
             path = self.network.path_through_link(*pair, link)
-        except (TopologyError, nx.NetworkXNoPath, nx.NodeNotFound):
-            return False  # several paths cross it, or there is none at all
+        except TopologyError:
+            return False  # several paths cross it, or none exists at all
         if path is None:
             return False
         switches = self.network.switches
@@ -141,12 +138,10 @@ class CherryPickPlanner:
         """Which switch on the (first) shortest path would embed.
 
         Used by tests and by the rule-count model: the embedder is the
-        first switch whose next-hop link pins the path.
+        first switch whose next-hop link pins the path.  Raises
+        :class:`NoPathError` when nothing joins the two.
         """
-        paths = self.network.shortest_paths(src, dst)
-        if not paths:
-            return None
-        path = paths[0]
+        path = self.network.shortest_paths(src, dst)[0]
         for here, nxt in zip(path[1:], path[2:]):
             if here not in self.network.switches:
                 continue

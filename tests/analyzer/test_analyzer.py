@@ -8,6 +8,7 @@ from repro.core.epoch import EpochRange
 from repro.hostd.triggers import SwitchEpochTuple, VictimAlert
 from repro.simnet.packet import FlowKey, PROTO_TCP, PROTO_UDP, make_udp
 from repro.simnet.topology import build_leaf_spine, build_linear
+from tests.simnet.oracles import nx_graph
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ class TestOnDemandLinkSets:
         return {node: frozenset(frozenset(pair)
                                 for pair in zip(path, path[1:]))
                 for node, path in nx.single_source_shortest_path(
-                    net.graph(), source).items()}
+                    nx_graph(net), source).items()}
 
     def test_prune_links_and_hops_match_eager_reference(self):
         net = build_leaf_spine(4, 2, 3)
@@ -128,7 +129,7 @@ class TestOnDemandLinkSets:
                 assert analyzer._prune(switch, asked, victim_links) == (
                     kept, [h for h in asked if h not in kept])
             from_site = self.eager(net, analyzer.site)
-            assert {node: analyzer.hops_to(node) for node in net.graph()
+            assert {node: analyzer.hops_to(node) for node in net.adjacency
                     } == {node: len(links)
                           for node, links in from_site.items()}
             assert analyzer.hops_to("ghost") == 0

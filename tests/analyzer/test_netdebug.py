@@ -3,7 +3,7 @@
 import pytest
 
 from repro import SwitchPointerDeployment
-from repro.analyzer.netdebug import (check_path_conformance,
+from repro.analyzer.netdebug import (_is_shortest, check_path_conformance,
                                      localize_packet_drops)
 from repro.core.epoch import EpochRange
 from repro.simnet.packet import FlowKey, PROTO_UDP, make_udp
@@ -138,3 +138,34 @@ class TestPathConformance:
         report = check_path_conformance(deploy.analyzer,
                                         hosts=["h2_0"])
         assert report.flows_checked == 1
+
+    def test_unknown_or_unreachable_endpoint_reads_as_non_shortest(self):
+        """A record naming a decommissioned or islanded host has no
+        shortest path to conform to — a violation, not a crash."""
+        net = build_linear(3, 1)
+        net.add_host("island")
+        cache = {}
+        for src, dst in (("h1_0", "nope"), ("nope", "h3_0"),
+                         ("h1_0", "island"), ("island", "h3_0")):
+            flow = FlowKey(src, dst, 1, 9, PROTO_UDP)
+            assert not _is_shortest(net, flow, ["S1", "S2", "S3"], cache)
+            assert cache[src, dst] is None
+        good = FlowKey("h1_0", "h3_0", 1, 9, PROTO_UDP)
+        assert _is_shortest(net, good, ["S1", "S2", "S3"], cache)
+
+    def test_unrelated_error_inside_the_search_propagates(self,
+                                                          monkeypatch):
+        """Only ``NoPathError`` means "no shortest path"; the sweep used
+        to swallow every exception and report a routing violation."""
+        net = build_linear(3, 1)
+        deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2,
+                                         epsilon_ms=1, delta_ms=2)
+        net.hosts["h1_0"].send(make_udp("h1_0", "h3_0", 1, 9, 400))
+        net.run()
+
+        def broken(a, b):
+            raise RuntimeError("search blew up")
+
+        monkeypatch.setattr(net, "attach_paths", broken)
+        with pytest.raises(RuntimeError, match="search blew up"):
+            check_path_conformance(deploy.analyzer)

@@ -25,6 +25,7 @@ CASES = {
     "registry-coverage": "registry_coverage",
     "report-schema-drift": "report_schema_drift",
     "typed-defs": "typed_defs",
+    "stdlib-only-runtime": "stdlib_only_runtime",
 }
 
 
@@ -72,6 +73,16 @@ def test_global_rng_names_offending_call():
     assert any("random.seed" in m for m in messages)
     assert any("random.randrange" in m for m in messages)
     assert all("run_stream" in m for m in messages)
+
+
+def test_stdlib_only_runtime_names_each_third_party_import():
+    violations = lint_fixture("stdlib-only-runtime", "violating")
+    blob = "\n".join(v.message for v in violations)
+    # module-level, from-import of a submodule, function-local
+    assert len(violations) == 3
+    for package in ("'networkx'", "'numpy.random'", "'scipy.sparse.csgraph'"):
+        assert package in blob
+    assert "heapq" not in blob and "sibling" not in blob
 
 
 def test_knob_declaration_names_every_offender():

@@ -118,14 +118,18 @@ class TestScenarioProtocol:
             assert not unknown_smoke, (spec.name, unknown_smoke)
 
 
-def test_importing_the_scenarios_does_not_import_numpy():
-    """The simulation core is pure Python: numpy is a test-time
-    dependency only, and costs a third of the import when it sneaks
-    back in."""
+@pytest.mark.parametrize("entry", [
+    pytest.param("repro.scenarios", id="scenarios"),
+    pytest.param("repro.cli", id="cli")])
+@pytest.mark.parametrize("package", ["numpy", "networkx"])
+def test_importing_the_scenarios_does_not_import_numpy(package, entry):
+    """The runtime is pure standard library: numpy and networkx are
+    test-time dependencies only, and each costs a third of the import
+    (and ~14 MB of every process) when it sneaks back in."""
     src = Path(__file__).resolve().parents[2] / "src"
     subprocess.run(
         [sys.executable, "-c",
-         "import repro.scenarios, sys; assert 'numpy' not in sys.modules"],
+         f"import {entry}, sys; assert {package!r} not in sys.modules"],
         check=True, env={**os.environ, "PYTHONPATH": str(src)},
         timeout=120)
 

@@ -1,0 +1,65 @@
+"""Brute-force oracles for the topology's derived answers.
+
+The runtime keeps the fabric as a plain adjacency map and derives
+routes, path plans and pruning paths from one BFS helper; networkx is a
+*test* dependency.  The oracle graph is built the way ``Network.graph``
+used to build it — hosts, then switches, then one edge per link in
+creation order — so networkx's adjacency (and with it the
+first-discovered tree of ``single_source_shortest_path``) follows the
+same link order the runtime promises.
+"""
+from __future__ import annotations
+
+import networkx as nx
+
+from repro.simnet.device import Switch
+from repro.simnet.topology import Network
+
+
+def nx_graph(net: Network, live: bool = False) -> nx.Graph:
+    """``net`` as an ``nx.Graph``; ``live`` leaves out the downed links."""
+    g = nx.Graph()
+    g.add_nodes_from(net.hosts, kind="host")
+    g.add_nodes_from(net.switches, kind="switch")
+    for link in net.links:
+        if link.up or not live:
+            g.add_edge(link.a.name, link.b.name, link=link)
+    return g
+
+
+def all_shortest_paths(g: nx.Graph, src: str, dst: str) -> list[list[str]]:
+    """Every shortest src→dst path of ``g``, sorted; ``[]`` when an
+    endpoint is unknown or unreachable."""
+    try:
+        return sorted(nx.all_shortest_paths(g, src, dst))
+    except (nx.NetworkXNoPath, nx.NodeNotFound):
+        return []
+
+
+def multi_homed() -> Network:
+    """h0 is cabled to both leaves; h1..h3 hang off one switch each.
+
+    :class:`Host` carries a single NIC, so a two-port device registered
+    under ``hosts`` stands in for the dual-homed server.
+    """
+    net = Network()
+    for name in ("s0", "s1", "s2"):
+        net.add_switch(name)
+    net.hosts["h0"] = Switch(net.sim, "h0")
+    for name in ("h1", "h2", "h3"):
+        net.add_host(name)
+    for a, b in (("s0", "s2"), ("s1", "s2"), ("h0", "s0"), ("h0", "s1"),
+                 ("h1", "s0"), ("h2", "s1"), ("h3", "s2")):
+        net.connect(net.node(a), net.node(b))
+    return net
+
+
+def host_host_wire() -> Network:
+    """h2—h3 are wired back to back, apart from the switched hosts."""
+    net = Network()
+    net.add_switch("s0")
+    for name in ("h0", "h1", "h2", "h3"):
+        net.add_host(name)
+    for a, b in (("h0", "s0"), ("h1", "s0"), ("h2", "h3")):
+        net.connect(net.node(a), net.node(b))
+    return net

@@ -14,12 +14,13 @@ from repro.simnet.topology import (TopologyError, build_fat_tree,
                                    build_fat_tree_for_hosts,
                                    build_leaf_spine, build_linear,
                                    build_star)
+from tests.simnet.oracles import host_host_wire, multi_homed, nx_graph
 
 
 def reference_routes(net) -> dict[tuple[str, str], list[int]]:
     """The pre-rewrite compute_routes semantics, as ECMP candidate
     link-id lists per (switch, dst)."""
-    g = net.live_graph()
+    g = nx_graph(net, live=True)
     dist = dict(nx.all_pairs_shortest_path_length(g))
     out: dict[tuple[str, str], list[int]] = {}
     for sw_name, sw in net.switches.items():
@@ -84,6 +85,88 @@ class TestComputeRoutesEquivalence:
         assert installed_routes(net) == reference_routes(net)
 
 
+    @pytest.mark.parametrize("build, cut", [
+        pytest.param(multi_homed, ("h0", "s0"), id="multi_homed"),
+        pytest.param(host_host_wire, ("h1", "s0"), id="host_host_wire"),
+    ])
+    def test_generic_path_matches_reference(self, build, cut):
+        """Fabrics the fast path declines.  A dual-homed host is a
+        transit node of the live graph distances are read from, but
+        hosts never forward: it is a next hop only as the destination."""
+        net = build()
+        assert not net._compute_routes_fast()
+
+        def reference():
+            by_id = {link.link_id: link for link in net.links}
+            out = {}
+            for (sw, dst), ids in reference_routes(net).items():
+                kept = [i for i in ids
+                        if by_id[i].peer_of(net.switches[sw]).name
+                        in (dst, *net.switches)]
+                if kept:
+                    out[sw, dst] = kept
+            return out
+
+        net.compute_routes()
+        healthy = installed_routes(net)
+        assert healthy and healthy == reference()
+        net.set_link_state(*cut, up=False)
+        assert healthy != installed_routes(net) == reference()
+
+
+class TestGenericAndFastRoutesAgree:
+    """``compute_routes`` has a single-homed fast path and a generic
+    one; both read distances off the same BFS helper and must install
+    identical candidate tuples in identical order."""
+
+    BUILDS = [
+        pytest.param(lambda: build_star(5), None, id="star"),
+        pytest.param(lambda: build_linear(4, hosts_per_switch=2),
+                     ("S2", "S3"), id="linear"),
+        pytest.param(lambda: build_leaf_spine(4, 2, hosts_per_leaf=3),
+                     ("leaf0", "spine0"), id="leaf_spine"),
+        pytest.param(lambda: build_fat_tree(4),
+                     ("agg0_0", "core0"), id="fat_tree"),
+        pytest.param(lambda: build_fat_tree_for_hosts(40, k=4),
+                     ("agg1_1", "edge1_0"), id="fat_tree_for_hosts"),
+    ]
+
+    @staticmethod
+    def fib(net):
+        return {(name, dst): tuple(iface.link.link_id for iface in ifaces)
+                for name, sw in net.switches.items()
+                for dst, ifaces in sw._fib.items()}
+
+    def both_ways(self, net, monkeypatch):
+        assert net._compute_routes_fast()  # the precondition holds
+        fast_fib = self.fib(net)
+        with monkeypatch.context() as patched:
+            patched.setattr(net, "_compute_routes_fast", lambda: False)
+            net.compute_routes()
+        assert self.fib(net) == fast_fib
+        assert fast_fib == {pair: tuple(ids) for pair, ids
+                            in reference_routes(net).items()}
+        return fast_fib
+
+    @pytest.mark.parametrize("build, cut", BUILDS)
+    def test_down_partition_and_reconvergence(self, build, cut, monkeypatch):
+        net = build()
+        healthy = self.both_ways(net, monkeypatch)
+        if cut is None:
+            return
+        net.set_link_state(*cut, up=False)
+        degraded = self.both_ways(net, monkeypatch)
+        assert degraded != healthy
+        net.set_link_state(*cut, up=True)
+        assert self.both_ways(net, monkeypatch) == healthy
+
+    def test_partitioned_chain(self, monkeypatch):
+        net = build_linear(3, hosts_per_switch=1)
+        net.set_link_state("S1", "S2", up=False)
+        routes = self.both_ways(net, monkeypatch)
+        assert ("S1", "h2_0") not in routes and ("S1", "h1_0") in routes
+
+
 class TestFatTreeForHosts:
     @pytest.mark.parametrize("n", [1, 7, 64, 100, 256, 1024])
     def test_exact_host_count(self, n):
@@ -101,10 +184,9 @@ class TestFatTreeForHosts:
         net = build_fat_tree_for_hosts(96)
         names = net.host_names
         for src, dst in zip(names[:4], reversed(names[-4:])):
-            assert nx.has_path(net.graph(), src, dst)
+            assert nx.has_path(nx_graph(net), src, dst)
             sw = net.switches[next(
-                n for n in net.graph().neighbors(src)
-                if n in net.switches)]
+                n for n in net.adjacency[src] if n in net.switches)]
             assert sw.routes_for(dst)
 
     def test_rejects_bad_params(self):

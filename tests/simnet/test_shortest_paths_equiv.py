@@ -1,12 +1,15 @@
-"""Pin the switch-subgraph shortest-path decomposition to the full BFS.
+"""Pin the adjacency-map path answers to a brute-force graph library.
 
-``Network.shortest_paths`` decomposes host→host queries through a
-cached switch-only subgraph whenever every host is single-homed to a
-switch (see docs/PERFORMANCE.md).  These tests assert the decomposed
-answers — including sort order, memoized re-queries and the
-NetworkXNoPath failure mode — are bit-identical to the brute-force
-full-graph enumeration on every builder fabric, and that fabrics
-violating the precondition fall back to the brute-force path.
+``Network`` keeps the fabric as ``{node: {peer: link}}`` and derives
+everything from one BFS helper (see docs/PERFORMANCE.md):
+``shortest_paths`` expands a per-target distance table — over the
+switches alone whenever every host is single-homed — and
+``paths_from`` (what ``Analyzer._shortest_paths_from`` memoizes) grows
+the first-discovered tree.  These tests assert both are bit-identical
+to networkx on the oracle graph of ``tests/simnet/oracles.py`` —
+including sort order, memoized re-queries, *which* of several equally
+short paths a node gets, and the no-path failure mode — on every
+builder fabric and on fabrics that break the single-homed precondition.
 """
 from __future__ import annotations
 
@@ -15,69 +18,127 @@ import itertools
 import networkx as nx
 import pytest
 
+from repro.analyzer.analyzer import Analyzer
+from repro.core.mphf import HostDirectory
 from repro.simnet.topology import (
     Network,
+    NoPathError,
     build_fat_tree,
+    build_fat_tree_for_hosts,
     build_leaf_spine,
     build_linear,
     build_star,
 )
+from tests.simnet.oracles import host_host_wire, multi_homed, nx_graph
+
+BUILDERS = [
+    pytest.param(lambda: build_leaf_spine(4, 2, 3), id="leaf_spine"),
+    pytest.param(lambda: build_fat_tree(4), id="fat_tree"),
+    pytest.param(lambda: build_star(6), id="star"),
+    pytest.param(lambda: build_linear(4, hosts_per_switch=2), id="linear"),
+    pytest.param(lambda: build_fat_tree_for_hosts(40, k=4),
+                 id="fat_tree_for_hosts"),
+]
+EVERY_FABRIC = BUILDERS + [
+    pytest.param(multi_homed, id="multi_homed"),
+    pytest.param(host_host_wire, id="host_host_wire"),
+]
 
 
-def _brute(net: Network, src: str, dst: str) -> list[list[str]]:
-    return sorted(nx.all_shortest_paths(net.graph(), src, dst))
-
-
-def _query(fn, src: str, dst: str):
+def _brute(graph: nx.Graph, src: str, dst: str):
+    if src not in graph or dst not in graph:
+        return "unknown"
     try:
-        return fn(src, dst)
-    except nx.NetworkXException as exc:
-        return ("raises", type(exc).__name__)
+        return sorted(nx.all_shortest_paths(graph, src, dst))
+    except nx.NetworkXNoPath:
+        return "unreachable"
+
+
+def _ours(net: Network, src: str, dst: str):
+    try:
+        return net.shortest_paths(src, dst)
+    except NoPathError as err:
+        assert (err.src, err.dst) == (src, dst)
+        return "unknown" if err.unknown else "unreachable"
 
 
 def _assert_equivalent(net: Network) -> None:
-    nodes = sorted(net.hosts) + sorted(net.switches)
-    for src, dst in itertools.product(nodes, repeat=2):
-        want = _query(lambda a, b: _brute(net, a, b), src, dst)
-        got = _query(net.shortest_paths, src, dst)
+    graph = nx_graph(net)
+    nodes = sorted(net.hosts) + sorted(net.switches) + ["ghost"]
+    for src, dst in itertools.product(nodes, repeat=2):  # incl. a == b
+        want = _brute(graph, src, dst)
+        got = _ours(net, src, dst)
         assert got == want, (src, dst)
         # the memoized re-query must agree even after callers mutate
         # the previously returned lists
         if isinstance(got, list) and got:
             got[0].append("mutated-by-caller")
-        assert _query(net.shortest_paths, src, dst) == want, (src, dst)
+        assert _ours(net, src, dst) == want, (src, dst)
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda: build_leaf_spine(4, 2, 3), id="leaf_spine"),
-    pytest.param(lambda: build_fat_tree(4), id="fat_tree"),
-    pytest.param(lambda: build_star(6), id="star"),
-    pytest.param(lambda: build_linear(4, hosts_per_switch=2), id="linear"),
-])
+@pytest.mark.parametrize("build", BUILDERS)
 def test_builder_fabrics_match_brute_force(build) -> None:
     net = build()
     _assert_equivalent(net)
-    assert net._hosts_single_homed  # the fast path actually engaged
+    assert net._derived()[0]  # the switch-only tables actually engaged
+    # one BFS per target asked about, however many pairs were asked
+    assert net.path_searches <= 2 * len(net.adjacency)
+
+
+def test_multi_homed_host_falls_back_to_full_graph() -> None:
+    net = multi_homed()
+    _assert_equivalent(net)
+    assert not net._derived()[0]
+    # the dual-homed server is a transit node of a shortest path
+    assert ["h1", "s0", "h0", "s1", "h2"] in net.shortest_paths("h1", "h2")
 
 
 def test_host_to_host_wire_falls_back_to_full_graph() -> None:
-    net = Network()
-    for name in ("h0", "h1", "h2", "h3"):
-        net.add_host(name)
-    net.add_switch("s0")
-    net.connect(net.node("h0"), net.node("s0"))
-    net.connect(net.node("h1"), net.node("s0"))
-    net.connect(net.node("h2"), net.node("h3"))  # host-host wire
+    net = host_host_wire()
     _assert_equivalent(net)
-    net.graph()
-    assert not net._hosts_single_homed
+    assert not net._derived()[0]
+    assert net.shortest_paths("h2", "h3") == [["h2", "h3"]]
+
+
+@pytest.mark.parametrize("build", EVERY_FABRIC)
+def test_paths_from_grow_the_first_discovered_tree(build) -> None:
+    """Node for node, path for path: pruning keeps or drops a host by
+    the links of this one path, so *which* shortest path is contract."""
+    net = build()
+    graph = nx_graph(net)
+    analyzer = Analyzer(network=net, directory=HostDirectory(list(net.hosts)),
+                        switch_agents={}, host_agents={})
+    hosts = sorted(net.hosts)
+    for source in [*net.switches, *hosts[:3], *hosts[-3:]]:
+        want = nx.single_source_shortest_path(graph, source)
+        assert net.paths_from(source) == want, source
+        assert analyzer._shortest_paths_from(source) == want, source
+    assert net.paths_from("ghost") == {}
+    assert analyzer._shortest_paths_from("ghost") == {}
+
+
+def test_paths_from_follow_link_order_not_names() -> None:
+    """Two equally short paths: the peer cabled first wins, whatever it
+    is called — the tie-break every derived answer inherits."""
+    for first, second in (("sa", "sb"), ("sb", "sa")):
+        net = Network()
+        for name in ("top", first, second, "bottom"):
+            net.add_switch(name)
+        for a, b in (("top", first), ("top", second),
+                     (first, "bottom"), (second, "bottom")):
+            net.connect(net.node(a), net.node(b))
+        assert net.paths_from("top")["bottom"] == ["top", first, "bottom"]
+        assert net.paths_from("top") == nx.single_source_shortest_path(
+            nx_graph(net), "top")
 
 
 def test_topology_edits_reset_the_path_memo() -> None:
     net = build_leaf_spine(4, 2, 2)
     before = net.shortest_paths("h0_0", "h1_0")
+    version = net.topology_version
     net.add_host("hx")
-    assert net._spaths == {} and net._graph is None
+    assert net._spaths == {} and net._toward == {}
+    assert net.topology_version > version
     net.connect(net.node("hx"), net.node("leaf0"))
     assert net.shortest_paths("h0_0", "h1_0") == before
     assert net.shortest_paths("hx", "h1_0") == [
@@ -85,3 +146,32 @@ def test_topology_edits_reset_the_path_memo() -> None:
         for src, mid in [("hx", p[1:-1]) for p in net.shortest_paths(
             "h0_0", "h1_0")]
     ]
+
+
+def test_topology_version_moves_on_edits_only() -> None:
+    net = Network()
+    seen = [net.topology_version]
+
+    def moved() -> bool:
+        seen.append(net.topology_version)
+        return seen[-1] > seen[-2]
+
+    a = net.add_switch("a")
+    assert moved()
+    b = net.add_switch("b")
+    assert moved()
+    h = net.add_host("h")
+    assert moved()
+    net.connect(a, b)
+    assert moved()
+    link = net.connect(h, a)
+    assert moved()
+    net.connect(a, b)  # a parallel link is an edit too
+    assert moved()
+    # liveness is not cabling: nothing derived from the map expires
+    net.compute_routes()
+    link.set_down()
+    net.set_link_state("a", "b", up=False)
+    net.set_link_state("a", "b", up=True)
+    link.set_up()
+    assert not moved()

@@ -33,6 +33,24 @@ class TestNetwork:
         with pytest.raises(TopologyError):
             net.link_between("a", "ghost")
 
+    def test_link_between_parallel_links(self):
+        """Answered from the adjacency map: the first-created of two
+        parallel links wins, in both directions, like the scan did."""
+        net = Network()
+        a, b, c = (net.add_switch(n) for n in "abc")
+        first = net.connect(a, b)
+        net.connect(b, c)
+        second = net.connect(b, a)  # the same pair, wired twice
+        assert first is not second and net.links == [
+            first, net.link_between("b", "c"), second]
+        assert net.link_between("a", "b") is first
+        assert net.link_between("b", "a") is first
+        assert list(net.adjacency["b"]) == ["a", "c"]
+        with pytest.raises(TopologyError):
+            net.link_between("a", "c")  # both known, not cabled
+        with pytest.raises(TopologyError):
+            net.link_between("ghost", "a")
+
     def test_link_by_id(self):
         net = Network()
         a, b = net.add_host("a"), net.add_host("b")

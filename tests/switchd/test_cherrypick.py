@@ -1,11 +1,11 @@
 """Unit tests for CherryPick link sampling and path reconstruction."""
 
-import networkx as nx
 import pytest
 
 from repro.simnet.packet import PROTO_UDP, make_udp
-from repro.simnet.topology import (TopologyError, build_fat_tree,
-                                   build_leaf_spine, build_linear)
+from repro.simnet.topology import (NoPathError, TopologyError,
+                                   build_fat_tree, build_leaf_spine,
+                                   build_linear)
 from repro.switchd.cherrypick import CherryPickPlanner
 
 
@@ -104,27 +104,16 @@ class TestFatTree:
         assert planner.switch_path(src, dst, pinning.vlan_id) == true_hops
 
 
-@pytest.fixture
-def bfs_calls(monkeypatch):
-    """Every ``nx.all_shortest_paths`` search the topology runs."""
-    calls = []
-    real = nx.all_shortest_paths
-
-    def counting(graph, source, target, *args, **kwargs):
-        calls.append((source, target))
-        return real(graph, source, target, *args, **kwargs)
-
-    monkeypatch.setattr(nx, "all_shortest_paths", counting)
-    return calls
-
-
 class TestCaching:
-    def test_pins_cached(self, bfs_calls):
+    """Searches are counted by ``Network.path_searches``: one per BFS
+    the shortest-path memo had to run."""
+
+    def test_pins_cached(self):
         net = build_linear(3, 1)
         planner = CherryPickPlanner(net)
         link = net.link_between("S1", "S2")
         assert planner.pins_path("h1_0", "h3_0", link)
-        assert len(bfs_calls) == 1
+        assert net.path_searches == 1
         # every later question about the pair is answered by the plan
         assert planner.pins_path("h1_0", "h3_0", link)
         assert planner.pins_path("h1_0", "h3_0",
@@ -133,11 +122,12 @@ class TestCaching:
             "h1_0", "S1", "S2", "S3", "h3_0"]
         assert planner.decode_path("h1_0", "h3_0", link.vlan_id) == (
             ("S1", "S2", "S3"), 0)
-        assert len(bfs_calls) == 1
+        assert net.path_searches == 1
 
-    def test_one_search_per_leaf_pair(self, bfs_calls):
+    def test_one_search_per_leaf_pair(self):
         """The mechanism, by count: host pairs behind the same two
-        leaves share one plan, on the switch side and the host side."""
+        leaves share one plan, on the switch side and the host side,
+        and every pair toward the same leaf shares one distance table."""
         leaves = 4
         net = build_leaf_spine(leaves, 2, 4)
         planner = CherryPickPlanner(net)
@@ -150,8 +140,8 @@ class TestCaching:
             pinning = [l for l in uplinks if planner.pins_path(src, dst, l)]
             for link in pinning:
                 planner.decode_path(src, dst, link.vlan_id)
-        assert 0 < len(bfs_calls) <= leaves * leaves
-        assert len(set(bfs_calls)) == len(bfs_calls)  # none ran twice
+        assert 0 < net.path_searches <= leaves
+        assert 0 < len(net._spaths) <= leaves * leaves
 
     def test_topology_edit_drops_the_plans(self):
         """A plan made before a host was cabled must not outlive the
@@ -167,19 +157,20 @@ class TestCaching:
         assert planner.reconstruct_path("h1_0", "hx", link.vlan_id) == [
             "h1_0", "S1", "S2", "S3", "hx"]
 
-    def test_link_flap_keeps_the_plans(self, bfs_calls):
+    def test_link_flap_keeps_the_plans(self):
         """Plans derive from the physical graph: a port going down and
         up again changes routing, not which link pins which path."""
         net = build_leaf_spine(2, 2, 1)
         planner = CherryPickPlanner(net)
         link = net.link_between("leaf0", "spine1")
         assert planner.pins_path("h0_0", "h1_0", link)
-        searches = len(bfs_calls)
+        searches, version = net.path_searches, net.topology_version
         net.set_link_state("leaf0", "spine1", up=False)
         assert planner.pins_path("h0_0", "h1_0", link)
         net.set_link_state("leaf0", "spine1", up=True)
         assert planner.pins_path("h0_0", "h1_0", link)
-        assert len(bfs_calls) == searches
+        assert (net.path_searches, net.topology_version) == (
+            searches, version)
 
 
 class TestErrors:
@@ -194,6 +185,24 @@ class TestErrors:
             with pytest.raises(TopologyError):
                 planner.reconstruct_path(src, dst, link.vlan_id)
 
+    def test_no_path_is_the_topologys_own_error(self):
+        """The error contract is ``NoPathError`` — a ``TopologyError``
+        naming both ends and telling unknown from unreachable — not
+        whatever the search underneath happens to raise."""
+        net = build_linear(3, 1)
+        net.add_host("island")
+        planner = CherryPickPlanner(net)
+        link = net.link_between("S1", "S2")
+        for ask in (net.shortest_paths, planner.embedding_hop,
+                    lambda a, b: net.path_through_link(a, b, link)):
+            for dst, unknown in (("nope", True), ("island", False)):
+                with pytest.raises(NoPathError) as caught:
+                    ask("h1_0", dst)
+                err = caught.value
+                assert isinstance(err, TopologyError)
+                assert (err.src, err.dst, err.unknown) == (
+                    "h1_0", dst, unknown)
+
     def test_unrelated_error_propagates(self, monkeypatch):
         """Only "no such path" means "does not pin"; anything else that
         goes wrong inside the search is a bug to surface."""
@@ -203,6 +212,6 @@ class TestErrors:
         def broken(src, dst):
             raise RuntimeError("search blew up")
 
-        monkeypatch.setattr(net, "shortest_paths", broken)
+        monkeypatch.setattr(net, "attach_paths", broken)
         with pytest.raises(RuntimeError, match="search blew up"):
             planner.pins_path("h1_0", "h3_0", net.link_between("S1", "S2"))

@@ -13,10 +13,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-import networkx as nx
 import pytest
 
-from repro.simnet.device import Switch
 from repro.simnet.link import Link
 from repro.simnet.topology import (
     Network,
@@ -27,35 +25,8 @@ from repro.simnet.topology import (
     build_star,
 )
 from repro.switchd.cherrypick import CherryPickPlanner
-
-
-def _multi_homed() -> Network:
-    """h0 is cabled to both leaves; h1..h3 hang off one switch each.
-
-    :class:`Host` carries a single NIC, so a two-port device registered
-    under ``hosts`` stands in for the dual-homed server.
-    """
-    net = Network()
-    for name in ("s0", "s1", "s2"):
-        net.add_switch(name)
-    net.hosts["h0"] = Switch(net.sim, "h0")
-    for name in ("h1", "h2", "h3"):
-        net.add_host(name)
-    for a, b in (("s0", "s2"), ("s1", "s2"), ("h0", "s0"), ("h0", "s1"),
-                 ("h1", "s0"), ("h2", "s1"), ("h3", "s2")):
-        net.connect(net.node(a), net.node(b))
-    return net
-
-
-def _host_host_wire() -> Network:
-    """h2—h3 are wired back to back, apart from the switched hosts."""
-    net = Network()
-    net.add_switch("s0")
-    for name in ("h0", "h1", "h2", "h3"):
-        net.add_host(name)
-    for a, b in (("h0", "s0"), ("h1", "s0"), ("h2", "h3")):
-        net.connect(net.node(a), net.node(b))
-    return net
+from tests.simnet.oracles import (all_shortest_paths, host_host_wire,
+                                  multi_homed, nx_graph)
 
 
 FABRICS = [
@@ -64,8 +35,8 @@ FABRICS = [
     pytest.param(lambda: build_linear(4, hosts_per_switch=2), True,
                  id="linear"),
     pytest.param(lambda: build_star(5), True, id="star"),
-    pytest.param(_multi_homed, False, id="multi_homed"),
-    pytest.param(_host_host_wire, False, id="host_host_wire"),
+    pytest.param(multi_homed, False, id="multi_homed"),
+    pytest.param(host_host_wire, False, id="host_host_wire"),
 ]
 
 
@@ -88,13 +59,11 @@ def _oracle(net: Network, paths: list[list[str]], link: Link
 def test_every_pair_and_link_matches_brute_force(build, single_homed):
     net = build()
     planner = CherryPickPlanner(net)
+    graph = nx_graph(net)
     hosts = sorted(net.hosts)
     pinned = 0
     for src, dst in itertools.product(hosts, repeat=2):
-        try:
-            paths = sorted(nx.all_shortest_paths(net.graph(), src, dst))
-        except nx.NetworkXNoPath:
-            paths = []
+        paths = all_shortest_paths(graph, src, dst)
         for link in net.links:
             want = _oracle(net, paths, link)
             where = (src, dst, link.endpoints)
@@ -115,7 +84,7 @@ def test_every_pair_and_link_matches_brute_force(build, single_homed):
             assert planner.decode_path(
                 src, dst, link.vlan_id) == (tuple(switches), embed), where
     assert pinned
-    assert net._hosts_single_homed is single_homed
+    assert bool(net._derived()[0]) is single_homed
 
 
 def test_answers_are_the_callers_own():

@@ -11,7 +11,9 @@ pushing checks to where the evidence lives:
   gets *registered*, not what a module forgot to declare or import;
 * schema/typing drift — ``report-schema-drift``, ``typed-defs``: the
   sweep-report validator and the mypy typed-core must match the code
-  that feeds them.
+  that feeds them;
+* packaging — ``stdlib-only-runtime``: the runtime's dependency list is
+  empty and stays so.
 
 Rules are pure AST passes over the :class:`~tools.reprolint.model.Project`
 — nothing under check is imported, so they run identically on the real
@@ -21,6 +23,7 @@ tree and on the violating fixture trees the unit tests commit.
 from __future__ import annotations
 
 import ast
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -997,3 +1000,49 @@ class TypedDefs(Rule):
                 f"{fn.name}() is missing its return annotation "
                 f"(typed-core runs mypy strict on defs)",
             )
+
+
+# ---------------------------------------------------------------------------
+# R8: stdlib-only-runtime
+# ---------------------------------------------------------------------------
+
+
+@register_rule
+class StdlibOnlyRuntime(Rule):
+    """The runtime imports the standard library and itself, nothing else."""
+
+    spec = RuleSpec(
+        name="stdlib-only-runtime",
+        summary="an import under src/repro must resolve to the standard "
+        "library or to repro itself",
+        rationale="[project].dependencies is empty: numpy and networkx "
+        "were measured out of the runtime (a third of the import time "
+        "and ~14 MB of every process each) and live in the test extra. "
+        "One convenience import puts the cost back into every process "
+        "the CLI, the sweeps and the ledger start — and breaks a plain "
+        "install.",
+        scope="src/repro/ (module-level and function-local imports alike)",
+        pragma=None,
+        fix="Write it against the standard library, or move the code "
+        "that needs the package under tests/, benchmarks/ or tools/.",
+    )
+
+    def check(self, project: Project) -> Iterator[Violation]:
+        ours = sys.stdlib_module_names | {"repro"}
+        for module in project.under(SRC):
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                else:
+                    continue  # relative imports stay inside repro
+                for name in names:
+                    if name.partition(".")[0] not in ours:
+                        yield self.violation(
+                            module,
+                            node.lineno,
+                            f"import of {name!r} — the runtime depends on "
+                            f"the standard library only (third-party "
+                            f"packages belong to the test extra)",
+                        )
