@@ -81,5 +81,9 @@ class EcmpPolarizationFault(Fault):
         """
         sw = self._switch(ctx)
         candidates = sw.routes_for(flow.dst)
+        if not candidates:
+            raise FaultError(
+                f"ecmp-polarization: switch {sw.name!r} has no route to "
+                f"{flow.dst!r} (unknown host, or its access link is down)")
         iface = candidates[port_blind_hash(flow) % len(candidates)]
         return iface.link.peer_of(sw).name

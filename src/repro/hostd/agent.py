@@ -38,8 +38,8 @@ class HostAgent:
         >1 buffers that many sniffed packets and decodes them in one
         go with the store's eviction check deferred to the batch end.
         Queries are unaffected: the query engine flushes the buffer
-        before serving (``before_query``), so results always reflect
-        every packet sniffed so far.
+        before serving (``before_query``, installed only when batching),
+        so results always reflect every packet sniffed so far.
     """
 
     def __init__(self, host: Host, *, clock: EpochClock,
@@ -56,13 +56,15 @@ class HostAgent:
         self._pending: list[tuple[Host, object, float]] = []
         self.store = FlowRecordStore(host.name, spill_path=spill_path,
                                      max_records=max_records)
-        # every read-side consumer — query engine, triggers, analyzer
-        # apps reading agent.store directly — sees a flushed table
-        self.store.before_read = self.flush_ingest
         self.decoder = TelemetryDecoder(self.store, clock, planner,
                                         estimator)
-        self.query = QueryEngine(self.store,
-                                 before_query=self.flush_ingest)
+        self.query = QueryEngine(self.store)
+        if ingest_batch > 1:
+            # every read-side consumer — query engine, triggers, analyzer
+            # apps reading agent.store directly — sees a flushed table;
+            # unbatched, nothing is ever buffered and no hook is paid
+            self.store.before_read = self.flush_ingest
+            self.query.before_query = self.flush_ingest
         self.triggers: list[ThroughputDropTrigger] = []
         self.timeout_triggers: list[TcpTimeoutTrigger] = []
         #: every sniffer callback this agent registered, so a crash can

@@ -1,7 +1,8 @@
 """Switch dataplane device.
 
 A :class:`Switch` owns a set of interfaces (one per attached link), a
-destination-based forwarding table, and a pipeline of hooks that run on
+two-level destination-based forwarding table (host routes over routes to
+the destination's rack), and a pipeline of hooks that run on
 every forwarded packet.  The SwitchPointer switch component
 (:mod:`repro.switchd.datapath`) attaches itself as such a hook — the
 simulator core stays monitoring-agnostic.
@@ -17,7 +18,7 @@ across egress interfaces by flow size.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import Simulator
 from .link import Interface
@@ -69,17 +70,26 @@ def _flow_hash(key: FlowKey) -> int:
 
 
 class Switch:
-    """Output-queued switch with a static destination-based FIB."""
+    """Output-queued switch with a static, two-level destination FIB.
+
+    A destination is looked up in the *host routes* first (``dst ->
+    candidates``: the switch's own attached hosts and every
+    :meth:`install_route` / :meth:`set_routes` entry); a miss falls
+    through to the *rack routes* (``attach switch -> candidates``, one
+    shared tuple per remote rack) by way of a ``host -> attach switch``
+    map.  :meth:`Network.compute_routes` owns that map: it rebuilds it
+    from the live access links at every convergence and hands the same
+    dict to every switch, which only ever reads it — a host whose access
+    link is down is absent and so has no route on any switch.
+    """
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
         self.interfaces: list[Interface] = []
-        # dst host name -> candidate egress interfaces (ECMP set).  The
-        # value is a list, or a shared immutable tuple installed by the
-        # bulk route computation (many destinations behind one leaf
-        # share one candidate set); install_route copies-on-write.
-        self._fib: dict[str, list[Interface]] = {}
+        self._host_routes: dict[str, Sequence[Interface]] = {}
+        self._rack_routes: Mapping[str, Sequence[Interface]] = {}
+        self._rack_of: Mapping[str, str] = {}
         self.pipeline: list[PipelineHook] = []
         self.forwarding_override: Optional[ForwardingOverride] = None
         self.ecmp_hash: Optional[EcmpHash] = None
@@ -97,31 +107,50 @@ class Switch:
             raise ValueError("interface is not owned by this switch")
         self.interfaces.append(iface)
 
+    def _candidates(self, dst: str) -> Sequence[Interface]:
+        """The FIB lookup (:meth:`forward` inlines it): a host route
+        wins, else the route to the rack ``dst`` hangs off, else ``()``."""
+        found = self._host_routes.get(dst)
+        if found is None:
+            found = self._rack_routes.get(self._rack_of.get(dst), ())
+        return found
+
     def install_route(self, dst: str, iface: Interface) -> None:
-        """Add ``iface`` to the ECMP candidate set for ``dst``."""
-        cur = self._fib.get(dst)
-        if cur is None:
-            self._fib[dst] = [iface]
-            return
-        if isinstance(cur, tuple):
-            # shared bulk-installed candidate set: copy before editing
-            cur = self._fib[dst] = list(cur)
+        """Add ``iface`` to the ECMP candidate set for ``dst``.
+
+        The first edit gives ``dst`` a host route of its own, copied
+        from whatever served it (a shared rack route stays as it was
+        for the rack's other hosts).
+        """
+        cur = self._host_routes.get(dst)
+        if not isinstance(cur, list):
+            cur = self._host_routes[dst] = list(self._candidates(dst))
         if iface not in cur:
             cur.append(iface)
 
-    def set_routes(self, dst: str, ifaces) -> None:
-        """Replace the whole candidate set for ``dst`` (bulk install).
+    def set_routes(self, dst: str, ifaces: Sequence[Interface]) -> None:
+        """Replace the whole candidate set for ``dst`` with a host route
+        (stored as-is; copied on the first :meth:`install_route`)."""
+        self._host_routes[dst] = ifaces
 
-        ``ifaces`` may be a tuple shared across destinations; it is
-        stored as-is and copied on the first :meth:`install_route`.
-        """
-        self._fib[dst] = ifaces
+    def set_rack_routes(self, attach: Mapping[str, str],
+                        racks: Mapping[str, Sequence[Interface]]) -> None:
+        """Replace the lower level: ``attach`` (host -> attach switch,
+        shared by every switch, never written here) and this switch's
+        ``racks`` (attach switch -> candidates)."""
+        self._rack_of, self._rack_routes = attach, racks
 
     def clear_routes(self) -> None:
-        self._fib.clear()
+        self._host_routes.clear()
+        self._rack_routes = {}
 
     def routes_for(self, dst: str) -> list[Interface]:
-        return list(self._fib.get(dst, []))
+        return list(self._candidates(dst))
+
+    @property
+    def route_entries(self) -> int:
+        """Installed FIB entries, both levels (the shared map is not one)."""
+        return len(self._host_routes) + len(self._rack_routes)
 
     @property
     def port_count(self) -> int:
@@ -144,7 +173,10 @@ class Switch:
             # predecessors, which is what drop localization exploits.
             self.gray_drops += 1
             return
-        candidates = self._fib.get(pkt.dst)
+        dst = pkt.dst
+        candidates = self._host_routes.get(dst)
+        if candidates is None:
+            candidates = self._rack_routes.get(self._rack_of.get(dst))
         if not candidates:
             self.no_route_drops += 1
             return

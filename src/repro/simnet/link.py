@@ -67,8 +67,9 @@ class Interface:
         self.dropped_link_down = 0
         #: Optional taps called with each packet as it begins serialization;
         #: used by per-switch throughput probes (Fig 3 measures the same
-        #: flow's throughput *at S1* and *at S2*).
-        self.tx_taps: list[Callable[[Packet, float], None]] = []
+        #: flow's throughput *at S1* and *at S2*).  An immutable tuple —
+        #: attaching a tap rebinds it — so an untapped port allocates none.
+        self.tx_taps: tuple[Callable[[Packet, float], None], ...] = ()
 
     @property
     def name(self) -> str:

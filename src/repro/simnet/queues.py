@@ -27,13 +27,21 @@ from .packet import Packet
 DEFAULT_CAPACITY_BYTES = 256 * 1024
 
 
-class QueueStats:
-    """Counters shared by all queue types."""
+class PacketQueue:
+    """Interface: bounded packet queue with byte accounting.
 
-    __slots__ = ("enqueued", "dequeued", "dropped", "bytes_enqueued",
-                 "bytes_dropped", "max_depth_bytes")
+    The queue carries its own counters; ``queue.stats`` is the queue
+    itself, read as its counter block.
+    """
 
-    def __init__(self) -> None:
+    COUNTERS = ("enqueued", "dequeued", "dropped", "bytes_enqueued",
+                "bytes_dropped", "max_depth_bytes")
+
+    def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
+        if capacity_bytes <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity_bytes = capacity_bytes
+        self.depth_bytes = 0
         self.enqueued = 0
         self.dequeued = 0
         self.dropped = 0
@@ -41,19 +49,12 @@ class QueueStats:
         self.bytes_dropped = 0
         self.max_depth_bytes = 0
 
+    @property
+    def stats(self) -> "PacketQueue":
+        return self
+
     def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-class PacketQueue:
-    """Interface: bounded packet queue with byte accounting."""
-
-    def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        self.depth_bytes = 0
-        self.stats = QueueStats()
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def enqueue(self, pkt: Packet) -> bool:
         """Add ``pkt``; return ``False`` (and count a drop) on overflow."""
@@ -73,19 +74,19 @@ class PacketQueue:
 
     def _admit(self, pkt: Packet) -> bool:
         if self.depth_bytes + pkt.size > self.capacity_bytes:
-            self.stats.dropped += 1
-            self.stats.bytes_dropped += pkt.size
+            self.dropped += 1
+            self.bytes_dropped += pkt.size
             return False
         self.depth_bytes += pkt.size
-        self.stats.enqueued += 1
-        self.stats.bytes_enqueued += pkt.size
-        if self.depth_bytes > self.stats.max_depth_bytes:
-            self.stats.max_depth_bytes = self.depth_bytes
+        self.enqueued += 1
+        self.bytes_enqueued += pkt.size
+        if self.depth_bytes > self.max_depth_bytes:
+            self.max_depth_bytes = self.depth_bytes
         return True
 
     def _release(self, pkt: Packet) -> Packet:
         self.depth_bytes -= pkt.size
-        self.stats.dequeued += 1
+        self.dequeued += 1
         return pkt
 
 

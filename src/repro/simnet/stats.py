@@ -107,7 +107,7 @@ def attach_flow_tap(iface: Interface, flow: FlowKey,
         if pkt.flow == flow:
             probe.observe(pkt.size, t)
 
-    iface.tx_taps.append(tap)
+    iface.tx_taps += (tap,)
 
 
 def percentile(values: Iterable[float], p: float) -> float:

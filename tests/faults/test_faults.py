@@ -5,7 +5,7 @@ import pytest
 
 from repro.deployment import SwitchPointerDeployment
 from repro.faults import FAULTS, FaultContext, FaultError, FaultPlan
-from repro.simnet.packet import PRIO_LOW
+from repro.simnet.packet import PRIO_LOW, PROTO_UDP, FlowKey
 from repro.simnet.topology import build_leaf_spine, build_linear
 from repro.simnet.traffic import UdpCbrSource, UdpSink
 
@@ -163,3 +163,26 @@ class TestLinkDown:
         net.run(until=0.025)
         assert link.up
         assert len(net.switches["leaf0"].routes_for("h1_0")) == 2
+
+
+class TestEcmpPolarizationGroundTruth:
+    @pytest.fixture
+    def fabric(self):
+        net = build_leaf_spine(2, 2, 2)
+        fault = FAULTS.create("ecmp-polarization", switch="leaf0")
+        return net, fault, FaultContext(net)
+
+    def test_expected_egress_names_a_spine(self, fabric):
+        _, fault, ctx = fabric
+        flow = FlowKey("h0_0", "h1_0", 1000, 2000, PROTO_UDP)
+        assert fault.expected_egress(ctx, flow) in ("spine0", "spine1")
+
+    @pytest.mark.parametrize("dst", ["h1_0", "nowhere"],
+                             ids=["access_link_down", "unknown_host"])
+    def test_expected_egress_without_a_route_is_a_fault_error(
+            self, fabric, dst):
+        net, fault, ctx = fabric
+        net.set_link_state("leaf1", "h1_0", up=False)
+        flow = FlowKey("h0_0", dst, 1000, 2000, PROTO_UDP)
+        with pytest.raises(FaultError, match=f"'leaf0'.*{dst!r}"):
+            fault.expected_egress(ctx, flow)

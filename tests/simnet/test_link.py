@@ -82,7 +82,7 @@ class TestTransmission:
         sim = Simulator()
         a, b, link = make_pair(sim, rate_bps=1e9, prop=0.0)
         taps = []
-        link.iface_a.tx_taps.append(lambda pkt, t: taps.append((pkt, t)))
+        link.iface_a.tx_taps += (lambda pkt, t: taps.append((pkt, t)),)
         p1 = make_udp("a", "b", 1, 2, 1250)
         p2 = make_udp("a", "b", 1, 2, 1250)
         link.iface_a.send(p1)

@@ -10,6 +10,7 @@ load-imbalance and polarization scenarios depend on).
 import networkx as nx
 import pytest
 
+from repro.simnet.packet import make_udp
 from repro.simnet.topology import (TopologyError, build_fat_tree,
                                    build_fat_tree_for_hosts,
                                    build_leaf_spine, build_linear,
@@ -133,13 +134,23 @@ class TestGenericAndFastRoutesAgree:
 
     @staticmethod
     def fib(net):
+        """What a packet sees: ``routes_for`` of every (switch, host)
+        pair that has a route, candidate order included."""
         return {(name, dst): tuple(iface.link.link_id for iface in ifaces)
                 for name, sw in net.switches.items()
-                for dst, ifaces in sw._fib.items()}
+                for dst in net.hosts
+                if (ifaces := sw.routes_for(dst))}
 
     def both_ways(self, net, monkeypatch):
         assert net._compute_routes_fast()  # the precondition holds
         fast_fib = self.fib(net)
+        # to the rack, not to the host: a switch holds at most one entry
+        # per other switch plus one per host it serves itself
+        for name, sw in net.switches.items():
+            served = sum(peer in net.hosts for peer in net.adjacency[name])
+            assert sw.route_entries <= len(net.switches) - 1 + served
+        assert sum(sw.route_entries for sw in net.switches.values()) \
+            <= len(net.switches) ** 2 + len(net.hosts)
         with monkeypatch.context() as patched:
             patched.setattr(net, "_compute_routes_fast", lambda: False)
             net.compute_routes()
@@ -165,6 +176,67 @@ class TestGenericAndFastRoutesAgree:
         net.set_link_state("S1", "S2", up=False)
         routes = self.both_ways(net, monkeypatch)
         assert ("S1", "h2_0") not in routes and ("S1", "h1_0") in routes
+
+
+class TestTwoLevelFib:
+    """Host routes over rack routes: what each level holds, which one
+    wins, and that a dead access link leaves no route anywhere."""
+
+    def test_fabric_scale_point_routes_to_racks(self):
+        net = build_leaf_spine(64, 16, 256)
+        # one entry per (switch, host) pair would be 1,310,720
+        assert sum(sw.route_entries
+                   for sw in net.switches.values()) <= 25_000
+        for name, sw in net.switches.items():
+            own = 256 if name.startswith("leaf") else 0
+            assert sw.route_entries <= len(net.switches) - 1 + own
+        spine_ids = [link.link_id for link in net.links[:16]]
+        assert [i.link.link_id for i in
+                net.switches["leaf0"].routes_for("h63_255")] == spine_ids
+
+    def test_host_route_overrides_its_rack_for_that_host_only(self):
+        net = build_leaf_spine(3, 2, hosts_per_leaf=2)
+        leaf0 = net.switches["leaf0"]
+        via_rack = leaf0.routes_for("h1_0")
+        assert len(via_rack) == 2 and leaf0.routes_for("h1_1") == via_rack
+        down = leaf0.routes_for("h0_0")[0]
+        leaf0.install_route("h1_0", down)  # copies the rack's, then adds
+        assert leaf0.routes_for("h1_0") == [*via_rack, down]
+        assert leaf0.routes_for("h1_1") == via_rack
+        leaf0.set_routes("h1_1", [down])
+        assert leaf0.routes_for("h1_1") == [down]
+        assert leaf0.routes_for("h2_0") == via_rack
+        assert net.switches["leaf2"].routes_for("h1_0") != [down]
+        net.compute_routes()  # convergence forgets the overrides
+        assert leaf0.routes_for("h1_0") == via_rack
+        assert leaf0.routes_for("h1_1") == via_rack
+
+    def test_dead_access_link_leaves_no_route_on_any_switch(self):
+        net = build_leaf_spine(2, 2, hosts_per_leaf=2)
+        net.set_link_state("leaf1", "h1_0", up=False)
+        for sw in net.switches.values():
+            assert sw.routes_for("h1_0") == []
+            assert sw.routes_for("h1_1")  # its rack is still served
+        net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", 1, 2, 100))
+        net.run()
+        # dropped where it entered the fabric, not a hop later
+        drops = {n: sw.no_route_drops for n, sw in net.switches.items()}
+        assert drops == {"leaf0": 1, "leaf1": 0, "spine0": 0, "spine1": 0}
+        assert net.switches["leaf0"].forwarded == 0
+        net.set_link_state("leaf1", "h1_0", up=True)
+        assert all(sw.routes_for("h1_0") for sw in net.switches.values())
+
+    def test_clear_routes_empties_both_levels_on_that_switch_only(self):
+        net = build_leaf_spine(2, 2, hosts_per_leaf=2)
+        before = {n: sw.route_entries for n, sw in net.switches.items()}
+        leaf0 = net.switches["leaf0"]
+        leaf0.clear_routes()
+        assert leaf0.route_entries == 0
+        assert [leaf0.routes_for(h) for h in net.hosts] == [[]] * 4
+        for name, sw in net.switches.items():
+            if sw is not leaf0:
+                assert sw.route_entries == before[name]
+                assert all(sw.routes_for(h) for h in net.hosts)
 
 
 class TestFatTreeForHosts:
