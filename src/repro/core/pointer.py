@@ -63,8 +63,7 @@ class PointerSet:
         return bool(self._bits[slot >> 3] & _BIT_MASKS[slot & 7])
 
     def clear(self) -> None:
-        for i in range(len(self._bits)):
-            self._bits[i] = 0
+        self._bits[:] = bytes(len(self._bits))
         self.popcount = 0
 
     def iter_slots(self) -> Iterator[int]:

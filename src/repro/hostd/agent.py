@@ -53,7 +53,8 @@ class HostAgent:
         self.host = host
         self.clock = clock
         self.ingest_batch = ingest_batch
-        self._pending: list[tuple[Host, object, float]] = []
+        #: batched-ingest buffer of (host, pkt, now); unbatched, never written
+        self._pending = [] if ingest_batch > 1 else ()
         self.store = FlowRecordStore(host.name, spill_path=spill_path,
                                      max_records=max_records)
         self.decoder = TelemetryDecoder(self.store, clock, planner,
@@ -65,8 +66,9 @@ class HostAgent:
             # unbatched, nothing is ever buffered and no hook is paid
             self.store.before_read = self.flush_ingest
             self.query.before_query = self.flush_ingest
-        self.triggers: list[ThroughputDropTrigger] = []
-        self.timeout_triggers: list[TcpTimeoutTrigger] = []
+        #: tuples, rebound on install: an idle agent allocates none
+        self.triggers: tuple[ThroughputDropTrigger, ...] = ()
+        self.timeout_triggers: tuple[TcpTimeoutTrigger, ...] = ()
         #: every sniffer callback this agent registered, so a crash can
         #: detach (and a restart re-attach) exactly its own hooks
         self._sniffers: list = []
@@ -118,7 +120,7 @@ class HostAgent:
             window=window, drop_threshold=drop_threshold,
             floor_gbps=floor_gbps, clock=self.clock,
             slack_epochs=self.decoder.estimator.span_epochs(1))
-        self.triggers.append(trig)
+        self.triggers += (trig,)
         # feed the trigger from the same sniffer stream the decoder uses
         self._add_sniffer(
             lambda _host, pkt, now: trig.on_packet(pkt, now))
@@ -129,7 +131,7 @@ class HostAgent:
         """Install a timeout trigger for a locally originated TCP flow."""
         trig = TcpTimeoutTrigger(self.sim, sender, self.host.name, sink,
                                  store=self.store)
-        self.timeout_triggers.append(trig)
+        self.timeout_triggers += (trig,)
         return trig
 
     def stop_triggers(self) -> None:
@@ -153,7 +155,7 @@ class HostAgent:
         self.alive = False
         for cb in self._sniffers:
             self.host.sniffers.remove(cb)
-        self._pending.clear()
+        self._pending = self._pending[:0]
         return self.store.drop_all()
 
     def restart(self) -> None:

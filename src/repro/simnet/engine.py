@@ -5,6 +5,13 @@ It is a classic calendar-queue simulator: events are ``(time, seq, fn)``
 triples in a binary heap, executed in non-decreasing time order.  Ties are
 broken by insertion order so the simulation is fully deterministic.
 
+Ordering contract — load-bearing: :mod:`repro.simnet.link` compares
+``now`` with a stored ``busy_until``.  Events run by time, then by
+**scheduling order**; the clock **never moves backward**, within a ``run``
+or across back-to-back ones; a same-instant tie that must not hang on
+scheduling order is a rule stated by its owner (today one, the transmitter's
+*a departure due at t is served before an arrival at t is judged*).
+
 Time is measured in **seconds** as a float.  The scenarios in the paper
 span microseconds (packet serialization on 1-10 Gbps links) to seconds
 (query latencies), which float seconds represent with ample precision.
@@ -144,7 +151,9 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so back-to-back ``run`` calls
-        compose naturally.
+        compose naturally — unless ``max_events`` stopped the run with an
+        event at or before ``until`` still pending (the clock then stays
+        put, so the next ``run`` cannot move it back).
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -173,7 +182,8 @@ class Simulator:
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     break
-            if until is not None and self._now < until:
+            if (until is not None and self._now < until
+                    and not (heap and heap[0][0] <= until)):
                 self._now = until
         finally:
             self._running = False

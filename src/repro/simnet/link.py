@@ -11,6 +11,19 @@ transmission model is store-and-forward:
 Only one packet serializes at a time per direction; everything else waits
 in the interface's output queue.  That queue is where all of the paper's
 §2 contention effects materialize.
+
+Event budget: the transmitter is a ``busy_until`` timestamp.  A packet
+offered to a free port is admitted through the queue and only its
+delivery is scheduled, at ``(now + size * 8 / rate) + propagation_delay``;
+a packet that has to wait arms the port's one ``_depart`` timer at
+``busy_until``, re-armed only while the queue is non-empty.  An idle hop
+is one event, and a port that never carried a packet scheduled nothing.
+
+Ordering (contract in :mod:`.engine`; ``now >= busy_until`` needs its
+monotone clock): one same-instant tie is a rule, not an accident of
+scheduling order — *a departure due at time t is served before an arrival
+at t is judged for admission*.  ``send`` serves it; the ``_depart`` event
+then firing at t finds the port busy and only re-arms.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from .packet import Packet
 from .queues import DropTailFIFO, PacketQueue
 
 _link_ids = itertools.count(0)
+_NEVER = float("-inf")  # ``busy_until`` before the first packet, shared
 
 
 @runtime_checkable
@@ -38,6 +52,10 @@ class Node(Protocol):
 class Interface:
     """One direction of a link: output queue + transmitter at a node.
 
+    Event budget: one event (the delivery) per packet that finds the
+    port free (``now >= busy_until``), plus at most **one** pending
+    ``_depart`` timer per port, armed only while a packet waits.
+
     Attributes
     ----------
     owner:
@@ -51,6 +69,10 @@ class Interface:
         discipline (FIFO vs strict priority).
     """
 
+    __slots__ = ("sim", "owner", "link", "peer_node", "peer_iface", "queue",
+                 "busy_until", "_armed", "tx_packets", "tx_bytes",
+                 "dropped_link_down", "tx_taps")
+
     def __init__(self, sim: Simulator, owner: Node, link: "Link",
                  queue: Optional[PacketQueue] = None):
         self.sim = sim
@@ -59,7 +81,8 @@ class Interface:
         self.peer_node: Optional[Node] = None  # set by Link
         self.peer_iface: Optional["Interface"] = None  # set by Link
         self.queue: PacketQueue = queue if queue is not None else DropTailFIFO()
-        self.busy = False
+        self.busy_until = _NEVER
+        self._armed = False  # a ``_depart`` event is pending
         self.tx_packets = 0
         self.tx_bytes = 0
         #: Packets dropped because the parent link was administratively or
@@ -81,32 +104,37 @@ class Interface:
         if not self.link.up:
             self.dropped_link_down += 1
             return False
-        if not self.queue.enqueue(pkt):
+        queue = self.queue
+        # sizes are positive: depth_bytes is non-zero exactly while a packet
+        # waits.  The same-instant rule: a departure due now goes first.
+        if queue.depth_bytes and self.sim.now >= self.busy_until:
+            self._serve()
+        if not queue.enqueue(pkt):
             return False
-        if not self.busy:
-            self._start_next()
+        self._serve()
         return True
 
-    def _start_next(self) -> None:
-        pkt = self.queue.dequeue()
-        if pkt is None:
-            self.busy = False
-            return
-        self.busy = True
-        size = pkt.size
-        tx_time = size * 8 / self.link.rate_bps
-        if self.tx_taps:
+    def _serve(self) -> None:
+        """Start the next packet if the port is free, and keep the port's
+        one timer armed exactly while a packet waits."""
+        queue, now = self.queue, self.sim.now
+        if queue.depth_bytes and now >= self.busy_until:
+            pkt = queue.dequeue()
             for tap in self.tx_taps:
-                tap(pkt, self.sim.now)
-        self.tx_packets += 1
-        self.tx_bytes += size
-        # never cancelled → fire-and-forget fast-path events
-        self.sim.call_after(tx_time, self._finish_tx, pkt)
+                tap(pkt, now)
+            self.tx_packets += 1
+            self.tx_bytes += pkt.size
+            link = self.link
+            self.busy_until = done = now + pkt.size * 8 / link.rate_bps
+            # never cancelled → fire-and-forget fast-path events
+            self.sim.call_at(done + link.propagation_delay, self._deliver, pkt)
+        if queue.depth_bytes and not self._armed:
+            self._armed = True
+            self.sim.call_at(self.busy_until, self._depart)
 
-    def _finish_tx(self, pkt: Packet) -> None:
-        # Deliver after propagation; free the transmitter immediately.
-        self.sim.call_after(self.link.propagation_delay, self._deliver, pkt)
-        self._start_next()
+    def _depart(self, _arg: None = None) -> None:
+        self._armed = False
+        self._serve()
 
     def _deliver(self, pkt: Packet) -> None:
         assert self.peer_node is not None and self.peer_iface is not None
@@ -126,6 +154,9 @@ class Link:
         Zero-argument callable producing the output queue for each
         direction; defaults to :class:`DropTailFIFO`.
     """
+
+    __slots__ = ("sim", "rate_bps", "propagation_delay", "link_id",
+                 "vlan_id", "up", "iface_a", "iface_b", "a", "b")
 
     def __init__(self, sim: Simulator, a: Node, b: Node, *,
                  rate_bps: float = 1e9, propagation_delay: float = 2e-6,

@@ -31,16 +31,20 @@ class PacketQueue:
     """Interface: bounded packet queue with byte accounting.
 
     The queue carries its own counters; ``queue.stats`` is the queue
-    itself, read as its counter block.
+    itself, read as its counter block.  The buffer ``_q`` is ``None``
+    until the first packet is enqueued: an unused port holds no ``deque``.
     """
 
     COUNTERS = ("enqueued", "dequeued", "dropped", "bytes_enqueued",
                 "bytes_dropped", "max_depth_bytes")
 
+    __slots__ = ("capacity_bytes", "depth_bytes", "_q", *COUNTERS)
+
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_bytes = capacity_bytes
+        self._q = None
         self.depth_bytes = 0
         self.enqueued = 0
         self.dequeued = 0
@@ -93,13 +97,13 @@ class PacketQueue:
 class DropTailFIFO(PacketQueue):
     """Single FIFO with tail drop — the microburst substrate (Fig 2b)."""
 
-    def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
-        super().__init__(capacity_bytes)
-        self._q: deque[Packet] = deque()
+    __slots__ = ()
 
     def enqueue(self, pkt: Packet) -> bool:
         if not self._admit(pkt):
             return False
+        if self._q is None:
+            self._q = deque()
         self._q.append(pkt)
         return True
 
@@ -109,10 +113,10 @@ class DropTailFIFO(PacketQueue):
         return self._release(self._q.popleft())
 
     def __len__(self) -> int:
-        return len(self._q)
+        return len(self._q or ())
 
     def __iter__(self) -> Iterator[Packet]:
-        return iter(self._q)
+        return iter(self._q or ())
 
 
 class StrictPriorityQueue(PacketQueue):
@@ -124,31 +128,34 @@ class StrictPriorityQueue(PacketQueue):
     "too much traffic" starvation behaviour in Fig 2(a).
     """
 
+    __slots__ = ("levels",)
+
     def __init__(self, levels: int = 3,
                  capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
         super().__init__(capacity_bytes)
         if levels < 1:
             raise ValueError("need at least one priority level")
         self.levels = levels
-        self._qs: list[deque[Packet]] = [deque() for _ in range(levels)]
 
     def enqueue(self, pkt: Packet) -> bool:
         prio = min(max(pkt.priority, 0), self.levels - 1)
         if not self._admit(pkt):
             return False
-        self._qs[prio].append(pkt)
+        if self._q is None:
+            self._q = [deque() for _ in range(self.levels)]
+        self._q[prio].append(pkt)
         return True
 
     def dequeue(self) -> Optional[Packet]:
-        for prio in range(self.levels - 1, -1, -1):
-            q = self._qs[prio]
+        for q in reversed(self._q or ()):
             if q:
                 return self._release(q.popleft())
         return None
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._qs)
+        return sum(len(q) for q in self._q or ())
 
     def depth_of(self, priority: int) -> int:
         """Number of queued packets in one priority class."""
-        return len(self._qs[min(max(priority, 0), self.levels - 1)])
+        qs = self._q
+        return len(qs[min(max(priority, 0), self.levels - 1)]) if qs else 0

@@ -36,6 +36,29 @@ class TestPointerSet:
         assert ps.popcount == 0
         assert not any(ps.test_slot(s) for s in range(16))
 
+    def test_cleared_set_equals_a_fresh_one_and_spares_earlier_views(self):
+        ps = PointerSet(100)
+        for s in (0, 41, 99):
+            ps.set_slot(s)
+        bits, dup, blob = ps._bits, ps.copy(), ps.to_bytes()
+        ps.clear()
+        fresh = PointerSet(100)
+        assert ps._bits is bits   # zeroed in place, not reallocated
+        assert ps == fresh and ps.to_bytes() == fresh.to_bytes()
+        assert ps.popcount == 0 and list(ps.iter_slots()) == []
+        # views taken before the clear keep what they saw
+        assert list(dup.iter_slots()) == [0, 41, 99] and dup.popcount == 3
+        assert PointerSet.from_bytes(100, blob) == dup
+
+    def test_rotation_clear_leaves_pulled_snapshots_intact(self):
+        store = HierarchicalPointerStore(n_slots=64, alpha=2, k=2)
+        store.update(0, 5)
+        snap = store.snapshot(1, 0)
+        for epoch in range(1, 9):   # recycle every level-1 set
+            store.update(epoch, 7)
+        assert store.snapshot(1, 0) is None
+        assert snap.slots() == [5]
+
     def test_iter_slots_ascending(self):
         ps = PointerSet(100)
         for s in (77, 3, 41):

@@ -126,6 +126,20 @@ class TestRunControl:
         sim.run(max_events=2)
         assert fired == [0, 1]
 
+    def test_clock_never_runs_backward_when_max_events_stops_short(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(sim.now))
+        sim.schedule(2.0, lambda: seen.append(sim.now))
+        sim.run(until=10, max_events=1)
+        # the event at t=2 is still pending: landing on `until` now would
+        # make the next run move the clock back to 2.0
+        assert seen == [1.0] and sim.now == 1.0
+        sim.run()
+        assert seen == [1.0, 2.0] and sim.now == 2.0
+        sim.run(until=10)
+        assert sim.now == 10
+
     def test_not_reentrant(self):
         sim = Simulator()
         err = {}
