@@ -74,7 +74,7 @@ LEGACY_FIGURES = {
 
 def cmd_list(_args) -> int:
     print("scenarios (python -m repro.cli run <name>):")
-    for spec in REGISTRY.specs():
+    for spec in (cls.spec for cls in REGISTRY.values()):
         aliases = f" [{','.join(spec.aliases)}]" if spec.aliases else ""
         print(f"  {spec.name:15s}{aliases:15s} {spec.summary}")
     print("other commands:")
@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
 def cmd_faults_list(_args) -> int:
     print("faults (composable via scenario knobs / FaultPlan; "
           "docs/FAULTS.md):")
-    for spec in FAULTS.specs():
+    for spec in (cls.spec for cls in FAULTS.values()):
         params = ",".join(spec.params) or "-"
         print(f"  {spec.name:20s} params: {params}")
         print(f"  {'':20s} {spec.summary}")
@@ -147,17 +147,14 @@ def cmd_faults_list(_args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_directory_list(_args) -> int:
-    from .directory import (available_directories, directory_memory_notes,
-                            directory_summaries, resolve_directory)
+    from .directory import DIRECTORIES
     print("directory backends (scenario knobs directory_backend= / "
           "directory_bits= / directory_hashes=; docs/DIRECTORIES.md):")
-    summaries = directory_summaries()
-    notes = directory_memory_notes()
-    for name in available_directories():
-        print(f"  {name:20s} {summaries[name]}")
-        print(f"  {'':20s} memory: {notes[name]}")
-    print(f"{len(summaries)} backend(s) registered; \"auto\" resolves to "
-          f"{resolve_directory('auto')!r} (every sketch is "
+    for backend in DIRECTORIES.values():
+        print(f"  {backend.name:20s} {backend.summary}")
+        print(f"  {'':20s} memory: {backend.memory_note}")
+    print(f"{len(DIRECTORIES)} backend(s) registered; \"auto\" resolves to "
+          f"{DIRECTORIES.get('auto').name!r} (every sketch is "
           f"superset-checked at registration: no false negatives)")
     return 0
 
@@ -168,7 +165,7 @@ def cmd_directory_list(_args) -> int:
 
 def cmd_sweep_list(_args) -> int:
     print("sweeps (python -m repro.cli sweep run <name>):")
-    for spec in SWEEPS.specs():
+    for spec in SWEEPS.values():
         axes = ",".join(spec.axes)
         print(f"  {spec.name:15s} scenario: {spec.scenario}  axes: {axes}")
         print(f"  {'':15s} {spec.summary}")
@@ -256,10 +253,11 @@ def cmd_sweep_nightly(args) -> int:
     """
     names = SWEEPS.names()
     if args.only:
-        unknown = [n for n in args.only if n not in SWEEPS]
-        if unknown:
-            print(f"error: no sweep registered for {unknown[0]!r}; "
-                  f"known: {', '.join(names)}", file=sys.stderr)
+        try:
+            for name in args.only:
+                SWEEPS.get(name)
+        except SweepError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         names = [n for n in names if n in set(args.only)]
     out_dir = Path(args.out_dir)
@@ -299,7 +297,7 @@ def cmd_sweep_nightly(args) -> int:
 
 def cmd_experiment_list(_args) -> int:
     print("experiments (python -m repro.cli experiment run <name>):")
-    for spec in EXPERIMENTS.specs():
+    for spec in EXPERIMENTS.values():
         points = 1
         for values in spec.axes.values():
             points *= len(values)
@@ -378,10 +376,11 @@ def cmd_experiment_nightly(args) -> int:
     """
     names = EXPERIMENTS.names()
     if args.only:
-        unknown = [n for n in args.only if n not in EXPERIMENTS]
-        if unknown:
-            print(f"error: no experiment registered for {unknown[0]!r}; "
-                  f"known: {', '.join(names)}", file=sys.stderr)
+        try:
+            for name in args.only:
+                EXPERIMENTS.get(name)
+        except ExperimentError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         names = [n for n in names if n in set(args.only)]
     failed: list[str] = []

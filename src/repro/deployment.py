@@ -15,7 +15,7 @@ from .analyzer.analyzer import Analyzer
 from .core.epoch import EpochClock, EpochRangeEstimator
 from .core.mphf import HostDirectory
 from .core.pointer import HierarchicalPointerStore
-from .directory import make_directory_set, resolve_directory
+from .directory import DIRECTORIES, make_directory_set
 from .hostd.agent import HostAgent
 from .hostd.triggers import ThroughputDropTrigger, VictimAlert
 from .rpc.fabric import LatencyModel, RpcFabric
@@ -61,7 +61,7 @@ class SwitchPointerDeployment:
     directory_backend / directory_bits / directory_hashes:
         Which directory-set backend every switch's pointer hierarchy
         builds (:mod:`repro.directory`): ``"exact"``, ``"bloom"``,
-        ``"lsh"``, or ``"auto"`` (exact unless overridden process-wide),
+        ``"lsh"``, or ``"auto"`` (an alias of ``"exact"``),
         with the per-set bit budget (0 = saturating, exact-equivalent)
         and hash count for the sketches.  Sketches answer with
         *supersets* of the truth — diagnosis can degrade with the bit
@@ -91,7 +91,7 @@ class SwitchPointerDeployment:
         skew = skew_of if skew_of is not None else (lambda _name: 0.0)
 
         self.directory = HostDirectory(network.host_names)
-        self.directory_backend = resolve_directory(directory_backend)
+        self.directory_backend = DIRECTORIES.get(directory_backend).name
         self.directory_bits = directory_bits
         self.directory_hashes = directory_hashes
         n_slots = self.directory.n

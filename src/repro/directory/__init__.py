@@ -6,20 +6,15 @@ the imports below to the modules that call ``register_directory``).
 """
 
 from .registry import (
+    DIRECTORIES,
+    DirectoryBackend,
     DirectoryError,
     DirectoryFactory,
     DirectorySet,
-    available_directories,
     decode_directory_set,
-    default_directory_backend,
     directory_markdown,
-    directory_memory_notes,
-    directory_summaries,
     make_directory_set,
     register_directory,
-    resolve_directory,
-    set_default_directory_backend,
-    use_directory_backend,
 )
 from . import exact  # noqa: F401  (registers the exact backend)
 from . import bloom  # noqa: F401  (registers the bloom backend)
@@ -28,21 +23,16 @@ from .bloom import BloomDirectorySet
 from .lsh import SIG_ROWS, LshDirectorySet
 
 __all__ = [
+    "DIRECTORIES",
     "BloomDirectorySet",
+    "DirectoryBackend",
     "DirectoryError",
     "DirectoryFactory",
     "DirectorySet",
     "LshDirectorySet",
     "SIG_ROWS",
-    "available_directories",
     "decode_directory_set",
-    "default_directory_backend",
     "directory_markdown",
-    "directory_memory_notes",
-    "directory_summaries",
     "make_directory_set",
     "register_directory",
-    "resolve_directory",
-    "set_default_directory_backend",
-    "use_directory_backend",
 ]

@@ -2,8 +2,8 @@
 
 This is :class:`~repro.core.pointer.PointerSet` registered behind the
 directory interface — the §4.1.1 design, the equivalence reference the
-property suite pins every sketch against, and what ``"auto"`` resolves
-to unless an override is active.  It ignores the ``directory_bits``
+property suite pins every sketch against, and — under its alias
+``"auto"`` — the deployment default.  It ignores the ``directory_bits``
 budget: an exact directory always costs S bits per set (one bit per
 end-host slot), which is precisely the scaling cliff the sketch
 backends exist to trade against.
@@ -20,6 +20,7 @@ from .registry import DirectorySet, register_directory
     summary="one-bit-per-host PointerSet bitmap — the equivalence "
     "reference (zero false positives)",
     memory_note="always `S` bits per set (ignores `directory_bits`)",
+    aliases=("auto",),
 )
 def _exact_factory(n_slots: int, bits: int, hashes: int) -> DirectorySet:
     return PointerSet(n_slots)

@@ -24,18 +24,17 @@ This module is the registry deployments select from:
 * :func:`register_directory` — decorator registering a factory under a
   name (``reprolint``'s registry-coverage rule checks every registering
   module is reachable from the package ``__init__``).
-* :func:`make_directory_set` — build a set by backend name; ``"auto"``
-  picks ``"exact"`` unless a process-wide override is active.
-* :func:`use_directory_backend` / :func:`set_default_directory_backend`
-  — override what ``"auto"`` resolves to, so a test harness can run
-  every scenario on a chosen backend without threading a knob through
-  each scenario.
+* :data:`DIRECTORIES` — the registered :class:`DirectoryBackend`
+  entries; ``"auto"``, the knob's default, is an alias of ``"exact"``.
+* :func:`make_directory_set` — build a set by backend name or alias.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Callable, Iterator, Protocol, runtime_checkable
+
+from ..registry import Registry
 
 
 class DirectoryError(Exception):
@@ -107,10 +106,21 @@ class DirectorySet(Protocol):
 #: factory signature: (n_slots, directory_bits, directory_hashes)
 DirectoryFactory = Callable[[int, int, int], DirectorySet]
 
-_BACKENDS: dict[str, DirectoryFactory] = {}
-_SUMMARIES: dict[str, str] = {}
-_MEMORY_NOTES: dict[str, str] = {}
-_default_override: Optional[str] = None
+
+@dataclass(frozen=True)
+class DirectoryBackend:
+    """One registered directory-set backend.
+
+    ``memory_note`` states how the backend spends the ``directory_bits``
+    budget (the docs catalogue and ``cli directory list`` render it).
+    """
+
+    name: str
+    summary: str
+    memory_note: str
+    factory: DirectoryFactory
+    aliases: tuple[str, ...] = ()
+
 
 #: deterministic probe the registration self-check runs every backend
 #: through: a deliberately tight budget (24 bits for 64 slots) so a
@@ -119,7 +129,7 @@ _PROBE_SLOTS = (0, 3, 7, 11, 29, 63)
 _PROBE_EXTRA = (1, 29, 42)
 
 
-def _superset_self_check(name: str, factory: DirectoryFactory) -> None:
+def _superset_self_check(backend: DirectoryBackend) -> None:
     """Reject at registration any sketch that can drop a true member.
 
     Exercises the paths the hierarchy and the analyzer rely on: direct
@@ -127,6 +137,7 @@ def _superset_self_check(name: str, factory: DirectoryFactory) -> None:
     deserialize round-trip.  A false positive is fine (that is the
     memory trade); a false negative anywhere fails the registration.
     """
+    name, factory = backend.name, backend.factory
 
     def missing(ds: DirectorySet, members: set[int], where: str) -> None:
         dropped = sorted(
@@ -159,103 +170,44 @@ def _superset_self_check(name: str, factory: DirectoryFactory) -> None:
         )
 
 
+#: Every registered backend, by name (``"auto"`` aliases ``"exact"``).
+DIRECTORIES: Registry[DirectoryBackend] = Registry(
+    "directory backend",
+    DirectoryError,
+    lambda backend: (backend.name, *backend.aliases),
+    check=_superset_self_check,
+)
+
+
 def register_directory(
-    name: str, *, summary: str, memory_note: str
+    name: str, *, summary: str, memory_note: str, aliases: tuple[str, ...] = ()
 ) -> Callable[[DirectoryFactory], DirectoryFactory]:
     """Register a directory-set factory under ``name`` (decorator).
 
-    ``memory_note`` states how the backend spends the ``directory_bits``
-    budget (the docs catalogue and ``cli directory list`` render it).
     The factory is probed by :func:`_superset_self_check` before it is
     accepted.
     """
 
     def deco(factory: DirectoryFactory) -> DirectoryFactory:
-        if name in _BACKENDS:
-            raise DirectoryError(
-                f"directory backend {name!r} already registered"
-            )
-        _superset_self_check(name, factory)
-        _BACKENDS[name] = factory
-        _SUMMARIES[name] = summary
-        _MEMORY_NOTES[name] = memory_note
+        DIRECTORIES.register(
+            DirectoryBackend(name, summary, memory_note, factory, aliases)
+        )
         return factory
 
     return deco
 
 
-def available_directories() -> tuple[str, ...]:
-    """Registered backend names, sorted (``"auto"`` is always valid too)."""
-    return tuple(sorted(_BACKENDS))
-
-
-def directory_summaries() -> dict[str, str]:
-    """Name → one-line summary for docs/catalogue generation."""
-    return {name: _SUMMARIES[name] for name in available_directories()}
-
-
-def directory_memory_notes() -> dict[str, str]:
-    """Name → how the backend spends the ``directory_bits`` budget."""
-    return {name: _MEMORY_NOTES[name] for name in available_directories()}
-
-
-def default_directory_backend() -> Optional[str]:
-    """The active ``"auto"`` override, or None for the exact default."""
-    return _default_override
-
-
-def set_default_directory_backend(name: Optional[str]) -> None:
-    """Override what ``"auto"`` resolves to, process-wide.
-
-    ``None`` (or ``"auto"``) restores the exact-bitmap default.
-    Deployment construction reads the override at build time, so
-    flipping it between runs re-points every switch with no
-    per-scenario knob.
-    """
-    global _default_override
-    if name is not None and name != "auto" and name not in _BACKENDS:
-        raise DirectoryError(
-            f"unknown directory backend {name!r}; "
-            f"available: {', '.join(available_directories())}"
-        )
-    _default_override = None if name == "auto" else name
-
-
-@contextmanager
-def use_directory_backend(name: str) -> Iterator[None]:
-    """Scoped :func:`set_default_directory_backend` (equivalence tests)."""
-    prev = _default_override
-    set_default_directory_backend(name)
-    try:
-        yield
-    finally:
-        set_default_directory_backend(prev)
-
-
-def resolve_directory(backend: str) -> str:
-    """Resolve a knob value (possibly ``"auto"``) to a registered name."""
-    if backend == "auto":
-        return _default_override if _default_override is not None else "exact"
-    if backend not in _BACKENDS:
-        raise DirectoryError(
-            f"unknown directory backend {backend!r}; "
-            f"available: {', '.join(available_directories())}"
-        )
-    return backend
-
-
 def make_directory_set(
     backend: str, n_slots: int, *, bits: int = 0, hashes: int = 4
 ) -> DirectorySet:
-    """Build one directory set by backend name (``"auto"`` allowed).
+    """Build one directory set by backend name or alias.
 
     ``bits`` is the per-set memory budget; 0 means "saturating" — the
     backend sizes itself so it is exact-equivalent (one bit per slot),
     which is what makes the default knob values match the exact backend
     bit for bit.
     """
-    name = resolve_directory(backend)
-    return _BACKENDS[name](n_slots, bits, hashes)
+    return DIRECTORIES.get(backend).factory(n_slots, bits, hashes)
 
 
 def decode_directory_set(
@@ -272,24 +224,21 @@ def directory_markdown() -> str:
     lines = [
         "# Directory backends",
         "",
-        "<!-- generated by tools/gen_directory_docs.py — do not edit; "
-        "run `python tools/gen_directory_docs.py` after changing "
+        "<!-- generated by tools/gen_docs.py — do not edit; "
+        "run `python tools/gen_docs.py directories` after changing "
         "src/repro/directory/ -->",
         "",
         "A switch's per-epoch directory is held by one of the backends",
-        "below (the `directory_backend` deployment knob; `auto` resolves",
-        "to `exact` unless a process-wide override is active).  Every",
-        "backend is probed at registration to guarantee *superset*",
-        "answers: false positives trade memory for accuracy, false",
-        "negatives are rejected outright.",
+        "below (the `directory_backend` deployment knob; `auto` is an",
+        "alias of `exact`).  Every backend is probed at registration to",
+        "guarantee *superset* answers: false positives trade memory for",
+        "accuracy, false negatives are rejected outright.",
         "",
         "| backend | summary | memory (`directory_bits` budget) |",
         "|---|---|---|",
     ]
-    summaries = directory_summaries()
-    notes = directory_memory_notes()
-    for name in available_directories():
-        lines.append(f"| `{name}` | {summaries[name]} | {notes[name]} |")
+    for b in DIRECTORIES.values():
+        lines.append(f"| `{b.name}` | {b.summary} | {b.memory_note} |")
     lines += [
         "",
         "## Knobs",

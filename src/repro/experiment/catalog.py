@@ -5,7 +5,7 @@ the page and ``python -m repro.cli experiment list`` render identical
 :class:`~repro.experiment.registry.ExperimentSpec` objects.  Refresh
 with::
 
-    python tools/gen_experiment_docs.py
+    python tools/gen_docs.py experiments
 
 A tier-1 test (and the CI docs job) asserts the checked-in page matches
 this renderer's output.
@@ -20,7 +20,7 @@ _PREAMBLE = """\
 # Experiments
 
 <!-- GENERATED FILE — do not edit by hand.
-     Regenerate with: python tools/gen_experiment_docs.py -->
+     Regenerate with: python tools/gen_docs.py experiments -->
 
 An *experiment* is a **run table**: one registered sweep
 ([SWEEPS.md](SWEEPS.md)) expanded across declared axes × N independent
@@ -150,5 +150,5 @@ def _spec_markdown(spec: ExperimentSpec) -> str:
 def experiments_markdown() -> str:
     """The full ``docs/EXPERIMENTS.md`` body."""
     sections = [_PREAMBLE.replace("{schema}", SCHEMA)]
-    sections.extend(_spec_markdown(spec) for spec in EXPERIMENTS.specs())
+    sections.extend(_spec_markdown(spec) for spec in EXPERIMENTS.values())
     return "\n".join(sections)

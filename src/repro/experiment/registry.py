@@ -29,7 +29,9 @@ of truth, like the sibling registries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
+
+from ..registry import Registry
 
 
 class ExperimentError(Exception):
@@ -124,97 +126,68 @@ def _load_declarations() -> None:
     from . import studies  # noqa: F401
 
 
-class ExperimentRegistry:
-    """Experiment name → experiment-spec registry."""
-
-    def __init__(self) -> None:
-        self._specs: dict[str, ExperimentSpec] = {}
-
-    def register(self, spec: ExperimentSpec) -> ExperimentSpec:
-        if spec.name in self._specs:
-            raise ExperimentError(f"duplicate experiment name {spec.name!r}")
-        if not spec.axes:
+def _check_experiment(spec: ExperimentSpec) -> None:
+    """Registration checks: a non-empty run table whose axes, knob
+    overrides and figure all fit the underlying sweep — the same
+    fail-before-any-run-burns-time posture as the sweep registry."""
+    if not spec.axes:
+        raise ExperimentError(
+            f"experiment {spec.name!r} needs at least one run-table axis"
+        )
+    for axis, values in spec.axes.items():
+        if not values:
             raise ExperimentError(
-                f"experiment {spec.name!r} needs at least one run-table axis"
+                f"experiment {spec.name!r}: axis {axis!r} has no values"
             )
-        for axis, values in spec.axes.items():
-            if not values:
-                raise ExperimentError(
-                    f"experiment {spec.name!r}: axis {axis!r} has no values"
-                )
-        if spec.reps < 1:
+    if spec.reps < 1:
+        raise ExperimentError(
+            f"experiment {spec.name!r}: reps must be >= 1, got {spec.reps}"
+        )
+    # call-time import: pulling the sweep registry loads the
+    # scenario packages, which this module must not force at import
+    from ..scenarios.base import REGISTRY as scenarios
+    from ..sweep import SWEEPS, SweepError
+
+    try:
+        sweep = SWEEPS.get(spec.sweep)
+    except SweepError as exc:
+        raise ExperimentError(f"experiment {spec.name!r}: {exc}") from None
+    for axis in spec.axes:
+        if axis not in sweep.axes:
             raise ExperimentError(
-                f"experiment {spec.name!r}: reps must be >= 1, got {spec.reps}"
+                f"experiment {spec.name!r}: axis {axis!r} is not an "
+                f"axis of sweep {spec.sweep!r}; valid: "
+                f"{', '.join(sorted(sweep.axes))}"
             )
-        self._validate_against_sweep(spec)
-        self._specs[spec.name] = spec
-        return spec
-
-    @staticmethod
-    def _validate_against_sweep(spec: ExperimentSpec) -> None:
-        """Every table axis (and the figure's x axis) must exist on the
-        underlying sweep, and ``base_knobs`` must not silently override
-        a swept axis — the same fail-before-any-run-burns-time posture
-        as the sweep registry."""
-        # call-time import: pulling the sweep registry loads the
-        # scenario packages, which this module must not force at import
-        from ..sweep import SWEEPS, SweepError
-
-        try:
-            sweep = SWEEPS.get(spec.sweep)
-        except SweepError as exc:
+    swept = {sweep.axes[axis] for axis in spec.axes}
+    clash = swept & set(spec.base_knobs)
+    if clash:
+        raise ExperimentError(
+            f"experiment {spec.name!r}: base_knobs would override "
+            f"swept axis knob(s) {sorted(clash)}"
+        )
+    declared = scenarios.get(sweep.scenario).spec.knobs
+    for knob in spec.base_knobs:
+        if knob not in declared:
             raise ExperimentError(
-                f"experiment {spec.name!r}: {exc}"
-            ) from None
-        for axis in spec.axes:
-            if axis not in sweep.axes:
-                raise ExperimentError(
-                    f"experiment {spec.name!r}: axis {axis!r} is not an "
-                    f"axis of sweep {spec.sweep!r}; valid: "
-                    f"{', '.join(sorted(sweep.axes))}"
-                )
-        swept = {sweep.axes[axis] for axis in spec.axes}
-        clash = swept & set(spec.base_knobs)
-        if clash:
-            raise ExperimentError(
-                f"experiment {spec.name!r}: base_knobs would override "
-                f"swept axis knob(s) {sorted(clash)}"
+                f"experiment {spec.name!r}: base_knobs names knob "
+                f"{knob!r}, which scenario {sweep.scenario!r} "
+                f"does not declare; declared: "
+                f"{', '.join(sorted(declared))}"
             )
-        if spec.figure is not None and spec.figure.x_axis not in spec.axes:
-            raise ExperimentError(
-                f"experiment {spec.name!r}: figure x_axis "
-                f"{spec.figure.x_axis!r} is not a run-table axis"
-            )
-
-    def get(self, name: str) -> ExperimentSpec:
-        _load_declarations()
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise ExperimentError(
-                f"no experiment registered for {name!r}; "
-                f"known: {', '.join(self.names())}"
-            ) from None
-
-    def names(self) -> list[str]:
-        _load_declarations()
-        return sorted(self._specs)
-
-    def specs(self) -> list[ExperimentSpec]:
-        return [self._specs[name] for name in self.names()]
-
-    def __contains__(self, name: str) -> bool:
-        _load_declarations()
-        return name in self._specs
-
-    def __len__(self) -> int:
-        _load_declarations()
-        return len(self._specs)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
+    if spec.figure is not None and spec.figure.x_axis not in spec.axes:
+        raise ExperimentError(
+            f"experiment {spec.name!r}: figure x_axis "
+            f"{spec.figure.x_axis!r} is not a run-table axis"
+        )
 
 
 #: The process-wide registry ``studies.py`` registers experiments into.
-EXPERIMENTS = ExperimentRegistry()
+EXPERIMENTS: Registry[ExperimentSpec] = Registry(
+    "experiment",
+    ExperimentError,
+    lambda spec: (spec.name or spec.sweep,),
+    check=_check_experiment,
+    load=_load_declarations,
+)
 register_experiment = EXPERIMENTS.register

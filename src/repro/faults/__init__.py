@@ -24,7 +24,6 @@ from .base import (
     FaultContext,
     FaultError,
     FaultParam,
-    FaultRegistry,
     FaultSpec,
     HEALED,
     PENDING,
@@ -52,7 +51,6 @@ __all__ = [
     "FaultError",
     "FaultParam",
     "FaultPlan",
-    "FaultRegistry",
     "FaultSpec",
     "LinkDownFault",
     "LinkFlapFault",

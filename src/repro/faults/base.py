@@ -12,10 +12,11 @@ describe**) so scenarios compose faults instead of open-coding
         def inject(self, ctx): ...
         def heal(self, ctx): ...
 
-Registration mirrors the scenario registry of PR 2: the decorator is
-all it takes for the fault to appear in ``python -m repro.cli faults
-list`` and in the generated ``docs/FAULTS.md`` catalogue — the CLI and
-the docs render the same :class:`FaultSpec` metadata.
+Registration uses the same :class:`~repro.registry.Registry` as the
+scenarios: the decorator is all it takes for the fault to appear in
+``python -m repro.cli faults list`` and in the generated
+``docs/FAULTS.md`` catalogue — the CLI and the docs render the same
+:class:`FaultSpec` metadata.
 
 Every fault carries two shared scheduling parameters on top of its own:
 ``start`` (simulated seconds at which :meth:`Fault.inject` fires) and
@@ -33,7 +34,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Iterator, Optional, TYPE_CHECKING
+from typing import Any, ClassVar, Optional, TYPE_CHECKING
+
+from ..registry import Registry
 
 if TYPE_CHECKING:  # import cycle guard: deployment is typing-only here
     from ..deployment import SwitchPointerDeployment
@@ -230,55 +233,20 @@ class Fault(abc.ABC):
         return f"{self.spec.name}({args}) {when} [{label}]"
 
 
-class FaultRegistry:
-    """Name → fault-class registry (same idiom as the scenario registry)."""
-
-    def __init__(self) -> None:
-        self._classes: dict[str, type[Fault]] = {}
-
-    def register(self, cls: type[Fault]) -> type[Fault]:
-        """Class decorator: add ``cls`` under its spec name."""
-        spec = getattr(cls, "spec", None)
-        if not isinstance(spec, FaultSpec):
-            raise FaultError(f"{cls.__name__} must define a FaultSpec 'spec'")
-        if spec.name in self._classes:
-            raise FaultError(f"duplicate fault name {spec.name!r}")
-        overlap = set(spec.params) & set(_COMMON_PARAMS)
-        if overlap:
-            raise FaultError(
-                f"fault {spec.name!r} redeclares shared param(s) {sorted(overlap)}"
-            )
-        self._classes[spec.name] = cls
-        return cls
-
-    def get(self, name: str) -> type[Fault]:
-        try:
-            return self._classes[name]
-        except KeyError:
-            raise FaultError(
-                f"unknown fault {name!r}; known: {', '.join(self.names())}"
-            ) from None
-
-    def create(self, name: str, **params: Any) -> Fault:
-        """Instantiate a registered fault by name."""
-        return self.get(name)(**params)
-
-    def names(self) -> list[str]:
-        return sorted(self._classes)
-
-    def specs(self) -> list[FaultSpec]:
-        return [self._classes[n].spec for n in self.names()]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._classes
-
-    def __len__(self) -> int:
-        return len(self._classes)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
+def _check_fault(cls: type[Fault]) -> None:
+    """Registration checks: a spec that leaves the shared params alone."""
+    spec = getattr(cls, "spec", None)
+    if not isinstance(spec, FaultSpec):
+        raise FaultError(f"{cls.__name__} must define a FaultSpec 'spec'")
+    overlap = set(spec.params) & set(_COMMON_PARAMS)
+    if overlap:
+        raise FaultError(
+            f"fault {spec.name!r} redeclares shared param(s) {sorted(overlap)}"
+        )
 
 
 #: The process-wide registry every fault module registers into.
-FAULTS = FaultRegistry()
+FAULTS: Registry[type[Fault]] = Registry(
+    "fault", FaultError, lambda cls: (cls.spec.name,), check=_check_fault
+)
 register_fault = FAULTS.register

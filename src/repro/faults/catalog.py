@@ -4,7 +4,7 @@
 objects the CLI ``faults list`` command prints — one source of truth.
 Refresh the checked-in page with::
 
-    python tools/gen_fault_docs.py
+    python tools/gen_docs.py faults
 
 A tier-1 test asserts the file matches this renderer's output, so a
 registry change without a regenerated page fails CI.
@@ -18,7 +18,7 @@ _PREAMBLE = """\
 # Fault catalog
 
 <!-- GENERATED FILE — do not edit by hand.
-     Regenerate with: python tools/gen_fault_docs.py -->
+     Regenerate with: python tools/gen_docs.py faults -->
 
 Every fault is a registered plugin implementing the four-verb protocol
 (schedule → inject → heal → describe) described in
@@ -57,5 +57,5 @@ def _spec_markdown(spec: FaultSpec) -> str:
 def faults_markdown() -> str:
     """The full ``docs/FAULTS.md`` body."""
     sections = [_PREAMBLE]
-    sections.extend(_spec_markdown(spec) for spec in FAULTS.specs())
+    sections.extend(_spec_markdown(cls.spec) for cls in FAULTS.values())
     return "\n".join(sections)

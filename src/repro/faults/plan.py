@@ -62,7 +62,7 @@ class FaultPlan:
 
     def add_named(self, name: str, **params: Any) -> Fault:
         """Instantiate ``name`` from the registry and append it."""
-        return self.add(FAULTS.create(name, **params))
+        return self.add(FAULTS.get(name)(**params))
 
     def __len__(self) -> int:
         return len(self.faults)

@@ -31,8 +31,8 @@ same code the test suite validates.
 from __future__ import annotations
 
 from .base import (REGISTRY, Knob, Scenario, ScenarioError,
-                   ScenarioRegistry, ScenarioResult, ScenarioSpec,
-                   SwitchStats, register, run_scenario)
+                   ScenarioResult, ScenarioSpec, SwitchStats, register,
+                   run_scenario)
 from .common import DEEP_BUFFER_BYTES, GBPS
 from .contention import (ContentionResult, ContentionScenario,
                          MicroburstScenario, run_contention_scenario)
@@ -54,7 +54,7 @@ from .catalog import catalog_markdown
 __all__ = [
     # registry / protocol
     "REGISTRY", "register", "run_scenario", "Scenario", "ScenarioError",
-    "ScenarioRegistry", "ScenarioResult", "ScenarioSpec", "SwitchStats",
+    "ScenarioResult", "ScenarioSpec", "SwitchStats",
     "Knob", "catalog_markdown",
     # shared constants
     "DEEP_BUFFER_BYTES", "GBPS",

@@ -31,11 +31,12 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterator, Optional
+from typing import Any, Callable, ClassVar, Optional
 
 from ..analyzer.apps import Verdict
 from ..deployment import SwitchPointerDeployment
 from ..faults import FAULTS, Fault, FaultContext, FaultPlan
+from ..registry import Registry
 from ..simnet.topology import Network
 
 
@@ -313,69 +314,29 @@ class Scenario(abc.ABC):
         return stats
 
 
-class ScenarioRegistry:
-    """Name → scenario-class registry with alias support."""
-
-    def __init__(self) -> None:
-        self._classes: dict[str, type[Scenario]] = {}
-        self._aliases: dict[str, str] = {}
-
-    def register(self, cls: type[Scenario]) -> type[Scenario]:
-        """Class decorator: add ``cls`` under its spec name and aliases."""
-        spec = getattr(cls, "spec", None)
-        if not isinstance(spec, ScenarioSpec):
-            raise ScenarioError(
-                f"{cls.__name__} must define a ScenarioSpec 'spec'")
-        unknown_faults = [f for f in spec.faults if f not in FAULTS]
-        if unknown_faults:
-            raise ScenarioError(
-                f"{cls.__name__} declares unregistered fault(s) "
-                f"{unknown_faults}; known: {', '.join(FAULTS.names())}")
-        bad_smoke = sorted(set(spec.smoke_knobs) - set(spec.knobs))
-        if bad_smoke:
-            raise ScenarioError(
-                f"{cls.__name__} smoke_knobs name undeclared knob(s) "
-                f"{bad_smoke}; declared: {sorted(spec.knobs)}")
-        for key in (spec.name, *spec.aliases):
-            if key in self._classes or key in self._aliases:
-                raise ScenarioError(
-                    f"duplicate scenario name/alias {key!r}")
-        self._classes[spec.name] = cls
-        for alias in spec.aliases:
-            self._aliases[alias] = spec.name
-        return cls
-
-    def get(self, name: str) -> type[Scenario]:
-        """Resolve a name or alias to its scenario class."""
-        canonical = self._aliases.get(name, name)
-        try:
-            return self._classes[canonical]
-        except KeyError:
-            raise ScenarioError(
-                f"unknown scenario {name!r}; known: "
-                f"{', '.join(self.names())}") from None
-
-    def names(self) -> list[str]:
-        return sorted(self._classes)
-
-    def specs(self) -> list[ScenarioSpec]:
-        return [self._classes[n].spec for n in self.names()]
-
-    def aliases_of(self, name: str) -> tuple[str, ...]:
-        return self._classes[name].spec.aliases
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._classes or name in self._aliases
-
-    def __len__(self) -> int:
-        return len(self._classes)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
+def _check_scenario(cls: type[Scenario]) -> None:
+    """Registration checks: a spec, registered faults, declared smoke knobs."""
+    spec = getattr(cls, "spec", None)
+    if not isinstance(spec, ScenarioSpec):
+        raise ScenarioError(
+            f"{cls.__name__} must define a ScenarioSpec 'spec'")
+    unknown_faults = [f for f in spec.faults if f not in FAULTS]
+    if unknown_faults:
+        raise ScenarioError(
+            f"{cls.__name__} declares unregistered fault(s) "
+            f"{unknown_faults}; known: {', '.join(FAULTS.names())}")
+    bad_smoke = sorted(set(spec.smoke_knobs) - set(spec.knobs))
+    if bad_smoke:
+        raise ScenarioError(
+            f"{cls.__name__} smoke_knobs name undeclared knob(s) "
+            f"{bad_smoke}; declared: {sorted(spec.knobs)}")
 
 
 #: The process-wide registry every scenario module registers into.
-REGISTRY = ScenarioRegistry()
+REGISTRY: Registry[type[Scenario]] = Registry(
+    "scenario", ScenarioError,
+    lambda cls: (cls.spec.name, *cls.spec.aliases),
+    check=_check_scenario)
 register = REGISTRY.register
 
 

@@ -4,7 +4,7 @@
 objects the CLI ``list`` command prints — one source of truth.  Refresh
 the checked-in page with::
 
-    python tools/gen_scenario_docs.py
+    python tools/gen_docs.py scenarios
 
 A tier-1 test asserts the file matches this renderer's output, so a
 registry change without a regenerated page fails CI.
@@ -18,7 +18,7 @@ _PREAMBLE = """\
 # Scenario catalog
 
 <!-- GENERATED FILE — do not edit by hand.
-     Regenerate with: python tools/gen_scenario_docs.py -->
+     Regenerate with: python tools/gen_docs.py scenarios -->
 
 Every scenario is a registered plugin implementing the four-phase
 protocol (build → run → collect → diagnose) described in
@@ -62,5 +62,5 @@ def _spec_markdown(spec: ScenarioSpec) -> str:
 def catalog_markdown() -> str:
     """The full ``docs/SCENARIOS.md`` body."""
     sections = [_PREAMBLE]
-    sections.extend(_spec_markdown(spec) for spec in REGISTRY.specs())
+    sections.extend(_spec_markdown(cls.spec) for cls in REGISTRY.values())
     return "\n".join(sections)

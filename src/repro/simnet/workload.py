@@ -17,14 +17,13 @@ Everything is seeded and deterministic.  Generation is split into two
 layers so large populations stay cheap:
 
 * :class:`FlowPlanner` produces the flow *plan* (who talks to whom,
-  how much, starting when) with **no simulator objects at all**.  It
-  has two code paths — :meth:`FlowPlanner.plan` draws endpoint indices
-  in 4096-wide C-level ``random.choices`` batches (sizes are one cheap
-  ``random()`` call per flow on both paths),
-  :meth:`FlowPlanner.plan_naive` draws everything per flow — that
-  produce **identical plans for equal seeds** because every attribute
-  consumes its own derived RNG stream.  A property test holds the two
-  paths equal.
+  how much, starting when) with **no simulator objects at all**.
+  :meth:`FlowPlanner.plan` draws endpoint indices in 4096-wide C-level
+  ``random.choices`` batches (sizes are one cheap ``random()`` call
+  per flow).  Every attribute consumes its own derived RNG stream, so
+  the plan does not depend on draw order: a property test holds it
+  equal to a per-flow planner (one draw call per attribute per flow,
+  kept under ``tests/`` as the oracle) for equal seeds.
 * :class:`BackgroundTraffic` materializes a plan with one heap-driven
   emitter for the *whole* population (flow state lives in parallel
   lists), instead of one :class:`~repro.simnet.traffic.UdpCbrSource`
@@ -129,9 +128,10 @@ class GeneratedFlow:
 def _stream(seed: int, label: str) -> random.Random:
     """A derived RNG stream, stable per (seed, attribute label).
 
-    Giving every flow attribute its own stream is what lets the
-    batched and naive planners draw in different *orders* (all sources
-    at once vs one flow at a time) yet produce identical plans.
+    Giving every flow attribute its own stream is what makes the plan
+    independent of draw *order* (all sources at once vs one flow at a
+    time) — the property the batched :meth:`FlowPlanner.plan` is
+    tested against.
     """
     return random.Random(zlib.crc32(f"{seed}/{label}".encode("ascii")))
 
@@ -140,11 +140,9 @@ class FlowPlanner:
     """Plans a :class:`WorkloadSpec` population over endpoint lists.
 
     Pure planning: the output is a list of :class:`PlannedFlow` — no
-    sinks, sources, or simulator state.  ``plan()`` (batched) and
-    ``plan_naive()`` (per-flow reference) are interchangeable; the
-    batched path exists because one ``random.choices(k=4096)`` call
-    runs the draw loop in C while the naive path pays Python call
-    overhead per flow.
+    sinks, sources, or simulator state.  Draws are batched because one
+    ``random.choices(k=4096)`` call runs the draw loop in C where a
+    per-flow draw pays Python call overhead per flow.
     """
 
     #: endpoint/size draws per batch in :meth:`plan`
@@ -190,11 +188,7 @@ class FlowPlanner:
                        spec.max_flow_bytes))
 
     def _starts(self, t0: float) -> list[float]:
-        """Flow start times (the ``arrival`` stream).
-
-        Identical in both planner paths: this loop is O(n) trivial
-        float work either way.
-        """
+        """Flow start times (the ``arrival`` stream)."""
         spec = self.spec
         rng = _stream(spec.seed, "arrival")
         if spec.n_flows is not None:
@@ -214,13 +208,13 @@ class FlowPlanner:
 
     def _make_flow(self, i: int, s_i: int, d_i: int, size: int,
                    start: float) -> PlannedFlow:
-        """Assemble flow ``i`` — shared by both planner paths."""
+        """Assemble flow ``i`` from its drawn endpoint indices and size."""
         src = self.senders[s_i]
         dst = self.receivers[d_i]
         if src == dst:
             # deterministic self-pair fix-up: step to the next receiver
-            # (no extra RNG draw, so batched and naive consumption stay
-            # identical)
+            # (no extra RNG draw, so stream consumption stays the same
+            # however the draws are batched)
             for off in range(1, len(self.receivers) + 1):
                 cand = (d_i + off) % len(self.receivers)
                 if self.receivers[cand] != src:
@@ -234,13 +228,12 @@ class FlowPlanner:
             flow=FlowKey(src, dst, port, port, PROTO_UDP),
             size_bytes=size, start=start)
 
-    # -- the two planner paths -------------------------------------------------
+    # -- planning -------------------------------------------------------------
 
     def plan(self, t0: float = 0.0) -> list[PlannedFlow]:
-        """Batched planning: endpoint draws in ``BATCH``-sized C-level
-        ``choices`` calls (size draws are a single cheap ``random()``
-        per flow either way).  Output is identical to
-        :meth:`plan_naive`."""
+        """The population: endpoint draws in ``BATCH``-sized C-level
+        ``choices`` calls, size draws a single cheap ``random()`` per
+        flow."""
         starts = self._starts(t0)
         n = len(starts)
         rng_src = _stream(self.spec.seed, "src")
@@ -260,24 +253,6 @@ class FlowPlanner:
                 flows.append(self._make_flow(i, src_is[j], dst_is[j],
                                              sizes[j], starts[i]))
             pos += k
-        return flows
-
-    def plan_naive(self, t0: float = 0.0) -> list[PlannedFlow]:
-        """Per-flow reference path (one draw call per attribute per
-        flow) — the oracle the batched path is property-tested
-        against."""
-        starts = self._starts(t0)
-        rng_src = _stream(self.spec.seed, "src")
-        rng_dst = _stream(self.spec.seed, "dst")
-        rng_size = _stream(self.spec.seed, "size")
-        flows = []
-        for i, start in enumerate(starts):
-            s_i = rng_src.choices(self._src_idx,
-                                  cum_weights=self._src_cum, k=1)[0]
-            d_i = rng_dst.choices(self._dst_idx,
-                                  cum_weights=self._dst_cum, k=1)[0]
-            size = self._size_of(rng_size.random())
-            flows.append(self._make_flow(i, s_i, d_i, size, start))
         return flows
 
 
@@ -414,18 +389,16 @@ class WorkloadGenerator:
 
     # -- planning -------------------------------------------------------------
 
-    def plan(self, *, batched: bool = True) -> list[PlannedFlow]:
+    def plan(self) -> list[PlannedFlow]:
         """The flow plan for this generator (no simulator objects)."""
-        t0 = self.network.sim.now
-        return (self.planner.plan(t0) if batched
-                else self.planner.plan_naive(t0))
+        return self.planner.plan(self.network.sim.now)
 
     # -- materialization ------------------------------------------------------
 
     def schedule(self) -> list[GeneratedFlow]:
-        """Materialize the plan one UdpCbrSource per flow (naive path)."""
+        """Materialize the plan one UdpCbrSource per flow."""
         spec = self.spec
-        for p in self.plan(batched=False):
+        for p in self.plan():
             self._ensure_sink(p.flow.dst, p.flow.dport)
             duration = max(p.size_bytes * 8 / spec.flow_rate_bps, 1e-6)
             source = UdpCbrSource(
@@ -441,7 +414,7 @@ class WorkloadGenerator:
 
     def launch(self) -> BackgroundTraffic:
         """Materialize the plan through one batched emitter."""
-        plans = self.plan(batched=True)
+        plans = self.plan()
         self.traffic = BackgroundTraffic(self.network, plans, self.spec)
         self.flows = [GeneratedFlow(flow=p.flow, size_bytes=p.size_bytes,
                                     start=p.start) for p in plans]

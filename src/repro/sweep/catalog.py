@@ -4,7 +4,7 @@ Same one-source-of-truth idiom as the scenario catalogue: the page and
 ``python -m repro.cli sweep list`` render identical
 :class:`~repro.sweep.registry.SweepSpec` objects.  Refresh with::
 
-    python tools/gen_sweep_docs.py
+    python tools/gen_docs.py sweeps
 
 A tier-1 test (and the CI docs job) asserts the checked-in page matches
 this renderer's output.
@@ -21,7 +21,7 @@ _PREAMBLE = """\
 # Scale sweeps
 
 <!-- GENERATED FILE — do not edit by hand.
-     Regenerate with: python tools/gen_sweep_docs.py -->
+     Regenerate with: python tools/gen_docs.py sweeps -->
 
 A *sweep* executes one registered scenario across a parameter grid —
 the thousand-host **fabric** axis and the thousand-flow **traffic**
@@ -145,5 +145,5 @@ def _spec_markdown(spec: SweepSpec) -> str:
 def sweeps_markdown() -> str:
     """The full ``docs/SWEEPS.md`` body."""
     sections = [_PREAMBLE.replace("{schema}", SCHEMA)]
-    sections.extend(_spec_markdown(spec) for spec in SWEEPS.specs())
+    sections.extend(_spec_markdown(spec) for spec in SWEEPS.values())
     return "\n".join(sections)

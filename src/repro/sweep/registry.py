@@ -24,8 +24,9 @@ both render these specs — one source of truth, like scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
+from ..registry import Registry
 from .grid import GridError
 
 
@@ -129,108 +130,78 @@ def _load_declarations() -> None:
     from .. import scenarios  # noqa: F401
 
 
-class SweepRegistry:
-    """Sweep name → sweep-spec registry."""
-
-    def __init__(self) -> None:
-        self._specs: dict[str, SweepSpec] = {}
-
-    def register(self, spec: SweepSpec) -> SweepSpec:
-        if spec.name in self._specs:
-            raise SweepError(f"duplicate sweep name {spec.name!r}")
-        if not spec.default_grid:
-            raise SweepError(f"sweep {spec.name!r} needs a default grid")
-        if not spec.nightly_grid:
-            # every registered sweep is part of the nightly CI coverage
+def _check_sweep(spec: SweepSpec) -> None:
+    """Registration checks: grids present and on declared axes, and
+    every knob binding declared by the spec's scenario."""
+    if not spec.default_grid:
+        raise SweepError(f"sweep {spec.name!r} needs a default grid")
+    if not spec.nightly_grid:
+        # every registered sweep is part of the nightly CI coverage
+        raise SweepError(
+            f"sweep {spec.name!r} needs a nightly grid "
+            f"(`sweep nightly` runs every registered spec)"
+        )
+    for grid_name in ("default_grid", "nightly_grid"):
+        for axis in getattr(spec, grid_name):
+            if axis not in spec.axes:
+                raise SweepError(
+                    f"sweep {spec.name!r}: {grid_name} axis "
+                    f"{axis!r} is not declared in axes"
+                )
+    for i, point in enumerate(spec.nightly_points):
+        bad = [axis for axis in point if axis not in spec.axes]
+        if bad:
             raise SweepError(
-                f"sweep {spec.name!r} needs a nightly grid "
-                f"(`sweep nightly` runs every registered spec)"
+                f"sweep {spec.name!r}: nightly_points[{i}] axis "
+                f"{bad[0]!r} is not declared in axes"
             )
-        for grid_name in ("default_grid", "nightly_grid"):
-            for axis in getattr(spec, grid_name):
-                if axis not in spec.axes:
-                    raise SweepError(
-                        f"sweep {spec.name!r}: {grid_name} axis "
-                        f"{axis!r} is not declared in axes"
-                    )
-        for i, point in enumerate(spec.nightly_points):
-            bad = [axis for axis in point if axis not in spec.axes]
-            if bad:
-                raise SweepError(
-                    f"sweep {spec.name!r}: nightly_points[{i}] axis "
-                    f"{bad[0]!r} is not declared in axes"
-                )
-        self._validate_knob_bindings(spec)
-        self._specs[spec.name] = spec
-        return spec
+    _check_knob_bindings(spec)
 
-    @staticmethod
-    def _validate_knob_bindings(spec: SweepSpec) -> None:
-        """Every axis/base knob must be declared by the spec's scenario.
 
-        Sweeps are declared right after their scenario class in the
-        same module, so the scenario is normally resolvable here; when
-        it is not (a sweep declared ahead of its scenario), the static
-        ``knob-declaration`` pass of ``tools/reprolint`` still covers
-        the binding.  Either way a typo'd knob name fails before any
-        point runs, with the offender named.
-        """
-        # call-time import: scenario modules import this package to
-        # register their sweeps, so module scope would be a cycle
-        from ..scenarios.base import REGISTRY as scenarios
+def _check_knob_bindings(spec: SweepSpec) -> None:
+    """Every axis/base knob must be declared by the spec's scenario.
 
-        if spec.scenario not in scenarios:
-            return
-        declared = scenarios.get(spec.scenario).spec.knobs
-        for axis, knob in spec.axes.items():
-            if knob not in declared:
-                raise SweepError(
-                    f"sweep {spec.name!r}: axis {axis!r} binds knob "
-                    f"{knob!r}, which scenario {spec.scenario!r} does "
-                    f"not declare; declared: {', '.join(sorted(declared))}"
-                )
-        for source, names in (
-            ("base_knobs", spec.base_knobs),
-            ("expect_suspect_knob", [spec.expect_suspect_knob]),
-        ):
-            for knob in names:
-                if knob is not None and knob not in declared:
-                    raise SweepError(
-                        f"sweep {spec.name!r}: {source} names knob "
-                        f"{knob!r}, which scenario {spec.scenario!r} "
-                        f"does not declare; declared: "
-                        f"{', '.join(sorted(declared))}"
-                    )
+    Sweeps are declared right after their scenario class in the
+    same module, so the scenario is normally resolvable here; when
+    it is not (a sweep declared ahead of its scenario), the static
+    ``knob-declaration`` pass of ``tools/reprolint`` still covers
+    the binding.  Either way a typo'd knob name fails before any
+    point runs, with the offender named.
+    """
+    # call-time import: scenario modules import this package to
+    # register their sweeps, so module scope would be a cycle
+    from ..scenarios.base import REGISTRY as scenarios
 
-    def get(self, name: str) -> SweepSpec:
-        _load_declarations()
-        try:
-            return self._specs[name]
-        except KeyError:
+    if spec.scenario not in scenarios:
+        return
+    declared = scenarios.get(spec.scenario).spec.knobs
+    for axis, knob in spec.axes.items():
+        if knob not in declared:
             raise SweepError(
-                f"no sweep registered for {name!r}; "
-                f"known: {', '.join(self.names())}"
-            ) from None
-
-    def names(self) -> list[str]:
-        _load_declarations()
-        return sorted(self._specs)
-
-    def specs(self) -> list[SweepSpec]:
-        return [self._specs[name] for name in self.names()]
-
-    def __contains__(self, name: str) -> bool:
-        _load_declarations()
-        return name in self._specs
-
-    def __len__(self) -> int:
-        _load_declarations()
-        return len(self._specs)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
+                f"sweep {spec.name!r}: axis {axis!r} binds knob "
+                f"{knob!r}, which scenario {spec.scenario!r} does "
+                f"not declare; declared: {', '.join(sorted(declared))}"
+            )
+    for source, names in (
+        ("base_knobs", spec.base_knobs),
+        ("expect_suspect_knob", [spec.expect_suspect_knob]),
+    ):
+        for knob in names:
+            if knob is not None and knob not in declared:
+                raise SweepError(
+                    f"sweep {spec.name!r}: {source} names knob "
+                    f"{knob!r}, which scenario {spec.scenario!r} "
+                    f"does not declare; declared: "
+                    f"{', '.join(sorted(declared))}"
+                )
 
 
 #: The process-wide registry scenario modules register sweeps into.
-SWEEPS = SweepRegistry()
+SWEEPS: Registry[SweepSpec] = Registry(
+    "sweep",
+    SweepError,
+    lambda spec: (spec.name or spec.scenario,),
+    check=_check_sweep,
+    load=_load_declarations,
+)
 register_sweep = SWEEPS.register

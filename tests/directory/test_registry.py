@@ -4,33 +4,24 @@ import pytest
 
 from repro.core.pointer import PointerSet
 from repro.directory import (
+    DIRECTORIES,
     DirectoryError,
-    available_directories,
     decode_directory_set,
-    default_directory_backend,
-    directory_memory_notes,
-    directory_summaries,
     make_directory_set,
     register_directory,
-    resolve_directory,
-    set_default_directory_backend,
-    use_directory_backend,
 )
 
 
 class TestRegistry:
     def test_ships_exact_bloom_lsh(self):
-        assert set(available_directories()) >= {"exact", "bloom", "lsh"}
+        assert set(DIRECTORIES.names()) >= {"exact", "bloom", "lsh"}
 
     def test_every_backend_has_summary_and_memory_note(self):
-        names = set(available_directories())
-        assert set(directory_summaries()) == names
-        assert set(directory_memory_notes()) == names
-        assert all(directory_summaries().values())
-        assert all(directory_memory_notes().values())
+        for backend in DIRECTORIES.values():
+            assert backend.summary and backend.memory_note
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(DirectoryError, match="already registered"):
+        with pytest.raises(DirectoryError, match="duplicate"):
             register_directory(
                 "exact", summary="dup", memory_note="dup"
             )(lambda n, bits, hashes: PointerSet(n))
@@ -50,7 +41,7 @@ class TestRegistry:
             register_directory(
                 "droppy", summary="drops members", memory_note="n/a"
             )(lambda n, bits, hashes: DroppySet(n))
-        assert "droppy" not in available_directories()
+        assert "droppy" not in DIRECTORIES
 
     def test_non_roundtripping_backend_rejected(self):
         class ForgetfulSet(PointerSet):
@@ -65,46 +56,19 @@ class TestRegistry:
             register_directory(
                 "forgetful", summary="lossy serialize", memory_note="n/a"
             )(lambda n, bits, hashes: ForgetfulSet(n))
-        assert "forgetful" not in available_directories()
+        assert "forgetful" not in DIRECTORIES
 
 
 class TestResolution:
     def test_auto_defaults_to_exact(self):
-        assert default_directory_backend() is None
-        assert resolve_directory("auto") == "exact"
+        assert DIRECTORIES.get("auto").name == "exact"
+        assert make_directory_set("auto", 64).backend_name == "exact"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(DirectoryError, match="unknown directory"):
-            resolve_directory("cuckoo")
+            DIRECTORIES.get("cuckoo")
         with pytest.raises(DirectoryError, match="unknown directory"):
             make_directory_set("cuckoo", 64)
-        with pytest.raises(DirectoryError, match="unknown directory"):
-            set_default_directory_backend("cuckoo")
-
-    def test_override_redirects_auto(self):
-        with use_directory_backend("bloom"):
-            assert default_directory_backend() == "bloom"
-            assert resolve_directory("auto") == "bloom"
-            assert make_directory_set("auto", 64).backend_name == "bloom"
-            # explicit names are never overridden
-            assert resolve_directory("exact") == "exact"
-        assert default_directory_backend() is None
-        assert resolve_directory("auto") == "exact"
-
-    def test_override_nests_and_restores(self):
-        with use_directory_backend("bloom"):
-            with use_directory_backend("lsh"):
-                assert resolve_directory("auto") == "lsh"
-            assert resolve_directory("auto") == "bloom"
-        assert resolve_directory("auto") == "exact"
-
-    def test_auto_keyword_clears_override(self):
-        set_default_directory_backend("bloom")
-        try:
-            set_default_directory_backend("auto")
-            assert default_directory_backend() is None
-        finally:
-            set_default_directory_backend(None)
 
 
 class TestBackendSurface:

@@ -86,14 +86,13 @@ class TestPartialDeployment:
 
     def test_unknown_spare_rejected(self):
         net, deploy = _deployed_linear()
-        fault = FAULTS.create("partial-deployment", frac=0.5,
-                              spare="S9")
+        fault = FAULTS.get("partial-deployment")(frac=0.5, spare="S9")
         with pytest.raises(FaultError, match="unknown switch"):
             fault.inject(FaultContext(net, deploy))
 
     def test_bad_frac_rejected(self):
         with pytest.raises(FaultError, match="frac"):
-            FAULTS.create("partial-deployment", frac=1.5)
+            FAULTS.get("partial-deployment")(frac=1.5)
 
     def test_double_uninstrument_rejected(self):
         _net, deploy = _deployed_linear()
@@ -169,7 +168,7 @@ class TestEcmpPolarizationGroundTruth:
     @pytest.fixture
     def fabric(self):
         net = build_leaf_spine(2, 2, 2)
-        fault = FAULTS.create("ecmp-polarization", switch="leaf0")
+        fault = FAULTS.get("ecmp-polarization")(switch="leaf0")
         return net, fault, FaultContext(net)
 
     def test_expected_egress_names_a_spine(self, fabric):

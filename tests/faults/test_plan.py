@@ -93,7 +93,7 @@ class TestOrdering:
 
     def test_double_injection_rejected(self):
         net = build_linear(2, hosts_per_switch=1)
-        fault = FAULTS.create("silent-drop", switch="S1", start=0.001)
+        fault = FAULTS.get("silent-drop")(switch="S1", start=0.001)
         plan = FaultPlan([fault])
         plan.schedule(_ctx(net))
         net.run(until=0.002)
@@ -102,7 +102,7 @@ class TestOrdering:
 
     def test_heal_without_inject_rejected(self):
         net = build_linear(2, hosts_per_switch=1)
-        fault = FAULTS.create("silent-drop", switch="S1", start=0.010)
+        fault = FAULTS.get("silent-drop")(switch="S1", start=0.010)
         with pytest.raises(FaultError, match="must be active"):
             fault._fire_heal(_ctx(net))
 

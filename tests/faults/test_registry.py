@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.faults import (FAULTS, Fault, FaultError, FaultParam,
-                          FaultRegistry, FaultSpec)
+from repro.faults import FAULTS, Fault, FaultError, FaultParam, FaultSpec
 
 
 class TestRegistryContents:
@@ -20,21 +19,24 @@ class TestRegistryContents:
     def test_names_sorted_and_specs_match(self):
         names = FAULTS.names()
         assert names == sorted(names)
-        assert [s.name for s in FAULTS.specs()] == names
+        assert [cls.spec.name for cls in FAULTS.values()] == names
 
     def test_unknown_fault_rejected_with_known_list(self):
         with pytest.raises(FaultError, match="known:.*silent-drop"):
             FAULTS.get("bit-rot")
 
-    def test_create_instantiates(self):
-        fault = FAULTS.create("silent-drop", switch="S1")
+    def test_get_returns_an_instantiable_fault(self):
+        fault = FAULTS.get("silent-drop")(switch="S1")
         assert fault.spec.name == "silent-drop"
         assert fault.p["switch"] == "S1"
 
 
 class TestRegistryValidation:
-    def test_duplicate_name_rejected(self):
-        reg = FaultRegistry()
+    @pytest.fixture
+    def reg(self, empty_like):
+        return empty_like(FAULTS)
+
+    def test_duplicate_name_rejected(self, reg):
 
         class F(Fault):
             spec = FaultSpec(name="f", summary="s", degrades="d",
@@ -50,8 +52,7 @@ class TestRegistryValidation:
         with pytest.raises(FaultError, match="duplicate"):
             reg.register(F)
 
-    def test_missing_spec_rejected(self):
-        reg = FaultRegistry()
+    def test_missing_spec_rejected(self, reg):
 
         class Bare(Fault):
             def inject(self, ctx):
@@ -63,8 +64,7 @@ class TestRegistryValidation:
         with pytest.raises(FaultError, match="FaultSpec"):
             reg.register(Bare)
 
-    def test_shared_param_shadowing_rejected(self):
-        reg = FaultRegistry()
+    def test_shared_param_shadowing_rejected(self, reg):
 
         class Shadow(Fault):
             spec = FaultSpec(name="shadow", summary="s", degrades="d",
@@ -84,31 +84,31 @@ class TestRegistryValidation:
 class TestParamHandling:
     def test_unknown_param_rejected(self):
         with pytest.raises(FaultError, match="unknown param"):
-            FAULTS.create("silent-drop", switch="S1", wobble=3)
+            FAULTS.get("silent-drop")(switch="S1", wobble=3)
 
     def test_defaults_and_overrides_resolve(self):
-        fault = FAULTS.create("link-flap", a="S1", b="SPA",
-                              start=0.01, stop=0.05)
+        fault = FAULTS.get("link-flap")(a="S1", b="SPA",
+                                        start=0.01, stop=0.05)
         assert fault.p["down_for"] == 0.006        # default
         assert fault.p["start"] == 0.01
         assert fault.p["stop"] == 0.05
 
     def test_negative_start_rejected(self):
         with pytest.raises(FaultError, match="start"):
-            FAULTS.create("silent-drop", switch="S1", start=-0.1)
+            FAULTS.get("silent-drop")(switch="S1", start=-0.1)
 
     def test_heal_before_inject_rejected_at_construction(self):
         with pytest.raises(FaultError, match="cannot heal before"):
-            FAULTS.create("silent-drop", switch="S1",
-                          start=0.02, stop=0.01)
+            FAULTS.get("silent-drop")(switch="S1",
+                                      start=0.02, stop=0.01)
 
     def test_heal_at_inject_instant_rejected(self):
         with pytest.raises(FaultError, match="cannot heal before"):
-            FAULTS.create("link-down", a="S1", b="S2",
-                          start=0.02, stop=0.02)
+            FAULTS.get("link-down")(a="S1", b="S2",
+                                    start=0.02, stop=0.02)
 
     def test_describe_names_fault_params_and_state(self):
-        fault = FAULTS.create("silent-drop", switch="S3", start=0.02)
+        fault = FAULTS.get("silent-drop")(switch="S3", start=0.02)
         text = fault.describe()
         assert "silent-drop" in text
         assert "switch=S3" in text

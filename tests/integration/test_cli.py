@@ -20,7 +20,7 @@ class TestParser:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert len(REGISTRY) >= 8
-        for spec in REGISTRY.specs():
+        for spec in (cls.spec for cls in REGISTRY.values()):
             assert spec.name in out
             for alias in spec.aliases:
                 assert alias in out
@@ -36,16 +36,15 @@ class TestParser:
 
 class TestDirectoryCommand:
     def test_directory_list_matches_registry(self, capsys):
-        from repro.directory import (available_directories,
-                                     directory_summaries)
+        from repro.directory import DIRECTORIES
 
         assert main(["directory", "list"]) == 0
         out = capsys.readouterr().out
-        assert set(available_directories()) >= {"exact", "bloom", "lsh"}
-        for name, summary in directory_summaries().items():
-            assert name in out
-            assert summary.split("(")[0].strip()[:40] in out
-        assert "'exact'" in out  # what "auto" resolves to, unoverridden
+        assert set(DIRECTORIES.names()) >= {"exact", "bloom", "lsh"}
+        for backend in DIRECTORIES.values():
+            assert backend.name in out
+            assert backend.summary.split("(")[0].strip()[:40] in out
+        assert "'exact'" in out  # what "auto" resolves to
 
     def test_directory_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -57,14 +56,14 @@ class TestFaultsCommand:
         assert main(["faults", "list"]) == 0
         out = capsys.readouterr().out
         assert len(FAULTS) >= 6
-        for spec in FAULTS.specs():
+        for spec in (cls.spec for cls in FAULTS.values()):
             assert spec.name in out
         assert f"{len(FAULTS)} fault(s) registered" in out
 
     def test_faults_list_matches_registry_summaries(self, capsys):
         assert main(["faults", "list"]) == 0
         out = capsys.readouterr().out
-        for spec in FAULTS.specs():
+        for spec in (cls.spec for cls in FAULTS.values()):
             assert spec.summary.split("(")[0].strip()[:40] in out
 
     def test_faults_requires_subcommand(self):

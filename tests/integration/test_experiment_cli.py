@@ -56,7 +56,7 @@ class TestExperimentCli:
     def test_unknown_experiment_fails_cleanly(self, capsys):
         assert main(["experiment", "run", "no-such-study"]) == 2
         err = capsys.readouterr().err
-        assert "no experiment registered for 'no-such-study'" in err
+        assert "unknown experiment 'no-such-study'" in err
 
     def test_unknown_axis_fails_cleanly(self, tmp_path, capsys):
         code = main(
@@ -102,7 +102,7 @@ class TestExperimentNightlyCli:
                      "--out-dir", str(tmp_path),
                      "--only", "no-such-study"])
         assert code == 2
-        assert "no experiment registered" in capsys.readouterr().err
+        assert "unknown experiment 'no-such-study'" in capsys.readouterr().err
 
 
 class TestCommittedStudies:

@@ -60,7 +60,7 @@ class TestSweepCli:
 
     def test_unknown_sweep_fails_cleanly(self, capsys):
         assert main(["sweep", "run", "no-such-sweep"]) == 2
-        assert "no sweep registered" in capsys.readouterr().err
+        assert "unknown sweep 'no-such-sweep'" in capsys.readouterr().err
 
     def test_unknown_axis_fails_cleanly(self, capsys):
         assert main(
@@ -140,4 +140,4 @@ class TestSweepNightlyCli:
         code = main(["sweep", "nightly", "--out-dir", str(tmp_path),
                      "--only", "no-such-sweep"])
         assert code == 2
-        assert "no sweep registered" in capsys.readouterr().err
+        assert "unknown sweep 'no-such-sweep'" in capsys.readouterr().err

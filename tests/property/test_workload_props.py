@@ -1,9 +1,9 @@
 """Property-based tests for workload planning (docs/WORKLOADS.md).
 
-Core claim: the batched planner path — endpoint indices and flow sizes
+Core claim: the batched planner — endpoint indices and flow sizes
 drawn in C-level ``random.choices`` batches — produces the *same flow
 population* (sources, destinations, sizes, start times, ports) as the
-naive per-flow reference path for equal seeds, across endpoint mixes,
+per-flow planner below for equal seeds, across endpoint mixes,
 population sizes, endpoint subsets, and batch boundaries.  This is the
 contract that lets scenarios use the fast path while tests and docs
 reason about the simple one."""
@@ -11,7 +11,7 @@ reason about the simple one."""
 from hypothesis import given, settings, strategies as st
 
 from repro.simnet.workload import (MIX_UNIFORM, MIX_ZIPF, FlowPlanner,
-                                   WorkloadSpec)
+                                   PlannedFlow, WorkloadSpec, _stream)
 
 HOSTS = [f"h{i}" for i in range(12)]
 
@@ -42,12 +42,30 @@ endpoint_subsets = st.lists(st.sampled_from(HOSTS), unique=True,
                             min_size=2, max_size=len(HOSTS))
 
 
+def plan_per_flow(planner: FlowPlanner, t0: float = 0.0) -> list[PlannedFlow]:
+    """The oracle: one draw call per attribute per flow, from the same
+    derived streams :meth:`FlowPlanner.plan` batches."""
+    seed = planner.spec.seed
+    rng_src = _stream(seed, "src")
+    rng_dst = _stream(seed, "dst")
+    rng_size = _stream(seed, "size")
+    flows = []
+    for i, start in enumerate(planner._starts(t0)):
+        s_i = rng_src.choices(planner._src_idx,
+                              cum_weights=planner._src_cum, k=1)[0]
+        d_i = rng_dst.choices(planner._dst_idx,
+                              cum_weights=planner._dst_cum, k=1)[0]
+        size = planner._size_of(rng_size.random())
+        flows.append(planner._make_flow(i, s_i, d_i, size, start))
+    return flows
+
+
 def assert_paths_identical(planner: FlowPlanner, t0: float = 0.0):
     batched = planner.plan(t0)
-    naive = planner.plan_naive(t0)
+    per_flow = plan_per_flow(planner, t0)
     # full structural equality: same flows (src, dst, ports), same
     # sizes, same start times, same order
-    assert batched == naive
+    assert batched == per_flow
     assert all(p.flow.src != p.flow.dst for p in batched)
     return batched
 
@@ -78,7 +96,7 @@ class TestBatchedEqualsNaive:
         small = FlowPlanner(spec, HOSTS, HOSTS)
         small.BATCH = batch  # instance attribute shadows the class one
         planner = FlowPlanner(spec, HOSTS, HOSTS)
-        assert small.plan() == planner.plan() == planner.plan_naive()
+        assert small.plan() == planner.plan() == plan_per_flow(planner)
 
     @given(spec=fixed_population_specs)
     @settings(max_examples=30, deadline=None)

@@ -3,9 +3,12 @@ bar).
 
 At the default budget (``directory_bits=0``, saturating) every sketch
 backend is exact-equivalent by construction, so switching the whole
-deployment onto it via ``use_directory_backend`` must not change a
-single diagnosis: same culprits, suspects, narratives, statuses, cost
-breakdowns and fault-plan outcomes on every registered scenario.
+deployment onto it must not change a single diagnosis: same culprits,
+suspects, narratives, statuses, cost breakdowns and fault-plan outcomes
+on every registered scenario.  The switch is made by pointing every
+deployment's default ``"auto"`` backend at the sketch (a monkeypatch of
+``SwitchPointerDeployment``), so no scenario needs a knob threaded
+through.
 
 The only permitted differences are the *evidence labels*: sketch-backed
 verdicts carry ``approx=True`` (the answers were supersets by
@@ -19,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.directory import use_directory_backend
+from repro.deployment import SwitchPointerDeployment
 from repro.scenarios import REGISTRY, run_scenario
 
 
@@ -27,13 +30,25 @@ def _normalized(verdicts):
     return [replace(v, approx=False, co_suspects=[]) for v in verdicts]
 
 
+def _auto_resolves_to(monkeypatch, backend):
+    init = SwitchPointerDeployment.__init__
+
+    def patched(self, network, *, directory_backend="auto", **kwargs):
+        if directory_backend == "auto":
+            directory_backend = backend
+        init(self, network, directory_backend=directory_backend, **kwargs)
+
+    monkeypatch.setattr(SwitchPointerDeployment, "__init__", patched)
+
+
 @pytest.mark.parametrize("name", REGISTRY.names())
 @pytest.mark.parametrize("backend", ["bloom", "lsh"])
-def test_sketch_backend_reproduces_reference_diagnosis(name, backend):
+def test_sketch_backend_reproduces_reference_diagnosis(name, backend,
+                                                       monkeypatch):
     spec = REGISTRY.get(name).spec
     ref = run_scenario(name, **spec.smoke_knobs)
-    with use_directory_backend(backend):
-        got = run_scenario(name, **spec.smoke_knobs)
+    _auto_resolves_to(monkeypatch, backend)
+    got = run_scenario(name, **spec.smoke_knobs)
     assert _normalized(got.verdicts) == _normalized(ref.verdicts)
     assert (got.measurements.get("fault_plan")
             == ref.measurements.get("fault_plan"))
@@ -45,6 +60,7 @@ def test_sketch_backend_reproduces_reference_diagnosis(name, backend):
     # the evidence labels tell the two runs apart
     assert all(v.approx for v in got.verdicts)
     assert not any(v.approx for v in ref.verdicts)
+    assert got.deployment.directory_backend == backend
     # saturating sketches measure zero false positives
     assert got.measurements.get("directory_fpr", 0.0) == 0.0
     assert ref.measurements.get("directory_fpr", 0.0) == 0.0

@@ -16,7 +16,7 @@ class TestFaultDeclarations:
             assert REGISTRY.get(name).spec.faults == faults
 
     def test_declared_faults_exist_in_fault_registry(self):
-        for spec in REGISTRY.specs():
+        for spec in (cls.spec for cls in REGISTRY.values()):
             for fault in spec.faults:
                 assert fault in FAULTS
 

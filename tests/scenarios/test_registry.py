@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.scenarios import (REGISTRY, Knob, Scenario, ScenarioError,
-                             ScenarioRegistry, ScenarioSpec, run_scenario)
+                             ScenarioSpec, run_scenario)
 
 
 def _spec(name, aliases=()):
@@ -33,36 +33,35 @@ class _Dummy(Scenario):
 
 
 class TestRegistration:
-    def test_duplicate_name_rejected(self):
-        reg = ScenarioRegistry()
+    @pytest.fixture
+    def reg(self, empty_like):
+        return empty_like(REGISTRY)
+
+    def test_duplicate_name_rejected(self, reg):
         reg.register(_Dummy)
         clone = type("Clone", (_Dummy,), {"spec": _spec("dummy")})
         with pytest.raises(ScenarioError, match="duplicate"):
             reg.register(clone)
 
-    def test_alias_colliding_with_name_rejected(self):
-        reg = ScenarioRegistry()
+    def test_alias_colliding_with_name_rejected(self, reg):
         reg.register(_Dummy)
         other = type("Other", (_Dummy,),
                      {"spec": _spec("other", aliases=("dummy",))})
         with pytest.raises(ScenarioError, match="duplicate"):
             reg.register(other)
 
-    def test_duplicate_alias_rejected(self):
-        reg = ScenarioRegistry()
+    def test_duplicate_alias_rejected(self, reg):
         a = type("A", (_Dummy,), {"spec": _spec("a", aliases=("x",))})
         b = type("B", (_Dummy,), {"spec": _spec("b", aliases=("x",))})
         reg.register(a)
         with pytest.raises(ScenarioError, match="duplicate"):
             reg.register(b)
 
-    def test_class_without_spec_rejected(self):
-        reg = ScenarioRegistry()
+    def test_class_without_spec_rejected(self, reg):
         with pytest.raises(ScenarioError, match="ScenarioSpec"):
             reg.register(type("NoSpec", (), {}))
 
-    def test_smoke_knob_naming_undeclared_knob_rejected(self):
-        reg = ScenarioRegistry()
+    def test_smoke_knob_naming_undeclared_knob_rejected(self, reg):
         spec = ScenarioSpec(name="sk", summary="s", paper_ref="p",
                             expected_diagnosis="d",
                             knobs={"flows": Knob(1, "flow count")},
@@ -108,7 +107,7 @@ class TestScenarioProtocol:
             _Dummy().execute()
 
     def test_specs_are_well_formed(self):
-        for spec in REGISTRY.specs():
+        for spec in (cls.spec for cls in REGISTRY.values()):
             assert spec.name and spec.summary and spec.paper_ref
             assert spec.expected_diagnosis
             for knob_name, knob in spec.knobs.items():

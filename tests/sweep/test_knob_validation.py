@@ -6,8 +6,7 @@ naming the offender — the runtime complement to reprolint's
 import pytest
 
 from repro.scenarios import REGISTRY as SCENARIOS
-from repro.sweep import SweepError, SweepSpec
-from repro.sweep.registry import SweepRegistry
+from repro.sweep import SWEEPS, SweepError, SweepSpec
 
 
 def _spec(**overrides):
@@ -25,8 +24,8 @@ def _spec(**overrides):
 
 
 @pytest.fixture
-def registry():
-    return SweepRegistry()
+def registry(empty_like):
+    return empty_like(SWEEPS)
 
 
 def test_valid_bindings_register(registry):
@@ -63,7 +62,5 @@ def test_unknown_scenario_skips_binding_validation(registry):
 
 def test_every_registered_sweep_passed_validation():
     """The import-time catalogue re-validates cleanly (no legacy escape)."""
-    from repro.sweep import SWEEPS
-
-    for name in SWEEPS.names():
-        SweepRegistry._validate_knob_bindings(SWEEPS.get(name))
+    for spec in SWEEPS.values():
+        SWEEPS.check(spec)

@@ -31,7 +31,7 @@ class TestRegistry:
         assert traffic.knobs_for({"flows": 2000})["bg_flows"] == 2000
 
     def test_unknown_sweep_rejected(self):
-        with pytest.raises(SweepError, match="no sweep registered"):
+        with pytest.raises(SweepError, match="unknown sweep 'no-such-sweep'"):
             SWEEPS.get("no-such-sweep")
 
     def test_duplicate_name_rejected(self):

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.experiment import EXPERIMENTS, experiments_markdown
 from repro.faults import FAULTS, faults_markdown
 from repro.scenarios import REGISTRY, catalog_markdown
 from repro.sweep import SWEEPS, sweeps_markdown
+from tools import gen_docs
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -16,13 +19,13 @@ REPO = Path(__file__).resolve().parent.parent
 class TestScenarioCatalog:
     def test_scenarios_md_matches_registry(self):
         """docs/SCENARIOS.md must be regenerated when the registry
-        changes (python tools/gen_scenario_docs.py)."""
+        changes (python tools/gen_docs.py scenarios)."""
         page = (REPO / "docs" / "SCENARIOS.md").read_text(encoding="utf-8")
         assert page == catalog_markdown()
 
     def test_every_scenario_documented(self):
         page = (REPO / "docs" / "SCENARIOS.md").read_text(encoding="utf-8")
-        for spec in REGISTRY.specs():
+        for spec in (cls.spec for cls in REGISTRY.values()):
             assert f"## `{spec.name}`" in page
             assert spec.summary in page
             for knob in spec.knobs:
@@ -32,13 +35,13 @@ class TestScenarioCatalog:
 class TestFaultCatalog:
     def test_faults_md_matches_registry(self):
         """docs/FAULTS.md must be regenerated when the fault registry
-        changes (python tools/gen_fault_docs.py)."""
+        changes (python tools/gen_docs.py faults)."""
         page = (REPO / "docs" / "FAULTS.md").read_text(encoding="utf-8")
         assert page == faults_markdown()
 
     def test_every_fault_documented(self):
         page = (REPO / "docs" / "FAULTS.md").read_text(encoding="utf-8")
-        for spec in FAULTS.specs():
+        for spec in (cls.spec for cls in FAULTS.values()):
             assert f"## `{spec.name}`" in page
             assert spec.summary in page
             for param in spec.params:
@@ -50,13 +53,6 @@ class TestFaultCatalog:
         assert "`start`" in page and "`stop`" in page
         assert "faults list" in page
         assert "FaultPlan" in page
-
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_fault_docs.py"),
-             "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_readme_links_faults_doc(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -78,13 +74,13 @@ class TestFaultCatalog:
 class TestSweepCatalog:
     def test_sweeps_md_matches_registry(self):
         """docs/SWEEPS.md must be regenerated when the sweep registry
-        changes (python tools/gen_sweep_docs.py)."""
+        changes (python tools/gen_docs.py sweeps)."""
         page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
         assert page == sweeps_markdown()
 
     def test_every_sweep_documented(self):
         page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
-        for spec in SWEEPS.specs():
+        for spec in SWEEPS.values():
             assert f"## `{spec.name}`" in page
             assert spec.summary in page
             for axis in spec.axes:
@@ -94,7 +90,7 @@ class TestSweepCatalog:
         page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
         assert "sweep nightly" in page
         assert "| axis | binds knob | default grid | nightly grid |" in page
-        for spec in SWEEPS.specs():
+        for spec in SWEEPS.values():
             for axis, values in spec.default_grid.items():
                 assert ",".join(str(v) for v in values) in page
         # the traffic axis and its per-point report fields
@@ -106,13 +102,6 @@ class TestSweepCatalog:
         assert "`hosts=4096 flows=2000`" in page
         assert "**Wall-time budget:**" in page
 
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_sweep_docs.py"),
-             "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
     def test_readme_links_sweeps_doc(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         assert "docs/SWEEPS.md" in readme
@@ -121,7 +110,7 @@ class TestSweepCatalog:
 class TestExperimentCatalog:
     def test_experiments_md_matches_registry(self):
         """docs/EXPERIMENTS.md must be regenerated when the experiment
-        registry changes (python tools/gen_experiment_docs.py)."""
+        registry changes (python tools/gen_docs.py experiments)."""
         page = (REPO / "docs" / "EXPERIMENTS.md").read_text(
             encoding="utf-8")
         assert page == experiments_markdown()
@@ -129,7 +118,7 @@ class TestExperimentCatalog:
     def test_every_experiment_documented(self):
         page = (REPO / "docs" / "EXPERIMENTS.md").read_text(
             encoding="utf-8")
-        for spec in EXPERIMENTS.specs():
+        for spec in EXPERIMENTS.values():
             assert f"## `{spec.name}`" in page
             assert spec.summary in page
             for axis in spec.axes:
@@ -144,13 +133,6 @@ class TestExperimentCatalog:
         assert "pending" in page
         assert "switchpointer.experiment-report/v2" in page
 
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable,
-             str(REPO / "tools" / "gen_experiment_docs.py"), "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
     def test_committed_figures_match_committed_reports(self):
         """results/figures/*.svg must be regenerated when a committed
         report changes (python tools/plot_experiments.py)."""
@@ -161,7 +143,7 @@ class TestExperimentCatalog:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_every_figure_spec_has_a_committed_figure(self):
-        for spec in EXPERIMENTS.specs():
+        for spec in EXPERIMENTS.values():
             if spec.figure is None:
                 continue
             path = REPO / "results" / "figures" / f"{spec.name}.svg"
@@ -182,7 +164,7 @@ class TestWorkloadsPage:
         page = (REPO / "docs" / "WORKLOADS.md").read_text(
             encoding="utf-8")
         for anchor in ("WorkloadSpec", "zipf", "bounded-Pareto",
-                       "bg_flows", "BackgroundTraffic", "plan_naive",
+                       "bg_flows", "BackgroundTraffic", "plan_per_flow",
                        "flows="):
             assert anchor in page
 
@@ -286,7 +268,7 @@ class TestBenchmarksPage:
 class TestLintingPage:
     def test_linting_md_matches_rule_registry(self):
         """docs/LINTING.md must be regenerated when the rule registry
-        changes (python tools/gen_lint_docs.py)."""
+        changes (python tools/gen_docs.py lint)."""
         from tools.reprolint.catalog import rules_markdown
 
         page = (REPO / "docs" / "LINTING.md").read_text(encoding="utf-8")
@@ -300,13 +282,6 @@ class TestLintingPage:
         for spec in RULES.specs():
             assert f"### `{spec.name}`" in page
             assert spec.summary in page
-
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_lint_docs.py"),
-             "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_linked_from_readme_and_architecture(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -324,7 +299,7 @@ class TestDocsDriver:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_driver_covers_every_generator(self):
-        """A new gen_*_docs.py script must join the driver registry."""
+        """A new gen_*docs.py script must join the driver registry."""
         sys.path.insert(0, str(REPO))
         try:
             from tools.check_docs import CHECKS
@@ -332,10 +307,28 @@ class TestDocsDriver:
             sys.path.pop(0)
         driven = {args[0] for _, args in CHECKS}
         generators = {
-            f"tools/{p.name}" for p in (REPO / "tools").glob("gen_*_docs.py")
+            f"tools/{p.name}" for p in (REPO / "tools").glob("gen_*docs.py")
         }
         assert generators <= driven
         assert "tools/check_links.py" in driven
+
+
+class TestDocGenerator:
+    @pytest.mark.parametrize("catalogue", list(gen_docs.CATALOGUES))
+    def test_check_mode_passes(self, catalogue):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "tools" / "gen_docs.py"), "--check",
+             catalogue],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_check_mode_names_every_stale_page(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setattr(gen_docs, "REPO", tmp_path)
+        assert gen_docs.main(["--check"]) == 1
+        err = capsys.readouterr().err
+        for page, _ in gen_docs.CATALOGUES.values():
+            assert page in err
 
 
 class TestArchitecturePage:
@@ -368,10 +361,3 @@ class TestLinkChecker:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "no/such/file.md" in proc.stdout
-
-    def test_generator_check_mode_passes(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_scenario_docs.py"),
-             "--check"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -12,7 +12,7 @@ and sweep registries) and enforced by a blocking CI job::
     python -m tools.reprolint --fix-baseline # accept current violations
 
 The rule catalogue is rendered into ``docs/LINTING.md`` by
-``tools/gen_lint_docs.py`` from the same :class:`RuleSpec` metadata
+``tools/gen_docs.py lint`` from the same :class:`RuleSpec` metadata
 ``--list`` prints — one source of truth, like every other registry.
 
 A violation can be suppressed two ways, both deliberately loud:

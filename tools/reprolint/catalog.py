@@ -15,7 +15,7 @@ _HEADER = """\
 # Linting: the reprolint rule catalogue
 
 <!-- GENERATED FILE - do not edit by hand.
-     Regenerate with: python tools/gen_lint_docs.py -->
+     Regenerate with: python tools/gen_docs.py lint -->
 
 `tools/reprolint` is an AST-based checker for invariants no stock
 linter sees: determinism (simulated time, seeded RNG streams), the
@@ -77,6 +77,6 @@ def rules_markdown() -> str:
         "under `tests/reprolint/fixtures/<rule>/` (the\n"
         "`test_every_rule_has_fixture_coverage` test fails until you\n"
         "do), then regenerate this page:\n"
-        "`python tools/gen_lint_docs.py`.\n"
+        "`python tools/gen_docs.py lint`.\n"
     )
     return "\n".join(parts)

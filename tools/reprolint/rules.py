@@ -48,8 +48,10 @@ SIMULATED_TIME_CORE = (
 
 #: The typed-core subset mypy checks strictly in CI; the ``typed-defs``
 #: rule enforces the same annotation completeness without needing mypy
-#: installed.  Keep in lockstep with the static-analysis CI job.
+#: installed.  ``[tool.mypy] files`` in pyproject.toml is the same list
+#: (tests/reprolint/test_mypy.py holds the two equal).
 TYPED_CORE = (
+    f"{SRC}/registry.py",
     f"{SRC}/sweep",
     f"{SRC}/faults",
     f"{SRC}/analyzer",
@@ -731,8 +733,8 @@ class RegistryCoverage(Rule):
 
     spec = RuleSpec(
         name="registry-coverage",
-        summary="every scenarios/, faults/, sweep/, experiment/ module "
-        "that registers something must be imported by its package "
+        summary="every scenarios/, faults/, sweep/, experiment/, directory/ "
+        "module that registers something must be imported by its package "
         "__init__.py",
         rationale="Registration is an import side effect: a module the "
         "package aggregator never imports simply vanishes — its "
@@ -740,7 +742,7 @@ class RegistryCoverage(Rule):
         "nightly driver, and the generated catalogues, with no error "
         "anywhere.",
         scope="src/repro/scenarios/, src/repro/faults/, "
-        "src/repro/sweep/, src/repro/experiment/",
+        "src/repro/sweep/, src/repro/experiment/, src/repro/directory/",
         pragma=None,
         fix="Import the module from the package __init__.py (the "
         "catalogue aggregator), the way every sibling module is.",
@@ -939,16 +941,16 @@ class TypedDefs(Rule):
 
     spec = RuleSpec(
         name="typed-defs",
-        summary="every function in the typed-core subset (sweep/, "
-        "faults/, analyzer/, directory/, scenarios/base.py, "
+        summary="every function in the typed-core subset (registry.py, "
+        "sweep/, faults/, analyzer/, directory/, scenarios/base.py, "
         "simnet/workload.py) has complete parameter and return "
         "annotations",
         rationale="CI runs mypy over exactly this subset with "
         "disallow_untyped_defs; this rule enforces the same "
         "completeness from the AST, so the gap surfaces in any "
         "environment — including ones without mypy installed.",
-        scope="src/repro/sweep/, src/repro/faults/, "
-        "src/repro/analyzer/, src/repro/directory/, "
+        scope="src/repro/registry.py, src/repro/sweep/, "
+        "src/repro/faults/, src/repro/analyzer/, src/repro/directory/, "
         "src/repro/scenarios/base.py, "
         "src/repro/simnet/workload.py",
         pragma=None,
