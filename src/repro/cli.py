@@ -33,7 +33,6 @@ prints.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -43,8 +42,7 @@ from .core.epoch import EpochRange
 from .core.rng import seed_run
 from .core.sizing import (push_bandwidth_bps, recycling_period_ms,
                           total_switch_memory_bytes)
-from .experiment import (EXPERIMENTS, Experiment, ExperimentError,
-                         validate_experiment_report)
+from .experiment import EXPERIMENTS, Experiment, ExperimentError
 from .faults import FAULTS
 from .scenarios import (REGISTRY, ScenarioError, run_cascades_scenario,
                         run_contention_scenario,
@@ -52,7 +50,7 @@ from .scenarios import (REGISTRY, ScenarioError, run_cascades_scenario,
                         run_red_lights_scenario, run_scenario)
 from .simnet.engine import SimulationError
 from .sweep import (SWEEPS, GridError, Sweep, SweepError, parse_grid,
-                    validate_report, DEFAULT_BASE_SEED)
+                    write_report, DEFAULT_BASE_SEED)
 
 #: Non-scenario commands (the resource-arithmetic calculator).
 SIZING_DESC = "Fig 10/11 resource arithmetic for one (n, alpha, k)"
@@ -190,25 +188,24 @@ def _show_point(point) -> None:
           f"peak_records={point.peak_records}{fresh}  {status}")
 
 
-def _write_report(report, out: Path) -> list[str]:
-    """Validate and persist one SweepReport; returns schema problems."""
-    doc = report.to_json()
-    problems = validate_report(doc)
+def _run_sweep(sweep, out: Path, grid_note: str = "") -> int:
+    """Run one sweep and write its report: 0 every point ok, 1 some
+    point failed, 2 the report was invalid (and not written)."""
+    print(f"sweep {sweep.spec.name}{grid_note}: {len(sweep.params)} "
+          f"points, {sweep.workers} worker(s)")
+    report = sweep.run(on_point=_show_point)
+    problems = write_report(out, report)
+    for problem in problems:
+        print(f"error: invalid report: {problem}", file=sys.stderr)
     if problems:
-        # a structurally invalid report is a bug, not a result
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return problems
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    summary = report.summary()
+        return 2
+    summary = report.summary
     print(f"{summary['ok']}/{summary['points']} points ok "
           f"({summary['errors']} errors, "
           f"{summary['diagnosis_failures']} misdiagnosed) "
           f"in {summary['wall_time_s']:.2f}s")
     print(f"report: {out}")
-    return []
+    return 0 if report.all_ok else 1
 
 
 def cmd_sweep_run(args) -> int:
@@ -219,28 +216,32 @@ def cmd_sweep_run(args) -> int:
         # flows=2000`; argparse hands us one list per flag
         exprs = [expr for group in args.grid for expr in group]
         grid = parse_grid(exprs) if exprs else None
-        extra_points = None
-        if getattr(args, "nightly", False) and grid is None:
-            # registration guarantees every spec declares a nightly grid
-            grid = {axis: list(vals)
-                    for axis, vals in spec.nightly_grid.items()}
-            extra_points = [dict(p) for p in spec.nightly_points]
         sweep = Sweep(spec, grid, workers=args.workers,
                       base_seed=args.seed,
-                      extra_knobs=_parse_knobs(args.knob),
-                      extra_points=extra_points)
+                      extra_knobs=_parse_knobs(args.knob))
     except (SweepError, GridError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    print(f"sweep {spec.name}: {len(sweep.params)} points, "
-          f"{sweep.workers} worker(s)")
-    report = sweep.run(on_point=_show_point)
     out = Path(args.out) if args.out else (
         Path("results") / f"sweep_{spec.name}.json")
-    if _write_report(report, out):
+    return _run_sweep(sweep, out)
+
+
+def _nightly(registry, only: list[str], run_one) -> int:
+    """Run every registered item (or the ``--only`` ones) through
+    ``run_one``, which returns whether the item passed."""
+    try:
+        for name in only:
+            registry.get(name)
+    except registry.error as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if report.all_ok else 1
+    names = [n for n in registry.names() if not only or n in only]
+    failed = [name for name in names if not run_one(registry.get(name))]
+    print(f"nightly: {len(names) - len(failed)}/{len(names)} "
+          f"{registry.kind}s ok"
+          + (f" (failed: {', '.join(failed)})" if failed else ""))
+    return 1 if failed else 0
 
 
 def cmd_sweep_nightly(args) -> int:
@@ -251,44 +252,23 @@ def cmd_sweep_nightly(args) -> int:
     nightly grid) is all it takes to join the scheduled run.  One
     report file per sweep lands under ``--out-dir``.
     """
-    names = SWEEPS.names()
-    if args.only:
+    def run_one(spec) -> bool:
         try:
-            for name in args.only:
-                SWEEPS.get(name)
-        except SweepError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        names = [n for n in names if n in set(args.only)]
-    out_dir = Path(args.out_dir)
-    failed: list[str] = []
-    for name in names:
-        spec = SWEEPS.get(name)
-        grid = {axis: list(vals)
-                for axis, vals in spec.nightly_grid.items()}
-        try:
-            sweep = Sweep(spec, grid, workers=args.workers,
+            sweep = Sweep(spec, spec.nightly_grid, workers=args.workers,
                           base_seed=args.seed,
-                          extra_points=[dict(p)
-                                        for p in spec.nightly_points])
+                          extra_points=list(spec.nightly_points))
         except (SweepError, GridError, ScenarioError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            failed.append(name)
-            continue
+            return False
         nightly = " ".join(f"{axis}={','.join(str(v) for v in vals)}"
-                           for axis, vals in grid.items())
+                           for axis, vals in sweep.grid.items())
         extra = "".join(
             " +" + ",".join(f"{a}={v}" for a, v in point.items())
             for point in spec.nightly_points)
-        print(f"sweep {name} (nightly grid {nightly}{extra}): "
-              f"{len(sweep.params)} points, {sweep.workers} worker(s)")
-        report = sweep.run(on_point=_show_point)
-        out = out_dir / f"sweep_nightly_{name}.json"
-        if _write_report(report, out) or not report.all_ok:
-            failed.append(name)
-    print(f"nightly: {len(names) - len(failed)}/{len(names)} sweeps ok"
-          + (f" (failed: {', '.join(failed)})" if failed else ""))
-    return 1 if failed else 0
+        out = Path(args.out_dir) / f"sweep_nightly_{spec.name}.json"
+        return _run_sweep(sweep, out, f" (nightly grid {nightly}{extra})") == 0
+
+    return _nightly(SWEEPS, args.only, run_one)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +295,23 @@ def _show_run(run, event) -> None:
           f"{params}  seed={run.seed}  [{event}]")
 
 
-def _finish_experiment(experiment, report, out_dir: Path) -> int:
-    """Validate, summarise, and grade one completed (or partial) study."""
+def _execute(experiment, out_dir: Path, **kwargs) -> int:
+    """Run one study into ``out_dir``, then summarise and grade it:
+    0 done (or partial), 1 a run errored, 2 the study failed."""
+    points = len({run.point for run in experiment.runs})
+    print(f"experiment {experiment.spec.name}: {points} point(s) x "
+          f"{experiment.reps} rep(s) = {len(experiment.runs)} runs")
+    try:
+        report = experiment.execute(out_dir, on_run=_show_run, **kwargs)
+    except ExperimentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if report is None:
         done = sum(1 for p in (out_dir / "runs").glob("point*.json"))
         print(f"incomplete: {done}/{len(experiment.runs)} runs on disk; "
               f"re-invoke to finish (report not written)")
         return 0
-    problems = validate_experiment_report(report.to_json())
-    if problems:
-        # a structurally invalid report is a bug, not a result
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return 2
-    summary = report.summary()
+    summary = report.summary
     print(f"{summary['ok_runs']}/{summary['runs']} runs diagnosed "
           f"correctly across {summary['points']} point(s) "
           f"(mean accuracy {summary['mean_accuracy']:.2f}, "
@@ -353,17 +336,8 @@ def cmd_experiment_run(args) -> int:
         return 2
     out_dir = Path(args.out_dir) if args.out_dir else (
         Path("results") / "experiments" / spec.name)
-    points = len({run.point for run in experiment.runs})
-    print(f"experiment {spec.name}: {points} point(s) x "
-          f"{experiment.reps} rep(s) = {len(experiment.runs)} runs")
-    try:
-        report = experiment.execute(out_dir, workers=args.workers,
-                                    max_runs=args.max_runs,
-                                    on_run=_show_run)
-    except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _finish_experiment(experiment, report, out_dir)
+    return _execute(experiment, out_dir, workers=args.workers,
+                    max_runs=args.max_runs)
 
 
 def cmd_experiment_nightly(args) -> int:
@@ -374,38 +348,12 @@ def cmd_experiment_nightly(args) -> int:
     artifact directory (with its ``report.json``) lands per experiment
     under ``--out-dir``.
     """
-    names = EXPERIMENTS.names()
-    if args.only:
-        try:
-            for name in args.only:
-                EXPERIMENTS.get(name)
-        except ExperimentError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        names = [n for n in names if n in set(args.only)]
-    failed: list[str] = []
-    for name in names:
-        spec = EXPERIMENTS.get(name)
+    def run_one(spec) -> bool:
         experiment = Experiment(spec, base_seed=args.seed)
-        out_dir = Path(args.out_dir) / name
-        points = len({run.point for run in experiment.runs})
-        print(f"experiment {name}: {points} point(s) x "
-              f"{experiment.reps} rep(s) = {len(experiment.runs)} runs")
-        try:
-            report = experiment.execute(out_dir, workers=args.workers,
-                                        on_run=_show_run)
-        except ExperimentError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            failed.append(name)
-            continue
-        if _finish_experiment(experiment, report, out_dir) > 1:
-            failed.append(name)
-        elif report is not None and not report.error_free:
-            failed.append(name)
-    print(f"nightly: {len(names) - len(failed)}/{len(names)} "
-          f"experiments ok"
-          + (f" (failed: {', '.join(failed)})" if failed else ""))
-    return 1 if failed else 0
+        out_dir = Path(args.out_dir) / spec.name
+        return _execute(experiment, out_dir, workers=args.workers) == 0
+
+    return _nightly(EXPERIMENTS, args.only, run_one)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="KEY=VALUE",
                      help="pin a scenario knob for every point "
                           "(repeatable)")
-    psr.add_argument("--nightly", action="store_true",
-                     help="use the sweep's reduced nightly grid")
     psn = sweep_sub.add_parser(
         "nightly", help="run every registered sweep at its reduced "
                         "nightly grid (one report per sweep)")

@@ -10,7 +10,9 @@ Public surface:
   ``(point, rep)`` cell with its own collision-free seed, persist a
   resumable artifact directory, aggregate the report.
 * :class:`ExperimentReport` / :func:`validate_experiment_report` — the
-  machine-readable result document CI archives and figures render from.
+  machine-readable result document CI archives and figures render from,
+  declared in the report table shared with sweeps
+  (:mod:`repro.sweep.report`).
 * ``table`` helpers — run-table expansion and canonical seed
   derivation.
 * :func:`figure_svg` — deterministic SVG degradation curves.
@@ -34,6 +36,7 @@ from .report import (
     SCHEMA,
     ExperimentReport,
     PointAggregate,
+    RunArtifact,
     RunRecord,
     aggregate_runs,
     validate_experiment_report,
@@ -59,6 +62,7 @@ __all__ = [
     "FigureSpec",
     "PointAggregate",
     "Run",
+    "RunArtifact",
     "RunRecord",
     "aggregate_runs",
     "canonical_key",

@@ -85,12 +85,16 @@ artifacts), a study interrupted after K of N runs resumes to a
 | `points[]` | per-point aggregates: `accuracy`/`sim_time_s` mean-min-max across reps, error and pending-fault counts |
 | `summary` | run/ok/error/pending counts and mean accuracy across the table |
 
-`repro.experiment.validate_experiment_report` checks the structure
-(unknown fields rejected, aggregate consistency enforced) before any
-report is written or plotted.  Faults scheduled past a run's window
-surface as `pending` in the run's fault plan and are **counted** by
-aggregation, never silently dropped — a mis-specified fault schedule
-shows up in the report instead of vanishing.
+Each field of the report and of every run document is declared once,
+in the report table sweeps share (`repro.sweep.report`), which writes
+and checks it.  `repro.experiment.validate_experiment_report` requires
+every declared field, rejects undeclared ones at every level, and
+enforces the stat triples and summary counts before any report is
+written (an invalid one never is) or plotted; a resumed study names
+the file and field of a malformed run document.  A new field needs a
+new schema string.  Faults scheduled past a run's window surface as
+`pending` in the run's fault plan and are **counted** by aggregation,
+never silently dropped.
 
 ## Figures
 

@@ -1,13 +1,13 @@
 """Machine-readable study results: :class:`ExperimentReport` + schema.
 
 One experiment produces one *artifact directory* (see
-:mod:`repro.experiment.runner`): a manifest, one JSON document per
-``(point, rep)`` run, and a final ``report.json`` aggregating the runs
-into per-point curves.  This module owns the report side: the
-deterministic per-run record, the per-point aggregate (mean/min/max
-accuracy and timing across repetitions), and the hand-rolled structural
-validator (no third-party schema dependency, same idiom as
-``repro.sweep.report``).
+:mod:`repro.experiment.runner`): a manifest, one :class:`RunArtifact`
+document per ``(point, rep)`` run, and a final ``report.json``
+aggregating the runs into per-point curves.  This module owns the
+report side — the persisted run, the deterministic per-run record, the
+per-point aggregate (mean/min/max accuracy and timing across
+repetitions) — declared in the report table of
+:mod:`repro.sweep.report`, which derives every writer and validator.
 
 **Determinism contract.**  Everything in the report derives from the
 run seeds alone — diagnosis outcomes, simulated time, record counts —
@@ -21,63 +21,29 @@ as an uninterrupted one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, ClassVar, Optional
+
+from ..sweep.report import PointResult, Record, col, derived, validate
 
 SCHEMA = "switchpointer.experiment-report/v2"
 RUN_SCHEMA = "switchpointer.experiment-run/v1"
 MANIFEST_SCHEMA = "switchpointer.experiment-manifest/v1"
 
-#: required per-run fields → allowed JSON types
-_RUN_FIELDS: dict[str, tuple[type, ...]] = {
-    "point": (int,),
-    "rep": (int,),
-    "params": (dict,),
-    "seed": (int,),
-    "ok": (bool,),
-    "diagnosis_ok": (bool,),
-    "problems": (list,),
-    "suspects": (list,),
-    "sim_time_s": (int, float),
-    "diagnosis_latency_sim_s": (int, float),
-    "freshness": (int,),
-    "flow_count": (int,),
-    "peak_records": (int,),
-    "pending_faults": (int,),
-    "error": (str, type(None)),
-}
 
-#: required per-point aggregate fields → allowed JSON types
-_POINT_FIELDS: dict[str, tuple[type, ...]] = {
-    "point": (int,),
-    "params": (dict,),
-    "knobs": (dict,),
-    "reps": (int,),
-    "accuracy": (dict,),
-    "sim_time_s": (dict,),
-    "diagnosis_latency_sim_s": (dict,),
-    "freshness": (dict,),
-    "errors": (int,),
-    "pending_faults": (int,),
-    "peak_records": (int,),
-}
+@dataclass(slots=True)
+class RunArtifact(Record):
+    """One persisted ``(point, rep)`` run: its table identity and the
+    full :class:`PointResult`, wall-clock timings included."""
 
-_TOP_FIELDS: dict[str, tuple[type, ...]] = {
-    "schema": (str,),
-    "experiment": (str,),
-    "sweep": (str,),
-    "scenario": (str,),
-    "expect_problem": (str,),
-    "base_seed": (int,),
-    "reps": (int,),
-    "grid": (dict,),
-    "runs": (list,),
-    "points": (list,),
-    "summary": (dict,),
-}
+    SCHEMA: ClassVar[Optional[str]] = RUN_SCHEMA
 
-#: the mean/min/max triple every aggregate statistic carries
-_STAT_KEYS = ("mean", "min", "max")
+    experiment: str = col(str)
+    point: int = col(int)
+    rep: int = col(int)
+    params: dict[str, Any] = col(dict)
+    seed: int = col(int)
+    result: PointResult = col(dict, record=PointResult)
 
 
 def _count_pending(result: dict[str, Any]) -> int:
@@ -88,44 +54,40 @@ def _count_pending(result: dict[str, Any]) -> int:
     composed fault); counting it here is what keeps such faults from
     silently vanishing out of a study's aggregates.
     """
-    lines = result.get("measurements", {}).get("fault_plan", [])
+    lines = result["measurements"].get("fault_plan", [])
     return sum(1 for line in lines if str(line).endswith("[pending]"))
 
 
-@dataclass
-class RunRecord:
+@dataclass(slots=True)
+class RunRecord(Record):
     """The deterministic (seed-derived) subset of one run's outcome."""
 
-    point: int
-    rep: int
-    params: dict[str, Any]
-    seed: int
-    diagnosis_ok: bool = False
-    problems: list[str] = field(default_factory=list)
-    suspects: list[str] = field(default_factory=list)
-    sim_time_s: float = 0.0
-    diagnosis_latency_sim_s: float = 0.0
-    freshness: int = 0
-    flow_count: int = 0
-    peak_records: int = 0
-    pending_faults: int = 0
+    point: int = col(int)
+    rep: int = col(int)
+    params: dict[str, Any] = col(dict)
+    seed: int = col(int)
+    diagnosis_ok: bool = col(bool, default=False)
+    problems: list[str] = col(list, factory=list)
+    suspects: list[str] = col(list, factory=list)
+    sim_time_s: float = col(int, float, digits=9, default=0.0)
+    diagnosis_latency_sim_s: float = col(int, float, digits=9, default=0.0)
+    freshness: int = col(int, default=0)
+    flow_count: int = col(int, default=0)
+    peak_records: int = col(int, default=0)
+    pending_faults: int = col(int, default=0)
     #: sketch-directory false-positive rate over the run's pointer
-    #: queries (0.0 for the exact backend and pre-directory artifacts;
-    #: optional in the schema so older committed reports stay valid)
-    directory_fpr: float = 0.0
-    error: Optional[str] = None
+    #: queries (0.0 for the exact backend)
+    directory_fpr: float = col(int, float, digits=6, default=0.0)
+    error: Optional[str] = col(str, None, default=None)
 
-    @property
+    @derived(bool)
     def ok(self) -> bool:
         return self.error is None and self.diagnosis_ok
 
     @classmethod
-    def from_artifact(cls, doc: dict[str, Any]) -> "RunRecord":
-        """Extract the record from one persisted run document.
-
-        The artifact keeps the full ``PointResult`` payload (wall-clock
-        timings included); only the seed-determined fields cross into
-        the report.
+    def from_artifact(cls, doc: dict[str, Any]) -> RunRecord:
+        """Extract the record from one validated :class:`RunArtifact`
+        document: only the seed-determined fields cross into the report.
         """
         result = doc["result"]
         return cls(
@@ -137,68 +99,53 @@ class RunRecord:
             problems=list(result["problems"]),
             suspects=list(result["suspects"]),
             sim_time_s=result["sim_time_s"],
-            # absent from pre-v3 sweep payloads (offline-only diagnosis)
-            diagnosis_latency_sim_s=result.get(
-                "diagnosis_latency_sim_s", 0.0),
-            freshness=result.get("freshness", 0),
+            diagnosis_latency_sim_s=result["diagnosis_latency_sim_s"],
+            freshness=result["freshness"],
             flow_count=result["flow_count"],
             peak_records=result["peak_records"],
             pending_faults=_count_pending(result),
-            directory_fpr=result.get("measurements", {}).get(
-                "directory_fpr", 0.0),
+            # an errored run measured nothing
+            directory_fpr=result["measurements"].get("directory_fpr", 0.0),
             error=result["error"],
         )
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "point": self.point,
-            "rep": self.rep,
-            "params": dict(self.params),
-            "seed": self.seed,
-            "ok": self.ok,
-            "diagnosis_ok": self.diagnosis_ok,
-            "problems": list(self.problems),
-            "suspects": list(self.suspects),
-            "sim_time_s": round(self.sim_time_s, 9),
-            "diagnosis_latency_sim_s": round(self.diagnosis_latency_sim_s, 9),
-            "freshness": self.freshness,
-            "flow_count": self.flow_count,
-            "peak_records": self.peak_records,
-            "pending_faults": self.pending_faults,
-            "directory_fpr": round(self.directory_fpr, 6),
-            "error": self.error,
-        }
+
+@dataclass(slots=True)
+class Stats(Record):
+    """One statistic across a point's repetitions."""
+
+    mean: float = col(int, float)
+    min: float = col(int, float)
+    max: float = col(int, float)
 
 
-def _stats(values: list[float], digits: int) -> dict[str, float]:
-    return {
-        "mean": round(sum(values) / len(values), digits),
-        "min": round(min(values), digits),
-        "max": round(max(values), digits),
-    }
+def _stats(values: list[float], digits: int) -> Stats:
+    return Stats(
+        mean=round(sum(values) / len(values), digits),
+        min=round(min(values), digits),
+        max=round(max(values), digits),
+    )
 
 
-@dataclass
-class PointAggregate:
+@dataclass(slots=True)
+class PointAggregate(Record):
     """One grid point's statistics across its repetitions."""
 
-    point: int
-    params: dict[str, Any]
-    knobs: dict[str, Any]
-    reps: int
-    accuracy: dict[str, float]
-    sim_time_s: dict[str, float]
-    diagnosis_latency_sim_s: dict[str, float]
-    freshness: dict[str, float]
-    directory_fpr: dict[str, float]
-    errors: int
-    pending_faults: int
-    peak_records: int
+    point: int = col(int, ordinal=True)
+    params: dict[str, Any] = col(dict)
+    knobs: dict[str, Any] = col(dict)
+    reps: int = col(int)
+    accuracy: Stats = col(dict, record=Stats)
+    sim_time_s: Stats = col(dict, record=Stats)
+    diagnosis_latency_sim_s: Stats = col(dict, record=Stats)
+    freshness: Stats = col(dict, record=Stats)
+    directory_fpr: Stats = col(dict, record=Stats)
+    errors: int = col(int)
+    pending_faults: int = col(int)
+    peak_records: int = col(int)
 
     @classmethod
-    def from_runs(
-        cls, runs: list[RunRecord], knobs: dict[str, Any]
-    ) -> "PointAggregate":
+    def from_runs(cls, runs: list[RunRecord], knobs: dict[str, Any]) -> PointAggregate:
         return cls(
             point=runs[0].point,
             params=dict(runs[0].params),
@@ -216,37 +163,24 @@ class PointAggregate:
             peak_records=max(r.peak_records for r in runs),
         )
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "point": self.point,
-            "params": dict(self.params),
-            "knobs": dict(self.knobs),
-            "reps": self.reps,
-            "accuracy": dict(self.accuracy),
-            "sim_time_s": dict(self.sim_time_s),
-            "diagnosis_latency_sim_s": dict(self.diagnosis_latency_sim_s),
-            "freshness": dict(self.freshness),
-            "directory_fpr": dict(self.directory_fpr),
-            "errors": self.errors,
-            "pending_faults": self.pending_faults,
-            "peak_records": self.peak_records,
-        }
 
-
-@dataclass
-class ExperimentReport:
+@dataclass(slots=True)
+class ExperimentReport(Record):
     """Everything one study produced, JSON-serializable."""
 
-    experiment: str
-    sweep: str
-    scenario: str
-    expect_problem: str
-    base_seed: int
-    reps: int
-    grid: dict[str, list[Any]]
-    runs: list[RunRecord] = field(default_factory=list)
-    points: list[PointAggregate] = field(default_factory=list)
+    SCHEMA: ClassVar[Optional[str]] = SCHEMA
 
+    experiment: str = col(str)
+    sweep: str = col(str)
+    scenario: str = col(str)
+    expect_problem: str = col(str)
+    base_seed: int = col(int)
+    reps: int = col(int)
+    grid: dict[str, list[Any]] = col(dict)
+    runs: list[RunRecord] = col(list, record=RunRecord, factory=list)
+    points: list[PointAggregate] = col(list, record=PointAggregate, factory=list)
+
+    @derived(dict)
     def summary(self) -> dict[str, Any]:
         oks = sum(1 for r in self.runs if r.ok)
         return {
@@ -266,21 +200,6 @@ class ExperimentReport:
         degradation study's stressed points are expected to misdiagnose;
         only exceptions make a study invalid."""
         return all(r.error is None for r in self.runs)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA,
-            "experiment": self.experiment,
-            "sweep": self.sweep,
-            "scenario": self.scenario,
-            "expect_problem": self.expect_problem,
-            "base_seed": self.base_seed,
-            "reps": self.reps,
-            "grid": {axis: list(vals) for axis, vals in self.grid.items()},
-            "runs": [r.to_json() for r in self.runs],
-            "points": [p.to_json() for p in self.points],
-            "summary": self.summary(),
-        }
 
 
 def aggregate_runs(
@@ -306,9 +225,7 @@ def aggregate_runs(
     by_point: dict[int, list[RunRecord]] = {}
     for record in records:
         by_point.setdefault(record.point, []).append(record)
-    knobs_by_point = {
-        doc["point"]: doc["result"]["knobs"] for doc in artifacts
-    }
+    knobs_by_point = {doc["point"]: doc["result"]["knobs"] for doc in artifacts}
     points = [
         PointAggregate.from_runs(by_point[point], knobs_by_point[point])
         for point in sorted(by_point)
@@ -326,92 +243,6 @@ def aggregate_runs(
     )
 
 
-def _type_name(types: tuple[type, ...]) -> str:
-    return "/".join("null" if t is type(None) else t.__name__ for t in types)
-
-
-def _bad_type(value: Any, types: tuple[type, ...]) -> bool:
-    # bool is an int subclass in Python but not in the JSON-schema sense
-    if isinstance(value, bool) and bool not in types:
-        return True
-    return not isinstance(value, types)
-
-
-def _check_stats(owner: str, name: str, value: Any) -> list[str]:
-    if not isinstance(value, dict):
-        return [f"{owner}.{name} must be a mean/min/max object"]
-    errors = []
-    for key in _STAT_KEYS:
-        if key not in value:
-            errors.append(f"{owner}.{name} missing {key!r}")
-        elif _bad_type(value[key], (int, float)):
-            errors.append(f"{owner}.{name}.{key} must be int/float")
-    for key in value:
-        if key not in _STAT_KEYS:
-            errors.append(f"{owner}.{name} has unknown stat {key!r}")
-    return errors
-
-
 def validate_experiment_report(doc: Any) -> list[str]:
-    """Structural schema check; returns a list of problems (empty = valid)."""
-    if not isinstance(doc, dict):
-        return [f"report must be an object, got {type(doc).__name__}"]
-    errors = []
-    for name, types in _TOP_FIELDS.items():
-        if name not in doc:
-            errors.append(f"missing field {name!r}")
-        elif _bad_type(doc[name], types):
-            errors.append(f"field {name!r} must be {_type_name(types)}")
-    for name in doc:
-        # a typo in a hand-edited report must not pass silently
-        if name not in _TOP_FIELDS:
-            errors.append(
-                f"unknown top-level field {name!r} "
-                f"(allowed: {', '.join(sorted(_TOP_FIELDS))})"
-            )
-    if errors:
-        return errors
-    if doc["schema"] != SCHEMA:
-        return [f"unknown schema {doc['schema']!r} (expected {SCHEMA!r})"]
-    for axis, values in doc["grid"].items():
-        if not isinstance(values, list) or not values:
-            errors.append(f"grid axis {axis!r} must be a non-empty list")
-    for i, run in enumerate(doc["runs"]):
-        if not isinstance(run, dict):
-            errors.append(f"runs[{i}] must be an object")
-            continue
-        for name, types in _RUN_FIELDS.items():
-            if name not in run:
-                errors.append(f"runs[{i}] missing field {name!r}")
-            elif _bad_type(run[name], types):
-                errors.append(f"runs[{i}].{name} must be {_type_name(types)}")
-    for i, point in enumerate(doc["points"]):
-        if not isinstance(point, dict):
-            errors.append(f"points[{i}] must be an object")
-            continue
-        for name, types in _POINT_FIELDS.items():
-            if name not in point:
-                errors.append(f"points[{i}] missing field {name!r}")
-            elif _bad_type(point[name], types):
-                errors.append(
-                    f"points[{i}].{name} must be {_type_name(types)}"
-                )
-        # directory_fpr is optional (absent from pre-directory reports)
-        # but must be a well-formed stat triple when present
-        for stat in ("accuracy", "sim_time_s",
-                     "diagnosis_latency_sim_s", "freshness",
-                     "directory_fpr"):
-            if isinstance(point.get(stat), dict):
-                errors.extend(_check_stats(f"points[{i}]", stat, point[stat]))
-    summary = doc["summary"]
-    if isinstance(summary.get("runs"), int):
-        if summary["runs"] != len(doc["runs"]):
-            errors.append("summary.runs disagrees with len(runs)")
-    else:
-        errors.append("summary.runs must be int")
-    if isinstance(summary.get("points"), int):
-        if summary["points"] != len(doc["points"]):
-            errors.append("summary.points disagrees with len(points)")
-    else:
-        errors.append("summary.points must be int")
-    return errors
+    """Structural check of an ExperimentReport document; [] = valid."""
+    return validate(ExperimentReport, doc)

@@ -2,9 +2,9 @@
 
 :class:`Experiment` expands an :class:`~repro.experiment.registry.
 ExperimentSpec` into its run table (``table.py``), executes every
-``(point, rep)`` cell through the existing sweep machinery
-(:func:`repro.sweep.execute_point` — same payload, same replay
-contract), and persists one artifact directory per study:
+``(point, rep)`` cell through the sweep's cell runner
+(:func:`repro.sweep.run_cells` — same cell, same replay contract), and
+persists one artifact directory per study:
 
     <dir>/manifest.json            # table identity (refuses mismatches)
     <dir>/runs/point000_rep00.json # one document per completed run
@@ -13,7 +13,8 @@ contract), and persists one artifact directory per study:
 Runs land on disk as they finish (written to a temp name, then
 ``os.replace``\\ d, so a kill mid-write leaves no half document).  On
 re-invocation every intact run document whose seed matches the table is
-reused untouched and only the missing cells execute — an interrupted
+checked against the :class:`~repro.experiment.report.RunArtifact` table
+and reused untouched, and only the missing cells execute — an interrupted
 study resumes, and because the report aggregates only seed-determined
 fields, the resumed ``report.json`` is byte-identical to an
 uninterrupted one.
@@ -26,18 +27,17 @@ still missing gets no report until a later invocation completes it.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from ..sweep import DEFAULT_BASE_SEED, PointResult, SweepSpec, execute_point
+from ..sweep import DEFAULT_BASE_SEED, PointResult, SweepSpec, expand_grid, run_cells
+from ..sweep.report import write_json, write_report
 from .registry import ExperimentError, ExperimentSpec
 from .report import (
-    ExperimentReport,
     MANIFEST_SCHEMA,
     RUN_SCHEMA,
+    ExperimentReport,
+    RunArtifact,
     aggregate_runs,
 )
 from .table import Run, expand_run_table
@@ -45,18 +45,6 @@ from .table import Run, expand_run_table
 #: ``on_run`` progress events.
 RESUMED = "resumed"
 EXECUTED = "executed"
-
-
-def _dump(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _write_atomic(path: Path, doc: dict[str, Any]) -> None:
-    """Write-then-rename so an interrupted write never leaves a document
-    the resume scan would mistake for a completed run."""
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(_dump(doc), encoding="utf-8")
-    os.replace(tmp, path)
 
 
 class Experiment:
@@ -75,11 +63,8 @@ class Experiment:
 
         self.spec = spec
         self.sweep: SweepSpec = SWEEPS.get(spec.sweep)
-        self.grid = (
-            {axis: list(vals) for axis, vals in spec.axes.items()}
-            if grid is None
-            else grid
-        )
+        axes: dict[str, Any] = spec.axes if grid is None else grid
+        self.grid = {axis: list(vals) for axis, vals in axes.items()}
         for axis in self.grid:
             if axis not in self.sweep.axes:
                 raise ExperimentError(
@@ -91,27 +76,16 @@ class Experiment:
         if self.reps < 1:
             raise ExperimentError(f"reps must be >= 1, got {self.reps}")
         self.base_seed = base_seed
-        self.extra_knobs = dict(extra_knobs or {})
-        swept = {self.sweep.axes[axis] for axis in self.grid}
-        clash = swept & set(self.extra_knobs)
-        if clash:
-            raise ExperimentError(
-                f"--knob would silently override swept axis knob(s) "
-                f"{sorted(clash)}; drop the knob or the axis"
-            )
         self.runs: list[Run] = expand_run_table(
             self.grid, self.reps, base_seed
         )
-        # resolve every cell's knobs up front: an invalid table fails
+        # resolve every point's knobs up front: an invalid table fails
         # before any run burns wall time (sweep-runner posture)
-        self.knobs: dict[int, dict[str, Any]] = {}
-        for run in self.runs:
-            if run.point in self.knobs:
-                continue
-            knobs = self.sweep.knobs_for(run.params)
-            knobs.update(self.spec.base_knobs)
-            knobs.update(self.extra_knobs)
-            self.knobs[run.point] = knobs
+        self.knobs = self.sweep.resolve_knobs(
+            expand_grid(self.grid),
+            {**spec.base_knobs, **(extra_knobs or {})},
+            ExperimentError,
+        )
 
     # -- artifact layout ----------------------------------------------------
 
@@ -128,7 +102,7 @@ class Experiment:
             "scenario": self.sweep.scenario,
             "base_seed": self.base_seed,
             "reps": self.reps,
-            "grid": {axis: list(vals) for axis, vals in self.grid.items()},
+            "grid": self.grid,
             "runs": len(self.runs),
         }
 
@@ -146,10 +120,11 @@ class Experiment:
                 )
         else:
             out_dir.mkdir(parents=True, exist_ok=True)
-            _write_atomic(path, manifest)
+            write_json(path, manifest)
 
     def _load_completed(self, runs_dir: Path) -> dict[int, dict[str, Any]]:
-        """Intact artifacts by run index; mismatches fail loudly."""
+        """Intact artifacts by run index; foreign or malformed ones fail
+        loudly, naming the file."""
         completed: dict[int, dict[str, Any]] = {}
         for run in self.runs:
             path = runs_dir / self.run_filename(run)
@@ -162,7 +137,8 @@ class Experiment:
                 # or a truncated copy: treat as not-yet-run
                 continue
             if (
-                doc.get("schema") != RUN_SCHEMA
+                not isinstance(doc, dict)
+                or doc.get("schema") != RUN_SCHEMA
                 or doc.get("seed") != run.seed
                 or doc.get("params") != run.params
             ):
@@ -171,40 +147,13 @@ class Experiment:
                     f"seed {run.seed}, params {run.params}) — stale "
                     f"artifact from another study?"
                 )
+            problems = RunArtifact.check(doc, "")
+            if problems:
+                raise ExperimentError(
+                    f"{path} is a malformed run artifact: {'; '.join(problems)}"
+                )
             completed[run.index] = doc
         return completed
-
-    def _artifact(self, run: Run, result: PointResult) -> dict[str, Any]:
-        return {
-            "schema": RUN_SCHEMA,
-            "experiment": self.spec.name,
-            "point": run.point,
-            "rep": run.rep,
-            "params": dict(run.params),
-            "seed": run.seed,
-            "result": result.to_json(),
-        }
-
-    def _payload(self, run: Run) -> tuple:
-        return (
-            self.sweep.scenario,
-            self.knobs[run.point],
-            run.seed,
-            self.sweep.expect_problem,
-            self._expect_suspect(self.knobs[run.point]),
-            run.index,
-            run.params,
-        )
-
-    def _expect_suspect(self, knobs: dict[str, Any]) -> Optional[str]:
-        knob = self.sweep.expect_suspect_knob
-        if knob is None:
-            return None
-        if knob in knobs:
-            return knobs[knob]
-        from ..scenarios import REGISTRY
-
-        return REGISTRY.get(self.sweep.scenario).spec.knobs[knob].default
 
     # -- execution ----------------------------------------------------------
 
@@ -219,8 +168,10 @@ class Experiment:
         """Run every missing cell; aggregate once the table is complete.
 
         Returns the :class:`ExperimentReport` (also written to
-        ``report.json``) when all runs exist, or ``None`` when
-        ``max_runs`` stopped the invocation with cells still missing.
+        ``report.json``, unless it fails its schema: then nothing is
+        written and :class:`ExperimentError` names the problems) when
+        all runs exist, or ``None`` when ``max_runs`` stopped the
+        invocation with cells still missing.
         ``on_run`` observes each cell with :data:`RESUMED` or
         :data:`EXECUTED` as it is accounted for.
         """
@@ -238,46 +189,28 @@ class Experiment:
         if max_runs is not None:
             todo = todo[:max_runs]
 
-        def record(run: Run, result: PointResult) -> None:
-            doc = self._artifact(run, result)
-            _write_atomic(runs_dir / self.run_filename(run), doc)
+        def record(result: PointResult) -> None:
+            run = self.runs[result.index]
+            doc = RunArtifact(
+                experiment=self.spec.name,
+                point=run.point,
+                rep=run.rep,
+                params=run.params,
+                seed=run.seed,
+                result=result,
+            ).to_json()
+            write_json(runs_dir / self.run_filename(run), doc)
             completed[run.index] = doc
             if on_run is not None:
                 on_run(run, EXECUTED)
 
-        if workers == 1 or len(todo) <= 1:
-            for run in todo:
-                record(run, execute_point(self._payload(run)))
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
+        cells = [
+            self.sweep.cell(
+                run.index, run.params, self.knobs[run.point], run.seed
             )
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(todo)), mp_context=ctx
-            ) as pool:
-                futures = {
-                    pool.submit(execute_point, self._payload(run)): run
-                    for run in todo
-                }
-                for future in as_completed(futures):
-                    run = futures[future]
-                    try:
-                        result = future.result()
-                    except Exception as exc:  # noqa: BLE001 - a dead
-                        # worker's cell becomes an errored run, exactly
-                        # like a point that raised in-process
-                        result = PointResult(
-                            index=run.index,
-                            params=run.params,
-                            knobs=self.knobs[run.point],
-                            seed=run.seed,
-                            error=(
-                                f"worker died: {type(exc).__name__}: {exc}"
-                            ),
-                        )
-                    record(run, result)
-
+            for run in todo
+        ]
+        run_cells(cells, workers, record)
         if len(completed) < len(self.runs):
             return None
         report = aggregate_runs(
@@ -290,5 +223,7 @@ class Experiment:
             grid=self.grid,
             artifacts=[completed[run.index] for run in self.runs],
         )
-        _write_atomic(out_dir / "report.json", report.to_json())
+        problems = write_report(out_dir / "report.json", report)
+        if problems:
+            raise ExperimentError("invalid report: " + "; ".join(problems))
         return report

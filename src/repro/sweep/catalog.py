@@ -75,8 +75,10 @@ expands **every registered sweep** at its reduced nightly grid and
 writes one `sweep_nightly_<name>.json` report per sweep — the
 registry-driven replacement for hard-coding one CI step per sweep.
 Registration requires a nightly grid, so a new sweep joins the
-scheduled CI run (and its artifact upload) automatically.  Exit status
-is non-zero if any sweep had an errored or misdiagnosed point.
+scheduled CI run (and its artifact upload) automatically.  `--only
+NAME` (repeatable) runs just the named sweeps — the way to run one
+sweep at its nightly grid.  Exit status is non-zero if any sweep had an
+errored or misdiagnosed point.
 
 ## Report schema (`{schema}`)
 
@@ -99,11 +101,13 @@ scenario knobs), `seed`, `ok` / `diagnosis_ok`, `problems` / `suspects`
 footprint), `ingest_records_per_s` (decoded packets folded into host
 record tables per wall-clock second of the run phase), scenario
 `measurements`, and `error` (null unless the point raised).
-`repro.sweep.validate_report` checks the structure — including
-rejecting unknown top-level fields, so a typo in a hand-edited report
-fails loudly — and the CI benchmark-regression gate
-(`tools/check_bench_regression.py`) validates before trusting any
-number.
+
+Each field is declared once, in the report table experiments share
+(`repro.sweep.report`): `repro.sweep.validate_report` requires every
+declared field and rejects undeclared ones at every level, naming the
+allowed fields.  An invalid report is never written; a new field needs
+a new schema string.  The CI benchmark-regression gate
+(`tools/check_bench_regression.py`) validates before trusting a number.
 """
 
 

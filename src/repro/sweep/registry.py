@@ -34,6 +34,12 @@ class SweepError(Exception):
     """Raised for registry misuse or invalid sweep parameters."""
 
 
+#: One runnable cell of a sweep or run table, picklable for pool
+#: workers: (scenario, knobs, seed, expect_problem, expect_suspect,
+#: index, params).
+Cell = tuple[str, dict, int, str, Optional[str], int, dict]
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Sweep metadata for one registered sweep.
@@ -109,6 +115,60 @@ class SweepSpec:
                 )
             knobs[knob] = value
         return knobs
+
+    def resolve_knobs(
+        self,
+        points: list[dict[str, Any]],
+        pins: dict[str, Any],
+        error: type[Exception],
+    ) -> list[dict[str, Any]]:
+        """Every point's scenario knobs: its axis values, then ``pins``.
+
+        A pin on a knob some point sweeps would run every point at the
+        pinned value while the report claims the swept ones, so it
+        raises ``error`` (the caller's own class) naming the clash.
+        """
+        swept = {
+            self.axes[axis] for point in points for axis in point if axis in self.axes
+        }
+        clash = swept & set(pins)
+        if clash:
+            raise error(
+                f"--knob would silently override swept axis knob(s) "
+                f"{sorted(clash)}; drop the knob or the axis"
+            )
+        return [{**self.knobs_for(point), **pins} for point in points]
+
+    def cell(
+        self, index: int, params: dict[str, Any], knobs: dict[str, Any], seed: int
+    ) -> Cell:
+        """One runnable cell: the scenario at ``knobs`` and ``seed``,
+        with the verdict a correct run must reach."""
+        return (
+            self.scenario,
+            knobs,
+            seed,
+            self.expect_problem,
+            self._expect_suspect(knobs),
+            index,
+            params,
+        )
+
+    def _expect_suspect(self, knobs: dict[str, Any]) -> Optional[str]:
+        """The suspect a correct run must name, if the spec demands one.
+
+        Resolved from the run's knobs, falling back to the scenario's
+        declared default — a run never overrides the fault site
+        without the expectation following it.
+        """
+        knob = self.expect_suspect_knob
+        if knob is None:
+            return None
+        if knob in knobs:
+            return knobs[knob]
+        from ..scenarios import REGISTRY
+
+        return REGISTRY.get(self.scenario).spec.knobs[knob].default
 
     @property
     def cli_example(self) -> str:

@@ -1,24 +1,20 @@
-"""The sweep runner: a parameter grid × a scenario, in parallel.
+"""The cell runner, and the sweep on top of it: a grid × a scenario.
 
-:class:`Sweep` expands a grid (``grid.py``) against a registered
-:class:`~repro.sweep.registry.SweepSpec`, executes every point through
-the four-phase scenario protocol, and aggregates the outcomes into one
-:class:`~repro.sweep.report.SweepReport`.
-
-Execution model: grid points are independent experiments, so they run
+:func:`run_cells` is the one executor behind sweeps and experiment run
+tables.  A cell (:data:`~repro.sweep.registry.Cell`) is one scenario
+execution at fixed knobs and seed; cells are independent, so they run
 in ``multiprocessing`` workers (forked where available, spawned
-otherwise), one point per task, results streamed back as they finish.
-Each point gets a stable per-point seed (``grid.point_seed``) applied
-before the scenario builds, so any point can be reproduced as a single
-run — ``cli run <scenario> --seed <point seed> --knob ...`` with the
-point's recorded knobs — bit-for-bit, which is what the sweep
-integration test asserts.  ``workers=1`` runs points inline in-process
-(no pool), the right mode for tests and one-core CI runners.
+otherwise), one per task, results streamed back as they finish, or
+inline with ``workers=1`` (tests, one-core CI runners).  Workers return
+plain :class:`PointResult` payloads — never the huge, unpicklable
+network or deployment objects.  A cell that raises, or whose worker
+dies, becomes an errored result; it never takes the run down.
 
-Workers return plain :class:`PointResult` payloads — never the network
-or deployment objects, which are both huge and unpicklable at
-thousand-host scale.  A point that raises is reported as an errored
-point (``error`` set, ``ok`` false); it never takes the sweep down.
+:class:`Sweep` expands a grid against a registered
+:class:`~repro.sweep.registry.SweepSpec` into cells with stable
+per-point seeds (``grid.point_seed``), so any point replays bit-for-bit
+as a single run — ``cli run <scenario> --seed <point seed> --knob ...``
+— and aggregates them into a :class:`~repro.sweep.report.SweepReport`.
 """
 
 from __future__ import annotations
@@ -31,17 +27,14 @@ from typing import Any, Callable, Optional
 
 from ..core.rng import seed_run
 from .grid import GridError, expand_grid, point_seed
-from .registry import SweepSpec
+from .registry import Cell, SweepSpec
 from .report import PointResult, SweepReport
 
 DEFAULT_BASE_SEED = 1729
 
-#: (scenario, knobs, seed, expect_problem, expect_suspect, index, params)
-_PointPayload = tuple[str, dict, int, str, Optional[str], int, dict]
 
-
-def execute_point(payload: _PointPayload) -> PointResult:
-    """Run one grid point; the multiprocessing task function."""
+def execute_point(payload: Cell) -> PointResult:
+    """Run one cell; the process-pool task function."""
     scenario, knobs, seed, expect_problem, expect_suspect, index, params = payload
     result = PointResult(index=index, params=params, knobs=knobs, seed=seed)
     seed_run(seed)
@@ -91,13 +84,64 @@ def default_workers(n_points: int) -> int:
     return max(1, min(n_points, os.cpu_count() or 1))
 
 
+def run_cells(
+    cells: list[Cell],
+    workers: int,
+    on_result: Optional[Callable[[PointResult], None]] = None,
+) -> list[PointResult]:
+    """Run every cell; returns one :class:`PointResult` per cell, in order.
+
+    ``workers=1`` (or a single cell) runs inline; otherwise the cells go
+    to a process pool, one cell per task.  ``on_result`` observes each
+    result as it lands — sweeps print progress from it, experiments
+    persist each run from it.
+    """
+    results: list[PointResult] = []
+
+    def land(result: PointResult) -> None:
+        results.append(result)
+        if on_result is not None:
+            on_result(result)
+
+    if workers == 1 or len(cells) <= 1:
+        for cell in cells:
+            land(execute_point(cell))
+    else:
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        # ProcessPoolExecutor (not multiprocessing.Pool) so a worker
+        # killed outright — OOM, signal — surfaces as BrokenProcessPool
+        # on its future instead of hanging forever; the dead worker's
+        # cell (and any aborted with it) becomes an errored result like
+        # any other failure
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(cells)), mp_context=ctx
+        ) as pool:
+            futures = {pool.submit(execute_point, cell): cell for cell in cells}
+            for future in as_completed(futures):
+                try:
+                    result = future.result()
+                except Exception as exc:  # noqa: BLE001
+                    _, knobs, seed, _, _, index, params = futures[future]
+                    result = PointResult(
+                        index=index,
+                        params=params,
+                        knobs=knobs,
+                        seed=seed,
+                        error=f"worker died: {type(exc).__name__}: {exc}",
+                    )
+                land(result)
+    results.sort(key=lambda r: r.index)
+    return results
+
+
 class Sweep:
     """One scenario swept across a parameter grid."""
 
     def __init__(
         self,
         spec: SweepSpec,
-        grid: Optional[dict[str, list[Any]]] = None,
+        grid: Optional[dict[str, Any]] = None,
         *,
         workers: Optional[int] = None,
         base_seed: int = DEFAULT_BASE_SEED,
@@ -105,23 +149,9 @@ class Sweep:
         extra_points: Optional[list[dict[str, Any]]] = None,
     ):
         self.spec = spec
-        self.grid = (
-            {axis: list(vals) for axis, vals in spec.default_grid.items()}
-            if grid is None
-            else grid
-        )
+        axes: dict[str, Any] = spec.default_grid if grid is None else grid
+        self.grid = {axis: list(vals) for axis, vals in axes.items()}
         self.base_seed = base_seed
-        self.extra_knobs = dict(extra_knobs or {})
-        swept_axes = set(self.grid) | {
-            axis for point in (extra_points or []) for axis in point
-        }
-        swept = {spec.axes[axis] for axis in swept_axes if axis in spec.axes}
-        clash = swept & set(self.extra_knobs)
-        if clash:
-            raise GridError(
-                f"--knob would silently override swept axis knob(s) "
-                f"{sorted(clash)}; drop the knob or the axis"
-            )
         # explicit points ride along after the cartesian expansion —
         # combined top-end points (hosts=4096 flows=2000) join a run
         # without dragging the whole cross product with them
@@ -133,37 +163,11 @@ class Sweep:
             raise ValueError("workers must be >= 1")
         # resolve every point's knobs up front: an unknown axis fails
         # the whole sweep before any point has burned wall time
-        self.payloads: list[_PointPayload] = []
-        for index, params in enumerate(self.params):
-            knobs = spec.knobs_for(params)
-            knobs.update(self.extra_knobs)
-            self.payloads.append(
-                (
-                    spec.scenario,
-                    knobs,
-                    point_seed(base_seed, index),
-                    spec.expect_problem,
-                    self._expect_suspect(knobs),
-                    index,
-                    params,
-                )
-            )
-
-    def _expect_suspect(self, knobs: dict[str, Any]) -> Optional[str]:
-        """The suspect a correct point must name, if the spec demands one.
-
-        Resolved from the point's knobs, falling back to the scenario's
-        declared default — a sweep never overrides the fault site
-        without the expectation following it.
-        """
-        knob = self.spec.expect_suspect_knob
-        if knob is None:
-            return None
-        if knob in knobs:
-            return knobs[knob]
-        from ..scenarios import REGISTRY
-
-        return REGISTRY.get(self.spec.scenario).spec.knobs[knob].default
+        knobs = spec.resolve_knobs(self.params, extra_knobs or {}, GridError)
+        self.payloads: list[Cell] = [
+            spec.cell(index, params, point_knobs, point_seed(base_seed, index))
+            for index, (params, point_knobs) in enumerate(zip(self.params, knobs))
+        ]
 
     def run(
         self,
@@ -171,44 +175,7 @@ class Sweep:
     ) -> SweepReport:
         """Execute every point; ``on_point`` observes results as they land."""
         start = time.perf_counter()  # reprolint: allow[wall-clock]
-        points: list[PointResult] = []
-        if self.workers == 1 or len(self.payloads) <= 1:
-            for payload in self.payloads:
-                result = execute_point(payload)
-                points.append(result)
-                if on_point is not None:
-                    on_point(result)
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-            # ProcessPoolExecutor (not multiprocessing.Pool) so a worker
-            # killed outright — OOM, signal — surfaces as
-            # BrokenProcessPool on its future instead of hanging the
-            # sweep forever; the dead worker's point (and any aborted
-            # with it) becomes an errored point like any other failure
-            with ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=ctx
-            ) as pool:
-                futures = {
-                    pool.submit(execute_point, payload): payload
-                    for payload in self.payloads
-                }
-                for future in as_completed(futures):
-                    try:
-                        result = future.result()
-                    except Exception as exc:  # noqa: BLE001
-                        _, knobs, seed, _, _, index, params = futures[future]
-                        result = PointResult(
-                            index=index,
-                            params=params,
-                            knobs=knobs,
-                            seed=seed,
-                            error=f"worker died: {type(exc).__name__}: {exc}",
-                        )
-                    points.append(result)
-                    if on_point is not None:
-                        on_point(result)
-        points.sort(key=lambda p: p.index)
+        points = run_cells(self.payloads, self.workers, on_point)
         return SweepReport(
             sweep=self.spec.name,
             scenario=self.spec.scenario,

@@ -104,9 +104,16 @@ class TestValidator:
         doc = copy.deepcopy(valid_doc)
         doc["surprise"] = 1
         assert any(
-            "unknown top-level field 'surprise'" in problem
+            problem.startswith("unknown field 'surprise'")
             for problem in validate_experiment_report(doc)
         )
+
+    def test_unknown_run_field_rejected(self, valid_doc):
+        doc = copy.deepcopy(valid_doc)
+        doc["runs"][0]["directory_fp"] = 0.0
+        (problem,) = validate_experiment_report(doc)
+        assert problem.startswith("unknown field 'runs[0].directory_fp'")
+        assert "directory_fpr" in problem  # the allowed list names the fix
 
     def test_missing_field_rejected(self, valid_doc):
         doc = copy.deepcopy(valid_doc)
@@ -127,10 +134,9 @@ class TestValidator:
     def test_stat_triple_enforced(self, valid_doc):
         doc = copy.deepcopy(valid_doc)
         del doc["points"][0]["accuracy"]["min"]
-        assert any(
-            "missing 'min'" in problem
-            for problem in validate_experiment_report(doc)
-        )
+        assert validate_experiment_report(doc) == [
+            "missing field 'points[0].accuracy.min'"
+        ]
 
     def test_summary_consistency_enforced(self, valid_doc):
         doc = copy.deepcopy(valid_doc)

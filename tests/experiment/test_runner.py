@@ -88,6 +88,26 @@ class TestResume:
         with pytest.raises(ExperimentError, match="does not match"):
             make_experiment().execute(tmp_path)
 
+    @pytest.mark.parametrize("field, corrupt", [
+        ("diagnosis_ok", lambda doc: doc["result"].pop("diagnosis_ok")),
+        ("result", lambda doc: doc.update(result="not a point")),
+        ("flow_count", lambda doc: doc["result"].update(flow_count="12")),
+    ], ids=["missing-field", "result-not-object", "wrong-type"])
+    def test_malformed_artifact_fails_loudly(self, tmp_path, field, corrupt):
+        """A run document with the right identity but a broken result is
+        neither a crash nor silently aggregated: the resume names the
+        file and the field."""
+        make_experiment().execute(tmp_path, max_runs=1)
+        (victim,) = (tmp_path / "runs").glob("point*.json")
+        doc = json.loads(victim.read_text(encoding="utf-8"))
+        corrupt(doc)
+        victim.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ExperimentError) as info:
+            make_experiment().execute(tmp_path)
+        assert victim.name in str(info.value)
+        assert field in str(info.value)
+        assert not (tmp_path / "report.json").exists()
+
     def test_changed_table_refuses_directory(self, tmp_path):
         make_experiment(reps=2).execute(tmp_path, max_runs=1)
         with pytest.raises(ExperimentError, match="different run table"):

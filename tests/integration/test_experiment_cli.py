@@ -53,6 +53,25 @@ class TestExperimentCli:
         assert "[resumed]" in capsys.readouterr().out
         assert (out_dir / "report.json").exists()
 
+    def test_invalid_report_is_never_written(
+            self, tmp_path, capsys, monkeypatch):
+        """A report that fails its schema is an error, not a file: the
+        CLI exits 2 naming the field and report.json stays absent."""
+        import repro.experiment.runner as runner
+
+        aggregate = runner.aggregate_runs
+
+        def corrupted(**kwargs):
+            report = aggregate(**kwargs)
+            report.runs[0].flow_count = "12"
+            return report
+
+        monkeypatch.setattr(runner, "aggregate_runs", corrupted)
+        code, out_dir = run_cli(tmp_path, "--reps", "1")
+        assert code == 2
+        assert "runs[0].flow_count must be int" in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
+
     def test_unknown_experiment_fails_cleanly(self, capsys):
         assert main(["experiment", "run", "no-such-study"]) == 2
         err = capsys.readouterr().err

@@ -84,18 +84,6 @@ class TestSweepCli:
              "--knob", "hosts=32"]) == 2
         assert "override swept axis" in capsys.readouterr().err
 
-    def test_nightly_grid_flag(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code = main(
-            ["sweep", "run", "gray-failure", "--nightly",
-             "--workers", "1", "--out", str(out),
-             "--knob", "duration=0.04"])
-        assert code == 0
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        spec = SWEEPS.get("gray-failure")
-        assert doc["grid"] == {
-            axis: list(vals) for axis, vals in spec.nightly_grid.items()}
-
     def test_traffic_scale_sweep_carries_flow_metrics(self, tmp_path):
         """The acceptance shape: a traffic-axis point reports its flow
         count and ingest throughput in a schema-valid document."""
@@ -135,6 +123,18 @@ class TestSweepNightlyCli:
                 axis: list(vals)
                 for axis, vals in spec.nightly_grid.items()}
             assert all(p["ok"] for p in doc["points"])
+
+    def test_only_runs_one_sweep_at_its_nightly_grid(self, tmp_path):
+        code = main(
+            ["sweep", "nightly", "--out-dir", str(tmp_path),
+             "--workers", "1", "--only", "gray-failure"])
+        assert code == 0
+        (path,) = tmp_path.glob("*.json")
+        assert path.name == "sweep_nightly_gray-failure.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        spec = SWEEPS.get("gray-failure")
+        assert doc["grid"] == {
+            axis: list(vals) for axis, vals in spec.nightly_grid.items()}
 
     def test_nightly_unknown_only_fails_cleanly(self, tmp_path, capsys):
         code = main(["sweep", "nightly", "--out-dir", str(tmp_path),

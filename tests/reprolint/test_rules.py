@@ -23,7 +23,6 @@ CASES = {
     "knob-declaration": "knob_declaration",
     "fault-protocol": "fault_protocol",
     "registry-coverage": "registry_coverage",
-    "report-schema-drift": "report_schema_drift",
     "typed-defs": "typed_defs",
     "stdlib-only-runtime": "stdlib_only_runtime",
 }
@@ -115,15 +114,6 @@ def test_registry_coverage_names_the_package_init():
     assert violation.rel == "src/repro/faults/orphan.py"
     assert "OrphanFault" in violation.message
     assert "__init__.py never imports it" in violation.message
-
-
-def test_report_schema_drift_catches_both_directions_and_runner():
-    violations = lint_fixture("report-schema-drift", "violating")
-    blob = "\n".join(v.message for v in violations)
-    assert "writes 'extra'" in blob  # written, not validated
-    assert "requires 'seed'" in blob  # validated, never written
-    assert "'bogus'" in blob  # runner writes a ghost field
-    assert len(violations) == 3
 
 
 def test_typed_defs_reports_params_and_returns():

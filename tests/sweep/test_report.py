@@ -1,7 +1,11 @@
-"""SweepReport JSON round-trip and schema validation."""
+"""The report table: SweepReport JSON, schema validation, and the
+schema-string pins that make adding a field an explicit version bump."""
 
 import json
 
+import pytest
+
+from repro.experiment import ExperimentReport, RunArtifact
 from repro.sweep import PointResult, SweepReport, validate_report
 
 
@@ -48,13 +52,8 @@ class TestRoundTrip:
         text = json.dumps(make_report().to_json())
         assert validate_report(json.loads(text)) == []
 
-    def test_from_json_round_trips(self):
-        doc = make_report().to_json()
-        again = SweepReport.from_json(doc).to_json()
-        assert again == doc
-
     def test_summary_counts(self):
-        summary = make_report().summary()
+        summary = make_report().summary
         assert summary["points"] == 3
         assert summary["ok"] == 1  # point 1 misdiagnosed, point 2 errored
         assert summary["diagnosis_failures"] == 1
@@ -97,7 +96,7 @@ class TestValidator:
     def test_rejects_out_of_order_indices(self):
         doc = make_report().to_json()
         doc["points"].reverse()
-        assert any("indices" in e for e in validate_report(doc))
+        assert "points[].index must be 0..n-1 in order" in validate_report(doc)
 
     def test_rejects_summary_count_mismatch(self):
         doc = make_report().to_json()
@@ -110,7 +109,7 @@ class TestValidator:
         doc = make_report().to_json()
         doc["expect_probelm"] = "incast"  # the classic transposition
         errors = validate_report(doc)
-        assert any("unknown top-level field 'expect_probelm'" in e
+        assert any(e.startswith("unknown field 'expect_probelm'")
                    for e in errors)
 
     def test_unknown_key_error_lists_allowed_fields(self):
@@ -119,3 +118,81 @@ class TestValidator:
         (error,) = [e for e in validate_report(doc) if "bogus" in e]
         assert "allowed:" in error
         assert "scenario" in error
+
+    def test_rejects_unknown_point_field_naming_it(self):
+        doc = make_report().to_json()
+        doc["points"][1]["wall_tme_s"] = 0.5
+        (error,) = validate_report(doc)
+        assert error.startswith("unknown field 'points[1].wall_tme_s'")
+        assert "wall_time_s" in error  # the allowed list names the fix
+
+
+POINT_RESULT = [
+    "diagnosis_latency_sim_s", "diagnosis_ok", "error", "evicted_records",
+    "flow_count", "freshness", "index", "ingest_records_per_s", "knobs",
+    "measurements", "ok", "params", "peak_records", "phase_s", "problems",
+    "seed", "sim_time_s", "suspects", "total_records", "wall_time_s",
+]
+
+#: Each schema string pinned to the field names its records declare,
+#: nested records included.  Adding, removing or renaming a field fails
+#: this test until the pin changes — and the pin changes under a new
+#: schema string, so a reader never meets two shapes under one name.
+PINNED = {
+    "switchpointer.sweep-report/v3": {
+        "SweepReport": [
+            "base_seed", "expect_problem", "grid", "points", "scenario",
+            "schema", "summary", "sweep", "workers",
+        ],
+        "PointResult": POINT_RESULT,
+    },
+    "switchpointer.experiment-report/v2": {
+        "ExperimentReport": [
+            "base_seed", "expect_problem", "experiment", "grid", "points",
+            "reps", "runs", "scenario", "schema", "summary", "sweep",
+        ],
+        "RunRecord": [
+            "diagnosis_latency_sim_s", "diagnosis_ok", "directory_fpr",
+            "error", "flow_count", "freshness", "ok", "params",
+            "peak_records", "pending_faults", "point", "problems", "rep",
+            "seed", "sim_time_s", "suspects",
+        ],
+        "PointAggregate": [
+            "accuracy", "diagnosis_latency_sim_s", "directory_fpr",
+            "errors", "freshness", "knobs", "params", "peak_records",
+            "pending_faults", "point", "reps", "sim_time_s",
+        ],
+        "Stats": ["max", "mean", "min"],
+    },
+    "switchpointer.experiment-run/v1": {
+        "RunArtifact": [
+            "experiment", "params", "point", "rep", "result", "schema",
+            "seed",
+        ],
+        "PointResult": POINT_RESULT,
+    },
+}
+
+
+def declared(record, out=None):
+    """record name -> sorted field names, for it and every nested record."""
+    out = {} if out is None else out
+    columns = record.columns()
+    out[record.__name__] = sorted(columns)
+    for column in columns.values():
+        if column.record is not None:
+            declared(column.record, out)
+    return out
+
+
+class TestSchemaTable:
+    def test_schema_strings_pin_their_fields(self):
+        documents = (SweepReport, ExperimentReport, RunArtifact)
+        assert {doc.SCHEMA: declared(doc) for doc in documents} == PINNED
+
+    def test_undeclared_attribute_raises(self):
+        """slots: a field the table does not declare cannot be written,
+        so it can never silently miss the report."""
+        point = make_report().points[0]
+        with pytest.raises(AttributeError):
+            point.bogus = 1

@@ -3,7 +3,7 @@
 The repo's correctness story rests on invariants that live *between*
 modules — bit-identical seeded RNG streams, simulated-time discipline,
 the decorator-registry contracts scenarios/sweeps/faults share, the
-sweep-report schema.  Each one is encoded here as a registered
+typed core's annotations.  Each one is encoded here as a registered
 :class:`Rule` (the same decorator-registry idiom as the scenario, fault
 and sweep registries) and enforced by a blocking CI job::
 

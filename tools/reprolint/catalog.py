@@ -19,8 +19,8 @@ _HEADER = """\
 
 `tools/reprolint` is an AST-based checker for invariants no stock
 linter sees: determinism (simulated time, seeded RNG streams), the
-registry contracts scenarios/faults/sweeps share, and the sweep-report
-schema.  It never imports the code it checks.
+registry contracts scenarios/faults/sweeps share, and the typed core's
+annotations.  It never imports the code it checks.
 
 ```console
 python -m tools.reprolint                # lint the tree (src/)

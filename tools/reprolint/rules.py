@@ -9,9 +9,8 @@ pushing checks to where the evidence lives:
 * registry conformance — ``knob-declaration``, ``fault-protocol``,
   ``registry-coverage``: the decorator registries only police what
   gets *registered*, not what a module forgot to declare or import;
-* schema/typing drift — ``report-schema-drift``, ``typed-defs``: the
-  sweep-report validator and the mypy typed-core must match the code
-  that feeds them;
+* typing drift — ``typed-defs``: the mypy typed core must carry the
+  annotations mypy needs, even where mypy is not installed;
 * packaging — ``stdlib-only-runtime``: the runtime's dependency list is
   empty and stays so.
 
@@ -53,6 +52,7 @@ SIMULATED_TIME_CORE = (
 TYPED_CORE = (
     f"{SRC}/registry.py",
     f"{SRC}/sweep",
+    f"{SRC}/experiment",
     f"{SRC}/faults",
     f"{SRC}/analyzer",
     f"{SRC}/directory",
@@ -778,160 +778,7 @@ class RegistryCoverage(Rule):
 
 
 # ---------------------------------------------------------------------------
-# R6: report-schema-drift
-# ---------------------------------------------------------------------------
-
-
-def _class_def(module: Module, name: str) -> Optional[ast.ClassDef]:
-    for node in module.tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _module_dict_keys(module: Module, var: str) -> Optional[set[str]]:
-    for node in module.tree.body:
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == var for t in node.targets
-        ):
-            value = node.value
-        elif (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and node.target.id == var
-        ):
-            value = node.value
-        if isinstance(value, ast.Dict):
-            return {
-                k.value
-                for k in value.keys
-                if isinstance(k, ast.Constant) and isinstance(k.value, str)
-            }
-    return None
-
-
-def _to_json_keys(cls: ast.ClassDef) -> Optional[dict[str, int]]:
-    fn = _methods(cls).get("to_json")
-    if fn is None:
-        return None
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
-            return {
-                k.value: k.lineno
-                for k in node.value.keys
-                if isinstance(k, ast.Constant) and isinstance(k.value, str)
-            }
-    return None
-
-
-@register_rule
-class ReportSchemaDrift(Rule):
-    """The sweep-report writer and its validator stay in lockstep."""
-
-    spec = RuleSpec(
-        name="report-schema-drift",
-        summary="fields written into SweepReport/PointResult JSON must "
-        "match the report.py validator schema (and vice versa)",
-        rationale="validate_report rejects unknown fields, so a field "
-        "added to to_json() without a schema entry makes every new "
-        "report invalid; a schema entry nothing writes makes every "
-        "report *fail* validation.  Either way CI's nightly artifacts "
-        "and the benchmark gate stop trusting the numbers.",
-        scope="src/repro/sweep/report.py and src/repro/sweep/runner.py",
-        pragma=None,
-        fix="Add the field to the dataclass, to_json(), and the "
-        "_POINT_FIELDS/_TOP_FIELDS schema together (and bump the "
-        "schema version for readers).",
-    )
-
-    def check(self, project: Project) -> Iterator[Violation]:
-        report = project.get(f"{SRC}/sweep/report.py")
-        if report is None:
-            return
-        point_cls = _class_def(report, "PointResult")
-        report_cls = _class_def(report, "SweepReport")
-        yield from self._check_pair(report, point_cls, "_POINT_FIELDS", "PointResult")
-        yield from self._check_pair(report, report_cls, "_TOP_FIELDS", "SweepReport")
-        if point_cls is not None:
-            fields = {
-                stmt.target.id
-                for stmt in point_cls.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-            }
-            yield from self._check_runner_writes(project, fields)
-
-    def _check_pair(
-        self,
-        report: Module,
-        cls: Optional[ast.ClassDef],
-        schema_var: str,
-        label: str,
-    ) -> Iterator[Violation]:
-        schema = _module_dict_keys(report, schema_var)
-        written = _to_json_keys(cls) if cls is not None else None
-        if schema is None or written is None:
-            return
-        for name, lineno in sorted(written.items()):
-            if name not in schema:
-                yield self.violation(
-                    report,
-                    lineno,
-                    f"{label}.to_json() writes {name!r} but "
-                    f"{schema_var} does not validate it — every new "
-                    f"report will be rejected as invalid",
-                )
-        for name in sorted(schema - set(written)):
-            yield self.violation(
-                report,
-                1,
-                f"{schema_var} requires {name!r} but "
-                f"{label}.to_json() never writes it — every report "
-                f"will fail validation",
-            )
-
-    def _check_runner_writes(
-        self, project: Project, fields: set[str]
-    ) -> Iterator[Violation]:
-        runner = project.get(f"{SRC}/sweep/runner.py")
-        if runner is None or not fields:
-            return
-        for fn in ast.walk(runner.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            results = {
-                stmt.targets[0].id
-                for stmt in ast.walk(fn)
-                if isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-                and _callee_name(stmt.value) == "PointResult"
-            }
-            if not results:
-                continue
-            for stmt in ast.walk(fn):
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id in results
-                        and target.attr not in fields
-                    ):
-                        yield self.violation(
-                            runner,
-                            target.lineno,
-                            f"point field {target.attr!r} is written "
-                            f"here but PointResult declares no such "
-                            f"field — it would never reach the report",
-                        )
-
-
-# ---------------------------------------------------------------------------
-# R7: typed-defs
+# R6: typed-defs
 # ---------------------------------------------------------------------------
 
 
@@ -942,15 +789,16 @@ class TypedDefs(Rule):
     spec = RuleSpec(
         name="typed-defs",
         summary="every function in the typed-core subset (registry.py, "
-        "sweep/, faults/, analyzer/, directory/, scenarios/base.py, "
-        "simnet/workload.py) has complete parameter and return "
-        "annotations",
+        "sweep/, experiment/, faults/, analyzer/, directory/, "
+        "scenarios/base.py, simnet/workload.py) has complete parameter "
+        "and return annotations",
         rationale="CI runs mypy over exactly this subset with "
         "disallow_untyped_defs; this rule enforces the same "
         "completeness from the AST, so the gap surfaces in any "
         "environment — including ones without mypy installed.",
         scope="src/repro/registry.py, src/repro/sweep/, "
-        "src/repro/faults/, src/repro/analyzer/, src/repro/directory/, "
+        "src/repro/experiment/, src/repro/faults/, src/repro/analyzer/, "
+        "src/repro/directory/, "
         "src/repro/scenarios/base.py, "
         "src/repro/simnet/workload.py",
         pragma=None,
@@ -1005,7 +853,7 @@ class TypedDefs(Rule):
 
 
 # ---------------------------------------------------------------------------
-# R8: stdlib-only-runtime
+# R7: stdlib-only-runtime
 # ---------------------------------------------------------------------------
 
 
