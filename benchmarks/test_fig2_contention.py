@@ -12,7 +12,7 @@ priority; FIFO gaps ≪ priority gaps; the m = 16 run reaches ~0 Gbps.
 
 import pytest
 
-from repro.scenarios import run_contention_scenario
+from repro.scenarios import run_scenario
 
 from benchmarks.reporting import emit, fmt_series
 
@@ -22,9 +22,9 @@ FLOW_COUNTS = [1, 2, 4, 8, 16]
 def run_sweep(discipline: str) -> dict[int, dict]:
     rows = {}
     for m in FLOW_COUNTS:
-        res = run_contention_scenario(m, discipline=discipline,
-                                      duration=0.045, burst_start=0.010,
-                                      watch=False)
+        res = run_scenario("contention", with_diagnosis=False, m_flows=m,
+                           discipline=discipline, duration=0.045,
+                           burst_start=0.010, watch=False).payload
         rows[m] = {
             "starvation_ms": res.starvation_ms(),
             "max_gap_ms": res.max_gap_ms(),
@@ -82,10 +82,10 @@ def test_fig2b_microburst_contention(benchmark):
 @pytest.mark.benchmark(group="fig2")
 def test_fig2_priority_vs_fifo_gap_contrast(benchmark):
     def run_pair():
-        prio = run_contention_scenario(8, discipline="priority",
-                                       duration=0.045, watch=False)
-        fifo = run_contention_scenario(8, discipline="fifo",
-                                       duration=0.045, watch=False)
+        prio, fifo = (run_scenario("contention", with_diagnosis=False,
+                                   m_flows=8, discipline=discipline,
+                                   duration=0.045, watch=False).payload
+                      for discipline in ("priority", "fifo"))
         return prio.max_gap_ms(), fifo.max_gap_ms()
 
     prio_gap, fifo_gap = benchmark.pedantic(run_pair, rounds=1,

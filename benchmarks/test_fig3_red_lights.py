@@ -10,15 +10,16 @@ least as deep as the S1 dip; recovery afterwards.
 
 import pytest
 
-from repro.scenarios import run_red_lights_scenario
+from repro.scenarios import run_scenario
 
 from benchmarks.reporting import emit, fmt_series
 
 
 @pytest.mark.benchmark(group="fig3")
 def test_fig3_red_lights(benchmark):
-    res = benchmark.pedantic(run_red_lights_scenario, rounds=1,
-                             iterations=1)
+    res = benchmark.pedantic(run_scenario, args=("red-lights",),
+                             kwargs={"with_diagnosis": False}, rounds=1,
+                             iterations=1).payload
     window_lo = res.burst1[0] - 0.001
     window_hi = res.burst2[0] + res.burst2[1] + 0.002
 

@@ -12,7 +12,7 @@ milliseconds is strictly higher.
 
 import pytest
 
-from repro.scenarios import run_cascades_scenario
+from repro.scenarios import run_scenario
 
 from benchmarks.reporting import emit, fmt_series
 
@@ -20,8 +20,9 @@ from benchmarks.reporting import emit, fmt_series
 @pytest.mark.benchmark(group="fig4")
 def test_fig4_cascades(benchmark):
     def run_both():
-        return (run_cascades_scenario(cascaded=False),
-                run_cascades_scenario(cascaded=True))
+        return tuple(run_scenario("cascades", with_diagnosis=False,
+                                  cascaded=cascaded).payload
+                     for cascaded in (False, True))
 
     base, casc = benchmark.pedantic(run_both, rounds=1, iterations=1)
 

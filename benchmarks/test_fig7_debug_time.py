@@ -10,8 +10,7 @@ m; total < 100 ms for all m.
 
 import pytest
 
-from repro.analyzer.apps import diagnose_contention
-from repro.scenarios import run_contention_scenario
+from repro.scenarios import run_scenario
 
 from benchmarks.reporting import emit
 
@@ -21,12 +20,10 @@ FLOW_COUNTS = [1, 2, 4, 8, 16]
 def run_sweep():
     rows = {}
     for m in FLOW_COUNTS:
-        res = run_contention_scenario(m, discipline="priority",
-                                      duration=0.045, burst_start=0.010)
-        assert res.alerts, f"no alert for m={m}"
-        verdict = diagnose_contention(res.deployment.analyzer,
-                                      res.alerts[0])
-        rows[m] = verdict
+        result = run_scenario("contention", m_flows=m, duration=0.045,
+                              burst_start=0.010)
+        assert result.verdicts, f"no alert for m={m}"
+        rows[m] = result.verdicts[0]
     return rows
 
 

@@ -13,9 +13,7 @@ band.
 
 import pytest
 
-from repro.analyzer.apps import diagnose_load_imbalance
-from repro.core.epoch import EpochRange
-from repro.scenarios import run_load_imbalance_scenario
+from repro.scenarios import run_scenario
 
 from benchmarks.reporting import emit
 
@@ -25,11 +23,7 @@ SERVER_COUNTS = [4, 8, 16, 32, 64, 96]
 def run_sweep():
     rows = {}
     for n in SERVER_COUNTS:
-        res = run_load_imbalance_scenario(n)
-        verdict = diagnose_load_imbalance(
-            res.deployment.analyzer, res.suspect_switch,
-            epochs=EpochRange(0, res.last_epoch))
-        rows[n] = verdict
+        rows[n], = run_scenario("load-imbalance", n_servers=n).verdicts
     return rows
 
 

@@ -29,8 +29,8 @@ def main() -> None:
                         mean_flow_bytes=50_000, flow_rate_bps=2e9,
                         seed=20260612)
     gen = WorkloadGenerator(net, spec)
-    flows = gen.schedule()
-    print(f"workload: {len(flows)} flows over {len(net.hosts)} hosts, "
+    gen.launch()
+    print(f"workload: {len(gen.flows)} flows over {len(net.hosts)} hosts, "
           f"p50/p99 sizes {gen.size_percentiles((50, 99))}, "
           f"elephant (>=100 KB) byte share "
           f"{gen.elephant_byte_share(100_000):.0%}")

@@ -12,12 +12,13 @@ Run:  python examples/load_imbalance_vs_pathdump.py
 from repro.analyzer import diagnose_load_imbalance
 from repro.baselines import PathDumpAnalyzer
 from repro.core.epoch import EpochRange
-from repro.scenarios import run_load_imbalance_scenario
+from repro.scenarios import run_scenario
 
 
 def main() -> None:
     n_servers = 16
-    res = run_load_imbalance_scenario(n_servers)
+    res = run_scenario("load-imbalance", with_diagnosis=False,
+                       n_servers=n_servers).payload
     epochs = EpochRange(0, res.last_epoch)
 
     print(f"scenario: {n_servers} flows through suspect switch "

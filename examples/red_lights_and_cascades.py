@@ -9,7 +9,7 @@ Run:  python examples/red_lights_and_cascades.py
 """
 
 from repro.analyzer import diagnose_cascade, diagnose_red_lights
-from repro.scenarios import run_cascades_scenario, run_red_lights_scenario
+from repro.scenarios import run_scenario
 
 
 def ascii_series(series, t_hi, width=40):
@@ -26,7 +26,7 @@ def red_lights() -> None:
     print("=" * 64)
     print("TOO MANY RED LIGHTS (Fig 1b / Fig 3 / §5.2)")
     print("=" * 64)
-    res = run_red_lights_scenario()
+    res = run_scenario("red-lights", with_diagnosis=False).payload
     print("\nvictim A->F throughput at S1 egress:")
     print("\n".join(ascii_series(res.tput_at_s1.series(), 0.008)))
     print("\nvictim A->F throughput at S2 egress "
@@ -46,8 +46,9 @@ def cascades() -> None:
     print("=" * 64)
     print("TRAFFIC CASCADES (Fig 1c / Fig 4 / §5.3)")
     print("=" * 64)
-    base = run_cascades_scenario(cascaded=False)
-    casc = run_cascades_scenario(cascaded=True)
+    base, casc = (run_scenario("cascades", with_diagnosis=False,
+                               cascaded=cascaded).payload
+                  for cascaded in (False, True))
     print("\nC-E (2 MB, low priority TCP) completion:")
     print(f"  without cascade: {base.ce_completed_at * 1e3:.1f} ms")
     print(f"  with cascade:    {casc.ce_completed_at * 1e3:.1f} ms")

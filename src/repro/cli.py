@@ -6,6 +6,7 @@ Usage::
     python -m repro.cli run incast               # any name or alias
     python -m repro.cli run gray-failure --knob fault_switch=S2
     python -m repro.cli run fig3                 # fig ids are aliases
+    python -m repro.cli run fig7 --knob m_flows=16 --knob duration=0.045
     python -m repro.cli sweep list               # registered scale sweeps
     python -m repro.cli sweep run incast --grid hosts=64,256,1024
     python -m repro.cli sweep run incast-scale --grid hosts=256 flows=2000
@@ -21,13 +22,15 @@ Usage::
 the scenario, sweep, and fault registries (:mod:`repro.scenarios`,
 :mod:`repro.sweep`, :mod:`repro.faults`): registering a new scenario
 class, sweep spec, or fault class makes it appear here with no CLI
-edits.  The historical figure ids (``fig2a``, ``fig3``,
-...) remain available both as registry aliases to ``run`` and as
-standalone subcommands that print the original sweep tables.
+edits.  The paper's figure ids (``fig2a``, ``fig3``, ...) are registry
+aliases, so one figure point is one ``run <fig id> --knob ...``; every
+verdict line carries the modelled debugging time and hosts consulted
+(the Fig 7 and Fig 8 y-axes).
 
 The heavy lifting lives in :mod:`repro.scenarios`, :mod:`repro.sweep`,
 and :mod:`repro.core.sizing`; this module only parses arguments and
-prints.
+prints.  Each subcommand's parser names its handler
+(``set_defaults(func=...)``) and :func:`main` calls it.
 """
 
 from __future__ import annotations
@@ -36,34 +39,18 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analyzer.apps import (diagnose_contention, diagnose_load_imbalance,
-                            diagnose_red_lights, diagnose_cascade)
-from .core.epoch import EpochRange
 from .core.rng import seed_run
 from .core.sizing import (push_bandwidth_bps, recycling_period_ms,
                           total_switch_memory_bytes)
 from .experiment import EXPERIMENTS, Experiment, ExperimentError
 from .faults import FAULTS
-from .scenarios import (REGISTRY, ScenarioError, run_cascades_scenario,
-                        run_contention_scenario,
-                        run_load_imbalance_scenario,
-                        run_red_lights_scenario, run_scenario)
+from .scenarios import REGISTRY, ScenarioError, run_scenario
 from .simnet.engine import SimulationError
 from .sweep import (SWEEPS, GridError, Sweep, SweepError, parse_grid,
                     write_report, DEFAULT_BASE_SEED)
 
 #: Non-scenario commands (the resource-arithmetic calculator).
 SIZING_DESC = "Fig 10/11 resource arithmetic for one (n, alpha, k)"
-
-#: Legacy sweep subcommands, kept for scripts that predate the registry.
-LEGACY_FIGURES = {
-    "fig2a": "priority-based flow contention (victim starvation sweep)",
-    "fig2b": "microburst-based flow contention (FIFO sweep)",
-    "fig3": "too many red lights (per-switch victim throughput)",
-    "fig4": "traffic cascades (with vs without)",
-    "fig7": "debugging-time breakdown for priority contention",
-    "fig8": "load-imbalance diagnosis latency sweep",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -356,71 +343,6 @@ def cmd_experiment_nightly(args) -> int:
     return _nightly(EXPERIMENTS, args.only, run_one)
 
 
-# ---------------------------------------------------------------------------
-# legacy figure sweeps
-# ---------------------------------------------------------------------------
-
-def cmd_fig2(args, discipline: str) -> int:
-    print("m_flows  starvation_ms  max_gap_ms  timeouts")
-    for m in args.flows:
-        res = run_contention_scenario(m, discipline=discipline,
-                                      duration=0.045, watch=False)
-        print(f"  {m:5d}  {res.starvation_ms():12.1f}  "
-              f"{res.max_gap_ms():9.2f}  {res.tcp_timeouts:8d}")
-    return 0
-
-
-def cmd_fig3(_args) -> int:
-    res = run_red_lights_scenario()
-    for label, probe in (("S1", res.tput_at_s1), ("S2", res.tput_at_s2)):
-        print(f"victim throughput at {label} egress:")
-        for t, g in probe.series():
-            if t > 0.009:
-                break
-            print(f"  {t * 1e3:6.2f} ms  {g:5.2f} Gbps")
-    if res.alerts:
-        v = diagnose_red_lights(res.deployment.analyzer, res.alerts[0])
-        print(f"diagnosis: {v.narrative}")
-    return 0
-
-
-def cmd_fig4(_args) -> int:
-    for cascaded in (False, True):
-        res = run_cascades_scenario(cascaded=cascaded)
-        tag = "with cascade" if cascaded else "without cascade"
-        print(f"{tag}: C-E completed at "
-              f"{res.ce_completed_at * 1e3:.1f} ms")
-        if cascaded and res.alerts:
-            v = diagnose_cascade(res.deployment.analyzer, res.alerts[0])
-            print(f"  {v.narrative}")
-    return 0
-
-
-def cmd_fig7(args) -> int:
-    print("m    total_ms  hosts  verdict")
-    for m in args.flows:
-        res = run_contention_scenario(m, discipline="priority",
-                                      duration=0.045)
-        if not res.alerts:
-            print(f"  {m:3d}  (no alert)")
-            continue
-        v = diagnose_contention(res.deployment.analyzer, res.alerts[0])
-        print(f"  {m:3d}  {v.total_time_s * 1e3:7.1f}  "
-              f"{len(v.hosts_consulted):5d}  {v.problem}")
-    return 0
-
-
-def cmd_fig8(args) -> int:
-    print("servers  diagnosis_ms  imbalanced")
-    for n in args.servers:
-        res = run_load_imbalance_scenario(n)
-        v = diagnose_load_imbalance(
-            res.deployment.analyzer, res.suspect_switch,
-            epochs=EpochRange(0, res.last_epoch))
-        print(f"  {n:5d}  {v.total_time_s * 1e3:12.1f}  {v.imbalanced}")
-    return 0
-
-
 def cmd_sizing(args) -> int:
     n, alpha, k = args.hosts, args.alpha, args.k
     print(f"n={n}, alpha={alpha} ms, k={k}:")
@@ -440,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="SwitchPointer reproduction — experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list registered scenarios")
+    sub.add_parser("list", help="list registered scenarios"
+                   ).set_defaults(func=cmd_list)
     pr = sub.add_parser("run", help="run one scenario through "
                                     "build/run/collect/diagnose")
     pr.add_argument("scenario",
@@ -451,11 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=None,
                     help="seed the RNG before building (replays a "
                          "sweep point's recorded seed)")
+    pr.set_defaults(func=cmd_run)
 
     psweep = sub.add_parser("sweep", help="scale sweeps: run a scenario "
                                           "across a parameter grid")
     sweep_sub = psweep.add_subparsers(dest="sweep_command", required=True)
-    sweep_sub.add_parser("list", help="list registered sweeps")
+    sweep_sub.add_parser("list", help="list registered sweeps"
+                         ).set_defaults(func=cmd_sweep_list)
     psr = sweep_sub.add_parser("run", help="run one sweep and write a "
                                            "SweepReport JSON")
     psr.add_argument("sweep", help="sweep registry name (see "
@@ -476,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="KEY=VALUE",
                      help="pin a scenario knob for every point "
                           "(repeatable)")
+    psr.set_defaults(func=cmd_sweep_run)
     psn = sweep_sub.add_parser(
         "nightly", help="run every registered sweep at its reduced "
                         "nightly grid (one report per sweep)")
@@ -490,12 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="NAME",
                      help="restrict to this sweep (repeatable; "
                           "default: all registered)")
+    psn.set_defaults(func=cmd_sweep_nightly)
 
     pexp = sub.add_parser("experiment",
                           help="seeded run tables: repeat a sweep's "
                                "points and aggregate degradation curves")
     exp_sub = pexp.add_subparsers(dest="experiment_command", required=True)
-    exp_sub.add_parser("list", help="list registered experiments")
+    exp_sub.add_parser("list", help="list registered experiments"
+                       ).set_defaults(func=cmd_experiment_list)
     per = exp_sub.add_parser("run", help="run one experiment into a "
                                          "resumable artifact directory")
     per.add_argument("experiment", help="experiment registry name (see "
@@ -522,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="KEY=VALUE",
                      help="pin a scenario knob for every run "
                           "(repeatable)")
+    per.set_defaults(func=cmd_experiment_run)
     pen = exp_sub.add_parser(
         "nightly", help="run every registered experiment at its "
                         "declared run table (one report per experiment)")
@@ -536,65 +465,33 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="NAME",
                      help="restrict to this experiment (repeatable; "
                           "default: all registered)")
+    pen.set_defaults(func=cmd_experiment_nightly)
 
     pfaults = sub.add_parser("faults", help="composable fault injection: "
                                             "inspect the fault registry")
     faults_sub = pfaults.add_subparsers(dest="faults_command",
                                         required=True)
-    faults_sub.add_parser("list", help="list registered faults")
+    faults_sub.add_parser("list", help="list registered faults"
+                          ).set_defaults(func=cmd_faults_list)
 
     pdir = sub.add_parser("directory", help="switch directory-set "
                                             "backends: inspect the "
                                             "sketch registry")
     dir_sub = pdir.add_subparsers(dest="directory_command", required=True)
-    dir_sub.add_parser("list", help="list registered directory backends")
+    dir_sub.add_parser("list", help="list registered directory backends"
+                       ).set_defaults(func=cmd_directory_list)
 
-    for fig in ("fig2a", "fig2b", "fig7"):
-        p = sub.add_parser(fig, help=LEGACY_FIGURES[fig])
-        p.add_argument("--flows", type=int, nargs="+",
-                       default=[1, 2, 4, 8, 16])
-    sub.add_parser("fig3", help=LEGACY_FIGURES["fig3"])
-    sub.add_parser("fig4", help=LEGACY_FIGURES["fig4"])
-    p8 = sub.add_parser("fig8", help=LEGACY_FIGURES["fig8"])
-    p8.add_argument("--servers", type=int, nargs="+",
-                    default=[4, 8, 16, 32, 64, 96])
     ps = sub.add_parser("sizing", help=SIZING_DESC)
     ps.add_argument("--hosts", type=int, default=100_000)
     ps.add_argument("--alpha", type=int, default=10)
     ps.add_argument("--k", type=int, default=3)
+    ps.set_defaults(func=cmd_sizing)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        if args.sweep_command == "list":
-            return cmd_sweep_list(args)
-        if args.sweep_command == "nightly":
-            return cmd_sweep_nightly(args)
-        return cmd_sweep_run(args)
-    if args.command == "experiment":
-        if args.experiment_command == "list":
-            return cmd_experiment_list(args)
-        if args.experiment_command == "nightly":
-            return cmd_experiment_nightly(args)
-        return cmd_experiment_run(args)
-    if args.command == "faults":
-        return cmd_faults_list(args)
-    if args.command == "directory":
-        return cmd_directory_list(args)
-    dispatch = {
-        "list": cmd_list,
-        "run": cmd_run,
-        "fig2a": lambda a: cmd_fig2(a, "priority"),
-        "fig2b": lambda a: cmd_fig2(a, "fifo"),
-        "fig3": cmd_fig3,
-        "fig4": cmd_fig4,
-        "fig7": cmd_fig7,
-        "fig8": cmd_fig8,
-        "sizing": cmd_sizing,
-    }
-    return dispatch[args.command](args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

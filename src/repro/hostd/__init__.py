@@ -7,7 +7,6 @@ from .triggers import (SwitchEpochTuple, TcpTimeoutTrigger,
                        alert_tuples_from_record)
 from .query import FlowSummary, QueryEngine, QueryResult
 from .agent import HostAgent
-from . import aggregate
 
 __all__ = [
     "FlowRecord", "FlowRecordStore", "SpillFormatError",
@@ -16,5 +15,4 @@ __all__ = [
     "SwitchEpochTuple", "alert_tuples_from_record",
     "QueryEngine", "QueryResult", "FlowSummary",
     "HostAgent",
-    "aggregate",
 ]

@@ -22,10 +22,12 @@ Scenario ↔ figure/fault map
 ``link-flap``          periodic link churn driving reroutes
 =====================  =========================================
 
-The ``run_*_scenario`` functions remain as thin functional entry points
-over the classes; examples, tests, and the benchmark harness share
-them, guaranteeing the numbers in the benchmark results come from the
-same code the test suite validates.
+:func:`run_scenario` (name or alias plus knobs) is the one way in: the
+CLI, sweeps, experiments, examples, tests and the benchmark harness all
+call it, so the numbers in the benchmark results come from the same
+code the test suite validates.  A caller that wants the scenario's
+measurement objects (the ``*Result`` dataclasses) reads
+``ScenarioResult.payload``.
 """
 
 from __future__ import annotations
@@ -35,15 +37,13 @@ from .base import (REGISTRY, Knob, Scenario, ScenarioError,
                    run_scenario)
 from .common import DEEP_BUFFER_BYTES, GBPS
 from .contention import (ContentionResult, ContentionScenario,
-                         MicroburstScenario, run_contention_scenario)
+                         MicroburstScenario)
 from .red_lights import (RedLightsResult, RedLightsScenario,
-                         build_red_lights_network,
-                         run_red_lights_scenario)
+                         build_red_lights_network)
 from .cascades import (CascadesResult, CascadesScenario,
-                       build_cascades_network, run_cascades_scenario)
+                       build_cascades_network)
 from .load_imbalance import (LoadImbalanceResult, LoadImbalanceScenario,
-                             build_load_imbalance_network,
-                             run_load_imbalance_scenario)
+                             build_load_imbalance_network)
 from .incast import IncastResult, IncastScenario
 from .gray_failure import GrayFailureResult, GrayFailureScenario
 from .polarization import PolarizationResult, PolarizationScenario
@@ -58,15 +58,12 @@ __all__ = [
     "Knob", "catalog_markdown",
     # shared constants
     "DEEP_BUFFER_BYTES", "GBPS",
-    # paper scenarios (classes + legacy functional entry points)
+    # paper scenarios (classes, result payloads, topology builders)
     "ContentionScenario", "MicroburstScenario", "ContentionResult",
-    "run_contention_scenario",
     "RedLightsScenario", "RedLightsResult", "build_red_lights_network",
-    "run_red_lights_scenario",
     "CascadesScenario", "CascadesResult", "build_cascades_network",
-    "run_cascades_scenario",
     "LoadImbalanceScenario", "LoadImbalanceResult",
-    "build_load_imbalance_network", "run_load_imbalance_scenario",
+    "build_load_imbalance_network",
     # extended fault scenarios
     "IncastScenario", "IncastResult",
     "GrayFailureScenario", "GrayFailureResult",

@@ -117,8 +117,9 @@ class ScenarioResult:
     """What :meth:`Scenario.execute` returns, for every scenario.
 
     ``measurements`` holds the scenario-specific series/numbers from the
-    collect phase; ``payload`` the scenario's legacy result object where
-    one exists (the ``fig*`` dataclasses examples and benchmarks use).
+    collect phase; ``payload`` the scenario's own result object where
+    one exists (the paper scenarios' ``*Result`` dataclasses, whose
+    probes and series the examples, tests and figure benchmarks read).
     """
 
     name: str
@@ -178,6 +179,10 @@ class ScenarioResult:
                 status = f" [{v.status}{gaps}]"
             out.append(f"diagnosis ({v.problem}){status}{suspect}: "
                        f"{v.narrative}")
+            # the Fig 7 / Fig 8 y-axes: modelled loop time, hosts asked
+            out.append(f"  debugging time (model): "
+                       f"{v.total_time_s * 1e3:.1f} ms; hosts consulted: "
+                       f"{len(v.hosts_consulted)}")
         if not self.verdicts:
             out.append("diagnosis: (none — no verdict produced)")
         return out

@@ -145,21 +145,3 @@ class CascadesScenario(Scenario):
         if not alerts:
             return []
         return [diagnose_cascade(self.deployment.analyzer, alerts[0])]
-
-
-def run_cascades_scenario(*, cascaded: bool = True,
-                          udp_duration: float = 0.010,
-                          ce_bytes: int = 2_000_000,
-                          ce_start: float = 0.012,
-                          alpha_ms: int = 10, k: int = 3,
-                          epsilon_ms: float = 1.0,
-                          delta_ms: float = 2.0) -> CascadesResult:
-    """Fig 4 run (functional entry point kept for examples/tests)."""
-    sc = CascadesScenario(
-        cascaded=cascaded, udp_duration=udp_duration, ce_bytes=ce_bytes,
-        ce_start=ce_start, alpha_ms=alpha_ms, k=k,
-        epsilon_ms=epsilon_ms, delta_ms=delta_ms)
-    sc.build()
-    sc.run()
-    sc.collect()
-    return sc.payload

@@ -101,6 +101,8 @@ class ContentionScenario(Scenario):
         p = self.p
         if p["discipline"] not in ("priority", "fifo"):
             raise ValueError("discipline must be 'priority' or 'fifo'")
+        if p["m_flows"] < 0:
+            raise ValueError(f"m_flows must be >= 0, got {p['m_flows']}")
         qf = (priority_queue if p["discipline"] == "priority"
               else fifo_queue)
         net = _build_dumbbell(p["m_flows"], queue_factory=qf)
@@ -179,22 +181,3 @@ class MicroburstScenario(ContentionScenario):
         aliases=("fig2b",),
         smoke_knobs={"m_flows": 2, "duration": 0.030, "burst_start": 0.010},
     )
-
-
-def run_contention_scenario(m_flows: int, *, discipline: str = "priority",
-                            duration: float = 0.100,
-                            burst_start: float = 0.030,
-                            burst_duration: float = 0.001,
-                            alpha_ms: int = 10, k: int = 3,
-                            epsilon_ms: float = 1.0, delta_ms: float = 2.0,
-                            watch: bool = True) -> ContentionResult:
-    """One Fig 2 cell (functional entry point kept for examples/tests)."""
-    sc = ContentionScenario(
-        m_flows=m_flows, discipline=discipline, duration=duration,
-        burst_start=burst_start, burst_duration=burst_duration,
-        alpha_ms=alpha_ms, k=k, epsilon_ms=epsilon_ms, delta_ms=delta_ms,
-        watch=watch)
-    sc.build()
-    sc.run()
-    sc.collect()
-    return sc.payload

@@ -135,20 +135,3 @@ class LoadImbalanceScenario(Scenario):
             self.deployment.analyzer, res.suspect_switch,
             epochs=EpochRange(0, res.last_epoch),
             size_threshold=self.p["size_threshold"])]
-
-
-def run_load_imbalance_scenario(n_servers: int, *,
-                                small_bytes: int = 500_000,
-                                large_bytes: int = 2_000_000,
-                                size_threshold: int = 1_000_000,
-                                alpha_ms: int = 10,
-                                k: int = 3) -> LoadImbalanceResult:
-    """§5.4 run (functional entry point kept for examples/tests)."""
-    sc = LoadImbalanceScenario(
-        n_servers=n_servers, small_bytes=small_bytes,
-        large_bytes=large_bytes, size_threshold=size_threshold,
-        alpha_ms=alpha_ms, k=k)
-    sc.build()
-    sc.run()
-    sc.collect()
-    return sc.payload

@@ -131,20 +131,3 @@ class RedLightsScenario(Scenario):
         if not alerts:
             return []
         return [diagnose_red_lights(self.deployment.analyzer, alerts[0])]
-
-
-def run_red_lights_scenario(*, burst_duration: float = 0.0004,
-                            first_burst: float = 0.005,
-                            tcp_duration: float = 0.010,
-                            alpha_ms: int = 10, k: int = 3,
-                            epsilon_ms: float = 1.0,
-                            delta_ms: float = 2.0) -> RedLightsResult:
-    """Fig 3 run (functional entry point kept for examples/tests)."""
-    sc = RedLightsScenario(
-        burst_duration=burst_duration, first_burst=first_burst,
-        tcp_duration=tcp_duration, alpha_ms=alpha_ms, k=k,
-        epsilon_ms=epsilon_ms, delta_ms=delta_ms)
-    sc.build()
-    sc.run()
-    sc.collect()
-    return sc.payload

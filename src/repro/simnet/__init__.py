@@ -23,7 +23,7 @@ from .traffic import (BurstBatchPlan, TcpBulkTransfer, TcpTimedFlow,
                       UdpCbrSource, UdpSink, schedule_burst_batches)
 from .stats import (InterArrivalProbe, ThroughputProbe, attach_flow_tap,
                     percentile)
-from .workload import GeneratedFlow, WorkloadGenerator, WorkloadSpec
+from .workload import WorkloadGenerator, WorkloadSpec
 
 __all__ = [
     "Simulator", "PeriodicTimer", "AlternatingTimer", "SimulationError",
@@ -39,5 +39,5 @@ __all__ = [
     "UdpCbrSource", "UdpSink", "BurstBatchPlan", "schedule_burst_batches",
     "TcpBulkTransfer", "TcpTimedFlow",
     "ThroughputProbe", "InterArrivalProbe", "attach_flow_tap", "percentile",
-    "WorkloadSpec", "WorkloadGenerator", "GeneratedFlow",
+    "WorkloadSpec", "WorkloadGenerator",
 ]

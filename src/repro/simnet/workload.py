@@ -46,7 +46,6 @@ from typing import Optional, Sequence
 from .packet import (DEFAULT_MTU, HEADER_BYTES, PRIO_LOW, PROTO_UDP, FlowKey,
                      Packet)
 from .topology import Network
-from .traffic import UdpCbrSource, UdpSink
 
 #: Endpoint-mix families (`WorkloadSpec.mix`).
 MIX_UNIFORM = "uniform"
@@ -113,16 +112,6 @@ class PlannedFlow:
     flow: FlowKey
     size_bytes: int
     start: float
-
-
-@dataclass
-class GeneratedFlow:
-    """One flow the generator materialized onto the simulator."""
-
-    flow: FlowKey
-    size_bytes: int
-    start: float
-    source: Optional[UdpCbrSource] = None
 
 
 def _stream(seed: int, label: str) -> random.Random:
@@ -359,16 +348,9 @@ class WorkloadGenerator:
     to exercise pointers, records, and queries without TCP dynamics
     (use the scenario builders when congestion control matters).
 
-    Two materialization paths:
-
-    * :meth:`schedule` — one :class:`UdpCbrSource`/:class:`UdpSink`
-      pair per flow (the historical path, fine for dozens of flows);
-    * :meth:`launch` — the batched plan driven by one
-      :class:`BackgroundTraffic` emitter (the path sweeps use for
-      thousands of flows).
-
-    Both draw from the same :class:`FlowPlanner`, so for equal specs
-    they carry the same flow population.
+    :meth:`launch` materializes the :class:`FlowPlanner` plan through
+    one :class:`BackgroundTraffic` emitter and keeps the plan in
+    :attr:`flows` for the post-run statistics.
     """
 
     def __init__(self, network: Network, spec: WorkloadSpec, *,
@@ -383,9 +365,8 @@ class WorkloadGenerator:
             senders if senders is not None else hosts,
             receivers if receivers is not None else hosts,
             base_port=base_port)
-        self.flows: list[GeneratedFlow] = []
+        self.flows: list[PlannedFlow] = []
         self.traffic: Optional[BackgroundTraffic] = None
-        self._sinks: set[tuple[str, int]] = set()
 
     # -- planning -------------------------------------------------------------
 
@@ -395,36 +376,12 @@ class WorkloadGenerator:
 
     # -- materialization ------------------------------------------------------
 
-    def schedule(self) -> list[GeneratedFlow]:
-        """Materialize the plan one UdpCbrSource per flow."""
-        spec = self.spec
-        for p in self.plan():
-            self._ensure_sink(p.flow.dst, p.flow.dport)
-            duration = max(p.size_bytes * 8 / spec.flow_rate_bps, 1e-6)
-            source = UdpCbrSource(
-                self.network.sim, self.network.hosts[p.flow.src],
-                p.flow.dst, sport=p.flow.sport, dport=p.flow.dport,
-                rate_bps=spec.flow_rate_bps,
-                packet_size=min(spec.packet_size, max(64, p.size_bytes)),
-                priority=spec.priority, start=p.start, duration=duration)
-            self.flows.append(GeneratedFlow(flow=p.flow,
-                                            size_bytes=p.size_bytes,
-                                            start=p.start, source=source))
-        return self.flows
-
     def launch(self) -> BackgroundTraffic:
         """Materialize the plan through one batched emitter."""
-        plans = self.plan()
-        self.traffic = BackgroundTraffic(self.network, plans, self.spec)
-        self.flows = [GeneratedFlow(flow=p.flow, size_bytes=p.size_bytes,
-                                    start=p.start) for p in plans]
+        self.flows = self.plan()
+        self.traffic = BackgroundTraffic(self.network, self.flows,
+                                         self.spec)
         return self.traffic
-
-    def _ensure_sink(self, host_name: str, port: int) -> None:
-        key = (host_name, port)
-        if key not in self._sinks:
-            UdpSink(self.network.hosts[host_name], port)
-            self._sinks.add(key)
 
     # -- post-run statistics ---------------------------------------------------
 

@@ -11,20 +11,16 @@ from repro.analyzer.apps import (diagnose_cascade, diagnose_contention,
                                  diagnose_load_imbalance,
                                  diagnose_red_lights)
 from repro.core.epoch import EpochRange
-from repro.scenarios import (run_contention_scenario,
-                             run_load_imbalance_scenario,
-                             run_red_lights_scenario,
-                             run_cascades_scenario)
 
 
 @pytest.fixture(scope="module")
-def contention_priority():
-    return run_contention_scenario(4, discipline="priority")
+def contention_priority(payload_of):
+    return payload_of("contention", m_flows=4)
 
 
 @pytest.fixture(scope="module")
-def contention_fifo():
-    return run_contention_scenario(4, discipline="fifo")
+def contention_fifo(payload_of):
+    return payload_of("contention", m_flows=4, discipline="fifo")
 
 
 class TestDiagnoseContention:
@@ -84,8 +80,8 @@ class TestDiagnoseContention:
 
 class TestDiagnoseRedLights:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_red_lights_scenario()
+    def result(self, payload_of):
+        return payload_of("red-lights")
 
     def test_finds_culprits_at_both_switches(self, result):
         assert result.alerts
@@ -116,8 +112,8 @@ class TestDiagnoseRedLights:
 
 class TestDiagnoseCascade:
     @pytest.fixture(scope="class")
-    def cascaded(self):
-        return run_cascades_scenario(cascaded=True)
+    def cascaded(self, payload_of):
+        return payload_of("cascades", cascaded=True)
 
     def test_full_chain_recovered(self, cascaded):
         assert cascaded.alerts
@@ -133,9 +129,9 @@ class TestDiagnoseCascade:
         prios = [c.priority for c in verdict.culprits]
         assert prios == sorted(prios)
 
-    def test_no_cascade_baseline_finishes_earlier(self):
-        base = run_cascades_scenario(cascaded=False)
-        casc = run_cascades_scenario(cascaded=True)
+    def test_no_cascade_baseline_finishes_earlier(self, payload_of):
+        base = payload_of("cascades", cascaded=False)
+        casc = payload_of("cascades", cascaded=True)
         assert base.ce_completed_at is not None
         assert casc.ce_completed_at is not None
         assert casc.ce_completed_at > base.ce_completed_at + 0.004
@@ -148,8 +144,8 @@ class TestDiagnoseCascade:
 
 class TestDiagnoseLoadImbalance:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_load_imbalance_scenario(8)
+    def result(self, payload_of):
+        return payload_of("load-imbalance", n_servers=8)
 
     def test_detects_clean_separation(self, result):
         verdict = diagnose_load_imbalance(
@@ -175,8 +171,8 @@ class TestDiagnoseLoadImbalance:
         assert all(h.startswith("rx") for h in verdict.hosts_consulted)
         assert len(verdict.hosts_consulted) == 8
 
-    def test_healthy_ecmp_not_flagged(self):
-        res = run_load_imbalance_scenario(8)
+    def test_healthy_ecmp_not_flagged(self, payload_of):
+        res = payload_of("load-imbalance", n_servers=8)
         # remove the malfunction and replay fresh traffic: new scenario
         # without override
         net = res.network

@@ -5,7 +5,6 @@ import pytest
 from repro.analyzer.autodebug import AutoDebugger
 from repro.core.epoch import EpochRange
 from repro.hostd.triggers import SwitchEpochTuple, VictimAlert
-from repro.scenarios import run_cascades_scenario, run_contention_scenario
 from repro.simnet.packet import FlowKey, PROTO_TCP
 
 
@@ -60,8 +59,8 @@ class TestDeduplication:
 
 class TestDispatch:
     @pytest.fixture(scope="class")
-    def contention(self):
-        return run_contention_scenario(4, discipline="priority")
+    def contention(self, payload_of):
+        return payload_of("contention", m_flows=4)
 
     def test_contention_incident_diagnosed(self, contention):
         auto = AutoDebugger(contention.deployment.analyzer)
@@ -82,8 +81,8 @@ class TestDispatch:
         # dumbbell: culprits appear at both S1 and S2 pointer pulls
         assert auto.incidents[0].escalated_to in (None, "red-lights")
 
-    def test_cascade_escalation_end_to_end(self):
-        res = run_cascades_scenario(cascaded=True)
+    def test_cascade_escalation_end_to_end(self, payload_of):
+        res = payload_of("cascades", cascaded=True)
         auto = AutoDebugger(res.deployment.analyzer)
         for alert in res.alerts:
             auto.ingest(alert)
@@ -107,8 +106,8 @@ class TestReporting:
     def test_empty_report(self):
         assert AutoDebugger(FakeAnalyzer()).report() == "no incidents"
 
-    def test_render_contains_essentials(self):
-        res = run_contention_scenario(2, discipline="priority")
+    def test_render_contains_essentials(self, payload_of):
+        res = payload_of("contention", m_flows=2)
         auto = AutoDebugger(res.deployment.analyzer)
         auto.ingest(res.alerts[0])
         auto.diagnose_all()

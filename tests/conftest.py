@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.registry import Registry
+from repro.scenarios import run_scenario
 
 settings.register_profile(
     "repro",
@@ -29,3 +30,15 @@ def empty_like():
                         check=registry.check)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def payload_of():
+    """``payload_of(name, **knobs)``: run a registered scenario without
+    its own diagnosis and return its result object (``*Result``), for
+    tests that read its probes or call a ``diagnose_*`` app themselves."""
+
+    def run(name, **knobs):
+        return run_scenario(name, with_diagnosis=False, **knobs).payload
+
+    return run

@@ -96,6 +96,11 @@ class TestRunCommand:
         assert main(["run", "no-such-scenario"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["contention", "microburst"])
+    def test_negative_burst_size_fails_cleanly(self, scenario, capsys):
+        assert main(["run", scenario, "--knob", "m_flows=-1"]) == 2
+        assert "m_flows" in capsys.readouterr().err
+
     def test_unknown_knob_fails_cleanly(self, capsys):
         assert main(["run", "gray-failure", "--knob", "bogus=1"]) == 2
         assert "unknown knob" in capsys.readouterr().err
@@ -128,36 +133,62 @@ class TestSizing:
 
 
 class TestScenarios:
+    """One figure point is one ``run <fig alias> --knob ...``."""
+
     def test_fig2a_single_point(self, capsys):
-        assert main(["fig2a", "--flows", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "starvation_ms" in out
+        assert main(["run", "fig2a", "--knob", "m_flows=2",
+                     "--knob", "duration=0.045",
+                     "--knob", "watch=false"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "scenario: contention" in lines
+        # the legacy `fig2a --flows 2` row: 1.0 ms, 2.03 ms, 0 timeouts
+        assert "starvation_ms: 1.0" in lines
+        assert "max_gap_ms: 2.028" in lines
+        assert "tcp_timeouts: 0" in lines
 
     def test_fig7_single_point(self, capsys):
-        assert main(["fig7", "--flows", "2"]) == 0
+        assert main(["run", "fig7", "--knob", "m_flows=2",
+                     "--knob", "duration=0.045"]) == 0
         out = capsys.readouterr().out
-        assert "priority-contention" in out
+        # the legacy `fig7 --flows 2` row: 36.7 ms, 3 hosts
+        assert "diagnosis (priority-contention)" in out
+        assert "debugging time (model): 36.7 ms; hosts consulted: 3" in out
 
     def test_fig8_small(self, capsys):
-        assert main(["fig8", "--servers", "4"]) == 0
+        assert main(["run", "fig8", "--knob", "n_servers=4"]) == 0
         out = capsys.readouterr().out
-        assert "True" in out
+        # the legacy `fig8 --servers 4` row: 23.2 ms, imbalanced
+        assert "clean separation" in out
+        assert "debugging time (model): 23.2 ms; hosts consulted: 4" in out
 
 
 class TestScenarioCommands:
+    @pytest.mark.parametrize("fig", ["fig2a", "fig2b", "fig3", "fig4",
+                                     "fig7", "fig8"])
+    def test_figure_ids_are_not_subcommands(self, fig):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([fig])
+
     def test_fig3(self, capsys):
-        assert main(["fig3"]) == 0
+        assert main(["run", "fig3"]) == 0
         out = capsys.readouterr().out
-        assert "victim throughput at S1" in out
-        assert "diagnosis:" in out
+        assert "scenario: red-lights" in out
+        assert "diagnosis (too-many-red-lights)" in out
 
     def test_fig4(self, capsys):
-        assert main(["fig4"]) == 0
-        out = capsys.readouterr().out
-        assert "without cascade" in out
-        assert "with cascade" in out
-        assert "cascade chain" in out
+        assert main(["run", "fig4", "--knob", "cascaded=false"]) == 0
+        without = capsys.readouterr().out
+        assert main(["run", "fig4", "--knob", "cascaded=true"]) == 0
+        with_cascade = capsys.readouterr().out
+        # the legacy `fig4` rows: C-E done at 28.8 ms vs 36.8 ms
+        assert "ce_completed_ms: 28.77" in without.splitlines()
+        assert "ce_completed_ms: 36.8" in with_cascade.splitlines()
+        assert "cascade chain" in with_cascade
 
     def test_fig2b(self, capsys):
-        assert main(["fig2b", "--flows", "2"]) == 0
-        assert "starvation_ms" in capsys.readouterr().out
+        assert main(["run", "fig2b", "--knob", "m_flows=2",
+                     "--knob", "duration=0.045",
+                     "--knob", "watch=false"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario: microburst" in out
+        assert "starvation_ms" in out

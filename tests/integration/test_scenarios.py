@@ -4,36 +4,41 @@ examples, tests, and benchmarks all share them."""
 
 import pytest
 
-from repro.baselines.innetwork import PortCounterMonitor
 from repro.scenarios import (build_cascades_network,
                              build_load_imbalance_network,
-                             build_red_lights_network,
-                             run_contention_scenario,
-                             run_load_imbalance_scenario)
+                             build_red_lights_network, run_scenario)
 
 
 class TestContentionScenario:
     def test_invalid_discipline_rejected(self):
         with pytest.raises(ValueError):
-            run_contention_scenario(2, discipline="wfq")
+            run_scenario("contention", m_flows=2, discipline="wfq")
 
-    def test_burst_flows_have_distinct_pairs(self):
-        res = run_contention_scenario(4, duration=0.030,
-                                      burst_start=0.005, watch=False)
+    @pytest.mark.parametrize("name", ["contention", "microburst"])
+    def test_negative_burst_size_rejected(self, name):
+        # refused at build time, before any MPHF is built over zero keys
+        with pytest.raises(ValueError, match="m_flows"):
+            run_scenario(name, m_flows=-1)
+
+    def test_burst_flows_have_distinct_pairs(self, payload_of):
+        res = payload_of("contention", m_flows=4, duration=0.030,
+                         burst_start=0.005, watch=False)
         # m+1 sender/receiver pairs exist; victim uses pair 0
         assert res.victim.src == "h1_0" and res.victim.dst == "h2_0"
         assert len(res.network.hosts) == 2 * (4 + 1)
 
-    def test_result_metrics_present(self):
-        res = run_contention_scenario(2, duration=0.030,
-                                      burst_start=0.005, watch=False)
+    def test_result_metrics_present(self, payload_of):
+        res = payload_of("contention", m_flows=2, duration=0.030,
+                         burst_start=0.005, watch=False)
         assert res.starvation_ms() >= 0
         assert res.max_gap_ms() > 0
         assert res.throughput.total_bytes > 0
 
     def test_no_watch_means_no_alerts(self):
-        res = run_contention_scenario(2, duration=0.030, watch=False)
-        assert res.alerts == []
+        result = run_scenario("contention", m_flows=2, duration=0.030,
+                              watch=False)
+        assert result.payload.alerts == []
+        assert result.verdicts == []
 
 
 class TestRedLightsTopology:
@@ -63,7 +68,7 @@ class TestCascadesTopology:
 class TestLoadImbalanceScenario:
     def test_needs_two_servers(self):
         with pytest.raises(ValueError):
-            run_load_imbalance_scenario(1)
+            run_scenario("load-imbalance", n_servers=1)
 
     def test_two_egress_candidates_at_s1(self):
         net = build_load_imbalance_network(4)
@@ -71,8 +76,8 @@ class TestLoadImbalanceScenario:
         routes = s1.routes_for("rx0")
         assert len(routes) == 2  # SPA and SPB (ECMP set)
 
-    def test_malfunction_splits_cleanly(self):
-        res = run_load_imbalance_scenario(6)
+    def test_malfunction_splits_cleanly(self, payload_of):
+        res = payload_of("load-imbalance", n_servers=6)
         s1 = res.network.switches["S1"]
         spa = res.network.link_between("S1", "SPA").iface_of(s1)
         spb = res.network.link_between("S1", "SPB").iface_of(s1)
@@ -81,16 +86,10 @@ class TestLoadImbalanceScenario:
         # small flows sum < large flows sum per construction
         assert spa.tx_bytes < spb.tx_bytes
 
-    def test_detection_via_interface_counters(self):
+    def test_detection_via_interface_counters(self, payload_of):
         """§5.4: 'detected by monitoring interface byte counts per
         second' — the per-port counters show persistent skew."""
-        net = build_load_imbalance_network(6)
-        mon = PortCounterMonitor(net.switches["S1"], window=0.005)
-        # re-run the traffic portion manually on this instrumented net
-        from repro.scenarios import run_load_imbalance_scenario
-        # simplest: fresh scenario with its own monitor
-        res = run_load_imbalance_scenario(6)
-        mon2 = None
+        res = payload_of("load-imbalance", n_servers=6)
         s1 = res.network.switches["S1"]
         spa = res.network.link_between("S1", "SPA").iface_of(s1)
         spb = res.network.link_between("S1", "SPB").iface_of(s1)

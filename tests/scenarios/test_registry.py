@@ -156,9 +156,26 @@ class TestRoundTrips:
         result = run_scenario("fig2a", **spec.smoke_knobs)
         assert result.name == "contention"
 
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_summary_reports_debugging_time(self, name):
+        """The Fig 7 / Fig 8 y-axes print for every scenario's verdicts."""
+        spec = REGISTRY.get(name).spec
+        result = run_scenario(name, **spec.smoke_knobs)
+        text = "\n".join(result.summary_lines())
+        assert result.verdicts
+        for v in result.verdicts:
+            assert (f"debugging time (model): {v.total_time_s * 1e3:.1f} "
+                    f"ms; hosts consulted: {len(v.hosts_consulted)}"
+                    ) in text
+
     def test_summary_lines_render(self):
         spec = REGISTRY.get("gray-failure").spec
         result = run_scenario("gray-failure", **spec.smoke_knobs)
         text = "\n".join(result.summary_lines())
         assert "scenario: gray-failure" in text
         assert "diagnosis (gray-failure)" in text
+        # every verdict line is followed by the Fig 7 / Fig 8 y-axes
+        for v in result.verdicts:
+            assert (f"debugging time (model): {v.total_time_s * 1e3:.1f} "
+                    f"ms; hosts consulted: {len(v.hosts_consulted)}"
+                    ) in text

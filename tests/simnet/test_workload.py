@@ -30,35 +30,35 @@ class TestGeneration:
     def test_deterministic_under_seed(self):
         net1, net2 = fabric(), fabric()
         spec = WorkloadSpec(duration_s=0.02, seed=7)
-        flows1 = WorkloadGenerator(net1, spec).schedule()
-        flows2 = WorkloadGenerator(net2, spec).schedule()
+        flows1 = WorkloadGenerator(net1, spec).plan()
+        flows2 = WorkloadGenerator(net2, spec).plan()
         assert [(f.flow, f.size_bytes, f.start) for f in flows1] == \
             [(f.flow, f.size_bytes, f.start) for f in flows2]
 
     def test_different_seed_differs(self):
         spec_a = WorkloadSpec(duration_s=0.02, seed=1)
         spec_b = WorkloadSpec(duration_s=0.02, seed=2)
-        fa = WorkloadGenerator(fabric(), spec_a).schedule()
-        fb = WorkloadGenerator(fabric(), spec_b).schedule()
+        fa = WorkloadGenerator(fabric(), spec_a).plan()
+        fb = WorkloadGenerator(fabric(), spec_b).plan()
         assert [f.size_bytes for f in fa] != [f.size_bytes for f in fb]
 
     def test_arrival_count_near_rate(self):
         spec = WorkloadSpec(arrival_rate_per_s=5000, duration_s=0.1,
                             seed=3)
-        flows = WorkloadGenerator(fabric(), spec).schedule()
+        flows = WorkloadGenerator(fabric(), spec).plan()
         assert 350 < len(flows) < 650  # Poisson(500) +- ~5 sigma
 
     def test_sizes_within_bounds(self):
         spec = WorkloadSpec(duration_s=0.05, min_flow_bytes=2000,
                             max_flow_bytes=50_000, seed=5)
-        flows = WorkloadGenerator(fabric(), spec).schedule()
+        flows = WorkloadGenerator(fabric(), spec).plan()
         assert flows
         for f in flows:
             assert 2000 <= f.size_bytes <= 50_000
 
     def test_no_self_flows(self):
         spec = WorkloadSpec(duration_s=0.05, seed=6)
-        flows = WorkloadGenerator(fabric(), spec).schedule()
+        flows = WorkloadGenerator(fabric(), spec).plan()
         assert all(f.flow.src != f.flow.dst for f in flows)
 
     def test_sender_receiver_scoping(self):
@@ -66,7 +66,7 @@ class TestGeneration:
         spec = WorkloadSpec(duration_s=0.05, seed=8)
         gen = WorkloadGenerator(net, spec, senders=["h0_0", "h0_1"],
                                 receivers=["h1_0"])
-        flows = gen.schedule()
+        flows = gen.plan()
         assert {f.flow.src for f in flows} <= {"h0_0", "h0_1"}
         assert {f.flow.dst for f in flows} == {"h1_0"}
 
@@ -75,10 +75,11 @@ class TestGeneration:
         spec = WorkloadSpec(arrival_rate_per_s=500, duration_s=0.02,
                             mean_flow_bytes=10_000, seed=9)
         gen = WorkloadGenerator(net, spec)
-        flows = gen.schedule()
+        gen.launch()
         net.run(until=0.2)
         delivered = sum(h.rx_packets for h in net.hosts.values())
-        assert delivered >= len(flows)  # every flow landed >= 1 packet
+        assert gen.flows
+        assert delivered >= len(gen.flows)  # every flow landed >= 1 packet
 
 
 class TestFixedPopulation:
@@ -158,18 +159,6 @@ class TestBatchedLaunch:
         net.run(until=0.2)
         assert bg.packets_sent == sent_at_stop
 
-    def test_naive_schedule_carries_same_population(self):
-        """schedule() (one source per flow) and launch() (one emitter)
-        materialize the same planned flows."""
-        net1 = fabric()
-        net2 = fabric()
-        spec = WorkloadSpec(n_flows=60, spread_s=0.005, seed=11)
-        naive = WorkloadGenerator(net1, spec).schedule()
-        batched = WorkloadGenerator(net2, spec)
-        batched.launch()
-        assert [(f.flow, f.size_bytes, f.start) for f in naive] == \
-            [(f.flow, f.size_bytes, f.start) for f in batched.flows]
-
 
 class TestHeavyTail:
     def test_elephants_carry_most_bytes(self):
@@ -177,7 +166,7 @@ class TestHeavyTail:
                             mean_flow_bytes=100_000, pareto_shape=1.2,
                             seed=11)
         gen = WorkloadGenerator(fabric(), spec)
-        gen.schedule()
+        gen.launch()
         p = gen.size_percentiles((50, 99))
         assert p[99] > 10 * p[50]  # heavy tail
         assert gen.elephant_byte_share(500_000) > 0.3
