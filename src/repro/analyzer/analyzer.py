@@ -11,8 +11,9 @@ The analyzer coordinates switch agents and host agents:
   only relevant if the suspect switch reaches it through a link the
   victim's path also uses (§4.3 — "filters out irrelevant end-hosts
   ... if the paths ... do not share any path segment of the flow") —
-  read off the static topology map (:meth:`Network.paths_from`, one
-  BFS per source per ``topology_version``), never searched per host,
+  read off the static topology map (:meth:`Network.tree_path`, one
+  first-discovered tree per root switch per ``topology_version``, a
+  host's path built at lookup), never searched per host,
 * fans out queries to the surviving hosts through the latency-modelled
   RPC fabric.
 
@@ -83,10 +84,6 @@ class Analyzer:
         self.dir_approx_queries = 0
         self.dir_false_positive_slots = 0
         self.dir_negative_slots = 0
-        # topology cache (§4.3 pruning): per-source shortest paths,
-        # computed with one BFS per source per topology version
-        self._topo_version = -1
-        self._paths_from: dict[str, dict[str, list[str]]] = {}
 
     # -- alert ingestion -------------------------------------------------------
 
@@ -108,14 +105,14 @@ class Analyzer:
     def hops_to(self, server: str) -> int:
         """Topology hop count from the analyzer site to ``server``.
 
-        Served from the memoized per-source BFS the §4.3 pruning
-        already maintains.  Unreachable or unknown servers cost 0 extra
-        — the timeout machinery, not wire distance, prices those.
+        Read off the same first-discovered tree the §4.3 pruning uses.
+        Unreachable or unknown servers cost 0 extra — the timeout
+        machinery, not wire distance, prices those.
         """
         site = self.site
         if site is None:
             return 0
-        path = self._shortest_paths_from(site).get(server)
+        path = self.network.tree_path(site, server)
         return len(path) - 1 if path is not None else 0
 
     def host_responsive(self, host: str) -> bool:
@@ -259,32 +256,6 @@ class Analyzer:
                                       hosts=kept, pruned=dropped))
         return out, bd
 
-    # -- topology cache ---------------------------------------------------------
-
-    def invalidate_topology_cache(self) -> None:
-        """Drop memoized shortest paths (topology changed)."""
-        self._paths_from.clear()
-
-    def _shortest_paths_from(self, source: str) -> dict[str, list[str]]:
-        """One shortest path to every node reachable from ``source``.
-
-        :meth:`Network.paths_from`, memoized per (topology, source) —
-        pruning an alert does not cost one search per candidate host.
-        ``Network.topology_version`` moves with every node or link
-        added, so comparing it is enough to notice any topology edit
-        without the network having to call back into us.  Link sets are
-        built by :func:`_links_of` for the nodes asked about, not for
-        the whole fabric.
-        """
-        net = self.network
-        if net.topology_version != self._topo_version:
-            self._topo_version = net.topology_version
-            self._paths_from.clear()
-        cached = self._paths_from.get(source)
-        if cached is None:
-            cached = self._paths_from[source] = net.paths_from(source)
-        return cached
-
     # -- search-radius pruning (§4.3) ------------------------------------------
 
     def _path_links(self, flow: FlowKey, switch_path: Sequence[str]
@@ -300,7 +271,7 @@ class Analyzer:
         for a, b in zip(nodes, nodes[1:]):
             if a == b:
                 continue
-            segment = self._shortest_paths_from(a).get(b)
+            segment = self.network.tree_path(a, b)
             if segment is None:
                 continue  # unknown waypoint, or no path between them
             links.update(_links_of(segment))
@@ -316,10 +287,10 @@ class Analyzer:
         reached via disjoint segments cannot have shared a queue with
         the victim and are dropped from the search radius.
         """
-        reach = self._shortest_paths_from(switch)
+        path_to = self.network.tree_path
         kept, dropped = [], []
         for h in hosts:
-            path = reach.get(h)
+            path = path_to(switch, h)
             if path is not None and not victim_links.isdisjoint(
                     _links_of(path)):
                 kept.append(h)
@@ -381,9 +352,7 @@ class Analyzer:
         whenever end-hosts are (permanently) added and pushes it to all
         switches.  Here redistribution means handing the new directory
         to the caller, which rewires the switch datapaths; tests use
-        this to cover the host-churn path.  Host churn implies the
-        topology changed, so the memoized path-link sets go with it.
+        this to cover the host-churn path.
         """
         self.directory = HostDirectory(list(hosts))
-        self.invalidate_topology_cache()
         return self.directory

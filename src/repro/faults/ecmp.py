@@ -20,6 +20,17 @@ def port_blind_hash(flow: FlowKey) -> int:
     return _flow_hash(FlowKey(flow.src, flow.dst, 0, 0, flow.proto))
 
 
+class _InstalledPortBlindHash(dict[FlowKey, int]):
+    """:func:`port_blind_hash` as one injection installs it: called per
+    packet, memoized per flow in itself for as long as it is installed."""
+
+    def __call__(self, flow: FlowKey) -> int:
+        h = self.get(flow)
+        if h is None:
+            h = self[flow] = port_blind_hash(flow)
+        return h
+
+
 @register_fault
 class EcmpPolarizationFault(Fault):
     """Replace one switch's ECMP hash with the port-blind variant.
@@ -29,7 +40,7 @@ class EcmpPolarizationFault(Fault):
     own hash is still the installed one, so healing does not clobber a
     hash some other fault stacked on top in the meantime.  (Two
     *overlapping* polarization faults on one switch install the same
-    function and cannot be told apart; the first heal restores the
+    hash and are not told apart; the first heal restores the
     healthy hash — they are the same bug twice, not two bugs.)
     """
 
@@ -66,11 +77,11 @@ class EcmpPolarizationFault(Fault):
     def inject(self, ctx: FaultContext) -> None:
         sw = self._switch(ctx)
         self._saved = sw.ecmp_hash
-        sw.ecmp_hash = port_blind_hash
+        sw.ecmp_hash = _InstalledPortBlindHash()
 
     def heal(self, ctx: FaultContext) -> None:
         sw = self._switch(ctx)
-        if sw.ecmp_hash is port_blind_hash:
+        if isinstance(sw.ecmp_hash, _InstalledPortBlindHash):
             sw.ecmp_hash = self._saved
 
     def expected_egress(self, ctx: FaultContext, flow: FlowKey) -> str:

@@ -41,9 +41,6 @@ EcmpHash = Callable[[FlowKey], int]
 DropFilter = Callable[[Packet], bool]
 
 
-_flow_hash_cache: dict[FlowKey, int] = {}
-
-
 def _flow_hash(key: FlowKey) -> int:
     """Deterministic per-flow hash for ECMP (stable across runs).
 
@@ -52,12 +49,9 @@ def _flow_hash(key: FlowKey) -> int:
     field changes (e.g. sport and dport varied together) — a real ECMP
     hash must not have that artifact.
 
-    Pure function of the key, memoized process-wide: the character loop
-    runs once per flow instead of once per packet per hop.
+    Pure function of the key; :meth:`Switch.forward` memoizes it per
+    network, so the loop runs once per flow, not per packet per hop.
     """
-    h = _flow_hash_cache.get(key)
-    if h is not None:
-        return h
     h = 2166136261
     for part in key:
         for ch in str(part):
@@ -65,7 +59,6 @@ def _flow_hash(key: FlowKey) -> int:
     h ^= h >> 16
     h = (h * 0x45D9F3B) & 0xFFFFFFFF
     h ^= h >> 16
-    _flow_hash_cache[key] = h
     return h
 
 
@@ -83,9 +76,13 @@ class Switch:
     link is down is absent and so has no route on any switch.
     """
 
-    def __init__(self, sim: Simulator, name: str):
+    def __init__(self, sim: Simulator, name: str, *,
+                 flow_hashes: Optional[dict[FlowKey, int]] = None):
         self.sim = sim
         self.name = name
+        #: the default ECMP hash per flow: the dict of the Network that
+        #: created this switch (shared by all its switches), else our own
+        self.flow_hashes = {} if flow_hashes is None else flow_hashes
         self.interfaces: list[Interface] = []
         self._host_routes: dict[str, Sequence[Interface]] = {}
         self._rack_routes: Mapping[str, Sequence[Interface]] = {}
@@ -184,9 +181,13 @@ class Switch:
         if self.forwarding_override is not None:
             out = self.forwarding_override(pkt, list(candidates))
         if out is None:
-            hash_fn = self.ecmp_hash if self.ecmp_hash is not None \
-                else _flow_hash
-            out = candidates[hash_fn(pkt.flow) % len(candidates)]
+            if self.ecmp_hash is not None:
+                h = self.ecmp_hash(pkt.flow)
+            else:
+                h = self.flow_hashes.get(pkt.flow)
+                if h is None:
+                    h = self.flow_hashes[pkt.flow] = _flow_hash(pkt.flow)
+            out = candidates[h % len(candidates)]
         pkt.record_hop(self.name)
         for hook in self.pipeline:
             hook(self, pkt, in_iface, out)

@@ -6,8 +6,9 @@ map (§4.2.1, §4.3): one adjacency map ``{node: {peer: link}}`` in
 link-creation order, versioned by ``topology_version``.  Forwarding
 tables (:meth:`Network.compute_routes`), the per-target distance tables
 behind :meth:`Network.shortest_paths` and the first-discovered paths
-the analyzer prunes by (:meth:`Network.paths_from`) all come from one
-level-order BFS over it; nothing here imports a graph library.
+the analyzer prunes by (:meth:`Network.tree_path`, one tree per root
+switch, a host's path built at lookup) all come from one level-order
+BFS over it; nothing here imports a graph library.
 Builders cover the topologies the paper uses:
 
 * :func:`build_linear` — the 3-switch chain of Figs 1(b)/1(c), used by
@@ -32,6 +33,7 @@ from .link import Link, Node
 from .queues import PacketQueue
 from .device import Switch
 from .host import Host
+from .packet import FlowKey
 
 QueueFactory = Callable[[], PacketQueue]
 
@@ -106,14 +108,17 @@ class Network:
         self.topology_version = 0
         #: searches :meth:`attach_paths` has run, for tests to count
         self.path_searches = 0
+        #: ECMP hash memo all our switches share; dies with the network
+        self.flow_hashes: dict[FlowKey, int] = {}
         # derived from the cabling and dropped with every edit: the
         # (host -> attach switch, switch-only adjacency) pair, the
-        # per-target predecessor tables and the shortest-path memo (one
-        # entry per :meth:`attach_pair`)
+        # per-target predecessor tables, the shortest-path memo (one
+        # entry per :meth:`attach_pair`) and the :meth:`tree_path` trees
         self._fabric: Optional[tuple[dict[str, str],
                                      dict[str, list[str]]]] = None
         self._toward: dict[tuple[str, bool], dict[str, list[str]]] = {}
         self._spaths: dict[tuple[str, str], tuple[NodePath, ...]] = {}
+        self._trees: dict[str, dict[str, NodePath]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -127,7 +132,7 @@ class Network:
 
     def add_switch(self, name: str) -> Switch:
         self._check_fresh_name(name)
-        sw = Switch(self.sim, name)
+        sw = Switch(self.sim, name, flow_hashes=self.flow_hashes)
         self.switches[name] = sw
         self.adjacency[name] = {}
         self._edited()
@@ -155,6 +160,7 @@ class Network:
         self._fabric = None
         self._toward.clear()
         self._spaths.clear()
+        self._trees.clear()
 
     def _check_fresh_name(self, name: str) -> None:
         if name in self.hosts or name in self.switches:
@@ -282,29 +288,38 @@ class Network:
         """
         return [list(p) for p in self._paths(src, dst)]
 
-    def paths_from(self, source: str) -> dict[str, list[str]]:
-        """One shortest path from ``source`` to every reachable node.
+    def tree_path(self, source: str, node: str) -> Optional[list[str]]:
+        """One shortest source→node path: the first-discovered BFS tree's.
 
-        The first-discovered BFS tree, peers in link order — which of
-        several equally short paths a node gets matters, because the
-        analyzer keeps or drops a host by the links of this one.  On a
-        single-homed fabric the search runs over the switches only — a
-        host's path is its attach switch's plus itself.  Empty for an
-        unknown ``source``.
+        Peers in link order, first discoverer wins — which of several
+        equally short paths a node gets matters, because the analyzer
+        keeps or drops a host by the links of this one.  On a
+        single-homed fabric one tree per switch, of switches only; a
+        host source roots at its attach switch, and a host's path is
+        its attach switch's plus itself, built per call.  Other fabrics
+        root a whole-map tree at ``source``.  ``None`` for an unknown
+        ``source`` or an unknown or unreachable ``node``.
         """
-        if source not in self.adjacency:
-            return {}
+        if source == node:
+            return [source] if source in self.adjacency else None
         attach, core = self._derived()
         root = attach.get(source, source)
-        parent = _bfs(core if attach else self.adjacency, root)[1]
-        paths = {root: [root] if root == source else [source, root]}
-        for node, via in parent.items():
-            paths[node] = [*paths[via], node]
-        for host, sw in attach.items():
-            if sw in paths:
-                paths[host] = [*paths[sw], host]
-        paths[source] = [source]
-        return paths
+        tree = self._trees.get(root)
+        if tree is None:
+            if root not in self.adjacency:
+                return None
+            parent = _bfs(core if attach else self.adjacency, root)[1]
+            tree = self._trees[root] = {root: (root,)}
+            for v, via in parent.items():
+                tree[v] = (*tree[via], v)
+        end = attach.get(node, node)
+        path = tree.get(end)
+        if path is None:
+            return None
+        out = list(path) if root == source else [source, *path]
+        if end != node:
+            out.append(node)
+        return out
 
     def path_through_link(self, src: str, dst: str,
                           link: Link) -> Optional[list[str]]:

@@ -31,7 +31,6 @@ class FlowRule:
 
     match: str
     action: str
-    updates: int = 0
 
 
 @dataclass
@@ -42,8 +41,7 @@ class RuleTable:
     port_count: int
     alpha_ms: float
     enforce_commodity_limit: bool = True
-    link_rules: list[FlowRule] = field(default_factory=list)
-    epoch_rule: FlowRule = field(default=None)  # type: ignore[assignment]
+    epoch_rule: FlowRule = field(init=False)
     epoch_updates: int = 0
 
     def __post_init__(self) -> None:
@@ -55,22 +53,18 @@ class RuleTable:
                 f"alpha={self.alpha_ms} ms below the commodity rule-update "
                 f"floor of {COMMODITY_MIN_ALPHA_MS} ms; use INT mode or a "
                 f"larger epoch")
-        self.link_rules = [
-            FlowRule(match=f"egress_port={p}",
-                     action=f"push_vlan(link_id_of_port_{p})")
-            for p in range(self.port_count)]
         self.epoch_rule = FlowRule(match="*",
                                    action="push_vlan(epoch_id=0)")
 
     @property
     def total_rules(self) -> int:
-        """Rules consumed: ports (linkID) + 1 (epochID)."""
-        return len(self.link_rules) + 1
+        """Rules consumed: ports (linkID, static, so only counted) + 1
+        (epochID)."""
+        return self.port_count + 1
 
     def advance_epoch(self, new_epoch: int) -> None:
         """Model the per-epoch rewrite of the epochID rule."""
         self.epoch_rule.action = f"push_vlan(epoch_id={new_epoch})"
-        self.epoch_rule.updates += 1
         self.epoch_updates += 1
 
     def updates_per_second(self) -> float:

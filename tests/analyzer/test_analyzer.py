@@ -100,9 +100,9 @@ class TestPruning:
 
 
 class TestOnDemandLinkSets:
-    """Link sets are built for the nodes asked about, from one memoized
-    BFS per source; every answer must equal the eager reference that
-    materializes a link set for every reachable node."""
+    """Link sets are built for the nodes asked about, from the network's
+    one memoized tree per root switch; every answer must equal the eager
+    reference that materializes a link set for every reachable node."""
 
     @staticmethod
     def eager(net, source):
@@ -116,7 +116,7 @@ class TestOnDemandLinkSets:
         analyzer = SwitchPointerDeployment(net, alpha_ms=10, k=2).analyzer
         flow = FlowKey("h0_0", "h3_1", 1, 9, PROTO_UDP)
         asked = net.host_names + ["ghost"]
-        for _ in ("cold cache", "after invalidation"):
+        for leg in ("cold cache", "after a topology edit"):
             victim_links = analyzer._path_links(flow, ["leaf0", "leaf3"])
             assert victim_links == (self.eager(net, "h0_0")["leaf0"]
                                     | self.eager(net, "leaf0")["leaf3"]
@@ -133,7 +133,37 @@ class TestOnDemandLinkSets:
                     } == {node: len(links)
                           for node, links in from_site.items()}
             assert analyzer.hops_to("ghost") == 0
-            analyzer.invalidate_topology_cache()
+            if leg == "cold cache":
+                # a leaf0-leaf3 shortcut moves the victim's path and
+                # every hop count through it: a stale tree would show
+                net.connect(net.node("leaf0"), net.node("leaf3"))
+
+
+class TestPruneAllocation:
+    def test_diagnose_allocates_no_path_per_host(self):
+        """Pruning a 4,096-host incast builds paths for the hosts a
+        pointer names, never one per fabric host (~2.2 MB traced when
+        every source grew a path list for all 4,096; ~0.05 MB now)."""
+        import gc
+        import tracemalloc
+
+        from repro.core.rng import seed_run
+        from repro.scenarios import REGISTRY
+
+        seed_run(1729)
+        scenario = REGISTRY.get("incast")(hosts=4096, bg_flows=200)
+        scenario.build()
+        scenario.run()
+        scenario.collect()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            verdicts = scenario.diagnose()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdicts and verdicts[0].hosts_consulted
+        assert peak < 512 * 1024, f"diagnose() traced peak {peak} B"
 
 
 class TestConsultation:

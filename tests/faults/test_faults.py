@@ -4,8 +4,10 @@ outage — inject and heal, against a live deployment."""
 import pytest
 
 from repro.deployment import SwitchPointerDeployment
-from repro.faults import FAULTS, FaultContext, FaultError, FaultPlan
-from repro.simnet.packet import PRIO_LOW, PROTO_UDP, FlowKey
+from repro.faults import (FAULTS, FaultContext, FaultError, FaultPlan,
+                          port_blind_hash)
+from repro.simnet.device import _flow_hash
+from repro.simnet.packet import PRIO_LOW, PROTO_UDP, FlowKey, make_udp
 from repro.simnet.topology import build_leaf_spine, build_linear
 from repro.simnet.traffic import UdpCbrSource, UdpSink
 
@@ -175,6 +177,28 @@ class TestEcmpPolarizationGroundTruth:
         _, fault, ctx = fabric
         flow = FlowKey("h0_0", "h1_0", 1000, 2000, PROTO_UDP)
         assert fault.expected_egress(ctx, flow) in ("spine0", "spine1")
+
+    def test_installed_hash_memoizes_for_itself_and_heals(self, fabric):
+        """Each injection's hash keeps its own per-flow memo (gone with
+        the heal); the switch's default memo never sees a blind hash,
+        and a hash stacked on top survives the polarization's heal."""
+        net, fault, ctx = fabric
+        sw = net.switches["leaf0"]
+        fault.inject(ctx)
+        blind = sw.ecmp_hash
+        net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", 5, 9, 500))
+        net.run()
+        key = FlowKey("h0_0", "h1_0", 5, 9, PROTO_UDP)
+        assert dict(blind) == {key: port_blind_hash(key)}
+        # filled by the spine and leaf1, which hash the healthy way
+        assert sw.flow_hashes == {key: _flow_hash(key)}
+        fault.heal(ctx)
+        assert sw.ecmp_hash is None
+        fault.inject(ctx)
+        assert sw.ecmp_hash is not blind and len(sw.ecmp_hash) == 0
+        sw.ecmp_hash = stacked = lambda flow: 0
+        fault.heal(ctx)
+        assert sw.ecmp_hash is stacked
 
     @pytest.mark.parametrize("dst", ["h1_0", "nowhere"],
                              ids=["access_link_down", "unknown_host"])

@@ -25,6 +25,7 @@ CASES = {
     "registry-coverage": "registry_coverage",
     "typed-defs": "typed_defs",
     "stdlib-only-runtime": "stdlib_only_runtime",
+    "module-state": "module_state",
 }
 
 
@@ -82,6 +83,22 @@ def test_stdlib_only_runtime_names_each_third_party_import():
     for package in ("'networkx'", "'numpy.random'", "'scipy.sparse.csgraph'"):
         assert package in blob
     assert "heapq" not in blob and "sibling" not in blob
+
+
+def test_module_state_names_each_grown_name_and_unbounded_cache():
+    violations = lint_fixture("module-state", "violating")
+    blob = "\n".join(v.message for v in violations)
+    # subscript store (memo), method append, method discard, nested
+    # augmented subscript; then cache, lru_cache decorator, lru_cache call
+    for name in ("'_hash_cache'", "'_seen'", "'_tags'", "'_counts'"):
+        assert f"module-level {name} is mutated" in blob
+    assert "_never_grown" not in blob  # bound but never mutated
+    assert blob.count("functools.cache never forgets") == 1
+    assert blob.count("functools.lru_cache(maxsize=None) never forgets") == 2
+    assert len(violations) == 7
+    # a container is reported at its binding line, once
+    assert {v.line for v in violations if "is mutated" in v.message} == {
+        7, 8, 9, 10}
 
 
 def test_knob_declaration_names_every_offender():

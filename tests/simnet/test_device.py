@@ -113,6 +113,38 @@ class TestEcmp:
         net.run()
         assert all(o is target for o in chosen)
 
+    def test_flow_hash_memo_belongs_to_the_network(self):
+        """Every switch of a network shares one memo; a standalone
+        switch has its own, and another network never sees either."""
+        net = self.build_ecmp()
+        s1, s2 = net.switches["S1"], net.switches["S2"]
+        assert s1.flow_hashes is s2.flow_hashes is net.flow_hashes
+        net.hosts["tx"].send(make_udp("tx", "rx", 5, 9, 500))
+        net.run()
+        key = FlowKey("tx", "rx", 5, 9, PROTO_UDP)
+        assert net.flow_hashes == {key: _flow_hash(key)}
+        assert self.build_ecmp().flow_hashes == {}
+        assert Switch(Simulator(), "S").flow_hashes == {}
+
+    def test_forwarding_leaves_no_module_state_behind(self):
+        """Two incasts in one process: nothing held by the device
+        module grows (a sweep or experiment worker runs cell after
+        cell, and each network's flows must die with it)."""
+        import repro.simnet.device as device
+        from repro.core.rng import seed_run
+        from repro.scenarios import run_scenario
+
+        def sizes():
+            return {name: len(value) for name, value in vars(device).items()
+                    if isinstance(value, (dict, list, set))}
+
+        seed_run(1)
+        run_scenario("incast", hosts=32, bg_flows=50)
+        before = sizes()
+        seed_run(2)
+        run_scenario("incast", hosts=32, bg_flows=50)
+        assert sizes() == before
+
     def test_override_none_falls_back_to_ecmp(self):
         net = self.build_ecmp()
         s1 = net.switches["S1"]

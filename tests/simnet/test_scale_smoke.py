@@ -50,8 +50,9 @@ def test_65k_fabric_builds_and_routes_within_budget():
 
 
 @pytest.mark.skip(reason="slow: the full hosts=65536 flows=100000 "
-                         "incast point (~minutes); the nightly "
-                         "incast-scale sweep runs it for real")
+                         "incast point (21-27 s and 565 MB peak RSS on "
+                         "2 cores); the nightly incast-scale "
+                         "sweep runs it for real")
 def test_65k_incast_point_full_flows():
     from repro.scenarios import run_scenario
 

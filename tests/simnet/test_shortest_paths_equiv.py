@@ -4,8 +4,8 @@
 everything from one BFS helper (see docs/PERFORMANCE.md):
 ``shortest_paths`` expands a per-target distance table — over the
 switches alone whenever every host is single-homed — and
-``paths_from`` (what ``Analyzer._shortest_paths_from`` memoizes) grows
-the first-discovered tree.  These tests assert both are bit-identical
+``tree_path`` (what the analyzer prunes by) reads the first-discovered
+tree of its source's root.  These tests assert both are bit-identical
 to networkx on the oracle graph of ``tests/simnet/oracles.py`` —
 including sort order, memoized re-queries, *which* of several equally
 short paths a node gets, and the no-path failure mode — on every
@@ -18,8 +18,6 @@ import itertools
 import networkx as nx
 import pytest
 
-from repro.analyzer.analyzer import Analyzer
-from repro.core.mphf import HostDirectory
 from repro.simnet.topology import (
     Network,
     NoPathError,
@@ -100,26 +98,39 @@ def test_host_to_host_wire_falls_back_to_full_graph() -> None:
     assert net.shortest_paths("h2", "h3") == [["h2", "h3"]]
 
 
+def _assert_tree_paths(net: Network) -> None:
+    """``tree_path`` against networkx's first-discovered tree, for every
+    source × every node of ``net`` plus an unknown name on each side."""
+    graph = nx_graph(net)
+    nodes = [*net.adjacency, "ghost"]
+    for source in nodes:
+        want = (nx.single_source_shortest_path(graph, source)
+                if source in graph else {})
+        for node in nodes:
+            got = net.tree_path(source, node)
+            assert got == want.get(node), (source, node)
+            if got:  # callers own the list; the memo must not change
+                got.append("mutated-by-caller")
+                assert net.tree_path(source, node) == want[node]
+
+
 @pytest.mark.parametrize("build", EVERY_FABRIC)
-def test_paths_from_grow_the_first_discovered_tree(build) -> None:
+def test_tree_path_follows_the_first_discovered_tree(build) -> None:
     """Node for node, path for path: pruning keeps or drops a host by
     the links of this one path, so *which* shortest path is contract."""
     net = build()
-    graph = nx_graph(net)
-    analyzer = Analyzer(network=net, directory=HostDirectory(list(net.hosts)),
-                        switch_agents={}, host_agents={})
-    hosts = sorted(net.hosts)
-    for source in [*net.switches, *hosts[:3], *hosts[-3:]]:
-        want = nx.single_source_shortest_path(graph, source)
-        assert net.paths_from(source) == want, source
-        assert analyzer._shortest_paths_from(source) == want, source
-    assert net.paths_from("ghost") == {}
-    assert analyzer._shortest_paths_from("ghost") == {}
+    _assert_tree_paths(net)
+    if net._derived()[0]:
+        # single-homed: one tree per switch, each holding switches only
+        assert set(net._trees) == set(net.switches)
+        assert all(set(tree) <= set(net.switches)
+                   for tree in net._trees.values())
 
 
-def test_paths_from_follow_link_order_not_names() -> None:
+def test_tree_path_follows_link_order_not_names() -> None:
     """Two equally short paths: the peer cabled first wins, whatever it
-    is called — the tie-break every derived answer inherits."""
+    is called — the tie-break every derived answer inherits, host-rooted
+    paths (grown from the attach switch's tree) included."""
     for first, second in (("sa", "sb"), ("sb", "sa")):
         net = Network()
         for name in ("top", first, second, "bottom"):
@@ -127,17 +138,21 @@ def test_paths_from_follow_link_order_not_names() -> None:
         for a, b in (("top", first), ("top", second),
                      (first, "bottom"), (second, "bottom")):
             net.connect(net.node(a), net.node(b))
-        assert net.paths_from("top")["bottom"] == ["top", first, "bottom"]
-        assert net.paths_from("top") == nx.single_source_shortest_path(
-            nx_graph(net), "top")
+        for host, switch in (("ht", "top"), ("hb", "bottom")):
+            net.connect(net.add_host(host), net.node(switch))
+        assert net.tree_path("top", "bottom") == ["top", first, "bottom"]
+        assert net.tree_path("ht", "hb") == [
+            "ht", "top", first, "bottom", "hb"]
+        _assert_tree_paths(net)
 
 
 def test_topology_edits_reset_the_path_memo() -> None:
     net = build_leaf_spine(4, 2, 2)
     before = net.shortest_paths("h0_0", "h1_0")
+    assert net.tree_path("h0_0", "h1_0") is not None
     version = net.topology_version
     net.add_host("hx")
-    assert net._spaths == {} and net._toward == {}
+    assert net._spaths == {} and net._toward == {} and net._trees == {}
     assert net.topology_version > version
     net.connect(net.node("hx"), net.node("leaf0"))
     assert net.shortest_paths("h0_0", "h1_0") == before

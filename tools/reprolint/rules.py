@@ -12,7 +12,9 @@ pushing checks to where the evidence lives:
 * typing drift — ``typed-defs``: the mypy typed core must carry the
   annotations mypy needs, even where mypy is not installed;
 * packaging — ``stdlib-only-runtime``: the runtime's dependency list is
-  empty and stays so.
+  empty and stays so;
+* lifetime — ``module-state``: state a function mutates belongs to an
+  object its caller owns, not to the module (or an unbounded cache).
 
 Rules are pure AST passes over the :class:`~tools.reprolint.model.Project`
 — nothing under check is imported, so they run identically on the real
@@ -896,3 +898,201 @@ class StdlibOnlyRuntime(Rule):
                             f"the standard library only (third-party "
                             f"packages belong to the test extra)",
                         )
+
+
+# ---------------------------------------------------------------------------
+# R8: module-state
+# ---------------------------------------------------------------------------
+
+_CONTAINER_DISPLAYS = (
+    ast.Dict,
+    ast.List,
+    ast.Set,
+    ast.DictComp,
+    ast.ListComp,
+    ast.SetComp,
+)
+_CONTAINER_FACTORIES = {"dict", "list", "set", "defaultdict", "OrderedDict"}
+_MUTATORS = {
+    *"append extend insert add update setdefault".split(),
+    *"pop popitem remove discard clear".split(),
+}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _is_container(value: Optional[ast.expr]) -> bool:
+    if isinstance(value, ast.Call):
+        return _callee_name(value) in _CONTAINER_FACTORIES
+    return isinstance(value, _CONTAINER_DISPLAYS)
+
+
+def _module_containers(module: Module) -> dict[str, ast.stmt]:
+    """Module-level names bound to a fresh dict/list/set, with the binding."""
+    out: dict[str, ast.stmt] = {}
+    for stmt in module.tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign):
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if _is_container(value):
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    out.setdefault(target.id, stmt)
+    return out
+
+
+def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of ``fn``'s own scope: nested functions and classes are
+    scopes of their own and are walked separately."""
+    frontier = list(ast.iter_child_nodes(fn))
+    while frontier:
+        node = frontier.pop()
+        yield node
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            frontier.extend(ast.iter_child_nodes(node))
+
+
+def _local_names(fn: ast.AST) -> set[str]:
+    """Names ``fn`` binds itself (so they shadow a module-level name)."""
+    local: set[str] = set()
+    declared: set[str] = set()
+    for node in _own_nodes(fn):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.arg):
+            local.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            local.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            local.update((a.asname or a.name).partition(".")[0] for a in node.names)
+    return local - declared
+
+
+def _mutated_name(node: ast.AST) -> Optional[str]:
+    """The bare name ``node`` mutates in place, if it is one of the
+    mutations the rule counts."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        target = node.value
+    elif isinstance(node, ast.AugAssign):
+        target = node.target
+        if isinstance(target, ast.Subscript):
+            target = target.value
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MUTATORS
+    ):
+        target = node.func.value
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def _unbounded_cache(module: Module, node: ast.expr) -> Optional[str]:
+    """``functools.cache`` / ``lru_cache(maxsize=None)``, as a decorator
+    or a call, named by what the source wrote; None for anything else."""
+    call = node if isinstance(node, ast.Call) else None
+    target = call.func if call is not None else node
+    parts: list[str] = []
+    while isinstance(target, ast.Attribute):
+        parts.append(target.attr)
+        target = target.value
+    if not isinstance(target, ast.Name):
+        return None
+    origin = module.imports.get(target.id)
+    if origin is None:
+        return None
+    name = ".".join([origin, *reversed(parts)])
+    if name == "functools.cache":
+        return "functools.cache"
+    if name == "functools.lru_cache" and call is not None:
+        size = _kwarg(call, "maxsize")
+        if size is None and call.args:
+            size = call.args[0]
+        if isinstance(size, ast.Constant) and size.value is None:
+            return "functools.lru_cache(maxsize=None)"
+    return None
+
+
+@register_rule
+class ModuleState(Rule):
+    """Mutable state lives on objects callers own, not in a module."""
+
+    spec = RuleSpec(
+        name="module-state",
+        summary="a module-level dict/list/set a function mutates, and "
+        "functools.cache / lru_cache(maxsize=None), are banned in "
+        "src/repro",
+        rationale="Module state outlives every object that filled it: a "
+        "process-wide memo keeps every flow of every network a sweep or "
+        "experiment worker ever simulated, so the worker grows cell "
+        "after cell and a measured peak RSS reads the leak, not the "
+        "run.  It is also shared by every caller in the process, so one "
+        "test or cell can change what the next one sees.  An unbounded "
+        "functools cache is the same leak behind a decorator.",
+        scope="src/repro/ (module-level names bound to a dict/list/set "
+        "display or comprehension, or to dict()/list()/set()/"
+        "defaultdict()/OrderedDict(), that a function subscript-stores, "
+        "deletes from, augments or calls append/extend/insert/add/"
+        "update/setdefault/pop/popitem/remove/discard/clear on; "
+        "functools.cache and lru_cache(maxsize=None) anywhere)",
+        pragma="module-state",
+        fix="Hang the state on the object whose lifetime it shares (the "
+        "Network, the deployment, the scenario) and hand it to whoever "
+        "needs it; bound a cache, or memoize on that object.  State "
+        "filled once at import time and only read afterwards is not "
+        "flagged; a deliberate process-wide registry carries the pragma "
+        "on its binding line.",
+    )
+
+    def check(self, project: Project) -> Iterator[Violation]:
+        for module in project.under(SRC):
+            yield from self._check_containers(module)
+            yield from self._check_caches(module)
+
+    def _check_containers(self, module: Module) -> Iterator[Violation]:
+        containers = {
+            name: stmt
+            for name, stmt in _module_containers(module).items()
+            if not module.allows(stmt, "module-state", stmt=stmt)
+        }
+        flagged: set[str] = set()
+        # function bodies only: import-time filling is written once, then read
+        for fn in ast.walk(module.tree):
+            if not isinstance(fn, _FUNCTIONS):
+                continue
+            local = _local_names(fn)
+            for node in _own_nodes(fn):
+                name = _mutated_name(node)
+                if name in containers and name not in local | flagged:
+                    flagged.add(name)
+                    yield self.violation(
+                        module,
+                        containers[name].lineno,
+                        f"module-level {name!r} is mutated by a function "
+                        f"(line {getattr(node, 'lineno', '?')}) — it lives "
+                        f"as long as the process and is shared by every "
+                        f"caller; hang it on an object the caller owns",
+                    )
+
+    def _check_caches(self, module: Module) -> Iterator[Violation]:
+        for node in ast.walk(module.tree):
+            exprs: list[ast.expr] = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                # a called decorator is an ast.Call: walked on its own
+                exprs = [d for d in node.decorator_list if not isinstance(d, ast.Call)]
+            elif isinstance(node, ast.Call):
+                exprs = [node]
+            for expr in exprs:
+                what = _unbounded_cache(module, expr)
+                if what is None or module.allows(expr, "module-state"):
+                    continue
+                yield self.violation(
+                    module,
+                    expr.lineno,
+                    f"{what} never forgets: what it memoizes lives as "
+                    f"long as the process — bound it or memoize on an "
+                    f"object the caller owns",
+                )
