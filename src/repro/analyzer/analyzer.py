@@ -233,12 +233,14 @@ class Analyzer:
             "fpr": self.dir_false_positive_slots / neg if neg else 0.0,
         }
 
-    def locate_relevant_hosts(self, alert: VictimAlert, *, level: int = 1,
-                              prune: bool = True, offline: bool = False
+    def locate_relevant_hosts(self, alert: VictimAlert, *,
+                              prune: bool = True
                               ) -> tuple[list[HostsPerSwitch], Breakdown]:
         """The §3 walkthrough: alert → pointers → candidate hosts.
 
         Returns per-switch host lists and the pointer-retrieval latency.
+        ``prune=False`` skips the §4.3 search-radius pruning (the
+        pruning ablation).
         """
         bd = Breakdown()
         bd.add("pointer_retrieval",
@@ -246,8 +248,7 @@ class Analyzer:
         victim_links = self._path_links(alert.flow, alert.switch_path)
         out = []
         for tup in alert.tuples:
-            hosts = self.hosts_for(tup.switch, tup.epochs, level=level,
-                                   offline=offline)
+            hosts = self.hosts_for(tup.switch, tup.epochs)
             kept, dropped = hosts, []
             if prune:
                 kept, dropped = self._prune(tup.switch, hosts,

@@ -28,26 +28,41 @@ extended fault catalogue (§2.4's "many other problems" claim):
   flow census at a multipath switch concentrates on one egress.
 * :func:`diagnose_link_flap` — flap churn: flows behind a branch switch
   oscillate between egresses, and one egress has no stable users.
+
+Every alert-driven app reads its evidence from one §3 round,
+:func:`_contenders` (alert → pointers → hosts → the records that shared
+an epoch with the victim at that switch); every switch-driven census
+app from one §5.4 query, :func:`_egress_census`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.epoch import EpochRange
 from ..core.pointer import PointerSnapshot
 from ..directory import DirectorySet, LshDirectorySet, decode_directory_set
-from ..hostd.triggers import VictimAlert
+from ..hostd.triggers import VictimAlert, alert_tuples_from_record
 from ..rpc.fabric import Breakdown
 from ..simnet.packet import FlowKey
 from .analyzer import Analyzer
+from .netdebug import DropLocalization, localize_packet_drops
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import DiagnosisSession
 
 #: Fig 7's detection phase: the 1 ms trigger window bounds it.
 DETECTION_S = 1e-3
+#: §5.3: how many culprit paths a cascade climbs before it stops.
+CASCADE_DEPTH = 4
+#: a flap needs at least this many flows that changed egress ...
+FLAP_MIN_REROUTED = 2
+#: ... and one egress whose users churned at least this often.
+FLAP_CHURN_THRESHOLD = 0.6
+#: co-suspect switches named on a gray-failure verdict.
+CO_SUSPECTS = 3
 
 
 @dataclass
@@ -116,24 +131,35 @@ def _overlap(a: Optional[EpochRange],
 
 
 # ---------------------------------------------------------------------------
-# §5.1 too much traffic
+# the shared evidence primitives
 # ---------------------------------------------------------------------------
 
-def diagnose_contention(analyzer: Analyzer, alert: VictimAlert, *,
-                        prune: bool = True) -> Verdict:
-    """Who contended with the victim, and was priority involved?"""
+def _alerted(analyzer: Analyzer) -> Breakdown:
+    """Fig 7's first two phases: trigger detection, alert + ack."""
     bd = Breakdown()
     bd.add("problem_detection", DETECTION_S)
     bd.add("alert_to_analyzer", analyzer.rpc.alert_cost())
+    return bd
 
-    per_switch, ptr_bd = analyzer.locate_relevant_hosts(alert, prune=prune)
+
+def _contenders(analyzer: Analyzer, alert: VictimAlert, bd: Breakdown, *,
+                skip_dst: bool = True
+                ) -> tuple[list[Culprit], set[str], Breakdown]:
+    """The §3 round: alert → pointers → hosts → epoch-sharing culprits.
+
+    The victim's destination is not asked unless ``skip_dst=False`` (an
+    incast's culprits all terminate there).  Returns the culprits in
+    discovery order, the hosts consulted, and ``bd`` plus the pointer
+    retrieval and one ``diagnosis`` phase.
+    """
+    per_switch, ptr_bd = analyzer.locate_relevant_hosts(alert)
     bd = bd.merged(ptr_bd)
-
     culprits: list[Culprit] = []
     consulted: set[str] = set()
     diag_bd = Breakdown()
     for entry in per_switch:
-        hosts = [h for h in entry.hosts if h != alert.flow.dst]
+        hosts = ([h for h in entry.hosts if h != alert.flow.dst]
+                 if skip_dst else entry.hosts)
         if not hosts:
             continue
         consulted.update(hosts)
@@ -149,29 +175,70 @@ def diagnose_contention(analyzer: Analyzer, alert: VictimAlert, *,
                 priority=summary.priority, bytes=summary.bytes,
                 shared_epochs=shared))
     bd.add("diagnosis", diag_bd.total)
+    return culprits, consulted, bd
 
+
+def _egress_census(analyzer: Analyzer, switch: str, epochs: EpochRange
+                   ) -> tuple[list[str], dict[str, list[int]], Breakdown]:
+    """The §5.4 query: flow sizes per egress of ``switch`` over ``epochs``.
+
+    Pulls the switch's pointer (the paper fetches "the most recent 1
+    sec") and asks every host it names for its per-egress flow sizes.
+    Returns the hosts consulted, the merged ``{egress: [sizes]}`` map,
+    and the pointer-retrieval + diagnosis breakdown.
+    """
+    bd = Breakdown()
+    bd.add("pointer_retrieval", analyzer.rpc.pointer_pull_cost(1))
+    hosts = analyzer.hosts_for(switch, epochs)
+    results, q_bd = analyzer.consult_hosts(
+        hosts,
+        lambda agent: agent.query.flow_size_distribution(switch=switch,
+                                                         epochs=epochs))
+    bd.add("diagnosis", q_bd.total)
+    merged: dict[str, list[int]] = {}
+    for res in results.values():
+        for egress, sizes in res.payload.items():
+            merged.setdefault(egress, []).extend(sizes)
+    return hosts, merged, bd
+
+
+def _victim_priority(analyzer: Analyzer, alert: VictimAlert) -> int:
+    """The victim's priority, read where its records live: at its
+    destination, whichever host raised the alert."""
+    agent = analyzer.host_agents.get(alert.flow.dst)
+    rec = agent.store.get(alert.flow) if agent is not None else None
+    return rec.priority if rec is not None else 0
+
+
+def _contention_verdict(analyzer: Analyzer, alert: VictimAlert,
+                        culprits: list[Culprit], consulted: set[str],
+                        bd: Breakdown, *, preface: str = "") -> Verdict:
+    """§5.1's call: priority contention if any culprit outranks the
+    victim, an equal-priority microburst otherwise."""
     victim_prio = _victim_priority(analyzer, alert)
     priority_based = any(c.priority > victim_prio for c in culprits)
-    problem = ("priority-contention" if priority_based
-               else "microburst-contention")
     narrative = (
-        f"{len(culprits)} flow(s) contended with {alert.flow.pretty()}; "
+        f"{preface}{len(culprits)} flow(s) contended with "
+        f"{alert.flow.pretty()}; "
         + ("high-priority traffic starved the victim"
            if priority_based else
            "equal-priority burst overflowed the queue (microburst)"))
     return _stamp_approx(analyzer, Verdict(
-        problem=problem, victim=alert.flow, culprits=culprits,
-        breakdown=bd, hosts_consulted=sorted(consulted),
-        narrative=narrative))
+        problem=("priority-contention" if priority_based
+                 else "microburst-contention"),
+        victim=alert.flow, culprits=culprits, breakdown=bd,
+        hosts_consulted=sorted(consulted), narrative=narrative))
 
 
-def _victim_priority(analyzer: Analyzer, alert: VictimAlert) -> int:
-    agent = analyzer.host_agents.get(alert.host)
-    if agent is not None:
-        rec = agent.store.get(alert.flow)
-        if rec is not None:
-            return rec.priority
-    return 0
+# ---------------------------------------------------------------------------
+# §5.1 too much traffic
+# ---------------------------------------------------------------------------
+
+def diagnose_contention(analyzer: Analyzer, alert: VictimAlert) -> Verdict:
+    """Who contended with the victim, and was priority involved?"""
+    culprits, consulted, bd = _contenders(analyzer, alert,
+                                          _alerted(analyzer))
+    return _contention_verdict(analyzer, alert, culprits, consulted, bd)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +256,9 @@ def diagnose_red_lights(analyzer: Analyzer,
     by_switch: dict[str, list[Culprit]] = {}
     for c in base.culprits:
         by_switch.setdefault(c.switch, []).append(c)
-    multi = {sw: cs for sw, cs in by_switch.items() if cs}
     narrative = ("; ".join(
         f"at {sw}: " + ", ".join(c.flow.pretty() for c in cs)
-        for sw, cs in sorted(multi.items()))
+        for sw, cs in sorted(by_switch.items()))
         or "no contention found on the path")
     return _stamp_approx(analyzer, Verdict(
         problem="too-many-red-lights", victim=alert.flow,
@@ -204,53 +270,31 @@ def diagnose_red_lights(analyzer: Analyzer,
 # §5.3 traffic cascades
 # ---------------------------------------------------------------------------
 
-def diagnose_cascade(analyzer: Analyzer, alert: VictimAlert, *,
-                     max_depth: int = 4) -> Verdict:
+def diagnose_cascade(analyzer: Analyzer, alert: VictimAlert) -> Verdict:
     """Recursively walk culprit paths until the chain's head is found.
 
     §5.3: having found that middle-priority A-F collided with victim
     C-E, the analyzer "subsequently examines pointers from switches
     along the path of flow A-F in order to see whether or not the flow
-    was affected by some other flows".
+    was affected by some other flows".  Each stage keeps the first
+    highest-priority culprit that outranks the current flow and is not
+    already in the chain, for at most :data:`CASCADE_DEPTH` stages.
     """
     chain: list[FlowKey] = [alert.flow]
     culprits: list[Culprit] = []
     consulted: set[str] = set()
-    bd = Breakdown()
-    bd.add("problem_detection", DETECTION_S)
-    bd.add("alert_to_analyzer", analyzer.rpc.alert_cost())
+    bd = _alerted(analyzer)
 
     current = alert
     current_prio = _victim_priority(analyzer, alert)
-    for _ in range(max_depth):
-        per_switch, ptr_bd = analyzer.locate_relevant_hosts(current)
-        bd = bd.merged(ptr_bd)
-        best: Optional[Culprit] = None
-        stage_bd = Breakdown()
-        for entry in per_switch:
-            hosts = [h for h in entry.hosts if h != current.flow.dst]
-            if not hosts:
-                continue
-            consulted.update(hosts)
-            found, q_bd = analyzer.contending_flows(
-                hosts, entry.switch, entry.epochs, current)
-            stage_bd = stage_bd.merged(q_bd)
-            for host, summary in found:
-                shared = _overlap(summary.epochs_at(entry.switch),
-                                  entry.epochs)
-                if shared is None or summary.priority <= current_prio:
-                    continue
-                if summary.flow in chain:
-                    continue
-                cand = Culprit(flow=summary.flow, host=host,
-                               switch=entry.switch,
-                               priority=summary.priority,
-                               bytes=summary.bytes, shared_epochs=shared)
-                if best is None or cand.priority > best.priority:
-                    best = cand
-        bd.add("diagnosis", stage_bd.total)
-        if best is None:
+    for _ in range(CASCADE_DEPTH):
+        found, asked, bd = _contenders(analyzer, current, bd)
+        consulted |= asked
+        higher = [c for c in found
+                  if c.priority > current_prio and c.flow not in chain]
+        if not higher:
             break
+        best = max(higher, key=lambda c: c.priority)
         culprits.append(best)
         chain.append(best.flow)
         # climb: re-examine the culprit's own path via its host's record
@@ -278,7 +322,6 @@ def _alert_for_flow(analyzer: Analyzer, flow: FlowKey, host: str,
     rec = agent.store.get(flow)
     if rec is None or not rec.switch_path:
         return None
-    from ..hostd.triggers import alert_tuples_from_record
     return VictimAlert(flow=flow, host=host, time=t, kind="re-examination",
                        tuples=alert_tuples_from_record(rec))
 
@@ -289,28 +332,13 @@ def _alert_for_flow(analyzer: Analyzer, flow: FlowKey, host: str,
 
 def diagnose_load_imbalance(analyzer: Analyzer, switch: str, *,
                             epochs: EpochRange,
-                            size_threshold: int = 1_000_000,
-                            level: int = 1) -> Verdict:
+                            size_threshold: int = 1_000_000) -> Verdict:
     """Compare flow-size distributions across a switch's egress sides.
 
-    Pulls the pointer covering the recent window (the paper fetches "the
-    most recent 1 sec"), queries every implicated host for a per-egress
-    flow-size distribution, and checks for a clean size separation.
+    Runs the §5.4 census over the recent window and checks for a clean
+    size separation.
     """
-    bd = Breakdown()
-    bd.add("pointer_retrieval", analyzer.rpc.pointer_pull_cost(1))
-    hosts = analyzer.hosts_for(switch, epochs, level=level)
-    results, q_bd = analyzer.consult_hosts(
-        hosts,
-        lambda agent: agent.query.flow_size_distribution(switch=switch,
-                                                         epochs=epochs))
-    bd.add("diagnosis", q_bd.total)
-
-    merged: dict[str, list[int]] = {}
-    for res in results.values():
-        for egress, sizes in res.payload.items():
-            merged.setdefault(egress, []).extend(sizes)
-
+    hosts, merged, bd = _egress_census(analyzer, switch, epochs)
     imbalanced, narrative = _separation_verdict(merged, size_threshold)
     return _stamp_approx(analyzer, Verdict(
         problem="load-imbalance", victim=None, breakdown=bd,
@@ -333,35 +361,11 @@ def diagnose_incast(analyzer: Analyzer, alert: VictimAlert, *,
     ``min_fan_in`` epoch-sharing culprits target the victim's
     destination; otherwise it degrades to the generic contention call.
     """
-    bd = Breakdown()
-    bd.add("problem_detection", DETECTION_S)
-    bd.add("alert_to_analyzer", analyzer.rpc.alert_cost())
-
-    per_switch, ptr_bd = analyzer.locate_relevant_hosts(alert)
-    bd = bd.merged(ptr_bd)
-
-    culprits: list[Culprit] = []
-    consulted: set[str] = set()
-    fan_in: dict[str, int] = {}
-    diag_bd = Breakdown()
-    for entry in per_switch:
-        if not entry.hosts:
-            continue
-        consulted.update(entry.hosts)
-        found, q_bd = analyzer.contending_flows(entry.hosts, entry.switch,
-                                                entry.epochs, alert)
-        diag_bd = diag_bd.merged(q_bd)
-        for host, summary in found:
-            shared = _overlap(summary.epochs_at(entry.switch), entry.epochs)
-            if shared is None:
-                continue
-            culprits.append(Culprit(
-                flow=summary.flow, host=host, switch=entry.switch,
-                priority=summary.priority, bytes=summary.bytes,
-                shared_epochs=shared))
-            if summary.flow.dst == alert.flow.dst:
-                fan_in[entry.switch] = fan_in.get(entry.switch, 0) + 1
-    bd.add("diagnosis", diag_bd.total)
+    culprits, consulted, bd = _contenders(analyzer, alert,
+                                          _alerted(analyzer),
+                                          skip_dst=False)
+    fan_in = Counter(c.switch for c in culprits
+                     if c.flow.dst == alert.flow.dst)
 
     if fan_in and max(fan_in.values()) >= min_fan_in:
         # Ties go to the latest on-path switch: the fan-in is visible at
@@ -379,20 +383,8 @@ def diagnose_incast(analyzer: Analyzer, alert: VictimAlert, *,
                        f"(N-to-1 incast fan-in)")))
     # No fan-in: degrade to the §5.1 classification, reusing the
     # culprits already gathered rather than re-querying the hosts.
-    victim_prio = _victim_priority(analyzer, alert)
-    priority_based = any(c.priority > victim_prio for c in culprits)
-    problem = ("priority-contention" if priority_based
-               else "microburst-contention")
-    narrative = (
-        f"no incast fan-in found; {len(culprits)} flow(s) contended "
-        f"with {alert.flow.pretty()}; "
-        + ("high-priority traffic starved the victim"
-           if priority_based else
-           "equal-priority burst overflowed the queue (microburst)"))
-    return _stamp_approx(analyzer, Verdict(
-        problem=problem, victim=alert.flow, culprits=culprits,
-        breakdown=bd, hosts_consulted=sorted(consulted),
-        narrative=narrative))
+    return _contention_verdict(analyzer, alert, culprits, consulted, bd,
+                               preface="no incast fan-in found; ")
 
 
 # ---------------------------------------------------------------------------
@@ -400,46 +392,22 @@ def diagnose_incast(analyzer: Analyzer, alert: VictimAlert, *,
 # ---------------------------------------------------------------------------
 
 def diagnose_gray_failure(analyzer: Analyzer, flow: FlowKey, *,
-                          silence_epochs: EpochRange,
-                          path: Optional[list[str]] = None,
-                          level: int = 1) -> Verdict:
+                          silence_epochs: EpochRange) -> Verdict:
     """Localize a silent (gray) drop of ``flow`` to one hop.
 
     ``silence_epochs`` is the window in which the destination stopped
-    seeing the flow.  The trajectory defaults to the flow record at the
+    seeing the flow.  The trajectory is the flow record at the
     destination host (captured while the flow was still healthy); the
     per-switch pointers over the silence window then form the spatial
     cut that :func:`~repro.analyzer.netdebug.localize_packet_drops`
     turns into a suspect hop.
     """
-    from .netdebug import localize_packet_drops
-
-    if path is None:
-        agent = analyzer.host_agents.get(flow.dst)
-        rec = agent.store.get(flow) if agent is not None else None
-        path = list(rec.switch_path) if rec is not None else []
-    loc = localize_packet_drops(analyzer, flow, path, silence_epochs,
-                                level=level)
-    if loc.localized:
-        here, nxt = loc.suspect_hop
-        suspect = nxt if nxt in analyzer.switch_agents else here
-        upstream = ", ".join(loc.forwarding) if loc.forwarding else "no"
-        narrative = (
-            f"packets of {flow.pretty()} vanish between {here} and {nxt}; "
-            f"pointers still name {flow.dst} at {upstream} upstream "
-            f"switch(es), never at {', '.join(loc.silent)}")
-        ranked = rank_co_suspects(analyzer, suspect, silence_epochs)
-        return _stamp_approx(analyzer, Verdict(
-            problem="gray-failure", victim=flow,
-            breakdown=loc.breakdown, suspect=suspect,
-            co_suspects=[c.switch for c in ranked],
-            narrative=narrative))
-    return _stamp_approx(analyzer, Verdict(
-        problem="gray-failure", victim=flow,
-        breakdown=loc.breakdown, suspect=None,
-        narrative=(f"no spatial cut on {flow.pretty()}'s path "
-                   f"in epochs {silence_epochs.lo}-"
-                   f"{silence_epochs.hi}")))
+    agent = analyzer.host_agents.get(flow.dst)
+    rec = agent.store.get(flow) if agent is not None else None
+    path = list(rec.switch_path) if rec is not None else []
+    loc = localize_packet_drops(analyzer, flow, path, silence_epochs)
+    return _gray_verdict(analyzer, flow, loc, silence_epochs,
+                         loc.breakdown, [])
 
 
 def diagnose_gray_failure_online(analyzer: Analyzer, flow: FlowKey, *,
@@ -464,11 +432,7 @@ def diagnose_gray_failure_online(analyzer: Analyzer, flow: FlowKey, *,
        verdict;
     4. the verdict is stamped ``complete | degraded | stale``.
     """
-    from .netdebug import localize_packet_drops
-
-    bd = Breakdown()
-    bd.add("problem_detection", DETECTION_S)
-    bd.add("alert_to_analyzer", analyzer.rpc.alert_cost())
+    bd = _alerted(analyzer)
 
     # step 1: trajectory from the destination's record, via the session
     results, q_bd = analyzer.consult_hosts(
@@ -490,28 +454,36 @@ def diagnose_gray_failure_online(analyzer: Analyzer, flow: FlowKey, *,
         _, d_bd = session.delta_flows([flow.dst], path[0], silence_epochs)
         bd = bd.merged(d_bd)
 
-    if loc.localized:
-        here, nxt = loc.suspect_hop
-        suspect = nxt if nxt in analyzer.switch_agents else here
-        upstream = ", ".join(loc.forwarding) if loc.forwarding else "no"
-        narrative = (
+    return session.stamp(_gray_verdict(analyzer, flow, loc, silence_epochs,
+                                       bd, [flow.dst]))
+
+
+def _gray_verdict(analyzer: Analyzer, flow: FlowKey, loc: DropLocalization,
+                  window: EpochRange, bd: Breakdown,
+                  consulted: list[str]) -> Verdict:
+    """Turn a spatial cut into a gray-failure verdict.
+
+    The suspect is the first silent hop when it runs SwitchPointer (the
+    last forwarding one otherwise), named with the switches whose
+    directories over ``window`` look most like its own.
+    """
+    if loc.suspect_hop is None:
+        return _stamp_approx(analyzer, Verdict(
+            problem="gray-failure", victim=flow, breakdown=bd,
+            suspect=None, hosts_consulted=consulted,
+            narrative=(f"no spatial cut on {flow.pretty()}'s path "
+                       f"in epochs {window.lo}-{window.hi}")))
+    here, nxt = loc.suspect_hop
+    suspect = nxt if nxt in analyzer.switch_agents else here
+    upstream = ", ".join(loc.forwarding) if loc.forwarding else "no"
+    ranked = rank_co_suspects(analyzer, suspect, window)
+    return _stamp_approx(analyzer, Verdict(
+        problem="gray-failure", victim=flow, breakdown=bd, suspect=suspect,
+        hosts_consulted=consulted, co_suspects=[c.switch for c in ranked],
+        narrative=(
             f"packets of {flow.pretty()} vanish between {here} and {nxt}; "
             f"pointers still name {flow.dst} at {upstream} upstream "
-            f"switch(es), never at {', '.join(loc.silent)}")
-        ranked = rank_co_suspects(analyzer, suspect, silence_epochs)
-        verdict = Verdict(problem="gray-failure", victim=flow,
-                          breakdown=bd, suspect=suspect,
-                          hosts_consulted=[flow.dst],
-                          co_suspects=[c.switch for c in ranked],
-                          narrative=narrative)
-    else:
-        verdict = Verdict(
-            problem="gray-failure", victim=flow, breakdown=bd,
-            suspect=None, hosts_consulted=[flow.dst],
-            narrative=(f"no spatial cut on {flow.pretty()}'s path "
-                       f"in epochs {silence_epochs.lo}-"
-                       f"{silence_epochs.hi}"))
-    return _stamp_approx(analyzer, session.stamp(verdict))
+            f"switch(es), never at {', '.join(loc.silent)}")))
 
 
 # ---------------------------------------------------------------------------
@@ -520,31 +492,16 @@ def diagnose_gray_failure_online(analyzer: Analyzer, flow: FlowKey, *,
 
 def diagnose_polarization(analyzer: Analyzer, switch: str, *,
                           epochs: EpochRange,
-                          skew_threshold: float = 0.8,
-                          level: int = 1) -> Verdict:
+                          skew_threshold: float = 0.8) -> Verdict:
     """Is the multipath split at ``switch`` polarized onto one egress?
 
-    Pulls the switch's pointer, asks the implicated hosts for the
-    per-egress flow census (the same §5.4 query the load-imbalance app
-    uses), and flags polarization when the switch has ≥ 2 candidate
-    switch egresses but one of them carries ≥ ``skew_threshold`` of the
-    flows.  Unlike §5.4's size-split malfunction, the signature here is
-    *count* concentration, not size separation.
+    Runs the §5.4 census (the same query the load-imbalance app uses)
+    and flags polarization when the switch has ≥ 2 candidate switch
+    egresses but one of them carries ≥ ``skew_threshold`` of the flows.
+    Unlike §5.4's size-split malfunction, the signature here is *count*
+    concentration, not size separation.
     """
-    bd = Breakdown()
-    bd.add("pointer_retrieval", analyzer.rpc.pointer_pull_cost(1))
-    hosts = analyzer.hosts_for(switch, epochs, level=level)
-    results, q_bd = analyzer.consult_hosts(
-        hosts,
-        lambda agent: agent.query.flow_size_distribution(switch=switch,
-                                                         epochs=epochs))
-    bd.add("diagnosis", q_bd.total)
-
-    merged: dict[str, list[int]] = {}
-    for res in results.values():
-        for egress, sizes in res.payload.items():
-            merged.setdefault(egress, []).extend(sizes)
-
+    hosts, merged, bd = _egress_census(analyzer, switch, epochs)
     peers = _switch_neighbors(analyzer, switch)
     counts = {e: len(sizes) for e, sizes in merged.items() if e in peers}
     total = sum(counts.values())
@@ -580,15 +537,7 @@ def _switch_neighbors(analyzer: Analyzer, switch: str) -> set[str]:
     or the flapped side could never be named.
     """
     net = analyzer.network
-    sw = net.switches[switch]
-    out = set()
-    for link in net.links:
-        if switch not in (link.a.name, link.b.name):
-            continue
-        peer = link.peer_of(sw).name
-        if peer in net.switches:
-            out.add(peer)
-    return out
+    return {peer for peer in net.adjacency[switch] if peer in net.switches}
 
 
 # ---------------------------------------------------------------------------
@@ -596,29 +545,25 @@ def _switch_neighbors(analyzer: Analyzer, switch: str) -> set[str]:
 # ---------------------------------------------------------------------------
 
 def diagnose_link_flap(analyzer: Analyzer, branch_switch: str, *,
-                       epochs: Optional[EpochRange] = None,
-                       min_rerouted: int = 2,
-                       churn_threshold: float = 0.6) -> Verdict:
+                       epochs: EpochRange) -> Verdict:
     """Find a flapping egress link at a multipath branch switch.
 
     Telemetry signature of a flap: flows through ``branch_switch``
-    accumulate epoch ranges at *both* egress switches (they were
-    rerouted at least once).  The flapping egress is dominated by such
-    churned flows — at least ``churn_threshold`` of its users also used
-    the alternative — while the healthy egress keeps a stable majority
-    of hash-assigned flows and is exonerated.  (Requiring *zero* stable
-    users would be wrong: a TCP flow that stalls through every outage
-    and retransmits after recovery never leaves the flapping side.)
+    accumulate epoch ranges at *both* egress switches within ``epochs``
+    (they were rerouted at least once).  The flapping egress is
+    dominated by such churned flows — at least
+    :data:`FLAP_CHURN_THRESHOLD` of its users also used the alternative
+    — while the healthy egress keeps a stable majority of hash-assigned
+    flows and is exonerated.  (Requiring *zero* stable users would be
+    wrong: a TCP flow that stalls through every outage and retransmits
+    after recovery never leaves the flapping side.)
     """
     bd = Breakdown()
     peers = _switch_neighbors(analyzer, branch_switch)
-    if epochs is not None:
-        # the pointer names exactly the hosts holding records for the
-        # window under suspicion — consult only those
-        bd.add("pointer_retrieval", analyzer.rpc.pointer_pull_cost(1))
-        hosts = analyzer.hosts_for(branch_switch, epochs)
-    else:
-        hosts = sorted(analyzer.host_agents)   # full sweep, no pointer
+    # the pointer names exactly the hosts holding records for the
+    # window under suspicion — consult only those
+    bd.add("pointer_retrieval", analyzer.rpc.pointer_pull_cost(1))
+    hosts = analyzer.hosts_for(branch_switch, epochs)
     results, q_bd = analyzer.consult_hosts(
         hosts,
         lambda agent: agent.query.flows_matching(branch_switch, epochs))
@@ -630,17 +575,12 @@ def diagnose_link_flap(analyzer: Analyzer, branch_switch: str, *,
     consulted = sorted(results)
     for host, res in results.items():
         for summary in res.payload:
-            used = set()
-            for e in peers:
-                rng = summary.epochs_at(e)
-                if rng is None:
-                    continue
-                # churn evidence must come from inside the window —
-                # a detour during some *earlier* outage is not proof
-                # the link flapped now
-                if epochs is not None and not rng.intersects(epochs):
-                    continue
-                used.add(e)
+            # churn evidence must come from inside the window — a
+            # detour during some *earlier* outage is not proof the link
+            # flapped now
+            used = {e for e in peers
+                    if (rng := summary.epochs_at(e)) is not None
+                    and rng.intersects(epochs)}
             for e in used:
                 users[e] += 1
                 if len(used) >= 2:
@@ -650,14 +590,14 @@ def diagnose_link_flap(analyzer: Analyzer, branch_switch: str, *,
 
     verdict = Verdict(problem="link-flap", victim=None, breakdown=bd,
                       hosts_consulted=consulted)
-    if len(rerouted) < min_rerouted:
+    if len(rerouted) < FLAP_MIN_REROUTED:
         verdict.narrative = (
             f"{len(rerouted)} flow(s) changed egress at {branch_switch} "
-            f"(need {min_rerouted}); no flap inferred")
+            f"(need {FLAP_MIN_REROUTED}); no flap inferred")
         return _stamp_approx(analyzer, verdict)
     fractions = {e: churned[e] / users[e] for e in peers if users[e]}
     candidates = [e for e, f in fractions.items()
-                  if f >= churn_threshold]
+                  if f >= FLAP_CHURN_THRESHOLD]
     if len(candidates) != 1:
         who = (f"{len(candidates)} egresses exceed the churn threshold"
                if candidates else "no egress exceeds the churn threshold")
@@ -693,9 +633,8 @@ class CoSuspect:
     band_matches: int = 0
 
 
-def rank_co_suspects(analyzer: Analyzer, suspect: str, epochs: EpochRange,
-                     *, limit: int = 3,
-                     min_similarity: float = 0.0) -> list[CoSuspect]:
+def rank_co_suspects(analyzer: Analyzer, suspect: str,
+                     epochs: EpochRange) -> list[CoSuspect]:
     """Switches whose directories over ``epochs`` resemble ``suspect``'s.
 
     The similarity query the ``lsh`` backend exists for: "find the
@@ -709,8 +648,9 @@ def rank_co_suspects(analyzer: Analyzer, suspect: str, epochs: EpochRange,
     not sketch-accelerated — on every backend.
 
     Only switches with *some* overlap evidence survive: positive
-    similarity above ``min_similarity``, or at least one matching LSH
-    band.  Deterministic: ties break lexicographically.
+    similarity, or at least one matching LSH band.  The
+    :data:`CO_SUSPECTS` most similar are returned.  Deterministic: ties
+    break lexicographically.
     """
     agent = analyzer.switch_agents.get(suspect)
     if agent is None:
@@ -723,9 +663,9 @@ def rank_co_suspects(analyzer: Analyzer, suspect: str, epochs: EpochRange,
     for name in sorted(analyzer.switch_agents):
         if name == suspect:
             continue
-        other_agent = analyzer.switch_agents[name]
-        other = _merged_directory_set(
-            other_agent.best_effort_snapshots(epochs.lo, epochs.hi)[0])
+        snaps = analyzer.switch_agents[name].best_effort_snapshots(
+            epochs.lo, epochs.hi)[0]
+        other = _merged_directory_set(snaps)
         if other is None:
             continue
         if (isinstance(ref, LshDirectorySet)
@@ -737,11 +677,11 @@ def rank_co_suspects(analyzer: Analyzer, suspect: str, epochs: EpochRange,
             union = a | b
             sim = len(a & b) / len(union) if union else 0.0
             bands = 0
-        if sim > min_similarity or bands > 0:
+        if sim > 0.0 or bands > 0:
             ranked.append(CoSuspect(switch=name, similarity=sim,
                                     band_matches=bands))
     ranked.sort(key=lambda c: (-c.similarity, -c.band_matches, c.switch))
-    return ranked[:limit]
+    return ranked[:CO_SUSPECTS]
 
 
 def _merged_directory_set(

@@ -126,11 +126,15 @@ class HostAgent:
             lambda _host, pkt, now: trig.on_packet(pkt, now))
         return trig
 
-    def watch_tcp_sender(self, sender: TcpSender,
-                         sink: AlertSink) -> TcpTimeoutTrigger:
-        """Install a timeout trigger for a locally originated TCP flow."""
+    def watch_tcp_sender(self, sender: TcpSender, sink: AlertSink, *,
+                         store: FlowRecordStore) -> TcpTimeoutTrigger:
+        """Install a timeout trigger for a locally originated TCP flow.
+
+        ``store`` is the one holding the flow's records — the
+        destination's: this host's own store sees only the ACK stream.
+        """
         trig = TcpTimeoutTrigger(self.sim, sender, self.host.name, sink,
-                                 store=self.store)
+                                 store=store)
         self.timeout_triggers += (trig,)
         return trig
 

@@ -115,22 +115,16 @@ class Breakdown:
 class RpcFabric:
     """Latency-accounted RPC between analyzer, switches, and hosts.
 
-    ``concurrency`` models batched connection initiation: the analyzer
-    opens up to that many connections at once, so fan-out setup costs
-    ``ceil(n / concurrency)`` serialized rounds instead of ``n``.  The
-    default of 1 reproduces the paper's §6.2 one-thread-per-server
-    on-demand behaviour (and its linear response-time growth) exactly;
-    ``pooled`` remains the stronger thread-pool optimization with a
-    flat, cheap per-server dispatch.
+    Fan-out setup reproduces the paper's §6.2 one-thread-per-server
+    on-demand behaviour (and its linear response-time growth);
+    ``pooled`` models the thread-pool optimization with a flat, cheap
+    per-server dispatch.
     """
 
     def __init__(self, model: Optional[LatencyModel] = None, *,
-                 pooled: bool = False, concurrency: int = 1):
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+                 pooled: bool = False):
         self.model = model if model is not None else LatencyModel()
         self.pooled = pooled
-        self.concurrency = concurrency
         self.calls = 0
         #: fan-out targets that never answered (cumulative)
         self.timeouts = 0
@@ -202,8 +196,7 @@ class RpcFabric:
     def _setup_cost(self, n_servers: int) -> float:
         if self.pooled:
             return n_servers * self.model.pooled_dispatch_s
-        batches = -(-n_servers // self.concurrency)  # ceil division
-        return batches * self.model.connection_init_s
+        return n_servers * self.model.connection_init_s
 
     # -- fan-out query --------------------------------------------------------
 
@@ -214,11 +207,11 @@ class RpcFabric:
                      ) -> tuple[dict[str, QueryResult], Breakdown]:
         """Run ``execute(server)`` on every server, with the §6.2 model.
 
-        Connection initiations serialize on the analyzer in batches of
-        ``concurrency`` (one batch at a time, batch members concurrent);
-        request, execution and response then proceed in parallel across
-        servers (total = slowest server).  Returns per-server results
-        plus the latency breakdown in the Fig 12 categories.
+        Connection initiations serialize on the analyzer, one server at
+        a time; request, execution and response then proceed in
+        parallel across servers (total = slowest server).  Returns
+        per-server results plus the latency breakdown in the Fig 12
+        categories.
 
         With a ``responsive`` predicate, servers failing it when the
         request lands never execute: each burns the timeout/retry

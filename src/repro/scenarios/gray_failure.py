@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..analyzer.apps import (Verdict, diagnose_gray_failure,
-                             diagnose_gray_failure_online)
+from ..analyzer.apps import Verdict, diagnose_gray_failure_online
 from ..core.epoch import EpochRange
 from ..deployment import SwitchPointerDeployment
 from ..rpc.fabric import LatencyModel
@@ -74,12 +73,8 @@ class GrayFailureScenario(Scenario):
                                         "(0 = unbounded)"),
             "ingest_batch": Knob(1, "sniffed packets decoded per "
                                     "ingest batch"),
-            "online": Knob(1, "diagnose through an online session "
-                              "(RPCs advance simulated time; 0 = "
-                              "offline zero-cost queries)"),
             "rpc_latency_ms": Knob(0.0, "extra per-RPC latency charged "
-                                        "in simulated time (online "
-                                        "sessions only)"),
+                                        "in simulated time"),
             "stale_after_ms": Knob(0.0, "staleness budget: verdicts "
                                         "taking longer (simulated) are "
                                         "stamped stale (0 = no budget)"),
@@ -188,17 +183,11 @@ class GrayFailureScenario(Scenario):
         }
 
     def diagnose(self) -> list[Verdict]:
-        p = self.p
         analyzer = self.deployment.analyzer
-        if not p["online"]:
-            return [diagnose_gray_failure(
-                        analyzer, flow,
-                        silence_epochs=self.silence_epochs)
-                    for flow in self.affected]
-        # online: one session per trigger window — RPCs advance the
-        # simulated clock, evidence arrives as delta rounds, and a host
-        # that dies mid-query degrades the verdict instead of erroring
-        stale_ms = p["stale_after_ms"]
+        # one session per trigger window: RPCs advance the simulated
+        # clock, evidence arrives as delta rounds, and a host that dies
+        # mid-query degrades the verdict instead of erroring
+        stale_ms = self.p["stale_after_ms"]
         session = analyzer.open_session(
             stale_after_s=stale_ms * 1e-3 if stale_ms else None)
         with session:
@@ -214,7 +203,7 @@ register_sweep(SweepSpec(
     summary="blackhole localization as the concurrent flow population "
             "(and record tables) scales",
     expect_problem="gray-failure",
-    # diagnose_gray_failure reports problem="gray-failure" even when
+    # diagnose_gray_failure_online reports problem="gray-failure" even when
     # localization finds nothing — a point only counts as correct when
     # a verdict names the injected switch
     expect_suspect_knob="fault_switch",

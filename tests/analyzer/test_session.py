@@ -8,6 +8,7 @@ The contract under a fault that races the query window: the verdict
 
 import pytest
 
+from repro.analyzer.apps import diagnose_gray_failure
 from repro.analyzer.session import VERDICT_STATES
 from repro.scenarios.gray_failure import GrayFailureScenario
 
@@ -40,10 +41,17 @@ class TestCompleteVerdicts:
         assert "freshness" in summary
 
     def test_offline_mode_costs_no_simulated_time(self):
-        result = GrayFailureScenario(n_flows=2, online=0).execute()
-        assert result.diagnosis_latency_sim == 0.0
-        assert result.freshness == 0
-        assert any(v.suspect == "S3" for v in result.verdicts)
+        result = GrayFailureScenario(n_flows=2).execute(
+            with_diagnosis=False)
+        payload, sim = result.payload, result.network.sim
+        before = sim.now
+        verdicts = [diagnose_gray_failure(
+                        result.deployment.analyzer, flow,
+                        silence_epochs=payload.silence_epochs)
+                    for flow in payload.affected]
+        assert sim.now == before
+        assert all(v.hosts_consulted == [] for v in verdicts)
+        assert any(v.suspect == "S3" for v in verdicts)
 
 
 class TestCrashRacesTheWindow:

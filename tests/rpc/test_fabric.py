@@ -107,31 +107,10 @@ class TestCustomModel:
         assert bd.parts["connection_initiation"] == pytest.approx(1e-3)
 
 
-class TestBatchedFanout:
-    def test_concurrency_batches_connection_setup(self):
-        """Opening 8 connections at a time costs ceil(96/8) rounds."""
-        servers = [f"h{i}" for i in range(96)]
-        serial = RpcFabric()
-        batched = RpcFabric(concurrency=8)
-        _, bd1 = serial.fanout_query(servers, lambda s: result())
-        _, bd8 = batched.fanout_query(servers, lambda s: result())
-        assert bd8.parts["connection_initiation"] == pytest.approx(
-            bd1.parts["connection_initiation"] / 8)
-
-    def test_partial_last_batch_rounds_up(self):
-        rpc = RpcFabric(concurrency=10)
-        _, bd = rpc.fanout_query([f"h{i}" for i in range(11)],
-                                 lambda s: result())
-        assert bd.parts["connection_initiation"] == pytest.approx(
-            2 * rpc.model.connection_init_s)
-
-    def test_default_concurrency_matches_serial_model(self):
-        """§6.2 on-demand behaviour is the default, unchanged."""
+class TestSerialSetup:
+    def test_setup_serializes_one_server_at_a_time(self):
+        """§6.2 on-demand behaviour: one connection initiation each."""
         servers = [f"h{i}" for i in range(40)]
         _, bd = RpcFabric().fanout_query(servers, lambda s: result())
         assert bd.parts["connection_initiation"] == pytest.approx(
             40 * LatencyModel().connection_init_s)
-
-    def test_concurrency_validated(self):
-        with pytest.raises(ValueError):
-            RpcFabric(concurrency=0)
