@@ -2,8 +2,10 @@
 
 The per-packet simulator hot path (serialization done, propagation
 done, CBR spacing) schedules millions of fire-and-forget events per
-run.  :meth:`Simulator.call_after` pushes a bare ``(when, seq, fn,
-arg)`` tuple instead of allocating an :class:`EventHandle`; this
+run.  Every event is one ``(when, seq, fn, arg)`` heap tuple;
+:meth:`Simulator.call_after` pushes ``fn`` and ``arg`` as they are,
+while the cancellable :meth:`Simulator.schedule` packs its arguments,
+hands out an id and checks it against the live set on pop.  This
 benchmark drives both paths through the same self-rescheduling chain
 and asserts the fast path actually is one.  The absolute fast-path
 wall time is gated by ``benchmarks/baselines/engine_eventloop.json``."""
@@ -22,7 +24,7 @@ DELAY = 1e-6
 
 
 class _HandleChain:
-    """Self-rescheduling event via the handle-allocating schedule()."""
+    """Self-rescheduling event via the cancellable schedule()."""
 
     def __init__(self, sim: Simulator, remaining: int):
         self.sim = sim
@@ -74,13 +76,13 @@ def test_call_after_fast_path(benchmark):
     speedup = handle_s / fast_s
     emit("engine_eventloop", [
         f"events: {N_EVENTS}   rounds: {ROUNDS} (best)",
-        f"schedule() + EventHandle: {handle_s * 1e3:8.1f} ms   "
+        f"schedule() cancellable:   {handle_s * 1e3:8.1f} ms   "
         f"{handle_eps:10,.0f} events/s",
         f"call_after() fast path:   {fast_s * 1e3:8.1f} ms   "
         f"{fast_eps:10,.0f} events/s",
         f"speedup: {speedup:5.2f}x",
-        "(fast path: bare (when, seq, fn, arg) heap tuples, "
-        "no handle allocation)"],
+        "(fast path: fn and arg pushed as they are, no argument "
+        "packing, no event id)"],
         data={
             "events": N_EVENTS,
             "handle_s": round(handle_s, 4),

@@ -43,7 +43,7 @@ from .core.rng import seed_run
 from .core.sizing import (push_bandwidth_bps, recycling_period_ms,
                           total_switch_memory_bytes)
 from .experiment import EXPERIMENTS, Experiment, ExperimentError
-from .faults import FAULTS
+from .faults import FAULTS, FaultError
 from .scenarios import REGISTRY, ScenarioError, run_scenario
 from .simnet.engine import SimulationError
 from .sweep import (SWEEPS, GridError, Sweep, SweepError, parse_grid,
@@ -101,7 +101,7 @@ def cmd_run(args) -> int:
         result = run_scenario(args.scenario,
                               **_parse_knobs(args.knob))
     except (ScenarioError, ValueError, TypeError, KeyError,
-            SimulationError) as exc:
+            SimulationError, FaultError) as exc:
         # registry misses and invalid knob names/values/types land here —
         # a clean message, not a traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -144,7 +144,9 @@ class Fault(abc.ABC):
         }
         start, stop = self.p["start"], self.p["stop"]
         if start < 0:
-            raise FaultError(f"fault {self.spec.name!r}: start must be >= 0")
+            raise FaultError(
+                f"fault {self.spec.name!r}: start must be >= 0, got {start!r}"
+            )
         if stop is not None and stop <= start:
             # heal-before-inject (or at the same instant) is a plan bug,
             # not a runtime surprise — reject it at construction
@@ -174,7 +176,7 @@ class Fault(abc.ABC):
         Called by the plan once the scenario's run phase is over —
         *without* healing: the fault's effects on the network stay as
         they are for the diagnosis phase, but any internal event
-        process it drives (a flapper's timer) must stop scheduling
+        process it drives (a link flap's down/up chain) must stop scheduling
         past the run window.
         """
 

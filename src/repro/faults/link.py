@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..simnet.topology import LinkFlapper
+from ..simnet.topology import Network
 from .base import Fault, FaultContext, FaultError, FaultParam, FaultSpec, register_fault
 
 
@@ -52,30 +52,24 @@ class LinkDownFault(Fault):
         _require_link(ctx, self, self.p["a"], self.p["b"])
         super().schedule(ctx)
 
-    def _transition(self, ctx: FaultContext, *, up: bool) -> None:
-        net = ctx.network
-        net.set_link_state(self.p["a"], self.p["b"], up, reconverge=False)
-        delay = self.p["reconverge_delay"]
-        if delay > 0:
-            net.sim.schedule(delay, net.compute_routes)
-        else:
-            net.compute_routes()
-
     def inject(self, ctx: FaultContext) -> None:
-        self._transition(ctx, up=False)
+        ctx.network.set_link_state(self.p["a"], self.p["b"], False,
+                                   reconverge_delay=self.p["reconverge_delay"])
 
     def heal(self, ctx: FaultContext) -> None:
-        self._transition(ctx, up=True)
+        ctx.network.set_link_state(self.p["a"], self.p["b"], True,
+                                   reconverge_delay=self.p["reconverge_delay"])
 
 
 @register_fault
 class LinkFlapFault(Fault):
     """Oscillate one link down/up from ``start`` until ``stop``.
 
-    Wraps :class:`repro.simnet.topology.LinkFlapper` (the scenario
-    code's original injector): the first down transition fires at
-    ``start``, each dwell is ``down_for``/``up_for``, and healing stops
-    the flapper and restores the link if it died mid-outage.
+    The first down transition is its own event at ``start``; each
+    transition flips the link and schedules its reconvergence, then
+    arms the next one a ``down_for``/``up_for`` dwell later.  Healing
+    cancels the pending transition and restores the link if it died
+    mid-outage.
     """
 
     spec = FaultSpec(
@@ -97,39 +91,40 @@ class LinkFlapFault(Fault):
 
     def __init__(self, **params: Any):
         super().__init__(**params)
-        self.flapper: Optional[LinkFlapper] = None
+        for name in ("down_for", "up_for"):
+            if not self.p[name] > 0:
+                raise FaultError(
+                    f"fault {self.spec.name!r}: {name} must be > 0, "
+                    f"got {self.p[name]!r}"
+                )
+        #: completed down/up cycles so far
+        self.flaps = 0
+        self._next: Optional[int] = None  # the pending transition's event
 
     def schedule(self, ctx: FaultContext) -> None:
         _require_link(ctx, self, self.p["a"], self.p["b"])
         super().schedule(ctx)
 
     def inject(self, ctx: FaultContext) -> None:
-        # the flapper owns the periodic process; its first down
-        # transition is immediate (the plan already delayed us to start)
-        self.flapper = LinkFlapper(
-            ctx.network,
-            self.p["a"],
-            self.p["b"],
-            down_for=self.p["down_for"],
-            up_for=self.p["up_for"],
-            start_delay=0.0,
-            reconverge_delay=self.p["reconverge_delay"],
-        )
+        # the plan already delayed us to start: go down at this instant
+        self._next = ctx.network.sim.schedule(0.0, self._transition, ctx.network, False)
+
+    def _transition(self, net: Network, up: bool) -> None:
+        p = self.p
+        net.set_link_state(p["a"], p["b"], up, reconverge_delay=p["reconverge_delay"])
+        if up:
+            self.flaps += 1
+        dwell = p["up_for"] if up else p["down_for"]
+        self._next = net.sim.schedule(dwell, self._transition, net, not up)
 
     def heal(self, ctx: FaultContext) -> None:
-        assert self.flapper is not None
-        self.flapper.stop()
-        link = self.flapper.link
-        if not link.up:
+        self.finalize(ctx)
+        if not ctx.network.link_between(self.p["a"], self.p["b"]).up:
             ctx.network.set_link_state(self.p["a"], self.p["b"], True)
 
     def finalize(self, ctx: FaultContext) -> None:
         # stop the periodic process; the link stays in whatever state
         # the last transition left it (diagnosis sees the fault as-is)
-        if self.flapper is not None:
-            self.flapper.stop()
-
-    @property
-    def flaps(self) -> int:
-        """Completed down/up cycles so far (0 before injection)."""
-        return self.flapper.flaps if self.flapper is not None else 0
+        if self._next is not None:
+            ctx.network.sim.cancel(self._next)
+            self._next = None

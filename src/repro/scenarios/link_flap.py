@@ -56,7 +56,7 @@ class LinkFlapScenario(Scenario):
 
     ``n_flows`` long-lived CBR flows cross the diamond, half hashed to
     each spine (source ports are chosen to pin the split).  A
-    :class:`~repro.simnet.topology.LinkFlapper` cycles the S1—SPA link;
+    ``link-flap`` fault cycles the S1—SPA link;
     routing reconverges ``reconverge_delay`` seconds after each
     transition, so every flap blackholes the SPA-side flows briefly
     before rerouting them onto SPB.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .engine import EventHandle, Simulator
+from .engine import Simulator
 from .host import Host
 from .packet import (DEFAULT_MSS, PRIO_LOW, PROTO_TCP, FlowKey, Packet,
                      make_tcp)
@@ -120,7 +120,7 @@ class TcpSender:
         self.segments_sent = 0
         self.completed_at: Optional[float] = None
         self._stopped = False
-        self._rto_handle: Optional[EventHandle] = None
+        self._rto_event: Optional[int] = None
 
         host.bind(PROTO_TCP, sport, self._on_ack)
 
@@ -256,16 +256,16 @@ class TcpSender:
         return self.mss
 
     def _arm_rto(self) -> None:
-        if self._rto_handle is None or self._rto_handle.cancelled:
-            self._rto_handle = self.sim.schedule(self.rto, self._on_rto)
+        if self._rto_event is None:
+            self._rto_event = self.sim.schedule(self.rto, self._on_rto)
 
     def _cancel_rto(self) -> None:
-        if self._rto_handle is not None:
-            self._rto_handle.cancel()
-            self._rto_handle = None
+        if self._rto_event is not None:
+            self.sim.cancel(self._rto_event)
+            self._rto_event = None
 
     def _on_rto(self) -> None:
-        self._rto_handle = None
+        self._rto_event = None
         if self._stopped or self.done or self.snd_next <= self.snd_una:
             return
         self.timeouts += 1

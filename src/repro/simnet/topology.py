@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .engine import AlternatingTimer, Simulator
+from .engine import Simulator
 from .link import Link, Node
 from .queues import PacketQueue
 from .device import Switch
@@ -467,81 +467,28 @@ class Network:
         return True
 
     def set_link_state(self, a: str, b: str, up: bool, *,
-                       reconverge: bool = True) -> Link:
-        """Take the a—b link down (or up), optionally recomputing routes.
+                       reconverge_delay: float = 0.0) -> Link:
+        """Take the a—b link down (or up), then reconverge routing.
 
-        With ``reconverge=False`` the forwarding state keeps pointing at
-        the dead link until :meth:`compute_routes` runs — the blackhole
-        window between a physical failure and control-plane convergence.
+        Routes recompute at once unless ``reconverge_delay`` > 0: then
+        :meth:`compute_routes` runs that many seconds later, and until it
+        does the forwarding state keeps pointing at the dead link — the
+        blackhole window between a physical failure and control-plane
+        convergence.
         """
         link = self.link_between(a, b)
         if up:
             link.set_up()
         else:
             link.set_down()
-        if reconverge:
+        if reconverge_delay > 0:
+            self.sim.schedule(reconverge_delay, self.compute_routes)
+        else:
             self.compute_routes()
         return link
 
     def run(self, until: Optional[float] = None) -> None:
         self.sim.run(until=until)
-
-
-class LinkFlapper:
-    """Periodically takes one link down and back up (fault injector).
-
-    Each transition flips the physical state immediately; the routing
-    reconvergence that follows is delayed by ``reconverge_delay`` —
-    packets sent into the dead link during that window are lost, which
-    is what drives the cascaded retransmits the flap scenario studies.
-
-    Parameters
-    ----------
-    down_for / up_for:
-        Dwell times of the two states, in seconds.
-    start_delay:
-        When the first down transition fires.
-    reconverge_delay:
-        Control-plane convergence lag after each transition.
-    """
-
-    def __init__(self, net: Network, a: str, b: str, *,
-                 down_for: float, up_for: float, start_delay: float,
-                 reconverge_delay: float = 0.0):
-        self.net = net
-        self.link = net.link_between(a, b)
-        self.endpoints = (a, b)
-        self.reconverge_delay = reconverge_delay
-        self.downs = 0
-        self.ups = 0
-        self._timer = AlternatingTimer(
-            net.sim, down_for, self._go_down, up_for, self._go_up,
-            start_delay=start_delay)
-
-    def _go_down(self) -> None:
-        self.downs += 1
-        self._transition(up=False)
-
-    def _go_up(self) -> None:
-        self.ups += 1
-        self._transition(up=True)
-
-    def _transition(self, *, up: bool) -> None:
-        a, b = self.endpoints
-        self.net.set_link_state(a, b, up, reconverge=False)
-        if self.reconverge_delay > 0:
-            self.net.sim.schedule(self.reconverge_delay,
-                                  self.net.compute_routes)
-        else:
-            self.net.compute_routes()
-
-    @property
-    def flaps(self) -> int:
-        """Completed down/up cycles."""
-        return self.ups
-
-    def stop(self) -> None:
-        self._timer.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,22 @@ class TestRunCommand:
         assert main(["run", scenario, "--knob", "m_flows=-1"]) == 2
         assert "m_flows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("knob, named", [
+        ("first_down=-0.001", "start must be >= 0"),
+        ("down_for=0", "down_for must be > 0"),
+    ])
+    def test_bad_fault_param_fails_cleanly(self, knob, named, capsys):
+        # a FaultError from a knob is a usage error, not a traceback
+        assert main(["run", "link-flap", "--knob", knob]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_fails_cleanly(self, duration, capsys):
+        # NaN used to hang the event loop; inf ran epoch timers forever
+        assert main(["run", "incast", "--knob",
+                     f"duration={duration}"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_knob_fails_cleanly(self, capsys):
         assert main(["run", "gray-failure", "--knob", "bogus=1"]) == 2
         assert "unknown knob" in capsys.readouterr().err

@@ -56,12 +56,40 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
-    def test_kwargs_forwarded(self):
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, bad):
+        # a NaN compares false with everything: accepted, it would fire
+        # first, set now to NaN and hang run(until=...)
         sim = Simulator()
-        got = {}
-        sim.schedule(0.1, lambda **kw: got.update(kw), x=1, y="z")
-        sim.run()
-        assert got == {"x": 1, "y": "z"}
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_at(bad, lambda: None)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.call_after(bad, lambda _: None)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.call_at(bad, lambda _: None)
+        assert sim.pending == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_until_rejected(self, bad):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.run(until=bad)
+        assert sim.now == 0.0 and sim.events_processed == 0
+
+    def test_call_at_in_past_rejected(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError, match="past"):
+            sim.call_at(0.5, lambda _: None)
+
+    def test_schedule_returns_distinct_ids(self):
+        sim = Simulator()
+        ids = [sim.schedule(0.1, lambda: None) for _ in range(3)]
+        assert len(set(ids)) == 3 and all(isinstance(i, int) for i in ids)
 
     def test_start_time(self):
         sim = Simulator(start_time=10.0)
@@ -76,27 +104,56 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(0.2, fired.append, "x")
-        handle.cancel()
+        event = sim.schedule(0.2, fired.append, "x")
+        sim.cancel(event)
         sim.run()
         assert fired == []
         assert sim.events_processed == 0
+        assert sim.pending == 0
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
-        handle = sim.schedule(0.2, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        event = sim.schedule(0.2, lambda: None)
+        sim.cancel(event)
+        sim.cancel(event)
         sim.run()
+        assert sim.events_processed == 0
 
     def test_cancel_one_of_many(self):
         sim = Simulator()
         fired = []
-        keep = sim.schedule(0.1, fired.append, "keep")
+        sim.schedule(0.1, fired.append, "keep")
         drop = sim.schedule(0.2, fired.append, "drop")
-        drop.cancel()
+        sim.cancel(drop)
         sim.run()
         assert fired == ["keep"]
+
+    def test_cancel_from_inside_an_earlier_callback(self):
+        sim = Simulator()
+        fired = []
+        later = sim.schedule(1.0, fired.append, "later")
+        sim.schedule(1.0, fired.append, "after")
+        sim.schedule(0.5, lambda: sim.cancel(later))
+        sim.run()
+        assert fired == ["after"]
+        assert sim.events_processed == 2
+
+    def test_cancel_of_an_event_that_ran_is_a_noop(self):
+        sim = Simulator()
+        fired = []
+        box = {}
+
+        def own():
+            fired.append("own")
+            sim.cancel(box["own"])   # the event that is running now
+
+        box["own"] = sim.schedule(0.1, own)
+        done = sim.schedule(0.2, fired.append, "done")
+        sim.run()
+        sim.cancel(done)             # long gone
+        assert fired == ["own", "done"]
+        assert sim.events_processed == 2
+        assert not sim._armed        # no tombstone left behind
 
 
 class TestRunControl:
@@ -199,23 +256,17 @@ class TestPeriodicTimer:
         sim.run(until=1.0)
         assert timer_box["t"].ticks == 1
 
-    def test_start_delay(self):
-        sim = Simulator()
-        ticks = []
-        PeriodicTimer(sim, 0.1, lambda: ticks.append(sim.now),
-                      start_delay=0.05)
-        sim.run(until=0.3)
-        assert ticks[0] == pytest.approx(0.05)
-        assert ticks[1] == pytest.approx(0.15)
-
     def test_invalid_period(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             PeriodicTimer(sim, 0.0, lambda: None)
 
-    def test_args_passed(self):
+    def test_stop_leaves_no_live_event(self):
         sim = Simulator()
-        got = []
-        PeriodicTimer(sim, 0.1, got.append, "tick")
-        sim.run(until=0.25)
-        assert got == ["tick", "tick"]
+        timer = PeriodicTimer(sim, 0.1, lambda: None)
+        sim.run(until=0.15)
+        timer.stop()
+        timer.stop()
+        sim.run(until=1.0)
+        assert timer.ticks == 1 and sim.events_processed == 1
+        assert not sim._armed

@@ -5,9 +5,9 @@ scenarios)."""
 import pytest
 
 from repro.simnet.device import _flow_hash
-from repro.simnet.engine import AlternatingTimer, SimulationError, Simulator
+from repro.faults import FAULTS, FaultContext, FaultError, FaultPlan
 from repro.simnet.packet import PROTO_UDP, FlowKey, make_udp
-from repro.simnet.topology import LinkFlapper, Network, build_linear
+from repro.simnet.topology import Network, build_linear
 from tests.simnet.oracles import nx_graph
 
 
@@ -64,7 +64,7 @@ class TestLinkState:
 
     def test_no_reconverge_leaves_blackhole(self):
         net = diamond()
-        net.set_link_state("S1", "SPA", False, reconverge=False)
+        net.set_link_state("S1", "SPA", False, reconverge_delay=1.0)
         # ECMP may still pick the dead link: find a flow hashed to SPA
         candidates = net.switches["S1"].routes_for("rx")
         sport = 1
@@ -119,53 +119,91 @@ class TestSwitchFaultHooks:
         assert spa.tx_packets == 8 and spb.tx_packets == 0
 
 
-class TestAlternatingTimer:
-    def test_alternates_with_independent_dwells(self):
-        sim = Simulator()
-        events = []
-        AlternatingTimer(sim, 0.002, lambda: events.append(("a", sim.now)),
-                         0.003, lambda: events.append(("b", sim.now)),
-                         start_delay=0.001)
-        sim.run(until=0.012)
-        names = [n for n, _ in events]
-        assert names == ["a", "b", "a", "b", "a"]
-        times = [round(t, 6) for _, t in events]
-        assert times == [0.001, 0.003, 0.006, 0.008, 0.011]
+class TestLinkFlapFault:
+    """The ``link-flap`` fault's down/up chain on the diamond's S1—SPA."""
 
-    def test_stop_halts_firing(self):
-        sim = Simulator()
-        fired = []
-        timer = AlternatingTimer(sim, 0.001, lambda: fired.append("a"),
-                                 0.001, lambda: fired.append("b"))
-        sim.run(until=0.0035)
-        timer.stop()
-        sim.run(until=0.010)
-        assert fired == ["a", "b", "a", "b"]
+    def _flap(self, net, **params):
+        params = {"a": "S1", "b": "SPA", "start": 0.001, "down_for": 0.002,
+                  "up_for": 0.002, "reconverge_delay": 0.0, **params}
+        plan = FaultPlan()
+        fault = plan.add_named("link-flap", **params)
+        ctx = FaultContext(net)
+        plan.schedule(ctx)
+        return fault, ctx
 
-    def test_rejects_nonpositive_dwell(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            AlternatingTimer(sim, 0.0, lambda: None, 0.001, lambda: None)
+    def _record_transitions(self, net):
+        seen = []
+        flip = net.set_link_state
 
+        def recording(a, b, up, **kw):
+            seen.append(("up" if up else "down", round(net.sim.now, 6)))
+            return flip(a, b, up, **kw)
 
-class TestLinkFlapper:
-    def test_flap_cycle_counts_and_recovers(self):
+        net.set_link_state = recording
+        return seen
+
+    def test_transitions_alternate_with_their_dwells(self):
         net = diamond()
-        flapper = LinkFlapper(net, "S1", "SPA", down_for=0.002,
-                              up_for=0.002, start_delay=0.001)
+        seen = self._record_transitions(net)
+        fault, _ = self._flap(net, up_for=0.003)
+        net.run(until=0.012)
+        assert seen == [("down", 0.001), ("up", 0.003), ("down", 0.006),
+                        ("up", 0.008), ("down", 0.011)]
+        assert fault.flaps == 2
+
+    def test_flap_cycle_counts(self):
+        net = diamond()
+        seen = self._record_transitions(net)
+        fault, _ = self._flap(net)
         net.run(until=0.0095)
-        flapper.stop()
         # transitions at 1,3,5,7,9 ms: down,up,down,up,down
-        assert flapper.downs == 3
-        assert flapper.ups == 2
-        assert flapper.flaps == 2
+        assert [t for _, t in seen] == [0.001, 0.003, 0.005, 0.007, 0.009]
+        assert [s for s, _ in seen].count("down") == 3
+        assert fault.flaps == 2
+        assert not net.link_between("S1", "SPA").up
+
+    def test_finalize_halts_the_chain(self):
+        net = diamond()
+        seen = self._record_transitions(net)
+        fault, ctx = self._flap(net, start=0.0, down_for=0.001,
+                                up_for=0.001)
+        net.run(until=0.0035)
+        fault.finalize(ctx)
+        processed = net.sim.events_processed
+        net.run(until=0.010)
+        assert [s for s, _ in seen] == ["down", "up", "down", "up"]
+        assert net.sim.events_processed == processed
+        assert net.link_between("S1", "SPA").up
+
+    def test_heal_halts_the_chain_and_restores_the_link(self):
+        net = diamond()
+        seen = self._record_transitions(net)
+        fault, _ = self._flap(net, stop=0.004)
+        net.run(until=0.020)
+        # down 1, up 3, heal 4 (link already up: no transition)
+        assert seen == [("down", 0.001), ("up", 0.003)]
+        assert fault.flaps == 1
+        assert net.link_between("S1", "SPA").up
+
+    def test_heal_mid_outage_brings_the_link_back(self):
+        net = diamond()
+        self._flap(net, stop=0.002)
+        net.run(until=0.020)
+        assert net.link_between("S1", "SPA").up
+        assert len(net.switches["S1"].routes_for("rx")) == 2
 
     def test_reconverge_delay_defers_rerouting(self):
         net = diamond()
-        LinkFlapper(net, "S1", "SPA", down_for=0.004, up_for=0.004,
-                    start_delay=0.001, reconverge_delay=0.002)
+        self._flap(net, down_for=0.004, up_for=0.004,
+                   reconverge_delay=0.002)
         net.run(until=0.002)   # down at 1 ms; reconverge due at 3 ms
         assert not net.link_between("S1", "SPA").up
         assert len(net.switches["S1"].routes_for("rx")) == 2
         net.run(until=0.0035)  # reconvergence happened
         assert len(net.switches["S1"].routes_for("rx")) == 1
+
+    @pytest.mark.parametrize("param", ["down_for", "up_for"])
+    @pytest.mark.parametrize("value", [0.0, -0.001])
+    def test_rejects_nonpositive_dwell_at_construction(self, param, value):
+        with pytest.raises(FaultError, match=param):
+            FAULTS.get("link-flap")(a="S1", b="SPA", **{param: value})
