@@ -41,11 +41,16 @@ class EpochClock:
         ``|skew_a − skew_b| ≤ ε`` for every device pair.
     """
 
+    __slots__ = ("alpha_ms", "skew_s")
+
     def __init__(self, alpha_ms: float, skew_s: float = 0.0):
+        if not math.isfinite(alpha_ms):
+            raise ValueError(
+                f"epoch duration must be finite, got {alpha_ms!r}")
         if alpha_ms <= 0:
             raise ValueError("epoch duration must be positive")
         self.alpha_ms = alpha_ms
-        self.skew_s = skew_s
+        self.set_skew(skew_s)
 
     def set_skew(self, skew_s: float) -> None:
         """Re-offset this clock at runtime (the clock-skew fault hook).

@@ -5,7 +5,8 @@ flask-based agent does:
 
 * a sniffer on the host datapath feeding the telemetry decoder,
 * the flow-record store (+ optional disk spill),
-* the query engine the analyzer calls into,
+* the query engine the analyzer calls into (built on the first query:
+  most hosts of a large fabric are never asked),
 * trigger registration (throughput drop, TCP timeout) with alerts
   routed to a sink (normally the analyzer's ingest method).
 """
@@ -42,6 +43,10 @@ class HostAgent:
         so results always reflect every packet sniffed so far.
     """
 
+    __slots__ = ("host", "clock", "ingest_batch", "_pending", "store",
+                 "decoder", "_query", "triggers", "timeout_triggers",
+                 "_sniffers", "alive")
+
     def __init__(self, host: Host, *, clock: EpochClock,
                  planner: CherryPickPlanner,
                  estimator: EpochRangeEstimator,
@@ -59,25 +64,24 @@ class HostAgent:
                                      max_records=max_records)
         self.decoder = TelemetryDecoder(self.store, clock, planner,
                                         estimator)
-        self.query = QueryEngine(self.store)
+        self._query: Optional[QueryEngine] = None
         if ingest_batch > 1:
             # every read-side consumer — query engine, triggers, analyzer
             # apps reading agent.store directly — sees a flushed table;
             # unbatched, nothing is ever buffered and no hook is paid
             self.store.before_read = self.flush_ingest
-            self.query.before_query = self.flush_ingest
         #: tuples, rebound on install: an idle agent allocates none
         self.triggers: tuple[ThroughputDropTrigger, ...] = ()
         self.timeout_triggers: tuple[TcpTimeoutTrigger, ...] = ()
         #: every sniffer callback this agent registered, so a crash can
         #: detach (and a restart re-attach) exactly its own hooks
-        self._sniffers: list = []
+        self._sniffers: tuple = ()
         self.alive = True
         self._add_sniffer(self._buffer_packet if ingest_batch > 1
                           else self.decoder.on_packet)
 
     def _add_sniffer(self, cb) -> None:
-        self._sniffers.append(cb)
+        self._sniffers += (cb,)
         if self.alive:
             self.host.sniffers.append(cb)
 
@@ -88,6 +92,16 @@ class HostAgent:
     @property
     def sim(self) -> Simulator:
         return self.host.sim
+
+    @property
+    def query(self) -> QueryEngine:
+        """The query engine the analyzer calls into, built on first use."""
+        engine = self._query
+        if engine is None:
+            engine = self._query = QueryEngine(
+                self.store,
+                self.flush_ingest if self.ingest_batch > 1 else None)
+        return engine
 
     # -- batched ingestion ---------------------------------------------------
 

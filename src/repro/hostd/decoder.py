@@ -48,6 +48,9 @@ class TelemetryDecoder:
         The §4.2.1 range estimator (α, ε, Δ).
     """
 
+    __slots__ = ("store", "host_clock", "planner", "estimator", "_parsed",
+                 "decoded", "undecodable")
+
     def __init__(self, store: FlowRecordStore, host_clock: EpochClock,
                  planner: CherryPickPlanner,
                  estimator: EpochRangeEstimator):

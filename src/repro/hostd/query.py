@@ -158,6 +158,8 @@ class QueryEngine:
     always observe every packet sniffed so far.
     """
 
+    __slots__ = ("store", "before_query", "queries_served")
+
     def __init__(self, store: FlowRecordStore,
                  before_query: Optional[Callable[[], None]] = None):
         self.store = store

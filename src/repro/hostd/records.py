@@ -25,17 +25,26 @@ every record on the host.  Index invariants:
 * query results are ordered by record creation sequence, which equals
   the flat table's insertion order — indexed queries return
   byte-identical payloads to a linear scan of ``_records``.
+
+Most hosts of a large fabric never receive a packet, so a store is
+**idle** until its first record arrives: its three tables are the one
+shared, read-only, empty mapping ``_IDLE``, which answers every read
+exactly as an empty table would.  :meth:`FlowRecordStore._open` gives
+the store tables of its own; the two places a record arrives
+(``record_for`` and ``_adopt_record``) call it, and every other write
+touches a table only through a record already in it.  Losing every
+record (``drop_all``) makes the store idle again.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional
 
 from ..core.epoch import EpochRange
 from ..simnet.packet import FlowKey
@@ -159,6 +168,12 @@ class SpillFormatError(ValueError):
         self.reason = reason
 
 
+#: the tables of every idle store (module docstring): empty, and
+#: read-only, so a write that skipped ``_open`` fails loudly instead of
+#: filling a table all idle stores share
+_IDLE: Mapping = MappingProxyType({})
+
+
 def _record_seq(rec: "FlowRecord") -> int:
     return rec._seq
 
@@ -186,6 +201,11 @@ class FlowRecordStore:
     O(records on the host).
     """
 
+    __slots__ = ("host_name", "spill_path", "max_records", "_records",
+                 "_by_switch", "_sorted", "_next_seq", "_deferring",
+                 "before_read", "peak_records", "spilled", "evicted",
+                 "ingested")
+
     def __init__(self, host_name: str,
                  spill_path: Optional[Path] = None,
                  max_records: Optional[int] = None):
@@ -194,15 +214,11 @@ class FlowRecordStore:
         self.host_name = host_name
         self.spill_path = Path(spill_path) if spill_path else None
         self.max_records = max_records
-        self._records: dict[FlowKey, FlowRecord] = {}
-        #: switchID -> {flow -> record}: exactly the records that
-        #: traversed the switch (index invariant 1)
-        self._by_switch: dict[str, dict[FlowKey, FlowRecord]] = {}
-        #: switchID -> ([lo epochs], [(lo, seq, record)]) sorted cache
-        self._sorted: dict[str, tuple[list[int],
-                                      list[tuple[int, int, FlowRecord]]]] = {}
-        #: record-creation counter; query results come back in this order
-        self._seq = itertools.count()
+        # idle until the first record arrives (module docstring)
+        self._close()
+        #: the next record's creation number; query results come back
+        #: in this order
+        self._next_seq = 0
         self._deferring = False
         #: Optional hook run before any read-side entry point (`get`,
         #: `scan_through`, ...).  The host agent points it at its
@@ -216,15 +232,33 @@ class FlowRecordStore:
         #: decoded packets folded into the table (ingest throughput)
         self.ingested = 0
 
+    def _open(self) -> None:
+        """Give an idle store tables of its own (its first record)."""
+        self._records: dict[FlowKey, FlowRecord] = {}
+        #: switchID -> {flow -> record}: exactly the records that
+        #: traversed the switch (index invariant 1)
+        self._by_switch: dict[str, dict[FlowKey, FlowRecord]] = {}
+        #: switchID -> ([lo epochs], [(lo, seq, record)]) sorted cache
+        self._sorted: dict[str, tuple[list[int],
+                                      list[tuple[int, int, FlowRecord]]]] = {}
+
+    def _close(self) -> None:
+        """Make the store idle: every table is the shared ``_IDLE``."""
+        self._records = self._by_switch = self._sorted = _IDLE
+
     def record_for(self, flow: FlowKey) -> FlowRecord:
         rec = self._records.get(flow)
         if rec is None:
-            rec = FlowRecord(flow=flow, _store=self, _seq=next(self._seq))
-            self._records[flow] = rec
-            if len(self._records) > self.peak_records:
-                self.peak_records = len(self._records)
+            if self._records is _IDLE:
+                self._open()
+            rec = FlowRecord(flow=flow, _store=self, _seq=self._next_seq)
+            self._next_seq += 1
+            records = self._records
+            records[flow] = rec
+            if len(records) > self.peak_records:
+                self.peak_records = len(records)
             if (self.max_records is not None and not self._deferring
-                    and len(self._records) > self.max_records):
+                    and len(records) > self.max_records):
                 self._evict()
         return rec
 
@@ -335,9 +369,9 @@ class FlowRecordStore:
         fault models.  Returns how many were lost.
         """
         lost = len(self._records)
-        self._records.clear()
-        self._by_switch.clear()
-        self._sorted.clear()
+        for rec in self._records.values():
+            rec._store = None
+        self._close()
         return lost
 
     def _notify_read(self) -> None:
@@ -486,6 +520,8 @@ class FlowRecordStore:
 
     def _adopt_record(self, rec: FlowRecord) -> None:
         """Replay one deserialized spill-file record into the table."""
+        if self._records is _IDLE:
+            self._open()
         prev = self._records.get(rec.flow)
         if prev is not None:
             # a later spill of the same flow supersedes the
@@ -493,6 +529,7 @@ class FlowRecordStore:
             self._unindex_record(prev)
             rec._seq = prev._seq
         else:
-            rec._seq = next(self._seq)
+            rec._seq = self._next_seq
+            self._next_seq += 1
         self._records[rec.flow] = rec
         self._index_record(rec)

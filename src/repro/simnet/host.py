@@ -29,6 +29,9 @@ Sniffer = Callable[["Host", Packet, float], None]
 class Host:
     """A server attached to the network by a single NIC."""
 
+    __slots__ = ("sim", "name", "nic", "_sockets", "sniffers", "rx_packets",
+                 "rx_bytes", "tx_packets", "tx_bytes", "undeliverable")
+
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name

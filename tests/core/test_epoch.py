@@ -35,6 +35,37 @@ class TestEpochClock:
         with pytest.raises(ValueError):
             EpochClock(alpha_ms=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_alpha_rejected_at_construction(self, alpha):
+        # nan used to fail later inside math.floor; inf silently mapped
+        # every time to epoch 0
+        with pytest.raises(ValueError,
+                           match=f"epoch duration must be finite, "
+                                 f"got {alpha!r}"):
+            EpochClock(alpha_ms=alpha)
+
+    @pytest.mark.parametrize("skew", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_skew_rejected_at_construction(self, skew):
+        # the same check and message as the runtime set_skew hook
+        with pytest.raises(ValueError,
+                           match=f"skew must be finite, got {skew!r}"):
+            EpochClock(10, skew_s=skew)
+        clock = EpochClock(10)
+        with pytest.raises(ValueError,
+                           match=f"skew must be finite, got {skew!r}"):
+            clock.set_skew(skew)
+        assert clock.skew_s == 0.0
+
+    def test_non_finite_skew_fails_the_deployment_at_construction(self):
+        from repro.deployment import SwitchPointerDeployment
+        from repro.simnet.topology import build_leaf_spine
+
+        net = build_leaf_spine(2, 1, 1)
+        with pytest.raises(ValueError, match="skew must be finite, got nan"):
+            SwitchPointerDeployment(net, skew_of=lambda _n: float("nan"))
+
 
 class TestEpochRange:
     def test_contains_and_iter(self):

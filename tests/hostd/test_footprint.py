@@ -1,0 +1,141 @@
+"""What a SwitchPointer deployment costs per host.
+
+Most hosts of a large fabric never receive a packet, so a host agent is
+built to cost a few slots until its traffic arrives: its record store
+shares one read-only empty table with every other idle store, and its
+query engine is built by the first query.  These tests pin that
+footprint and the lifetime of per-host state.
+"""
+
+import gc
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.core.rng import seed_run
+from repro.deployment import SwitchPointerDeployment
+from repro.hostd.agent import HostAgent
+from repro.hostd.records import _IDLE, FlowRecordStore
+from repro.scenarios import run_scenario
+from repro.simnet.host import Host
+from repro.simnet.packet import make_udp
+from repro.simnet.topology import build_leaf_spine
+
+#: per-host budget of what a deployment adds on a 4,096-host fabric
+#: (CPython 3.11: 8.30 objects and ~1.3 KB before agents went lazy,
+#: 6.30 objects and ~0.7 KB after)
+MAX_OBJECTS_PER_HOST = 7
+MAX_BYTES_PER_HOST = 900
+
+
+def holds_table(store: FlowRecordStore) -> bool:
+    return any(table is not _IDLE
+               for table in (store._records, store._by_switch,
+                             store._sorted))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="object and byte budgets are pinned on CPython 3.11")
+def test_deployment_cost_per_host_stays_in_budget():
+    net = build_leaf_spine(16, 4, 256)
+    n_hosts = len(net.hosts)
+    assert n_hosts == 4096
+    gc.collect()
+    objects_before = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        bytes_before = tracemalloc.get_traced_memory()[0]
+        deployment = SwitchPointerDeployment(net)
+        gc.collect()
+        bytes_after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    objects_per_host = (len(gc.get_objects()) - objects_before) / n_hosts
+    bytes_per_host = (bytes_after - bytes_before) / n_hosts
+    assert len(deployment.host_agents) == n_hosts
+    assert objects_per_host <= MAX_OBJECTS_PER_HOST, objects_per_host
+    assert bytes_per_host <= MAX_BYTES_PER_HOST, bytes_per_host
+
+
+class TestIdleAgent:
+    def deploy(self, **kwargs):
+        net = build_leaf_spine(2, 1, 2)
+        return net, SwitchPointerDeployment(net, **kwargs)
+
+    def test_idle_agent_has_no_engine_and_no_table(self):
+        _net, deployment = self.deploy()
+        for agent in deployment.host_agents.values():
+            assert agent._query is None
+            assert not holds_table(agent.store)
+
+    def test_one_delivered_packet_builds_the_table_and_first_query_engine(
+            self):
+        net, deployment = self.deploy()
+        net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", 1, 9, 500))
+        net.run()
+        busy = deployment.host_agents["h1_0"]
+        assert holds_table(busy.store) and len(busy.store) == 1
+        assert busy._query is None
+        res = busy.query.top_k_flows(1)
+        assert res.payload[0].bytes == 500
+        # the first query built the engine, later ones reuse it
+        assert busy._query is not None and busy.query is busy._query
+        assert busy.query.queries_served == 1
+        # the sender and the bystanders stay idle
+        for name in ("h0_0", "h0_1", "h1_1"):
+            idle = deployment.host_agents[name]
+            assert idle._query is None
+            assert not holds_table(idle.store)
+
+    def test_lazy_engine_keeps_batched_flush_wired(self):
+        net, deployment = self.deploy(ingest_batch=4)
+        agent = deployment.host_agents["h1_0"]
+        assert agent._query is None
+        net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", 1, 9, 700))
+        net.run()
+        # buffered, not yet decoded: the engine's hook flushes first
+        assert agent.decoder.decoded == 0
+        assert agent.query.before_query == agent.flush_ingest
+        res = agent.query.top_k_flows(1)
+        assert [s.bytes for s in res.payload] == [700]
+
+    def test_crash_returns_the_store_to_idle(self):
+        net, deployment = self.deploy()
+        net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", 1, 9, 500))
+        net.run()
+        agent = deployment.host_agents["h1_0"]
+        assert agent.crash() == 1
+        assert not holds_table(agent.store) and len(agent.store) == 0
+        agent.restart()
+        net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", 1, 9, 300))
+        net.run()
+        assert [r.bytes for r in agent.store] == [300]
+
+
+def test_no_per_host_state_outlives_its_scenario():
+    """Two scenarios in one process: once the first one's result is
+    dropped, none of its hosts, agents or stores survive a collection
+    (a sweep or experiment worker runs cell after cell, and lazily
+    built per-host state must not pin a whole deployment)."""
+    kinds = (Host, HostAgent, FlowRecordStore)
+
+    def census():
+        gc.collect()
+        counts = dict.fromkeys(kinds, 0)
+        for obj in gc.get_objects():
+            if type(obj) in counts:
+                counts[type(obj)] += 1
+        return counts
+
+    base = census()
+    seed_run(1)
+    first = run_scenario("incast", hosts=32, bg_flows=50)
+    held = census()
+    assert held[HostAgent] - base[HostAgent] == 32
+    del first
+    seed_run(2)
+    second = run_scenario("incast", hosts=32, bg_flows=50)
+    assert census() == held
+    del second
+    assert census() == base

@@ -4,7 +4,9 @@ Core claim: for any interleaving of observations and evictions, the
 indexed query path — :meth:`FlowRecordStore.flows_through` and the
 heap-based :meth:`QueryEngine.top_k_flows` — is observationally
 identical to the O(N) linear scan it replaced: same records, same
-order, byte-identical summary payloads."""
+order, byte-identical summary payloads.  The generated stores include
+ones no observation reaches (idle: no table of their own) and ones
+rebuilt from a spill file."""
 
 import tempfile
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.epoch import EpochRange
 from repro.hostd.query import FlowSummary, QueryEngine
-from repro.hostd.records import FlowRecordStore
+from repro.hostd.records import _IDLE, FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
 SWITCHES = ["S1", "S2", "S3", "S4", "S5"]
@@ -36,7 +38,8 @@ observation = st.tuples(
                     min_size=1, max_size=len(SWITCHES)),
 )
 
-observations = st.lists(observation, min_size=1, max_size=80)
+#: the empty list keeps the store idle
+observations = st.lists(observation, min_size=0, max_size=80)
 
 
 def build(ops, max_records=None, tie_every=None, crash_at=None,
@@ -62,6 +65,20 @@ def build(ops, max_records=None, tie_every=None, crash_at=None,
     return store
 
 
+def reloaded(store, path, max_records=None):
+    """``store`` flushed to ``path`` and rebuilt by ``load_from_disk``."""
+    store.flush_to_disk()
+    return FlowRecordStore.load_from_disk("h", path,
+                                          max_records=max_records)
+
+
+def assert_idle_iff_empty(store):
+    """A store holds tables of its own exactly when it holds a record."""
+    idle = all(table is _IDLE for table in (
+        store._records, store._by_switch, store._sorted))
+    assert idle == (len(store) == 0)
+
+
 def payload_bytes(summaries: list[FlowSummary]) -> list[tuple]:
     """Fully-materialized wire form, for byte-identity comparison."""
     return [s._astuple() for s in summaries]
@@ -85,9 +102,7 @@ def test_flows_through_matches_linear_scan(ops, max_records, window,
                       crash_at=crash_at, spill_path=path)
         if reload:
             live = [r.flow for r in store]
-            store.flush_to_disk()
-            store = FlowRecordStore.load_from_disk(
-                "h", path, max_records=max_records)
+            store = reloaded(store, path, max_records)
             if max_records is None:
                 # no eviction spills: the file is exactly the table
                 assert [r.flow for r in store] == live
@@ -103,15 +118,22 @@ def test_flows_through_matches_linear_scan(ops, max_records, window,
         assert len(indexed) == len(linear)
         # same records, as the same objects, in the same order
         assert all(a is b for a, b in zip(indexed, linear))
+    assert_idle_iff_empty(store)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=observations,
        max_records=st.sampled_from([None, 4]),
        window=st.one_of(st.none(), epoch_range),
-       k=st.integers(min_value=1, max_value=8))
-def test_top_k_matches_full_sort_payload(ops, max_records, window, k):
-    store = build(ops, max_records=max_records)
+       k=st.integers(min_value=1, max_value=8),
+       reload=st.booleans())
+def test_top_k_matches_full_sort_payload(ops, max_records, window, k,
+                                         reload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spill.jsonl" if reload else None
+        store = build(ops, max_records=max_records, spill_path=path)
+        if reload:
+            store = reloaded(store, path, max_records)
     engine = QueryEngine(store)
     for sw in SWITCHES:
         res = engine.top_k_flows(k, switch=sw, epochs=window)
@@ -119,18 +141,25 @@ def test_top_k_matches_full_sort_payload(ops, max_records, window, k):
                            key=lambda r: (-r.bytes, r.flow))[:k]
         expected = [FlowSummary.of(r) for r in reference]
         assert payload_bytes(res.payload) == payload_bytes(expected)
+    assert_idle_iff_empty(store)
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=observations, window=st.one_of(st.none(), epoch_range))
-def test_flows_matching_payload_identical(ops, window):
-    store = build(ops)
+@given(ops=observations, window=st.one_of(st.none(), epoch_range),
+       reload=st.booleans())
+def test_flows_matching_payload_identical(ops, window, reload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spill.jsonl" if reload else None
+        store = build(ops, spill_path=path)
+        if reload:
+            store = reloaded(store, path)
     engine = QueryEngine(store)
     for sw in SWITCHES:
         res = engine.flows_matching(sw, window)
         expected = [FlowSummary.of(r)
                     for r in store.linear_flows_through(sw, window)]
         assert payload_bytes(res.payload) == payload_bytes(expected)
+    assert_idle_iff_empty(store)
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,3 +171,4 @@ def test_index_never_resurrects_evicted_records(ops, max_records):
     for sw in SWITCHES:
         for rec in store.flows_through(sw):
             assert id(rec) in live
+    assert_idle_iff_empty(store)
