@@ -46,6 +46,7 @@ of a hang.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -80,6 +81,9 @@ class LatencyModel:
         additive slowdown, modelling a congested or distant control
         network without touching the per-record execution costs.
         """
+        if not math.isfinite(extra_s):
+            raise ValueError(
+                f"extra RPC latency must be finite, got {extra_s!r}")
         if extra_s < 0:
             raise ValueError("extra RPC latency cannot be negative")
         if extra_s == 0:

@@ -23,12 +23,14 @@ and the docs render the same :class:`ScenarioSpec` metadata.
 :meth:`Scenario.execute` is the shared driver: it walks the phases,
 wall-clock-times each one, snapshots per-switch dataplane counters, and
 returns a :class:`ScenarioResult` carrying the measurements and the
-analyzer verdicts.
+analyzer verdicts.  It is also the one place that sets collector
+policy: cyclic GC sits out the walk (see :meth:`Scenario.execute`).
 """
 
 from __future__ import annotations
 
 import abc
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Optional
@@ -245,7 +247,30 @@ class Scenario(abc.ABC):
     # -- driver --------------------------------------------------------------
 
     def execute(self, *, with_diagnosis: bool = True) -> ScenarioResult:
-        """Walk the phases, timing each, and assemble the result."""
+        """Walk the phases, timing each, and assemble the result.
+
+        The cyclic collector sits out the walk.  A run makes no garbage
+        cycles: reference counting frees every packet, event and evicted
+        record, and the only cycles — the fabric, the deployment, the
+        agents — stay live until the caller drops the result.  So every
+        collection during a run would re-walk the long-lived fabric for
+        nothing.  If the caller left GC enabled, a generation-1 pass on
+        entry frees the networks of results dropped since the last run
+        (a full pass would re-walk everything the caller still holds),
+        GC is disabled for build → run → collect → diagnose and enabled
+        again on the way out, also when a phase raises.  A caller that
+        disabled GC itself keeps its own policy untouched.
+        """
+        if not gc.isenabled():
+            return self._walk(with_diagnosis)
+        gc.collect(1)
+        gc.disable()
+        try:
+            return self._walk(with_diagnosis)
+        finally:
+            gc.enable()
+
+    def _walk(self, with_diagnosis: bool) -> ScenarioResult:
         timings: dict[str, float] = {}
 
         def timed(phase: str, fn: Callable[[], Any]) -> Any:

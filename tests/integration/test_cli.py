@@ -117,6 +117,14 @@ class TestRunCommand:
                      f"duration={duration}"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("latency", ["nan", "inf"])
+    def test_non_finite_rpc_latency_fails_cleanly(self, latency, capsys):
+        # nan used to print a nan debugging time and exit 0
+        assert main(["run", "gray-failure", "--knob",
+                     f"rpc_latency_ms={latency}"]) == 2
+        assert (f"extra RPC latency must be finite, got {latency}"
+                in capsys.readouterr().err)
+
     def test_unknown_knob_fails_cleanly(self, capsys):
         assert main(["run", "gray-failure", "--knob", "bogus=1"]) == 2
         assert "unknown knob" in capsys.readouterr().err

@@ -26,6 +26,7 @@ CASES = {
     "typed-defs": "typed_defs",
     "stdlib-only-runtime": "stdlib_only_runtime",
     "module-state": "module_state",
+    "gc-policy": "gc_policy",
 }
 
 
@@ -99,6 +100,21 @@ def test_module_state_names_each_grown_name_and_unbounded_cache():
     # a container is reported at its binding line, once
     assert {v.line for v in violations if "is mutated" in v.message} == {
         7, 8, 9, 10}
+
+
+def test_gc_policy_names_each_call_outside_the_scenario_driver():
+    violations = lint_fixture("gc-policy", "violating")
+    # collect, aliased freeze, set_threshold, from-imported disable,
+    # enable, unfreeze — all in the sweep runner; the scenario
+    # driver's own collect/disable/enable are the policy
+    assert {v.rel for v in violations} == {"src/repro/sweep/runner.py"}
+    blob = "\n".join(v.message for v in violations)
+    for name in ("gc.collect()", "gc.freeze()", "gc.set_threshold()",
+                 "gc.disable()", "gc.enable()", "gc.unfreeze()"):
+        assert name in blob
+    assert len(violations) == 6
+    assert all("Scenario.execute owns collector policy" in v.message
+               for v in violations)
 
 
 def test_knob_declaration_names_every_offender():

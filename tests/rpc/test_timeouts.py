@@ -123,6 +123,16 @@ class TestSimBoundClock:
         assert slow.per_record_s == base.per_record_s
 
     def test_with_extra_validates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot be negative"):
             LatencyModel().with_extra(-1e-3)
         assert LatencyModel().with_extra(0.0) is not None
+
+    @pytest.mark.parametrize("extra", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_with_extra_rejects_non_finite(self, extra):
+        # nan used to slip past the sign check into every modelled
+        # debugging time; inf failed later, inside the simulator
+        with pytest.raises(ValueError,
+                           match=f"extra RPC latency must be finite, "
+                                 f"got {extra!r}"):
+            LatencyModel().with_extra(extra)

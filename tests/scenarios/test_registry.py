@@ -1,5 +1,6 @@
 """Tests for the scenario registry and the four-phase protocol."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -137,10 +138,27 @@ class TestRoundTrips:
     """Every registered scenario must complete all four phases quickly
     and produce a verdict (the acceptance bar for new plugins)."""
 
-    @pytest.mark.parametrize("name", REGISTRY.names())
-    def test_round_trip(self, name):
-        spec = REGISTRY.get(name).spec
-        result = run_scenario(name, **spec.smoke_knobs)
+    @pytest.mark.parametrize("name, knobs", [
+        *(pytest.param(name, REGISTRY.get(name).spec.smoke_knobs, id=name)
+          for name in REGISTRY.names()),
+        # the ambient-fault shapes: skew, partial deployment, a crashed
+        # agent, a slow control network
+        pytest.param("gray-failure", {"n_flows": 2, "skew_ms": 2.0},
+                     id="gray-failure-skew"),
+        pytest.param("gray-failure", {"n_flows": 4, "deploy_frac": 0.5},
+                     id="gray-failure-deploy-frac"),
+        pytest.param("gray-failure", {"n_flows": 2, "crash_host": "h2_0",
+                                      "crash_at": 0.03},
+                     id="gray-failure-crash"),
+        pytest.param("gray-failure", {"n_flows": 2, "rpc_latency_ms": 2.0},
+                     id="gray-failure-rpc-latency"),
+    ])
+    def test_round_trip(self, name, knobs):
+        gc.collect()
+        result = run_scenario(name, **knobs)
+        # a run makes no garbage cycles — what Scenario.execute's GC
+        # pause relies on: with the result held, nothing is unreachable
+        assert gc.collect() == 0
         assert set(result.timings) == {"build", "run", "collect",
                                        "diagnose"}
         assert result.sim_time > 0

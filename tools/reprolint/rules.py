@@ -14,7 +14,9 @@ pushing checks to where the evidence lives:
 * packaging — ``stdlib-only-runtime``: the runtime's dependency list is
   empty and stays so;
 * lifetime — ``module-state``: state a function mutates belongs to an
-  object its caller owns, not to the module (or an unbounded cache).
+  object its caller owns, not to the module (or an unbounded cache);
+  ``gc-policy``: one driver, ``Scenario.execute``, sets collector
+  policy.
 
 Rules are pure AST passes over the :class:`~tools.reprolint.model.Project`
 — nothing under check is imported, so they run identically on the real
@@ -1096,3 +1098,52 @@ class ModuleState(Rule):
                     f"long as the process — bound it or memoize on an "
                     f"object the caller owns",
                 )
+
+
+# ---------------------------------------------------------------------------
+# R9: gc-policy
+# ---------------------------------------------------------------------------
+
+#: The one module that sets collector policy (Scenario.execute).
+GC_POLICY_OWNER = f"{SRC}/scenarios/base.py"
+
+_GC_POLICY_CALLS = {
+    f"gc.{fn}"
+    for fn in ("collect", "disable", "enable", "freeze", "unfreeze", "set_threshold")
+}
+
+
+@register_rule
+class GcPolicy(Rule):
+    """Only Scenario.execute sets cyclic-GC policy."""
+
+    spec = RuleSpec(
+        name="gc-policy",
+        summary="gc.collect / disable / enable / freeze / unfreeze / "
+        "set_threshold are banned in src/repro outside scenarios/base.py",
+        rationale="A run makes no garbage cycles, so Scenario.execute "
+        "pauses the collector from build to verdict and runs one "
+        "generation-1 pass on entry.  A stray collection per session or "
+        "per sweep cell re-walks the whole live heap (a full pass on "
+        "entry measured +12% on scenario_catalogue); a second disable or "
+        "freeze elsewhere fights that policy or clobbers a caller's own.",
+        scope="src/repro/ except src/repro/scenarios/base.py (reads such "
+        "as gc.isenabled and gc.get_objects stay allowed)",
+        pragma=None,
+        fix="Leave collector policy to Scenario.execute; a caller that "
+        "wants its own sets it around the call, outside src/repro.",
+    )
+
+    def check(self, project: Project) -> Iterator[Violation]:
+        for module in project.under(SRC):
+            if module.rel == GC_POLICY_OWNER:
+                continue
+            for call, _stmt in module.calls_with_statements():
+                name = module.qualified_call(call)
+                if name in _GC_POLICY_CALLS:
+                    yield self.violation(
+                        module,
+                        call.lineno,
+                        f"{name}() outside {GC_POLICY_OWNER} — "
+                        f"Scenario.execute owns collector policy",
+                    )
