@@ -13,6 +13,7 @@ import sys
 from repro.core import (HierarchicalPointerStore, HostDirectory,
                         push_bandwidth_bps, recycling_period_ms,
                         total_switch_memory_bytes)
+from repro.switchd import SwitchAgent
 
 
 def main() -> None:
@@ -29,10 +30,9 @@ def main() -> None:
     print(f"  MPHF: {mphf.bits_per_key():.2f} bits/key switch-side "
           f"state, minimal+perfect over [0, {mphf.n})")
 
-    # one switch's hierarchy, with pushes captured
-    pushes = []
-    store = HierarchicalPointerStore(n, alpha=alpha, k=k,
-                                     on_push=pushes.append)
+    # one switch's hierarchy; its agent keeps the pushed history
+    store = HierarchicalPointerStore(n, alpha=alpha, k=k)
+    agent = SwitchAgent("S1", store)
     print(f"  hierarchy: {store.total_pointer_sets} pointer sets, "
           f"{store.memory_bits / 8 / 1024:.1f} KiB of pointer bits")
     for level in range(1, k + 1):
@@ -48,27 +48,26 @@ def main() -> None:
     for e in range(epochs):
         slot = directory.slot_of(hosts[e % n])
         store.update(e, slot)
-    print(f"  pushes to control plane: {len(pushes)} "
+    print(f"  pushes to control plane: {len(agent.pushed_history)} "
           f"(one per alpha^k = {alpha ** k} ms)")
     print(f"  push bandwidth at this n: "
           f"{push_bandwidth_bps(n, alpha, k) / 1e6:.3f} Mbps")
     print(f"  total switch memory (pointers + MPHF): "
           f"{total_switch_memory_bytes(n, alpha, k) / 1e6:.3f} MB")
 
-    # the pull model: who did the switch forward to in the last 3 epochs?
+    # the read: the finest level still holding the window answers
+    def read(lo: int, hi: int) -> None:
+        snaps, source = agent.best_effort_snapshots(lo, hi)
+        slots = sorted({s for snap in snaps for s in snap.slots()})
+        print(f"  epochs {lo}..{hi} from {source}: {len(slots)} hosts; "
+              f"first few: {directory.hosts_of(slots[:5])}")
+
     last = epochs - 1
-    slots = store.slots_for_epochs(last - 2, last)
-    sample = directory.hosts_of(sorted(slots)[:5])
-    print(f"\npull example: epochs {last - 2}..{last} touched "
-          f"{len(slots)} hosts; first few: {sample}")
-    # older epochs have been recycled at level 1 — but the pushed
-    # top-level history (the offline path) still covers them coarsely
-    gone = store.slots_for_epochs(3, 5)
-    covered = [p for p in pushes if p.epoch_lo <= 5 and 3 <= p.epoch_hi]
-    print(f"recycling: level-1 query for epochs 3..5 now returns "
-          f"{len(gone)} hosts; the pushed top-level window "
-          f"[{covered[0].epoch_lo}, {covered[0].epoch_hi}] still names "
-          f"{len(covered[0].slots())} hosts for offline diagnosis")
+    print("\npull examples:")
+    read(last - 2, last)
+    # older epochs have been recycled at level 1, so a coarser level or
+    # the pushed top-level history (the offline path) answers instead
+    read(3, 5)
 
 
 if __name__ == "__main__":

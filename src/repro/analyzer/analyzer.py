@@ -35,7 +35,7 @@ from ..hostd.triggers import VictimAlert
 from ..rpc.fabric import Breakdown, RpcFabric
 from ..simnet.packet import FlowKey
 from ..simnet.topology import Network
-from ..switchd.agent import ControlPlaneStore, SwitchAgent
+from ..switchd.agent import SwitchAgent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import DiagnosisSession
@@ -63,14 +63,12 @@ class Analyzer:
                  switch_agents: dict[str, SwitchAgent],
                  host_agents: dict[str, HostAgent],
                  rpc: Optional[RpcFabric] = None,
-                 control_store: Optional[ControlPlaneStore] = None,
                  directory_backend: str = "exact"):
         self.network = network
         self.directory = directory
         self.switch_agents = switch_agents
         self.host_agents = host_agents
         self.rpc = rpc if rpc is not None else RpcFabric()
-        self.control_store = control_store
         #: registry name of the switches' directory backend; anything
         #: but "exact" means pointer answers are supersets and verdicts
         #: built from them carry the ``approx`` evidence label
@@ -155,13 +153,15 @@ class Analyzer:
         return switch in self.switch_agents
 
     def hosts_for(self, switch: str, epochs: EpochRange, *,
-                  level: Optional[int] = 1,
-                  offline: bool = False) -> list[str]:
+                  level: Optional[int] = None) -> list[str]:
         """Decode the switch's pointer for ``epochs`` into host names.
 
-        ``level=None`` selects automatically: the finest hierarchy level
+        By default the answer comes from the finest hierarchy level
         still covering the window, falling back to the pushed offline
-        history (§4.1.1's intended access pattern).
+        history (§4.1.1's intended access pattern).  An int ``level``
+        reads that level only, and raises
+        :class:`~repro.switchd.agent.RecycledEpochError` once it has
+        reused any epoch of the window.
 
         An *uninstrumented* switch (partial deployment) has no pointer
         to decode; the fallback is host-only evidence — every known
@@ -175,9 +175,7 @@ class Analyzer:
             if switch not in self.network.switches:
                 raise KeyError(switch)
             return sorted(self.host_agents)
-        if offline:
-            snaps = agent.offline_snapshots(epochs.lo, epochs.hi)
-        elif level is None:
+        if level is None:
             snaps, _source = agent.best_effort_snapshots(epochs.lo,
                                                          epochs.hi)
         else:
@@ -343,17 +341,3 @@ class Analyzer:
                     continue  # the victim itself / its own ACK stream
                 culprits.append((host, summary))
         return culprits, bd
-
-    # -- MPHF lifecycle (§4.3) -----------------------------------------------
-
-    def rebuild_directory(self, hosts: Sequence[str]) -> HostDirectory:
-        """Rebuild + 'redistribute' the MPHF after host-set changes.
-
-        In the paper the analyzer constructs a new minimal perfect hash
-        whenever end-hosts are (permanently) added and pushes it to all
-        switches.  Here redistribution means handing the new directory
-        to the caller, which rewires the switch datapaths; tests use
-        this to cover the host-churn path.
-        """
-        self.directory = HostDirectory(list(hosts))
-        return self.directory

@@ -424,7 +424,7 @@ def diagnose_gray_failure_online(analyzer: Analyzer, flow: FlowKey, *,
        through the session (a crashed destination times out and the
        verdict degrades with the gap named, instead of erroring);
     2. the spatial cut is localized from the per-switch pointers at the
-       best-effort hierarchy level (``level=None``) — the clock may
+       finest hierarchy level still holding the window — the clock may
        rotate epochs out of level 1 while the pulls are in flight;
     3. one more **delta round** re-reads the destination for records
        updated while steps 1–2 ran, so evidence that arrived during the
@@ -445,8 +445,7 @@ def diagnose_gray_failure_online(analyzer: Analyzer, flow: FlowKey, *,
         path = list(detail.payload.switch_path)
 
     # step 2: spatial cut over the silence window
-    loc = localize_packet_drops(analyzer, flow, path, silence_epochs,
-                                level=None)
+    loc = localize_packet_drops(analyzer, flow, path, silence_epochs)
     bd = bd.merged(loc.breakdown)
 
     # step 3: catch evidence that landed while steps 1-2 consumed time

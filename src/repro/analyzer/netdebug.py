@@ -51,8 +51,8 @@ class DropLocalization:
 
 
 def localize_packet_drops(analyzer: Analyzer, flow: FlowKey,
-                          switch_path: list[str], epochs: EpochRange,
-                          *, level: Optional[int] = 1) -> DropLocalization:
+                          switch_path: list[str],
+                          epochs: EpochRange) -> DropLocalization:
     """Find the hop where ``flow``'s packets silently vanish.
 
     ``switch_path`` is the flow's known trajectory (from its record,
@@ -74,7 +74,7 @@ def localize_packet_drops(analyzer: Analyzer, flow: FlowKey,
            analyzer.rpc.pointer_pull_cost(len(evidenced)))
     forwarding, silent = [], []
     for sw in evidenced:
-        hosts = analyzer.hosts_for(sw, epochs, level=level)
+        hosts = analyzer.hosts_for(sw, epochs)
         if flow.dst in hosts:
             forwarding.append(sw)
         else:

@@ -66,7 +66,8 @@ class PathDumpAnalyzer:
 
 
 def top_k_with_switchpointer(analyzer, k: int, *, switch: str,
-                             epochs: EpochRange, level: int = 1
+                             epochs: EpochRange,
+                             level: Optional[int] = None
                              ) -> tuple[list[FlowSummary], Breakdown]:
     """The same Fig 12 query via SwitchPointer's directory.
 

@@ -83,10 +83,6 @@ class EpochClock:
         """True time when this device's ``epoch`` begins."""
         return epoch * self.alpha_s - self.skew_s
 
-    def time_into_epoch(self, true_time_s: float) -> float:
-        local = self.local_time(true_time_s)
-        return local - (local // self.alpha_s) * self.alpha_s
-
 
 @dataclass(frozen=True)
 class EpochRange:

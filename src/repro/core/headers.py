@@ -20,7 +20,6 @@ header tax.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 VLAN_ID_BITS = 12
 VLAN_ID_MODULUS = 1 << VLAN_ID_BITS      # 4096
@@ -102,12 +101,6 @@ class IntStack:
 
     def switch_path(self) -> list[str]:
         return [h.switch_id for h in self.hops]
-
-    def epoch_at(self, switch_id: str) -> Optional[int]:
-        for h in self.hops:
-            if h.switch_id == switch_id:
-                return h.epoch
-        return None
 
     def wire_overhead_bytes(self) -> int:
         return self.BASE_BYTES + self.BYTES_PER_HOP * len(self.hops)

@@ -291,7 +291,7 @@ class HierarchicalPointerStore:
         """Epochs per set at ``level`` (1-based): αˡᵉᵛᵉˡ⁻¹; top: αᵏ⁻¹."""
         if not 1 <= level <= self.k:
             raise ValueError(f"level {level} outside [1, {self.k}]")
-        return self.alpha ** (level - 1)
+        return self._divisors[level - 1]
 
     def window_ms(self, level: int, alpha_ms: Optional[float] = None) -> float:
         """Wall-clock coverage of one set at ``level`` (αˡᵉᵛᵉˡ ms)."""
@@ -299,7 +299,7 @@ class HierarchicalPointerStore:
         return a_ms * self.epochs_covered(level)
 
     def _segment_of(self, level: int, epoch: int) -> int:
-        return epoch // self._divisors[level - 1]
+        return epoch // self.epochs_covered(level)
 
     # -- dataplane update ----------------------------------------------------
 
@@ -363,8 +363,9 @@ class HierarchicalPointerStore:
         """The live set covering ``epoch`` at ``level``, if still held.
 
         Returns ``None`` when the window was never populated or has been
-        recycled — both mean "no packets recorded", never wrong data
-        (lazy rotation keeps tags honest).
+        recycled (:meth:`epoch_status` tells the two apart); lazy
+        rotation keeps tags honest, so it never returns wrong data.
+        Raises ``ValueError`` for a level outside ``[1, k]``.
         """
         seg = self._segment_of(level, epoch)
         for ls in self._slots_at(level):
@@ -382,10 +383,12 @@ class HierarchicalPointerStore:
           definition.
         * ``"recycled"`` — the set has been reused by a newer window;
           the data existed and is gone at this level (escalate).
+
+        Raises ``ValueError`` for a level outside ``[1, k]``.
         """
+        seg = self._segment_of(level, epoch)
         if epoch < 0:
             return "empty"
-        seg = self._segment_of(level, epoch)
         slots = self._slots_at(level)
         ls = (self._top if level == self.k
               else slots[seg % self.alpha])
@@ -407,14 +410,6 @@ class HierarchicalPointerStore:
             if ls.segment is not None and seg_lo <= ls.segment <= seg_hi:
                 out.append(self._snapshot_of(level, ls))
         return sorted(out, key=lambda s: s.segment)
-
-    def slots_for_epochs(self, epoch_lo: int, epoch_hi: int,
-                         level: int = 1) -> set[int]:
-        """Union of set bits over live sets covering the epoch range."""
-        slots: set[int] = set()
-        for snap in self.snapshots_covering(level, epoch_lo, epoch_hi):
-            slots.update(snap.slots())
-        return slots
 
     # -- accounting (Fig 10a) -----------------------------------------------
 

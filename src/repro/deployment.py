@@ -21,7 +21,7 @@ from .hostd.triggers import ThroughputDropTrigger, VictimAlert
 from .rpc.fabric import LatencyModel, RpcFabric
 from .simnet.packet import FlowKey
 from .simnet.topology import Network
-from .switchd.agent import ControlPlaneStore, SwitchAgent
+from .switchd.agent import SwitchAgent
 from .switchd.cherrypick import CherryPickPlanner
 from .switchd.datapath import MODE_VLAN, SwitchPointerDatapath
 from .switchd.rules import RuleTable
@@ -107,7 +107,6 @@ class SwitchPointerDeployment:
         self.estimator = EpochRangeEstimator(
             alpha_ms=alpha_ms, epsilon_ms=self.epsilon_ms,
             delta_ms=self.delta_ms)
-        self.control_store = ControlPlaneStore()
 
         self.datapaths: dict[str, SwitchPointerDatapath] = {}
         self.switch_agents: dict[str, SwitchAgent] = {}
@@ -120,17 +119,13 @@ class SwitchPointerDeployment:
             dp = SwitchPointerDatapath(sw, clock, self.directory.mphf,
                                        store, planner=self.planner,
                                        mode=mode)
-            table = None
             if mode == MODE_VLAN:
-                table = RuleTable(
+                self.rule_tables[name] = RuleTable(
                     switch_name=name, port_count=max(1, sw.port_count),
                     alpha_ms=float(alpha_ms),
                     enforce_commodity_limit=enforce_commodity_limit)
-                self.rule_tables[name] = table
-            agent = SwitchAgent(name, clock, store, rule_table=table)
-            self._wire_push(agent, store, name)
             self.datapaths[name] = dp
-            self.switch_agents[name] = agent
+            self.switch_agents[name] = SwitchAgent(name, store)
 
         self.host_agents: dict[str, HostAgent] = {}
         for name, host in network.hosts.items():
@@ -151,18 +146,7 @@ class SwitchPointerDeployment:
             network=network, directory=self.directory,
             switch_agents=self.switch_agents,
             host_agents=self.host_agents, rpc=rpc_fabric,
-            control_store=self.control_store,
             directory_backend=self.directory_backend)
-
-    def _wire_push(self, agent: SwitchAgent,
-                   store: HierarchicalPointerStore, name: str) -> None:
-        original = agent._on_push
-
-        def on_push(snap, _orig=original, _name=name):
-            _orig(snap)
-            self.control_store.ingest(_name, snap)
-
-        store.on_push = on_push
 
     # -- partial deployment (the partial-deployment fault) ---------------------
 

@@ -68,11 +68,6 @@ class ThroughputProbe:
         idx = int((t - self.t0) / self.window)
         return self._bins.get(idx, 0) * 8 / self.window / 1e9
 
-    def mean_gbps(self, duration: float) -> float:
-        if duration <= 0:
-            return 0.0
-        return self.total_bytes * 8 / duration / 1e9
-
 
 class InterArrivalProbe:
     """Records gaps between consecutive packets of one flow."""
@@ -86,17 +81,9 @@ class InterArrivalProbe:
             self.samples.append((t, t - self._last))
         self._last = t
 
-    def max_gap(self) -> float:
-        return max((g for _, g in self.samples), default=0.0)
-
     def max_gap_in(self, t_lo: float, t_hi: float) -> float:
         return max((g for t, g in self.samples if t_lo <= t <= t_hi),
                    default=0.0)
-
-    def mean_gap(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(g for _, g in self.samples) / len(self.samples)
 
 
 def attach_flow_tap(iface: Interface, flow: FlowKey,

@@ -181,12 +181,6 @@ class Network:
             raise TopologyError(f"no link between {a!r} and {b!r}")
         return link
 
-    def link_by_id(self, link_id: int) -> Link:
-        for link in self.links:
-            if link.link_id == link_id:
-                return link
-        raise TopologyError(f"no link with id {link_id}")
-
     def link_by_vlan(self, vlan_id: int) -> Link:
         """Resolve a network-local wire id (what VLAN tags carry)."""
         if 0 <= vlan_id < len(self.links):

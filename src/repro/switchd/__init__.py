@@ -4,14 +4,14 @@
   telemetry embedding (hooks into the simulated switch).
 * :mod:`repro.switchd.cherrypick` — link-sampling decisions and
   path reconstruction.
-* :mod:`repro.switchd.agent` — pull/push control plane, offline store.
+* :mod:`repro.switchd.agent` — pointer reads and the pushed history.
 * :mod:`repro.switchd.rules` — OpenFlow rule-count/update model.
 """
 
 from .cherrypick import CherryPickPlanner
 from .datapath import (MODE_INT, MODE_NONE, MODE_VLAN,
                        SwitchPointerDatapath, VanillaDatapath)
-from .agent import ControlPlaneStore, SwitchAgent
+from .agent import RecycledEpochError, SwitchAgent
 from .rules import (COMMODITY_MIN_ALPHA_MS, FlowRule, RuleModelError,
                     RuleTable)
 
@@ -19,6 +19,6 @@ __all__ = [
     "CherryPickPlanner",
     "SwitchPointerDatapath", "VanillaDatapath",
     "MODE_VLAN", "MODE_INT", "MODE_NONE",
-    "SwitchAgent", "ControlPlaneStore",
+    "SwitchAgent", "RecycledEpochError",
     "RuleTable", "FlowRule", "RuleModelError", "COMMODITY_MIN_ALPHA_MS",
 ]

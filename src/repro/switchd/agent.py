@@ -2,26 +2,27 @@
 
 One agent runs per switch.  It owns:
 
-* the **pull API** the analyzer uses: "give me the pointer sets at
-  level ℓ covering epochs [lo, hi]" — answered from the live
-  hierarchical store;
+* the **read API** the analyzer uses: pointer sets covering epochs
+  [lo, hi], from the finest level of the live hierarchical store that
+  still holds the whole window, else from the pushed history (§4.1.1);
 * the **push sink**: top-level pointer sets the dataplane hands over
   every αᵏ ms are appended to a persistent history (the control-plane
-  storage used for offline diagnosis), with bandwidth accounting that
-  the Fig 10(b) cross-check reads;
-* the **epoch-advance process**: in VLAN mode a rule update per epoch
-  rewrites the epochID rule (§4.1.3); modelled via the rule table.
+  storage used for offline diagnosis), with byte accounting.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Optional
 
-from ..core.epoch import EpochClock
 from ..core.pointer import HierarchicalPointerStore, PointerSnapshot
-from ..simnet.engine import PeriodicTimer, Simulator
-from .rules import RuleTable
+
+
+class RecycledEpochError(LookupError):
+    """A level has reused a set that held part of the asked window.
+
+    The data existed and is gone at that level; answering "no hosts"
+    would silently drop them, so a fixed-level read raises instead.
+    """
 
 
 def covering_snapshots(snaps: list[PointerSnapshot], los: list[int],
@@ -43,29 +44,12 @@ def covering_snapshots(snaps: list[PointerSnapshot], los: list[int],
     return snaps[start:stop]
 
 
-def _record_push(snaps: list[PointerSnapshot], los: list[int],
-                 snap: PointerSnapshot) -> None:
-    """Append a push, preserving the sorted ``epoch_lo`` index."""
-    lo = snap.epoch_lo
-    if los and lo < los[-1]:
-        idx = bisect_right(los, lo)
-        snaps.insert(idx, snap)
-        los.insert(idx, lo)
-    else:
-        snaps.append(snap)
-        los.append(lo)
-
-
 class SwitchAgent:
     """Control-plane side of one SwitchPointer switch."""
 
-    def __init__(self, name: str, clock: EpochClock,
-                 store: HierarchicalPointerStore, *,
-                 rule_table: Optional[RuleTable] = None):
+    def __init__(self, name: str, store: HierarchicalPointerStore):
         self.name = name
-        self.clock = clock
         self.store = store
-        self.rule_table = rule_table
         self.pushed_history: list[PointerSnapshot] = []
         #: parallel sorted epoch_lo index over pushed_history (bisect)
         self._pushed_lo: list[int] = []
@@ -76,134 +60,66 @@ class SwitchAgent:
     # -- push model -----------------------------------------------------------
 
     def _on_push(self, snap: PointerSnapshot) -> None:
-        _record_push(self.pushed_history, self._pushed_lo, snap)
+        """Append a push, preserving the sorted ``epoch_lo`` index."""
+        snaps, los, lo = self.pushed_history, self._pushed_lo, snap.epoch_lo
+        if los and lo < los[-1]:
+            idx = bisect_right(los, lo)
+            snaps.insert(idx, snap)
+            los.insert(idx, lo)
+        else:
+            snaps.append(snap)
+            los.append(lo)
         # sketch backends push their (smaller) serialized payload; the
         # measurement-only truth shadow never crosses this link
         self.bytes_pushed += len(snap.bits)
 
-    def push_bandwidth_bps(self, elapsed_s: float) -> float:
-        """Measured data-plane→control-plane rate over ``elapsed_s``."""
-        if elapsed_s <= 0:
-            return 0.0
-        return self.bytes_pushed * 8 / elapsed_s
+    # -- read API (what the analyzer RPCs) -----------------------------------
 
-    # -- pull API (what the analyzer RPCs) -----------------------------------
+    def _read(self, level: int, epoch_lo: int,
+              epoch_hi: int) -> list[PointerSnapshot]:
+        """Live sets at ``level`` covering the window, whole or not at all.
+
+        Epochs that were never written answer "no hosts", which is
+        correct at any level; an epoch whose set was reused raises
+        :class:`RecycledEpochError`.
+        """
+        store = self.store
+        for epoch in range(epoch_lo, epoch_hi + 1):
+            if store.epoch_status(level, epoch) == "recycled":
+                raise RecycledEpochError(
+                    f"{self.name}: level {level} recycled epoch {epoch}")
+        return store.snapshots_covering(level, epoch_lo, epoch_hi)
 
     def pull(self, level: int, epoch_lo: int,
              epoch_hi: int) -> list[PointerSnapshot]:
-        """Live pointer sets at ``level`` intersecting the epoch range."""
-        self.pull_requests += 1
-        return self.store.snapshots_covering(level, epoch_lo, epoch_hi)
+        """Live pointer sets at ``level`` intersecting the epoch range.
 
-    def pull_hosts_slots(self, epoch_lo: int, epoch_hi: int,
-                         level: int = 1) -> set[int]:
-        """Union of destination slots recorded in the epoch range."""
+        Raises :class:`RecycledEpochError` when ``level`` has reused any
+        epoch of the window.
+        """
         self.pull_requests += 1
-        return self.store.slots_for_epochs(epoch_lo, epoch_hi, level=level)
+        return self._read(level, epoch_lo, epoch_hi)
 
-    def best_effort_slots(self, epoch_lo: int,
-                          epoch_hi: int) -> tuple[set[int], str]:
+    def best_effort_snapshots(
+            self, epoch_lo: int,
+            epoch_hi: int) -> tuple[list[PointerSnapshot], str]:
         """Answer from the finest level that still covers the window.
 
         This is the §4.1.1 access pattern the hierarchy exists for:
         recent epochs are served from level 1 (per-epoch precision);
         once level 1 has recycled, successively coarser levels answer;
         when even the top level has moved on, the pushed history (the
-        offline path) is consulted.  Returns the slots plus a label of
-        the source used (``"level1"``..``"levelk"`` or ``"offline"``).
-
-        A level "covers" the window only if no epoch in it has been
-        *recycled* there — a partial answer from a half-recycled level
-        would silently drop hosts, which the directory must never do.
-        Epochs that were simply never written answer "no hosts", which
-        is correct, at any level.
-        """
-        snaps, source = self.best_effort_snapshots(epoch_lo, epoch_hi)
-        slots: set[int] = set()
-        for snap in snaps:
-            slots.update(snap.slots())
-        return slots, source
-
-    def best_effort_snapshots(
-            self, epoch_lo: int,
-            epoch_hi: int) -> tuple[list[PointerSnapshot], str]:
-        """The snapshots behind :meth:`best_effort_slots`, plus source.
-
-        The analyzer consumes snapshots (not pre-merged slot sets) so it
-        can score a sketch's answer against its shadow truth bitmap.
+        offline path) is consulted.  Returns the snapshots plus a label
+        of the source used (``"level1"``..``"levelk"`` or
+        ``"offline"``).  The analyzer consumes snapshots (not pre-merged
+        slot sets) so it can score a sketch's answer against its shadow
+        truth bitmap.
         """
         self.pull_requests += 1
-        if epoch_hi < 0:
-            return [], "level1"  # entirely pre-history: empty
         for level in range(1, self.store.k + 1):
-            statuses = [self.store.epoch_status(level, e)
-                        for e in range(epoch_lo, epoch_hi + 1)]
-            if any(s == "recycled" for s in statuses):
+            try:
+                return self._read(level, epoch_lo, epoch_hi), f"level{level}"
+            except RecycledEpochError:
                 continue  # data loss at this level: escalate
-            return self.store.snapshots_covering(
-                level, max(0, epoch_lo), max(0, epoch_hi)), f"level{level}"
-        return self.offline_snapshots(epoch_lo, epoch_hi), "offline"
-
-    def offline_snapshots(self, epoch_lo: int,
-                          epoch_hi: int) -> list[PointerSnapshot]:
-        """Pushed (persistent) top-level sets overlapping the range,
-        found by bisect over the sorted ``epoch_lo`` index."""
         return covering_snapshots(self.pushed_history, self._pushed_lo,
-                                  epoch_lo, epoch_hi)
-
-    def offline_slots(self, epoch_lo: int, epoch_hi: int) -> set[int]:
-        """Slots from *pushed* (persistent) top-level history.
-
-        This is the offline-diagnosis path: coarse αᵏ ms granularity,
-        but available after the live sets have been recycled.
-        """
-        slots: set[int] = set()
-        for snap in self.offline_snapshots(epoch_lo, epoch_hi):
-            slots.update(snap.slots())
-        return slots
-
-    # -- epoch process --------------------------------------------------------
-
-    def start_epoch_process(self, sim: Simulator) -> PeriodicTimer:
-        """Begin per-epoch activity (epochID rule rewrite accounting)."""
-
-        def on_epoch() -> None:
-            if self.rule_table is not None:
-                self.rule_table.advance_epoch(self.clock.epoch_of(sim.now))
-
-        return PeriodicTimer(sim, self.clock.alpha_s, on_epoch)
-
-
-class ControlPlaneStore:
-    """Network-wide persistent store of pushed pointers (offline path).
-
-    The paper pushes each switch's top-level set to "persistent storage"
-    on the controller; this aggregates them for offline queries across
-    switches.
-    """
-
-    def __init__(self) -> None:
-        self._by_switch: dict[str, list[PointerSnapshot]] = {}
-        self._lo_by_switch: dict[str, list[int]] = {}
-
-    def ingest(self, switch_name: str, snap: PointerSnapshot) -> None:
-        snaps = self._by_switch.setdefault(switch_name, [])
-        los = self._lo_by_switch.setdefault(switch_name, [])
-        _record_push(snaps, los, snap)
-
-    def snapshots(self, switch_name: str) -> list[PointerSnapshot]:
-        return list(self._by_switch.get(switch_name, []))
-
-    def snapshots_covering(self, switch_name: str, epoch_lo: int,
-                           epoch_hi: int) -> list[PointerSnapshot]:
-        return covering_snapshots(
-            self._by_switch.get(switch_name, []),
-            self._lo_by_switch.get(switch_name, []), epoch_lo, epoch_hi)
-
-    def slots_for(self, switch_name: str, epoch_lo: int,
-                  epoch_hi: int) -> set[int]:
-        slots: set[int] = set()
-        for snap in self.snapshots_covering(switch_name, epoch_lo,
-                                            epoch_hi):
-            slots.update(snap.slots())
-        return slots
+                                  epoch_lo, epoch_hi), "offline"

@@ -41,15 +41,6 @@ class TestHostsFor:
         net.run()
         assert deploy.analyzer.hosts_for("S1", EpochRange(50, 60)) == []
 
-    def test_offline_hosts_from_pushed_history(self, deployed):
-        net, deploy = deployed
-        send(net, "h1_0", "h3_0")
-        net.run()
-        deploy.flush_all_tops()
-        hosts = deploy.analyzer.hosts_for("S1", EpochRange(0, 0),
-                                          offline=True)
-        assert "h3_0" in hosts
-
 
 class TestPruning:
     def test_disjoint_segment_hosts_dropped(self, deployed):
@@ -198,14 +189,6 @@ class TestConsultation:
 
 
 class TestDirectoryLifecycle:
-    def test_rebuild_directory(self, deployed):
-        net, deploy = deployed
-        new_hosts = net.host_names + ["newcomer"]
-        directory = deploy.analyzer.rebuild_directory(new_hosts)
-        assert directory.n == len(new_hosts)
-        assert directory.host_of(directory.slot_of("newcomer")) == \
-            "newcomer"
-
     def test_alert_ingestion(self, deployed):
         _, deploy = deployed
         alert = VictimAlert(flow=FlowKey("a", "b", 1, 2, PROTO_TCP),

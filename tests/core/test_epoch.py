@@ -27,10 +27,6 @@ class TestEpochClock:
             assert clock.epoch_of(start) == e
             assert clock.epoch_of(start - 1e-9) == e - 1
 
-    def test_time_into_epoch(self):
-        clock = EpochClock(alpha_ms=10)
-        assert clock.time_into_epoch(0.013) == pytest.approx(0.003)
-
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             EpochClock(alpha_ms=0)

@@ -50,12 +50,6 @@ class TestIntStack:
         assert stack.switch_path() == ["S1", "S2"]
         assert len(stack) == 2
 
-    def test_epoch_lookup(self):
-        stack = IntStack()
-        stack.push("S1", 10)
-        assert stack.epoch_at("S1") == 10
-        assert stack.epoch_at("S9") is None
-
     def test_negative_epoch_rejected(self):
         with pytest.raises(HeaderError):
             IntStack().push("S1", -1)

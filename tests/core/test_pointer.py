@@ -183,13 +183,6 @@ class TestStoreUpdatesAndQueries:
         with pytest.raises(ValueError):
             store.snapshots_covering(1, 5, 4)
 
-    def test_slots_for_epochs_union(self):
-        store = HierarchicalPointerStore(50, alpha=10, k=3)
-        store.update(epoch=1, slot=11)
-        store.update(epoch=2, slot=22)
-        assert store.slots_for_epochs(1, 2) == {11, 22}
-        assert store.slots_for_epochs(3, 4) == set()
-
     def test_update_counter(self):
         store = HierarchicalPointerStore(10, alpha=10, k=2)
         for _ in range(5):
@@ -279,3 +272,15 @@ class TestEpochStatus:
         assert store.epoch_status(2, 20) == "empty"
         store.update(epoch=20, slot=2)  # top window advances
         assert store.epoch_status(2, 0) == "recycled"
+
+    @pytest.mark.parametrize("level", [0, -1, 4])
+    def test_level_outside_hierarchy_raises(self, level):
+        """No negative-index wraparound and no ``None`` that reads as
+        "no packets": a level the store does not have is an error."""
+        store = HierarchicalPointerStore(50, alpha=4, k=3)
+        for e in range(20):
+            store.update(epoch=e, slot=e)
+        with pytest.raises(ValueError, match=rf"level {level} outside"):
+            store.epoch_status(level, 19)
+        with pytest.raises(ValueError, match=rf"level {level} outside"):
+            store.snapshot(level, 3)

@@ -8,6 +8,7 @@ from repro.core.mphf import HostDirectory
 from repro.core.sizing import store_memory_bits
 from repro.simnet.packet import make_udp
 from repro.simnet.topology import build_fat_tree, build_linear
+from repro.switchd.agent import RecycledEpochError
 from repro.switchd.datapath import MODE_INT
 
 
@@ -109,27 +110,29 @@ class TestOfflineDiagnosisPath:
             sim.schedule(t, lambda: net.hosts["h1_1"].send(
                 make_udp("h1_1", "h2_1", 2, 9, 500)))
         net.run()
-        # live level-1 window for epoch 0 is long recycled
-        live = deploy.analyzer.hosts_for("S1", EpochRange(0, 0))
-        assert "h2_0" not in live
-        offline = deploy.analyzer.hosts_for("S1", EpochRange(0, 0),
-                                            offline=True)
-        assert "h2_0" in offline
+        # live level-1 window for epoch 0 is long recycled, and a
+        # fixed-level read says so instead of answering "nobody"
+        agent = deploy.switch_agents["S1"]
+        with pytest.raises(RecycledEpochError):
+            agent.pull(1, 0, 0)
+        # the default read falls back to the pushes and names the host
+        assert agent.best_effort_snapshots(0, 0)[1] == "offline"
+        assert "h2_0" in deploy.analyzer.hosts_for("S1", EpochRange(0, 0))
 
 
 class TestDirectoryChurn:
     def test_rebuild_and_rewire(self):
         net = build_linear(2, 2)
         deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2)
-        new_dir = deploy.analyzer.rebuild_directory(net.host_names)
+        new_dir = HostDirectory(net.host_names)
+        deploy.analyzer.directory = new_dir
         # distribute: swap MPHF on every datapath (what the paper's
         # analyzer push does)
         for dp in deploy.datapaths.values():
             dp.mphf = new_dir.mphf
         net.hosts["h1_0"].send(make_udp("h1_0", "h2_0", 1, 9, 500))
         net.run()
-        slots = deploy.switch_agents["S1"].pull_hosts_slots(0, 0)
-        assert new_dir.hosts_of(slots) == ["h2_0"]
+        assert deploy.analyzer.hosts_for("S1", EpochRange(0, 0)) == ["h2_0"]
 
     def test_swap_after_traffic_forgets_old_slots(self):
         """A datapath that already forwarded to a destination must not

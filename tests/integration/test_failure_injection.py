@@ -13,12 +13,15 @@ The paper's robustness arguments, made executable:
   packets that did arrive.
 """
 
+import pytest
+
 from repro import SwitchPointerDeployment
 from repro.core.epoch import EpochRange
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import make_udp
 from repro.simnet.queues import DropTailFIFO
 from repro.simnet.topology import Network, build_linear
+from repro.switchd.agent import RecycledEpochError
 
 
 class TestHostFailures:
@@ -105,15 +108,13 @@ class TestMisconfiguration:
                 make_udp("h1_1", "h2_1", 2, 9, 400)))
         net.run()
         deploy.flush_all_tops()
-        # live epoch-0 window (recycled long ago at alpha=2ms, level 1
-        # spans 2 ms, retention 2*2=4ms... actually alpha sets of 1
-        # epoch = 4 ms) is gone:
-        live = deploy.analyzer.hosts_for("S1", EpochRange(0, 0))
-        assert live == []
-        # the offline path still answers, coarser:
-        offline = deploy.analyzer.hosts_for("S1", EpochRange(0, 0),
-                                            offline=True)
-        assert "h2_0" in offline
+        # level 1 holds alpha one-epoch sets (4 ms at alpha = 2), so the
+        # epoch-0 window is long recycled there, and a fixed-level read
+        # says so instead of answering "nobody":
+        with pytest.raises(RecycledEpochError):
+            deploy.switch_agents["S1"].pull(1, 0, 0)
+        # the default read still names the host, from the coarser pushes
+        assert "h2_0" in deploy.analyzer.hosts_for("S1", EpochRange(0, 0))
 
     def test_k1_deployment_functions(self):
         """Degenerate single-level hierarchy: push-only, still sound."""
@@ -123,9 +124,10 @@ class TestMisconfiguration:
         net.hosts["h1_0"].send(make_udp("h1_0", "h2_0", 1, 9, 400))
         net.run()
         deploy.flush_all_tops()
-        offline = deploy.analyzer.hosts_for("S1", EpochRange(0, 0),
-                                            offline=True)
-        assert offline == ["h2_0"]
+        agent = deploy.switch_agents["S1"]
+        assert [s.slots() for s in agent.pushed_history] == [
+            [deploy.directory.slot_of("h2_0")]]
+        assert deploy.analyzer.hosts_for("S1", EpochRange(0, 0)) == ["h2_0"]
 
 
 class TestLossyPath:

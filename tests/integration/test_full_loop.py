@@ -204,10 +204,8 @@ class TestRecordsAgreeWithDirectory:
         checked = 0
         for summary in summaries:
             for sw in summary.switch_path:
-                agent = deploy.switch_agents[sw]
                 rng = summary.epochs_at(sw)
-                slots, _ = agent.best_effort_slots(rng.lo, rng.hi)
-                hosts = deploy.directory.hosts_of(slots)
+                hosts = deploy.analyzer.hosts_for(sw, rng)
                 assert summary.flow.dst in hosts, (sw, summary.flow)
                 checked += 1
         assert checked > 0

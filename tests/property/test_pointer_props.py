@@ -39,7 +39,7 @@ def test_level1_exactness_within_retention(ops, alpha, k):
     for epoch, slots in truth.items():
         if latest_for_slot[epoch % alpha] != epoch:
             continue  # recycled — allowed to be gone
-        got = store.slots_for_epochs(epoch, epoch, level=1)
+        got = set(store.snapshot(1, epoch).slots())
         assert got == slots, (epoch, got, slots)
 
 

@@ -27,6 +27,7 @@ CASES = {
     "stdlib-only-runtime": "stdlib_only_runtime",
     "module-state": "module_state",
     "gc-policy": "gc_policy",
+    "pointer-read": "pointer_read",
 }
 
 
@@ -114,6 +115,19 @@ def test_gc_policy_names_each_call_outside_the_scenario_driver():
         assert name in blob
     assert len(violations) == 6
     assert all("Scenario.execute owns collector policy" in v.message
+               for v in violations)
+
+
+def test_pointer_read_names_each_level_read_outside_the_agent():
+    violations = lint_fixture("pointer-read", "violating")
+    # the analyzer's epoch_status and snapshots_covering; the store's
+    # and the agent's own reads are the one place the level is picked
+    assert {v.rel for v in violations} == {"src/repro/analyzer/analyzer.py"}
+    assert [v.line for v in violations] == [6, 8]
+    blob = "\n".join(v.message for v in violations)
+    for name in (".epoch_status()", ".snapshots_covering()"):
+        assert name in blob
+    assert all("SwitchAgent.best_effort_snapshots" in v.message
                for v in violations)
 
 

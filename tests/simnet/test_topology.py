@@ -51,14 +51,6 @@ class TestNetwork:
         with pytest.raises(TopologyError):
             net.link_between("ghost", "a")
 
-    def test_link_by_id(self):
-        net = Network()
-        a, b = net.add_host("a"), net.add_host("b")
-        link = net.connect(a, b)
-        assert net.link_by_id(link.link_id) is link
-        with pytest.raises(TopologyError):
-            net.link_by_id(10**9)
-
 
 class TestLinear:
     def test_shape(self):

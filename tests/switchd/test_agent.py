@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.core.epoch import EpochClock
 from repro.core.pointer import HierarchicalPointerStore
-from repro.simnet.engine import Simulator
-from repro.switchd.agent import ControlPlaneStore, SwitchAgent
-from repro.switchd.rules import RuleTable
+from repro.switchd.agent import RecycledEpochError, SwitchAgent
 
 
 def make_agent(alpha=10, k=2, n=50):
-    clock = EpochClock(alpha)
     store = HierarchicalPointerStore(n, alpha=alpha, k=k)
-    agent = SwitchAgent("S1", clock, store)
+    agent = SwitchAgent("S1", store)
     return agent, store
 
 
@@ -25,15 +21,35 @@ class TestPullApi:
         assert [s.segment for s in snaps] == [3, 4]
         assert agent.pull_requests == 1
 
-    def test_pull_hosts_slots_union(self):
-        agent, store = make_agent()
-        store.update(epoch=3, slot=7)
-        store.update(epoch=4, slot=9)
-        assert agent.pull_hosts_slots(3, 4) == {7, 9}
-
     def test_pull_empty_window(self):
         agent, _ = make_agent()
         assert agent.pull(level=1, epoch_lo=0, epoch_hi=5) == []
+
+    def test_pull_raises_on_recycled_epoch(self):
+        """A reused set is data loss, not "no hosts": the fixed-level
+        read says so instead of answering ``[]``."""
+        agent, store = make_agent(alpha=10, k=2)
+        store.update(epoch=0, slot=7)
+        store.update(epoch=10, slot=9)  # reuses epoch 0's level-1 set
+        with pytest.raises(RecycledEpochError, match="level 1"):
+            agent.pull(level=1, epoch_lo=0, epoch_hi=0)
+        assert [s.segment for s in agent.pull(1, 10, 10)] == [10]
+
+    @pytest.mark.parametrize("level", [0, -1, 3])
+    def test_pull_rejects_levels_outside_the_hierarchy(self, level):
+        agent, store = make_agent(alpha=10, k=2)
+        store.update(epoch=0, slot=7)
+        with pytest.raises(ValueError, match=r"outside \[1, 2\]"):
+            agent.pull(level, 0, 0)
+
+    def test_one_request_per_read_even_when_escalating(self):
+        agent, store = make_agent(alpha=10, k=2)
+        store.update(epoch=0, slot=7)
+        for e in range(1, 30):  # recycles both levels' epoch-0 sets
+            store.update(epoch=e, slot=9)
+        snaps, source = agent.best_effort_snapshots(0, 0)
+        assert source == "offline"
+        assert agent.pull_requests == 1
 
 
 class TestPushModel:
@@ -44,44 +60,13 @@ class TestPushModel:
             store.update(epoch=e, slot=e % 80)
         assert len(agent.pushed_history) == 2
         assert agent.bytes_pushed == 2 * 10  # 80 bits -> 10 bytes each
-        assert agent.push_bandwidth_bps(1.0) == pytest.approx(160.0)
 
-    def test_offline_slots_from_history(self):
+    def test_pushed_history_answers_recycled_window(self):
         agent, store = make_agent(alpha=10, k=2)
         for e in range(10):
             store.update(epoch=e, slot=e)
         store.update(epoch=10, slot=42)  # pushes window 0
-        assert agent.offline_slots(0, 9) == set(range(10))
-        assert agent.offline_slots(20, 30) == set()
-
-    def test_zero_elapsed_bandwidth(self):
-        agent, _ = make_agent()
-        assert agent.push_bandwidth_bps(0.0) == 0.0
-
-
-class TestEpochProcess:
-    def test_rule_updates_once_per_epoch(self):
-        sim = Simulator()
-        clock = EpochClock(10)
-        store = HierarchicalPointerStore(10, alpha=10, k=2)
-        table = RuleTable(switch_name="S1", port_count=4, alpha_ms=10,
-                          enforce_commodity_limit=False)
-        agent = SwitchAgent("S1", clock, store, rule_table=table)
-        timer = agent.start_epoch_process(sim)
-        sim.run(until=0.055)
-        timer.stop()
-        assert table.epoch_updates == 5
-
-
-class TestControlPlaneStore:
-    def test_ingest_and_query(self):
-        cps = ControlPlaneStore()
-        agent, store = make_agent(alpha=10, k=2)
-        store.on_push = lambda snap: cps.ingest("S1", snap)
-        for e in range(10):
-            store.update(epoch=e, slot=e)
-        store.flush_top()
-        assert len(cps.snapshots("S1")) == 1
-        assert cps.slots_for("S1", 0, 9) == set(range(10))
-        assert cps.slots_for("S1", 50, 60) == set()
-        assert cps.snapshots("S9") == []
+        snaps, source = agent.best_effort_snapshots(0, 9)
+        assert source == "offline"
+        assert set(snaps[0].slots()) == set(range(10))
+        assert agent.best_effort_snapshots(20, 30)[0] == []

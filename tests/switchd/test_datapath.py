@@ -34,7 +34,7 @@ class TestPointerUpdates:
         slot = directory.slot_of("h3_0")
         for name in ("S1", "S2", "S3"):
             assert dps[name].packets_processed == 1
-            assert slot in dps[name].store.slots_for_epochs(0, 0)
+            assert slot in dps[name].store.snapshot(1, 0).slots()
 
     def test_slot_matches_directory(self):
         net, directory, dps = instrumented_linear()
@@ -48,9 +48,9 @@ class TestPointerUpdates:
             make_udp("h1_0", "h3_0", 1, 9, 500)))
         net.run()
         # 25 ms -> epoch 2
-        assert directory.slot_of("h3_0") in \
-            dps["S1"].store.slots_for_epochs(2, 2)
-        assert not dps["S1"].store.slots_for_epochs(0, 1)
+        store = dps["S1"].store
+        assert directory.slot_of("h3_0") in store.snapshot(1, 2).slots()
+        assert store.snapshots_covering(1, 0, 1) == []
 
 
 class TestVlanEmbedding:
@@ -114,8 +114,8 @@ class TestIntEmbedding:
             make_udp("h1_0", "h3_0", 1, 9, 500)))
         net.run()
         stack = got[0].telemetry
-        assert stack.epoch_at("S1") == 1
-        assert stack.epoch_at("S3") == 1
+        assert [(h.switch_id, h.epoch) for h in stack.hops] == [
+            ("S1", 1), ("S2", 1), ("S3", 1)]
 
 
 class TestModes:

@@ -5,23 +5,30 @@ levels; ancient windows fall back to the pushed (offline) history.  A
 level must never give a *partial* answer.
 """
 
-from repro.core.epoch import EpochClock, EpochRange
+import pytest
+
+from repro.core.epoch import EpochRange
 from repro.core.pointer import HierarchicalPointerStore
-from repro.switchd.agent import SwitchAgent
+from repro.switchd.agent import RecycledEpochError, SwitchAgent
 
 
 def agent_with_history(alpha=4, k=3, n=50):
-    clock = EpochClock(alpha)
     store = HierarchicalPointerStore(n, alpha=alpha, k=k)
-    agent = SwitchAgent("S1", clock, store)
+    agent = SwitchAgent("S1", store)
     return agent, store
+
+
+def best_effort_slots(agent, epoch_lo, epoch_hi):
+    """The read's slot union plus its source label."""
+    snaps, source = agent.best_effort_snapshots(epoch_lo, epoch_hi)
+    return {slot for snap in snaps for slot in snap.slots()}, source
 
 
 class TestLevelEscalation:
     def test_recent_epoch_served_from_level1(self):
         agent, store = agent_with_history()
         store.update(epoch=100, slot=7)
-        slots, source = agent.best_effort_slots(100, 100)
+        slots, source = best_effort_slots(agent, 100, 100)
         assert slots == {7}
         assert source == "level1"
 
@@ -34,7 +41,7 @@ class TestLevelEscalation:
         for e in range(1, 6):
             store.update(epoch=e, slot=10 + e)
         assert store.snapshot(1, 0) is None  # level 1 recycled
-        slots, source = agent.best_effort_slots(0, 0)
+        slots, source = best_effort_slots(agent, 0, 0)
         assert source == "level2"
         assert 7 in slots  # coarser answer still names the host
 
@@ -43,7 +50,7 @@ class TestLevelEscalation:
         agent, store = agent_with_history(alpha=4, k=3)
         for e in range(6):
             store.update(epoch=e, slot=e)
-        slots, source = agent.best_effort_slots(0, 0)
+        slots, source = best_effort_slots(agent, 0, 0)
         assert source == "level2"
         assert {0, 1, 2, 3} <= slots  # the whole level-2 window
 
@@ -53,7 +60,7 @@ class TestLevelEscalation:
         # move far beyond the top level's span (alpha^2 = 16 epochs)
         for e in range(1, 40):
             store.update(epoch=e, slot=1)
-        slots, source = agent.best_effort_slots(0, 0)
+        slots, source = best_effort_slots(agent, 0, 0)
         assert source == "offline"
         assert 7 in slots
 
@@ -62,14 +69,14 @@ class TestLevelEscalation:
         "no packets forwarded" — and level 1 can say so directly."""
         agent, store = agent_with_history()
         store.update(epoch=5, slot=3)
-        slots, source = agent.best_effort_slots(500, 510)
+        slots, source = best_effort_slots(agent, 500, 510)
         assert slots == set()
         assert source == "level1"
 
     def test_negative_epochs_are_empty(self):
         agent, store = agent_with_history()
         store.update(epoch=0, slot=3)
-        slots, source = agent.best_effort_slots(-3, 0)
+        slots, source = best_effort_slots(agent, -3, 0)
         assert slots == {3}
         assert source == "level1"
 
@@ -83,7 +90,7 @@ class TestLevelEscalation:
         store.update(epoch=4, slot=9)
         assert store.snapshot(1, 0) is None
         assert store.snapshot(1, 1) is not None
-        slots, source = agent.best_effort_slots(0, 1)
+        slots, source = best_effort_slots(agent, 0, 1)
         assert source == "level2"
         assert {7, 8} <= slots
 
@@ -104,10 +111,8 @@ class TestAnalyzerAutoLevel:
                                 lambda: net.hosts["h1_1"].send(
                                     make_udp("h1_1", "h2_1", 2, 9, 400)))
         net.run()
-        # strict level-1 query lost epoch 0 ...
-        assert deploy.analyzer.hosts_for(
-            "S1", EpochRange(0, 0), level=1) == []
-        # ... automatic selection still answers from level 2
-        hosts = deploy.analyzer.hosts_for("S1", EpochRange(0, 0),
-                                          level=None)
-        assert "h2_0" in hosts
+        # strict level-1 query lost epoch 0, and says so ...
+        with pytest.raises(RecycledEpochError):
+            deploy.analyzer.hosts_for("S1", EpochRange(0, 0), level=1)
+        # ... the default read still answers from level 2
+        assert "h2_0" in deploy.analyzer.hosts_for("S1", EpochRange(0, 0))

@@ -16,7 +16,9 @@ pushing checks to where the evidence lives:
 * lifetime — ``module-state``: state a function mutates belongs to an
   object its caller owns, not to the module (or an unbounded cache);
   ``gc-policy``: one driver, ``Scenario.execute``, sets collector
-  policy.
+  policy;
+* the §4.1.1 read — ``pointer-read``: only the switch agent picks the
+  hierarchy level that answers a window.
 
 Rules are pure AST passes over the :class:`~tools.reprolint.model.Project`
 — nothing under check is imported, so they run identically on the real
@@ -1146,4 +1148,48 @@ class GcPolicy(Rule):
                         call.lineno,
                         f"{name}() outside {GC_POLICY_OWNER} — "
                         f"Scenario.execute owns collector policy",
+                    )
+
+
+# ---------------------------------------------------------------------------
+# R10: pointer-read
+# ---------------------------------------------------------------------------
+
+#: The modules that decide which hierarchy level answers a window.
+POINTER_READ_OWNERS = (f"{SRC}/core/pointer.py", f"{SRC}/switchd/agent.py")
+
+
+@register_rule
+class PointerRead(Rule):
+    """Only the store and the switch agent pick the level that answers."""
+
+    spec = RuleSpec(
+        name="pointer-read",
+        summary="snapshots_covering / epoch_status calls are banned in "
+        "src/repro outside core/pointer.py and switchd/agent.py",
+        rationale="§4.1.1: a window is read from the finest level that "
+        "still holds it, then from the pushed history.  A caller that "
+        "reads one level's sets itself answers \"no hosts\" once that "
+        "level has recycled the window.",
+        scope="src/repro/ except src/repro/core/pointer.py and "
+        "src/repro/switchd/agent.py",
+        pragma=None,
+        fix="Read through SwitchAgent.best_effort_snapshots (or "
+        "Analyzer.hosts_for, which calls it).",
+    )
+
+    def check(self, project: Project) -> Iterator[Violation]:
+        for module in project.under(SRC):
+            if module.rel in POINTER_READ_OWNERS:
+                continue
+            for node in ast.walk(module.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", None)
+                if name in ("snapshots_covering", "epoch_status"):
+                    yield self.violation(
+                        module,
+                        node.lineno,
+                        f".{name}() outside the switch agent — "
+                        f"read through SwitchAgent.best_effort_snapshots",
                     )
