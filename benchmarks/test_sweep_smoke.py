@@ -1,18 +1,23 @@
 """Sweep-smoke benchmark: the CI regression-gate anchor for sweeps.
 
-Runs the incast scale sweep at its two smallest populations (inline,
-one worker, fixed seed) and persists the resulting ``SweepReport`` to
-``results/sweep_smoke.json``.  ``tools/check_bench_regression.py``
-compares the per-point wall times in that document against the
-committed baseline in ``benchmarks/baselines/sweep_smoke.json`` and
-fails CI on a >30% regression — this file is what keeps the sweep
-runner's point overhead honest, while the nightly scheduled run covers
-the thousand-host end of the grid.
+Runs the incast scale sweep at its two smallest populations as a
+one-repetition run table (inline, one worker, fixed seed) and persists
+its run artifacts to ``results/sweep_smoke.json`` as ``{"runs": [...],
+"wall_time_s": total}``.  ``tools/check_bench_regression.py`` checks
+each run document, then compares the per-run wall times in it against
+the committed baseline in ``benchmarks/baselines/sweep_smoke.json`` and
+fails CI on a >30% regression — this file is what keeps the runner's
+per-point overhead honest, while the nightly scheduled run covers the
+thousand-host end of the grid.
 """
+
+import json
+import time
 
 import pytest
 
-from repro.sweep import SWEEPS, Sweep, validate_report
+from repro.experiment import Experiment, ExperimentSpec, RunArtifact
+from repro.sweep import SWEEPS
 
 from benchmarks.reporting import emit
 
@@ -20,34 +25,48 @@ GRID = {"hosts": [64, 128]}
 BASE_SEED = 1729
 
 
-def run_sweep():
+def run_sweep(out_dir):
     spec = SWEEPS.get("incast")
-    sweep = Sweep(
-        spec,
-        {axis: list(vals) for axis, vals in GRID.items()},
-        workers=1,
+    experiment = Experiment(
+        ExperimentSpec(sweep=spec.name, summary=spec.summary, axes=GRID, reps=1),
         base_seed=BASE_SEED,
         extra_knobs={"duration": 0.02, "burst_start": 0.008},
     )
-    return sweep.run()
+    start = time.perf_counter()
+    experiment.execute(out_dir, workers=1)
+    wall_time_s = time.perf_counter() - start
+    runs = [
+        json.loads(path.read_text(encoding="utf-8"))
+        for path in sorted((out_dir / "runs").glob("point*.json"))
+    ]
+    return {"runs": runs, "wall_time_s": round(wall_time_s, 6)}
 
 
 @pytest.mark.benchmark(group="sweep")
-def test_sweep_smoke(benchmark):
-    report = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    doc = report.to_json()
-    assert validate_report(doc) == [], validate_report(doc)
+def test_sweep_smoke(benchmark, tmp_path):
+    doc = benchmark.pedantic(run_sweep, args=(tmp_path,), rounds=1, iterations=1)
+    problems = [
+        problem
+        for i, run in enumerate(doc["runs"])
+        for problem in RunArtifact.check(run, f"runs[{i}]")
+    ]
+    assert problems == [], problems
 
     grid_str = ",".join(str(h) for h in GRID["hosts"])
-    lines = [f"scenario: {report.scenario}   grid: hosts={grid_str}"]
-    for point in report.points:
+    lines = [f"scenario: incast   grid: hosts={grid_str}"]
+    for run in doc["runs"]:
+        result = run["result"]
         lines.append(
-            f"  hosts={point.params['hosts']:5d}  "
-            f"wall={point.wall_time_s * 1e3:7.1f} ms  "
-            f"peak_records={point.peak_records}  "
-            f"ok={point.ok}"
+            f"  hosts={run['params']['hosts']:5d}  "
+            f"wall={result['wall_time_s'] * 1e3:7.1f} ms  "
+            f"peak_records={result['peak_records']}  "
+            f"ok={result['ok']}"
         )
-    lines.append(f"total wall: {report.wall_time_s * 1e3:.1f} ms")
+    lines.append(f"total wall: {doc['wall_time_s'] * 1e3:.1f} ms")
     emit("sweep_smoke", lines, data=doc)
 
-    assert report.all_ok, [(p.index, p.error or p.problems) for p in report.points]
+    hosts = [run["params"]["hosts"] for run in doc["runs"]]
+    assert hosts == GRID["hosts"]
+    assert all(run["result"]["ok"] for run in doc["runs"]), [
+        run["result"]["error"] or run["result"]["problems"] for run in doc["runs"]
+    ]

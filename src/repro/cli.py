@@ -27,10 +27,18 @@ aliases, so one figure point is one ``run <fig id> --knob ...``; every
 verdict line carries the modelled debugging time and hosts consulted
 (the Fig 7 and Fig 8 y-axes).
 
-The heavy lifting lives in :mod:`repro.scenarios`, :mod:`repro.sweep`,
-and :mod:`repro.core.sizing`; this module only parses arguments and
-prints.  Each subcommand's parser names its handler
-(``set_defaults(func=...)``) and :func:`main` calls it.
+``sweep`` and ``experiment`` share one runner: a sweep is a
+one-repetition :class:`~repro.experiment.Experiment` over the sweep's
+own grid, written to the same resumable artifact directory
+(``results/sweeps/<name>/``, ``results/experiments/<name>/``) and
+graded from the same report summary — a sweep passes only if every run
+diagnosed correctly, an experiment unless a run errored.
+
+The heavy lifting lives in :mod:`repro.scenarios`,
+:mod:`repro.experiment`, :mod:`repro.sweep` and :mod:`repro.core.sizing`;
+this module only parses arguments and prints.  Each subcommand's parser
+names its handler (``set_defaults(func=...)``) and :func:`main` calls
+it.
 """
 
 from __future__ import annotations
@@ -42,12 +50,13 @@ from pathlib import Path
 from .core.rng import seed_run
 from .core.sizing import (push_bandwidth_bps, recycling_period_ms,
                           total_switch_memory_bytes)
-from .experiment import EXPERIMENTS, Experiment, ExperimentError
+from .experiment import (EXPERIMENTS, Experiment, ExperimentError,
+                         ExperimentSpec)
 from .faults import FAULTS, FaultError
 from .scenarios import REGISTRY, ScenarioError, run_scenario
 from .simnet.engine import SimulationError
-from .sweep import (SWEEPS, GridError, Sweep, SweepError, parse_grid,
-                    write_report, DEFAULT_BASE_SEED)
+from .sweep import (SWEEPS, GridError, SweepError, coerce_value, parse_grid,
+                    DEFAULT_BASE_SEED)
 
 #: Non-scenario commands (the resource-arithmetic calculator).
 SIZING_DESC = "Fig 10/11 resource arithmetic for one (n, alpha, k)"
@@ -67,19 +76,6 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def _coerce(text: str):
-    """Best-effort knob value parsing: bool, int, float, then str."""
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _parse_knobs(pairs: list[str]) -> dict:
     knobs = {}
     for pair in pairs:
@@ -87,16 +83,16 @@ def _parse_knobs(pairs: list[str]) -> dict:
         if not sep or not key:
             raise SystemExit(
                 f"error: --knob expects key=value, got {pair!r}")
-        knobs[key] = _coerce(value)
+        knobs[key] = coerce_value(value)
     return knobs
 
 
 def cmd_run(args) -> int:
     try:
         if args.seed is not None:
-            # replay path for sweep points: seed exactly as the sweep
-            # worker does, so `run --seed <point seed> --knob ...`
-            # reproduces that point bit-for-bit
+            # replay path for run-table cells: seed exactly as the cell
+            # runner does, so `run --seed <run seed> --knob ...`
+            # reproduces that run bit-for-bit
             seed_run(args.seed)
         result = run_scenario(args.scenario,
                               **_parse_knobs(args.knob))
@@ -157,61 +153,38 @@ def cmd_sweep_list(_args) -> int:
     return 0
 
 
-def _show_point(point) -> None:
-    """One progress line per finished grid point."""
-    params = ", ".join(f"{k}={v}" for k, v in point.params.items())
-    if point.error is not None:
-        status = f"ERROR: {point.error}"
-    elif point.diagnosis_ok:
-        suspects = ",".join(point.suspects) or "-"
-        status = f"ok [suspect: {suspects}]"
-    else:
-        status = f"MISDIAGNOSED: {point.problems or 'no verdict'}"
-    fresh = (f"  freshness={point.freshness}"
-             if point.freshness else "")
-    print(f"  point {point.index}: {params}  "
-          f"{point.wall_time_s:6.2f}s  "
-          f"flows={point.flow_count}  "
-          f"peak_records={point.peak_records}{fresh}  {status}")
+def _sweep_table(spec) -> ExperimentSpec:
+    """A sweep as a run table: its own axes, one repetition.  Built
+    here, never registered."""
+    return ExperimentSpec(sweep=spec.name, summary=spec.summary,
+                          axes=spec.default_grid, reps=1)
 
 
-def _run_sweep(sweep, out: Path, grid_note: str = "") -> int:
-    """Run one sweep and write its report: 0 every point ok, 1 some
-    point failed, 2 the report was invalid (and not written)."""
-    print(f"sweep {sweep.spec.name}{grid_note}: {len(sweep.params)} "
-          f"points, {sweep.workers} worker(s)")
-    report = sweep.run(on_point=_show_point)
-    problems = write_report(out, report)
-    for problem in problems:
-        print(f"error: invalid report: {problem}", file=sys.stderr)
-    if problems:
-        return 2
-    summary = report.summary
-    print(f"{summary['ok']}/{summary['points']} points ok "
-          f"({summary['errors']} errors, "
-          f"{summary['diagnosis_failures']} misdiagnosed) "
-          f"in {summary['wall_time_s']:.2f}s")
-    print(f"report: {out}")
-    return 0 if report.all_ok else 1
+def _grid(args):
+    """``--grid`` accepts several axis expressions per flag and repeats:
+    `--grid hosts=256 flows=2000` == `--grid hosts=256 --grid
+    flows=2000`; argparse hands us one list per flag."""
+    exprs = [expr for group in args.grid for expr in group]
+    return parse_grid(exprs) if exprs else None
+
+
+#: A table that cannot be built: bad name, axis, knob or reps.
+_TABLE_ERRORS = (ExperimentError, SweepError, GridError, ScenarioError,
+                 ValueError)
 
 
 def cmd_sweep_run(args) -> int:
     try:
         spec = SWEEPS.get(args.sweep)
-        # --grid accepts several axis expressions per flag and repeats:
-        # `--grid hosts=256 flows=2000` == `--grid hosts=256 --grid
-        # flows=2000`; argparse hands us one list per flag
-        exprs = [expr for group in args.grid for expr in group]
-        grid = parse_grid(exprs) if exprs else None
-        sweep = Sweep(spec, grid, workers=args.workers,
-                      base_seed=args.seed,
-                      extra_knobs=_parse_knobs(args.knob))
-    except (SweepError, GridError, ScenarioError, ValueError) as exc:
+        experiment = Experiment(_sweep_table(spec), grid=_grid(args),
+                                base_seed=args.seed,
+                                extra_knobs=_parse_knobs(args.knob))
+    except _TABLE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out) if args.out else (
-        Path("results") / f"sweep_{spec.name}.json")
-    return _run_sweep(sweep, out)
+    out_dir = Path(args.out_dir) if args.out_dir else (
+        Path("results") / "sweeps" / spec.name)
+    return _execute(experiment, out_dir, strict=True, workers=args.workers)
 
 
 def _nightly(registry, only: list[str], run_one) -> int:
@@ -232,28 +205,26 @@ def _nightly(registry, only: list[str], run_one) -> int:
 
 
 def cmd_sweep_nightly(args) -> int:
-    """Run every registered sweep at its reduced nightly grid.
+    """Run every registered sweep at its reduced nightly grid, plus its
+    ``nightly_points``.
 
     The registry-driven replacement for hard-coding one CI step per
     sweep: registering a new ``SweepSpec`` (which must declare a
     nightly grid) is all it takes to join the scheduled run.  One
-    report file per sweep lands under ``--out-dir``.
+    artifact directory per sweep lands under ``--out-dir``.
     """
     def run_one(spec) -> bool:
         try:
-            sweep = Sweep(spec, spec.nightly_grid, workers=args.workers,
-                          base_seed=args.seed,
-                          extra_points=list(spec.nightly_points))
-        except (SweepError, GridError, ScenarioError, ValueError) as exc:
+            experiment = Experiment(_sweep_table(spec),
+                                    grid=spec.nightly_grid,
+                                    base_seed=args.seed,
+                                    extra_points=spec.nightly_points)
+        except _TABLE_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return False
-        nightly = " ".join(f"{axis}={','.join(str(v) for v in vals)}"
-                           for axis, vals in sweep.grid.items())
-        extra = "".join(
-            " +" + ",".join(f"{a}={v}" for a, v in point.items())
-            for point in spec.nightly_points)
-        out = Path(args.out_dir) / f"sweep_nightly_{spec.name}.json"
-        return _run_sweep(sweep, out, f" (nightly grid {nightly}{extra})") == 0
+        out_dir = Path(args.out_dir) / spec.name
+        return _execute(experiment, out_dir, strict=True,
+                        workers=args.workers) == 0
 
     return _nightly(SWEEPS, args.only, run_one)
 
@@ -282,11 +253,16 @@ def _show_run(run, event) -> None:
           f"{params}  seed={run.seed}  [{event}]")
 
 
-def _execute(experiment, out_dir: Path, **kwargs) -> int:
-    """Run one study into ``out_dir``, then summarise and grade it:
-    0 done (or partial), 1 a run errored, 2 the study failed."""
+def _execute(experiment, out_dir: Path, *, strict: bool, **kwargs) -> int:
+    """Run one table into ``out_dir``, then summarise and grade it: 0
+    passed (or partial), 1 failed, 2 the table could not run.
+
+    A sweep (``strict``) fails unless every run diagnosed correctly; an
+    experiment fails only on an errored run — misdiagnosis under
+    stress is its measurement.
+    """
     points = len({run.point for run in experiment.runs})
-    print(f"experiment {experiment.spec.name}: {points} point(s) x "
+    print(f"{experiment.spec.name}: {points} point(s) x "
           f"{experiment.reps} rep(s) = {len(experiment.runs)} runs")
     try:
         report = experiment.execute(out_dir, on_run=_show_run, **kwargs)
@@ -305,25 +281,23 @@ def _execute(experiment, out_dir: Path, **kwargs) -> int:
           f"{summary['errors']} errors, "
           f"{summary['pending_faults']} pending faults)")
     print(f"report: {out_dir / 'report.json'}")
-    # misdiagnosis under stress is the measurement; only errors fail
-    return 0 if report.error_free else 1
+    if strict:
+        return 0 if summary["ok_runs"] == summary["runs"] else 1
+    return 0 if summary["errors"] == 0 else 1
 
 
 def cmd_experiment_run(args) -> int:
     try:
         spec = EXPERIMENTS.get(args.experiment)
-        exprs = [expr for group in args.grid for expr in group]
-        grid = parse_grid(exprs) if exprs else None
-        experiment = Experiment(spec, grid=grid, reps=args.reps,
+        experiment = Experiment(spec, grid=_grid(args), reps=args.reps,
                                 base_seed=args.seed,
                                 extra_knobs=_parse_knobs(args.knob))
-    except (ExperimentError, SweepError, GridError, ScenarioError,
-            ValueError) as exc:
+    except _TABLE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir) if args.out_dir else (
         Path("results") / "experiments" / spec.name)
-    return _execute(experiment, out_dir, workers=args.workers,
+    return _execute(experiment, out_dir, strict=False, workers=args.workers,
                     max_runs=args.max_runs)
 
 
@@ -338,7 +312,8 @@ def cmd_experiment_nightly(args) -> int:
     def run_one(spec) -> bool:
         experiment = Experiment(spec, base_seed=args.seed)
         out_dir = Path(args.out_dir) / spec.name
-        return _execute(experiment, out_dir, workers=args.workers) == 0
+        return _execute(experiment, out_dir, strict=False,
+                        workers=args.workers) == 0
 
     return _nightly(EXPERIMENTS, args.only, run_one)
 
@@ -381,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = psweep.add_subparsers(dest="sweep_command", required=True)
     sweep_sub.add_parser("list", help="list registered sweeps"
                          ).set_defaults(func=cmd_sweep_list)
-    psr = sweep_sub.add_parser("run", help="run one sweep and write a "
-                                           "SweepReport JSON")
+    psr = sweep_sub.add_parser("run", help="run one sweep (a one-rep "
+                                           "run table) into a resumable "
+                                           "artifact directory")
     psr.add_argument("sweep", help="sweep registry name (see "
                                    "`sweep list`)")
     psr.add_argument("--grid", action="append", nargs="+", default=[],
@@ -391,12 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "repeatable); default: the sweep's declared "
                           "grid")
     psr.add_argument("--workers", type=int, default=None,
-                     help="parallel point workers (default: cpu count)")
+                     help="parallel run workers (default: cpu count, "
+                          "capped at the run count)")
     psr.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED,
                      help="base seed for per-point seeds")
-    psr.add_argument("--out", default=None,
-                     help="report path (default: "
-                          "results/sweep_<name>.json)")
+    psr.add_argument("--out-dir", default=None,
+                     help="artifact directory (default: "
+                          "results/sweeps/<name>)")
     psr.add_argument("--knob", action="append", default=[],
                      metavar="KEY=VALUE",
                      help="pin a scenario knob for every point "
@@ -405,11 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     psn = sweep_sub.add_parser(
         "nightly", help="run every registered sweep at its reduced "
                         "nightly grid (one report per sweep)")
-    psn.add_argument("--out-dir", default="results",
-                     help="directory for the per-sweep "
-                          "sweep_nightly_<name>.json reports")
+    psn.add_argument("--out-dir", default="results/sweeps",
+                     help="directory for the per-sweep artifact "
+                          "directories")
     psn.add_argument("--workers", type=int, default=None,
-                     help="parallel point workers (default: cpu count)")
+                     help="parallel run workers (default: cpu count, "
+                          "capped at the run count)")
     psn.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED,
                      help="base seed for per-point seeds")
     psn.add_argument("--only", action="append", default=[],
@@ -441,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     per.add_argument("--out-dir", default=None,
                      help="artifact directory (default: "
                           "results/experiments/<name>)")
-    per.add_argument("--workers", type=int, default=1,
-                     help="parallel run workers (default: 1, inline)")
+    per.add_argument("--workers", type=int, default=None,
+                     help="parallel run workers (default: cpu count, "
+                          "capped at the run count)")
     per.add_argument("--max-runs", type=int, default=None,
                      help="execute at most N new runs this invocation "
                           "(study resumes on re-invocation)")
@@ -457,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     pen.add_argument("--out-dir", default="results/experiments",
                      help="directory for the per-experiment artifact "
                           "directories")
-    pen.add_argument("--workers", type=int, default=1,
-                     help="parallel run workers (default: 1, inline)")
+    pen.add_argument("--workers", type=int, default=None,
+                     help="parallel run workers (default: cpu count, "
+                          "capped at the run count)")
     pen.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED,
                      help="base seed for per-(point,rep) seeds")
     pen.add_argument("--only", action="append", default=[],

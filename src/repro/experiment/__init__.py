@@ -6,13 +6,13 @@ Public surface:
   :func:`register_experiment` / :data:`EXPERIMENTS` — declare a study:
   which sweep, which axes, how many repetitions, how the degradation
   figure renders.
-* :class:`Experiment` — expand the run table, execute every
-  ``(point, rep)`` cell with its own collision-free seed, persist a
-  resumable artifact directory, aggregate the report.
+* :class:`Experiment` — the one runner: expand the run table, execute
+  every ``(point, rep)`` cell with its own collision-free seed, persist
+  a resumable artifact directory, aggregate the report.  A sweep run
+  is an unregistered spec over the sweep's grid with ``reps=1``.
 * :class:`ExperimentReport` / :func:`validate_experiment_report` — the
   machine-readable result document CI archives and figures render from,
-  declared in the report table shared with sweeps
-  (:mod:`repro.sweep.report`).
+  declared in the report table (:mod:`repro.sweep.report`).
 * ``table`` helpers — run-table expansion and canonical seed
   derivation.
 * :func:`figure_svg` — deterministic SVG degradation curves.

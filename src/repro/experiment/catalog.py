@@ -26,9 +26,10 @@ An *experiment* is a **run table**: one registered sweep
 ([SWEEPS.md](SWEEPS.md)) expanded across declared axes × N independent
 repetitions, every `(point, rep)` cell executed with its own derived
 seed, and the repetitions aggregated into per-point mean/min/max
-**degradation curves**.  Where a sweep answers "does the diagnosis
-hold at these settings, for this one seed?", an experiment answers
-"*how often* does it hold, and where does it stop?" — the paper's
+**degradation curves**.  A sweep run is the same table with one
+repetition per point; where it answers "does the diagnosis hold at
+these settings, for this one seed?", an experiment answers "*how
+often* does it hold, and where does it stop?" — the paper's
 claims are curves (accuracy falling as clock skew crosses the ε bound,
 as partial deployment thins coverage), and a curve needs statistical
 weight behind every point.  Run one with
@@ -86,8 +87,8 @@ artifacts), a study interrupted after K of N runs resumes to a
 | `summary` | run/ok/error/pending counts and mean accuracy across the table |
 
 Each field of the report and of every run document is declared once,
-in the report table sweeps share (`repro.sweep.report`), which writes
-and checks it.  `repro.experiment.validate_experiment_report` requires
+in the report table (`repro.sweep.report`), which writes and checks
+it.  `repro.experiment.validate_experiment_report` requires
 every declared field, rejects undeclared ones at every level, and
 enforces the stat triples and summary counts before any report is
 written (an invalid one never is) or plotted; a resumed study names
@@ -114,7 +115,7 @@ python -m repro.cli experiment nightly [--out-dir DIR] [--workers N]
 
 runs **every registered experiment** at its declared table and writes
 one artifact directory per experiment — the registry-driven pattern
-the sweep nightly uses, so a new experiment joins the scheduled CI run
+`sweep nightly` uses, so a new experiment joins the scheduled CI run
 (and its report upload) automatically.  Exit status is non-zero only
 if runs *errored*; a stressed point misdiagnosing is the measurement,
 not a failure.

@@ -1,9 +1,9 @@
 """Experiment registry: which sweeps become *studies*, at what table.
 
-A sweep is one pass over one grid with one seed; an *experiment* is a
-run table — scenario × axes × N repetitions with a distinct seed per
-``(point, rep)`` cell — aggregated across repeats into degradation
-curves (the run-table methodology of simulation evaluation practice:
+An *experiment* is a run table — scenario × axes × N repetitions with
+a distinct seed per ``(point, rep)`` cell — aggregated across repeats
+into degradation curves; a sweep run is the unregistered table with
+one repetition (the run-table methodology of simulation evaluation practice:
 independent replications per configuration).  An
 :class:`ExperimentSpec` is declared in :mod:`repro.experiment.studies`
 with the same registration idiom as scenarios/sweeps/faults:
@@ -19,8 +19,8 @@ with the same registration idiom as scenarios/sweeps/faults:
 
 Axes name *sweep* axes (which in turn bind scenario knobs), so the
 experiment layer adds no new vocabulary: every cell of the run table
-executes through the existing sweep machinery and reproduces as a
-single run (``cli run <scenario> --seed <run seed> --knob ...``).
+executes through the sweep's cell runner and reproduces as a single
+run (``cli run <scenario> --seed <run seed> --knob ...``).
 The CLI ``experiment`` command, the nightly driver, and the generated
 ``docs/EXPERIMENTS.md`` catalogue all render these specs — one source
 of truth, like the sibling registries.

@@ -194,13 +194,6 @@ class ExperimentReport(Record):
             ),
         }
 
-    @property
-    def error_free(self) -> bool:
-        """No run raised.  *Not* "every run diagnosed correctly" — a
-        degradation study's stressed points are expected to misdiagnose;
-        only exceptions make a study invalid."""
-        return all(r.error is None for r in self.runs)
-
 
 def aggregate_runs(
     *,

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
-from ..sweep import DEFAULT_BASE_SEED, PointResult, SweepSpec, expand_grid, run_cells
+from ..sweep import DEFAULT_BASE_SEED, PointResult, SweepSpec, run_cells
 from ..sweep.report import write_json, write_report
 from .registry import ExperimentError, ExperimentSpec
 from .report import (
@@ -48,7 +48,11 @@ EXECUTED = "executed"
 
 
 class Experiment:
-    """One registered study: a sweep × a run table × derived seeds."""
+    """One study: a sweep × a run table × derived seeds.
+
+    Registered studies come from :data:`EXPERIMENTS`; a sweep run is an
+    unregistered spec over the sweep's own grid with ``reps=1``.
+    """
 
     def __init__(
         self,
@@ -58,6 +62,7 @@ class Experiment:
         reps: Optional[int] = None,
         base_seed: int = DEFAULT_BASE_SEED,
         extra_knobs: Optional[dict[str, Any]] = None,
+        extra_points: Sequence[dict[str, Any]] = (),
     ):
         from ..sweep import SWEEPS
 
@@ -65,27 +70,34 @@ class Experiment:
         self.sweep: SweepSpec = SWEEPS.get(spec.sweep)
         axes: dict[str, Any] = spec.axes if grid is None else grid
         self.grid = {axis: list(vals) for axis, vals in axes.items()}
-        for axis in self.grid:
+        self.reps = spec.reps if reps is None else reps
+        self.base_seed = base_seed
+        self.runs: list[Run] = expand_run_table(
+            self.grid, self.reps, base_seed, extra_points
+        )
+        # resolve every run's knobs up front: an invalid table fails
+        # before any run burns wall time
+        used = dict.fromkeys(axis for run in self.runs for axis in run.params)
+        for axis in used:
             if axis not in self.sweep.axes:
                 raise ExperimentError(
                     f"unknown axis {axis!r} for experiment "
                     f"{spec.name!r} (sweep {spec.sweep!r}); valid: "
                     f"{', '.join(sorted(self.sweep.axes))}"
                 )
-        self.reps = spec.reps if reps is None else reps
-        if self.reps < 1:
-            raise ExperimentError(f"reps must be >= 1, got {self.reps}")
-        self.base_seed = base_seed
-        self.runs: list[Run] = expand_run_table(
-            self.grid, self.reps, base_seed
-        )
-        # resolve every point's knobs up front: an invalid table fails
-        # before any run burns wall time (sweep-runner posture)
-        self.knobs = self.sweep.resolve_knobs(
-            expand_grid(self.grid),
-            {**spec.base_knobs, **(extra_knobs or {})},
-            ExperimentError,
-        )
+        swept = {self.sweep.axes[axis] for axis in used}
+        pins = {**spec.base_knobs, **(extra_knobs or {})}
+        # a pin on a swept knob would run every point at the pinned
+        # value while the report claims the swept ones
+        clash = swept & set(pins)
+        if clash:
+            raise ExperimentError(
+                f"--knob would silently override swept axis knob(s) "
+                f"{sorted(clash)}; drop the knob or the axis"
+            )
+        self.knobs = [
+            {**self.sweep.knobs_for(run.params), **pins} for run in self.runs
+        ]
 
     # -- artifact layout ----------------------------------------------------
 
@@ -152,6 +164,12 @@ class Experiment:
                 raise ExperimentError(
                     f"{path} is a malformed run artifact: {'; '.join(problems)}"
                 )
+            if doc["result"]["knobs"] != self.knobs[run.index]:
+                raise ExperimentError(
+                    f"{path} ran at knobs {doc['result']['knobs']}, this "
+                    f"table at {self.knobs[run.index]} — --knob pins "
+                    f"changed; point --out-dir at a fresh directory"
+                )
             completed[run.index] = doc
         return completed
 
@@ -161,7 +179,7 @@ class Experiment:
         self,
         out_dir: Path,
         *,
-        workers: int = 1,
+        workers: Optional[int] = None,
         max_runs: Optional[int] = None,
         on_run: Optional[Callable[[Run, str], None]] = None,
     ) -> Optional[ExperimentReport]:
@@ -172,11 +190,14 @@ class Experiment:
         written and :class:`ExperimentError` names the problems) when
         all runs exist, or ``None`` when ``max_runs`` stopped the
         invocation with cells still missing.
+        ``workers`` defaults to the CPU count (capped at the runs left);
         ``on_run`` observes each cell with :data:`RESUMED` or
         :data:`EXECUTED` as it is accounted for.
         """
-        if workers < 1:
+        if workers is not None and workers < 1:
             raise ExperimentError("workers must be >= 1")
+        if max_runs is not None and max_runs < 0:
+            raise ExperimentError(f"max_runs must be >= 0, got {max_runs}")
         out_dir = Path(out_dir)
         self._check_manifest(out_dir)
         runs_dir = out_dir / "runs"
@@ -205,9 +226,7 @@ class Experiment:
                 on_run(run, EXECUTED)
 
         cells = [
-            self.sweep.cell(
-                run.index, run.params, self.knobs[run.point], run.seed
-            )
+            self.sweep.cell(run.index, run.params, self.knobs[run.index], run.seed)
             for run in todo
         ]
         run_cells(cells, workers, record)

@@ -1,7 +1,8 @@
 """Run-table expansion and collision-free ``(point, rep)`` seeds.
 
-The run table is the cartesian product of the experiment's axes ×
-``reps`` repetitions.  Every cell gets its own seed, derived by CRC32
+The run table is the cartesian product of the experiment's axes (plus
+any explicit extra points) × ``reps`` repetitions; a sweep is the table
+with ``reps=1``.  Every cell gets its own seed, derived by CRC32
 from the *canonical form* of the cell — base seed, the axis values
 sorted by axis name, and the repetition index:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from ..sweep import expand_grid
 from .registry import ExperimentError
@@ -80,18 +81,23 @@ def derive_seeds(base_seed: int, keys: list[str]) -> dict[str, int]:
 
 
 def expand_run_table(
-    grid: dict[str, list[Any]], reps: int, base_seed: int
+    grid: dict[str, list[Any]],
+    reps: int,
+    base_seed: int,
+    extra_points: Sequence[dict[str, Any]] = (),
 ) -> list[Run]:
     """Expand axes × reps into the seeded run table.
 
-    Points enumerate in row-major grid order (last axis fastest, same
-    convention as sweep grids) and repetitions within a point — but the
-    seed of a cell depends only on its canonical ``(params, rep)``
-    identity, never on its table position.
+    Points enumerate in row-major grid order (last axis fastest), then
+    ``extra_points`` in the order given — combined top-end points that
+    join a table without dragging the whole cross product with them —
+    and repetitions within a point.  The seed of a cell depends only on
+    its canonical ``(params, rep)`` identity, never on its table
+    position.
     """
     if reps < 1:
         raise ExperimentError(f"reps must be >= 1, got {reps}")
-    points = expand_grid(grid)
+    points = expand_grid(grid) + [dict(point) for point in extra_points]
     if not points:
         raise ExperimentError("run table needs at least one axis")
     cells = [

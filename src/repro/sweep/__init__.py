@@ -1,4 +1,4 @@
-"""Scale-sweep subsystem: run scenarios across parameter grids.
+"""Scale-sweep subsystem: which scenarios sweep, and the cell runner.
 
 Public surface:
 
@@ -6,49 +6,36 @@ Public surface:
   (next to a scenario) how that scenario sweeps: grid axes bound to
   knobs, default and nightly grids, the expected diagnosis.
 * :func:`run_cells` — the one cell executor (inline or a process pool)
-  behind sweeps and experiment run tables; :class:`Sweep` — expand a
-  grid, run its points as cells, aggregate a report.
-* :class:`SweepReport` / :func:`validate_report` / :func:`write_report`
-  — the machine-readable result document CI archives and gates on,
-  declared in the report table (``report.py``) that experiments share.
+  behind every run table; :func:`execute_point` runs one cell into a
+  :class:`PointResult`.  A sweep run is a one-repetition
+  :class:`repro.experiment.Experiment` over the sweep's own grid.
+* ``report`` — the report table every run-table document is declared
+  in.
 * ``grid`` helpers — ``--grid hosts=64,256,1024`` parsing and expansion.
 
 See ``docs/SWEEPS.md`` (generated from this registry) for the grid
-syntax, the worker model, and the JSON schema.
+syntax and the nightly driver.
 """
 
 from .catalog import sweeps_markdown
-from .grid import (
-    GridError,
-    coerce_value,
-    expand_grid,
-    parse_axis,
-    parse_grid,
-    point_seed,
-)
+from .grid import GridError, coerce_value, expand_grid, parse_axis, parse_grid
 from .registry import SWEEPS, SweepError, SweepSpec, register_sweep
-from .report import SCHEMA, PointResult, SweepReport, validate_report, write_report
-from .runner import DEFAULT_BASE_SEED, Sweep, execute_point, run_cells
+from .report import PointResult
+from .runner import DEFAULT_BASE_SEED, execute_point, run_cells
 
 __all__ = [
     "DEFAULT_BASE_SEED",
-    "SCHEMA",
     "SWEEPS",
     "GridError",
     "PointResult",
-    "Sweep",
     "SweepError",
-    "SweepReport",
     "SweepSpec",
     "coerce_value",
     "execute_point",
     "expand_grid",
     "parse_axis",
     "parse_grid",
-    "point_seed",
     "register_sweep",
     "run_cells",
     "sweeps_markdown",
-    "validate_report",
-    "write_report",
 ]

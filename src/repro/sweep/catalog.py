@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .registry import SWEEPS, SweepSpec
-from .report import SCHEMA
 
 _PREAMBLE = """\
 # Scale sweeps
@@ -53,16 +52,33 @@ concurrent flows planned in batches and emitted by one heap-driven
 source, so the diagnosis layers are stressed by traffic scale, not the
 generator.
 
-## Worker model and seeds
+## One run table, one repetition
 
-Grid points are independent experiments: they execute in
-`multiprocessing` workers (`--workers N`, default = CPU count capped at
-the point count; `1` = inline, no pool).  Every point derives a stable
-seed from `(base seed, point index)` via CRC32, applied before the
-scenario builds — so any point reproduces bit-for-bit, regardless of
-worker count or completion order, by replaying its recorded `knobs`
-and `seed` from the report:
-`python -m repro.cli run <scenario> --seed <seed> --knob key=value ...`
+A sweep run is a run table ([EXPERIMENTS.md](EXPERIMENTS.md)) over the
+sweep's own grid with one repetition per point: the same runner, the
+same seeds, the same artifact directory and the same
+`ExperimentReport`.  `sweep run` owns one directory per sweep (default
+`results/sweeps/<name>/`, `--out-dir DIR` elsewhere); re-invoking it on
+the same directory resumes, executing only the missing runs.  A point's
+seed derives from its axis values (see EXPERIMENTS.md), never from its
+position in the grid, so `--grid hosts=64,128` and `--grid
+hosts=128,64` run `hosts=64` at the same seed, and any run reproduces
+bit-for-bit by replaying the `seed` and `knobs` recorded in its run
+artifact: `python -m repro.cli run <scenario> --seed <seed> --knob
+key=value ...`
+
+Points are independent: they execute in `multiprocessing` workers
+(`--workers N`, default = CPU count capped at the run count; `1` =
+inline, no pool).  Each run artifact's `result` carries, beside the
+verdicts, `wall_time_s` + per-phase `phase_s`, `flow_count` (concurrent
+flows the run drove, scenario + background), `peak_records` /
+`total_records` / `evicted_records` (host record-table footprint) and
+`ingest_records_per_s` (decoded packets folded into host record tables
+per wall-clock second of the run phase).
+
+A sweep is graded strictly: `sweep run` and `sweep nightly` exit
+non-zero unless **every** run diagnosed correctly (an experiment fails
+only on errored runs; its stressed points are expected to misdiagnose).
 
 ## The nightly driver
 
@@ -71,43 +87,14 @@ python -m repro.cli sweep nightly [--out-dir DIR] [--workers N]
                                   [--seed N] [--only NAME ...]
 ```
 
-expands **every registered sweep** at its reduced nightly grid and
-writes one `sweep_nightly_<name>.json` report per sweep — the
-registry-driven replacement for hard-coding one CI step per sweep.
-Registration requires a nightly grid, so a new sweep joins the
-scheduled CI run (and its artifact upload) automatically.  `--only
-NAME` (repeatable) runs just the named sweeps — the way to run one
-sweep at its nightly grid.  Exit status is non-zero if any sweep had an
-errored or misdiagnosed point.
-
-## Report schema (`{schema}`)
-
-`sweep run` writes one JSON document (default `results/sweep_<name>.json`):
-
-| field | meaning |
-|---|---|
-| `schema` | schema id, currently `{schema}` |
-| `sweep` | registry name of the sweep that produced the report |
-| `scenario`, `expect_problem` | what ran and the verdict that counts as correct |
-| `base_seed`, `workers`, `grid` | reproduction identity |
-| `points[]` | one entry per grid point (below) |
-| `summary` | point/ok/error counts, max peak records, max flow count, total wall time |
-
-Each point carries `index`, `params` (axis values), `knobs` (resolved
-scenario knobs), `seed`, `ok` / `diagnosis_ok`, `problems` / `suspects`
-(analyzer verdicts), `wall_time_s` + per-phase `phase_s`, `sim_time_s`,
-`flow_count` (concurrent flows the point drove, scenario + background),
-`peak_records` / `total_records` / `evicted_records` (host record-table
-footprint), `ingest_records_per_s` (decoded packets folded into host
-record tables per wall-clock second of the run phase), scenario
-`measurements`, and `error` (null unless the point raised).
-
-Each field is declared once, in the report table experiments share
-(`repro.sweep.report`): `repro.sweep.validate_report` requires every
-declared field and rejects undeclared ones at every level, naming the
-allowed fields.  An invalid report is never written; a new field needs
-a new schema string.  The CI benchmark-regression gate
-(`tools/check_bench_regression.py`) validates before trusting a number.
+expands **every registered sweep** at its reduced nightly grid, plus
+its extra nightly points (appended after the grid and seeded like any
+other point), and writes one artifact directory per sweep,
+`DIR/<name>/` (default `results/sweeps/<name>/`) — the registry-driven
+replacement for hard-coding one CI step per sweep.  Registration
+requires a nightly grid, so a new sweep joins the scheduled CI run (and
+its artifact upload) automatically.  `--only NAME` (repeatable) runs
+just the named sweeps — the way to run one sweep at its nightly grid.
 """
 
 
@@ -148,6 +135,6 @@ def _spec_markdown(spec: SweepSpec) -> str:
 
 def sweeps_markdown() -> str:
     """The full ``docs/SWEEPS.md`` body."""
-    sections = [_PREAMBLE.replace("{schema}", SCHEMA)]
+    sections = [_PREAMBLE]
     sections.extend(_spec_markdown(spec) for spec in SWEEPS.values())
     return "\n".join(sections)

@@ -1,24 +1,18 @@
-"""Parameter-grid parsing and expansion for scale sweeps.
+"""Parameter-grid parsing and expansion for sweeps and run tables.
 
 Grid syntax (the ``--grid`` CLI flag, repeatable)::
 
     --grid hosts=64,256,1024 --grid alpha_ms=5,10
 
 Each flag names one *axis* and its comma-separated values; values are
-coerced best-effort (bool, int, float, then string).  The sweep runs the
-cartesian product of all axes, expanded in row-major order with the
-last-listed axis varying fastest — point order (and therefore point
-indices and seeds) is deterministic for a given grid expression.
-
-Per-point seeds derive from ``(base_seed, point index)`` through CRC32,
-so a point's seed is stable across runs, processes, and machines — the
-property the "sweep point matches the single run with the same seed"
-integration test relies on.
+coerced best-effort (bool, int, float, then string).  A run table takes
+the cartesian product of all axes, expanded in row-major order with the
+last-listed axis varying fastest; a point's seed derives from its axis
+values, not its position (:mod:`repro.experiment.table`).
 """
 
 from __future__ import annotations
 
-import zlib
 from itertools import product
 from typing import Any
 
@@ -68,8 +62,3 @@ def expand_grid(grid: dict[str, list[Any]]) -> list[dict[str, Any]]:
         return []
     axes = list(grid)
     return [dict(zip(axes, combo)) for combo in product(*(grid[a] for a in axes))]
-
-
-def point_seed(base_seed: int, index: int) -> int:
-    """Stable per-point seed: CRC32 of (base_seed, index)."""
-    return zlib.crc32(f"{base_seed}:{index}".encode("ascii"))

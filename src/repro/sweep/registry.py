@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..registry import Registry
-from .grid import GridError
 
 
 class SweepError(Exception):
@@ -73,8 +72,9 @@ class SweepSpec:
         benchmark.  Mandatory at registration: a sweep the nightly
         driver cannot run would silently shrink CI's coverage.
     nightly_points:
-        Explicit extra points appended to the nightly grid's cartesian
-        expansion — for combined top-end points (``hosts=4096
+        Explicit extra points appended to the nightly run table after
+        the grid's cartesian expansion (and seeded like any other
+        point) — for combined top-end points (``hosts=4096
         flows=2000``) whose full cross product would blow the nightly
         wall-time budget.  Each entry maps axis names to one value.
     budget_note:
@@ -104,40 +104,11 @@ class SweepSpec:
             object.__setattr__(self, "name", self.scenario)
 
     def knobs_for(self, params: dict[str, Any]) -> dict[str, Any]:
-        """Resolve one grid point's axis values into scenario knobs."""
+        """Resolve one grid point's axis values into scenario knobs
+        (every axis declared: the run table checks before resolving)."""
         knobs = dict(self.base_knobs)
-        for axis, value in params.items():
-            knob = self.axes.get(axis)
-            if knob is None:
-                raise GridError(
-                    f"unknown axis {axis!r} for sweep {self.name!r}; "
-                    f"valid: {', '.join(sorted(self.axes))}"
-                )
-            knobs[knob] = value
+        knobs.update((self.axes[axis], value) for axis, value in params.items())
         return knobs
-
-    def resolve_knobs(
-        self,
-        points: list[dict[str, Any]],
-        pins: dict[str, Any],
-        error: type[Exception],
-    ) -> list[dict[str, Any]]:
-        """Every point's scenario knobs: its axis values, then ``pins``.
-
-        A pin on a knob some point sweeps would run every point at the
-        pinned value while the report claims the swept ones, so it
-        raises ``error`` (the caller's own class) naming the clash.
-        """
-        swept = {
-            self.axes[axis] for point in points for axis in point if axis in self.axes
-        }
-        clash = swept & set(pins)
-        if clash:
-            raise error(
-                f"--knob would silently override swept axis knob(s) "
-                f"{sorted(clash)}; drop the knob or the axis"
-            )
-        return [{**self.knobs_for(point), **pins} for point in points]
 
     def cell(
         self, index: int, params: dict[str, Any], knobs: dict[str, Any], seed: int

@@ -1,4 +1,4 @@
-"""The report table: every sweep and experiment record, declared once.
+"""The report table: every run-table record, declared once.
 
 A record is a ``@dataclass(slots=True)`` :class:`Record`.  Each JSON
 field is declared where the dataclass declares it — :func:`col` gives
@@ -13,11 +13,11 @@ undeclared attribute raise: writer and validator cannot drift.  A new
 field changes what a schema accepts, so it comes with a new schema
 string; a tier-1 test pins each string to its field names.
 
-This module declares the sweep's records (one JSON document per sweep
-run, written under ``results/``: per-point wall time, peak records,
-diagnosis correctness, and the identity — scenario, grid, seeds, knobs
-— to replay any point as a single run); :mod:`repro.experiment.report`
-declares the experiment's.
+This module declares the table and :class:`PointResult`, the outcome
+of one executed cell (wall time, peak records, diagnosis correctness,
+and the knobs and seed that replay it as a single run);
+:mod:`repro.experiment.report` declares the documents a run table
+writes around it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ import os
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Optional
-
-SCHEMA = "switchpointer.sweep-report/v3"
 
 
 @dataclass(frozen=True)
@@ -225,9 +223,9 @@ def write_report(path: Path, report: Record) -> list[str]:
 
 @dataclass(slots=True)
 class PointResult(Record):
-    """Outcome of one grid point (one scenario execution)."""
+    """Outcome of one cell (one scenario execution)."""
 
-    index: int = col(int, ordinal=True)
+    index: int = col(int)
     params: dict[str, Any] = col(dict)
     knobs: dict[str, Any] = col(dict)
     seed: int = col(int)
@@ -249,49 +247,5 @@ class PointResult(Record):
 
     @derived(bool)
     def ok(self) -> bool:
-        """Point verdict: ran to completion and diagnosed correctly."""
+        """Cell verdict: ran to completion and diagnosed correctly."""
         return self.error is None and self.diagnosis_ok
-
-
-@dataclass(slots=True)
-class SweepReport(Record):
-    """Everything one sweep run produced, JSON-serializable.
-
-    ``sweep`` is the registry name the report came from; ``scenario``
-    the scenario it executed.  They differ when several sweeps exercise
-    the same scenario (e.g. ``incast`` vs ``incast-scale``).
-    """
-
-    SCHEMA: ClassVar[Optional[str]] = SCHEMA
-
-    sweep: str = col(str)
-    scenario: str = col(str)
-    expect_problem: str = col(str)
-    base_seed: int = col(int)
-    workers: int = col(int)
-    grid: dict[str, list[Any]] = col(dict)
-    points: list[PointResult] = col(list, record=PointResult, factory=list)
-    wall_time_s: float = 0.0
-
-    @derived(dict)
-    def summary(self) -> dict[str, Any]:
-        return {
-            "points": len(self.points),
-            "ok": sum(1 for p in self.points if p.ok),
-            "diagnosis_failures": sum(
-                1 for p in self.points if p.error is None and not p.diagnosis_ok
-            ),
-            "errors": sum(1 for p in self.points if p.error is not None),
-            "max_peak_records": max((p.peak_records for p in self.points), default=0),
-            "max_flow_count": max((p.flow_count for p in self.points), default=0),
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
-
-    @property
-    def all_ok(self) -> bool:
-        return all(p.ok for p in self.points)
-
-
-def validate_report(doc: Any) -> list[str]:
-    """Structural check of a SweepReport document; [] means valid."""
-    return validate(SweepReport, doc)

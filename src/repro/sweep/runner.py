@@ -1,7 +1,8 @@
-"""The cell runner, and the sweep on top of it: a grid × a scenario.
+"""The cell runner: every sweep and experiment run executes here.
 
-:func:`run_cells` is the one executor behind sweeps and experiment run
-tables.  A cell (:data:`~repro.sweep.registry.Cell`) is one scenario
+:func:`run_cells` is the one executor behind run tables
+(:class:`repro.experiment.Experiment`; a sweep is the one-repetition
+table).  A cell (:data:`~repro.sweep.registry.Cell`) is one scenario
 execution at fixed knobs and seed; cells are independent, so they run
 in ``multiprocessing`` workers (forked where available, spawned
 otherwise), one per task, results streamed back as they finish, or
@@ -9,12 +10,9 @@ inline with ``workers=1`` (tests, one-core CI runners).  Workers return
 plain :class:`PointResult` payloads — never the huge, unpicklable
 network or deployment objects.  A cell that raises, or whose worker
 dies, becomes an errored result; it never takes the run down.
-
-:class:`Sweep` expands a grid against a registered
-:class:`~repro.sweep.registry.SweepSpec` into cells with stable
-per-point seeds (``grid.point_seed``), so any point replays bit-for-bit
-as a single run — ``cli run <scenario> --seed <point seed> --knob ...``
-— and aggregates them into a :class:`~repro.sweep.report.SweepReport`.
+Because :func:`execute_point` seeds before the scenario builds, any
+cell replays bit-for-bit as a single run —
+``cli run <scenario> --seed <seed> --knob ...``.
 """
 
 from __future__ import annotations
@@ -23,12 +21,11 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from ..core.rng import seed_run
-from .grid import GridError, expand_grid, point_seed
-from .registry import Cell, SweepSpec
-from .report import PointResult, SweepReport
+from .registry import Cell
+from .report import PointResult
 
 DEFAULT_BASE_SEED = 1729
 
@@ -47,7 +44,7 @@ def execute_point(payload: Cell) -> PointResult:
         from ..scenarios import run_scenario
 
         outcome = run_scenario(scenario, **knobs)
-    except Exception as exc:  # noqa: BLE001 - a point must never kill the sweep
+    except Exception as exc:  # noqa: BLE001 - a cell must never kill the run
         result.error = f"{type(exc).__name__}: {exc}"
         result.wall_time_s = (  # reprolint: allow[wall-clock]
             time.perf_counter() - start)
@@ -80,22 +77,22 @@ def execute_point(payload: Cell) -> PointResult:
     return result
 
 
-def default_workers(n_points: int) -> int:
-    return max(1, min(n_points, os.cpu_count() or 1))
-
-
 def run_cells(
     cells: list[Cell],
-    workers: int,
+    workers: Optional[int] = None,
     on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> list[PointResult]:
     """Run every cell; returns one :class:`PointResult` per cell, in order.
 
-    ``workers=1`` (or a single cell) runs inline; otherwise the cells go
-    to a process pool, one cell per task.  ``on_result`` observes each
-    result as it lands — sweeps print progress from it, experiments
-    persist each run from it.
+    ``workers`` defaults to the CPU count and is capped at the cell
+    count; ``workers=1`` (or a single cell) runs inline, otherwise the
+    cells go to a process pool, one cell per task.  ``on_result``
+    observes each result as it lands — the experiment runner persists
+    each run from it.
     """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(cells))
     results: list[PointResult] = []
 
     def land(result: PointResult) -> None:
@@ -103,7 +100,7 @@ def run_cells(
         if on_result is not None:
             on_result(result)
 
-    if workers == 1 or len(cells) <= 1:
+    if workers <= 1:
         for cell in cells:
             land(execute_point(cell))
     else:
@@ -114,9 +111,7 @@ def run_cells(
         # on its future instead of hanging forever; the dead worker's
         # cell (and any aborted with it) becomes an errored result like
         # any other failure
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(cells)), mp_context=ctx
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             futures = {pool.submit(execute_point, cell): cell for cell in cells}
             for future in as_completed(futures):
                 try:
@@ -133,56 +128,3 @@ def run_cells(
                 land(result)
     results.sort(key=lambda r: r.index)
     return results
-
-
-class Sweep:
-    """One scenario swept across a parameter grid."""
-
-    def __init__(
-        self,
-        spec: SweepSpec,
-        grid: Optional[dict[str, Any]] = None,
-        *,
-        workers: Optional[int] = None,
-        base_seed: int = DEFAULT_BASE_SEED,
-        extra_knobs: Optional[dict[str, Any]] = None,
-        extra_points: Optional[list[dict[str, Any]]] = None,
-    ):
-        self.spec = spec
-        axes: dict[str, Any] = spec.default_grid if grid is None else grid
-        self.grid = {axis: list(vals) for axis, vals in axes.items()}
-        self.base_seed = base_seed
-        # explicit points ride along after the cartesian expansion —
-        # combined top-end points (hosts=4096 flows=2000) join a run
-        # without dragging the whole cross product with them
-        self.params = expand_grid(self.grid) + [
-            dict(point) for point in (extra_points or [])
-        ]
-        self.workers = default_workers(len(self.params)) if workers is None else workers
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        # resolve every point's knobs up front: an unknown axis fails
-        # the whole sweep before any point has burned wall time
-        knobs = spec.resolve_knobs(self.params, extra_knobs or {}, GridError)
-        self.payloads: list[Cell] = [
-            spec.cell(index, params, point_knobs, point_seed(base_seed, index))
-            for index, (params, point_knobs) in enumerate(zip(self.params, knobs))
-        ]
-
-    def run(
-        self,
-        on_point: Optional[Callable[[PointResult], None]] = None,
-    ) -> SweepReport:
-        """Execute every point; ``on_point`` observes results as they land."""
-        start = time.perf_counter()  # reprolint: allow[wall-clock]
-        points = run_cells(self.payloads, self.workers, on_point)
-        return SweepReport(
-            sweep=self.spec.name,
-            scenario=self.spec.scenario,
-            expect_problem=self.spec.expect_problem,
-            base_seed=self.base_seed,
-            workers=self.workers,
-            grid=self.grid,
-            points=points,
-            wall_time_s=time.perf_counter() - start,  # reprolint: allow[wall-clock]
-        )

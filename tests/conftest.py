@@ -42,3 +42,32 @@ def payload_of():
         return run_scenario(name, with_diagnosis=False, **knobs).payload
 
     return run
+
+
+@pytest.fixture
+def sweep_table():
+    """``sweep_table(name, grid, **kwargs)``: a registered sweep as the
+    unregistered one-repetition run table ``sweep run`` executes."""
+    from repro.experiment import Experiment, ExperimentSpec
+    from repro.sweep import SWEEPS
+
+    def build(name, grid=None, **kwargs):
+        spec = SWEEPS.get(name)
+        table = ExperimentSpec(sweep=spec.name, summary=spec.summary,
+                               axes=spec.default_grid, reps=1)
+        return Experiment(table, grid=grid, **kwargs)
+
+    return build
+
+
+@pytest.fixture
+def run_artifacts():
+    """``run_artifacts(out_dir)``: the run documents of an artifact
+    directory, in table order."""
+    import json
+
+    def read(out_dir):
+        return [json.loads(path.read_text(encoding="utf-8"))
+                for path in sorted((out_dir / "runs").glob("point*.json"))]
+
+    return read

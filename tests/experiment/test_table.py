@@ -89,10 +89,38 @@ class TestRegisteredSpecs:
             )
 
 
+class TestExtraPoints:
+    def test_extra_points_follow_the_product(self):
+        runs = expand_run_table({"hosts": [64, 128]}, 2, 1729,
+                                extra_points=[{"hosts": 4096}])
+        assert [(run.point, run.rep, run.params["hosts"]) for run in runs] == [
+            (0, 0, 64), (0, 1, 64), (1, 0, 128), (1, 1, 128),
+            (2, 0, 4096), (2, 1, 4096),
+        ]
+
+    def test_extra_point_takes_its_params_seed(self):
+        """An extra point gets the seed its params would get on the grid."""
+        extra = expand_run_table({"hosts": [64]}, 1, 1729,
+                                 extra_points=[{"hosts": 4096}])
+        gridded = expand_run_table({"hosts": [4096, 64]}, 1, 1729)
+        assert {r.params["hosts"]: r.seed for r in extra} == {
+            r.params["hosts"]: r.seed for r in gridded}
+
+    def test_extra_point_repeating_a_grid_point_rejected(self):
+        with pytest.raises(ExperimentError, match="unique"):
+            expand_run_table({"hosts": [64]}, 1, 1729,
+                             extra_points=[{"hosts": 64}])
+
+
 class TestDeriveSeeds:
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ExperimentError, match="unique"):
             derive_seeds(1, ["a|rep=0", "a|rep=0"])
+
+    def test_base_seed_changes_every_seed(self):
+        keys = [f"hosts={h}|rep=0" for h in (64, 128)]
+        one, two = derive_seeds(1, keys), derive_seeds(2, keys)
+        assert all(one[key] != two[key] for key in keys)
 
     def test_salt_is_order_independent(self):
         keys = [f"skew_ms={v}|rep={r}" for v in (0, 1, 2) for r in (0, 1)]

@@ -53,6 +53,14 @@ class TestExperimentCli:
         assert "[resumed]" in capsys.readouterr().out
         assert (out_dir / "report.json").exists()
 
+    def test_negative_max_runs_fails_cleanly(self, tmp_path, capsys):
+        """--max-runs -1 would slice off the table's last cell and exit
+        0 as "incomplete"; it is rejected before anything is written."""
+        code, out_dir = run_cli(tmp_path, "--max-runs", "-1")
+        assert code == 2
+        assert "max_runs must be >= 0, got -1" in capsys.readouterr().err
+        assert not list(out_dir.glob("runs/*.json"))
+
     def test_invalid_report_is_never_written(
             self, tmp_path, capsys, monkeypatch):
         """A report that fails its schema is an error, not a file: the

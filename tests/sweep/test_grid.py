@@ -1,4 +1,4 @@
-"""Grid parsing, expansion, and per-point seed stability."""
+"""Grid parsing and expansion (seeds: tests/experiment/test_table.py)."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.sweep import (
     expand_grid,
     parse_axis,
     parse_grid,
-    point_seed,
 )
 
 
@@ -52,13 +51,3 @@ class TestExpansion:
 
     def test_empty_grid(self):
         assert expand_grid({}) == []
-
-
-class TestSeeds:
-    def test_stable_and_distinct(self):
-        seeds = [point_seed(1729, i) for i in range(16)]
-        assert seeds == [point_seed(1729, i) for i in range(16)]
-        assert len(set(seeds)) == len(seeds)
-
-    def test_base_seed_changes_everything(self):
-        assert point_seed(1, 0) != point_seed(2, 0)

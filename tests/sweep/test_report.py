@@ -1,16 +1,22 @@
-"""The report table: SweepReport JSON, schema validation, and the
+"""The report table: run artifacts wrapping PointResults, the
+ExperimentReport they fold into, schema validation, and the
 schema-string pins that make adding a field an explicit version bump."""
 
 import json
 
 import pytest
 
-from repro.experiment import ExperimentReport, RunArtifact
-from repro.sweep import PointResult, SweepReport, validate_report
+from repro.experiment import (
+    ExperimentReport,
+    RunArtifact,
+    aggregate_runs,
+    validate_experiment_report,
+)
+from repro.sweep import PointResult
 
 
-def make_report() -> SweepReport:
-    points = [
+def make_points() -> list[PointResult]:
+    return [
         PointResult(
             index=i,
             params={"hosts": 64 * (i + 1)},
@@ -32,98 +38,114 @@ def make_report() -> SweepReport:
         )
         for i in range(3)
     ]
-    return SweepReport(
+
+
+def make_artifacts() -> list[dict]:
+    return [
+        RunArtifact(
+            experiment="incast",
+            point=point.index,
+            rep=0,
+            params=point.params,
+            seed=point.seed,
+            result=point,
+        ).to_json()
+        for point in make_points()
+    ]
+
+
+def make_report() -> ExperimentReport:
+    """A one-repetition table over three points: what a sweep writes."""
+    return aggregate_runs(
+        experiment="incast",
         sweep="incast",
         scenario="incast",
         expect_problem="incast",
         base_seed=1729,
-        workers=2,
+        reps=1,
         grid={"hosts": [64, 128, 192]},
-        points=points,
-        wall_time_s=2.0,
+        artifacts=make_artifacts(),
     )
 
 
 class TestRoundTrip:
     def test_to_json_is_schema_valid(self):
-        assert validate_report(make_report().to_json()) == []
+        assert validate_experiment_report(make_report().to_json()) == []
 
     def test_json_serializable(self):
         text = json.dumps(make_report().to_json())
-        assert validate_report(json.loads(text)) == []
+        assert validate_experiment_report(json.loads(text)) == []
 
     def test_summary_counts(self):
         summary = make_report().summary
-        assert summary["points"] == 3
-        assert summary["ok"] == 1  # point 1 misdiagnosed, point 2 errored
-        assert summary["diagnosis_failures"] == 1
+        assert summary["runs"] == summary["points"] == 3
+        assert summary["ok_runs"] == 1  # run 1 misdiagnosed, run 2 errored
         assert summary["errors"] == 1
-        assert summary["max_flow_count"] == 600
 
     def test_ok_requires_no_error_and_correct_diagnosis(self):
-        report = make_report()
-        assert report.points[0].ok
-        assert not report.points[1].ok
-        assert not report.points[2].ok
-        assert not report.all_ok
+        points = make_points()
+        assert points[0].ok
+        assert not points[1].ok
+        assert not points[2].ok
+        assert [run.ok for run in make_report().runs] == [True, False, False]
 
 
 class TestValidator:
     def test_rejects_non_object(self):
-        assert validate_report([]) != []
-        assert validate_report(None) != []
+        assert validate_experiment_report([]) != []
+        assert validate_experiment_report(None) != []
 
     def test_rejects_missing_top_field(self):
         doc = make_report().to_json()
         del doc["grid"]
-        assert any("grid" in e for e in validate_report(doc))
+        assert any("grid" in e for e in validate_experiment_report(doc))
 
     def test_rejects_wrong_schema_id(self):
         doc = make_report().to_json()
         doc["schema"] = "something/v0"
-        assert validate_report(doc) != []
+        assert validate_experiment_report(doc) != []
 
     def test_rejects_corrupt_point(self):
-        doc = make_report().to_json()
-        del doc["points"][1]["wall_time_s"]
-        assert any("wall_time_s" in e for e in validate_report(doc))
+        doc = make_artifacts()[1]
+        del doc["result"]["wall_time_s"]
+        assert any("result.wall_time_s" in e for e in RunArtifact.check(doc, ""))
 
     def test_rejects_bool_masquerading_as_int(self):
         doc = make_report().to_json()
-        doc["points"][0]["peak_records"] = True
-        assert any("peak_records" in e for e in validate_report(doc))
+        doc["runs"][0]["peak_records"] = True
+        assert any("peak_records" in e for e in validate_experiment_report(doc))
 
     def test_rejects_out_of_order_indices(self):
         doc = make_report().to_json()
         doc["points"].reverse()
-        assert "points[].index must be 0..n-1 in order" in validate_report(doc)
+        errors = validate_experiment_report(doc)
+        assert "points[].point must be 0..n-1 in order" in errors
 
     def test_rejects_summary_count_mismatch(self):
         doc = make_report().to_json()
-        doc["summary"]["points"] = 99
-        assert any("summary.points" in e for e in validate_report(doc))
+        doc["summary"]["runs"] = 99
+        assert any("summary.runs" in e for e in validate_experiment_report(doc))
 
     def test_rejects_unknown_top_level_key_naming_it(self):
         """A typo in a hand-edited report must fail loudly, naming the
         offending key — not be silently tolerated."""
         doc = make_report().to_json()
         doc["expect_probelm"] = "incast"  # the classic transposition
-        errors = validate_report(doc)
-        assert any(e.startswith("unknown field 'expect_probelm'")
-                   for e in errors)
+        errors = validate_experiment_report(doc)
+        assert any(e.startswith("unknown field 'expect_probelm'") for e in errors)
 
     def test_unknown_key_error_lists_allowed_fields(self):
         doc = make_report().to_json()
         doc["bogus"] = 1
-        (error,) = [e for e in validate_report(doc) if "bogus" in e]
+        (error,) = [e for e in validate_experiment_report(doc) if "bogus" in e]
         assert "allowed:" in error
         assert "scenario" in error
 
     def test_rejects_unknown_point_field_naming_it(self):
-        doc = make_report().to_json()
-        doc["points"][1]["wall_tme_s"] = 0.5
-        (error,) = validate_report(doc)
-        assert error.startswith("unknown field 'points[1].wall_tme_s'")
+        doc = make_artifacts()[1]
+        doc["result"]["wall_tme_s"] = 0.5
+        (error,) = RunArtifact.check(doc, "")
+        assert error.startswith("unknown field 'result.wall_tme_s'")
         assert "wall_time_s" in error  # the allowed list names the fix
 
 
@@ -139,13 +161,6 @@ POINT_RESULT = [
 #: this test until the pin changes — and the pin changes under a new
 #: schema string, so a reader never meets two shapes under one name.
 PINNED = {
-    "switchpointer.sweep-report/v3": {
-        "SweepReport": [
-            "base_seed", "expect_problem", "grid", "points", "scenario",
-            "schema", "summary", "sweep", "workers",
-        ],
-        "PointResult": POINT_RESULT,
-    },
     "switchpointer.experiment-report/v2": {
         "ExperimentReport": [
             "base_seed", "expect_problem", "experiment", "grid", "points",
@@ -187,12 +202,12 @@ def declared(record, out=None):
 
 class TestSchemaTable:
     def test_schema_strings_pin_their_fields(self):
-        documents = (SweepReport, ExperimentReport, RunArtifact)
+        documents = (ExperimentReport, RunArtifact)
         assert {doc.SCHEMA: declared(doc) for doc in documents} == PINNED
 
     def test_undeclared_attribute_raises(self):
         """slots: a field the table does not declare cannot be written,
         so it can never silently miss the report."""
-        point = make_report().points[0]
+        point = make_points()[0]
         with pytest.raises(AttributeError):
             point.bogus = 1

@@ -102,6 +102,15 @@ class TestSweepCatalog:
         assert "`hosts=4096 flows=2000`" in page
         assert "**Wall-time budget:**" in page
 
+    def test_page_documents_the_one_repetition_run_table(self):
+        """A sweep run is a run table: its artifact directory, seeds and
+        report are EXPERIMENTS.md's, and it grades every run."""
+        page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
+        assert "[EXPERIMENTS.md](EXPERIMENTS.md)" in page
+        assert "`results/sweeps/<name>/`" in page
+        assert "`ExperimentReport`" in page
+        assert "**every** run diagnosed correctly" in page
+
     def test_readme_links_sweeps_doc(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         assert "docs/SWEEPS.md" in readme

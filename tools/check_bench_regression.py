@@ -12,13 +12,13 @@ and the wall-time metrics gated inside it::
     {
       "source": "query_index.json",            // under results/
       "max_factor": 1.3,                       // >30% slower fails
-      "metrics": {"indexed_match_ms": 11.2, "points.0.wall_time_s": 0.31}
+      "metrics": {"indexed_match_ms": 11.2, "runs.0.result.wall_time_s": 0.31}
     }
 
 Metric keys are dotted paths into the source document (integer segments
-index into lists), so sweep reports gate per grid point.  A source that
-carries the sweep-report schema is structurally validated before any
-number is trusted.  Run the benchmarks that emit the sources first::
+index into lists), so a sweep's run artifacts gate per grid point.  Every
+element of a source's ``runs`` list is checked as a run artifact before
+any number is trusted.  Run the benchmarks that emit the sources first::
 
     python -m pytest benchmarks/test_query_index.py \
         benchmarks/test_sweep_smoke.py -q
@@ -56,7 +56,7 @@ DEFAULT_MAX_FACTOR = 1.3
 
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.sweep import SCHEMA, validate_report  # noqa: E402
+from repro.experiment import RunArtifact  # noqa: E402
 
 
 def calibrate() -> float:
@@ -98,8 +98,12 @@ def load_source(name: str) -> Any:
             f"that emit it first (see --help)"
         )
     doc = json.loads(path.read_text(encoding="utf-8"))
-    if isinstance(doc, dict) and doc.get("schema") == SCHEMA:
-        problems = validate_report(doc)
+    if isinstance(doc, dict) and isinstance(doc.get("runs"), list):
+        problems = [
+            problem
+            for i, run in enumerate(doc["runs"])
+            for problem in RunArtifact.check(run, f"runs[{i}]")
+        ]
         if problems:
             raise ValueError(
                 f"{path.relative_to(REPO)} failed schema validation: "
