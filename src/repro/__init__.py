@@ -23,7 +23,7 @@ Packages
 :mod:`repro.switchd`   switch datapath + control-plane agent
 :mod:`repro.hostd`     end-host telemetry (PathDump extended)
 :mod:`repro.analyzer`  coordination + the four §5 debugging apps
-:mod:`repro.baselines` PathDump and in-network comparison points
+:mod:`repro.baselines` PathDump, the end-host-only comparison point
 :mod:`repro.rpc`       latency-modelled control-plane RPC
 """
 

@@ -62,7 +62,7 @@ class Incident:
         return "\n".join(lines)
 
 
-class AutoDebugger:
+class AutoDebugger:  # reprolint: allow[test-only]
     """Continuous alert triage on top of an :class:`Analyzer`."""
 
     def __init__(self, analyzer: Analyzer, *,

@@ -115,11 +115,6 @@ class ConformanceReport:
     violations: list[ConformanceViolation] = field(default_factory=list)
     breakdown: Breakdown = field(default_factory=Breakdown)
 
-    @property
-    def conformant(self) -> bool:
-        return not self.violations
-
-
 def check_path_conformance(analyzer: Analyzer, *,
                            hosts: Optional[list[str]] = None,
                            expected_paths: Optional[

@@ -1,9 +1,5 @@
-"""Comparison baselines: PathDump (end-host) and in-network approaches."""
+"""Comparison baseline: PathDump (end-host only)."""
 
 from .pathdump import PathDumpAnalyzer, top_k_with_switchpointer
-from .innetwork import PortCounterMonitor, SampledNetFlow
 
-__all__ = [
-    "PathDumpAnalyzer", "top_k_with_switchpointer",
-    "SampledNetFlow", "PortCounterMonitor",
-]
+__all__ = ["PathDumpAnalyzer", "top_k_with_switchpointer"]

@@ -320,14 +320,21 @@ def cmd_experiment_nightly(args) -> int:
 
 def cmd_sizing(args) -> int:
     n, alpha, k = args.hosts, args.alpha, args.k
-    print(f"n={n}, alpha={alpha} ms, k={k}:")
-    print(f"  switch memory: "
-          f"{total_switch_memory_bytes(n, alpha, k) / 1e6:.3f} MB")
-    print(f"  push bandwidth: "
-          f"{push_bandwidth_bps(n, alpha, k) / 1e6:.4f} Mbps")
-    for h in range(1, k):
-        print(f"  level {h} recycling period: "
-              f"{recycling_period_ms(alpha, h):.0f} ms")
+    try:
+        lines = [
+            f"n={n}, alpha={alpha} ms, k={k}:",
+            f"  switch memory: "
+            f"{total_switch_memory_bytes(n, alpha, k) / 1e6:.3f} MB",
+            f"  push bandwidth: "
+            f"{push_bandwidth_bps(n, alpha, k) / 1e6:.4f} Mbps",
+            *(f"  level {h} recycling period: "
+              f"{recycling_period_ms(alpha, h):.0f} ms"
+              for h in range(1, k)),
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 

@@ -10,10 +10,9 @@
   models behind Figs 10 and 11.
 """
 
-from .mphf import (HostDirectory, MinimalPerfectHash, MphfBuildError,
-                   MphfFormatError)
+from .mphf import HostDirectory, MinimalPerfectHash, MphfBuildError
 from .epoch import (EpochClock, EpochRange, EpochRangeEstimator,
-                    max_pointers_to_examine, unwrap_epoch)
+                    unwrap_epoch)
 from .pointer import HierarchicalPointerStore, PointerSet, PointerSnapshot
 from .headers import (HeaderError, IntHop, IntStack, VlanDoubleTag,
                       VLAN_ID_MODULUS)
@@ -24,9 +23,7 @@ from .sizing import (MPHF_BITS_PER_KEY, SizingPoint, mphf_bytes,
 
 __all__ = [
     "MinimalPerfectHash", "HostDirectory", "MphfBuildError",
-    "MphfFormatError",
     "EpochClock", "EpochRange", "EpochRangeEstimator", "unwrap_epoch",
-    "max_pointers_to_examine",
     "PointerSet", "PointerSnapshot", "HierarchicalPointerStore",
     "VlanDoubleTag", "IntStack", "IntHop", "HeaderError",
     "VLAN_ID_MODULUS",

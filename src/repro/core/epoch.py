@@ -200,10 +200,3 @@ def unwrap_epoch(tag_epoch: int, reference_epoch: int,
         tag_epoch % modulus)
     candidates = (base - modulus, base, base + modulus)
     return min(candidates, key=lambda e: abs(e - reference_epoch))
-
-
-def max_pointers_to_examine(max_delay_ms: float, alpha_ms: float) -> int:
-    """§4.2.1: "we may need to examine max_delay/α pointers per switch"."""
-    if alpha_ms <= 0:
-        raise ValueError("alpha must be positive")
-    return max(1, math.ceil(max_delay_ms / alpha_ms))

@@ -5,9 +5,9 @@ end-host, indexed by a minimal perfect hash of the destination address
 (§4.1.2).  The paper uses the FCH algorithm from the CMPH C library; this
 is FCH's own form — bucket, then *offset* — with a per-bucket reseed:
 
-1. Hash every key **once** (blake2b, 24 bytes) into three 64-bit words:
-   *bucket*, *position*, *fingerprint*.  The n keys fall into r = n/λ
-   buckets by ``bucket mod r``.
+1. Hash every key **once** (blake2b, 24 bytes); its first two 64-bit
+   words are the key's *bucket* and *position*.  The n keys fall into
+   r = n/λ buckets by ``bucket mod r``.
 2. Process buckets largest-first.  Bucket B gets the smallest offset
    such that ``(position + offset) mod n`` is a distinct, still free slot
    for every key of B.  No offset is tried one by one: the free slots
@@ -51,28 +51,24 @@ from typing import Iterable, Sequence
 
 _SEED_BUCKET = 0xB0
 _MAX_RESEED = 1 << 20
-_HEAD = struct.Struct("<QQI")
-_WORDS = struct.Struct("<QQQ")
+_WORDS = struct.Struct("<QQ")
 
 
 class MphfBuildError(Exception):
     """Raised when construction fails (duplicate keys, search overflow)."""
 
 
-class MphfFormatError(ValueError):
-    """Raised when a serialized MPHF is truncated, padded or corrupt."""
-
-
-def _words(data: bytes, salt: int) -> tuple[int, int, int]:
-    """The (bucket, position, fingerprint) words of one salted hash
-    (deterministic, stable across processes)."""
-    return _WORDS.unpack(hashlib.blake2b(
+def _words(data: bytes, salt: int) -> tuple[int, int]:
+    """The (bucket, position) words of one salted hash (deterministic,
+    stable across processes; the digest size is part of the hash)."""
+    return _WORDS.unpack_from(hashlib.blake2b(
         data, digest_size=24, salt=struct.pack("<Q", salt)).digest())
 
 
 def _reseed_limit(n: int) -> int:
     """Reseeds a bucket may take: the search cap, and ``reseed · n +
-    offset`` must fit the ``<I`` of :meth:`MinimalPerfectHash.serialize`."""
+    offset`` stays a 32-bit word per bucket (every slot assignment this
+    repository has built depends on this bound)."""
     return min(_MAX_RESEED, (1 << 32) // n)
 
 
@@ -90,16 +86,13 @@ class MinimalPerfectHash:
     Build with :meth:`build`; evaluate with :meth:`lookup`.  Lookup is
     defined only for member keys — foreign keys map to an arbitrary slot,
     exactly like the paper's switch-side bit update (a stale destination
-    simply sets a bit nobody reads).  Use :meth:`contains` when
-    membership must be checked (it compares a stored key fingerprint).
+    simply sets a bit nobody reads).
     """
 
-    def __init__(self, n: int, bucket_seed: int, displacements: list[int],
-                 fingerprints: list[int]):
+    def __init__(self, n: int, bucket_seed: int, displacements: list[int]):
         self._n = n
         self._bucket_seed = bucket_seed
         self._displacements = displacements
-        self._fingerprints = fingerprints
 
     # -- construction --------------------------------------------------------
 
@@ -128,7 +121,7 @@ class MinimalPerfectHash:
         r = max(1, int(n / bucket_load))
         words = [_words(kb, bucket_seed) for kb in key_bytes]
         buckets: list[list[int]] = [[] for _ in range(r)]
-        for i, (bucket, _, _) in enumerate(words):
+        for i, (bucket, _) in enumerate(words):
             buckets[bucket % r].append(i)
 
         displacements = [0] * r
@@ -159,10 +152,7 @@ class MinimalPerfectHash:
             for i, p in zip(members, where):
                 slots[i] = (p + offset) % n
                 free ^= 1 << slots[i]
-        fingerprints = [0] * n
-        for slot, (_, _, fingerprint) in zip(slots, words):
-            fingerprints[slot] = fingerprint & 0xFFFF
-        return cls(n, bucket_seed, displacements, fingerprints), slots
+        return cls(n, bucket_seed, displacements), slots
 
     # -- evaluation ----------------------------------------------------------
 
@@ -171,70 +161,32 @@ class MinimalPerfectHash:
         """Number of keys == number of slots."""
         return self._n
 
-    def _probe(self, kb: bytes) -> tuple[int, int]:
-        """(slot, 16-bit fingerprint) of ``kb``: one hash, plus a second
-        only when the key's bucket was reseeded."""
-        bucket, position, fingerprint = _words(kb, self._bucket_seed)
+    def lookup(self, key) -> int:
+        """Slot in [0, n) for ``key`` (meaningful for member keys only):
+        one hash, plus a second only when the key's bucket was
+        reseeded."""
+        kb = _as_bytes(key)
+        bucket, position = _words(kb, self._bucket_seed)
         reseed, offset = divmod(
             self._displacements[bucket % len(self._displacements)], self._n)
         if reseed:
             position = _words(kb, reseed)[1]
-        return (position + offset) % self._n, fingerprint & 0xFFFF
-
-    def lookup(self, key) -> int:
-        """Slot in [0, n) for ``key`` (meaningful for member keys only)."""
-        return self._probe(_as_bytes(key))[0]
-
-    def contains(self, key) -> bool:
-        """Probabilistic membership check via a 16-bit slot fingerprint."""
-        slot, fingerprint = self._probe(_as_bytes(key))
-        return self._fingerprints[slot] == fingerprint
+        return (position + offset) % self._n
 
     # -- size accounting ----------------------------------------------------
 
-    def size_bits(self, include_fingerprints: bool = False) -> int:
-        """Bits of state a switch must hold to evaluate the function.
-
-        Displacements dominate; the per-slot fingerprints exist only for
-        the analyzer-side ``contains`` and are excluded by default, as a
-        switch does not need them (mirrors the paper's 2.1 bits/key FCH
-        figure counting only seed state).
-        """
+    def size_bits(self) -> int:
+        """Bits of state a switch must hold to evaluate the function:
+        the displacements (mirrors the paper's 2.1 bits/key FCH figure
+        counting only seed state)."""
         bits = 0
         for d in self._displacements:
             bits += max(1, d.bit_length())
         bits += 32  # n, seed
-        if include_fingerprints:
-            bits += 16 * self._n
         return bits
 
     def bits_per_key(self) -> float:
         return self.size_bits() / self._n
-
-    # -- serialization (analyzer -> switches distribution) -----------------
-
-    def serialize(self) -> bytes:
-        r = len(self._displacements)
-        return (_HEAD.pack(self._n, self._bucket_seed, r)
-                + struct.pack(f"<{r}I", *self._displacements)
-                + struct.pack(f"<{self._n}H", *self._fingerprints))
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "MinimalPerfectHash":
-        if len(blob) < _HEAD.size:
-            raise MphfFormatError(
-                f"MPHF blob of {len(blob)} bytes is shorter than its header")
-        n, seed, r = _HEAD.unpack_from(blob)
-        if not n or not r or len(blob) != _HEAD.size + 4 * r + 2 * n:
-            raise MphfFormatError(
-                f"MPHF blob of {len(blob)} bytes does not hold the "
-                f"{r} displacements and {n} fingerprints it declares")
-        displacements = list(struct.unpack_from(f"<{r}I", blob, _HEAD.size))
-        if max(displacements) // n >= _reseed_limit(n):
-            raise MphfFormatError("MPHF displacement decodes out of range")
-        fingerprints = list(
-            struct.unpack_from(f"<{n}H", blob, _HEAD.size + 4 * r))
-        return cls(n, seed, displacements, fingerprints)
 
 
 class HostDirectory:
@@ -264,9 +216,6 @@ class HostDirectory:
 
     def slot_of(self, host: str) -> int:
         return self.mphf.lookup(host)
-
-    def host_of(self, slot: int) -> str:
-        return self._slot_to_host[slot]
 
     def hosts_of(self, slots: Iterable[int]) -> list[str]:
         return sorted(self._slot_to_host[s] for s in slots)

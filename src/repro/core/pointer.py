@@ -99,12 +99,6 @@ class PointerSet:
             other._bits[:] = merged.to_bytes(len(other._bits), "little")
             other.popcount += (merged ^ theirs).bit_count()
 
-    def copy(self) -> "PointerSet":
-        dup = PointerSet(self.n_slots)
-        dup._bits[:] = self._bits
-        dup.popcount = self.popcount
-        return dup
-
     def to_bytes(self) -> bytes:
         return bytes(self._bits)
 

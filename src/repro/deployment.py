@@ -24,7 +24,6 @@ from .simnet.topology import Network
 from .switchd.agent import SwitchAgent
 from .switchd.cherrypick import CherryPickPlanner
 from .switchd.datapath import MODE_VLAN, SwitchPointerDatapath
-from .switchd.rules import RuleTable
 
 #: Default configuration, following the paper's running example:
 #: α = 10 ms, k = 3 levels, ε = α, Δ = 2α (§4.2.1).
@@ -51,9 +50,6 @@ class SwitchPointerDeployment:
     skew_of:
         Optional callable node-name → clock skew in seconds, to exercise
         the asynchrony handling.  Skews must respect |skew(a)−skew(b)| ≤ ε.
-    enforce_commodity_limit:
-        Refuse α below the 15 ms OpenFlow rule-update floor (off by
-        default — the simulated switches are not so constrained).
     records_per_host / ingest_batch:
         Host-agent storage knobs for scale sweeps: the per-host record
         bound (None = unbounded) and the sniffed-packet batch size for
@@ -76,7 +72,6 @@ class SwitchPointerDeployment:
                  skew_of: Optional[Callable[[str], float]] = None,
                  rpc: Optional[RpcFabric] = None,
                  latency_model: Optional[LatencyModel] = None,
-                 enforce_commodity_limit: bool = False,
                  records_per_host: Optional[int] = None,
                  ingest_batch: int = 1,
                  directory_backend: str = "auto",
@@ -110,7 +105,6 @@ class SwitchPointerDeployment:
 
         self.datapaths: dict[str, SwitchPointerDatapath] = {}
         self.switch_agents: dict[str, SwitchAgent] = {}
-        self.rule_tables: dict[str, RuleTable] = {}
         for name, sw in network.switches.items():
             clock = EpochClock(alpha_ms, skew_s=skew(name))
             store = HierarchicalPointerStore(self.directory.n,
@@ -119,11 +113,6 @@ class SwitchPointerDeployment:
             dp = SwitchPointerDatapath(sw, clock, self.directory.mphf,
                                        store, planner=self.planner,
                                        mode=mode)
-            if mode == MODE_VLAN:
-                self.rule_tables[name] = RuleTable(
-                    switch_name=name, port_count=max(1, sw.port_count),
-                    alpha_ms=float(alpha_ms),
-                    enforce_commodity_limit=enforce_commodity_limit)
             self.datapaths[name] = dp
             self.switch_agents[name] = SwitchAgent(name, store)
 
@@ -193,17 +182,12 @@ class SwitchPointerDeployment:
     def alerts(self) -> list[VictimAlert]:
         return self.analyzer.alerts
 
-    def flush_all_tops(self) -> None:
-        """Force-push every switch's top-level pointer (end of run)."""
-        for dp in self.datapaths.values():
-            dp.store.flush_top()
-
     def total_pointer_memory_bits(self) -> int:
         return sum(dp.store.memory_bits for dp in self.datapaths.values())
 
     def record_stats(self) -> dict[str, int]:
         """Aggregate host record-table counters (sweep measurements)."""
-        peak = total = evicted = spilled = ingested = 0
+        peak = total = evicted = ingested = 0
         for agent in self.host_agents.values():
             # drain any batched-ingest buffer first: hosts the analyzer
             # never queried would otherwise under-report their footprint
@@ -212,8 +196,9 @@ class SwitchPointerDeployment:
             peak = max(peak, store.peak_records)
             total += len(store)
             evicted += store.evicted
-            spilled += store.spilled
             ingested += store.ingested
         return {"peak_records": peak, "total_records": total,
-                "evicted_records": evicted, "spilled_records": spilled,
+                "evicted_records": evicted,
+                # the perf ledger reads this key; evicted records are dropped
+                "spilled_records": 0,
                 "ingested_records": ingested}

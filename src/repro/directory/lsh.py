@@ -89,10 +89,6 @@ class LshDirectorySet(BloomDirectorySet):
     # -- similarity queries --------------------------------------------------
 
     @property
-    def signature(self) -> tuple[int, ...]:
-        return tuple(self._sig)
-
-    @property
     def is_empty_signature(self) -> bool:
         return all(row == EMPTY_ROW for row in self._sig)
 

@@ -9,7 +9,7 @@ names the victims during the outage — exactly the spatial-cut signature
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..simnet.device import Switch
 from ..simnet.packet import FlowKey, Packet
@@ -96,6 +96,3 @@ class SilentDropFault(Fault):
         # closure stays in the chain as a transparent pass-through
         if sw.drop_filter is self._installed:
             sw.drop_filter = self._saved
-
-    def victim_flows(self) -> tuple[Optional[FlowKey], ...]:
-        return tuple(self.p["flows"])

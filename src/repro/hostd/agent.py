@@ -4,28 +4,26 @@ One :class:`HostAgent` per server wires together everything the paper's
 flask-based agent does:
 
 * a sniffer on the host datapath feeding the telemetry decoder,
-* the flow-record store (+ optional disk spill),
+* the flow-record store,
 * the query engine the analyzer calls into (built on the first query:
   most hosts of a large fabric are never asked),
-* trigger registration (throughput drop, TCP timeout) with alerts
-  routed to a sink (normally the analyzer's ingest method).
+* trigger registration (throughput drop) with alerts routed to a sink
+  (normally the analyzer's ingest method).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Optional
 
 from ..core.epoch import EpochClock, EpochRangeEstimator
 from ..simnet.engine import Simulator
 from ..simnet.host import Host
 from ..simnet.packet import FlowKey
-from ..simnet.tcp import TcpSender
 from ..switchd.cherrypick import CherryPickPlanner
 from .decoder import TelemetryDecoder
 from .query import QueryEngine
 from .records import FlowRecordStore
-from .triggers import AlertSink, TcpTimeoutTrigger, ThroughputDropTrigger
+from .triggers import AlertSink, ThroughputDropTrigger
 
 
 class HostAgent:
@@ -44,13 +42,11 @@ class HostAgent:
     """
 
     __slots__ = ("host", "clock", "ingest_batch", "_pending", "store",
-                 "decoder", "_query", "triggers", "timeout_triggers",
-                 "_sniffers", "alive")
+                 "decoder", "_query", "triggers", "_sniffers", "alive")
 
     def __init__(self, host: Host, *, clock: EpochClock,
                  planner: CherryPickPlanner,
                  estimator: EpochRangeEstimator,
-                 spill_path: Optional[Path] = None,
                  max_records: Optional[int] = None,
                  ingest_batch: int = 1):
         if ingest_batch < 1:
@@ -60,8 +56,7 @@ class HostAgent:
         self.ingest_batch = ingest_batch
         #: batched-ingest buffer of (host, pkt, now); unbatched, never written
         self._pending = [] if ingest_batch > 1 else ()
-        self.store = FlowRecordStore(host.name, spill_path=spill_path,
-                                     max_records=max_records)
+        self.store = FlowRecordStore(host.name, max_records=max_records)
         self.decoder = TelemetryDecoder(self.store, clock, planner,
                                         estimator)
         self._query: Optional[QueryEngine] = None
@@ -72,7 +67,6 @@ class HostAgent:
             self.store.before_read = self.flush_ingest
         #: tuples, rebound on install: an idle agent allocates none
         self.triggers: tuple[ThroughputDropTrigger, ...] = ()
-        self.timeout_triggers: tuple[TcpTimeoutTrigger, ...] = ()
         #: every sniffer callback this agent registered, so a crash can
         #: detach (and a restart re-attach) exactly its own hooks
         self._sniffers: tuple = ()
@@ -140,33 +134,14 @@ class HostAgent:
             lambda _host, pkt, now: trig.on_packet(pkt, now))
         return trig
 
-    def watch_tcp_sender(self, sender: TcpSender, sink: AlertSink, *,
-                         store: FlowRecordStore) -> TcpTimeoutTrigger:
-        """Install a timeout trigger for a locally originated TCP flow.
-
-        ``store`` is the one holding the flow's records — the
-        destination's: this host's own store sees only the ACK stream.
-        """
-        trig = TcpTimeoutTrigger(self.sim, sender, self.host.name, sink,
-                                 store=store)
-        self.timeout_triggers += (trig,)
-        return trig
-
-    def stop_triggers(self) -> None:
-        for trig in self.triggers:
-            trig.stop()
-        for trig in self.timeout_triggers:
-            trig.stop()
-
     # -- crash / restart (the agent-crash fault) -----------------------------
 
     def crash(self) -> int:
         """Kill the daemon: stop sniffing, lose all in-memory telemetry.
 
         Everything a real agent process holds in RAM dies with it: the
-        record table, the batched-ingest buffer.  The disk spill file
-        (if any) survives, as it would.  Returns the number of records
-        lost.  Idempotent — a crash of a dead agent loses nothing.
+        record table, the batched-ingest buffer.  Returns the number of
+        records lost.  Idempotent — a crash of a dead agent loses nothing.
         """
         if not self.alive:
             return 0
@@ -182,10 +157,3 @@ class HostAgent:
             return
         self.alive = True
         self.host.sniffers.extend(self._sniffers)
-
-    # -- storage --------------------------------------------------------------
-
-    def flush_records(self) -> int:
-        """Spill in-memory records to local storage (MongoDB stand-in)."""
-        self.flush_ingest()
-        return self.store.flush_to_disk()

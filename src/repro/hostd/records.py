@@ -4,8 +4,8 @@ The paper's OVS module keeps, per flow: the 5-tuple, the list of
 switchIDs on the path, a series of epoch ranges corresponding to each
 switchID, byte/packet counts, and a DSCP value as flow priority —
 "initially maintained in memory and flushed to a local storage,
-implemented using MongoDB".  We reproduce the same record schema with an
-in-memory table plus a JSON-lines spill file standing in for MongoDB
+implemented using MongoDB".  We reproduce the same record schema in an
+in-memory table; a record evicted past the table's bound is dropped
 (the storage backend is irrelevant to system behaviour; see DESIGN.md).
 
 Beyond the flat table, the store maintains a **per-switch inverted
@@ -30,19 +30,17 @@ Most hosts of a large fabric never receive a packet, so a store is
 **idle** until its first record arrives: its three tables are the one
 shared, read-only, empty mapping ``_IDLE``, which answers every read
 exactly as an empty table would.  :meth:`FlowRecordStore._open` gives
-the store tables of its own; the two places a record arrives
-(``record_for`` and ``_adopt_record``) call it, and every other write
-touches a table only through a record already in it.  Losing every
-record (``drop_all``) makes the store idle again.
+the store tables of its own; the one place a record arrives
+(``record_for``) calls it, and every other write touches a table only
+through a record already in it.  Losing every record (``drop_all``)
+makes the store idle again.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -62,8 +60,8 @@ class FlowRecord:
 
     A record owned by a :class:`FlowRecordStore` carries a back-pointer
     (``_store``) so :meth:`observe` can keep the store's per-switch
-    index in sync; standalone records (tests, deserialization) work
-    unchanged with no store attached.
+    index in sync; a standalone record works unchanged with no store
+    attached.
     """
 
     flow: FlowKey
@@ -122,51 +120,6 @@ class FlowRecord:
     def epochs_at(self, switch: str) -> Optional[EpochRange]:
         return self.epoch_ranges.get(switch)
 
-    def traversed(self, switch: str) -> bool:
-        return switch in self.epoch_ranges
-
-    # -- (de)serialization for the disk spill --------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "flow": list(self.flow),
-            "switch_path": self.switch_path,
-            "epoch_ranges": {sw: [r.lo, r.hi]
-                             for sw, r in self.epoch_ranges.items()},
-            "bytes_by_epoch": {str(e): b
-                               for e, b in self.bytes_by_epoch.items()},
-            "packets": self.packets,
-            "bytes": self.bytes,
-            "priority": self.priority,
-            "first_seen": self.first_seen,
-            "last_seen": self.last_seen,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FlowRecord":
-        rec = cls(flow=FlowKey(*doc["flow"]))
-        rec.switch_path = list(doc["switch_path"])
-        rec.epoch_ranges = {sw: EpochRange(lo, hi)
-                            for sw, (lo, hi) in doc["epoch_ranges"].items()}
-        rec.bytes_by_epoch = {int(e): b
-                              for e, b in doc["bytes_by_epoch"].items()}
-        rec.packets = doc["packets"]
-        rec.bytes = doc["bytes"]
-        rec.priority = doc["priority"]
-        rec.first_seen = doc["first_seen"]
-        rec.last_seen = doc["last_seen"]
-        return rec
-
-
-class SpillFormatError(ValueError):
-    """A spill-file line that is not a serialized :class:`FlowRecord`."""
-
-    def __init__(self, path: Path, lineno: int, reason: str):
-        super().__init__(f"{path}:{lineno}: {reason}")
-        self.path = Path(path)
-        self.lineno = lineno
-        self.reason = reason
-
 
 #: the tables of every idle store (module docstring): empty, and
 #: read-only, so a write that skipped ``_open`` fails loudly instead of
@@ -188,31 +141,27 @@ def _staleness(rec: FlowRecord) -> tuple[float, int]:
 
 
 class FlowRecordStore:
-    """Per-host table of :class:`FlowRecord`, with optional disk spill.
+    """Per-host table of :class:`FlowRecord`.
 
     ``max_records`` bounds the in-memory table the way the paper's OVS
     module does ("initially maintained in memory and flushed to a local
     storage"): when the bound is exceeded, the stalest records (by
-    ``last_seen``) are spilled to disk (or dropped if no spill path is
-    configured) until the table is back under the bound.
+    ``last_seen``) are dropped until the table is back under the bound.
 
     The per-switch inverted index (module docstring) makes
     :meth:`flows_through` cost O(records at the switch) instead of
     O(records on the host).
     """
 
-    __slots__ = ("host_name", "spill_path", "max_records", "_records",
-                 "_by_switch", "_sorted", "_next_seq", "_deferring",
-                 "before_read", "peak_records", "spilled", "evicted",
-                 "ingested")
+    __slots__ = ("host_name", "max_records", "_records", "_by_switch",
+                 "_sorted", "_next_seq", "_deferring", "before_read",
+                 "peak_records", "evicted", "ingested")
 
     def __init__(self, host_name: str,
-                 spill_path: Optional[Path] = None,
                  max_records: Optional[int] = None):
         if max_records is not None and max_records < 1:
             raise ValueError("max_records must be >= 1")
         self.host_name = host_name
-        self.spill_path = Path(spill_path) if spill_path else None
         self.max_records = max_records
         # idle until the first record arrives (module docstring)
         self._close()
@@ -227,7 +176,6 @@ class FlowRecordStore:
         #: observes a table that has seen all sniffed packets.
         self.before_read: Optional[Callable[[], object]] = None
         self.peak_records = 0
-        self.spilled = 0
         self.evicted = 0
         #: decoded packets folded into the table (ingest throughput)
         self.ingested = 0
@@ -305,13 +253,6 @@ class FlowRecordStore:
         for sw in lo_moved:
             self._sorted.pop(sw, None)
 
-    def _index_record(self, rec: FlowRecord) -> None:
-        """Adopt a fully-formed record (deserialized from disk)."""
-        rec._store = self
-        for sw in rec.epoch_ranges:
-            self._by_switch.setdefault(sw, {})[rec.flow] = rec
-            self._sorted.pop(sw, None)
-
     def _unindex_record(self, rec: FlowRecord) -> None:
         rec._store = None
         for sw in rec.epoch_ranges:
@@ -336,35 +277,22 @@ class FlowRecordStore:
 
     # -- eviction --------------------------------------------------------------
 
-    def _evict(self, *, spill: bool = True) -> None:
-        """Spill/drop stalest records until under the memory bound."""
+    def _evict(self) -> None:
+        """Drop stalest records until under the memory bound."""
         assert self.max_records is not None
         excess = len(self._records) - self.max_records
         if excess <= 0:
             return
-        victims = heapq.nsmallest(excess, self._records.values(),
-                                  key=_staleness)
-        self._drop_records(victims, spill=spill)
-
-    def _drop_records(self, victims: list[FlowRecord], *,
-                      spill: bool = True) -> None:
-        """Spill (optionally) then unindex+drop the given records."""
-        if spill and self.spill_path is not None:
-            self.spill_path.parent.mkdir(parents=True, exist_ok=True)
-            with self.spill_path.open("a", encoding="utf-8") as fh:
-                for rec in victims:
-                    fh.write(json.dumps(rec.to_json()) + "\n")
-                    self.spilled += 1
-        for rec in victims:
+        for rec in heapq.nsmallest(excess, self._records.values(),
+                                   key=_staleness):
             del self._records[rec.flow]
             self._unindex_record(rec)
             self.evicted += 1
 
     def drop_all(self) -> int:
-        """Lose every in-memory record without spilling (crash loss).
+        """Lose every in-memory record (crash loss).
 
-        Unlike eviction this is not an orderly spill: nothing reaches
-        disk and the ``evicted``/``spilled`` counters are untouched —
+        Unlike eviction this leaves the ``evicted`` counter untouched —
         the records are simply gone, which is what the agent-crash
         fault models.  Returns how many were lost.
         """
@@ -458,78 +386,3 @@ class FlowRecordStore:
                 continue
             out.append(rec)
         return out
-
-    # -- MongoDB-substitute spill --------------------------------------------
-
-    def flush_to_disk(self) -> int:
-        """Append all in-memory records to the JSON-lines spill file.
-
-        Returns the number of records this call wrote.
-        """
-        if self.spill_path is None:
-            raise RuntimeError("no spill path configured")
-        self.spill_path.parent.mkdir(parents=True, exist_ok=True)
-        with self.spill_path.open("a", encoding="utf-8") as fh:
-            for rec in self._records.values():
-                fh.write(json.dumps(rec.to_json()) + "\n")
-        written = len(self._records)
-        self.spilled += written
-        return written
-
-    @classmethod
-    def load_from_disk(cls, host_name: str, spill_path: Path, *,
-                       max_records: Optional[int] = None
-                       ) -> "FlowRecordStore":
-        """Rebuild a store from a spill file.
-
-        ``max_records`` carries the memory bound over to the reloaded
-        store: if the file holds more records than the bound, the
-        stalest surplus is dropped (counted in ``evicted``) — never
-        re-appended to the file being read.
-
-        A line that is not a serialized record (a file cut mid-write,
-        a foreign file) raises :class:`SpillFormatError` naming the
-        file and line.
-        """
-        store = cls(host_name, spill_path=spill_path,
-                    max_records=max_records)
-        with Path(spill_path).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                    if not isinstance(doc, dict):
-                        raise TypeError("not a JSON object")
-                    rec = FlowRecord.from_json(doc)
-                except (KeyError, TypeError, ValueError) as exc:
-                    if isinstance(exc, json.JSONDecodeError):
-                        reason = f"undecodable JSON ({exc.msg})"
-                    elif isinstance(exc, KeyError):
-                        reason = f"record is missing field {exc.args[0]!r}"
-                    else:
-                        reason = f"malformed record ({exc})"
-                    raise SpillFormatError(spill_path, lineno,
-                                           reason) from exc
-                store._adopt_record(rec)
-        store.peak_records = max(store.peak_records, len(store._records))
-        if max_records is not None:
-            store._evict(spill=False)
-        return store
-
-    def _adopt_record(self, rec: FlowRecord) -> None:
-        """Replay one deserialized spill-file record into the table."""
-        if self._records is _IDLE:
-            self._open()
-        prev = self._records.get(rec.flow)
-        if prev is not None:
-            # a later spill of the same flow supersedes the
-            # earlier one, keeping its position in the table
-            self._unindex_record(prev)
-            rec._seq = prev._seq
-        else:
-            rec._seq = self._next_seq
-            self._next_seq += 1
-        self._records[rec.flow] = rec
-        self._index_record(rec)

@@ -9,7 +9,7 @@ assembled from the victim's flow record.
 :class:`ThroughputDropTrigger` reproduces that heuristic with a
 simulator-driven 1 ms evaluation timer (packet-driven evaluation alone
 would sleep through total starvation — precisely the event we must
-catch).  :class:`TcpTimeoutTrigger` fires on retransmission timeouts.
+catch).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable, Optional
 from ..core.epoch import EpochRange
 from ..simnet.engine import PeriodicTimer, Simulator
 from ..simnet.packet import FlowKey, Packet
-from ..simnet.tcp import TcpSender
 from .records import FlowRecord, FlowRecordStore
 
 
@@ -40,7 +39,7 @@ class VictimAlert:
     flow: FlowKey
     host: str
     time: float
-    kind: str                      # "throughput-drop" | "tcp-timeout" | ...
+    kind: str                      # "throughput-drop"
     drop_ratio: float = 0.0
     rate_before_gbps: float = 0.0
     rate_after_gbps: float = 0.0
@@ -162,39 +161,3 @@ class ThroughputDropTrigger:
             kind="throughput-drop",
             drop_ratio=1 - (rate / ref if ref > 0 else 0.0),
             rate_before_gbps=ref, rate_after_gbps=rate, tuples=tuples))
-
-
-class TcpTimeoutTrigger:
-    """Alerts on TCP retransmission timeouts (the §2 extreme symptom).
-
-    Polls the sender's timeout counter once per window; an increment
-    produces one alert.  Lives at the *source* host (that is where RTOs
-    are visible), but carries the destination-side record if provided.
-    """
-
-    def __init__(self, sim: Simulator, sender: TcpSender, host_name: str,
-                 sink: AlertSink, *, store: Optional[FlowRecordStore] = None,
-                 window: float = 0.001):
-        self.sim = sim
-        self.sender = sender
-        self.host_name = host_name
-        self.sink = sink
-        self.store = store
-        self.alerts_fired = 0
-        self._seen_timeouts = 0
-        self._timer = PeriodicTimer(sim, window, self._poll)
-
-    def stop(self) -> None:
-        self._timer.stop()
-
-    def _poll(self) -> None:
-        current = self.sender.timeouts
-        if current > self._seen_timeouts:
-            self._seen_timeouts = current
-            self.alerts_fired += 1
-            rec = (self.store.get(self.sender.flow)
-                   if self.store is not None else None)
-            tuples = alert_tuples_from_record(rec) if rec else []
-            self.sink(VictimAlert(
-                flow=self.sender.flow, host=self.host_name,
-                time=self.sim.now, kind="tcp-timeout", tuples=tuples))

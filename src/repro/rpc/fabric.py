@@ -151,10 +151,6 @@ class RpcFabric:
         self._sim = sim
         self._hops_to = hops_to if sim is not None else None
 
-    @property
-    def sim_bound(self) -> bool:
-        return self._sim is not None
-
     def _advance(self, seconds: float) -> None:
         """Consume ``seconds`` of simulated time (pending events fire)."""
         if self._sim is not None and seconds > 0:

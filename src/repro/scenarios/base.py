@@ -48,10 +48,12 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class Knob:
-    """One tunable parameter of a scenario."""
+    """One tunable parameter of a scenario (``minimum``: the smallest
+    number it accepts, when it has one)."""
 
     default: Any
     help: str
+    minimum: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,13 @@ class Scenario(abc.ABC):
         self.p: dict[str, Any] = {
             name: knobs.get(name, knob.default)
             for name, knob in self.spec.knobs.items()}
+        for name, knob in self.spec.knobs.items():
+            value = self.p[name]
+            if (knob.minimum is not None and isinstance(value, (int, float))
+                    and value < knob.minimum):
+                raise ScenarioError(
+                    f"knob {name!r} of {self.spec.name!r} must be >= "
+                    f"{knob.minimum:g}, got {value!r}")
         self.network: Optional[Network] = None
         self.deployment: Optional[SwitchPointerDeployment] = None
         #: the fault composition this run injects; build() populates it

@@ -70,7 +70,7 @@ class GrayFailureScenario(Scenario):
             "alpha_ms": Knob(10, "epoch duration α (ms)"),
             "k": Knob(2, "pointer hierarchy depth"),
             "records_per_host": Knob(0, "hostd record-table bound "
-                                        "(0 = unbounded)"),
+                                        "(0 = unbounded)", minimum=0),
             "ingest_batch": Knob(1, "sniffed packets decoded per "
                                     "ingest batch"),
             "rpc_latency_ms": Knob(0.0, "extra per-RPC latency charged "

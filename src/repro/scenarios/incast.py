@@ -79,11 +79,11 @@ class IncastScenario(Scenario):
             "alpha_ms": Knob(10, "epoch duration α (ms)"),
             "k": Knob(3, "pointer hierarchy depth"),
             "hosts": Knob(0, "total fabric hosts (0 = minimal fabric "
-                             "for n_senders)"),
+                             "for n_senders)", minimum=0),
             "fabric": Knob("leaf-spine",
                            "fabric family: leaf-spine or fat-tree"),
             "records_per_host": Knob(0, "hostd record-table bound "
-                                        "(0 = unbounded)"),
+                                        "(0 = unbounded)", minimum=0),
             "ingest_batch": Knob(1, "sniffed packets decoded per "
                                     "ingest batch"),
             **background_knobs(),

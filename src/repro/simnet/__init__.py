@@ -20,8 +20,7 @@ from .topology import (Network, TopologyError, build_fat_tree,
 from .tcp import TcpReceiver, TcpSender, open_tcp_flow
 from .traffic import (BurstBatchPlan, TcpBulkTransfer, TcpTimedFlow,
                       UdpCbrSource, UdpSink, schedule_burst_batches)
-from .stats import (InterArrivalProbe, ThroughputProbe, attach_flow_tap,
-                    percentile)
+from .stats import InterArrivalProbe, ThroughputProbe, attach_flow_tap
 from .workload import WorkloadGenerator, WorkloadSpec
 
 __all__ = [
@@ -37,6 +36,6 @@ __all__ = [
     "TcpSender", "TcpReceiver", "open_tcp_flow",
     "UdpCbrSource", "UdpSink", "BurstBatchPlan", "schedule_burst_batches",
     "TcpBulkTransfer", "TcpTimedFlow",
-    "ThroughputProbe", "InterArrivalProbe", "attach_flow_tap", "percentile",
+    "ThroughputProbe", "InterArrivalProbe", "attach_flow_tap",
     "WorkloadSpec", "WorkloadGenerator",
 ]

@@ -144,15 +144,6 @@ class Switch:
     def routes_for(self, dst: str) -> list[Interface]:
         return list(self._candidates(dst))
 
-    @property
-    def route_entries(self) -> int:
-        """Installed FIB entries, both levels (the shared map is not one)."""
-        return len(self._host_routes) + len(self._rack_routes)
-
-    @property
-    def port_count(self) -> int:
-        return len(self.interfaces)
-
     # -- dataplane -----------------------------------------------------------
 
     def receive(self, pkt: Packet, iface: Interface) -> None:
@@ -195,4 +186,4 @@ class Switch:
         out.send(pkt)
 
     def __repr__(self) -> str:
-        return f"Switch({self.name}, ports={self.port_count})"
+        return f"Switch({self.name}, ports={len(self.interfaces)})"

@@ -223,9 +223,3 @@ class Link:
     def __repr__(self) -> str:
         gbps = self.rate_bps / 1e9
         return f"Link({self.a.name}<->{self.b.name}, {gbps:g}Gbps)"
-
-
-def reset_link_ids() -> None:
-    """Reset the global link-id counter (test isolation)."""
-    global _link_ids
-    _link_ids = itertools.count(0)

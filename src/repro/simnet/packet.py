@@ -51,14 +51,6 @@ class FlowKey(NamedTuple):
         """Key of the reverse direction (used by ACK streams)."""
         return FlowKey(self.dst, self.src, self.dport, self.sport, self.proto)
 
-    @property
-    def is_tcp(self) -> bool:
-        return self.proto == PROTO_TCP
-
-    @property
-    def is_udp(self) -> bool:
-        return self.proto == PROTO_UDP
-
     def pretty(self) -> str:
         proto = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(self.proto,
                                                          str(self.proto))

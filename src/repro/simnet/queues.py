@@ -154,8 +154,3 @@ class StrictPriorityQueue(PacketQueue):
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._q or ())
-
-    def depth_of(self, priority: int) -> int:
-        """Number of queued packets in one priority class."""
-        qs = self._q
-        return len(qs[min(max(priority, 0), self.levels - 1)]) if qs else 0

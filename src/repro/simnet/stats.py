@@ -15,8 +15,7 @@ These reproduce the *instrumentation* used in the paper's plots:
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Optional
+from typing import Optional
 
 from .link import Interface
 from .packet import FlowKey, Packet
@@ -96,13 +95,3 @@ def attach_flow_tap(iface: Interface, flow: FlowKey,
 
     iface.tx_taps += (tap,)
 
-
-def percentile(values: Iterable[float], p: float) -> float:
-    """Nearest-rank percentile (p in [0, 100]); 0.0 on empty input."""
-    data = sorted(values)
-    if not data:
-        return 0.0
-    if not 0 <= p <= 100:
-        raise ValueError("percentile must be in [0, 100]")
-    rank = max(1, math.ceil(p / 100 * len(data)))
-    return data[rank - 1]

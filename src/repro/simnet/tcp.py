@@ -135,10 +135,6 @@ class TcpSender:
         self._cancel_rto()
 
     @property
-    def bytes_acked(self) -> int:
-        return self.snd_una
-
-    @property
     def done(self) -> bool:
         return (self.total_bytes is not None
                 and self.snd_una >= self.total_bytes)

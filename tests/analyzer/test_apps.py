@@ -14,6 +14,7 @@ from repro.analyzer.apps import (_switch_neighbors, diagnose_cascade,
                                  diagnose_load_imbalance,
                                  diagnose_red_lights)
 from repro.core.epoch import EpochRange
+from repro.simnet.packet import PROTO_UDP
 from tests.simnet.test_shortest_paths_equiv import EVERY_FABRIC
 
 
@@ -48,7 +49,7 @@ class TestDiagnoseContention:
         verdict = diagnose_contention(res.deployment.analyzer,
                                       res.alerts[0])
         udp_culprits = [c for c in verdict.culprits
-                        if c.flow.is_udp]
+                        if c.flow.proto == PROTO_UDP]
         assert udp_culprits
         for c in udp_culprits:
             assert c.priority > 0          # high-priority UDP

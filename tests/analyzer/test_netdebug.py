@@ -84,7 +84,7 @@ class TestPathConformance:
         net.run()
         report = check_path_conformance(deploy.analyzer)
         assert report.flows_checked == 2
-        assert report.conformant
+        assert report.violations == []
 
     def test_off_policy_pin_detected(self):
         net = build_linear(3, 1)
@@ -98,7 +98,7 @@ class TestPathConformance:
         report = check_path_conformance(
             deploy.analyzer,
             expected_paths={flow: ["S1", "S9", "S3"]})
-        assert not report.conformant
+        assert report.violations
         assert report.violations[0].kind == "off-policy"
 
     def test_loop_detected_from_forged_record(self):

@@ -71,3 +71,15 @@ def run_artifacts():
                 for path in sorted((out_dir / "runs").glob("point*.json"))]
 
     return read
+
+
+@pytest.fixture
+def flush_all_tops():
+    """``flush_all_tops(deploy)``: force-push every switch's top-level
+    pointer, as an end-of-run push would."""
+
+    def flush(deploy):
+        for dp in deploy.datapaths.values():
+            dp.store.flush_top()
+
+    return flush

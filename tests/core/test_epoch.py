@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.epoch import (EpochClock, EpochRange, EpochRangeEstimator,
-                              max_pointers_to_examine, unwrap_epoch)
+                              unwrap_epoch)
 
 
 class TestEpochClock:
@@ -162,17 +162,3 @@ class TestUnwrapEpoch:
     def test_invalid_modulus(self):
         with pytest.raises(ValueError):
             unwrap_epoch(1, 1, modulus=0)
-
-
-class TestMaxPointers:
-    def test_paper_ratio(self):
-        # max_delay / alpha pointers per switch (§4.2.1)
-        assert max_pointers_to_examine(14, 10) == 2
-        assert max_pointers_to_examine(30, 10) == 3
-
-    def test_at_least_one(self):
-        assert max_pointers_to_examine(0.1, 10) == 1
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            max_pointers_to_examine(10, 0)

@@ -1,4 +1,4 @@
-"""Tests for the record-store memory bound (spill-on-pressure)."""
+"""Tests for the record-store memory bound (drop-on-pressure)."""
 
 import pytest
 
@@ -55,29 +55,19 @@ class TestEviction:
         assert store.peak_records == 20  # the within-batch high water
 
     def test_drop_all_then_reingest(self):
-        """Crash loss: nothing spilled or counted as evicted, and the
+        """Crash loss: nothing counted as evicted, and the
         emptied index serves what arrives afterwards."""
         store = FlowRecordStore("h", max_records=3)
         for i in range(3):
             touch(store, i, t=i * 0.001)
         assert store.drop_all() == 3
         assert len(store) == 0 and store.flows_through("S1") == []
-        assert (store.evicted, store.spilled) == (0, 0)
+        assert store.evicted == 0
         touch(store, 1, t=0.010)
         touch(store, 7, t=0.011)
         assert ([rec.flow for rec in store.flows_through("S1")]
                 == [key(1), key(7)])
         assert store.get(key(1)).packets == 1  # a fresh record
-
-    def test_spill_preserves_evicted_records(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        store = FlowRecordStore("h", spill_path=spill, max_records=2)
-        for i in range(5):
-            touch(store, i, t=i * 0.001)
-        assert store.spilled == 3
-        loaded = FlowRecordStore.load_from_disk("h", spill)
-        assert len(loaded) == 3
-        assert loaded.get(key(0)).bytes == 100
 
     def test_no_bound_no_eviction(self):
         store = FlowRecordStore("h")
@@ -91,51 +81,74 @@ class TestEviction:
             FlowRecordStore("h", max_records=0)
 
 
-class TestReloadBound:
-    def test_load_honors_max_records(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        store = FlowRecordStore("h", spill_path=spill)
-        for i in range(10):
-            touch(store, i, t=i * 0.001)
-        store.flush_to_disk()
-        loaded = FlowRecordStore.load_from_disk("h", spill,
-                                                max_records=4)
-        assert len(loaded) == 4
-        assert loaded.evicted == 6
-        # the freshest records (by last_seen) survive the reload
-        assert loaded.get(key(9)) is not None
-        assert loaded.get(key(0)) is None
+def touch_at(store, i, t, ranges):
+    """Like :func:`touch`, on the switches and epochs of ``ranges``."""
+    rec = store.record_for(key(i))
+    rec.observe(nbytes=100, t=t, priority=0, switch_path=list(ranges),
+                ranges=ranges, observed_epoch=None)
+    return rec
 
-    def test_load_does_not_grow_spill_file(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        store = FlowRecordStore("h", spill_path=spill)
-        for i in range(10):
-            touch(store, i, t=i * 0.001)
-        store.flush_to_disk()
-        before = spill.read_bytes()
-        loaded = FlowRecordStore.load_from_disk("h", spill,
-                                                max_records=2)
-        assert spill.read_bytes() == before
-        assert loaded.spilled == 0
 
-    def test_load_without_bound_keeps_everything(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        store = FlowRecordStore("h", spill_path=spill)
-        for i in range(7):
-            touch(store, i, t=i * 0.001)
-        store.flush_to_disk()
-        loaded = FlowRecordStore.load_from_disk("h", spill)
-        assert len(loaded) == 7
+class TestEvictionDrops:
+    """An evicted record is gone: from the table, from every index
+    bucket and sorted cache, and from every later answer."""
 
-    def test_reloaded_records_are_indexed(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        store = FlowRecordStore("h", spill_path=spill)
-        for i in range(5):
+    def test_evicted_record_leaves_every_switch_bucket(self):
+        store = FlowRecordStore("h", max_records=1)
+        touch_at(store, 0, 0.001, {"S1": EpochRange(0, 0),
+                                   "S2": EpochRange(0, 0)})
+        touch_at(store, 1, 0.002, {"S1": EpochRange(1, 1)})
+        assert [rec.flow for rec in store.flows_through("S1")] == [key(1)]
+        # flow 0 was S2's only record: the bucket goes with it
+        assert store.scan_through("S2") == ([], 0)
+
+    def test_windowed_query_after_eviction(self):
+        """The per-switch sorted cache built before an eviction is not
+        served after it."""
+        store = FlowRecordStore("h", max_records=2)
+        for i in range(2):
+            touch_at(store, i, i * 0.001, {"S1": EpochRange(i, i + 1)})
+        window = EpochRange(0, 5)
+        assert len(store.flows_through("S1", window)) == 2  # cache warm
+        touch_at(store, 2, 0.010, {"S1": EpochRange(2, 2)})
+        assert ([rec.flow for rec in store.flows_through("S1", window)]
+                == [key(1), key(2)])
+
+    def test_index_agrees_with_linear_scan_under_pressure(self):
+        store = FlowRecordStore("h", max_records=7)
+        for i in range(40):
+            sw = f"S{i % 3}"
+            touch_at(store, i % 23, i * 0.001,
+                     {sw: EpochRange(i % 5, i % 5 + 2)})
+        assert store.evicted > 0
+        for sw in ("S0", "S1", "S2", "S9"):
+            for window in (None, EpochRange(0, 1), EpochRange(3, 9)):
+                assert (store.flows_through(sw, window)
+                        == store.linear_flows_through(sw, window))
+
+    def test_a_held_evicted_record_stays_out_of_the_index(self):
+        store = FlowRecordStore("h", max_records=1)
+        stale = touch_at(store, 0, 0.001, {"S1": EpochRange(0, 0)})
+        touch_at(store, 1, 0.002, {"S1": EpochRange(0, 0)})
+        stale.observe(nbytes=100, t=0.003, priority=0, switch_path=["S9"],
+                      ranges={"S9": EpochRange(3, 3)}, observed_epoch=None)
+        assert store.flows_through("S9") == []
+        assert len(store) == 1 and store.get(key(0)) is None
+
+    def test_an_evicted_flow_returns_as_a_fresh_record(self):
+        store = FlowRecordStore("h", max_records=2)
+        first = touch(store, 0, t=0.001)
+        touch(store, 0, t=0.002)
+        touch(store, 1, t=0.003)
+        touch(store, 2, t=0.004)  # evicts flow 0
+        again = touch(store, 0, t=0.005)  # evicts flow 1
+        assert again is not first and again.packets == 1
+        assert store.evicted == 2
+        assert [rec.flow for rec in store] == [key(2), key(0)]
+
+    def test_scan_cost_is_the_bounded_bucket(self):
+        store = FlowRecordStore("h", max_records=4)
+        for i in range(30):
             touch(store, i, t=i * 0.001)
-        store.flush_to_disk()
-        loaded = FlowRecordStore.load_from_disk("h", spill,
-                                                max_records=3)
-        hits = loaded.flows_through("S1", EpochRange(0, 0))
-        assert [r.flow for r in hits] == [key(2), key(3), key(4)]
-        assert hits == loaded.linear_flows_through("S1",
-                                                   EpochRange(0, 0))
+        matches, scanned = store.scan_through("S1")
+        assert scanned == len(matches) == 4

@@ -6,13 +6,11 @@ return exactly what an empty table returns and build nothing; every
 write that is legal on an empty store must work on an idle one.
 """
 
-import json
-
 import pytest
 
 from repro.core.epoch import EpochRange
 from repro.hostd.query import QueryEngine, QueryResult
-from repro.hostd.records import _IDLE, FlowRecord, FlowRecordStore
+from repro.hostd.records import _IDLE, FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
 FLOW = FlowKey("a", "b", 1, 9, PROTO_UDP)
@@ -84,33 +82,6 @@ class TestIdleWrites:
         idle.begin_batch()
         idle.end_batch()
         assert (idle.evicted, idle.peak_records) == (0, 0)
-
-    def test_flush_to_disk(self, tmp_path):
-        store = FlowRecordStore("h", spill_path=tmp_path / "h.jsonl")
-        assert store.flush_to_disk() == 0
-        assert (tmp_path / "h.jsonl").read_text() == ""
-        assert store.spilled == 0 and not holds_table(store)
-
-    def test_flush_without_spill_path(self, idle):
-        with pytest.raises(RuntimeError, match="no spill path"):
-            idle.flush_to_disk()
-
-    def test_load_empty_spill_file_stays_idle(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text("\n")
-        store = FlowRecordStore.load_from_disk("h", path, max_records=2)
-        assert len(store) == 0 and store.peak_records == 0
-        assert not holds_table(store)
-
-    def test_load_spill_file_builds_the_table(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        rec = FlowRecord(flow=FLOW)
-        rec.observe(nbytes=100, t=0.0, priority=0, switch_path=["S1"],
-                    ranges={"S1": EpochRange(4, 6)}, observed_epoch=5)
-        path.write_text(json.dumps(rec.to_json()) + "\n")
-        store = FlowRecordStore.load_from_disk("h", path)
-        assert holds_table(store)
-        assert [r.flow for r in store.flows_through("S1")] == [FLOW]
 
 
 class TestFirstRecordAndBack:

@@ -1,10 +1,7 @@
 """Unit tests for the flow-record store."""
 
-import pytest
-
 from repro.core.epoch import EpochRange
-from repro.hostd.records import (FlowRecord, FlowRecordStore,
-                                 SpillFormatError)
+from repro.hostd.records import FlowRecord, FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_TCP
 
 
@@ -44,27 +41,10 @@ class TestFlowRecord:
         observe(rec, nbytes=30, epoch=6)
         assert rec.bytes_by_epoch == {5: 150, 6: 30}
 
-    def test_traversed(self):
-        rec = FlowRecord(flow=key())
-        observe(rec)
-        assert rec.traversed("S1") and rec.traversed("S2")
-        assert not rec.traversed("S9")
-
     def test_priority_tracks_latest(self):
         rec = FlowRecord(flow=key())
         observe(rec, priority=2)
         assert rec.priority == 2
-
-    def test_json_roundtrip(self):
-        rec = FlowRecord(flow=key())
-        observe(rec, nbytes=123, t=0.5, priority=1, epoch=9)
-        clone = FlowRecord.from_json(rec.to_json())
-        assert clone.flow == rec.flow
-        assert clone.bytes == 123
-        assert clone.epoch_ranges == rec.epoch_ranges
-        assert clone.bytes_by_epoch == rec.bytes_by_epoch
-        assert clone.priority == 1
-
 
 class TestFlowRecordStore:
     def test_record_for_creates_once(self):
@@ -175,71 +155,3 @@ class TestObserveKeepsTheIndexFresh:
                     switch_path=["S1", "S3"], ranges={},
                     observed_epoch=None)
         assert rec.switch_path == ["S1", "S3"]
-
-
-class TestDiskSpill:
-    def test_flush_and_load_roundtrip(self, tmp_path):
-        spill = tmp_path / "records.jsonl"
-        store = FlowRecordStore("h1", spill_path=spill)
-        for i in range(4):
-            observe(store.record_for(key(i)), nbytes=100 * (i + 1))
-        assert store.flush_to_disk() == 4
-        loaded = FlowRecordStore.load_from_disk("h1", spill)
-        assert len(loaded) == 4
-        assert loaded.get(key(2)).bytes == 300
-
-    def test_flush_returns_what_this_call_wrote(self, tmp_path):
-        """...not the cumulative spill counter: eviction spills that
-        came before the flush are not part of its count."""
-        spill = tmp_path / "records.jsonl"
-        store = FlowRecordStore("h1", spill_path=spill, max_records=3)
-        for i in range(8):
-            observe(store.record_for(key(i)), t=0.001 * i)
-        assert store.spilled == 5
-        assert store.flush_to_disk() == 3
-        assert store.spilled == 8
-        assert store.flush_to_disk() == 3
-
-    def test_reload_later_spill_supersedes_in_place(self, tmp_path):
-        """A flow spilled twice reloads once, with the later line's
-        contents at the earlier line's position in the table."""
-        spill = tmp_path / "records.jsonl"
-        store = FlowRecordStore("h1", spill_path=spill)
-        for i in range(3):
-            observe(store.record_for(key(i)), nbytes=100, t=0.001 * i)
-        store.flush_to_disk()
-        observe(store.record_for(key(0)), nbytes=50, t=0.010,
-                ranges={"S1": EpochRange(9, 9)})
-        store.flush_to_disk()
-        loaded = FlowRecordStore.load_from_disk("h1", spill)
-        assert [r.flow for r in loaded] == [key(0), key(1), key(2)]
-        assert loaded.get(key(0)).bytes == 150
-        hits = loaded.flows_through("S1", EpochRange(9, 9))
-        assert [r.flow for r in hits] == [key(0)]
-
-    @pytest.mark.parametrize("damage, reason", [
-        (lambda line: line[:len(line) // 2], "undecodable JSON"),
-        (lambda line: "[1, 2, 3]", "not a JSON object"),
-        (lambda line: line.replace('"packets"', '"pkts"'),
-         "missing field 'packets'"),
-    ], ids=["cut-mid-line", "non-object-line", "missing-key"])
-    def test_corrupt_spill_file_is_a_named_error(self, tmp_path, damage,
-                                                 reason):
-        spill = tmp_path / "records.jsonl"
-        store = FlowRecordStore("h1", spill_path=spill)
-        for i in range(3):
-            observe(store.record_for(key(i)))
-        store.flush_to_disk()
-        lines = spill.read_text(encoding="utf-8").splitlines()
-        lines[2] = damage(lines[2])
-        spill.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(SpillFormatError, match=reason) as err:
-            FlowRecordStore.load_from_disk("h1", spill)
-        assert isinstance(err.value, ValueError)
-        assert (err.value.path, err.value.lineno) == (spill, 3)
-        assert str(err.value).startswith(f"{spill}:3: ")
-
-    def test_flush_without_path_raises(self):
-        store = FlowRecordStore("h1")
-        with pytest.raises(RuntimeError):
-            store.flush_to_disk()

@@ -4,13 +4,10 @@ import pytest
 
 from repro.core.epoch import EpochClock, EpochRange
 from repro.hostd.records import FlowRecordStore
-from repro.hostd.triggers import (TcpTimeoutTrigger,
-                                  ThroughputDropTrigger,
+from repro.hostd.triggers import (ThroughputDropTrigger,
                                   alert_tuples_from_record)
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import FlowKey, PROTO_TCP, make_tcp
-from repro.simnet.tcp import open_tcp_flow
-from repro.simnet.topology import Network
 
 
 def key():
@@ -147,26 +144,3 @@ class TestAlertTuples:
                     ranges={"S1": EpochRange(0, 2)}, observed_epoch=0)
         tuples = alert_tuples_from_record(rec, restrict=EpochRange(90, 95))
         assert tuples[0].epochs == EpochRange(0, 2)
-
-
-class TestTcpTimeoutTrigger:
-    def test_fires_on_rto(self):
-        net = Network()
-        s = net.add_switch("S")
-        a, b = net.add_host("a"), net.add_host("b")
-        net.connect(a, s)
-        net.connect(b, s)
-        net.compute_routes()
-        sender, _ = open_tcp_flow(net.sim, a, b, sport=1, dport=2,
-                                  total_bytes=None, min_rto=0.010)
-        sender.start()
-        alerts = []
-        trig = TcpTimeoutTrigger(net.sim, sender, "a", alerts.append)
-        net.run(until=0.003)
-        s.clear_routes()  # blackhole -> RTO
-        net.run(until=0.060)
-        trig.stop()
-        sender.stop()
-        assert len(alerts) >= 1
-        assert alerts[0].kind == "tcp-timeout"
-        assert alerts[0].flow == sender.flow

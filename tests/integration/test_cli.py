@@ -125,6 +125,22 @@ class TestRunCommand:
         assert (f"extra RPC latency must be finite, got {latency}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("scenario, knob", [
+        ("incast", "hosts=-5"),
+        ("incast", "records_per_host=-1"),
+        ("gray-failure", "records_per_host=-1"),
+    ])
+    def test_negative_size_knob_names_the_knob(self, scenario, knob,
+                                               capsys):
+        # hosts=-5 used to build the minimal fabric and exit 0;
+        # records_per_host=-1 blamed an internal max_records
+        assert main(["run", scenario, "--knob", knob]) == 2
+        captured = capsys.readouterr()
+        name, _, value = knob.partition("=")
+        assert captured.err == (f"error: knob {name!r} of {scenario!r} "
+                                f"must be >= 0, got {value}\n")
+        assert captured.out == ""
+
     def test_unknown_knob_fails_cleanly(self, capsys):
         assert main(["run", "gray-failure", "--knob", "bogus=1"]) == 2
         assert "unknown knob" in capsys.readouterr().err
@@ -154,6 +170,31 @@ class TestSizing:
     def test_defaults(self, capsys):
         assert main(["sizing"]) == 0
         assert "n=100000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--hosts", "0", "need at least one host"),
+        ("--alpha", "1", "alpha must be >= 2"),
+        ("--k", "0", "k must be >= 1"),
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, flag, value,
+                                                message, capsys):
+        # used to print the n=... header, then a ValueError traceback
+        assert main(["sizing", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, header", [
+        ("--hosts", "1", "n=1, alpha=10 ms, k=3:"),
+        ("--alpha", "2", "n=100000, alpha=2 ms, k=3:"),
+        ("--k", "1", "n=100000, alpha=10 ms, k=1:"),
+    ])
+    def test_smallest_valid_flag_is_accepted(self, flag, value, header,
+                                             capsys):
+        assert main(["sizing", flag, value]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == header
+        assert captured.err == ""
 
 
 class TestScenarios:

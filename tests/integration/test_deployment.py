@@ -34,24 +34,6 @@ class TestDeploymentWiring:
         expected = 3 * store_memory_bits(len(net.hosts), 10, 3)
         assert deploy.total_pointer_memory_bits() == expected
 
-    def test_rule_tables_only_in_vlan_mode(self):
-        net = build_linear(2, 1)
-        vlan = SwitchPointerDeployment(net)
-        assert set(vlan.rule_tables) == set(net.switches)
-        net2 = build_linear(2, 1)
-        intd = SwitchPointerDeployment(net2, mode=MODE_INT)
-        assert intd.rule_tables == {}
-
-    def test_commodity_limit_enforcement(self):
-        from repro.switchd.rules import RuleModelError
-        net = build_linear(2, 1)
-        with pytest.raises(RuleModelError):
-            SwitchPointerDeployment(net, alpha_ms=10,
-                                    enforce_commodity_limit=True)
-        net2 = build_linear(2, 1)
-        SwitchPointerDeployment(net2, alpha_ms=20,
-                                enforce_commodity_limit=True)  # ok
-
 
 class TestIntModeOnFatTree:
     def test_int_deployment_decodes_everywhere(self):

@@ -94,7 +94,7 @@ class TestEpochWraparound:
 
 
 class TestMisconfiguration:
-    def test_tiny_alpha_still_correct_just_slower(self):
+    def test_tiny_alpha_still_correct_just_slower(self, flush_all_tops):
         """α too small recycles pointers fast (the §4.1.1 warning) —
         recent windows stay correct, old ones fall back to offline."""
         net = build_linear(2, 2)
@@ -107,7 +107,7 @@ class TestMisconfiguration:
             net.sim.schedule_at(t, lambda: net.hosts["h1_1"].send(
                 make_udp("h1_1", "h2_1", 2, 9, 400)))
         net.run()
-        deploy.flush_all_tops()
+        flush_all_tops(deploy)
         # level 1 holds alpha one-epoch sets (4 ms at alpha = 2), so the
         # epoch-0 window is long recycled there, and a fixed-level read
         # says so instead of answering "nobody":
@@ -116,14 +116,14 @@ class TestMisconfiguration:
         # the default read still names the host, from the coarser pushes
         assert "h2_0" in deploy.analyzer.hosts_for("S1", EpochRange(0, 0))
 
-    def test_k1_deployment_functions(self):
+    def test_k1_deployment_functions(self, flush_all_tops):
         """Degenerate single-level hierarchy: push-only, still sound."""
         net = build_linear(2, 2)
         deploy = SwitchPointerDeployment(net, alpha_ms=10, k=1,
                                          epsilon_ms=1, delta_ms=2)
         net.hosts["h1_0"].send(make_udp("h1_0", "h2_0", 1, 9, 400))
         net.run()
-        deploy.flush_all_tops()
+        flush_all_tops(deploy)
         agent = deploy.switch_agents["S1"]
         assert [s.slots() for s in agent.pushed_history] == [
             [deploy.directory.slot_of("h2_0")]]

@@ -12,6 +12,7 @@ from repro import SwitchPointerDeployment
 from repro.analyzer.apps import diagnose_cascade
 from repro.scenarios import run_scenario
 from repro.simnet import WorkloadGenerator, WorkloadSpec
+from repro.simnet.packet import PROTO_UDP
 from repro.simnet.topology import build_leaf_spine
 
 
@@ -23,7 +24,7 @@ class TestTooMuchTraffic:
         verdict = res.verdicts[0]
         assert verdict.problem == "priority-contention"
         udp_culprits = {c.flow.src for c in verdict.culprits
-                        if c.flow.is_udp}
+                        if c.flow.proto == PROTO_UDP}
         assert {f"h1_{j}" for j in range(1, m + 1)} <= udp_culprits
 
     def test_starvation_grows_with_burst_size(self, payload_of):
@@ -196,11 +197,11 @@ class TestRecordsAgreeWithDirectory:
                 rng = s.epochs_at(sw)
                 assert rng.lo <= rng.hi
 
-    def test_matrix_agrees_with_directory(self, fabric):
+    def test_matrix_agrees_with_directory(self, fabric, flush_all_tops):
         """Every (switch, destination) implied by the records must be
         present in that switch's pointer history."""
         deploy, _, summaries = fabric
-        deploy.flush_all_tops()
+        flush_all_tops(deploy)
         checked = 0
         for summary in summaries:
             for sw in summary.switch_path:

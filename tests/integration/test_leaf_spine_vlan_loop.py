@@ -68,9 +68,3 @@ class TestLeafSpineVlanLoop:
         verdict = diagnose_contention(deploy.analyzer, alerts[0])
         assert verdict.problem == "priority-contention"
         assert "h0_1" in {c.flow.src for c in verdict.culprits}
-
-    def test_rule_tables_on_every_switch(self, diagnosed):
-        net, deploy, sender = diagnosed
-        for name, sw in net.switches.items():
-            table = deploy.rule_tables[name]
-            assert table.total_rules == sw.port_count + 1

@@ -20,30 +20,13 @@ def test_bijection_onto_slot_range(keys):
 
 
 @settings(max_examples=40, deadline=None)
-@given(keys=key_sets)
-def test_serialization_preserves_function(keys):
-    ordered = sorted(keys)
-    mphf = MinimalPerfectHash.build(ordered)
-    clone = MinimalPerfectHash.deserialize(mphf.serialize())
-    assert all(clone.lookup(k) == mphf.lookup(k) for k in ordered)
-
-
-@settings(max_examples=40, deadline=None)
-@given(keys=key_sets)
-def test_members_always_contained(keys):
-    ordered = sorted(keys)
-    mphf = MinimalPerfectHash.build(ordered)
-    assert all(mphf.contains(k) for k in ordered)
-
-
-@settings(max_examples=40, deadline=None)
 @given(keys=st.sets(st.integers(min_value=0, max_value=10**9),
                     min_size=1, max_size=150))
 def test_directory_roundtrip_arbitrary_host_labels(keys):
     hosts = [f"host-{k}" for k in sorted(keys)]
     directory = HostDirectory(hosts)
     for h in hosts:
-        assert directory.host_of(directory.slot_of(h)) == h
+        assert directory.hosts_of([directory.slot_of(h)]) == [h]
 
 
 @settings(max_examples=25, deadline=None)

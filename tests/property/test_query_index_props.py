@@ -5,11 +5,7 @@ indexed query path — :meth:`FlowRecordStore.flows_through` and the
 heap-based :meth:`QueryEngine.top_k_flows` — is observationally
 identical to the O(N) linear scan it replaced: same records, same
 order, byte-identical summary payloads.  The generated stores include
-ones no observation reaches (idle: no table of their own) and ones
-rebuilt from a spill file."""
-
-import tempfile
-from pathlib import Path
+ones no observation reaches (idle: no table of their own)."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -42,8 +38,7 @@ observation = st.tuples(
 observations = st.lists(observation, min_size=0, max_size=80)
 
 
-def build(ops, max_records=None, tie_every=None, crash_at=None,
-          spill_path=None):
+def build(ops, max_records=None, tie_every=None, crash_at=None):
     """Replay ``ops`` into a store (evictions interleave via the bound).
 
     ``tie_every=k`` gives groups of k consecutive observations the same
@@ -51,8 +46,7 @@ def build(ops, max_records=None, tie_every=None, crash_at=None,
     ``crash_at=i`` loses the whole table (``drop_all``) before
     observation ``i``, so the rest re-ingests into an emptied index.
     """
-    store = FlowRecordStore("h", spill_path=spill_path,
-                            max_records=max_records)
+    store = FlowRecordStore("h", max_records=max_records)
     for i, (fid, nbytes, ranges) in enumerate(ops):
         if i == crash_at:
             store.drop_all()
@@ -63,13 +57,6 @@ def build(ops, max_records=None, tie_every=None, crash_at=None,
                                                        for r in
                                                        ranges.values()))
     return store
-
-
-def reloaded(store, path, max_records=None):
-    """``store`` flushed to ``path`` and rebuilt by ``load_from_disk``."""
-    store.flush_to_disk()
-    return FlowRecordStore.load_from_disk("h", path,
-                                          max_records=max_records)
 
 
 def assert_idle_iff_empty(store):
@@ -89,29 +76,13 @@ def payload_bytes(summaries: list[FlowSummary]) -> list[tuple]:
        max_records=st.sampled_from([None, 3, 6]),
        window=st.one_of(st.none(), epoch_range),
        tie_every=st.sampled_from([None, 1, 4]),
-       crash_at=st.one_of(st.none(), st.integers(min_value=0, max_value=79)),
-       reload=st.booleans())
+       crash_at=st.one_of(st.none(), st.integers(min_value=0, max_value=79)))
 def test_flows_through_matches_linear_scan(ops, max_records, window,
-                                           tie_every, crash_at, reload):
+                                           tie_every, crash_at):
     """...for any interleaving of observations, evictions (including
-    ties on last_seen), a crash loss, and a flush → ``load_from_disk``
-    round trip whose file holds superseded eviction spills."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "spill.jsonl" if reload else None
-        store = build(ops, max_records=max_records, tie_every=tie_every,
-                      crash_at=crash_at, spill_path=path)
-        if reload:
-            live = [r.flow for r in store]
-            store = reloaded(store, path, max_records)
-            if max_records is None:
-                # no eviction spills: the file is exactly the table
-                assert [r.flow for r in store] == live
-            else:
-                # earlier eviction spills come back too (superseded by
-                # the final flush where the flow lived on), but the
-                # reload bound never costs a live record
-                assert len(store) <= max_records
-                assert set(live) <= {r.flow for r in store}
+    ties on last_seen) and a crash loss."""
+    store = build(ops, max_records=max_records, tie_every=tie_every,
+                  crash_at=crash_at)
     for sw in SWITCHES:
         indexed = store.flows_through(sw, window)
         linear = store.linear_flows_through(sw, window)
@@ -125,15 +96,9 @@ def test_flows_through_matches_linear_scan(ops, max_records, window,
 @given(ops=observations,
        max_records=st.sampled_from([None, 4]),
        window=st.one_of(st.none(), epoch_range),
-       k=st.integers(min_value=1, max_value=8),
-       reload=st.booleans())
-def test_top_k_matches_full_sort_payload(ops, max_records, window, k,
-                                         reload):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "spill.jsonl" if reload else None
-        store = build(ops, max_records=max_records, spill_path=path)
-        if reload:
-            store = reloaded(store, path, max_records)
+       k=st.integers(min_value=1, max_value=8))
+def test_top_k_matches_full_sort_payload(ops, max_records, window, k):
+    store = build(ops, max_records=max_records)
     engine = QueryEngine(store)
     for sw in SWITCHES:
         res = engine.top_k_flows(k, switch=sw, epochs=window)
@@ -145,14 +110,9 @@ def test_top_k_matches_full_sort_payload(ops, max_records, window, k,
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=observations, window=st.one_of(st.none(), epoch_range),
-       reload=st.booleans())
-def test_flows_matching_payload_identical(ops, window, reload):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "spill.jsonl" if reload else None
-        store = build(ops, spill_path=path)
-        if reload:
-            store = reloaded(store, path)
+@given(ops=observations, window=st.one_of(st.none(), epoch_range))
+def test_flows_matching_payload_identical(ops, window):
+    store = build(ops)
     engine = QueryEngine(store)
     for sw in SWITCHES:
         res = engine.flows_matching(sw, window)

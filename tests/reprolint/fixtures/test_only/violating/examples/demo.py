@@ -1,0 +1,5 @@
+"""Fixture: an example drives the program."""
+
+from repro.run import main
+
+main()

@@ -28,6 +28,7 @@ CASES = {
     "module-state": "module_state",
     "gc-policy": "gc_policy",
     "pointer-read": "pointer_read",
+    "test-only": "test_only",
 }
 
 
@@ -129,6 +130,22 @@ def test_pointer_read_names_each_level_read_outside_the_agent():
         assert name in blob
     assert all("SwitchAgent.best_effort_snapshots" in v.message
                for v in violations)
+
+
+def test_test_only_names_what_only_tests_reach():
+    violations = lint_fixture("test-only", "violating")
+    # a method its own body and a docstring name, a function only the
+    # package re-exports, one only a comment names; tests/ calls all three
+    assert {v.rel for v in violations} == {"src/repro/store.py"}
+    assert [v.message.split(" is named")[0] for v in violations] == [
+        "def spill_to_disk", "def orphan_helper", "def comment_only"]
+    # exempt or used: a dunder, the registered factory, a method a tool
+    # reads, a function a trace string names, and the allow[test-only]
+    # class with its method
+    blob = "\n".join(v.message for v in violations)
+    for name in ("__len__", "_exact_factory", "describe", "traced_step",
+                 "Planned", "later", "main"):
+        assert f" {name} " not in blob
 
 
 def test_knob_declaration_names_every_offender():

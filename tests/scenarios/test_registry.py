@@ -91,6 +91,13 @@ class TestRegistration:
             assert new in REGISTRY
 
 
+#: every (scenario, knob) that declares a ``minimum``
+BOUNDED_KNOBS = [
+    (name, knob) for name in REGISTRY.names()
+    for knob, spec in REGISTRY.get(name).spec.knobs.items()
+    if spec.minimum is not None]
+
+
 class TestScenarioProtocol:
     def test_unknown_knob_rejected(self):
         cls = REGISTRY.get("gray-failure")
@@ -102,6 +109,22 @@ class TestScenarioProtocol:
         sc = cls(fault_switch="S2")
         assert sc.p["fault_switch"] == "S2"
         assert sc.p["n_flows"] == cls.spec.knobs["n_flows"].default
+
+    @pytest.mark.parametrize("name, knob", BOUNDED_KNOBS)
+    def test_knob_below_its_minimum_is_rejected(self, name, knob):
+        cls = REGISTRY.get(name)
+        low = cls.spec.knobs[knob].minimum - 1
+        with pytest.raises(ScenarioError) as err:
+            cls(**{knob: low})
+        assert str(err.value) == (f"knob {knob!r} of {name!r} must be "
+                                  f">= {low + 1:g}, got {low!r}")
+
+    @pytest.mark.parametrize("name, knob", BOUNDED_KNOBS)
+    def test_knob_at_its_minimum_is_accepted(self, name, knob):
+        cls = REGISTRY.get(name)
+        spec = cls.spec.knobs[knob]
+        assert spec.default >= spec.minimum
+        assert cls(**{knob: spec.minimum}).p[knob] == spec.minimum
 
     def test_build_must_set_network_and_deployment(self):
         with pytest.raises(ScenarioError, match="must set"):

@@ -112,3 +112,9 @@ def host_host_wire() -> Network:
     for a, b in (("h0", "s0"), ("h1", "s0"), ("h2", "h3")):
         net.connect(net.node(a), net.node(b))
     return net
+
+
+def route_entries(sw: Switch) -> int:
+    """Installed FIB entries of ``sw``, both levels (host routes and
+    rack routes; the shared rack map is not one)."""
+    return len(sw._host_routes) + len(sw._rack_routes)

@@ -14,12 +14,6 @@ class TestFlowKey:
         assert rev == FlowKey("b", "a", 20, 10, PROTO_TCP)
         assert rev.reversed() == key
 
-    def test_protocol_predicates(self):
-        tcp = FlowKey("a", "b", 1, 2, PROTO_TCP)
-        udp = FlowKey("a", "b", 1, 2, PROTO_UDP)
-        assert tcp.is_tcp and not tcp.is_udp
-        assert udp.is_udp and not udp.is_tcp
-
     def test_pretty_format(self):
         key = FlowKey("h1", "h2", 100, 200, PROTO_UDP)
         assert key.pretty() == "udp:h1:100->h2:200"

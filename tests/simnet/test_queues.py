@@ -121,14 +121,6 @@ class TestStrictPriorityQueue:
         q.enqueue(negative)
         assert q.dequeue() is negative
 
-    def test_depth_of(self):
-        q = StrictPriorityQueue(levels=3)
-        q.enqueue(pkt(priority=PRIO_HIGH))
-        q.enqueue(pkt(priority=PRIO_HIGH))
-        q.enqueue(pkt(priority=PRIO_LOW))
-        assert q.depth_of(PRIO_HIGH) == 2
-        assert q.depth_of(PRIO_LOW) == 1
-
     def test_needs_at_least_one_level(self):
         with pytest.raises(ValueError):
             StrictPriorityQueue(levels=0)

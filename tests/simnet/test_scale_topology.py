@@ -15,7 +15,8 @@ from repro.simnet.topology import (TopologyError, build_fat_tree,
                                    build_fat_tree_for_hosts,
                                    build_leaf_spine, build_linear,
                                    build_star)
-from tests.simnet.oracles import host_host_wire, multi_homed, nx_graph
+from tests.simnet.oracles import (host_host_wire, multi_homed, nx_graph,
+                                   route_entries)
 
 
 def reference_routes(net) -> dict[tuple[str, str], list[int]]:
@@ -148,8 +149,8 @@ class TestGenericAndFastRoutesAgree:
         # per other switch plus one per host it serves itself
         for name, sw in net.switches.items():
             served = sum(peer in net.hosts for peer in net.adjacency[name])
-            assert sw.route_entries <= len(net.switches) - 1 + served
-        assert sum(sw.route_entries for sw in net.switches.values()) \
+            assert route_entries(sw) <= len(net.switches) - 1 + served
+        assert sum(route_entries(sw) for sw in net.switches.values()) \
             <= len(net.switches) ** 2 + len(net.hosts)
         with monkeypatch.context() as patched:
             patched.setattr(net, "_compute_routes_fast", lambda: False)
@@ -185,11 +186,11 @@ class TestTwoLevelFib:
     def test_fabric_scale_point_routes_to_racks(self):
         net = build_leaf_spine(64, 16, 256)
         # one entry per (switch, host) pair would be 1,310,720
-        assert sum(sw.route_entries
+        assert sum(route_entries(sw)
                    for sw in net.switches.values()) <= 25_000
         for name, sw in net.switches.items():
             own = 256 if name.startswith("leaf") else 0
-            assert sw.route_entries <= len(net.switches) - 1 + own
+            assert route_entries(sw) <= len(net.switches) - 1 + own
         spine_ids = [link.link_id for link in net.links[:16]]
         assert [i.link.link_id for i in
                 net.switches["leaf0"].routes_for("h63_255")] == spine_ids
@@ -228,14 +229,14 @@ class TestTwoLevelFib:
 
     def test_clear_routes_empties_both_levels_on_that_switch_only(self):
         net = build_leaf_spine(2, 2, hosts_per_leaf=2)
-        before = {n: sw.route_entries for n, sw in net.switches.items()}
+        before = {n: route_entries(sw) for n, sw in net.switches.items()}
         leaf0 = net.switches["leaf0"]
         leaf0.clear_routes()
-        assert leaf0.route_entries == 0
+        assert route_entries(leaf0) == 0
         assert [leaf0.routes_for(h) for h in net.hosts] == [[]] * 4
         for name, sw in net.switches.items():
             if sw is not leaf0:
-                assert sw.route_entries == before[name]
+                assert route_entries(sw) == before[name]
                 assert all(sw.routes_for(h) for h in net.hosts)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.simnet.packet import FlowKey, PROTO_UDP, make_udp
 from repro.simnet.stats import (InterArrivalProbe, ThroughputProbe,
-                                attach_flow_tap, percentile)
+                                attach_flow_tap)
 from repro.simnet.topology import Network
 
 
@@ -90,18 +90,3 @@ class TestFlowTap:
         hosts["c"].send(make_udp("c", "d", 3, 4, 1000))
         net.run()
         assert probe.total_bytes == 1000  # only the watched flow
-
-
-class TestPercentile:
-    def test_basic(self):
-        data = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        assert percentile(data, 50) == 5
-        assert percentile(data, 100) == 10
-        assert percentile(data, 10) == 1
-
-    def test_empty(self):
-        assert percentile([], 99) == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)

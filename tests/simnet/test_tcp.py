@@ -79,7 +79,7 @@ class TestBasicTransfer:
             total_bytes=300_000)
         sender.start()
         net.run(until=1.0)
-        assert sender.bytes_acked <= sender.snd_next
+        assert sender.snd_una <= sender.snd_next
         assert receiver.bytes_received >= receiver.rcv_next
 
 

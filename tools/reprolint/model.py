@@ -154,18 +154,27 @@ class Project:
     @classmethod
     def load(cls, root: Path, paths: tuple[str, ...]) -> "Project":
         project = cls(root=root.resolve())
+        project._extend(paths)
+        return project
+
+    def widened(self, paths: tuple[str, ...]) -> "Project":
+        """This project plus every module under ``paths`` (parsed once)."""
+        wide = Project(root=self.root, modules=dict(self.modules))
+        wide._extend(paths)
+        return wide
+
+    def _extend(self, paths: tuple[str, ...]) -> None:
         for entry in paths:
-            base = (project.root / entry).resolve()
+            base = (self.root / entry).resolve()
             if base.is_file() and base.suffix == ".py":
-                project._add(base)
+                self._add(base)
                 continue
             if not base.is_dir():
                 continue
             for path in sorted(base.rglob("*.py")):
                 if any(part in _SKIP_DIRS for part in path.parts):
                     continue
-                project._add(path)
-        return project
+                self._add(path)
 
     def _add(self, path: Path) -> None:
         rel = path.relative_to(self.root).as_posix()

@@ -18,7 +18,9 @@ pushing checks to where the evidence lives:
   ``gc-policy``: one driver, ``Scenario.execute``, sets collector
   policy;
 * the §4.1.1 read — ``pointer-read``: only the switch agent picks the
-  hierarchy level that answers a window.
+  hierarchy level that answers a window;
+* reachability — ``test-only``: a definition in src/repro has a caller
+  outside tests/.
 
 Rules are pure AST passes over the :class:`~tools.reprolint.model.Project`
 — nothing under check is imported, so they run identically on the real
@@ -28,6 +30,7 @@ tree and on the violating fixture trees the unit tests commit.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -1193,3 +1196,159 @@ class PointerRead(Rule):
                         f".{name}() outside the switch agent — "
                         f"read through SwitchAgent.best_effort_snapshots",
                     )
+
+
+# ---------------------------------------------------------------------------
+# R11: test-only
+# ---------------------------------------------------------------------------
+
+#: Where a name counts as used: the program, its tools, its benchmarks
+#: and its examples.  ``tests/`` is deliberately absent.
+TEST_ONLY_SEARCH = ("src", "tools", "benchmarks", "examples")
+
+#: A string made only of identifiers (``"ingest flows_through"``,
+#: ``"hostd.store"``) names code, as the ledger's trace rows do.
+_IDENTIFIER_STRING = re.compile(r"[A-Za-z_]\w*(?:[\s.]+[A-Za-z_]\w*)*")
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring constants in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, *_DEFS)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                out.add(id(first.value))
+    return out
+
+
+def _is_export_list(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def _name_sites(module: Module) -> Iterator[tuple[str, int]]:
+    """Every (name, line) ``module`` mentions outside docstrings.
+
+    A package ``__init__.py``'s re-exports (its relative imports and
+    ``__all__``) and every ``__all__`` list are not uses.
+    """
+    docstrings = _docstrings(module.tree)
+    package_init = module.rel.endswith("__init__.py")
+    skipped: set[int] = set()
+    for node in ast.walk(module.tree):
+        if id(node) in skipped:
+            continue
+        if _is_export_list(node) or (
+            package_init and isinstance(node, ast.ImportFrom) and node.level
+        ):
+            skipped.update(id(n) for n in ast.walk(node))
+            continue
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Name):
+            yield node.id, line
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, line
+        elif isinstance(node, ast.alias):
+            for part in (*node.name.split("."), node.asname):
+                if part:
+                    yield part, line
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, line
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and _IDENTIFIER_STRING.fullmatch(node.value.strip())
+        ):
+            for part in re.split(r"[\s.]+", node.value.strip()):
+                yield part, line
+
+
+def _is_registered(node: ast.AST) -> bool:
+    """Decorated with a registry's ``register*`` (the registry calls it)."""
+    for dec in getattr(node, "decorator_list", ()):
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = getattr(target, "id", None) or getattr(target, "attr", "")
+        if name.startswith("register"):
+            return True
+    return False
+
+
+def _header_lines(node: ast.AST) -> range:
+    """The decorator, signature and class lines a pragma may sit on."""
+    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+    return range(first, max(node.lineno, node.body[0].lineno - 1) + 1)
+
+
+@register_rule
+class TestOnly(Rule):
+    """Every src/repro definition has a caller outside tests/."""
+
+    spec = RuleSpec(
+        name="test-only",
+        summary="a def or class in src/repro whose name appears nowhere "
+        "in src/, tools/, benchmarks/ or examples/ but its own "
+        "definition",
+        rationale="Code that only tests reach is scaffolding the program "
+        "pays for in lines, review and per-object state without "
+        "running it: a disk spill no run turned on, a rule-table model "
+        "every deployment built and nobody read, a wire format nothing "
+        "sent.  Tests pin behaviour the program has; they are not its "
+        "callers.",
+        scope="definitions in src/repro/ (dunders and register*-decorated "
+        "ones exempt); uses are AST names, attributes, import aliases, "
+        "keywords and identifier-only strings in src/ (less package "
+        "re-exports), tools/, benchmarks/ and examples/ — never "
+        "docstrings, comments or tests/",
+        pragma="test-only",
+        fix="Delete it (and its tests), or give it a caller on purpose; "
+        "a definition whose caller is planned carries the pragma on its "
+        "def or class line, which also covers a class's methods.",
+    )
+
+    def check(self, project: Project) -> Iterator[Violation]:
+        wide = project.widened(TEST_ONLY_SEARCH)
+        sites: dict[str, list[tuple[str, int]]] = {}
+        for module in wide.modules.values():
+            for name, line in _name_sites(module):
+                sites.setdefault(name, []).append((module.rel, line))
+        for module in project.under(SRC):
+            yield from self._check_body(module, module.tree.body, sites, False)
+
+    def _check_body(
+        self,
+        module: Module,
+        body: list[ast.stmt],
+        sites: dict[str, list[tuple[str, int]]],
+        allowed: bool,
+    ) -> Iterator[Violation]:
+        for node in body:
+            if not isinstance(node, _DEFS):
+                continue
+            exempt = allowed or any(
+                "test-only" in module.pragmas.get(line, ())
+                for line in _header_lines(node)
+            )
+            if not (exempt or _is_dunder(node.name) or _is_registered(node)):
+                end = node.end_lineno or node.lineno
+                if not any(
+                    rel != module.rel or not node.lineno <= line <= end
+                    for rel, line in sites.get(node.name, ())
+                ):
+                    kind = "class" if isinstance(node, ast.ClassDef) else "def"
+                    yield self.violation(
+                        module,
+                        node.lineno,
+                        f"{kind} {node.name} is named nowhere outside its "
+                        f"own definition but in tests/ — delete it or "
+                        f"give it a caller",
+                    )
+            yield from self._check_body(module, node.body, sites, exempt)
