@@ -50,10 +50,8 @@ class SwitchPointerDeployment:
     skew_of:
         Optional callable node-name → clock skew in seconds, to exercise
         the asynchrony handling.  Skews must respect |skew(a)−skew(b)| ≤ ε.
-    records_per_host / ingest_batch:
-        Host-agent storage knobs for scale sweeps: the per-host record
-        bound (None = unbounded) and the sniffed-packet batch size for
-        deferred-eviction ingestion.
+    records_per_host:
+        The per-host record-table bound (None = unbounded).
     directory_backend / directory_bits / directory_hashes:
         Which directory-set backend every switch's pointer hierarchy
         builds (:mod:`repro.directory`): ``"exact"``, ``"bloom"``,
@@ -73,7 +71,6 @@ class SwitchPointerDeployment:
                  rpc: Optional[RpcFabric] = None,
                  latency_model: Optional[LatencyModel] = None,
                  records_per_host: Optional[int] = None,
-                 ingest_batch: int = 1,
                  directory_backend: str = "auto",
                  directory_bits: int = 0,
                  directory_hashes: int = 4):
@@ -122,8 +119,7 @@ class SwitchPointerDeployment:
             self.host_agents[name] = HostAgent(
                 host, clock=clock, planner=self.planner,
                 estimator=self.estimator,
-                max_records=records_per_host,
-                ingest_batch=ingest_batch)
+                max_records=records_per_host)
 
         #: stripped-switch stash: name -> (datapath, agent), maintained
         #: by uninstrument_switch/reinstrument_switch
@@ -189,9 +185,6 @@ class SwitchPointerDeployment:
         """Aggregate host record-table counters (sweep measurements)."""
         peak = total = evicted = ingested = 0
         for agent in self.host_agents.values():
-            # drain any batched-ingest buffer first: hosts the analyzer
-            # never queried would otherwise under-report their footprint
-            agent.flush_ingest()
             store = agent.store
             peak = max(peak, store.peak_records)
             total += len(store)

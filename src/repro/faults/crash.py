@@ -1,7 +1,7 @@
 """Agent-crash fault: kill (and optionally restart) telemetry state.
 
 The whole host agent dies — sniffing stops, the in-memory record table
-and any batched-ingest buffer are lost.  ``stop`` restarts the agent
+is lost.  ``stop`` restarts the agent
 with an empty table (the real daemon's supervisor restart); telemetry
 from before the crash is gone, which is exactly the evidence loss a
 mid-diagnosis crash inflicts.

@@ -33,46 +33,32 @@ class HostAgent:
     ----------
     max_records:
         Memory bound on the record table (None = unbounded).
-    ingest_batch:
-        >1 buffers that many sniffed packets and decodes them in one
-        go with the store's eviction check deferred to the batch end.
-        Queries are unaffected: the query engine flushes the buffer
-        before serving (``before_query``, installed only when batching),
-        so results always reflect every packet sniffed so far.
+
+    Every sniffed packet is decoded into its record update on arrival,
+    so any read — query engine, trigger, analyzer app — sees every
+    packet delivered so far.
     """
 
-    __slots__ = ("host", "clock", "ingest_batch", "_pending", "store",
-                 "decoder", "_query", "triggers", "_sniffers", "alive")
+    __slots__ = ("host", "clock", "store", "decoder", "_query",
+                 "triggers", "_sniffers", "alive")
 
     def __init__(self, host: Host, *, clock: EpochClock,
                  planner: CherryPickPlanner,
                  estimator: EpochRangeEstimator,
-                 max_records: Optional[int] = None,
-                 ingest_batch: int = 1):
-        if ingest_batch < 1:
-            raise ValueError("ingest_batch must be >= 1")
+                 max_records: Optional[int] = None):
         self.host = host
         self.clock = clock
-        self.ingest_batch = ingest_batch
-        #: batched-ingest buffer of (host, pkt, now); unbatched, never written
-        self._pending = [] if ingest_batch > 1 else ()
         self.store = FlowRecordStore(host.name, max_records=max_records)
         self.decoder = TelemetryDecoder(self.store, clock, planner,
                                         estimator)
         self._query: Optional[QueryEngine] = None
-        if ingest_batch > 1:
-            # every read-side consumer — query engine, triggers, analyzer
-            # apps reading agent.store directly — sees a flushed table;
-            # unbatched, nothing is ever buffered and no hook is paid
-            self.store.before_read = self.flush_ingest
         #: tuples, rebound on install: an idle agent allocates none
         self.triggers: tuple[ThroughputDropTrigger, ...] = ()
         #: every sniffer callback this agent registered, so a crash can
         #: detach (and a restart re-attach) exactly its own hooks
         self._sniffers: tuple = ()
         self.alive = True
-        self._add_sniffer(self._buffer_packet if ingest_batch > 1
-                          else self.decoder.on_packet)
+        self._add_sniffer(self.decoder.on_packet)
 
     def _add_sniffer(self, cb) -> None:
         self._sniffers += (cb,)
@@ -92,30 +78,8 @@ class HostAgent:
         """The query engine the analyzer calls into, built on first use."""
         engine = self._query
         if engine is None:
-            engine = self._query = QueryEngine(
-                self.store,
-                self.flush_ingest if self.ingest_batch > 1 else None)
+            engine = self._query = QueryEngine(self.store)
         return engine
-
-    # -- batched ingestion ---------------------------------------------------
-
-    def _buffer_packet(self, host: Host, pkt, now: float) -> None:
-        self._pending.append((host, pkt, now))
-        if len(self._pending) >= self.ingest_batch:
-            self.flush_ingest()
-
-    def flush_ingest(self) -> int:
-        """Decode every buffered packet (one deferred eviction check)."""
-        if not self._pending:
-            return 0
-        batch, self._pending = self._pending, []
-        self.store.begin_batch()
-        try:
-            for host, pkt, now in batch:
-                self.decoder.on_packet(host, pkt, now)
-        finally:
-            self.store.end_batch()
-        return len(batch)
 
     # -- trigger management -------------------------------------------------
 
@@ -140,15 +104,14 @@ class HostAgent:
         """Kill the daemon: stop sniffing, lose all in-memory telemetry.
 
         Everything a real agent process holds in RAM dies with it: the
-        record table, the batched-ingest buffer.  Returns the number of
-        records lost.  Idempotent — a crash of a dead agent loses nothing.
+        record table.  Returns the number of records lost.  Idempotent —
+        a crash of a dead agent loses nothing.
         """
         if not self.alive:
             return 0
         self.alive = False
         for cb in self._sniffers:
             self.host.sniffers.remove(cb)
-        self._pending = self._pending[:0]
         return self.store.drop_all()
 
     def restart(self) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.epoch import EpochRange
 from ..simnet.packet import FlowKey
@@ -151,25 +151,13 @@ def _topk_key(rec: FlowRecord) -> tuple:
 
 
 class QueryEngine:
-    """Executes analyzer queries against one host's record store.
+    """Executes analyzer queries against one host's record store."""
 
-    ``before_query``, when set, runs at the start of every query — the
-    host agent uses it to flush its batched-ingest buffer so queries
-    always observe every packet sniffed so far.
-    """
+    __slots__ = ("store", "queries_served")
 
-    __slots__ = ("store", "before_query", "queries_served")
-
-    def __init__(self, store: FlowRecordStore,
-                 before_query: Optional[Callable[[], None]] = None):
+    def __init__(self, store: FlowRecordStore):
         self.store = store
-        self.before_query = before_query
         self.queries_served = 0
-
-    def _begin(self) -> None:
-        self.queries_served += 1
-        if self.before_query is not None:
-            self.before_query()
 
     def _scan(self, switch: Optional[str],
               epochs: Optional[EpochRange]) -> tuple[list[FlowRecord], int]:
@@ -186,7 +174,7 @@ class QueryEngine:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        self._begin()
+        self.queries_served += 1
         matches, scanned = self._scan(switch, epochs)
         top = heapq.nsmallest(k, matches, key=_topk_key)
         payload = [FlowSummary.of(r) for r in top]
@@ -202,7 +190,7 @@ class QueryEngine:
         used, which is exactly what the §5.4 imbalance diagnosis
         compares across interfaces.
         """
-        self._begin()
+        self.queries_served += 1
         matches, scanned = self._scan(switch, epochs)
         dist: dict[str, list[int]] = {}
         for rec in matches:
@@ -221,7 +209,7 @@ class QueryEngine:
 
     def all_flows(self) -> QueryResult:
         """Every record on this host (path-conformance sweeps)."""
-        self._begin()
+        self.queries_served += 1
         payload = [FlowSummary.of(r) for r in self.store]
         return QueryResult(payload=payload,
                            records_scanned=len(self.store),
@@ -239,7 +227,7 @@ class QueryEngine:
         them while the store keeps ingesting, so lazily-snapshotted
         containers would observe later state than the watermark claims.
         """
-        self._begin()
+        self.queries_served += 1
         matches, scanned = self.store.scan_through(
             switch, epochs, since_seq=since_seq)
         payload = []
@@ -254,7 +242,7 @@ class QueryEngine:
 
     def flow_details(self, flow: FlowKey) -> QueryResult:
         """Telemetry for one flow (None payload when unknown here)."""
-        self._begin()
+        self.queries_served += 1
         rec = self.store.get(flow)
         payload = FlowSummary.of(rec) if rec else None
         return QueryResult(payload=payload, records_scanned=1,

@@ -42,7 +42,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from ..core.epoch import EpochRange
 from ..simnet.packet import FlowKey
@@ -154,8 +154,8 @@ class FlowRecordStore:
     """
 
     __slots__ = ("host_name", "max_records", "_records", "_by_switch",
-                 "_sorted", "_next_seq", "_deferring", "before_read",
-                 "peak_records", "evicted", "ingested")
+                 "_sorted", "_next_seq", "peak_records", "evicted",
+                 "ingested")
 
     def __init__(self, host_name: str,
                  max_records: Optional[int] = None):
@@ -168,13 +168,6 @@ class FlowRecordStore:
         #: the next record's creation number; query results come back
         #: in this order
         self._next_seq = 0
-        self._deferring = False
-        #: Optional hook run before any read-side entry point (`get`,
-        #: `scan_through`, ...).  The host agent points it at its
-        #: batched-ingest flush so *every* consumer — query engine,
-        #: triggers, analyzer apps reading ``agent.store`` directly —
-        #: observes a table that has seen all sniffed packets.
-        self.before_read: Optional[Callable[[], object]] = None
         self.peak_records = 0
         self.evicted = 0
         #: decoded packets folded into the table (ingest throughput)
@@ -205,29 +198,10 @@ class FlowRecordStore:
             records[flow] = rec
             if len(records) > self.peak_records:
                 self.peak_records = len(records)
-            if (self.max_records is not None and not self._deferring
+            if (self.max_records is not None
                     and len(records) > self.max_records):
                 self._evict()
         return rec
-
-    # -- batched ingestion ---------------------------------------------------
-
-    def begin_batch(self) -> None:
-        """Defer eviction checks until :meth:`end_batch`.
-
-        Batched ingestion (``hostd.agent``) folds many decoded packets
-        into records back-to-back; checking the memory bound once per
-        batch instead of once per packet is what makes the bound
-        affordable at thousand-host sweep scale.  ``peak_records`` still
-        observes the within-batch high-water mark.
-        """
-        self._deferring = True
-
-    def end_batch(self) -> None:
-        self._deferring = False
-        if (self.max_records is not None
-                and len(self._records) > self.max_records):
-            self._evict()
 
     def ingest(self, flow: FlowKey, *, nbytes: int, t: float,
                priority: int, switch_path: list[str],
@@ -302,12 +276,7 @@ class FlowRecordStore:
         self._close()
         return lost
 
-    def _notify_read(self) -> None:
-        if self.before_read is not None:
-            self.before_read()
-
     def get(self, flow: FlowKey) -> Optional[FlowRecord]:
-        self._notify_read()
         return self._records.get(flow)
 
     def __len__(self) -> int:
@@ -347,7 +316,6 @@ class FlowRecordStore:
         is monotone — re-reading deltas and merging by flow reproduces
         exactly the one-shot answer at the same watermark.
         """
-        self._notify_read()
         bucket = self._by_switch.get(switch)
         if not bucket:
             return [], 0

@@ -146,8 +146,6 @@ class ThroughputDropTrigger:
     def _fire(self, ref: float, rate: float) -> None:
         self.alerts_fired += 1
         self.last_fired = self.sim.now
-        # store.get flushes any batched-ingest buffer (before_read), so
-        # the alert's tuples see every packet sniffed so far
         rec = self.store.get(self.flow)
         restrict = None
         if self.clock is not None:

@@ -71,8 +71,6 @@ class GrayFailureScenario(Scenario):
             "k": Knob(2, "pointer hierarchy depth"),
             "records_per_host": Knob(0, "hostd record-table bound "
                                         "(0 = unbounded)", minimum=0),
-            "ingest_batch": Knob(1, "sniffed packets decoded per "
-                                    "ingest batch"),
             "rpc_latency_ms": Knob(0.0, "extra per-RPC latency charged "
                                         "in simulated time"),
             "stale_after_ms": Knob(0.0, "staleness budget: verdicts "
@@ -106,7 +104,6 @@ class GrayFailureScenario(Scenario):
             latency_model=LatencyModel().with_extra(
                 p["rpc_latency_ms"] * 1e-3),
             records_per_host=p["records_per_host"] or None,
-            ingest_batch=p["ingest_batch"],
             directory_backend=p["directory_backend"],
             directory_bits=p["directory_bits"],
             directory_hashes=p["directory_hashes"])
@@ -212,13 +209,11 @@ register_sweep(SweepSpec(
         "victims": "n_flows",
         "records": "records_per_host",
         "alpha_ms": "alpha_ms",
-        "batch": "ingest_batch",
         "mix": "bg_mix",
         "skew_ms": "skew_ms",
     },
     default_grid={"flows": (0, 200, 1000), "victims": (4, 16)},
     nightly_grid={"flows": (0, 200), "victims": (4,)},
-    base_knobs={"ingest_batch": 8},
 ))
 
 register_sweep(SweepSpec(

@@ -84,8 +84,6 @@ class IncastScenario(Scenario):
                            "fabric family: leaf-spine or fat-tree"),
             "records_per_host": Knob(0, "hostd record-table bound "
                                         "(0 = unbounded)", minimum=0),
-            "ingest_batch": Knob(1, "sniffed packets decoded per "
-                                    "ingest batch"),
             **background_knobs(),
             **fault_knobs(),
         },
@@ -143,8 +141,7 @@ class IncastScenario(Scenario):
         net = self._build_fabric()
         deploy = SwitchPointerDeployment(
             net, alpha_ms=p["alpha_ms"], k=p["k"],
-            records_per_host=p["records_per_host"] or None,
-            ingest_batch=p["ingest_batch"])
+            records_per_host=p["records_per_host"] or None)
         self.network, self.deployment = net, deploy
         self.receiver = net.host_names[0]
         # the receiver's last-hop switch is where the fan-in converges
@@ -248,13 +245,11 @@ register_sweep(SweepSpec(
         "records": "records_per_host",
         "alpha_ms": "alpha_ms",
         "senders": "n_senders",
-        "batch": "ingest_batch",
         "fabric": "fabric",
         "mix": "bg_mix",
     },
     default_grid={"hosts": (64, 256, 1024, 4096)},
     nightly_grid={"hosts": (64, 256, 1024)},
-    base_knobs={"ingest_batch": 16},
 ))
 
 register_sweep(SweepSpec(
@@ -280,15 +275,14 @@ register_sweep(SweepSpec(
         {"hosts": 4096, "flows": 2000},
         {"hosts": 65536, "flows": 100000},
     ),
-    budget_note="measured on 2 cores, Python 3.11, seed 1729, two runs: "
-                "hosts=4096 flows=2000 at 0.7 s wall (build 0.1 s, run "
-                "0.6 s, diagnose 0.002 s; 51 MB peak RSS; 80-switch "
-                "leaf-spine, 2009 concurrent flows); hosts=65536 "
-                "flows=100000 at 21-27 s wall (build 2.8-3.4 s, run "
-                "18-23 s, diagnose 0.05 s; 565 MB peak RSS; "
-                "64-leaf/16-spine fabric, 65,536 hosts, 100k background "
-                "flows, ingest_batch=16). Adding further top-end points "
-                "must re-measure and keep the whole nightly run under "
-                "~10 min.",
-    base_knobs={"ingest_batch": 16},
+    budget_note="measured on 2 cores, Python 3.11, seed 1729, two runs, "
+                "every packet decoded on arrival: hosts=4096 flows=2000 "
+                "at 0.35-0.36 s wall (build 0.04 s, run 0.31-0.32 s, "
+                "diagnose 0.001 s; 50 MB peak RSS; 80-switch leaf-spine, "
+                "2009 concurrent flows); hosts=65536 flows=100000 at "
+                "14.3-14.5 s wall (build 0.9 s, run 13.4-13.6 s, "
+                "diagnose 0.02 s; 596 MB peak RSS; 64-leaf/16-spine "
+                "fabric, 65,536 hosts, 100k background flows). Adding "
+                "further top-end points must re-measure and keep the "
+                "whole nightly run under ~10 min.",
 ))

@@ -70,9 +70,9 @@ def execute_point(payload: Cell) -> PointResult:
         result.evicted_records = stats["evicted_records"]
         run_s = outcome.timings.get("run", 0.0)
         if run_s > 0:
-            # decoded packets folded into host record tables per
-            # wall-clock second of the run phase — the number the
-            # batched-ingestion path is supposed to move
+            # packets decoded into host record tables per wall-clock
+            # second of the run phase: each is decoded as it arrives,
+            # so the run phase pays for all of them
             result.ingest_records_per_s = stats["ingested_records"] / run_s
     return result
 

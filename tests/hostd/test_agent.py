@@ -43,20 +43,6 @@ class TestSnifferWiring:
         res = agents["h2_0"].query.top_k_flows(1)
         assert res.payload[0].bytes == 700
 
-    def test_flush_hooks_are_installed_only_when_batching(self):
-        """Unbatched, nothing is ever buffered: no read or query pays a
-        no-op flush call."""
-        net = build_linear(2, 1)
-        plain = deploy_hosts(net)["h2_0"]
-        assert plain.store.before_read is None
-        assert plain.query.before_query is None
-        batched = HostAgent(net.hosts["h1_0"], clock=plain.clock,
-                            planner=plain.decoder.planner,
-                            estimator=plain.decoder.estimator,
-                            ingest_batch=4)
-        assert batched.store.before_read == batched.flush_ingest
-        assert batched.query.before_query == batched.flush_ingest
-
 
 class TestTriggerManagement:
     def test_watch_flow_alerts_on_drop(self):

@@ -43,16 +43,15 @@ class TestEviction:
             touch(store, i, t=0.001)
         assert [rec.flow for rec in store] == [key(2), key(3)]
 
-    def test_batch_defers_eviction_to_batch_end(self):
+    def test_every_new_record_is_bounded_on_arrival(self):
+        """The bound holds after each insert: the table never carries
+        more than one record over it, whatever the arrival burst."""
         store = FlowRecordStore("h", max_records=5)
-        store.begin_batch()
         for i in range(20):
             touch(store, i, t=i * 0.001)
-        assert len(store) == 20  # bound deferred inside the batch
-        store.end_batch()
-        assert len(store) == 5
+            assert len(store) <= 5
         assert store.evicted == 15
-        assert store.peak_records == 20  # the within-batch high water
+        assert store.peak_records == 6  # the one insert over the bound
 
     def test_drop_all_then_reingest(self):
         """Crash loss: nothing counted as evicted, and the

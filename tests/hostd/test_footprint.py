@@ -88,15 +88,15 @@ class TestIdleAgent:
             assert idle._query is None
             assert not holds_table(idle.store)
 
-    def test_lazy_engine_keeps_batched_flush_wired(self):
-        net, deployment = self.deploy(ingest_batch=4)
+    def test_packet_is_decoded_before_any_engine_exists(self):
+        net, deployment = self.deploy()
         agent = deployment.host_agents["h1_0"]
-        assert agent._query is None
         net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", 1, 9, 700))
         net.run()
-        # buffered, not yet decoded: the engine's hook flushes first
-        assert agent.decoder.decoded == 0
-        assert agent.query.before_query == agent.flush_ingest
+        # decoded at arrival: the lazily built engine has nothing to
+        # catch up on
+        assert agent._query is None
+        assert agent.decoder.decoded == 1
         res = agent.query.top_k_flows(1)
         assert [s.bytes for s in res.payload] == [700]
 

@@ -66,22 +66,10 @@ class TestIdleReads:
             None, records_scanned=1)
         assert engine.queries_served == 7
 
-    def test_reads_still_run_the_before_read_hook(self, idle):
-        calls = []
-        idle.before_read = lambda: calls.append(1)
-        idle.get(FLOW)
-        idle.scan_through("S1")
-        assert calls == [1, 1]
-
 
 class TestIdleWrites:
     def test_drop_all(self, idle):
         assert idle.drop_all() == 0
-
-    def test_batch_bracket(self, idle):
-        idle.begin_batch()
-        idle.end_batch()
-        assert (idle.evicted, idle.peak_records) == (0, 0)
 
 
 class TestFirstRecordAndBack:

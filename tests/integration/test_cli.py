@@ -145,6 +145,12 @@ class TestRunCommand:
         assert main(["run", "gray-failure", "--knob", "bogus=1"]) == 2
         assert "unknown knob" in capsys.readouterr().err
 
+    def test_removed_batch_knob_is_unknown(self, capsys):
+        """Hosts decode each packet on arrival; no knob batches it."""
+        assert main(["run", "incast", "--knob", "ingest_batch=16"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown knob" in err and "'ingest_batch'" in err
+
     def test_malformed_knob_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "gray-failure", "--knob", "not-a-pair"])

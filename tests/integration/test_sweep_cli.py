@@ -95,7 +95,7 @@ class TestSweepCli:
     def test_changed_knob_pin_refuses_to_resume(self, tmp_path, capsys):
         """Run artifacts made at other --knob pins are not reused."""
         assert run_cli_sweep(tmp_path) == 0
-        code = run_cli_sweep(tmp_path, "--knob", "ingest_batch=4")
+        code = run_cli_sweep(tmp_path, "--knob", "min_fan_in=4")
         assert code == 2
         assert "--knob pins changed" in capsys.readouterr().err
 

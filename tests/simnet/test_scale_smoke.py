@@ -51,13 +51,12 @@ def test_65k_fabric_builds_and_routes_within_budget():
 
 
 @pytest.mark.skip(reason="slow: the full hosts=65536 flows=100000 "
-                         "incast point (21-27 s and 565 MB peak RSS on "
+                         "incast point (14-15 s and 596 MB peak RSS on "
                          "2 cores); the nightly incast-scale "
                          "sweep runs it for real")
 def test_65k_incast_point_full_flows():
     from repro.scenarios import run_scenario
 
-    res = run_scenario("incast", hosts=65536, bg_flows=100000,
-                       ingest_batch=16)
+    res = run_scenario("incast", hosts=65536, bg_flows=100000)
     assert res.measurements["fabric_hosts"] == 65536
     assert [v.problem for v in res.verdicts] == ["incast"]

@@ -20,7 +20,7 @@ def make_points() -> list[PointResult]:
         PointResult(
             index=i,
             params={"hosts": 64 * (i + 1)},
-            knobs={"hosts": 64 * (i + 1), "ingest_batch": 16},
+            knobs={"hosts": 64 * (i + 1), "min_fan_in": 4},
             seed=1000 + i,
             diagnosis_ok=(i != 1),
             problems=["incast"] if i != 1 else [],

@@ -52,10 +52,11 @@ class TestRegistry:
     def test_axes_resolve_to_knobs(self):
         spec = SWEEPS.get("incast")
         knobs = spec.knobs_for({"hosts": 256, "records": 512})
-        assert knobs["hosts"] == 256
-        assert knobs["records_per_host"] == 512
+        assert knobs == {"hosts": 256, "records_per_host": 512}
         # base knobs ride along on every point
-        assert knobs["ingest_batch"] == 16
+        bits = SWEEPS.get("directory-bits").knobs_for({"dir_bits": 8})
+        assert bits == {"directory_backend": "bloom",
+                        "directory_bits": 8}
 
     def test_unknown_axis_rejected_before_running(self, sweep_table):
         with pytest.raises(ExperimentError, match="unknown axis"):
