@@ -57,7 +57,7 @@ class EpochClock:
 
         Every consumer holding the clock — pointer store rotation,
         telemetry decoder, triggers — sees the new offset on its next
-        ``epoch_of``/``local_time`` call; nothing is cached.
+        ``epoch_of``/``epoch_start`` call; nothing is cached.
         """
         if not math.isfinite(skew_s):
             raise ValueError(f"skew must be finite, got {skew_s!r}")
@@ -67,17 +67,16 @@ class EpochClock:
     def alpha_s(self) -> float:
         return self.alpha_ms / 1000.0
 
-    def local_time(self, true_time_s: float) -> float:
-        return true_time_s + self.skew_s
-
     def epoch_of(self, true_time_s: float) -> int:
         """EpochID at true simulated time ``true_time_s``.
 
         A tiny guard absorbs float error at exact epoch boundaries
         (``epoch_start(e)`` must map back to ``e``).
         """
-        return math.floor(self.local_time(true_time_s) / self.alpha_s
-                          + 1e-9)
+        # local time over α in seconds, spelled out: every forwarded
+        # packet and every decoded one reads its epoch here
+        return math.floor((true_time_s + self.skew_s)
+                          / (self.alpha_ms / 1000.0) + 1e-9)
 
     def epoch_start(self, epoch: int) -> float:
         """True time when this device's ``epoch`` begins."""

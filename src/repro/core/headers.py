@@ -30,14 +30,15 @@ class HeaderError(Exception):
     """Raised on malformed or out-of-range telemetry fields."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class VlanDoubleTag:
     """802.1ad double tag: outer = linkID, inner = epochID mod 4096.
 
     ``link_id`` must fit the 12-bit VLAN ID space; topologies needing
     more distinct sampled links than 4096 are out of scope for the
     commodity design (the paper's fat-tree argument needs only the
-    aggregate-core links).
+    aggregate-core links).  Frozen: every packet a switch tags on one
+    link in one epoch carries the same tag object.
     """
 
     link_id: int

@@ -79,7 +79,10 @@ class TelemetryDecoder:
         else:
             self.undecodable += 1
             return
-        self._update(pkt, now, switches, ranges, observed)
+        self.store.ingest(pkt.flow, nbytes=pkt.size, t=now,
+                          priority=pkt.priority, switch_path=switches,
+                          ranges=ranges, observed_epoch=observed)
+        self.decoded += 1
 
     # -- VLAN double tag -----------------------------------------------------
 
@@ -115,13 +118,3 @@ class TelemetryDecoder:
                                                hop.epoch + eps.hi)
             observed = hop.epoch  # last hop's epoch keys byte counts
         return switches, ranges, observed
-
-    # -- shared --------------------------------------------------------------
-
-    def _update(self, pkt: Packet, now: float, switches: list[str],
-                ranges: dict[str, EpochRange],
-                observed: Optional[int]) -> None:
-        self.store.ingest(pkt.flow, nbytes=pkt.size, t=now,
-                          priority=pkt.priority, switch_path=switches,
-                          ranges=ranges, observed_epoch=observed)
-        self.decoded += 1

@@ -22,9 +22,19 @@ every record on the host.  Index invariants:
   (``lo`` only ever decreases under :meth:`EpochRange.union`), and
   rebuilt lazily on the next windowed query.  ``hi`` extensions never
   invalidate it: queries read ``hi`` from the live record.
-* query results are ordered by record creation sequence, which equals
-  the flat table's insertion order — indexed queries return
-  byte-identical payloads to a linear scan of ``_records``.
+* query results are ordered by record creation sequence — indexed
+  queries return byte-identical payloads to a linear scan of
+  ``_records`` in creation order.
+
+The flat table is also the **recency order** eviction reads: observing
+a record moves it to the table's end, so while observation times never
+go backwards the table runs in ``last_seen`` order and the victim — the
+least ``last_seen``, then the least creation ``_seq`` — sits in its
+leading run of equal ``last_seen``.  An observation earlier than the
+latest (only a direct :meth:`FlowRecord.observe` caller can make one;
+the simulator's clock is monotone) re-sorts the table.  Readers that
+promise creation order sort by ``_seq`` themselves: iteration sorts the
+table, :meth:`linear_flows_through` only its matches.
 
 Most hosts of a large fabric never receive a packet, so a store is
 **idle** until its first record arrives: its three tables are the one
@@ -38,7 +48,7 @@ makes the store idle again.
 
 from __future__ import annotations
 
-import heapq
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -48,7 +58,7 @@ from ..core.epoch import EpochRange
 from ..simnet.packet import FlowKey
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """Telemetry accumulated for one flow at its destination host.
 
@@ -98,6 +108,9 @@ class FlowRecord:
         if self.first_seen is None:
             self.first_seen = t
         self.last_seen = t
+        store = self._store
+        if store is not None:
+            store._observed(self, t)
         if switch_path and switch_path != self.switch_path:
             self.switch_path = list(switch_path)
         new_switches: list[str] = []
@@ -111,8 +124,8 @@ class FlowRecord:
                 self.epoch_ranges[sw] = prev.union(rng)
                 if rng.lo < prev.lo:
                     lo_moved.append(sw)
-        if self._store is not None and (new_switches or lo_moved):
-            self._store._on_epochs_updated(self, new_switches, lo_moved)
+        if store is not None and (new_switches or lo_moved):
+            store._on_epochs_updated(self, new_switches, lo_moved)
         if observed_epoch is not None:
             self.bytes_by_epoch[observed_epoch] = (
                 self.bytes_by_epoch.get(observed_epoch, 0) + nbytes)
@@ -120,6 +133,9 @@ class FlowRecord:
     def epochs_at(self, switch: str) -> Optional[EpochRange]:
         return self.epoch_ranges.get(switch)
 
+
+#: the latest observation time of a store with none yet (shared)
+_NEVER = -math.inf
 
 #: the tables of every idle store (module docstring): empty, and
 #: read-only, so a write that skipped ``_open`` fails loudly instead of
@@ -131,12 +147,10 @@ def _record_seq(rec: "FlowRecord") -> int:
     return rec._seq
 
 
-def _staleness(rec: FlowRecord) -> tuple[float, int]:
-    # a record with no observation yet is the one being created right
-    # now — never the eviction victim.  Ties on last_seen (simultaneous
-    # delivery events are common) break by creation sequence, so the
-    # victim never depends on the table's iteration order.
-    t = rec.last_seen if rec.last_seen is not None else float("inf")
+def _recency(rec: FlowRecord) -> tuple[float, int]:
+    # the table order a re-sort restores; a record with no observation
+    # yet (one being created right now) sorts last
+    t = rec.last_seen if rec.last_seen is not None else math.inf
     return (t, rec._seq)
 
 
@@ -146,7 +160,9 @@ class FlowRecordStore:
     ``max_records`` bounds the in-memory table the way the paper's OVS
     module does ("initially maintained in memory and flushed to a local
     storage"): when the bound is exceeded, the stalest records (by
-    ``last_seen``) are dropped until the table is back under the bound.
+    ``last_seen``, ties to the earliest created) are dropped until the
+    table is back under the bound — read off the front of the table,
+    which is kept in recency order (module docstring).
 
     The per-switch inverted index (module docstring) makes
     :meth:`flows_through` cost O(records at the switch) instead of
@@ -154,8 +170,8 @@ class FlowRecordStore:
     """
 
     __slots__ = ("host_name", "max_records", "_records", "_by_switch",
-                 "_sorted", "_next_seq", "peak_records", "evicted",
-                 "ingested")
+                 "_sorted", "_latest", "_next_seq", "peak_records",
+                 "evicted", "ingested")
 
     def __init__(self, host_name: str,
                  max_records: Optional[int] = None):
@@ -186,6 +202,8 @@ class FlowRecordStore:
     def _close(self) -> None:
         """Make the store idle: every table is the shared ``_IDLE``."""
         self._records = self._by_switch = self._sorted = _IDLE
+        #: the latest observation time in the table's order
+        self._latest = _NEVER
 
     def record_for(self, flow: FlowKey) -> FlowRecord:
         rec = self._records.get(flow)
@@ -209,12 +227,28 @@ class FlowRecordStore:
                observed_epoch: Optional[int]) -> FlowRecord:
         """One decoded packet → record update (decoder entry point)."""
         self.ingested += 1
-        rec = self.record_for(flow)
+        rec = self._records.get(flow)
+        if rec is None:
+            rec = self.record_for(flow)
         rec._update_seq = self.ingested
         rec.observe(nbytes=nbytes, t=t, priority=priority,
                     switch_path=switch_path, ranges=ranges,
                     observed_epoch=observed_epoch)
         return rec
+
+    # -- recency order ---------------------------------------------------------
+
+    def _observed(self, rec: FlowRecord, t: float) -> None:
+        """Record listener: ``rec`` was just observed at ``t`` — move it
+        to the table's end, or re-sort when that would break the order."""
+        records = self._records
+        if t < self._latest:
+            self._records = {r.flow: r for r in sorted(records.values(),
+                                                       key=_recency)}
+            return
+        self._latest = t
+        del records[rec.flow]
+        records[rec.flow] = rec
 
     # -- inverted-index maintenance ------------------------------------------
 
@@ -252,15 +286,28 @@ class FlowRecordStore:
     # -- eviction --------------------------------------------------------------
 
     def _evict(self) -> None:
-        """Drop stalest records until under the memory bound."""
+        """Drop stalest records until under the memory bound: each victim
+        is the earliest created of the table's leading run of equal
+        ``last_seen``.  A record never observed (the one being created,
+        or one a direct ``record_for`` caller left) sorts after every
+        other, wherever it sits."""
         assert self.max_records is not None
-        excess = len(self._records) - self.max_records
-        if excess <= 0:
-            return
-        for rec in heapq.nsmallest(excess, self._records.values(),
-                                   key=_staleness):
-            del self._records[rec.flow]
-            self._unindex_record(rec)
+        records = self._records
+        while len(records) > self.max_records:
+            victim: Optional[FlowRecord] = None
+            for rec in records.values():
+                if rec.last_seen is None:
+                    continue
+                if victim is None:
+                    victim = rec
+                elif rec.last_seen != victim.last_seen:
+                    break
+                elif rec._seq < victim._seq:
+                    victim = rec
+            if victim is None:  # nothing observed yet
+                victim = min(records.values(), key=_record_seq)
+            del records[victim.flow]
+            self._unindex_record(victim)
             self.evicted += 1
 
     def drop_all(self) -> int:
@@ -283,7 +330,9 @@ class FlowRecordStore:
         return len(self._records)
 
     def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(self._records.values())
+        """Records in creation order (the table itself is in recency
+        order)."""
+        return iter(sorted(self._records.values(), key=_record_seq))
 
     # -- the §3 header filter ----------------------------------------------
 
@@ -343,7 +392,7 @@ class FlowRecordStore:
 
         Kept as the equivalence oracle for the index property tests and
         the baseline for the query benchmarks; not used on the query
-        path.
+        path.  Answers in creation order, as the index does.
         """
         out = []
         for rec in self._records.values():
@@ -353,4 +402,5 @@ class FlowRecordStore:
             if epochs is not None and not rng.intersects(epochs):
                 continue
             out.append(rec)
+        out.sort(key=_record_seq)
         return out

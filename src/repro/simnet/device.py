@@ -148,7 +148,7 @@ class Switch:
 
     def receive(self, pkt: Packet, iface: Interface) -> None:
         self.rx_packets += 1
-        self.forward(pkt, in_iface=iface)
+        self.forward(pkt, iface)
 
     def inject(self, pkt: Packet) -> None:
         """Feed a locally originated packet into the pipeline (tests)."""
@@ -156,12 +156,13 @@ class Switch:
 
     def forward(self, pkt: Packet, in_iface: Optional[Interface]) -> None:
         if self.drop_filter is not None and self.drop_filter(pkt):
-            # Silent drop: no hop recorded, no pipeline hooks, no
-            # forwarding — upstream telemetry still names this switch's
-            # predecessors, which is what drop localization exploits.
+            # Silent drop: no pipeline hooks, no forwarding — upstream
+            # telemetry still names this switch's predecessors, which is
+            # what drop localization exploits.
             self.gray_drops += 1
             return
-        dst = pkt.dst
+        flow = pkt.flow
+        dst = flow.dst
         candidates = self._host_routes.get(dst)
         if candidates is None:
             candidates = self._rack_routes.get(self._rack_of.get(dst))
@@ -173,13 +174,12 @@ class Switch:
             out = self.forwarding_override(pkt, list(candidates))
         if out is None:
             if self.ecmp_hash is not None:
-                h = self.ecmp_hash(pkt.flow)
+                h = self.ecmp_hash(flow)
             else:
-                h = self.flow_hashes.get(pkt.flow)
+                h = self.flow_hashes.get(flow)
                 if h is None:
-                    h = self.flow_hashes[pkt.flow] = _flow_hash(pkt.flow)
+                    h = self.flow_hashes[flow] = _flow_hash(flow)
             out = candidates[h % len(candidates)]
-        pkt.record_hop(self.name)
         for hook in self.pipeline:
             hook(self, pkt, in_iface, out)
         self.forwarded += 1

@@ -11,13 +11,14 @@ A :class:`Packet` is the unit moved by the simulator.  It carries:
 
 Packets are intentionally plain mutable objects: a single Python object
 travels end to end, the way a real packet's header region is edited in
-place by switches on its path.
+place by switches on its path.  A packet carries only what a real one
+does — no record of the switches it crossed and no identity beyond its
+header fields: a test that needs the trajectory taps ``Switch.pipeline``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
 # Protocol numbers (IANA).
@@ -73,10 +74,7 @@ class TcpMeta:
     fin: bool = False
 
 
-_packet_ids = itertools.count(1)
-
-
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A simulated packet.
 
@@ -97,9 +95,6 @@ class Packet:
         first switch on the path embeds something.  The concrete object is
         a codec class from :mod:`repro.core.headers`; the simulator treats
         it opaquely.
-    hops:
-        Names of switches traversed so far (ground truth used by tests to
-        validate path reconstruction — a real packet does not carry this).
     """
 
     flow: FlowKey
@@ -109,8 +104,6 @@ class Packet:
     payload_bytes: int = 0
     tcp: Optional[TcpMeta] = None
     telemetry: Any = None
-    hops: list[str] = field(default_factory=list)
-    pkt_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -123,10 +116,6 @@ class Packet:
     @property
     def src(self) -> str:
         return self.flow.src
-
-    def record_hop(self, switch_name: str) -> None:
-        """Append ground-truth trajectory (for validation only)."""
-        self.hops.append(switch_name)
 
 
 def make_udp(src: str, dst: str, sport: int, dport: int, size: int,

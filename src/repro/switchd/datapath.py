@@ -74,6 +74,10 @@ class SwitchPointerDatapath:
         self.mode = mode
         self.packets_processed = 0
         self.tags_embedded = 0
+        #: vlan id -> the tag this switch embeds on that link in the
+        #: current epoch (``_dedup_epoch``): one frozen tag per (link,
+        #: epoch), emptied whenever the epoch moves
+        self._tags: dict[int, VlanDoubleTag] = {}
         switch.pipeline.append(self._hook)
 
     @property
@@ -102,12 +106,18 @@ class SwitchPointerDatapath:
 
     def _hook(self, sw: Switch, pkt: Packet, in_iface: Optional[Interface],
               out_iface: Interface) -> None:
-        now = sw.sim.now
-        epoch = self.clock.epoch_of(now)
-        self.process_slot_update(pkt.dst, epoch)
-        if self.mode == MODE_VLAN:
-            self._embed_vlan(pkt, out_iface, epoch)
-        elif self.mode == MODE_INT:
+        epoch = self.clock.epoch_of(sw.sim.now)
+        if epoch < 0:
+            # a clock running behind has not reached epoch 0 yet: record
+            # epoch 0 (segment -1 reads as empty, and no header carries
+            # a negative epoch)
+            epoch = 0
+        self.process_slot_update(pkt.flow.dst, epoch)
+        mode = self.mode
+        if mode == MODE_VLAN:
+            if pkt.telemetry is None:  # else a previous hop pinned the path
+                self._embed_vlan(pkt, out_iface, epoch)
+        elif mode == MODE_INT:
             self._embed_int(pkt, epoch)
 
     def process_slot_update(self, dst: str, epoch: int) -> int:
@@ -127,6 +137,7 @@ class SwitchPointerDatapath:
             slot = cache[dst] = self._mphf.lookup(dst)
         if epoch != self._dedup_epoch:
             self._dedup_epoch = epoch
+            self._tags.clear()
             seen = self._dedup_slots
             seen.clear()
             seen.add(slot)
@@ -142,16 +153,22 @@ class SwitchPointerDatapath:
 
     def _embed_vlan(self, pkt: Packet, out_iface: Interface,
                     epoch: int) -> None:
-        if pkt.telemetry is not None:
-            return  # a previous hop already pinned the path
         assert self.planner is not None
         link = out_iface.link
+        vlan_id = link.vlan_id
         # the tag carries the network-local wire id; links never wired
         # through a Network (or beyond 12 bits) cannot be tagged
-        if link.vlan_id is None or link.vlan_id >= VLAN_ID_MODULUS:
+        if vlan_id is None or vlan_id >= VLAN_ID_MODULUS:
             return
-        if self.planner.pins_path(pkt.src, pkt.dst, link):
-            pkt.telemetry = VlanDoubleTag.embed(link.vlan_id, epoch)
+        flow = pkt.flow
+        if self.planner.pins_path(flow.src, flow.dst, link):
+            # ``epoch`` is ``_dedup_epoch``: the hook updated the slot
+            # first, which empties the tag cache when the epoch moves
+            tag = self._tags.get(vlan_id)
+            if tag is None:
+                tag = self._tags[vlan_id] = VlanDoubleTag.embed(vlan_id,
+                                                                epoch)
+            pkt.telemetry = tag
             self.tags_embedded += 1
 
     def _embed_int(self, pkt: Packet, epoch: int) -> None:

@@ -12,6 +12,7 @@ from repro.simnet.topology import (build_fat_tree, build_leaf_spine,
 from repro.switchd.cherrypick import CherryPickPlanner
 from repro.switchd.datapath import (MODE_INT, MODE_VLAN,
                                     SwitchPointerDatapath)
+from tests.simnet.trajectory import Trajectories
 
 
 def instrument(net, mode=MODE_VLAN, alpha_ms=10, epsilon_ms=1.0,
@@ -63,13 +64,14 @@ class TestVlanDecoding:
     def test_fat_tree_interpod_reconstruction(self):
         net = build_fat_tree(4)
         decoders = instrument(net)
+        trail = Trajectories(net)
         src, dst = "h0_0_0", "h2_1_0"
         caught = []
         net.hosts[dst].sniffers.append(lambda h, p, t: caught.append(p))
         net.hosts[src].send(make_udp(src, dst, 1, 9, 500))
         net.run()
         rec = next(iter(decoders[dst].store))
-        assert rec.switch_path == caught[0].hops  # matches ground truth
+        assert rec.switch_path == trail.of(caught[0])  # ground truth
         assert len(rec.switch_path) == 5
 
     def test_bytes_accumulate_per_observed_epoch(self):

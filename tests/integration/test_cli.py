@@ -80,6 +80,24 @@ class TestFaultsCommand:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("scenario, skew_ms, verdicts", [
+        ("link-flap", 1, ["diagnosis (link-flap) [suspect: S1-SPA]"]),
+        ("multi-fault", 2, [
+            "diagnosis (gray-failure) [suspect: leaf1]",
+            "diagnosis (ecmp-polarization) [suspect: spine1]",
+            "diagnosis (multi-fault): all 2 concurrent fault(s) "
+            "attributed independently"]),
+    ])
+    def test_switch_clock_behind_true_time(self, scenario, skew_ms,
+                                           verdicts, capsys):
+        """The clock-skew fault fires at t=0 and sets some switches
+        behind true time: their first packets fall before their epoch
+        0, and the run still gives the default verdicts."""
+        assert main(["run", scenario, "--knob", f"skew_ms={skew_ms}"]) == 0
+        out = capsys.readouterr().out
+        for verdict in verdicts:
+            assert verdict in out
+
     def test_run_by_name(self, capsys):
         assert main(["run", "gray-failure", "--knob", "n_flows=2"]) == 0
         out = capsys.readouterr().out

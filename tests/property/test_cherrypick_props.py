@@ -11,21 +11,22 @@ from hypothesis import given, settings, strategies as st
 from repro.simnet.packet import PROTO_UDP, make_udp
 from repro.simnet.topology import build_fat_tree, build_leaf_spine
 from repro.switchd.cherrypick import CherryPickPlanner
+from tests.simnet.trajectory import Trajectories
 
 
 @pytest.fixture(scope="module")
 def fat_tree():
     net = build_fat_tree(4)
-    return net, CherryPickPlanner(net), sorted(net.hosts)
+    return net, CherryPickPlanner(net), sorted(net.hosts), Trajectories(net)
 
 
 @pytest.fixture(scope="module")
 def leaf_spine():
     net = build_leaf_spine(4, 3, 2)
-    return net, CherryPickPlanner(net), sorted(net.hosts)
+    return net, CherryPickPlanner(net), sorted(net.hosts), Trajectories(net)
 
 
-def send_and_reconstruct(net, planner, src, dst, sport):
+def send_and_reconstruct(net, planner, trail, src, dst, sport):
     got = []
     def handler(p, t):
         got.append(p)
@@ -37,7 +38,7 @@ def send_and_reconstruct(net, planner, src, dst, sport):
     finally:
         net.hosts[dst].unbind(PROTO_UDP, 20_000 + sport)
     assert got, "packet must arrive"
-    true_hops = got[0].hops
+    true_hops = trail.of(got[0])
     nodes = [src] + true_hops + [dst]
     pinning = None
     for a, b in zip(nodes, nodes[1:]):
@@ -52,12 +53,12 @@ def send_and_reconstruct(net, planner, src, dst, sport):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_fat_tree_reconstruction_exact(fat_tree, data):
-    net, planner, hosts = fat_tree
+    net, planner, hosts, trail = fat_tree
     src = data.draw(st.sampled_from(hosts), label="src")
     dst = data.draw(st.sampled_from([h for h in hosts if h != src]),
                     label="dst")
     sport = data.draw(st.integers(min_value=1, max_value=5000))
-    true_hops, reconstructed = send_and_reconstruct(net, planner, src,
+    true_hops, reconstructed = send_and_reconstruct(net, planner, trail, src,
                                                     dst, sport)
     assert reconstructed == true_hops
 
@@ -65,11 +66,11 @@ def test_fat_tree_reconstruction_exact(fat_tree, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_leaf_spine_reconstruction_exact(leaf_spine, data):
-    net, planner, hosts = leaf_spine
+    net, planner, hosts, trail = leaf_spine
     src = data.draw(st.sampled_from(hosts), label="src")
     dst = data.draw(st.sampled_from([h for h in hosts if h != src]),
                     label="dst")
     sport = data.draw(st.integers(min_value=1, max_value=5000))
-    true_hops, reconstructed = send_and_reconstruct(net, planner, src,
+    true_hops, reconstructed = send_and_reconstruct(net, planner, trail, src,
                                                     dst, sport)
     assert reconstructed == true_hops

@@ -13,6 +13,7 @@ from repro import SwitchPointerDeployment
 from repro.core.epoch import EpochRange
 from repro.simnet.packet import make_udp
 from repro.simnet.topology import build_linear
+from tests.simnet.trajectory import Trajectories
 
 
 @st.composite
@@ -32,11 +33,10 @@ def test_pointer_never_misses_a_relevant_host(sends):
     net = build_linear(2, 4)
     deploy = SwitchPointerDeployment(net, alpha_ms=10, k=3,
                                      epsilon_ms=1, delta_ms=2)
-    truth = []  # (switch, epoch, dst) ground truth
+    trail = Trajectories(net)  # ground truth: each packet's switches
 
     def tracked_send(src, dst):
         pkt = make_udp(src, dst, 1, 9, 300)
-        original = list(pkt.hops)
         net.hosts[src].send(pkt)
         return pkt
 
@@ -49,7 +49,7 @@ def test_pointer_never_misses_a_relevant_host(sends):
     net.run()
 
     for pkt in pkts:
-        for sw in pkt.hops:
+        for sw in trail.of(pkt):
             clock = deploy.datapaths[sw].clock
             epoch = clock.epoch_of(pkt.created_at)  # ~zero path delay
             # epoch may straddle a boundary due to in-network delay;

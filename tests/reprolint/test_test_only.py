@@ -221,3 +221,65 @@ def test_every_unused_definition_is_reported_in_file_order(tmp_path):
         "src/repro/b.py": "class Second:\n    pass\n\n\n"
                           "def third():\n    return 1\n",
     }) == ["def first", "class Second", "def third", "def target"]
+
+
+# -- dataclass fields and __slots__ entries --------------------------------
+
+FIELDS = """
+    from dataclasses import dataclass, field
+    from typing import ClassVar
+
+
+    @dataclass
+    class Packet:
+        size: int
+        pkt_id: int = field(default=0)
+        MTU: ClassVar[int] = 1500
+
+
+    PACKET = Packet(size=1)
+"""
+
+
+def test_a_dataclass_field_only_tests_read_is_flagged(tmp_path):
+    assert flagged(tmp_path, {
+        "src/repro/mod.py": FIELDS,
+        "tests/test_mod.py": "from repro.mod import PACKET\n\n"
+                             "assert PACKET.pkt_id == 0\n",
+    }) == ["field Packet.pkt_id"]
+
+
+def test_a_dataclass_field_src_reads_is_kept(tmp_path):
+    assert flagged(tmp_path, {
+        "src/repro/mod.py": FIELDS,
+        "src/repro/run.py": "from .mod import PACKET\n\nID = PACKET.pkt_id\n",
+    }) == []
+
+
+def test_a_pragma_on_the_field_line_exempts_it(tmp_path):
+    source = FIELDS.replace("field(default=0)",
+                            "field(default=0)  # reprolint: allow[test-only]")
+    assert flagged(tmp_path, {"src/repro/mod.py": source}) == []
+
+
+def test_a_slot_named_nowhere_else_is_flagged(tmp_path):
+    assert flagged(tmp_path, {"src/repro/mod.py": """
+        class Port:
+            __slots__ = ("depth", "spare", "__weakref__")
+
+            def __init__(self):
+                self.depth = 0
+
+
+        PORT = Port()
+    """}) == ["slot Port.spare"]
+
+
+def test_annotations_outside_a_dataclass_are_not_fields(tmp_path):
+    assert flagged(tmp_path, {"src/repro/mod.py": """
+        class Plain:
+            unused: int = 0
+
+
+        PLAIN = Plain()
+    """}) == []

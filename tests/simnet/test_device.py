@@ -8,6 +8,7 @@ from repro.simnet.host import Host
 from repro.simnet.link import Link
 from repro.simnet.packet import FlowKey, PROTO_UDP, make_udp
 from repro.simnet.topology import Network
+from tests.simnet.trajectory import Trajectories
 
 
 def tiny_net():
@@ -41,12 +42,12 @@ class TestForwarding:
 
     def test_hop_recorded(self):
         net = tiny_net()
+        trail = Trajectories(net)
         caught = []
-        net.hosts["hb"].sniffers.append(
-            lambda h, p, t: caught.append(p.hops))
+        net.hosts["hb"].sniffers.append(lambda h, p, t: caught.append(p))
         net.hosts["ha"].send(make_udp("ha", "hb", 1, 9, 500))
         net.run()
-        assert caught[0] == ["S"]
+        assert trail.of(caught[0]) == ["S"]
 
     def test_pipeline_hooks_called_with_interfaces(self):
         net = tiny_net()

@@ -30,17 +30,6 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(flow=key, size=0)
 
-    def test_unique_ids(self):
-        p1 = make_udp("a", "b", 1, 2, 100)
-        p2 = make_udp("a", "b", 1, 2, 100)
-        assert p1.pkt_id != p2.pkt_id
-
-    def test_record_hop_accumulates(self):
-        pkt = make_udp("a", "b", 1, 2, 100)
-        pkt.record_hop("S1")
-        pkt.record_hop("S2")
-        assert pkt.hops == ["S1", "S2"]
-
     def test_src_dst_shortcuts(self):
         pkt = make_udp("src", "dst", 1, 2, 100)
         assert pkt.src == "src"

@@ -6,6 +6,7 @@ from repro.simnet.packet import PROTO_UDP, make_udp
 from repro.simnet.topology import (Network, TopologyError, build_fat_tree,
                                    build_leaf_spine, build_linear,
                                    build_star)
+from tests.simnet.trajectory import Trajectories
 
 
 class TestNetwork:
@@ -62,11 +63,12 @@ class TestLinear:
 
     def test_end_to_end_delivery(self):
         net = build_linear(3, 1)
+        trail = Trajectories(net)
         got = []
         net.hosts["h3_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
         net.hosts["h1_0"].send(make_udp("h1_0", "h3_0", 1, 9, 500))
         net.run()
-        assert got[0].hops == ["S1", "S2", "S3"]
+        assert trail.of(got[0]) == ["S1", "S2", "S3"]
 
     def test_unique_shortest_path(self):
         net = build_linear(3, 1)
@@ -78,12 +80,13 @@ class TestLinear:
 class TestStar:
     def test_all_hosts_reach_each_other(self):
         net = build_star(4)
+        trail = Trajectories(net)
         got = []
         net.hosts["h3"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
         net.hosts["h0"].send(make_udp("h0", "h3", 1, 9, 500))
         net.run()
         assert len(got) == 1
-        assert got[0].hops == ["S1"]
+        assert trail.of(got[0]) == ["S1"]
 
     def test_needs_a_host(self):
         with pytest.raises(TopologyError):
@@ -146,12 +149,13 @@ class TestFatTree:
 
     def test_delivery_across_pods(self):
         net = build_fat_tree(4)
+        trail = Trajectories(net)
         got = []
         net.hosts["h3_1_1"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
         net.hosts["h0_0_0"].send(make_udp("h0_0_0", "h3_1_1", 1, 9, 500))
         net.run()
         assert len(got) == 1
-        assert len(got[0].hops) == 5
+        assert len(trail.of(got[0])) == 5
 
 
 class TestPathThroughLink:

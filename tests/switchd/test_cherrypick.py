@@ -7,6 +7,7 @@ from repro.simnet.topology import (NoPathError, TopologyError,
                                    build_fat_tree, build_leaf_spine,
                                    build_linear)
 from repro.switchd.cherrypick import CherryPickPlanner
+from tests.simnet.trajectory import Trajectories
 
 
 class TestLinear:
@@ -86,12 +87,13 @@ class TestFatTree:
         """Send a real packet; the trajectory reconstructed from the
         pinning link must equal the switches it actually traversed."""
         planner = CherryPickPlanner(net)
+        trail = Trajectories(net)
         src, dst = "h0_0_0", "h3_1_1"
         got = []
         net.hosts[dst].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
         net.hosts[src].send(make_udp(src, dst, 1, 9, 500))
         net.run()
-        true_hops = got[0].hops
+        true_hops = trail.of(got[0])
         # find the on-path link that pins, as the datapath would
         nodes = [src] + true_hops + [dst]
         pinning = None

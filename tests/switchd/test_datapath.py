@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.epoch import EpochClock
+from repro import SwitchPointerDeployment
+from repro.core.epoch import EpochClock, EpochRange
 from repro.core.headers import IntStack, VlanDoubleTag
 from repro.core.mphf import HostDirectory
 from repro.core.pointer import HierarchicalPointerStore
@@ -53,6 +54,29 @@ class TestPointerUpdates:
         assert store.snapshots_covering(1, 0, 1) == []
 
 
+class TestClockBehind:
+    """A switch clock behind true time reads epoch -1 at the start of a
+    run; until its counter reaches 0 the switch records epoch 0."""
+
+    @pytest.mark.parametrize("mode", [MODE_VLAN, MODE_INT])
+    def test_packet_at_time_zero_lands_in_epoch_zero(self, mode):
+        net = build_linear(3, 1)
+        deploy = SwitchPointerDeployment(
+            net, alpha_ms=10, k=2, mode=mode,
+            skew_of=lambda name: -0.002 if name in net.switches else 0.0)
+        assert deploy.datapaths["S1"].clock.epoch_of(0.0) == -1
+        net.hosts["h1_0"].send(make_udp("h1_0", "h3_0", 1, 9, 500))
+        net.run()
+        (rec,) = deploy.host_agents["h3_0"].store
+        assert (rec.packets, rec.switch_path) == (1, ["S1", "S2", "S3"])
+        slot = deploy.directory.slot_of("h3_0")
+        for name in ("S1", "S2", "S3"):
+            store = deploy.datapaths[name].store
+            assert slot in store.snapshot(1, 0).slots()
+            assert "h3_0" in deploy.analyzer.hosts_for(name,
+                                                       EpochRange(0, 0))
+
+
 class TestVlanEmbedding:
     def test_single_tag_embedded_at_pinning_hop(self):
         net, _, dps = instrumented_linear(MODE_VLAN)
@@ -85,6 +109,23 @@ class TestVlanEmbedding:
         net.run()
         assert dps["S2"].tags_embedded == 0
         assert dps["S3"].tags_embedded == 0
+
+    def test_one_frozen_tag_per_link_and_epoch(self):
+        """Packets a switch tags on one link in one epoch carry the same
+        tag object; the next epoch gets a tag of its own."""
+        net, _, dps = instrumented_linear(MODE_VLAN)
+        got = []
+        net.hosts["h3_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
+        for at in (0.001, 0.002, 0.012):
+            net.sim.schedule(at, lambda: net.hosts["h1_0"].send(
+                make_udp("h1_0", "h3_0", 1, 9, 500)))
+        net.run()
+        first, second, later = (p.telemetry for p in got)
+        assert first is second and later is not first
+        assert (first.epoch_tag, later.epoch_tag) == (0, 1)
+        assert dps["S1"].tags_embedded == 3
+        with pytest.raises(AttributeError):
+            first.epoch_tag = 5
 
     def test_vlan_mode_requires_planner(self):
         net = build_linear(2, 1)

@@ -1288,30 +1288,64 @@ def _header_lines(node: ast.AST) -> range:
     return range(first, max(node.lineno, node.body[0].lineno - 1) + 1)
 
 
+def _is_class_var(annotation: ast.expr) -> bool:
+    """``ClassVar[...]`` / ``KW_ONLY``: annotations that make no field."""
+    target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    name = getattr(target, "id", None) or getattr(target, "attr", "")
+    return name in ("ClassVar", "KW_ONLY")
+
+
+def _fields(node: ast.ClassDef) -> Iterator[tuple[str, str, ast.stmt]]:
+    """``(kind, name, statement)`` of each dataclass field and each
+    ``__slots__`` entry ``node`` declares."""
+    dataclass = "dataclass" in _decorator_names(node)
+    for stmt in node.body:
+        if (
+            dataclass
+            and isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and not _is_class_var(stmt.annotation)
+        ):
+            yield "field", stmt.target.id, stmt
+        elif isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            value = stmt.value
+            entries = (
+                value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+            )
+            for entry in entries:
+                if isinstance(entry, ast.Constant) and isinstance(entry.value, str):
+                    yield "slot", entry.value, stmt
+
+
 @register_rule
 class TestOnly(Rule):
     """Every src/repro definition has a caller outside tests/."""
 
     spec = RuleSpec(
         name="test-only",
-        summary="a def or class in src/repro whose name appears nowhere "
-        "in src/, tools/, benchmarks/ or examples/ but its own "
-        "definition",
+        summary="a def, class, dataclass field or `__slots__` entry in "
+        "src/repro whose name appears nowhere in src/, tools/, "
+        "benchmarks/ or examples/ but its own definition",
         rationale="Code that only tests reach is scaffolding the program "
         "pays for in lines, review and per-object state without "
         "running it: a disk spill no run turned on, a rule-table model "
         "every deployment built and nobody read, a wire format nothing "
-        "sent.  Tests pin behaviour the program has; they are not its "
-        "callers.",
-        scope="definitions in src/repro/ (dunders and register*-decorated "
-        "ones exempt); uses are AST names, attributes, import aliases, "
+        "sent, a per-packet id field only tests compared.  Tests pin "
+        "behaviour the program has; they are not its callers.",
+        scope="definitions in src/repro/ — defs, classes, dataclass "
+        "fields and string `__slots__` entries (dunders and "
+        "register*-decorated ones exempt); uses are AST names, "
+        "attributes, import aliases, "
         "keywords and identifier-only strings in src/ (less package "
         "re-exports), tools/, benchmarks/ and examples/ — never "
         "docstrings, comments or tests/",
         pragma="test-only",
         fix="Delete it (and its tests), or give it a caller on purpose; "
         "a definition whose caller is planned carries the pragma on its "
-        "def or class line, which also covers a class's methods.",
+        "def or class line, which also covers a class's methods and "
+        "fields, or on the field's own line.",
     )
 
     def check(self, project: Project) -> Iterator[Violation]:
@@ -1338,17 +1372,40 @@ class TestOnly(Rule):
                 for line in _header_lines(node)
             )
             if not (exempt or _is_dunder(node.name) or _is_registered(node)):
-                end = node.end_lineno or node.lineno
-                if not any(
-                    rel != module.rel or not node.lineno <= line <= end
-                    for rel, line in sites.get(node.name, ())
-                ):
+                if self._unused(module, node.name, node, sites):
                     kind = "class" if isinstance(node, ast.ClassDef) else "def"
-                    yield self.violation(
-                        module,
-                        node.lineno,
-                        f"{kind} {node.name} is named nowhere outside its "
-                        f"own definition but in tests/ — delete it or "
-                        f"give it a caller",
-                    )
+                    yield self._flag(module, node.lineno, kind, node.name)
+            if isinstance(node, ast.ClassDef) and not exempt:
+                for kind, name, stmt in _fields(node):
+                    if not (
+                        _is_dunder(name)
+                        or "test-only" in module.pragmas.get(stmt.lineno, ())
+                        or not self._unused(module, name, stmt, sites)
+                    ):
+                        yield self._flag(
+                            module, stmt.lineno, kind, f"{node.name}.{name}"
+                        )
             yield from self._check_body(module, node.body, sites, exempt)
+
+    @staticmethod
+    def _unused(
+        module: Module,
+        name: str,
+        node: ast.AST,
+        sites: dict[str, list[tuple[str, int]]],
+    ) -> bool:
+        """No site names ``name`` outside ``node``'s own lines."""
+        first = getattr(node, "lineno", 0)
+        end = getattr(node, "end_lineno", None) or first
+        return not any(
+            rel != module.rel or not first <= line <= end
+            for rel, line in sites.get(name, ())
+        )
+
+    def _flag(self, module: Module, line: int, kind: str, name: str) -> Violation:
+        return self.violation(
+            module,
+            line,
+            f"{kind} {name} is named nowhere outside its own definition "
+            f"but in tests/ — delete it or give it a caller",
+        )
