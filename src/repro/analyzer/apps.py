@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.epoch import EpochRange
-from ..core.pointer import PointerSnapshot
+from ..core.pointer import PointerSet, PointerSnapshot
 from ..directory import DirectorySet, LshDirectorySet, decode_directory_set
 from ..hostd.triggers import VictimAlert, alert_tuples_from_record
 from ..rpc.fabric import Breakdown
@@ -643,8 +643,9 @@ def rank_co_suspects(analyzer: Analyzer, suspect: str,
     uses banded minhash signatures (band agreement as the candidate
     signal, signature Jaccard as the score) without decoding any
     membership bits; under ``exact``/``bloom`` it falls back to exact
-    Jaccard over the decoded slot sets, so the query is available — just
-    not sketch-accelerated — on every backend.
+    Jaccard, ``popcount(a & b) / popcount(a | b)`` over the decoded slot
+    masks, so the query is available — just not sketch-accelerated — on
+    every backend.
 
     Only switches with *some* overlap evidence survive: positive
     similarity, or at least one matching LSH band.  The
@@ -672,15 +673,22 @@ def rank_co_suspects(analyzer: Analyzer, suspect: str,
             bands = ref.band_matches(other)
             sim = ref.jaccard(other)
         else:
-            a, b = set(ref.iter_slots()), set(other.iter_slots())
-            union = a | b
-            sim = len(a & b) / len(union) if union else 0.0
+            a, b = _slot_mask(ref), _slot_mask(other)
+            union = (a | b).bit_count()
+            sim = (a & b).bit_count() / union if union else 0.0
             bands = 0
         if sim > 0.0 or bands > 0:
             ranked.append(CoSuspect(switch=name, similarity=sim,
                                     band_matches=bands))
     ranked.sort(key=lambda c: (-c.similarity, -c.band_matches, c.switch))
     return ranked[:CO_SUSPECTS]
+
+
+def _slot_mask(ds: DirectorySet) -> int:
+    """A set's decoded members as an int, bit ``i`` = slot ``i``."""
+    if isinstance(ds, PointerSet):
+        return int.from_bytes(ds.to_bytes(), "little")
+    return sum(1 << slot for slot in ds.iter_slots())
 
 
 def _merged_directory_set(

@@ -27,6 +27,19 @@ from typing import Any, Callable, Iterator, Optional
 
 _BIT_MASKS = [1 << i for i in range(8)]
 
+#: the set bits of every byte value, as offsets 0-7 ascending: one table
+#: lookup per non-zero byte decodes a bitmap
+_BYTE_SLOTS = tuple(tuple(bit for bit in range(8) if value >> bit & 1)
+                    for value in range(256))
+
+
+def bitmap_slots(bits: bytes) -> list[int]:
+    """The indices of the set bits of a little-endian bitmap, ascending."""
+    table = _BYTE_SLOTS
+    return [base + bit
+            for base, byte in zip(range(0, len(bits) << 3, 8), bits) if byte
+            for bit in table[byte]]
+
 
 class PointerSet:
     """Fixed-size bit array over end-host slots.
@@ -68,15 +81,7 @@ class PointerSet:
 
     def iter_slots(self) -> Iterator[int]:
         """Yield the indices of all set bits, ascending."""
-        for byte_idx, byte in enumerate(self._bits):
-            if not byte:
-                continue
-            base = byte_idx << 3
-            for bit in range(8):
-                if byte & _BIT_MASKS[bit]:
-                    slot = base + bit
-                    if slot < self.n_slots:
-                        yield slot
+        return iter(bitmap_slots(self._bits))
 
     def union_into(self, other: "PointerSet") -> None:
         """OR this set's bits into ``other`` (same size required).
@@ -114,8 +119,16 @@ class PointerSet:
             raise ValueError(
                 f"payload is {len(blob)} bytes, bitmap needs "
                 f"{len(self._bits)}")
+        value = int.from_bytes(blob, "little")
+        stray = value >> self.n_slots
+        if stray:
+            bad = [bit for bit in range(self.n_slots, 8 * len(blob))
+                   if value >> bit & 1]
+            raise ValueError(
+                f"payload sets bit(s) {bad} past the bitmap's "
+                f"{self.n_slots} slots")
         self._bits[:] = blob
-        self.popcount = int.from_bytes(self._bits, "little").bit_count()
+        self.popcount = value.bit_count()
 
     def estimate(self) -> int:
         """Member-count estimate (exact for the bitmap: the popcount)."""
@@ -182,8 +195,7 @@ class PointerSnapshot:
     def slots(self) -> list[int]:
         """The recorded slot *superset* (exact for the bitmap backend)."""
         if self.backend == "exact":
-            return list(PointerSet.from_bytes(self.n_slots,
-                                              self.bits).iter_slots())
+            return bitmap_slots(self.bits)
         # call-time import: core stays importable without the directory
         # registry (which itself imports this module for the bitmap)
         from ..directory import decode_directory_set
@@ -196,8 +208,7 @@ class PointerSnapshot:
         """The exact slot set (shadow truth for sketches; measurement)."""
         if self.backend == "exact":
             return self.slots()
-        return list(PointerSet.from_bytes(self.n_slots,
-                                          self.truth_bits).iter_slots())
+        return bitmap_slots(self.truth_bits)
 
     @property
     def size_bits(self) -> int:

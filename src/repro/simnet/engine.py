@@ -13,6 +13,18 @@ or across back-to-back ones; a same-instant tie that must not hang on
 scheduling order is a rule stated by its owner (today one, the transmitter's
 *a departure due at t is served before an arrival at t is judged*).
 
+Clock contract: ``now`` is a plain attribute, read on every hop without a
+call.  Only :meth:`Simulator.run` writes it (reprolint's ``sim-clock``
+rule holds every other module to reading it), and it only ever moves
+forward.
+
+Cancelled events do not pile up: a :meth:`Simulator.cancel` that leaves
+more cancelled than live entries in the heap (and more than
+:data:`COMPACT_MIN`) rebuilds the heap in place without them, so a
+TCP sender re-arming its retransmission timer on every ACK keeps a heap
+of live events.  Events pop by ``(when, seq)``, a total order, so the
+rebuild moves no event.
+
 Time is measured in **seconds** as a float.  The scenarios in the paper
 span microseconds (packet serialization on 1-10 Gbps links) to seconds
 (query latencies), which float seconds represent with ample precision.
@@ -40,6 +52,10 @@ import math
 from typing import Any, Callable, Optional
 
 _INF = math.inf
+
+#: cancelled heap entries tolerated before a compaction is considered:
+#: small heaps are not worth rebuilding
+COMPACT_MIN = 64
 
 
 class SimulationError(Exception):
@@ -74,20 +90,18 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: current simulated time in seconds; written only by :meth:`run`
+        self.now = float(start_time)
         self._heap: list[tuple[float, int, Callable[[Any], Any], Any]] = []
         self._seq = itertools.count()
         #: ids of schedule()d events still due to fire: run() drops a
         #: popped one whose id cancel() took out, and an id leaves when
         #: its event runs, so cancelling a spent event leaves nothing
         self._armed: set[int] = set()
+        #: cancelled entries still in the heap
+        self._cancelled = 0
         self._running = False
         self._processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -96,7 +110,9 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still in the queue (including cancelled ones)."""
+        """Heap entries still queued: every live event, plus cancelled
+        ones up to the compaction bound (at most the live count or
+        :data:`COMPACT_MIN`, whichever is larger)."""
         return len(self._heap)
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> int:
@@ -108,13 +124,13 @@ class Simulator:
         """
         if not 0 <= delay < _INF:
             raise _bad_delay(delay)
-        return self.schedule_at(self._now + delay, fn, *args)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> int:
         """Schedule ``fn(*args)`` at absolute simulated time ``when``
         (seconds); returns the event's id, which :meth:`cancel` takes."""
-        if not self._now <= when < _INF:
-            raise _bad_time(when, self._now)
+        if not self.now <= when < _INF:
+            raise _bad_time(when, self.now)
         seq = next(self._seq)
         heapq.heappush(self._heap, (when, seq, _call, (fn, args)))
         self._armed.add(seq)
@@ -124,11 +140,22 @@ class Simulator:
         """Keep a scheduled event from firing.
 
         The event stays in the heap and :meth:`run` drops it when it
-        pops.  Idempotent, and a no-op for an event that already ran —
-        which is what a timer stopped from inside its own callback
-        cancels.
+        pops, until cancelled entries outnumber live ones: then the heap
+        is rebuilt in place without them.  Idempotent, and a no-op for
+        an event that already ran — which is what a timer stopped from
+        inside its own callback cancels.
         """
-        self._armed.discard(event)
+        armed = self._armed
+        if event not in armed:
+            return
+        armed.remove(event)
+        self._cancelled = dead = self._cancelled + 1
+        heap = self._heap
+        if dead > COMPACT_MIN and 2 * dead > len(heap):
+            call = _call
+            heap[:] = [e for e in heap if e[2] is not call or e[1] in armed]
+            heapq.heapify(heap)
+            self._cancelled = 0
 
     # -- fire-and-forget fast path --------------------------------------------
 
@@ -144,13 +171,13 @@ class Simulator:
         if not 0 <= delay < _INF:
             raise _bad_delay(delay)
         heapq.heappush(
-            self._heap, (self._now + delay, next(self._seq), fn, arg))
+            self._heap, (self.now + delay, next(self._seq), fn, arg))
 
     def call_at(self, when: float, fn: Callable[[Any], None],
                 arg: Any = None) -> None:
         """Absolute-time variant of :meth:`call_after`."""
-        if not self._now <= when < _INF:
-            raise _bad_time(when, self._now)
+        if not self.now <= when < _INF:
+            raise _bad_time(when, self.now)
         heapq.heappush(self._heap, (when, next(self._seq), fn, arg))
 
     def run(self, until: Optional[float] = None,
@@ -160,9 +187,9 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so back-to-back ``run`` calls
-        compose naturally — unless ``max_events`` stopped the run with an
-        event at or before ``until`` still pending (the clock then stays
-        put, so the next ``run`` cannot move it back).
+        compose naturally — unless ``max_events`` stopped the run with a
+        live (uncancelled) event at or before ``until`` still pending (the
+        clock then stays put, so the next ``run`` cannot move it back).
         """
         if until is not None and not math.isfinite(until):
             raise SimulationError(f"until must be finite, got {until!r}")
@@ -181,17 +208,23 @@ class Simulator:
                 when, seq, fn, arg = pop(heap)
                 if fn is call:
                     if seq not in armed:
-                        continue  # cancelled
+                        self._cancelled -= 1
+                        continue
                     armed.remove(seq)
-                self._now = when
+                self.now = when
                 fn(arg)
                 self._processed += 1
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     break
-            if (until is not None and self._now < until
-                    and not (heap and heap[0][0] <= until)):
-                self._now = until
+            if until is not None and self.now < until:
+                # a cancelled entry holds nothing, whether or not a
+                # compaction has dropped it yet
+                while heap and heap[0][2] is call and heap[0][1] not in armed:
+                    pop(heap)
+                    self._cancelled -= 1
+                if not (heap and heap[0][0] <= until):
+                    self.now = until
         finally:
             self._running = False
 

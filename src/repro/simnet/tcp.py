@@ -218,7 +218,8 @@ class TcpSender:
                 self._fast_retransmit()
 
     def _rtt_sample(self, ack: int, now: float) -> None:
-        # Sample from the oldest segment this ACK covers, if untainted.
+        # Fold in every untainted segment this ACK covers, oldest first
+        # (a retransmitted one left ``_send_times``: Karn).
         for seq in sorted(self._send_times):
             if seq >= ack:
                 break

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pointer import (HierarchicalPointerStore, PointerSet,
                                 PointerSnapshot)
+from repro.directory import decode_directory_set
 
 
 class TestPointerSet:
@@ -85,6 +86,18 @@ class TestPointerSet:
         clone = PointerSet.from_bytes(20, ps.to_bytes())
         assert clone == ps
         assert clone.popcount == 3
+
+    def test_load_rejects_bits_past_the_last_slot(self):
+        # 10 slots fill two bytes; bits 10-15 of the second are padding.
+        # Accepting them made popcount (8) and decode ([8, 9]) disagree.
+        ps = PointerSet(10)
+        with pytest.raises(ValueError, match=r"\[10, 11, 12, 13, 14, 15\]"):
+            ps.load(b"\x00\xff")
+        assert len(ps) == 0 and list(ps.iter_slots()) == []
+        with pytest.raises(ValueError, match=r"\[12\] past .* 10 slots"):
+            decode_directory_set("exact", 10, b"\x00\x10")
+        ps.load(b"\x00\x03")  # slots 8 and 9 are real
+        assert list(ps.iter_slots()) == [8, 9] and ps.estimate() == 2
 
     def test_size_bits_is_n(self):
         assert PointerSet(1234).size_bits == 1234

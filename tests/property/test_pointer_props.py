@@ -3,11 +3,21 @@
 Core soundness/completeness claim (§3): for any update sequence, querying
 a window that is still retained must return exactly the destinations
 updated in that window — no false negatives ever, and no false positives
-at level 1 (higher levels only coarsen, never invent)."""
+at level 1 (higher levels only coarsen, never invent).
+
+The bitmap decode and the co-suspect Jaccard are pinned to the paths
+they replaced: a bit-by-bit loop and set algebra over decoded slots."""
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pointer import HierarchicalPointerStore, PointerSet
+from repro.analyzer.apps import (CO_SUSPECTS, _merged_directory_set,
+                                 _slot_mask, rank_co_suspects)
+from repro.core.epoch import EpochRange
+from repro.core.pointer import (HierarchicalPointerStore, PointerSet,
+                                PointerSnapshot, bitmap_slots)
+from repro.directory import make_directory_set
 
 N_SLOTS = 32
 
@@ -105,3 +115,129 @@ def test_union_into_is_set_union(a, b):
         pb.set_slot(s)
     pa.union_into(pb)
     assert set(pb.iter_slots()) == a | b
+
+
+# -- the byte-table decode and the popcount Jaccard ----------------------------
+
+def bit_loop_slots(bits, n_slots):
+    """The decode the byte table replaced: test every bit, one by one."""
+    return [slot for slot in range(n_slots)
+            if bits[slot >> 3] >> (slot & 7) & 1]
+
+
+patterns = st.integers(min_value=1, max_value=200).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern=patterns)
+def test_byte_table_decode_equals_bit_loop(pattern):
+    n_slots, slots = pattern
+    ps = PointerSet(n_slots)
+    for s in slots:
+        ps.set_slot(s)
+    bits = ps.to_bytes()
+    want = bit_loop_slots(bits, n_slots)
+    assert want == sorted(slots)
+    assert bitmap_slots(bits) == want
+    assert list(ps.iter_slots()) == want
+    assert list(PointerSet.from_bytes(n_slots, bits).iter_slots()) == want
+    snap = PointerSnapshot(level=1, segment=0, epochs_covered=1, bits=bits,
+                           n_slots=n_slots)
+    assert snap.slots() == want and snap.true_slots() == want
+    sketch = PointerSnapshot(level=1, segment=0, epochs_covered=1,
+                             bits=bits, n_slots=n_slots, backend="bloom",
+                             truth_bits=bits)
+    assert sketch.true_slots() == want
+
+
+def set_jaccard(a, b):
+    """Jaccard over decoded slot sets: the path the masks replaced."""
+    a, b = set(a.iter_slots()), set(b.iter_slots())
+    union = a | b
+    return len(a & b) / len(union) if union else 0.0
+
+
+def popcount_jaccard(a, b):
+    a, b = _slot_mask(a), _slot_mask(b)
+    union = (a | b).bit_count()
+    return (a & b).bit_count() / union if union else 0.0
+
+
+backends = st.sampled_from([("exact", 0), ("bloom", 0), ("bloom", 24),
+                            ("bloom", 61)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(pattern=patterns, other=st.sets(st.integers(0, 199)),
+       backend=backends)
+def test_popcount_jaccard_equals_set_jaccard(pattern, other, backend):
+    n_slots, slots = pattern
+    name, bits = backend
+    a = make_directory_set(name, n_slots, bits=bits, hashes=3)
+    b = make_directory_set(name, n_slots, bits=bits, hashes=3)
+    for s in slots:
+        a.set_slot(s)
+    for s in other:
+        b.set_slot(s % n_slots)
+    assert _slot_mask(a) == sum(1 << s for s in a.iter_slots())
+    assert popcount_jaccard(a, b) == set_jaccard(a, b)
+
+
+class StoreAgent:
+    """A switch agent reduced to what the co-suspect ranking reads."""
+
+    def __init__(self, store):
+        self.store = store
+
+    def best_effort_snapshots(self, lo, hi):
+        return self.store.snapshots_covering(1, lo, hi), "live"
+
+
+def set_path_ranking(analyzer, suspect, epochs):
+    """``rank_co_suspects`` on decoded slot sets: the oracle."""
+    agents = analyzer.switch_agents
+    ref = _merged_directory_set(
+        agents[suspect].best_effort_snapshots(epochs.lo, epochs.hi)[0])
+    if ref is None:
+        return []
+    ranked = []
+    for name in sorted(agents):
+        if name == suspect:
+            continue
+        other = _merged_directory_set(
+            agents[name].best_effort_snapshots(epochs.lo, epochs.hi)[0])
+        if other is None:
+            continue
+        sim = set_jaccard(ref, other)
+        if sim > 0.0:
+            ranked.append((name, sim))
+    ranked.sort(key=lambda c: (-c[1], c[0]))
+    return ranked[:CO_SUSPECTS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_slots=st.integers(min_value=1, max_value=80),
+       traffic=st.lists(st.lists(st.tuples(st.integers(0, 7),
+                                           st.integers(0, 79)),
+                                 max_size=30),
+                        min_size=2, max_size=7),
+       backend=backends, lo=st.integers(0, 7), span=st.integers(0, 7))
+def test_rank_co_suspects_matches_set_path(n_slots, traffic, backend, lo,
+                                           span):
+    name, bits = backend
+    agents = {}
+    for i, updates in enumerate(traffic):
+        store = HierarchicalPointerStore(
+            n_slots, alpha=8, k=2,
+            set_factory=lambda: make_directory_set(name, n_slots,
+                                                   bits=bits, hashes=3))
+        for epoch, slot in sorted(updates):
+            store.update(epoch, slot % n_slots)
+        agents[f"S{i}"] = StoreAgent(store)
+    analyzer = SimpleNamespace(switch_agents=agents)
+    epochs = EpochRange(lo, lo + span)
+    got = rank_co_suspects(analyzer, "S0", epochs)
+    assert [(c.switch, c.similarity) for c in got] == set_path_ranking(
+        analyzer, "S0", epochs)
+    assert all(c.band_matches == 0 for c in got)

@@ -28,6 +28,7 @@ CASES = {
     "module-state": "module_state",
     "gc-policy": "gc_policy",
     "pointer-read": "pointer_read",
+    "sim-clock": "sim_clock",
     "test-only": "test_only",
 }
 
@@ -129,6 +130,16 @@ def test_pointer_read_names_each_level_read_outside_the_agent():
     for name in (".epoch_status()", ".snapshots_covering()"):
         assert name in blob
     assert all("SwitchAgent.best_effort_snapshots" in v.message
+               for v in violations)
+
+
+def test_sim_clock_names_each_write_outside_the_engine():
+    violations = lint_fixture("sim-clock", "violating")
+    # augmented, tuple-unpacked and setattr writes in a fault; the
+    # engine's own writes and a local named ``now`` are not reported
+    assert {v.rel for v in violations} == {"src/repro/faults/skew.py"}
+    assert [v.line for v in violations] == [5, 9, 13]
+    assert all("only Simulator.run moves the simulated clock" in v.message
                for v in violations)
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.simnet.engine import (PeriodicTimer, SimulationError, Simulator)
+from repro.simnet.engine import (COMPACT_MIN, PeriodicTimer, SimulationError,
+                                 Simulator)
 
 
 class TestScheduling:
@@ -154,6 +155,32 @@ class TestCancellation:
         assert fired == ["own", "done"]
         assert sim.events_processed == 2
         assert not sim._armed        # no tombstone left behind
+
+    def test_cancelled_majority_is_compacted_away(self):
+        sim = Simulator()
+        fired = []
+        n = 4 * COMPACT_MIN
+        events = [sim.schedule(0.1 * (i + 1), fired.append, i)
+                  for i in range(n)]
+        for i, event in enumerate(events):
+            if i % 4:
+                sim.cancel(event)
+                live = n - (i - i // 4)
+                assert sim.pending <= 2 * live + COMPACT_MIN
+        # the heap was rebuilt without the dead: far fewer than n remain
+        assert sim.pending < n // 2
+        sim.run()
+        assert fired == list(range(0, n, 4))
+        assert sim.events_processed == n // 4 and sim.pending == 0
+
+    def test_cancelled_head_does_not_hold_the_clock(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        dead = sim.schedule(2.0, lambda: None)
+        sim.cancel(dead)
+        sim.run(until=10, max_events=1)
+        # only the cancelled event is left at or before `until`
+        assert sim.now == 10 and sim.pending == 0
 
 
 class TestRunControl:

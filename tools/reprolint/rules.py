@@ -19,6 +19,7 @@ pushing checks to where the evidence lives:
   policy;
 * the §4.1.1 read — ``pointer-read``: only the switch agent picks the
   hierarchy level that answers a window;
+* simulated time — ``sim-clock``: only the engine moves the clock;
 * reachability — ``test-only``: a definition in src/repro has a caller
   outside tests/.
 
@@ -1199,7 +1200,75 @@ class PointerRead(Rule):
 
 
 # ---------------------------------------------------------------------------
-# R11: test-only
+# R11: sim-clock
+# ---------------------------------------------------------------------------
+
+#: The one module that moves the simulated clock.
+SIM_CLOCK_OWNER = f"{SRC}/simnet/engine.py"
+
+
+def _attribute_stores(node: ast.AST) -> Iterator[ast.Attribute]:
+    """Every ``x.attr`` an assignment statement writes, unpacking included."""
+    if isinstance(node, ast.Assign):
+        targets: list[ast.expr] = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return
+    while targets:
+        target = targets.pop()
+        if isinstance(target, ast.Attribute):
+            yield target
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+
+
+@register_rule
+class SimClock(Rule):
+    """Only the engine writes a simulator's clock."""
+
+    spec = RuleSpec(
+        name="sim-clock",
+        summary="assignments to a `.now` attribute (and setattr(x, "
+        "\"now\", ...)) are banned in src/repro outside simnet/engine.py",
+        rationale="Simulator.now is a plain attribute, read on every hop "
+        "without a call, so no read-only property stops a write.  "
+        "Only Simulator.run may move it, and only forward: the "
+        "transmitter's `now >= busy_until` test in simnet/link.py and "
+        "every timer assume a monotone clock.",
+        scope="src/repro/ except src/repro/simnet/engine.py",
+        pragma=None,
+        fix="Advance time by running the simulator (Simulator.run with "
+        "`until`), or schedule the work at the time it needs.",
+    )
+
+    def check(self, project: Project) -> Iterator[Violation]:
+        for module in project.under(SRC):
+            if module.rel == SIM_CLOCK_OWNER:
+                continue
+            for node in ast.walk(module.tree):
+                lines = [t.lineno for t in _attribute_stores(node)
+                         if t.attr == "now"]
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "setattr"
+                        and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)
+                        and node.args[1].value == "now"):
+                    lines.append(node.lineno)
+                for line in sorted(lines):
+                    yield self.violation(
+                        module,
+                        line,
+                        f"writes .now outside {SIM_CLOCK_OWNER} — only "
+                        f"Simulator.run moves the simulated clock",
+                    )
+
+
+# ---------------------------------------------------------------------------
+# R12: test-only
 # ---------------------------------------------------------------------------
 
 #: Where a name counts as used: the program, its tools, its benchmarks
