@@ -17,7 +17,8 @@ Updates are O(k) bit-sets off one shared slot index — the "one hash
 operation per packet, same index across all levels" property the MPHF
 buys (§4.1.2).  Sets rotate lazily: a set is reset only when a packet
 first touches its reused window, so an un-overwritten set remains
-queryable for its *old* window (tag-validated).
+queryable for its *old* window (tag-validated).  A set is built by the
+first packet that writes it: a window no packet reached costs no bitmap.
 """
 
 from __future__ import annotations
@@ -221,13 +222,22 @@ SetFactory = Callable[[], Any]
 
 
 class _LevelSlot:
-    """One rotating pointer set with its current window tag."""
+    """One rotating pointer set with its current window tag; the set is
+    ``None`` until the first write, exactly while ``segment`` is."""
 
     __slots__ = ("pointer", "segment")
 
-    def __init__(self, factory: SetFactory):
-        self.pointer = factory()
+    def __init__(self) -> None:
+        self.pointer: Any = None
         self.segment: Optional[int] = None  # None = never used
+
+    def rotate(self, segment: int, factory: SetFactory) -> None:
+        """Start ``segment``'s window with an empty set."""
+        if self.pointer is None:
+            self.pointer = factory()
+        else:
+            self.pointer.clear()
+        self.segment = segment
 
 
 class HierarchicalPointerStore:
@@ -271,10 +281,9 @@ class HierarchicalPointerStore:
         self.set_factory = factory
         # levels[h-1] for h in 1..k-1 holds alpha slots; top is separate.
         self._levels: list[list[_LevelSlot]] = [
-            [_LevelSlot(factory) for _ in range(alpha)]
-            for _ in range(k - 1)]
-        self._top = _LevelSlot(factory)
-        sample = self._top.pointer
+            [_LevelSlot() for _ in range(alpha)] for _ in range(k - 1)]
+        self._top = _LevelSlot()
+        sample = factory()
         if sample.n_slots != n_slots:
             raise ValueError(
                 f"set_factory builds {sample.n_slots}-slot sets, "
@@ -322,16 +331,15 @@ class HierarchicalPointerStore:
             seg = epoch // divisors[level_idx]
             ls = level_slots[seg % alpha]
             if ls.segment != seg:
-                ls.pointer.clear()
-                ls.segment = seg
+                ls.rotate(seg, self.set_factory)
             ls.pointer.set_slot(slot)
         seg = epoch // divisors[self.k - 1]
-        if self._top.segment != seg:
-            if self._top.segment is not None:
+        top = self._top
+        if top.segment != seg:
+            if top.segment is not None:
                 self._push_top()
-            self._top.pointer.clear()
-            self._top.segment = seg
-        self._top.pointer.set_slot(slot)
+            top.rotate(seg, self.set_factory)
+        top.pointer.set_slot(slot)
 
     def _push_top(self) -> None:
         self.pushes += 1

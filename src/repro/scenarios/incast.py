@@ -275,14 +275,16 @@ register_sweep(SweepSpec(
         {"hosts": 4096, "flows": 2000},
         {"hosts": 65536, "flows": 100000},
     ),
-    budget_note="measured on 2 cores, Python 3.11, seed 1729, two runs, "
-                "every packet decoded on arrival: hosts=4096 flows=2000 "
-                "at 0.35-0.36 s wall (build 0.04 s, run 0.31-0.32 s, "
-                "diagnose 0.001 s; 50 MB peak RSS; 80-switch leaf-spine, "
-                "2009 concurrent flows); hosts=65536 flows=100000 at "
-                "14.3-14.5 s wall (build 0.9 s, run 13.4-13.6 s, "
-                "diagnose 0.02 s; 596 MB peak RSS; 64-leaf/16-spine "
-                "fabric, 65,536 hosts, 100k background flows). Adding "
-                "further top-end points must re-measure and keep the "
-                "whole nightly run under ~10 min.",
+    budget_note="measured on 2 shared cores (wall times vary up to "
+                "~2.5x between days; peak RSS repeats), Python 3.11, seed "
+                "1729, two runs, every packet decoded on arrival: "
+                "hosts=4096 flows=2000 at 0.82-1.11 s wall (build "
+                "0.13-0.28 s, run 0.70-0.83 s, diagnose 0.003 s; 44 MB "
+                "peak RSS; 80-switch leaf-spine, 2009 concurrent flows); "
+                "hosts=65536 flows=100000 at 32.3-37.6 s wall (build "
+                "2.0-3.2 s, run 30.2-34.3 s, diagnose 0.05 s; 501 MB peak "
+                "RSS; 64-leaf/16-spine fabric, 65,536 hosts, 100k "
+                "background flows; 1,677,454 events). Adding further "
+                "top-end points must re-measure and keep the whole "
+                "nightly run under ~10 min.",
 ))

@@ -14,7 +14,8 @@ SwitchPointer:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from .engine import Simulator
 from .link import Interface
@@ -24,6 +25,10 @@ from .packet import Packet
 SocketHandler = Callable[[Packet, float], None]
 #: Sniffer: called with (host, packet, arrival_time).
 Sniffer = Callable[["Host", Packet, float], None]
+
+#: the socket table of every host that bound no port: shared, so it is
+#: read-only (``bind`` gives a host its own first)
+_NO_SOCKETS: Mapping[tuple[int, int], SocketHandler] = MappingProxyType({})
 
 
 class Host:
@@ -36,7 +41,7 @@ class Host:
         self.sim = sim
         self.name = name
         self.nic: Optional[Interface] = None
-        self._sockets: dict[tuple[int, int], SocketHandler] = {}
+        self._sockets = _NO_SOCKETS  # a table of its own at the first bind
         self.sniffers: list[Sniffer] = []
         self.rx_packets = 0
         self.rx_bytes = 0
@@ -58,10 +63,13 @@ class Host:
         key = (proto, port)
         if key in self._sockets:
             raise ValueError(f"port {key} already bound on {self.name}")
+        if self._sockets is _NO_SOCKETS:
+            self._sockets = {}
         self._sockets[key] = handler
 
     def unbind(self, proto: int, port: int) -> None:
-        self._sockets.pop((proto, port), None)
+        if self._sockets:
+            self._sockets.pop((proto, port), None)
 
     # -- datapath ------------------------------------------------------------
 

@@ -13,11 +13,13 @@ in the interface's output queue.  That queue is where all of the paper's
 §2 contention effects materialize.
 
 Event budget: the transmitter is a ``busy_until`` timestamp.  A packet
-offered to a free port is admitted through the queue and only its
-delivery is scheduled, at ``(now + size * 8 / rate) + propagation_delay``;
-a packet that has to wait arms the port's one ``_depart`` timer at
-``busy_until``, re-armed only while the queue is non-empty.  An idle hop
-is one event, and a port that never carried a packet scheduled nothing.
+offered to a free port with nothing waiting is admitted and released
+by the queue without entering its buffer, and only its delivery is
+scheduled, at ``(now + size * 8 / rate) + propagation_delay``; a packet
+that has to wait is buffered and arms the port's one ``_depart`` timer
+at ``busy_until``, re-armed only while the queue is non-empty.  An idle
+hop is one event, and a port that never carried a packet scheduled
+nothing.
 
 Ordering (contract in :mod:`.engine`; ``now >= busy_until`` needs its
 monotone clock): one same-instant tie is a rule, not an accident of
@@ -28,14 +30,13 @@ then firing at t finds the port busy and only re-arms.
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 from .engine import Simulator
 from .packet import Packet
 from .queues import DropTailFIFO, PacketQueue
 
-_link_ids = itertools.count(0)
 _NEVER = float("-inf")  # ``busy_until`` before the first packet, shared
 
 
@@ -107,7 +108,12 @@ class Interface:
         queue = self.queue
         # sizes are positive: depth_bytes is non-zero exactly while a packet
         # waits.  The same-instant rule: a departure due now goes first.
-        if queue.depth_bytes and self.sim.now >= self.busy_until:
+        if self.sim.now >= self.busy_until:
+            if not queue.depth_bytes:  # nothing waits: no buffer
+                admitted = queue._admit(pkt)
+                if admitted:
+                    self._transmit(queue._release(pkt))
+                return admitted
             self._serve()
         if not queue.enqueue(pkt):
             return False
@@ -117,20 +123,24 @@ class Interface:
     def _serve(self) -> None:
         """Start the next packet if the port is free, and keep the port's
         one timer armed exactly while a packet waits."""
-        queue, now = self.queue, self.sim.now
-        if queue.depth_bytes and now >= self.busy_until:
-            pkt = queue.dequeue()
-            for tap in self.tx_taps:
-                tap(pkt, now)
-            self.tx_packets += 1
-            self.tx_bytes += pkt.size
-            link = self.link
-            self.busy_until = done = now + pkt.size * 8 / link.rate_bps
-            # never cancelled → fire-and-forget fast-path events
-            self.sim.call_at(done + link.propagation_delay, self._deliver, pkt)
+        queue = self.queue
+        if queue.depth_bytes and self.sim.now >= self.busy_until:
+            self._transmit(queue.dequeue())
         if queue.depth_bytes and not self._armed:
             self._armed = True
             self.sim.call_at(self.busy_until, self._depart)
+
+    def _transmit(self, pkt: Packet) -> None:
+        """Start serializing ``pkt`` now and schedule its delivery."""
+        now = self.sim.now
+        for tap in self.tx_taps:
+            tap(pkt, now)
+        self.tx_packets += 1
+        self.tx_bytes += pkt.size
+        link = self.link
+        self.busy_until = done = now + pkt.size * 8 / link.rate_bps
+        # never cancelled → fire-and-forget fast-path events
+        self.sim.call_at(done + link.propagation_delay, self._deliver, pkt)
 
     def _depart(self, _arg: None = None) -> None:
         self._armed = False
@@ -155,24 +165,24 @@ class Link:
         direction; defaults to :class:`DropTailFIFO`.
     """
 
-    __slots__ = ("sim", "rate_bps", "propagation_delay", "link_id",
-                 "vlan_id", "up", "iface_a", "iface_b", "a", "b")
+    __slots__ = ("sim", "rate_bps", "propagation_delay", "vlan_id", "up",
+                 "iface_a", "iface_b", "a", "b")
 
     def __init__(self, sim: Simulator, a: Node, b: Node, *,
                  rate_bps: float = 1e9, propagation_delay: float = 2e-6,
                  queue_factory: Optional[Callable[[], PacketQueue]] = None):
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
-        if propagation_delay < 0:
-            raise ValueError("propagation delay cannot be negative")
+        # chained so that NaN fails too
+        if not 0 < rate_bps < math.inf:
+            raise ValueError(
+                f"rate_bps must be positive and finite, got {rate_bps!r}")
+        if not 0 <= propagation_delay < math.inf:
+            raise ValueError(f"propagation_delay must be non-negative and "
+                             f"finite, got {propagation_delay!r}")
         self.sim = sim
         self.rate_bps = rate_bps
         self.propagation_delay = propagation_delay
-        #: Process-global identity (debugging, cache keys).
-        self.link_id = next(_link_ids)
         #: Per-network wire identifier assigned by Network.connect —
-        #: this is what fits a 12-bit VLAN tag, NOT link_id (which
-        #: grows without bound across networks in one process).
+        #: what the 12-bit VLAN tag carries.
         self.vlan_id: Optional[int] = None
         #: Liveness: a down link silently drops every packet offered to
         #: either direction.  Packets already serializing or propagating

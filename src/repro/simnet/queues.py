@@ -17,6 +17,7 @@ statistics that the experiment harnesses read.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterator, Optional
 
@@ -31,8 +32,11 @@ class PacketQueue:
     """Interface: bounded packet queue with byte accounting.
 
     The queue carries its own counters; ``queue.stats`` is the queue
-    itself, read as its counter block.  The buffer ``_q`` is ``None``
-    until the first packet is enqueued: an unused port holds no ``deque``.
+    itself, read as its counter block.  The buffer ``_q`` holds waiting
+    packets only, and is ``None`` until the first packet has to wait: a
+    packet the transmitter sends at once passes through ``_admit`` and
+    ``_release`` without touching it, so a port that never queued holds
+    no ``deque``.
     """
 
     COUNTERS = ("enqueued", "dequeued", "dropped", "bytes_enqueued",
@@ -41,8 +45,10 @@ class PacketQueue:
     __slots__ = ("capacity_bytes", "depth_bytes", "_q", *COUNTERS)
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
+        # chained so that NaN fails too
+        if not 0 < capacity_bytes < math.inf:
+            raise ValueError(f"capacity_bytes must be positive and finite, "
+                             f"got {capacity_bytes!r}")
         self.capacity_bytes = capacity_bytes
         self._q = None
         self.depth_bytes = 0
@@ -74,7 +80,7 @@ class PacketQueue:
     def __bool__(self) -> bool:
         return len(self) > 0
 
-    # -- shared bookkeeping ------------------------------------------------
+    # -- shared bookkeeping (the transmitter's free-port path too) ---------
 
     def _admit(self, pkt: Packet) -> bool:
         if self.depth_bytes + pkt.size > self.capacity_bytes:

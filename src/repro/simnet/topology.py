@@ -457,7 +457,7 @@ class Network:
                             if sdist[peer].get(rack) == d_sw[rack] - 1)
                 for rack in racks if d_sw.get(rack)})
             for dst, link in access[sw_name]:
-                sw.set_routes(dst, [link.iface_of(sw)])
+                sw.set_routes(dst, (link.iface_of(sw),))
         return True
 
     def set_link_state(self, a: str, b: str, up: bool, *,

@@ -3,8 +3,12 @@
 Most hosts of a large fabric never receive a packet, so a host agent is
 built to cost a few slots until its traffic arrives: its record store
 shares one read-only empty table with every other idle store, and its
-query engine is built by the first query.  These tests pin that
-footprint and the lifetime of per-host state.
+query engine is built by the first query.  The fabric under it follows
+the same rule: a host that bound no port shares one empty socket table,
+an attached host's route is one tuple, a port allocates a buffer only
+when a packet has to wait, and a pointer set exists only once a packet
+wrote it.  These tests pin that footprint and the lifetime of per-host
+state.
 """
 
 import gc
@@ -13,12 +17,13 @@ import tracemalloc
 
 import pytest
 
+from repro.core.pointer import HierarchicalPointerStore
 from repro.core.rng import seed_run
 from repro.deployment import SwitchPointerDeployment
 from repro.hostd.agent import HostAgent
 from repro.hostd.records import _IDLE, FlowRecordStore
 from repro.scenarios import run_scenario
-from repro.simnet.host import Host
+from repro.simnet.host import _NO_SOCKETS, Host
 from repro.simnet.packet import make_udp
 from repro.simnet.topology import build_leaf_spine
 
@@ -139,3 +144,83 @@ def test_no_per_host_state_outlives_its_scenario():
     assert census() == held
     del second
     assert census() == base
+
+
+class TestUntouchedFabricState:
+    """State no packet touched is shared or absent, never allocated."""
+
+    def test_a_never_bound_host_shares_the_empty_socket_table(self):
+        net = build_leaf_spine(2, 1, 2)
+        assert all(h._sockets is _NO_SOCKETS for h in net.hosts.values())
+        host = net.hosts["h0_0"]
+        host.unbind(17, 9)  # nothing bound: a no-op on the shared table
+        host.bind(17, 9, lambda pkt, now: None)
+        assert host._sockets is not _NO_SOCKETS and len(host._sockets) == 1
+        assert len(_NO_SOCKETS) == 0
+        with pytest.raises(TypeError):
+            _NO_SOCKETS[17, 9] = None  # read-only: no host can fill it
+        host.unbind(17, 9)
+        assert len(host._sockets) == 0
+        assert net.hosts["h1_0"]._sockets is _NO_SOCKETS
+
+    def test_an_attached_hosts_route_is_one_tuple(self):
+        net = build_leaf_spine(2, 2, 2)
+        leaf = net.switches["leaf0"]
+        for dst in ("h0_0", "h0_1"):
+            route = leaf._host_routes[dst]
+            assert type(route) is tuple and len(route) == 1
+            assert route[0].peer_node is net.hosts[dst]
+        # the first edit gives that host a list of its own
+        extra = net.link_between("leaf0", "spine0").iface_of(leaf)
+        leaf.install_route("h0_0", extra)
+        own = net.hosts["h0_0"].nic.peer_iface
+        assert leaf._host_routes["h0_0"] == [own, extra]
+        assert type(leaf._host_routes["h0_1"]) is tuple
+
+    def test_a_pointer_slot_no_update_wrote_holds_no_set(self):
+        store = HierarchicalPointerStore(64, alpha=4, k=3)
+
+        def held():
+            return sum(ls.pointer is not None for ls in slots_of(store))
+
+        assert held() == 0 and store.memory_bits == (4 * 2 + 1) * 64
+        store.update(0, 5)
+        assert held() == 3  # one set per level
+        store.update(1, 5)  # a new level-1 window: one more set
+        assert held() == 4
+        store.update(4, 7)  # level 1 reuses epoch 0's slot; level 2 moves
+        assert held() == 5
+        for ls in slots_of(store):
+            assert (ls.pointer is None) == (ls.segment is None)
+        assert store.snapshot(1, 2) is None
+        assert store.epoch_status(1, 2) == "empty"
+
+    def test_a_deployment_builds_sets_only_where_packets_passed(self):
+        net = build_leaf_spine(2, 1, 2)
+        deployment = SwitchPointerDeployment(net)
+        stores = {name: dp.store for name, dp in deployment.datapaths.items()}
+        assert not any(ls.pointer is not None for store in stores.values()
+                       for ls in slots_of(store))
+        net.hosts["h0_0"].send(make_udp("h0_0", "h0_1", 1, 9, 500))
+        net.run()
+        # the packet stayed in rack 0: only leaf0 wrote, one set a level
+        written = {name: sum(ls.pointer is not None for ls in slots_of(s))
+                   for name, s in stores.items()}
+        assert written == {"leaf0": stores["leaf0"].k, "leaf1": 0,
+                           "spine0": 0}
+
+    def test_a_port_whose_packets_never_waited_holds_no_buffer(self):
+        net = build_leaf_spine(2, 1, 2)
+        for i in range(3):
+            net.sim.call_at(i * 1e-3, net.hosts["h0_0"].send,
+                            make_udp("h0_0", "h1_1", 1, 9, 1500))
+        net.run()
+        ports = [i for sw in net.switches.values() for i in sw.interfaces]
+        ports += [h.nic for h in net.hosts.values()]
+        assert sum(i.tx_packets for i in ports) == 3 * 4  # four hops each
+        assert all(i.queue._q is None for i in ports)
+        assert net.hosts["h1_1"].rx_packets == 3
+
+
+def slots_of(store):
+    return [*(ls for level in store._levels for ls in level), store._top]

@@ -2,13 +2,14 @@
 scenario under the eager oracle (``tests/simnet/oracles.py``) and under
 the runtime's transmitter must tell the same story — every counter the
 simulation keeps except the event count, the simulated clock, and the
-verdicts — and only ports that carried a packet may hold a buffer.
+verdicts — and only ports where a packet had to wait may hold a buffer.
 """
 
 import pytest
 
 from repro import scenarios
 from repro.core.rng import seed_run
+from repro.simnet.link import Interface
 from repro.simnet.topology import build_leaf_spine
 from tests.simnet.oracles import EagerInterface
 
@@ -57,10 +58,31 @@ def run(seed):
     return scenarios.run_scenario("incast", **KNOBS)
 
 
+def record_waits(patch):
+    """Patch ``Interface.send`` to collect the ports where an admitted
+    packet found the transmitter busy or a packet already waiting."""
+    waited = set()
+    send = Interface.send
+
+    def recording_send(iface, pkt):
+        queue = iface.queue
+        busy = iface.sim.now < iface.busy_until or queue.depth_bytes > 0
+        admitted_before = queue.enqueued
+        accepted = send(iface, pkt)
+        if busy and queue.enqueued > admitted_before:
+            waited.add(iface)
+        return accepted
+
+    patch.setattr(Interface, "send", recording_send)
+    return waited
+
+
 @pytest.mark.parametrize("seed", [1729, 1730, 1731, 1732, 1733])
 def test_incast_tells_the_same_story_under_both_transmitters(seed,
                                                              monkeypatch):
-    new = run(seed)
+    with monkeypatch.context() as patch:
+        waited = record_waits(patch)
+        new = run(seed)
     with monkeypatch.context() as patch:
         patch.setattr("repro.simnet.link.Interface", EagerInterface)
         old = run(seed)
@@ -70,10 +92,14 @@ def test_incast_tells_the_same_story_under_both_transmitters(seed,
     # the declared change: fewer events, nothing else
     assert (new.network.sim.events_processed
             < 0.75 * old.network.sim.events_processed)
-    # a buffer exists exactly where a packet was ever enqueued
+    # a buffer exists exactly where a packet had to wait, so a port
+    # whose packets all found it free holds none
     for iface in ports(new.network):
-        assert (iface.queue._q is not None) == (iface.queue.enqueued > 0)
+        assert (iface.queue._q is not None) == (iface in waited)
         assert not iface._armed
+    buffers = sum(i.queue._q is not None for i in ports(new.network))
+    carried = sum(i.tx_packets > 0 for i in ports(new.network))
+    assert 0 < buffers < carried
 
 
 def test_a_built_fabric_holds_no_buffers():

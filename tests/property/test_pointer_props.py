@@ -241,3 +241,90 @@ def test_rank_co_suspects_matches_set_path(n_slots, traffic, backend, lo,
     assert [(c.switch, c.similarity) for c in got] == set_path_ranking(
         analyzer, "S0", epochs)
     assert all(c.band_matches == 0 for c in got)
+
+
+# -- sets built by their first write, against sets built up front ---------
+
+
+class EagerPointerStore(HierarchicalPointerStore):
+    """The store before its sets went lazy: every level slot holds a set
+    from construction on, and a rotation clears it in place."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for ls in level_slots(self):
+            ls.pointer = self.set_factory()
+
+    def update(self, epoch, slot):
+        self.updates += 1
+        for level_idx, slots in enumerate(self._levels):
+            seg = epoch // self._divisors[level_idx]
+            ls = slots[seg % self.alpha]
+            if ls.segment != seg:
+                ls.pointer.clear()
+                ls.segment = seg
+            ls.pointer.set_slot(slot)
+        seg = epoch // self._divisors[self.k - 1]
+        if self._top.segment != seg:
+            if self._top.segment is not None:
+                self._push_top()
+            self._top.pointer.clear()
+            self._top.segment = seg
+        self._top.pointer.set_slot(slot)
+
+
+def level_slots(store):
+    return [*(ls for level in store._levels for ls in level), store._top]
+
+
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("update"), st.integers(0, 40),   # epoch step
+                  st.integers(0, N_SLOTS - 1)),
+        st.tuples(st.just("read"), st.integers(1, 4),      # level
+                  st.integers(-3, 40))),                   # epoch offset
+    min_size=1, max_size=120)
+
+
+def reads(store, level, epoch):
+    if level > store.k:
+        level = store.k
+    return (store.snapshot(level, epoch), store.epoch_status(level, epoch),
+            store.snapshots_covering(level, max(epoch, 0) // 2,
+                                     max(epoch, 0)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=store_ops, alpha=st.sampled_from([2, 3, 4]),
+       k=st.integers(min_value=1, max_value=4), backend=backends)
+def test_lazy_sets_answer_like_eager_sets(ops, alpha, k, backend):
+    """Random updates (epochs moving forward across rotations and top
+    pushes) interleaved with reads: every snapshot, status, push payload
+    and ``memory_bits`` agree, and a slot no update wrote holds no set."""
+    name, bits = backend
+    pushed = {"lazy": [], "eager": []}
+    stores = {}
+    for kind, build in (("lazy", HierarchicalPointerStore),
+                        ("eager", EagerPointerStore)):
+        stores[kind] = build(
+            N_SLOTS, alpha=alpha, k=k, on_push=pushed[kind].append,
+            set_factory=lambda: make_directory_set(name, N_SLOTS, bits=bits,
+                                                   hashes=3))
+    lazy, eager = stores["lazy"], stores["eager"]
+    epoch = 0
+    for op, a, b in ops:
+        if op == "update":
+            epoch += a
+            lazy.update(epoch, b)
+            eager.update(epoch, b)
+        else:
+            assert reads(lazy, a, epoch + b) == reads(eager, a, epoch + b)
+        assert pushed["lazy"] == pushed["eager"]
+    lazy.flush_top()
+    eager.flush_top()
+    assert pushed["lazy"] == pushed["eager"]
+    assert lazy.memory_bits == eager.memory_bits
+    assert (lazy.backend, lazy.set_size_bits) == (eager.backend,
+                                                  eager.set_size_bits)
+    for ls in level_slots(lazy):
+        assert (ls.pointer is None) == (ls.segment is None)

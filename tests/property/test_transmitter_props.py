@@ -7,7 +7,9 @@ down and up mid-run — are driven through one direction of a link under
 both transmitters.  Everything observable must agree: the ``(delivery
 time, packet)`` sequence, the six queue counters, ``tx_packets`` /
 ``tx_bytes``, the tap ``(packet, time)`` sequence, ``dropped_link_down``
-and what ``send`` returned.
+and what ``send`` returned.  The runtime holds a buffer only if some
+packet had to wait (began serializing after it arrived); the oracle
+queues every packet.
 
 The one stated difference is the same-instant tie.  The oracle judges an
 arrival that coincides with a departure in event scheduling order; the
@@ -71,13 +73,13 @@ def drive(iface_cls, schedule, fabric, discipline, capacity, *, late=False):
                     propagation_delay=prop, queue_factory=factory)
     iface = link.iface_a
     assert type(iface) is iface_cls
-    taps, accepted, arrivals = [], [], []
+    taps, accepted, arrivals = [], [], {}
     iface.tx_taps += (lambda pkt, t: taps.append((pkt.flow.sport, t)),)
 
     def act(numbered):
         index, (kind, _gap, size, prio) = numbered
         if kind == "pkt":
-            arrivals.append(sim.now)
+            arrivals[index] = sim.now
             accepted.append(iface.send(
                 make_udp("a", "b", index, 2, size, priority=prio)))
         elif kind == "down":
@@ -100,7 +102,9 @@ def drive(iface_cls, schedule, fabric, discipline, capacity, *, late=False):
     return {"delivered": sink.got, "queue": iface.queue.snapshot(),
             "tx": (iface.tx_packets, iface.tx_bytes), "taps": taps,
             "down_drops": iface.dropped_link_down, "accepted": accepted,
-            "coincide": bool(departures & set(arrivals))}
+            "coincide": bool(departures & set(arrivals.values())),
+            "buffered": iface.queue._q is not None,
+            "waited": any(start > arrivals[i] for i, start in taps)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,6 +120,9 @@ def test_transmitter_matches_the_eager_oracle(schedule, fabric, discipline,
                          capacity)
     coincide = as_scheduled.pop("coincide")
     assert new.pop("coincide") == departure_first.pop("coincide")
+    assert new.pop("buffered") == new["waited"]
+    for oracle in (departure_first, as_scheduled):
+        assert oracle.pop("buffered") == any(oracle["accepted"])
     assert new == departure_first
     if not coincide:
         assert new == as_scheduled
@@ -132,3 +139,17 @@ def test_the_schedules_can_land_on_a_departure():
     assert eager["coincide"] and lazy["coincide"]
     assert eager["accepted"] == [True, True, False]
     assert lazy["accepted"] == [True, True, True]
+
+
+def test_a_port_whose_packets_never_wait_holds_no_buffer():
+    """Keeps the buffer check above from going vacuous: spaced packets
+    pass straight through; one that arrives mid-serialization waits."""
+    spaced = [("pkt", 12, 125, 0), ("pkt", 12, 1500, 1), ("pkt", 13, 125, 2)]
+    lazy = drive(Interface, spaced, "dyadic", "priority", 4000)
+    assert lazy["accepted"] == [True] * 3
+    assert not lazy["waited"] and not lazy["buffered"]
+    assert lazy["queue"]["enqueued"] == lazy["queue"]["dequeued"] == 3
+    assert lazy["queue"]["max_depth_bytes"] == 1500
+    crowded = spaced + [("pkt", 0, 125, 0)]
+    lazy = drive(Interface, crowded, "dyadic", "fifo", 4000)
+    assert lazy["waited"] and lazy["buffered"]

@@ -90,7 +90,8 @@ def test_stdlib_only_runtime_names_each_third_party_import():
 
 
 def test_module_state_names_each_grown_name_and_unbounded_cache():
-    violations = lint_fixture("module-state", "violating")
+    violations = [v for v in lint_fixture("module-state", "violating")
+                  if v.rel == "src/repro/memo.py"]
     blob = "\n".join(v.message for v in violations)
     # subscript store (memo), method append, method discard, nested
     # augmented subscript; then cache, lru_cache decorator, lru_cache call
@@ -103,6 +104,18 @@ def test_module_state_names_each_grown_name_and_unbounded_cache():
     # a container is reported at its binding line, once
     assert {v.line for v in violations if "is mutated" in v.message} == {
         7, 8, 9, 10}
+
+
+def test_module_state_names_each_module_counter_a_function_advances():
+    violations = [v for v in lint_fixture("module-state", "violating")
+                  if v.rel == "src/repro/ids.py"]
+    blob = "\n".join(v.message for v in violations)
+    # itertools.count through the module, through a renamed from-import,
+    # and a builtin iter(); one never passed to next() is not flagged
+    for name in ("'_link_ids'", "'_serials'", "'_tokens'"):
+        assert f"module-level {name} is mutated by a function" in blob
+    assert "_never_advanced" not in blob
+    assert [v.line for v in violations] == [6, 7, 8]
 
 
 def test_gc_policy_names_each_call_outside_the_scenario_driver():

@@ -6,6 +6,7 @@ from repro.simnet.engine import Simulator
 from repro.simnet.link import Link
 from repro.simnet.packet import make_udp
 from repro.simnet.queues import DropTailFIFO
+from repro.simnet.topology import build_star
 
 
 class Recorder:
@@ -207,11 +208,25 @@ class TestLinkWiring:
         with pytest.raises(ValueError):
             Link(sim, a, b, propagation_delay=-1e-6)
 
-    def test_link_ids_unique(self):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("param", ["rate_bps", "propagation_delay"])
+    def test_non_finite_parameters_are_rejected(self, param, value):
+        # used to be accepted, then fail at the first packet with an
+        # engine error about a non-finite event time
         sim = Simulator()
-        _, _, l1 = make_pair(sim)
-        _, _, l2 = make_pair(sim)
-        assert l1.link_id != l2.link_id
+        a, b = Recorder("a", sim), Recorder("b", sim)
+        with pytest.raises(ValueError, match=param):
+            Link(sim, a, b, **{param: value})
+
+    def test_vlan_ids_are_network_local(self):
+        # a link's identity is its network's wire id, not how many links
+        # the process built before
+        first, second = build_star(3), build_star(3)
+        assert [link.vlan_id for link in first.links] == [0, 1, 2]
+        assert ([link.vlan_id for link in second.links]
+                == [link.vlan_id for link in first.links])
+        assert not hasattr(first.links[0], "link_id")
 
     def test_interface_name(self):
         sim = Simulator()

@@ -53,6 +53,15 @@ class TestDropTailFIFO:
         with pytest.raises(ValueError):
             DropTailFIFO(capacity_bytes=0)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("discipline", [DropTailFIFO,
+                                            StrictPriorityQueue])
+    def test_non_finite_capacity_is_rejected(self, discipline, capacity):
+        # a NaN capacity used to compare false against every depth and
+        # admit without bound
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            discipline(capacity_bytes=capacity)
+
     def test_exact_fit_admitted(self):
         q = DropTailFIFO(capacity_bytes=100)
         assert q.enqueue(pkt(100))

@@ -38,7 +38,7 @@ def reference_routes(net) -> dict[tuple[str, str], list[int]]:
                     continue
                 peer = link.peer_of(sw)
                 if dist[peer.name].get(dst) == d_here - 1:
-                    candidates.append(link.link_id)
+                    candidates.append(link.vlan_id)
             if candidates:
                 out[(sw_name, dst)] = candidates
     return out
@@ -50,7 +50,7 @@ def installed_routes(net) -> dict[tuple[str, str], list[int]]:
         for dst in net.hosts:
             ifaces = sw.routes_for(dst)
             if ifaces:
-                out[(sw_name, dst)] = [iface.link.link_id
+                out[(sw_name, dst)] = [iface.link.vlan_id
                                        for iface in ifaces]
     return out
 
@@ -99,7 +99,7 @@ class TestComputeRoutesEquivalence:
         assert not net._compute_routes_fast()
 
         def reference():
-            by_id = {link.link_id: link for link in net.links}
+            by_id = {link.vlan_id: link for link in net.links}
             out = {}
             for (sw, dst), ids in reference_routes(net).items():
                 kept = [i for i in ids
@@ -137,7 +137,7 @@ class TestGenericAndFastRoutesAgree:
     def fib(net):
         """What a packet sees: ``routes_for`` of every (switch, host)
         pair that has a route, candidate order included."""
-        return {(name, dst): tuple(iface.link.link_id for iface in ifaces)
+        return {(name, dst): tuple(iface.link.vlan_id for iface in ifaces)
                 for name, sw in net.switches.items()
                 for dst in net.hosts
                 if (ifaces := sw.routes_for(dst))}
@@ -191,8 +191,8 @@ class TestTwoLevelFib:
         for name, sw in net.switches.items():
             own = 256 if name.startswith("leaf") else 0
             assert route_entries(sw) <= len(net.switches) - 1 + own
-        spine_ids = [link.link_id for link in net.links[:16]]
-        assert [i.link.link_id for i in
+        spine_ids = [link.vlan_id for link in net.links[:16]]
+        assert [i.link.vlan_id for i in
                 net.switches["leaf0"].routes_for("h63_255")] == spine_ids
 
     def test_host_route_overrides_its_rack_for_that_host_only(self):

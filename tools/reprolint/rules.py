@@ -934,8 +934,19 @@ def _is_container(value: Optional[ast.expr]) -> bool:
     return isinstance(value, _CONTAINER_DISPLAYS)
 
 
+def _is_iterator(module: Module, value: Optional[ast.expr]) -> bool:
+    """``itertools.count(...)`` or ``iter(...)``: what ``next()`` advances."""
+    if not isinstance(value, ast.Call):
+        return False
+    name = module.qualified_call(value)
+    if name is None and isinstance(value.func, ast.Name):
+        name = value.func.id
+    return name in ("itertools.count", "iter")
+
+
 def _module_containers(module: Module) -> dict[str, ast.stmt]:
-    """Module-level names bound to a fresh dict/list/set, with the binding."""
+    """Module-level names bound to a fresh dict/list/set or iterator,
+    with the binding."""
     out: dict[str, ast.stmt] = {}
     for stmt in module.tree.body:
         if isinstance(stmt, ast.Assign):
@@ -944,7 +955,7 @@ def _module_containers(module: Module) -> dict[str, ast.stmt]:
             targets, value = [stmt.target], stmt.value
         else:
             continue
-        if _is_container(value):
+        if _is_container(value) or _is_iterator(module, value):
             for target in targets:
                 if isinstance(target, ast.Name):
                     out.setdefault(target.id, stmt)
@@ -993,6 +1004,8 @@ def _mutated_name(node: ast.AST) -> Optional[str]:
         and node.func.attr in _MUTATORS
     ):
         target = node.func.value
+    elif isinstance(node, ast.Call) and _callee_name(node) == "next" and node.args:
+        target = node.args[0]
     else:
         return None
     return target.id if isinstance(target, ast.Name) else None
@@ -1030,26 +1043,31 @@ class ModuleState(Rule):
 
     spec = RuleSpec(
         name="module-state",
-        summary="a module-level dict/list/set a function mutates, and "
-        "functools.cache / lru_cache(maxsize=None), are banned in "
-        "src/repro",
+        summary="a module-level dict/list/set a function mutates, a "
+        "module-level iterator a function advances, and functools.cache / "
+        "lru_cache(maxsize=None), are banned in src/repro",
         rationale="Module state outlives every object that filled it: a "
         "process-wide memo keeps every flow of every network a sweep or "
         "experiment worker ever simulated, so the worker grows cell "
         "after cell and a measured peak RSS reads the leak, not the "
         "run.  It is also shared by every caller in the process, so one "
-        "test or cell can change what the next one sees.  An unbounded "
+        "test or cell can change what the next one sees.  A module-level "
+        "counter is the same sharing: the id it hands out depends on how "
+        "many objects the process built before.  An unbounded "
         "functools cache is the same leak behind a decorator.",
         scope="src/repro/ (module-level names bound to a dict/list/set "
         "display or comprehension, or to dict()/list()/set()/"
         "defaultdict()/OrderedDict(), that a function subscript-stores, "
         "deletes from, augments or calls append/extend/insert/add/"
         "update/setdefault/pop/popitem/remove/discard/clear on; "
+        "module-level names bound to itertools.count() or iter() that a "
+        "function passes to next(); "
         "functools.cache and lru_cache(maxsize=None) anywhere)",
         pragma="module-state",
         fix="Hang the state on the object whose lifetime it shares (the "
         "Network, the deployment, the scenario) and hand it to whoever "
-        "needs it; bound a cache, or memoize on that object.  State "
+        "needs it (a counter too, or use the container's length); bound "
+        "a cache, or memoize on that object.  State "
         "filled once at import time and only read afterwards is not "
         "flagged; a deliberate process-wide registry carries the pragma "
         "on its binding line.",
