@@ -8,9 +8,11 @@ it into a flow-record update:
   plan of (src, dst, linkID); the epoch tag is unwrapped against the
   host's own epoch estimate; and the §4.2.1 range extrapolation assigns
   every switch on the path an epoch range around the embedder's
-  observed epoch.  Packets that carry the same tag over the same path
-  within one host epoch share one result (``_parsed``): the store only
-  reads it, and :class:`EpochRange` is frozen.
+  observed epoch.  The store folds a packet carrying the tag object its
+  flow's record folded last, in the same host epoch and topology
+  version, with one probe and no parse (``FlowRecordStore.refold``);
+  other packets with the same tag over the same path in one host epoch
+  share one parse (``_parsed``), which the store only reads.
 * **INT mode** — each hop carried its own (switchID, epochID); ranges
   collapse to the observed epoch ± the skew allowance.
 * **No telemetry** — counted (``undecodable``); nothing is invented.
@@ -71,26 +73,31 @@ class TelemetryDecoder:
     def on_packet(self, host: Host, pkt: Packet, now: float) -> None:
         """Host sniffer hook: decode ``pkt`` and update the record."""
         telemetry = pkt.telemetry
+        store = self.store
         if isinstance(telemetry, VlanDoubleTag):
-            switches, ranges, observed = self._parse_vlan(pkt, telemetry,
-                                                          now)
+            reference = self.host_clock.epoch_of(now)
+            version = self.planner.network.topology_version
+            if not store.refold(pkt, now, telemetry, reference, version):
+                switches, ranges, observed = self._parse_vlan(
+                    pkt, telemetry, reference)
+                store.ingest(pkt.flow, pkt.size, now, pkt.priority,
+                             switches, ranges, observed, telemetry,
+                             reference, version)
         elif isinstance(telemetry, IntStack):
             switches, ranges, observed = self._parse_int(telemetry)
+            store.ingest(pkt.flow, pkt.size, now, pkt.priority, switches,
+                         ranges, observed)
         else:
             self.undecodable += 1
             return
-        self.store.ingest(pkt.flow, nbytes=pkt.size, t=now,
-                          priority=pkt.priority, switch_path=switches,
-                          ranges=ranges, observed_epoch=observed)
         self.decoded += 1
 
     # -- VLAN double tag -----------------------------------------------------
 
     def _parse_vlan(self, pkt: Packet, tag: VlanDoubleTag,
-                    now: float) -> Parsed:
+                    reference: int) -> Parsed:
         key = pkt.flow
         decoded = self.planner.decode_path(key.src, key.dst, tag.link_id)
-        reference = self.host_clock.epoch_of(now)
         memo = self._parsed
         if memo is None or memo[0] != reference:
             memo = self._parsed = (reference, {})

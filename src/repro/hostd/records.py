@@ -55,7 +55,8 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
 from ..core.epoch import EpochRange
-from ..simnet.packet import FlowKey
+from ..core.headers import VlanDoubleTag
+from ..simnet.packet import FlowKey, Packet
 
 
 @dataclass(slots=True)
@@ -72,6 +73,10 @@ class FlowRecord:
     (``_store``) so :meth:`observe` can keep the store's per-switch
     index in sync; a standalone record works unchanged with no store
     attached.
+
+    ``_tag`` and the three fields after it remember the VLAN header the
+    store folded last, for :meth:`FlowRecordStore.refold`; any
+    :meth:`observe` forgets it.
     """
 
     flow: FlowKey
@@ -91,8 +96,15 @@ class FlowRecord:
     #: Records mutate in place as epoch ranges widen, so incremental
     #: readers key on "updated since my last watermark", not creation.
     _update_seq: int = field(default=0, repr=False, compare=False)
+    #: the header folded last: its tag, the host epoch and topology
+    #: version it was decoded under, and the epoch it unwrapped to
+    _tag: Optional[VlanDoubleTag] = field(default=None, repr=False,
+                                          compare=False)
+    _tag_epoch: int = field(default=0, repr=False, compare=False)
+    _tag_version: int = field(default=0, repr=False, compare=False)
+    _tag_observed: int = field(default=0, repr=False, compare=False)
 
-    def observe(self, *, nbytes: int, t: float, priority: int,
+    def observe(self, nbytes: int, t: float, priority: int,
                 switch_path: list[str],
                 ranges: dict[str, EpochRange],
                 observed_epoch: Optional[int]) -> None:
@@ -102,6 +114,7 @@ class FlowRecord:
         the same objects to every packet that decodes alike — and the
         record keeps its own list and dict.
         """
+        self._tag = None
         self.packets += 1
         self.bytes += nbytes
         self.priority = priority
@@ -175,8 +188,10 @@ class FlowRecordStore:
 
     def __init__(self, host_name: str,
                  max_records: Optional[int] = None):
-        if max_records is not None and max_records < 1:
-            raise ValueError("max_records must be >= 1")
+        if max_records is not None and (
+                type(max_records) is not int or max_records < 1):
+            raise ValueError(f"max_records must be an int >= 1 or None, "
+                             f"got {max_records!r}")
         self.host_name = host_name
         self.max_records = max_records
         # idle until the first record arrives (module docstring)
@@ -221,20 +236,44 @@ class FlowRecordStore:
                 self._evict()
         return rec
 
-    def ingest(self, flow: FlowKey, *, nbytes: int, t: float,
+    def ingest(self, flow: FlowKey, nbytes: int, t: float,
                priority: int, switch_path: list[str],
                ranges: dict[str, EpochRange],
-               observed_epoch: Optional[int]) -> FlowRecord:
-        """One decoded packet → record update (decoder entry point)."""
+               observed_epoch: Optional[int],
+               tag: Optional[VlanDoubleTag] = None, epoch: int = 0,
+               version: int = 0) -> FlowRecord:
+        """One decoded packet → record update (decoder entry point); a
+        VLAN packet's header is remembered for :meth:`refold`."""
         self.ingested += 1
         rec = self._records.get(flow)
         if rec is None:
             rec = self.record_for(flow)
         rec._update_seq = self.ingested
-        rec.observe(nbytes=nbytes, t=t, priority=priority,
-                    switch_path=switch_path, ranges=ranges,
-                    observed_epoch=observed_epoch)
+        rec.observe(nbytes, t, priority, switch_path, ranges,
+                    observed_epoch)
+        rec._tag, rec._tag_epoch, rec._tag_version, rec._tag_observed = (
+            tag, epoch, version, observed_epoch)
         return rec
+
+    def refold(self, pkt: Packet, t: float, tag: VlanDoubleTag,
+               epoch: int, version: int) -> bool:
+        """Fold ``pkt`` if its flow's record folded this very header last:
+        the same tag object, host epoch and topology version parse to
+        what the record already holds, so the fold only counts the
+        packet.  False, touching nothing, when ``pkt`` needs a parse."""
+        rec = self._records.get(pkt.flow)
+        if (rec is None or rec._tag is not tag or rec._tag_epoch != epoch
+                or rec._tag_version != version):
+            return False
+        self.ingested += 1
+        rec._update_seq = self.ingested
+        rec.packets += 1
+        rec.bytes += pkt.size
+        rec.priority = pkt.priority
+        rec.last_seen = t
+        self._observed(rec, t)
+        rec.bytes_by_epoch[rec._tag_observed] += pkt.size
+        return True
 
     # -- recency order ---------------------------------------------------------
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import abc
 import gc
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Optional
@@ -215,10 +216,12 @@ class Scenario(abc.ABC):
             for name, knob in self.spec.knobs.items()}
         for name, knob in self.spec.knobs.items():
             value = self.p[name]
+            # NaN compares False either way: require finite, then >=
             if (knob.minimum is not None and isinstance(value, (int, float))
-                    and value < knob.minimum):
+                    and not (math.isfinite(value) and value >= knob.minimum)):
+                what = "" if math.isfinite(value) else "a finite number "
                 raise ScenarioError(
-                    f"knob {name!r} of {self.spec.name!r} must be >= "
+                    f"knob {name!r} of {self.spec.name!r} must be {what}>= "
                     f"{knob.minimum:g}, got {value!r}")
         self.network: Optional[Network] = None
         self.deployment: Optional[SwitchPointerDeployment] = None

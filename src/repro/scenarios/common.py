@@ -87,11 +87,11 @@ def background_knobs() -> dict[str, Knob]:
     """
     return {
         "bg_flows": Knob(0, "background workload flows (0 = none; "
-                            "the sweep flows= axis)"),
+                            "the sweep flows= axis)", minimum=0),
         "bg_mix": Knob("uniform", "background endpoint mix: "
                                   "uniform or zipf"),
         "bg_flow_kb": Knob(4, "mean background flow size "
-                              "(KB, bounded Pareto)"),
+                              "(KB, bounded Pareto)", minimum=1),
     }
 
 
@@ -186,7 +186,7 @@ def launch_background(network: Network, p: dict, *, duration: float,
     hosts = [h for h in pool if h not in banned]
     if len(hosts) < 2:
         raise ValueError("background workload needs >= 2 eligible hosts")
-    mean = max(1, p["bg_flow_kb"]) * 1024
+    mean = p["bg_flow_kb"] * 1024
     spec = WorkloadSpec(
         n_flows=n, spread_s=duration * 0.5, mix=p["bg_mix"],
         mean_flow_bytes=mean, min_flow_bytes=300,

@@ -58,7 +58,7 @@ class FlowKey(NamedTuple):
         return f"{proto}:{self.src}:{self.sport}->{self.dst}:{self.dport}"
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpMeta:
     """TCP metadata carried by a segment.
 
@@ -127,12 +127,12 @@ def make_udp(src: str, dst: str, sport: int, dport: int, size: int,
                   payload_bytes=max(0, size - HEADER_BYTES))
 
 
-def make_tcp(src: str, dst: str, sport: int, dport: int, *,
-             payload: int, seq: int = 0, ack: int = 0, is_ack: bool = False,
-             syn: bool = False, fin: bool = False,
+def make_tcp(flow: FlowKey, *, payload: int, seq: int = 0, ack: int = 0,
+             is_ack: bool = False, syn: bool = False, fin: bool = False,
              priority: int = PRIO_LOW, created_at: float = 0.0) -> Packet:
-    """Convenience constructor for a TCP segment."""
-    key = FlowKey(src, dst, sport, dport, PROTO_TCP)
+    """A TCP segment of ``flow`` — the TCP stack passes each flow's one
+    key, which the hops' ECMP hash and the host's record probe then hit
+    by identity."""
     meta = TcpMeta(seq=seq, ack=ack, is_ack=is_ack, syn=syn, fin=fin)
-    return Packet(flow=key, size=payload + HEADER_BYTES, priority=priority,
+    return Packet(flow=flow, size=payload + HEADER_BYTES, priority=priority,
                   created_at=created_at, payload_bytes=payload, tcp=meta)

@@ -43,6 +43,9 @@ class TcpReceiver:
         self.acks_sent = 0
         self._ooo: dict[int, int] = {}  # seq -> payload length
         self._on_payload = on_payload
+        #: the data flow last acknowledged and its ACK key (one per flow)
+        self._acked: Optional[FlowKey] = None
+        self._ack_flow: Optional[FlowKey] = None
         host.bind(PROTO_TCP, port, self._on_segment)
 
     def _on_segment(self, pkt: Packet, now: float) -> None:
@@ -64,9 +67,10 @@ class TcpReceiver:
 
     def _send_ack(self, data_pkt: Packet) -> None:
         key = data_pkt.flow
-        ack = make_tcp(key.dst, key.src, key.dport, key.sport, payload=0,
-                       ack=self.rcv_next, is_ack=True,
-                       priority=data_pkt.priority)
+        if key is not self._acked:
+            self._acked, self._ack_flow = key, key.reversed()
+        ack = make_tcp(self._ack_flow, payload=0, ack=self.rcv_next,
+                       is_ack=True, priority=data_pkt.priority)
         self.acks_sent += 1
         self.host.send(ack)
 
@@ -164,9 +168,9 @@ class TcpSender:
             self._arm_rto()
 
     def _transmit(self, seq: int, payload: int, *, first_time: bool) -> None:
-        key = self.flow
-        pkt = make_tcp(key.src, key.dst, key.sport, key.dport,
-                       payload=payload, seq=seq, priority=self.priority)
+        # every segment carries the flow's one key (see make_tcp)
+        pkt = make_tcp(self.flow, payload=payload, seq=seq,
+                       priority=self.priority)
         self.segments_sent += 1
         if first_time:
             self._send_times[seq] = self.sim.now

@@ -79,6 +79,19 @@ class TestEviction:
         with pytest.raises(ValueError):
             FlowRecordStore("h", max_records=0)
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 1.5,
+                                       2.0, True, "3"])
+    def test_bound_must_be_an_int(self, bound):
+        # NaN and inf used to leave the table silently unbounded, and
+        # 1.5 bounded it at 1
+        with pytest.raises(ValueError) as err:
+            FlowRecordStore("h", max_records=bound)
+        assert repr(bound) in str(err.value)
+
+    @pytest.mark.parametrize("bound", [None, 1, 32])
+    def test_int_or_no_bound_is_accepted(self, bound):
+        assert FlowRecordStore("h", max_records=bound).max_records == bound
+
 
 def touch_at(store, i, t, ranges):
     """Like :func:`touch`, on the switches and epochs of ``ranges``."""

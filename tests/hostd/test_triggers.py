@@ -21,7 +21,7 @@ def feed(trigger, sim, *, gbps, duration, start=None):
     interval = pkt_size * 8 / (gbps * 1e9)
     t = start
     while t < start + duration:
-        pkt = make_tcp("a", "b", 1, 2, payload=pkt_size - 66)
+        pkt = make_tcp(key(), payload=pkt_size - 66)
         pkt.size = pkt_size
         sim.schedule_at(t, trigger.on_packet, pkt, t)
         t += interval

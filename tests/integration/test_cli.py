@@ -159,6 +159,40 @@ class TestRunCommand:
                                 f"must be >= 0, got {value}\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("scenario, knob, minimum", [
+        ("incast", "hosts=nan", 0),
+        ("incast", "hosts=inf", 0),
+        ("incast", "records_per_host=nan", 0),
+        ("gray-failure", "records_per_host=nan", 0),
+        ("incast", "bg_flows=nan", 0),
+        ("incast", "bg_flow_kb=nan", 1),
+    ])
+    def test_non_finite_bounded_knob_names_the_knob(self, scenario, knob,
+                                                    minimum, capsys):
+        # hosts=nan built a different fabric and exited 0, and
+        # records_per_host=nan left the record table unbounded
+        assert main(["run", scenario, "--knob", knob]) == 2
+        captured = capsys.readouterr()
+        name, _, value = knob.partition("=")
+        assert captured.err == (f"error: knob {name!r} of {scenario!r} "
+                                f"must be a finite number >= {minimum}, "
+                                f"got {value}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("knob, minimum", [
+        ("bg_flows=-1", 0), ("bg_flow_kb=-4", 1), ("bg_flow_kb=0", 1),
+    ])
+    def test_background_knob_below_minimum_fails_cleanly(self, knob,
+                                                         minimum, capsys):
+        # bg_flows=-1 silently ran no background, and a bg_flow_kb
+        # under 1 was silently clamped to 1 KB
+        assert main(["run", "incast", "--knob", knob]) == 2
+        captured = capsys.readouterr()
+        name, _, value = knob.partition("=")
+        assert captured.err == (f"error: knob {name!r} of 'incast' must "
+                                f"be >= {minimum}, got {value}\n")
+        assert captured.out == ""
+
     def test_unknown_knob_fails_cleanly(self, capsys):
         assert main(["run", "gray-failure", "--knob", "bogus=1"]) == 2
         assert "unknown knob" in capsys.readouterr().err

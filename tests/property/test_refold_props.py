@@ -1,0 +1,133 @@
+"""Property: folding a repeated header equals parsing it again.
+
+A host folds a packet whose flow's record folded the very same tag
+object last, in the same host epoch and topology version, without
+parsing it (``FlowRecordStore.refold``).  Two worlds decode the same
+random packet sequence over one small fabric: the real decoder, and
+``tests/hostd/decode_oracle.py``'s decoder that parses every packet.
+Tags are shared per (link, switch epoch) the way the datapath shares
+them; host skew moves mid-sequence, stores crash, bounded tables evict
+and the topology is edited.  After every step both stores must agree on
+every record field, ``_update_seq``, ``ingested``, table order, index
+buckets and eviction victims — and a header a cabling edit stopped
+pinning must fail alike in both.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.epoch import EpochClock, EpochRangeEstimator
+from repro.core.headers import IntStack, VlanDoubleTag
+from repro.hostd.decoder import TelemetryDecoder
+from repro.hostd.records import FlowRecordStore
+from repro.simnet.packet import PROTO_UDP, FlowKey, Packet
+from repro.simnet.topology import TopologyError, build_linear
+from repro.switchd.cherrypick import CherryPickPlanner
+from tests.hostd.decode_oracle import ParseEveryPacket, store_state
+
+ALPHA_MS = 2
+HOSTS = ["h1_0", "h1_1", "h2_0", "h2_1", "h3_0", "h3_1"]
+#: few flows, so that a flow's packets repeat: two share a path, three
+#: share a destination, and one stays behind its own switch
+FLOWS = [("h1_0", "h3_0", 1), ("h1_0", "h3_0", 2), ("h1_1", "h3_0", 1),
+         ("h2_0", "h3_0", 1), ("h3_1", "h1_0", 1), ("h2_0", "h2_1", 1)]
+
+#: one step: ``kind`` 1 crashes a store, 2 edits the cabling, anything
+#: else delivers a packet of ``flow`` — after re-skewing its destination
+#: when ``kind`` is 0.  A packet with ``mode`` 1 was tagged before the
+#: last cabling edit.
+steps = st.lists(st.tuples(
+    st.integers(0, 15),              # kind
+    st.integers(0, len(FLOWS) - 1),  # flow
+    st.integers(0, 300),             # µs since the last step
+    st.integers(64, 1500),           # size
+    st.integers(0, 2),               # priority
+    st.integers(0, 1),               # embedder epoch lag
+    st.integers(0, 9),               # 0: an INT header, if mixed
+    st.sampled_from(["h3_0", "h1_0", "h2_1"]),  # a store to crash
+    st.sampled_from([-3, 0, 2, 6000])),  # a new skew, ms: 6 s puts the
+    # host's epoch past half the 12-bit tag wrap
+    min_size=20, max_size=120)
+
+
+def pinning_links(net, planner):
+    """flow endpoints → the link its embedding switch tags."""
+    links = {}
+    for src, dst, _ in FLOWS:
+        here = planner.embedding_hop(src, dst)
+        path = net.shortest_paths(src, dst)[0]
+        links[src, dst] = net.link_between(here, path[path.index(here) + 1])
+    return links
+
+
+def deliver(decoders, pkt, now):
+    """What the destination's decoder made of ``pkt``: None, or the
+    error a header that no longer pins its path raises."""
+    try:
+        decoders[pkt.flow.dst].on_packet(None, pkt, now)
+    except TopologyError as err:
+        return str(err)
+    return None
+
+
+def world(cls, net, planner, estimator, bound):
+    return {name: cls(FlowRecordStore(name, max_records=bound),
+                      EpochClock(ALPHA_MS), planner, estimator)
+            for name in HOSTS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=steps, bound=st.sampled_from([None, 1, 2, 3]),
+       int_mixed=st.booleans())
+def test_repeat_fold_equals_full_parse(steps, bound, int_mixed):
+    net = build_linear(3, 2)
+    planner = CherryPickPlanner(net)
+    estimator = EpochRangeEstimator(ALPHA_MS, 1.0, 2.0)
+    fast = world(TelemetryDecoder, net, planner, estimator, bound)
+    full = world(ParseEveryPacket, net, planner, estimator, bound)
+    links = stale = pinning_links(net, planner)
+    keys = [FlowKey(s, d, sport, 9, PROTO_UDP) for s, d, sport in FLOWS]
+    paths = {(s, d): [n for n in net.shortest_paths(s, d)[0]
+                      if n in net.switches] for s, d, _ in FLOWS}
+    tags: dict[tuple[int, int], VlanDoubleTag] = {}
+    now = 0.0
+    for i, step in enumerate(steps):
+        kind, flow, gap_us, size, prio, lag, mode, host, skew_ms = step
+        now += gap_us * 1e-6
+        if kind == 1:
+            for decoders in (fast, full):
+                decoders[host].store.drop_all()
+        elif kind == 2:
+            if mode % 2 or "S3" in net.adjacency["S1"]:
+                # moves the topology version, and no path
+                net.connect(net.add_host(f"x{i}"), net.switches["S1"])
+            else:  # a shortcut: S1-S2 no longer pins h1_* -> h3_*
+                net.connect(net.switches["S1"], net.switches["S3"])
+            stale, links = links, pinning_links(net, planner)
+        else:
+            key = keys[flow]
+            if kind == 0:
+                for decoders in (fast, full):
+                    decoders[key.dst].host_clock.set_skew(skew_ms * 1e-3)
+            epoch = max(0, int(now * 1e3 // ALPHA_MS) - lag)
+            if int_mixed and mode == 0:
+                # with a lag, a stack short of its last hop: a path the
+                # next VLAN parse must overwrite
+                header = IntStack()
+                path = paths[key.src, key.dst]
+                for sw in path[:len(path) - lag]:
+                    header.push(sw, epoch)
+            else:
+                vlan = (stale if mode == 1 else links)[key.src,
+                                                       key.dst].vlan_id
+                header = tags.get((vlan, epoch))
+                if header is None:
+                    header = tags[vlan, epoch] = VlanDoubleTag.embed(vlan,
+                                                                     epoch)
+            assert (deliver(fast, Packet(key, size, prio,
+                                         telemetry=header), now)
+                    == deliver(full, Packet(key, size, prio,
+                                            telemetry=header), now))
+        for name in HOSTS:
+            assert (store_state(fast[name].store)
+                    == store_state(full[name].store)), (i, step, name)
+            assert fast[name].decoded == full[name].decoded

@@ -29,6 +29,7 @@ CASES = {
     "gc-policy": "gc_policy",
     "pointer-read": "pointer_read",
     "sim-clock": "sim_clock",
+    "record-write": "record_write",
     "test-only": "test_only",
 }
 
@@ -153,6 +154,19 @@ def test_sim_clock_names_each_write_outside_the_engine():
     assert {v.rel for v in violations} == {"src/repro/faults/skew.py"}
     assert [v.line for v in violations] == [5, 9, 13]
     assert all("only Simulator.run moves the simulated clock" in v.message
+               for v in violations)
+
+
+def test_record_write_names_each_write_outside_the_store():
+    violations = lint_fixture("record-write", "violating")
+    # a whole-field write, an item write and two unpacked header writes
+    # in the decoder; its own packet count, a local read and the
+    # store's writes are not reported
+    assert {v.rel for v in violations} == {"src/repro/hostd/decoder.py"}
+    assert sorted((v.line, v.message.split()[1]) for v in violations) == [
+        (6, ".last_seen"), (7, ".bytes_by_epoch"), (8, "._tag"),
+        (8, "._tag_epoch")]
+    assert all("only the record store writes a flow record" in v.message
                for v in violations)
 
 

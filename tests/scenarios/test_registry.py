@@ -119,6 +119,28 @@ class TestScenarioProtocol:
         assert str(err.value) == (f"knob {knob!r} of {name!r} must be "
                                   f">= {low + 1:g}, got {low!r}")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name, knob", BOUNDED_KNOBS)
+    def test_non_finite_bounded_knob_is_rejected(self, name, knob, value):
+        # NaN compares False with everything, so `value < minimum`
+        # used to let it through
+        cls = REGISTRY.get(name)
+        minimum = cls.spec.knobs[knob].minimum
+        with pytest.raises(ScenarioError) as err:
+            cls(**{knob: value})
+        assert str(err.value) == (f"knob {knob!r} of {name!r} must be a "
+                                  f"finite number >= {minimum:g}, "
+                                  f"got {value!r}")
+
+    @pytest.mark.parametrize("knob, minimum", [("bg_flows", 0),
+                                               ("bg_flow_kb", 1)])
+    def test_background_knobs_declare_their_minimum(self, knob, minimum):
+        for name in ("incast", "polarization", "link-flap",
+                     "gray-failure"):
+            assert (name, knob) in BOUNDED_KNOBS
+            assert REGISTRY.get(name).spec.knobs[knob].minimum == minimum
+
     @pytest.mark.parametrize("name, knob", BOUNDED_KNOBS)
     def test_knob_at_its_minimum_is_accepted(self, name, knob):
         cls = REGISTRY.get(name)

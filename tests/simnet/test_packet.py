@@ -46,14 +46,16 @@ class TestConstructors:
         assert pkt.tcp is None
 
     def test_make_tcp_sizes_include_headers(self):
-        pkt = make_tcp("a", "b", 5, 6, payload=1000, seq=42)
+        pkt = make_tcp(FlowKey("a", "b", 5, 6, PROTO_TCP), payload=1000,
+                       seq=42)
         assert pkt.size == 1000 + HEADER_BYTES
         assert pkt.payload_bytes == 1000
         assert pkt.tcp.seq == 42
         assert not pkt.tcp.is_ack
 
     def test_make_tcp_pure_ack(self):
-        ack = make_tcp("b", "a", 6, 5, payload=0, ack=500, is_ack=True)
+        ack = make_tcp(FlowKey("b", "a", 6, 5, PROTO_TCP), payload=0,
+                       ack=500, is_ack=True)
         assert ack.size == HEADER_BYTES
         assert ack.tcp.is_ack
         assert ack.tcp.ack == 500

@@ -20,6 +20,7 @@ pushing checks to where the evidence lives:
 * the §4.1.1 read — ``pointer-read``: only the switch agent picks the
   hierarchy level that answers a window;
 * simulated time — ``sim-clock``: only the engine moves the clock;
+* the host fold — ``record-write``: only the store writes a record;
 * reachability — ``test-only``: a definition in src/repro has a caller
   outside tests/.
 
@@ -1226,7 +1227,7 @@ SIM_CLOCK_OWNER = f"{SRC}/simnet/engine.py"
 
 
 def _attribute_stores(node: ast.AST) -> Iterator[ast.Attribute]:
-    """Every ``x.attr`` an assignment statement writes, unpacking included."""
+    """Every ``x.attr`` (or ``x.attr[k]``) an assignment writes, unpacked too."""
     if isinstance(node, ast.Assign):
         targets: list[ast.expr] = list(node.targets)
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -1235,6 +1236,8 @@ def _attribute_stores(node: ast.AST) -> Iterator[ast.Attribute]:
         return
     while targets:
         target = targets.pop()
+        if isinstance(target, ast.Subscript):
+            target = target.value
         if isinstance(target, ast.Attribute):
             yield target
         elif isinstance(target, (ast.Tuple, ast.List)):
@@ -1496,3 +1499,46 @@ class TestOnly(Rule):
             f"{kind} {name} is named nowhere outside its own definition "
             f"but in tests/ — delete it or give it a caller",
         )
+
+
+# ---------------------------------------------------------------------------
+# R13: record-write
+# ---------------------------------------------------------------------------
+
+#: The one module that writes a host flow record, and the record fields
+#: (fold state) no other module may assign.
+RECORD_OWNER = f"{SRC}/hostd/records.py"
+RECORD_FIELDS = frozenset({
+    "_update_seq", "last_seen", "first_seen", "bytes_by_epoch",
+    "epoch_ranges", "_tag", "_tag_epoch", "_tag_version", "_tag_observed"})
+
+
+@register_rule
+class RecordWrite(Rule):
+    """Only the record store writes a flow record's fold state."""
+
+    spec = RuleSpec(
+        name="record-write",
+        summary="assignments to a FlowRecord's fold state (_update_seq, "
+        "first/last_seen, bytes_by_epoch, epoch_ranges, _tag*) are banned "
+        "in src/repro outside hostd/records.py",
+        rationale="The store folds a packet whose header a record folded "
+        "last without parsing it (FlowRecordStore.refold); that is exact "
+        "only while every write to a record goes through the store, so a "
+        "second fast fold elsewhere cannot fork it.",
+        scope="src/repro/ except src/repro/hostd/records.py",
+        pragma=None,
+        fix="Fold through FlowRecordStore.ingest / refold, or add a store "
+        "method.",
+    )
+
+    def check(self, project: Project) -> Iterator[Violation]:
+        for module in project.under(SRC):
+            if module.rel == RECORD_OWNER:
+                continue
+            for node in ast.walk(module.tree):
+                for target in _attribute_stores(node):
+                    if target.attr in RECORD_FIELDS:
+                        yield self.violation(module, target.lineno, (
+                            f"writes .{target.attr} outside {RECORD_OWNER} "
+                            "— only the record store writes a flow record"))
