@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.mphf import MinimalPerfectHash
 from repro.core.pointer import HierarchicalPointerStore
-from repro.switchd.datapath import VanillaDatapath
 
 from benchmarks.reporting import emit
 
@@ -37,6 +36,20 @@ def dests():
 @pytest.fixture(scope="module")
 def mphf(dests):
     return MinimalPerfectHash.build(dests)
+
+
+class VanillaDatapath:
+    """Forwarding-only baseline ("vanilla OVS"): the per-packet
+    bookkeeping of a plain software switch — one flow-table probe — with
+    no SwitchPointer work."""
+
+    def __init__(self, dests: list[str]):
+        self._flow_table = {d: i % 48 for i, d in enumerate(dests)}
+        self.packets_processed = 0
+
+    def process(self, dst: str) -> int:
+        self.packets_processed += 1
+        return self._flow_table[dst]
 
 
 def sp_batch(mphf, store, dests):

@@ -1,10 +1,9 @@
 """Header-tax and simulator-throughput ablations (§4.1.3 context).
 
 Not a paper figure, but the quantitative backdrop of the paper's
-commodity-vs-INT argument: the VLAN double tag costs a constant 8 B per
-packet regardless of path length, while an INT stack grows per hop —
-on a 5-hop fat-tree path that is 44 B, >5× the commodity design, which
-is why SwitchPointer bothers with CherryPick at all.
+commodity design: the VLAN double tag costs a constant 8 B per packet
+regardless of path length, because CherryPick lets one link stand for
+the whole path.
 
 Also benchmarks the raw simulator event rate (events/s) so regressions
 in the substrate are visible.
@@ -12,7 +11,7 @@ in the substrate are visible.
 
 import pytest
 
-from repro.core.headers import IntStack, VlanDoubleTag
+from repro.core.headers import VlanDoubleTag
 from repro.simnet.packet import make_udp
 from repro.simnet.topology import build_fat_tree
 
@@ -20,52 +19,19 @@ from benchmarks.reporting import emit
 
 
 @pytest.mark.benchmark(group="telemetry")
-def test_header_tax_vlan_vs_int(benchmark):
-    def measure():
-        rows = {}
-        for hops in (1, 2, 3, 5, 7):
-            stack = IntStack()
-            for i in range(hops):
-                stack.push(f"S{i}", 0)
-            vlan = VlanDoubleTag.embed(1, 0)
-            rows[hops] = (vlan.wire_overhead_bytes(),
-                          stack.wire_overhead_bytes())
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    lines = ["hops  vlan_bytes  int_bytes"]
-    for hops, (v, i) in rows.items():
-        lines.append(f"  {hops:3d}  {v:9d}  {i:8d}")
-    lines.append("(VLAN double tag is constant; INT grows 8 B/hop — "
-                 "the §4.1.3 motivation for the commodity design)")
-    emit("telemetry_header_tax", lines)
-
-    assert all(v == 8 for v, _ in rows.values())
-    assert rows[5][1] > 5 * rows[5][0] / 2
-    int_sizes = [i for _, i in rows.values()]
-    assert int_sizes == sorted(int_sizes)
-
-
-@pytest.mark.benchmark(group="telemetry")
 def test_per_packet_wire_overhead_fraction(benchmark):
     """Relative header tax at the paper's packet sizes."""
     def measure():
         vlan = VlanDoubleTag.embed(1, 0).wire_overhead_bytes()
-        stack = IntStack()
-        for i in range(5):
-            stack.push(f"S{i}", 0)
-        int5 = stack.wire_overhead_bytes()
-        return {size: (vlan / size, int5 / size)
-                for size in (64, 256, 850, 1500)}
+        return {size: vlan / size for size in (64, 256, 850, 1500)}
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    lines = ["pkt_size  vlan_tax  int5_tax"]
-    for size, (v, i) in rows.items():
-        lines.append(f"  {size:6d}  {v:7.1%}  {i:7.1%}")
+    lines = ["pkt_size  vlan_tax"]
+    for size, v in rows.items():
+        lines.append(f"  {size:6d}  {v:7.1%}")
     emit("telemetry_tax_fraction", lines)
     # at the datacenter mean (~850 B) the VLAN tax is ~1%
-    assert rows[850][0] < 0.01
-    assert rows[64][1] > 0.5  # INT on tiny packets is prohibitive
+    assert rows[850] < 0.01
 
 
 @pytest.mark.benchmark(group="telemetry")

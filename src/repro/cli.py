@@ -44,12 +44,14 @@ it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .core.rng import seed_run
 from .core.sizing import (push_bandwidth_bps, recycling_period_ms,
                           total_switch_memory_bytes)
+from .directory import DIRECTORIES
 from .experiment import (EXPERIMENTS, Experiment, ExperimentError,
                          ExperimentSpec)
 from .faults import FAULTS, FaultError
@@ -66,13 +68,68 @@ SIZING_DESC = "Fig 10/11 resource arithmetic for one (n, alpha, k)"
 # registry-driven commands
 # ---------------------------------------------------------------------------
 
-def cmd_list(_args) -> int:
-    print("scenarios (python -m repro.cli run <name>):")
-    for spec in (cls.spec for cls in REGISTRY.values()):
-        aliases = f" [{','.join(spec.aliases)}]" if spec.aliases else ""
-        print(f"  {spec.name:15s}{aliases:15s} {spec.summary}")
-    print("other commands:")
-    print(f"  {'sizing':30s} {SIZING_DESC}")
+def _scenario_lines(cls) -> list[str]:
+    spec = cls.spec
+    aliases = f" [{','.join(spec.aliases)}]" if spec.aliases else ""
+    return [f"  {spec.name:15s}{aliases:15s} {spec.summary}"]
+
+
+def _fault_lines(cls) -> list[str]:
+    spec = cls.spec
+    return [f"  {spec.name:20s} params: {','.join(spec.params) or '-'}",
+            f"  {'':20s} {spec.summary}"]
+
+
+def _directory_lines(backend) -> list[str]:
+    return [f"  {backend.name:20s} {backend.summary}",
+            f"  {'':20s} memory: {backend.memory_note}"]
+
+
+def _sweep_lines(spec) -> list[str]:
+    return [f"  {spec.name:15s} scenario: {spec.scenario}  "
+            f"axes: {','.join(spec.axes)}",
+            f"  {'':15s} {spec.summary}"]
+
+
+def _experiment_lines(spec) -> list[str]:
+    points = math.prod(len(values) for values in spec.axes.values())
+    return [f"  {spec.name:20s} sweep: {spec.sweep}  "
+            f"axes: {','.join(spec.axes)}  table: {points}x{spec.reps}",
+            f"  {'':20s} {spec.summary}"]
+
+
+def _listings() -> dict:
+    """Each ``list`` command: (header, the registry's items, one item's
+    lines, closing lines)."""
+    return {
+        "scenarios": ("scenarios (python -m repro.cli run <name>):",
+                      REGISTRY.values(), _scenario_lines,
+                      ["other commands:", f"  {'sizing':30s} {SIZING_DESC}"]),
+        "faults": ("faults (composable via scenario knobs / FaultPlan; "
+                   "docs/FAULTS.md):", FAULTS.values(), _fault_lines,
+                   [f"{len(FAULTS)} fault(s) registered; every fault also "
+                    f"takes start= and stop="]),
+        "directories": (
+            "directory backends (scenario knobs directory_backend= / "
+            "directory_bits= / directory_hashes=; docs/DIRECTORIES.md):",
+            DIRECTORIES.values(), _directory_lines,
+            [f"{len(DIRECTORIES)} backend(s) registered; \"auto\" resolves "
+             f"to {DIRECTORIES.get('auto').name!r} (every sketch is "
+             f"superset-checked at registration: no false negatives)"]),
+        "sweeps": ("sweeps (python -m repro.cli sweep run <name>):",
+                   SWEEPS.values(), _sweep_lines, []),
+        "experiments": ("experiments (python -m repro.cli experiment run "
+                        "<name>):", EXPERIMENTS.values(), _experiment_lines,
+                        []),
+    }
+
+
+def cmd_list(args) -> int:
+    """Print the registry ``args.listing`` names, one item at a time."""
+    header, items, render, closing = _listings()[args.listing]
+    for line in [header, *(ln for item in items for ln in render(item)),
+                 *closing]:
+        print(line)
     return 0
 
 
@@ -108,50 +165,8 @@ def cmd_run(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# faults (registry-driven, like run/list)
-# ---------------------------------------------------------------------------
-
-def cmd_faults_list(_args) -> int:
-    print("faults (composable via scenario knobs / FaultPlan; "
-          "docs/FAULTS.md):")
-    for spec in (cls.spec for cls in FAULTS.values()):
-        params = ",".join(spec.params) or "-"
-        print(f"  {spec.name:20s} params: {params}")
-        print(f"  {'':20s} {spec.summary}")
-    print(f"{len(FAULTS)} fault(s) registered; every fault also takes "
-          f"start= and stop=")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# directory backends (registry-driven, like faults)
-# ---------------------------------------------------------------------------
-
-def cmd_directory_list(_args) -> int:
-    from .directory import DIRECTORIES
-    print("directory backends (scenario knobs directory_backend= / "
-          "directory_bits= / directory_hashes=; docs/DIRECTORIES.md):")
-    for backend in DIRECTORIES.values():
-        print(f"  {backend.name:20s} {backend.summary}")
-        print(f"  {'':20s} memory: {backend.memory_note}")
-    print(f"{len(DIRECTORIES)} backend(s) registered; \"auto\" resolves to "
-          f"{DIRECTORIES.get('auto').name!r} (every sketch is "
-          f"superset-checked at registration: no false negatives)")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # scale sweeps (registry-driven, like run/list)
 # ---------------------------------------------------------------------------
-
-def cmd_sweep_list(_args) -> int:
-    print("sweeps (python -m repro.cli sweep run <name>):")
-    for spec in SWEEPS.values():
-        axes = ",".join(spec.axes)
-        print(f"  {spec.name:15s} scenario: {spec.scenario}  axes: {axes}")
-        print(f"  {'':15s} {spec.summary}")
-    return 0
-
 
 def _sweep_table(spec) -> ExperimentSpec:
     """A sweep as a run table: its own axes, one repetition.  Built
@@ -232,19 +247,6 @@ def cmd_sweep_nightly(args) -> int:
 # ---------------------------------------------------------------------------
 # experiments (seeded run tables over registered sweeps)
 # ---------------------------------------------------------------------------
-
-def cmd_experiment_list(_args) -> int:
-    print("experiments (python -m repro.cli experiment run <name>):")
-    for spec in EXPERIMENTS.values():
-        points = 1
-        for values in spec.axes.values():
-            points *= len(values)
-        axes = ",".join(spec.axes)
-        print(f"  {spec.name:20s} sweep: {spec.sweep}  axes: {axes}  "
-              f"table: {points}x{spec.reps}")
-        print(f"  {'':20s} {spec.summary}")
-    return 0
-
 
 def _show_run(run, event) -> None:
     """One progress line per accounted-for (point, rep) run."""
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list registered scenarios"
-                   ).set_defaults(func=cmd_list)
+                   ).set_defaults(func=cmd_list, listing="scenarios")
     pr = sub.add_parser("run", help="run one scenario through "
                                     "build/run/collect/diagnose")
     pr.add_argument("scenario",
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "across a parameter grid")
     sweep_sub = psweep.add_subparsers(dest="sweep_command", required=True)
     sweep_sub.add_parser("list", help="list registered sweeps"
-                         ).set_defaults(func=cmd_sweep_list)
+                         ).set_defaults(func=cmd_list, listing="sweeps")
     psr = sweep_sub.add_parser("run", help="run one sweep (a one-rep "
                                            "run table) into a resumable "
                                            "artifact directory")
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "points and aggregate degradation curves")
     exp_sub = pexp.add_subparsers(dest="experiment_command", required=True)
     exp_sub.add_parser("list", help="list registered experiments"
-                       ).set_defaults(func=cmd_experiment_list)
+                       ).set_defaults(func=cmd_list, listing="experiments")
     per = exp_sub.add_parser("run", help="run one experiment into a "
                                          "resumable artifact directory")
     per.add_argument("experiment", help="experiment registry name (see "
@@ -459,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     faults_sub = pfaults.add_subparsers(dest="faults_command",
                                         required=True)
     faults_sub.add_parser("list", help="list registered faults"
-                          ).set_defaults(func=cmd_faults_list)
+                          ).set_defaults(func=cmd_list, listing="faults")
 
     pdir = sub.add_parser("directory", help="switch directory-set "
                                             "backends: inspect the "
                                             "sketch registry")
     dir_sub = pdir.add_subparsers(dest="directory_command", required=True)
     dir_sub.add_parser("list", help="list registered directory backends"
-                       ).set_defaults(func=cmd_directory_list)
+                       ).set_defaults(func=cmd_list, listing="directories")
 
     ps = sub.add_parser("sizing", help=SIZING_DESC)
     ps.add_argument("--hosts", type=int, default=100_000)

@@ -5,7 +5,7 @@
   extrapolation.
 * :mod:`repro.core.pointer` — pointer sets and the k-level hierarchical
   directory.
-* :mod:`repro.core.headers` — VLAN double-tag and INT telemetry codecs.
+* :mod:`repro.core.headers` — the VLAN double-tag telemetry codec.
 * :mod:`repro.core.sizing` — the analytic memory/bandwidth/recycling
   models behind Figs 10 and 11.
 """
@@ -14,8 +14,7 @@ from .mphf import HostDirectory, MinimalPerfectHash, MphfBuildError
 from .epoch import (EpochClock, EpochRange, EpochRangeEstimator,
                     unwrap_epoch)
 from .pointer import HierarchicalPointerStore, PointerSet, PointerSnapshot
-from .headers import (HeaderError, IntHop, IntStack, VlanDoubleTag,
-                      VLAN_ID_MODULUS)
+from .headers import HeaderError, VlanDoubleTag, VLAN_ID_MODULUS
 from .sizing import (MPHF_BITS_PER_KEY, SizingPoint, mphf_bytes,
                      pointer_set_bits, pointer_sets_total,
                      push_bandwidth_bps, recycling_period_ms,
@@ -25,8 +24,7 @@ __all__ = [
     "MinimalPerfectHash", "HostDirectory", "MphfBuildError",
     "EpochClock", "EpochRange", "EpochRangeEstimator", "unwrap_epoch",
     "PointerSet", "PointerSnapshot", "HierarchicalPointerStore",
-    "VlanDoubleTag", "IntStack", "IntHop", "HeaderError",
-    "VLAN_ID_MODULUS",
+    "VlanDoubleTag", "HeaderError", "VLAN_ID_MODULUS",
     "pointer_set_bits", "pointer_sets_total", "store_memory_bits",
     "mphf_bytes", "total_switch_memory_bytes", "push_bandwidth_bps",
     "recycling_period_ms", "SizingPoint", "sweep", "MPHF_BITS_PER_KEY",

@@ -1,25 +1,17 @@
-"""Telemetry headers carried in packets (§4.1.3).
+"""The telemetry header carried in packets (§4.1.3).
 
-Two encodings, as in the paper:
-
-* :class:`VlanDoubleTag` — the commodity-switch design: IEEE 802.1ad
-  double tagging.  The outer tag carries a *linkID* (the CherryPick-style
-  sampled link that pins the end-to-end path on clos topologies); the
-  inner tag carries the *epochID* of the switch that embedded the link
-  tag.  Each VLAN ID field is 12 bits, so the epoch travels modulo 4096
-  and the decoder unwraps it (:func:`repro.core.epoch.unwrap_epoch`).
-
-* :class:`IntStack` — the clean-slate INT design: every switch on the
-  path appends a full ``(switchID, epochID)`` record.  Works on
-  arbitrary topologies at the cost of per-hop header growth.
-
-Both expose ``wire_overhead_bytes()`` so experiments can account for
-header tax.
+:class:`VlanDoubleTag` is the commodity-switch design: IEEE 802.1ad
+double tagging.  The outer tag carries a *linkID* (the CherryPick-style
+sampled link that pins the end-to-end path on clos topologies); the
+inner tag carries the *epochID* of the switch that embedded the link
+tag.  Each VLAN ID field is 12 bits, so the epoch travels modulo 4096
+and the decoder unwraps it (:func:`repro.core.epoch.unwrap_epoch`).
+``wire_overhead_bytes()`` is the header tax experiments account for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 VLAN_ID_BITS = 12
 VLAN_ID_MODULUS = 1 << VLAN_ID_BITS      # 4096
@@ -75,36 +67,3 @@ class VlanDoubleTag:
         epoch = ((blob[2] & 0x0F) << 8) | blob[3]
         return cls(link_id=link, epoch_tag=epoch)
 
-
-@dataclass(frozen=True)
-class IntHop:
-    """One INT record: which switch, in which of its epochs."""
-
-    switch_id: str
-    epoch: int
-
-
-@dataclass
-class IntStack:
-    """Clean-slate INT header: per-hop (switchID, epochID) records."""
-
-    hops: list[IntHop] = field(default_factory=list)
-
-    #: Bytes per INT record: 4 for a switch identifier + 4 for the epoch.
-    BYTES_PER_HOP = 8
-    #: INT shim/metadata header.
-    BASE_BYTES = 4
-
-    def push(self, switch_id: str, epoch: int) -> None:
-        if epoch < 0:
-            raise HeaderError("epoch cannot be negative")
-        self.hops.append(IntHop(switch_id=switch_id, epoch=epoch))
-
-    def switch_path(self) -> list[str]:
-        return [h.switch_id for h in self.hops]
-
-    def wire_overhead_bytes(self) -> int:
-        return self.BASE_BYTES + self.BYTES_PER_HOP * len(self.hops)
-
-    def __len__(self) -> int:
-        return len(self.hops)

@@ -4,7 +4,8 @@
 examples, tests, and benchmarks use: given a :class:`repro.simnet.Network`
 it builds the host directory (MPHF), installs a datapath + control-plane
 agent on every switch, a telemetry agent on every host, and an analyzer
-on top — the full system of §3.
+on top — the full system of §3.  Every datapath embeds the one header,
+the VLAN double tag, at the link that pins a packet's path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .simnet.packet import FlowKey
 from .simnet.topology import Network
 from .switchd.agent import SwitchAgent
 from .switchd.cherrypick import CherryPickPlanner
-from .switchd.datapath import MODE_VLAN, SwitchPointerDatapath
+from .switchd.datapath import SwitchPointerDatapath
 
 #: Default configuration, following the paper's running example:
 #: α = 10 ms, k = 3 levels, ε = α, Δ = 2α (§4.2.1).
@@ -45,8 +46,6 @@ class SwitchPointerDeployment:
     epsilon_ms / delta_ms:
         Skew and one-hop-delay bounds for epoch-range extrapolation;
         default to α and 2α (the paper's example values).
-    mode:
-        Telemetry embedding: ``"vlan"`` (default), ``"int"``, ``"none"``.
     skew_of:
         Optional callable node-name → clock skew in seconds, to exercise
         the asynchrony handling.  Skews must respect |skew(a)−skew(b)| ≤ ε.
@@ -66,7 +65,6 @@ class SwitchPointerDeployment:
                  alpha_ms: int = DEFAULT_ALPHA_MS, k: int = DEFAULT_K,
                  epsilon_ms: Optional[float] = None,
                  delta_ms: Optional[float] = None,
-                 mode: str = MODE_VLAN,
                  skew_of: Optional[Callable[[str], float]] = None,
                  rpc: Optional[RpcFabric] = None,
                  latency_model: Optional[LatencyModel] = None,
@@ -77,7 +75,6 @@ class SwitchPointerDeployment:
         self.network = network
         self.alpha_ms = alpha_ms
         self.k = k
-        self.mode = mode
         self.epsilon_ms = alpha_ms if epsilon_ms is None else epsilon_ms
         self.delta_ms = 2 * alpha_ms if delta_ms is None else delta_ms
         skew = skew_of if skew_of is not None else (lambda _name: 0.0)
@@ -108,8 +105,7 @@ class SwitchPointerDeployment:
                                              alpha=alpha_ms, k=k,
                                              set_factory=self._set_factory)
             dp = SwitchPointerDatapath(sw, clock, self.directory.mphf,
-                                       store, planner=self.planner,
-                                       mode=mode)
+                                       store, planner=self.planner)
             self.datapaths[name] = dp
             self.switch_agents[name] = SwitchAgent(name, store)
 

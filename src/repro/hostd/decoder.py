@@ -1,21 +1,17 @@
 """Destination-side telemetry decoding (§4.2.1).
 
-When a packet arrives, the host extracts the telemetry header and turns
-it into a flow-record update:
-
-* **VLAN mode** — the two tags give (linkID, epochID mod 4096).  The
-  switch path and the embedder's place on it come from the CherryPick
-  plan of (src, dst, linkID); the epoch tag is unwrapped against the
-  host's own epoch estimate; and the §4.2.1 range extrapolation assigns
-  every switch on the path an epoch range around the embedder's
-  observed epoch.  The store folds a packet carrying the tag object its
-  flow's record folded last, in the same host epoch and topology
-  version, with one probe and no parse (``FlowRecordStore.refold``);
-  other packets with the same tag over the same path in one host epoch
-  share one parse (``_parsed``), which the store only reads.
-* **INT mode** — each hop carried its own (switchID, epochID); ranges
-  collapse to the observed epoch ± the skew allowance.
-* **No telemetry** — counted (``undecodable``); nothing is invented.
+When a packet arrives, the host turns its VLAN double tag into a
+flow-record update.  The two tags give (linkID, epochID mod 4096).  The
+switch path and the embedder's place on it come from the CherryPick
+plan of (src, dst, linkID); the epoch tag is unwrapped against the
+host's own epoch estimate; and the §4.2.1 range extrapolation assigns
+every switch on the path an epoch range around the embedder's observed
+epoch.  The store folds a packet carrying the tag object its flow's
+record folded last, in the same host epoch and topology version, with
+one probe and no parse (``FlowRecordStore.refold``); other packets with
+the same tag over the same path in one host epoch share one parse
+(``_parsed``), which the store only reads.  A packet without a tag is
+counted (``undecodable``); nothing is invented.
 """
 
 from __future__ import annotations
@@ -24,14 +20,14 @@ from typing import Optional
 
 from ..core.epoch import (EpochClock, EpochRange, EpochRangeEstimator,
                           unwrap_epoch)
-from ..core.headers import IntStack, VlanDoubleTag
+from ..core.headers import VlanDoubleTag
 from ..simnet.host import Host
 from ..simnet.packet import Packet
 from ..switchd.cherrypick import CherryPickPlanner
 from .records import FlowRecordStore
 
 #: what one header parses to: (switch path, ranges, observed epoch)
-Parsed = tuple[list[str], dict[str, EpochRange], Optional[int]]
+Parsed = tuple[list[str], dict[str, EpochRange], int]
 
 
 class TelemetryDecoder:
@@ -73,23 +69,18 @@ class TelemetryDecoder:
     def on_packet(self, host: Host, pkt: Packet, now: float) -> None:
         """Host sniffer hook: decode ``pkt`` and update the record."""
         telemetry = pkt.telemetry
-        store = self.store
-        if isinstance(telemetry, VlanDoubleTag):
-            reference = self.host_clock.epoch_of(now)
-            version = self.planner.network.topology_version
-            if not store.refold(pkt, now, telemetry, reference, version):
-                switches, ranges, observed = self._parse_vlan(
-                    pkt, telemetry, reference)
-                store.ingest(pkt.flow, pkt.size, now, pkt.priority,
-                             switches, ranges, observed, telemetry,
-                             reference, version)
-        elif isinstance(telemetry, IntStack):
-            switches, ranges, observed = self._parse_int(telemetry)
-            store.ingest(pkt.flow, pkt.size, now, pkt.priority, switches,
-                         ranges, observed)
-        else:
+        if not isinstance(telemetry, VlanDoubleTag):
             self.undecodable += 1
             return
+        store = self.store
+        reference = self.host_clock.epoch_of(now)
+        version = self.planner.network.topology_version
+        if not store.refold(pkt, now, telemetry, reference, version):
+            switches, ranges, observed = self._parse_vlan(
+                pkt, telemetry, reference)
+            store.ingest(pkt.flow, pkt.size, now, pkt.priority,
+                         switches, ranges, observed, telemetry,
+                         reference, version)
         self.decoded += 1
 
     # -- VLAN double tag -----------------------------------------------------
@@ -112,16 +103,3 @@ class TelemetryDecoder:
                                                observed),
                 observed)
         return parsed
-
-    # -- INT stack -----------------------------------------------------------
-
-    def _parse_int(self, stack: IntStack) -> Parsed:
-        switches = stack.switch_path()
-        eps = self.estimator.range_for(0, 0)  # ± skew allowance around 0
-        ranges = {}
-        observed = None
-        for hop in stack.hops:
-            ranges[hop.switch_id] = EpochRange(hop.epoch + eps.lo,
-                                               hop.epoch + eps.hi)
-            observed = hop.epoch  # last hop's epoch keys byte counts
-        return switches, ranges, observed

@@ -50,7 +50,12 @@ class ScenarioError(Exception):
 @dataclass(frozen=True)
 class Knob:
     """One tunable parameter of a scenario (``minimum``: the smallest
-    number it accepts, when it has one)."""
+    number it accepts, when it has one).
+
+    A knob's type is its default's type: an int knob takes an int, a
+    float knob an int or a float, a bool knob only a bool and a str
+    knob only a str (:func:`knob_type_error`).
+    """
 
     default: Any
     help: str
@@ -193,6 +198,20 @@ class ScenarioResult:
         return out
 
 
+def knob_type_error(knob: Knob, value: Any) -> Optional[str]:
+    """Why ``value`` cannot set ``knob`` (its default's type), or None."""
+    kind = type(knob.default)
+    if isinstance(value, bool) or kind is bool:
+        fits = isinstance(value, bool) and kind is bool
+    else:
+        fits = isinstance(value, kind) or (kind is float
+                                           and isinstance(value, int))
+    if fits:
+        return None
+    return (f"takes {'an' if kind is int else 'a'} {kind.__name__}, got "
+            f"{value!r} ({type(value).__name__})")
+
+
 class Scenario(abc.ABC):
     """Base class all scenarios implement (build → run → collect → diagnose).
 
@@ -223,6 +242,10 @@ class Scenario(abc.ABC):
                 raise ScenarioError(
                     f"knob {name!r} of {self.spec.name!r} must be {what}>= "
                     f"{knob.minimum:g}, got {value!r}")
+            wrong = knob_type_error(knob, value)
+            if wrong is not None:
+                raise ScenarioError(
+                    f"knob {name!r} of {self.spec.name!r} {wrong}")
         self.network: Optional[Network] = None
         self.deployment: Optional[SwitchPointerDeployment] = None
         #: the fault composition this run injects; build() populates it

@@ -2,8 +2,9 @@
 
 A :class:`Switch` owns a set of interfaces (one per attached link), a
 two-level destination-based forwarding table (host routes over routes to
-the destination's rack), and a pipeline of hooks that run on
-every forwarded packet.  The SwitchPointer switch component
+the destination's rack — every host is a leaf behind one switch, so the
+rack decides the route), and a pipeline of hooks that run on every
+forwarded packet.  The SwitchPointer switch component
 (:mod:`repro.switchd.datapath`) attaches itself as such a hook — the
 simulator core stays monitoring-agnostic.
 
@@ -67,7 +68,7 @@ class Switch:
 
     A destination is looked up in the *host routes* first (``dst ->
     candidates``: the switch's own attached hosts and every
-    :meth:`install_route` / :meth:`set_routes` entry); a miss falls
+    :meth:`set_routes` entry); a miss falls
     through to the *rack routes* (``attach switch -> candidates``, one
     shared tuple per remote rack) by way of a ``host -> attach switch``
     map.  :meth:`Network.compute_routes` owns that map: it rebuilds it
@@ -104,30 +105,9 @@ class Switch:
             raise ValueError("interface is not owned by this switch")
         self.interfaces.append(iface)
 
-    def _candidates(self, dst: str) -> Sequence[Interface]:
-        """The FIB lookup (:meth:`forward` inlines it): a host route
-        wins, else the route to the rack ``dst`` hangs off, else ``()``."""
-        found = self._host_routes.get(dst)
-        if found is None:
-            found = self._rack_routes.get(self._rack_of.get(dst), ())
-        return found
-
-    def install_route(self, dst: str, iface: Interface) -> None:
-        """Add ``iface`` to the ECMP candidate set for ``dst``.
-
-        The first edit gives ``dst`` a host route of its own, copied
-        from whatever served it (a shared rack route stays as it was
-        for the rack's other hosts).
-        """
-        cur = self._host_routes.get(dst)
-        if not isinstance(cur, list):
-            cur = self._host_routes[dst] = list(self._candidates(dst))
-        if iface not in cur:
-            cur.append(iface)
-
     def set_routes(self, dst: str, ifaces: Sequence[Interface]) -> None:
         """Replace the whole candidate set for ``dst`` with a host route
-        (stored as-is; copied on the first :meth:`install_route`)."""
+        (stored as-is, never copied)."""
         self._host_routes[dst] = ifaces
 
     def set_rack_routes(self, attach: Mapping[str, str],
@@ -142,7 +122,12 @@ class Switch:
         self._rack_routes = {}
 
     def routes_for(self, dst: str) -> list[Interface]:
-        return list(self._candidates(dst))
+        """The FIB lookup (:meth:`forward` inlines it): a host route
+        wins, else the route to the rack ``dst`` hangs off, else ``[]``."""
+        found = self._host_routes.get(dst)
+        if found is None:
+            found = self._rack_routes.get(self._rack_of.get(dst), ())
+        return list(found)
 
     # -- dataplane -----------------------------------------------------------
 

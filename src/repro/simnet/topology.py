@@ -3,12 +3,15 @@
 :class:`Network` owns the simulator, nodes and links.  The fabric is
 what the paper says hosts and the analyzer hold — a static topology
 map (§4.2.1, §4.3): one adjacency map ``{node: {peer: link}}`` in
-link-creation order, versioned by ``topology_version``.  Forwarding
-tables (:meth:`Network.compute_routes`), the per-target distance tables
-behind :meth:`Network.shortest_paths` and the first-discovered paths
-the analyzer prunes by (:meth:`Network.tree_path`, one tree per root
-switch, a host's path built at lookup) all come from one level-order
-BFS over it; nothing here imports a graph library.
+link-creation order, versioned by ``topology_version``.  Hosts are
+leaves: :meth:`Network.connect` gives a host one cable, to a switch, so
+every path between hosts runs between their attach switches over the
+switches alone.  Forwarding tables (:meth:`Network.compute_routes`, one
+route per remote rack), the per-target distance tables behind
+:meth:`Network.shortest_paths` and the first-discovered paths the
+analyzer prunes by (:meth:`Network.tree_path`, one tree per root switch,
+a host's path built at lookup) all come from one level-order BFS over
+the switch-only map; nothing here imports a graph library.
 Builders cover the topologies the paper uses:
 
 * :func:`build_linear` — the 3-switch chain of Figs 1(b)/1(c), used by
@@ -116,7 +119,7 @@ class Network:
         # entry per :meth:`attach_pair`) and the :meth:`tree_path` trees
         self._fabric: Optional[tuple[dict[str, str],
                                      dict[str, list[str]]]] = None
-        self._toward: dict[tuple[str, bool], dict[str, list[str]]] = {}
+        self._toward: dict[str, dict[str, list[str]]] = {}
         self._spaths: dict[tuple[str, str], tuple[NodePath, ...]] = {}
         self._trees: dict[str, dict[str, NodePath]] = {}
 
@@ -141,7 +144,27 @@ class Network:
     def connect(self, a: Node, b: Node, *, rate_bps: float = 1e9,
                 propagation_delay: float = 2e-6,
                 queue_factory: Optional[QueueFactory] = None) -> Link:
-        """Create a full-duplex link and register its interfaces."""
+        """Create a full-duplex link and register its interfaces.
+
+        Hosts are leaves: a host takes one cable, and only to a switch.
+        Both ends are checked before anything is built, so a refused
+        cable leaves the network as it was.
+        """
+        for node in (a, b):
+            if node is not self.hosts.get(node.name, self.switches.get(
+                    node.name)):
+                raise TopologyError(f"unknown node {node.name!r}")
+        for host, peer in ((a, b), (b, a)):
+            if host.name not in self.hosts:
+                continue
+            if peer.name in self.hosts:
+                raise TopologyError(
+                    f"host {host.name!r} cannot be wired to host "
+                    f"{peer.name!r}: hosts hang off switches")
+            if host.nic is not None:
+                raise TopologyError(
+                    f"host {host.name!r} is already cabled to "
+                    f"{host.nic.peer_node.name!r}")
         link = Link(self.sim, a, b, rate_bps=rate_bps,
                     propagation_delay=propagation_delay,
                     queue_factory=queue_factory)
@@ -200,29 +223,25 @@ class Network:
     def _derived(self) -> tuple[dict[str, str], dict[str, list[str]]]:
         """``(host -> attach switch, switch-only adjacency)``.
 
-        The attach map is filled only when *every* host hangs off
-        exactly one switch (true of all the builders here) and is empty
-        otherwise; both follow the cabling, never link state.
+        A host not cabled yet has no attach switch; both follow the
+        cabling, never link state.
         """
         if self._fabric is None:
             adj, switches = self.adjacency, self.switches
-            attach = {h: sw for h in self.hosts if len(adj.get(h, ())) == 1
-                      for sw in adj[h] if sw in switches}
             self._fabric = (
-                attach if len(attach) == len(self.hosts) else {},
+                {h: sw for h in self.hosts for sw in adj[h]},
                 {s: [p for p in adj[s] if p in switches] for s in switches})
         return self._fabric
 
     def attach_pair(self, src: str, dst: str) -> tuple[str, str]:
         """The node pair whose shortest paths decide src→dst's.
 
-        When every host hangs off exactly one switch, a degree-1 host
-        can never be a transit node, so each shortest path between two
-        distinct hosts is exactly ``[src] + P + [dst]`` with ``P``
-        ranging over the shortest paths between the two attachment
-        switches — the pair returned.  Any other query (multi-homed
-        fabrics, host-host wires, switch endpoints, ``src == dst``,
-        unknown names) is decided by the two names themselves.
+        A host is a leaf, never a transit node, so each shortest path
+        between two distinct cabled hosts is exactly ``[src] + P +
+        [dst]`` with ``P`` ranging over the shortest paths between the
+        two attachment switches — the pair returned.  Any other query
+        (switch endpoints, ``src == dst``, uncabled or unknown names) is
+        decided by the two names themselves.
         """
         attach = self._derived()[0]
         a, b = attach.get(src), attach.get(dst)
@@ -231,30 +250,28 @@ class Network:
         return a, b
 
     def attach_paths(self, a: str, b: str) -> tuple[NodePath, ...]:
-        """All shortest a→b paths of one :meth:`attach_pair`, sorted.
+        """All shortest a→b paths between two switches, sorted.
 
         The memo's own immutable tuples (what the CherryPick planner
         shares between every host pair behind ``a`` and ``b``).  A miss
-        walks the distance table *toward* ``b`` — one BFS per target,
-        over the switches alone when the pair is two switches of a
-        single-homed fabric, kept as each node's peers one hop closer —
+        walks the distance table *toward* ``b`` — one BFS per target
+        over the switches, kept as each switch's peers one hop closer —
         so expanding a pair costs its output, not a search.  Raises
-        :class:`NoPathError`.
+        :class:`NoPathError`, also when either end is not a switch.
         """
         cores = self._spaths.get((a, b))
         if cores is not None:
             return cores
-        attach, core = self._derived()
-        scoped = bool(attach) and a in core and b in core
-        adj: Mapping[str, Iterable[str]] = core if scoped else self.adjacency
-        if a not in adj or b not in adj:
-            raise NoPathError(a, b, unknown=True)
-        toward = self._toward.get((b, scoped))
+        core = self._derived()[1]
+        if a not in core or b not in core:
+            raise NoPathError(a, b, unknown=(a not in self.adjacency
+                                             or b not in self.adjacency))
+        toward = self._toward.get(b)
         if toward is None:
             self.path_searches += 1
-            dist = _bfs(adj, b)[0]
-            toward = self._toward[b, scoped] = {
-                v: [w for w in adj[v] if dist.get(w) == d - 1]
+            dist = _bfs(core, b)[0]
+            toward = self._toward[b] = {
+                v: [w for w in core[v] if dist.get(w) == d - 1]
                 for v, d in dist.items()}
         if a not in toward:
             raise NoPathError(a, b, unknown=False)
@@ -265,14 +282,20 @@ class Network:
         return cores
 
     def _paths(self, src: str, dst: str) -> Sequence[NodePath]:
-        """:meth:`attach_paths` of the :meth:`attach_pair`, wrapped in
-        the two hosts when the pair is their attach switches."""
-        a, b = self.attach_pair(src, dst)
+        """:meth:`attach_paths` between the switches behind ``src`` and
+        ``dst`` (a switch is behind itself), wrapped in whichever ends
+        are hosts."""
+        if src == dst and src in self.adjacency:
+            return [(src,)]
+        attach = self._derived()[0]
+        a, b = attach.get(src, src), attach.get(dst, dst)
         try:
             cores = self.attach_paths(a, b)
         except NoPathError as err:  # name the ends that were asked about
             raise NoPathError(src, dst, unknown=err.unknown) from None
-        return cores if a == src else [(src, *p, dst) for p in cores]
+        head = () if a == src else (src,)
+        tail = () if b == dst else (dst,)
+        return [(*head, *p, *tail) for p in cores]
 
     def shortest_paths(self, src: str, dst: str) -> list[list[str]]:
         """All shortest src→dst node-name paths (deterministic order).
@@ -287,12 +310,11 @@ class Network:
 
         Peers in link order, first discoverer wins — which of several
         equally short paths a node gets matters, because the analyzer
-        keeps or drops a host by the links of this one.  On a
-        single-homed fabric one tree per switch, of switches only; a
-        host source roots at its attach switch, and a host's path is
-        its attach switch's plus itself, built per call.  Other fabrics
-        root a whole-map tree at ``source``.  ``None`` for an unknown
-        ``source`` or an unknown or unreachable ``node``.
+        keeps or drops a host by the links of this one.  One tree per
+        switch, of switches only; a host source roots at its attach
+        switch, and a host's path is its attach switch's plus itself,
+        built per call.  ``None`` for an unknown or uncabled ``source``
+        or an unknown or unreachable ``node``.
         """
         if source == node:
             return [source] if source in self.adjacency else None
@@ -300,9 +322,9 @@ class Network:
         root = attach.get(source, source)
         tree = self._trees.get(root)
         if tree is None:
-            if root not in self.adjacency:
+            if root not in core:
                 return None
-            parent = _bfs(core if attach else self.adjacency, root)[1]
+            parent = _bfs(core, root)[1]
             tree = self._trees[root] = {root: (root,)}
             for v, via in parent.items():
                 tree[v] = (*tree[via], v)
@@ -344,82 +366,24 @@ class Network:
 
         For each switch and destination host, every neighbor on some
         shortest *live* path toward the destination contributes one
-        candidate egress interface.  Down links contribute nothing, so
-        re-running this after a link event models routing reconvergence.
+        candidate egress interface, in link-creation order.  Down links
+        contribute nothing, so re-running this after a link event
+        models routing reconvergence.
 
-        Cost is O(S·E) BFS plus O(H · Σ switch-degree) rule installs —
-        distances are only ever needed *from switches* (hosts never
-        forward: a host neighbor qualifies as next hop exactly when it
-        is the destination itself, one dict probe).
-
-        When every host is single-homed (all the builders), the
-        dedicated fast path below routes to the rack, not to the host:
-        switch-only BFS, one candidate tuple per (switch, attach
-        switch) pair and one host -> attach switch map shared by every
-        switch — O(S² + H) installed state, which is what makes
-        65536-host fabrics routable in ~0.1 s.  Both paths
-        answer :meth:`Switch.routes_for` identically, candidate order
-        included.
-        """
-        if self._compute_routes_fast():
-            return
-        # live links only, in global creation order (so is the ECMP
-        # candidate order): the whole graph for distances — a
-        # multi-homed host is a transit node there — and per switch
-        live: dict[str, list[str]] = {name: [] for name in self.adjacency}
-        to_switch: dict[str, list[tuple[str, Link]]] = \
-            {name: [] for name in self.switches}
-        to_host: dict[str, dict[str, list[Link]]] = \
-            {name: {} for name in self.switches}
-        for link in self.links:
-            if not link.up:
-                continue
-            for node, peer in ((link.a, link.b), (link.b, link.a)):
-                live[node.name].append(peer.name)
-                if node.name not in self.switches:
-                    continue
-                if peer.name in self.switches:
-                    to_switch[node.name].append((peer.name, link))
-                else:
-                    to_host[node.name].setdefault(peer.name,
-                                                  []).append(link)
-        dist = {name: _bfs(live, name)[0] for name in self.switches}
-        for sw_name, sw in self.switches.items():
-            sw.clear_routes()
-            d_sw = dist[sw_name]
-            host_links = to_host[sw_name]
-            switch_links = to_switch[sw_name]
-            for dst in self.hosts:
-                d_here = d_sw.get(dst)
-                if d_here is None:
-                    continue
-                if d_here == 1:
-                    for link in host_links.get(dst, ()):
-                        sw.install_route(dst, link.iface_of(sw))
-                    continue
-                for peer, link in switch_links:
-                    if dist[peer].get(dst) == d_here - 1:
-                        sw.install_route(dst, link.iface_of(sw))
-
-    def _compute_routes_fast(self) -> bool:
-        """Single-homed fast path for :meth:`compute_routes`.
-
-        Applies when no host has more than one live link and no link
-        joins two hosts (true of every builder).  Then a host is a leaf
-        of the graph — never an interior node of a shortest path — so
-        switch-to-switch distances fully determine routing, and every
+        A host is a leaf — never an interior node of a shortest path —
+        so switch-to-switch distances fully determine routing, and every
         destination behind the same attach switch shares one ECMP
         candidate set per forwarding switch: that set is installed once,
-        as the switch's route to the rack (:meth:`Switch.set_rack_routes`).
-        A packet sees exactly what the generic path would install: same
-        candidates, same creation order.
-        Returns False (installing nothing) when the precondition fails.
+        as the switch's route to the rack (:meth:`Switch.set_rack_routes`),
+        beside one host route per attached host.  Cost is one BFS per
+        switch over the switch-only links and O(S² + H) installed state,
+        which is what makes 65536-host fabrics routable in ~0.1 s.
         """
         switches = self.switches
-        #: host -> attach switch over *live* links, like the generic
-        #: path (``_derived()``'s follows the cabling): a host whose
-        #: access link is down is in no switch's FIB, so its packets
-        #: die at the ingress switch.  Every switch reads this one dict.
+        #: host -> attach switch over *live* links (``_derived()``'s
+        #: follows the cabling): a host whose access link is down is in
+        #: no switch's FIB, so its packets die at the ingress switch.
+        #: Every switch reads this one dict.
         attach: dict[str, str] = {}
         access: dict[str, list[tuple[str, Link]]] = \
             {name: [] for name in switches}
@@ -429,19 +393,13 @@ class Network:
             if not link.up:
                 continue
             an, bn = link.a.name, link.b.name
-            a_is_sw = an in switches
-            b_is_sw = bn in switches
-            if a_is_sw and b_is_sw:
+            if an in switches and bn in switches:
                 sw_adj[an].append((bn, link))
                 sw_adj[bn].append((an, link))
-            elif a_is_sw or b_is_sw:
-                hname, swname = (bn, an) if a_is_sw else (an, bn)
-                if hname in attach:
-                    return False  # multi-homed host
+            else:  # an access link: connect() puts a switch on one end
+                hname, swname = (bn, an) if an in switches else (an, bn)
                 attach[hname] = swname
                 access[swname].append((hname, link))
-            else:
-                return False  # host-host link
         racks = [name for name, served in access.items() if served]
         # distances over the live switch-to-switch links only
         peers = {u: [v for v, _ in adj] for u, adj in sw_adj.items()}
@@ -458,7 +416,6 @@ class Network:
                 for rack in racks if d_sw.get(rack)})
             for dst, link in access[sw_name]:
                 sw.set_routes(dst, (link.iface_of(sw),))
-        return True
 
     def set_link_state(self, a: str, b: str, up: bool, *,
                        reconverge_delay: float = 0.0) -> Link:

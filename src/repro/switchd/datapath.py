@@ -7,9 +7,8 @@ For every forwarded packet the datapath must:
 2. set that slot's bit in one pointer set per level of the hierarchical
    store (the bits "in parallel" in hardware; a tight k-iteration loop
    here);
-3. embed telemetry: in VLAN mode, push the (linkID, epochID) double tag
-   at the path-pinning hop (CherryPick); in INT mode, append a
-   (switchID, epochID) record at every hop.
+3. push the (linkID, epochID) VLAN double tag at the path-pinning hop
+   (CherryPick); every later hop leaves it as it is.
 
 :class:`SwitchPointerDatapath` attaches to a
 :class:`repro.simnet.device.Switch` as a pipeline hook, so the simulator
@@ -23,18 +22,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.epoch import EpochClock
-from ..core.headers import IntStack, VlanDoubleTag, VLAN_ID_MODULUS
+from ..core.headers import VlanDoubleTag, VLAN_ID_MODULUS
 from ..core.mphf import MinimalPerfectHash
 from ..core.pointer import HierarchicalPointerStore
 from ..simnet.device import Switch
 from ..simnet.link import Interface
 from ..simnet.packet import Packet
 from .cherrypick import CherryPickPlanner
-
-MODE_VLAN = "vlan"
-MODE_INT = "int"
-MODE_NONE = "none"  # pointer updates only; no header embedding
-_MODES = (MODE_VLAN, MODE_INT, MODE_NONE)
 
 
 class SwitchPointerDatapath:
@@ -51,27 +45,18 @@ class SwitchPointerDatapath:
     store:
         This switch's hierarchical pointer store.
     planner:
-        CherryPick decisions (VLAN mode only).
-    mode:
-        ``"vlan"`` (commodity double tagging), ``"int"`` (clean slate),
-        or ``"none"`` (directory only).
+        CherryPick decisions: which egress link pins a packet's path.
     """
 
     def __init__(self, switch: Switch, clock: EpochClock,
                  mphf: MinimalPerfectHash,
                  store: HierarchicalPointerStore, *,
-                 planner: Optional[CherryPickPlanner] = None,
-                 mode: str = MODE_VLAN):
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == MODE_VLAN and planner is None:
-            raise ValueError("VLAN mode requires a CherryPickPlanner")
+                 planner: CherryPickPlanner):
         self.switch = switch
         self.clock = clock
         self.mphf = mphf
         self.store = store
         self.planner = planner
-        self.mode = mode
         self.packets_processed = 0
         self.tags_embedded = 0
         #: vlan id -> the tag this switch embeds on that link in the
@@ -113,12 +98,8 @@ class SwitchPointerDatapath:
             # a negative epoch)
             epoch = 0
         self.process_slot_update(pkt.flow.dst, epoch)
-        mode = self.mode
-        if mode == MODE_VLAN:
-            if pkt.telemetry is None:  # else a previous hop pinned the path
-                self._embed_vlan(pkt, out_iface, epoch)
-        elif mode == MODE_INT:
-            self._embed_int(pkt, epoch)
+        if pkt.telemetry is None:  # else a previous hop pinned the path
+            self._embed_vlan(pkt, out_iface, epoch)
 
     def process_slot_update(self, dst: str, epoch: int) -> int:
         """The §4.1.2 fast path: one hash, then k bit-sets.
@@ -149,11 +130,10 @@ class SwitchPointerDatapath:
             self.store.update(epoch, slot)
         return slot
 
-    # -- telemetry embedding ---------------------------------------------------
+    # -- the VLAN double tag ---------------------------------------------------
 
     def _embed_vlan(self, pkt: Packet, out_iface: Interface,
                     epoch: int) -> None:
-        assert self.planner is not None
         link = out_iface.link
         vlan_id = link.vlan_id
         # the tag carries the network-local wire id; links never wired
@@ -170,29 +150,3 @@ class SwitchPointerDatapath:
                                                                 epoch)
             pkt.telemetry = tag
             self.tags_embedded += 1
-
-    def _embed_int(self, pkt: Packet, epoch: int) -> None:
-        if pkt.telemetry is None:
-            pkt.telemetry = IntStack()
-        elif not isinstance(pkt.telemetry, IntStack):
-            raise TypeError(
-                "mixed telemetry modes on one path: found "
-                f"{type(pkt.telemetry).__name__} in INT mode")
-        pkt.telemetry.push(self.switch.name, epoch)
-        self.tags_embedded += 1
-
-
-class VanillaDatapath:
-    """Forwarding-only baseline for Fig 9 ("vanilla OVS").
-
-    Performs the same per-packet bookkeeping a plain software switch
-    would (a flow-table dictionary probe) with no SwitchPointer work.
-    """
-
-    def __init__(self, dests: list[str]):
-        self._flow_table = {d: i % 48 for i, d in enumerate(dests)}
-        self.packets_processed = 0
-
-    def process(self, dst: str) -> int:
-        self.packets_processed += 1
-        return self._flow_table[dst]

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.headers import (HeaderError, IntHop, IntStack,
-                                VlanDoubleTag, VLAN_ID_MODULUS)
+from repro.core.headers import HeaderError, VlanDoubleTag, VLAN_ID_MODULUS
 
 
 class TestVlanDoubleTag:
@@ -40,28 +39,3 @@ class TestVlanDoubleTag:
 
     def test_modulus_constant(self):
         assert VLAN_ID_MODULUS == 4096
-
-
-class TestIntStack:
-    def test_push_accumulates_hops(self):
-        stack = IntStack()
-        stack.push("S1", 10)
-        stack.push("S2", 11)
-        assert stack.switch_path() == ["S1", "S2"]
-        assert len(stack) == 2
-
-    def test_negative_epoch_rejected(self):
-        with pytest.raises(HeaderError):
-            IntStack().push("S1", -1)
-
-    def test_overhead_grows_per_hop(self):
-        stack = IntStack()
-        base = stack.wire_overhead_bytes()
-        stack.push("S1", 0)
-        stack.push("S2", 0)
-        assert stack.wire_overhead_bytes() == base + 2 * IntStack.BYTES_PER_HOP
-
-    def test_hops_are_frozen_records(self):
-        hop = IntHop(switch_id="S1", epoch=3)
-        with pytest.raises(AttributeError):
-            hop.epoch = 4

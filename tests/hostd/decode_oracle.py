@@ -11,21 +11,17 @@ parse_every_packet)`` before the host agents are built, or call
 """
 from __future__ import annotations
 
-from repro.core.headers import IntStack, VlanDoubleTag
+from repro.core.headers import VlanDoubleTag
 from repro.hostd.decoder import TelemetryDecoder
 
 
 def parse_every_packet(self, host, pkt, now):
     """Decode ``pkt`` from scratch and fold it into its record."""
     telemetry = pkt.telemetry
-    if isinstance(telemetry, VlanDoubleTag):
-        parsed = self._parse_vlan(pkt, telemetry,
-                                  self.host_clock.epoch_of(now))
-    elif isinstance(telemetry, IntStack):
-        parsed = self._parse_int(telemetry)
-    else:
+    if not isinstance(telemetry, VlanDoubleTag):
         self.undecodable += 1
         return
+    parsed = self._parse_vlan(pkt, telemetry, self.host_clock.epoch_of(now))
     self.store.ingest(pkt.flow, pkt.size, now, pkt.priority, *parsed)
     self.decoded += 1
 

@@ -10,12 +10,11 @@ from repro.simnet.packet import make_udp
 from repro.simnet.topology import (build_fat_tree, build_leaf_spine,
                                    build_linear)
 from repro.switchd.cherrypick import CherryPickPlanner
-from repro.switchd.datapath import (MODE_INT, MODE_VLAN,
-                                    SwitchPointerDatapath)
+from repro.switchd.datapath import SwitchPointerDatapath
 from tests.simnet.trajectory import Trajectories
 
 
-def instrument(net, mode=MODE_VLAN, alpha_ms=10, epsilon_ms=1.0,
+def instrument(net, alpha_ms=10, epsilon_ms=1.0,
                delta_ms=2.0, skew=None):
     """Wire datapaths on all switches + a decoder on every host."""
     directory = HostDirectory(net.host_names)
@@ -25,8 +24,7 @@ def instrument(net, mode=MODE_VLAN, alpha_ms=10, epsilon_ms=1.0,
     for name, sw in net.switches.items():
         store = HierarchicalPointerStore(directory.n, alpha=alpha_ms, k=2)
         SwitchPointerDatapath(sw, EpochClock(alpha_ms, skew_s=skew(name)),
-                              directory.mphf, store, planner=planner,
-                              mode=mode)
+                              directory.mphf, store, planner=planner)
     decoders = {}
     for name, host in net.hosts.items():
         store = FlowRecordStore(name)
@@ -113,10 +111,12 @@ class TestVlanWithSkew:
             assert true_epoch in rec.epochs_at(sw), sw
 
 
-class TestIntDecoding:
-    def test_int_exact_per_switch_epochs(self):
+class TestUnskewedDecoding:
+    def test_every_switch_range_holds_the_send_epoch(self):
+        """With no skew allowance the one tag still gives every hop a
+        range holding the epoch the packet crossed it in."""
         net = build_linear(3, 1)
-        decoders = instrument(net, mode=MODE_INT, epsilon_ms=0.0)
+        decoders = instrument(net, epsilon_ms=0.0)
         net.sim.schedule(0.025, lambda: net.hosts["h1_0"].send(
             make_udp("h1_0", "h3_0", 1, 9, 500)))
         net.run()

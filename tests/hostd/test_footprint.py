@@ -170,11 +170,11 @@ class TestUntouchedFabricState:
             route = leaf._host_routes[dst]
             assert type(route) is tuple and len(route) == 1
             assert route[0].peer_node is net.hosts[dst]
-        # the first edit gives that host a list of its own
+        # replacing one host's route leaves its neighbour's tuple alone
         extra = net.link_between("leaf0", "spine0").iface_of(leaf)
-        leaf.install_route("h0_0", extra)
         own = net.hosts["h0_0"].nic.peer_iface
-        assert leaf._host_routes["h0_0"] == [own, extra]
+        leaf.set_routes("h0_0", (own, extra))
+        assert leaf._host_routes["h0_0"] == (own, extra)
         assert type(leaf._host_routes["h0_1"]) is tuple
 
     def test_a_pointer_slot_no_update_wrote_holds_no_set(self):

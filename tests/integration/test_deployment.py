@@ -1,4 +1,5 @@
-"""Integration tests for deployment wiring, INT mode, skew, offline path."""
+"""Integration tests for deployment wiring, fat-tree decode, skew, offline
+path."""
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.core.sizing import store_memory_bits
 from repro.simnet.packet import make_udp
 from repro.simnet.topology import build_fat_tree, build_linear
 from repro.switchd.agent import RecycledEpochError
-from repro.switchd.datapath import MODE_INT
 
 
 class TestDeploymentWiring:
@@ -35,13 +35,12 @@ class TestDeploymentWiring:
         assert deploy.total_pointer_memory_bits() == expected
 
 
-class TestIntModeOnFatTree:
-    def test_int_deployment_decodes_everywhere(self):
-        """INT works on arbitrary topologies (§4.1.3's clean-slate
-        path) — exercise a fat-tree inter-pod flow."""
+class TestVlanOnFatTree:
+    def test_deployment_decodes_everywhere(self):
+        """One aggregate-core link pins a 5-hop inter-pod path (§4.1.3):
+        the destination decodes every hop from the one tag."""
         net = build_fat_tree(4)
-        deploy = SwitchPointerDeployment(net, mode=MODE_INT,
-                                         epsilon_ms=1, delta_ms=2)
+        deploy = SwitchPointerDeployment(net, epsilon_ms=1, delta_ms=2)
         src, dst = "h0_0_0", "h3_1_1"
         for _ in range(3):
             net.hosts[src].send(make_udp(src, dst, 1, 9, 500))

@@ -57,10 +57,10 @@ class TestHostFailures:
         s1 = net.switches["S1"]
         # route for a ghost host via S2's side, then traffic to it
         iface = net.link_between("S1", "S2").iface_of(s1)
-        s1.install_route("ghost", iface)
-        net.switches["S2"].install_route(
-            "ghost", net.link_between("h2_0", "S2").iface_of(
-                net.switches["S2"]))
+        s1.set_routes("ghost", (iface,))
+        net.switches["S2"].set_routes(
+            "ghost", (net.link_between("h2_0", "S2").iface_of(
+                net.switches["S2"]),))
         net.hosts["h1_0"].send(make_udp("h1_0", "ghost", 1, 9, 400))
         net.hosts["h1_0"].send(make_udp("h1_0", "h2_0", 1, 10, 400))
         net.run()

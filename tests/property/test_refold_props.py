@@ -6,8 +6,10 @@ parsing it (``FlowRecordStore.refold``).  Two worlds decode the same
 random packet sequence over one small fabric: the real decoder, and
 ``tests/hostd/decode_oracle.py``'s decoder that parses every packet.
 Tags are shared per (link, switch epoch) the way the datapath shares
-them; host skew moves mid-sequence, stores crash, bounded tables evict
-and the topology is edited.  After every step both stores must agree on
+them; host skew moves mid-sequence, stores crash, bounded tables evict,
+the topology is edited, and records are folded by hand between packets
+(``FlowRecord.observe``, which must make the record forget its tag).
+After every step both stores must agree on
 every record field, ``_update_seq``, ``ingested``, table order, index
 buckets and eviction victims — and a header a cabling edit stopped
 pinning must fail alike in both.
@@ -15,8 +17,8 @@ pinning must fail alike in both.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.epoch import EpochClock, EpochRangeEstimator
-from repro.core.headers import IntStack, VlanDoubleTag
+from repro.core.epoch import EpochClock, EpochRange, EpochRangeEstimator
+from repro.core.headers import VlanDoubleTag
 from repro.hostd.decoder import TelemetryDecoder
 from repro.hostd.records import FlowRecordStore
 from repro.simnet.packet import PROTO_UDP, FlowKey, Packet
@@ -42,7 +44,7 @@ steps = st.lists(st.tuples(
     st.integers(64, 1500),           # size
     st.integers(0, 2),               # priority
     st.integers(0, 1),               # embedder epoch lag
-    st.integers(0, 9),               # 0: an INT header, if mixed
+    st.integers(0, 9),               # 0: a fold by hand, if mixed
     st.sampled_from(["h3_0", "h1_0", "h2_1"]),  # a store to crash
     st.sampled_from([-3, 0, 2, 6000])),  # a new skew, ms: 6 s puts the
     # host's epoch past half the 12-bit tag wrap
@@ -77,8 +79,8 @@ def world(cls, net, planner, estimator, bound):
 
 @settings(max_examples=60, deadline=None)
 @given(steps=steps, bound=st.sampled_from([None, 1, 2, 3]),
-       int_mixed=st.booleans())
-def test_repeat_fold_equals_full_parse(steps, bound, int_mixed):
+       hand_folds=st.booleans())
+def test_repeat_fold_equals_full_parse(steps, bound, hand_folds):
     net = build_linear(3, 2)
     planner = CherryPickPlanner(net)
     estimator = EpochRangeEstimator(ALPHA_MS, 1.0, 2.0)
@@ -109,13 +111,15 @@ def test_repeat_fold_equals_full_parse(steps, bound, int_mixed):
                 for decoders in (fast, full):
                     decoders[key.dst].host_clock.set_skew(skew_ms * 1e-3)
             epoch = max(0, int(now * 1e3 // ALPHA_MS) - lag)
-            if int_mixed and mode == 0:
-                # with a lag, a stack short of its last hop: a path the
-                # next VLAN parse must overwrite
-                header = IntStack()
+            if hand_folds and mode == 0:
+                # a fold that is no refold — with a lag, a path short of
+                # its last hop, which the next VLAN parse must overwrite
                 path = paths[key.src, key.dst]
-                for sw in path[:len(path) - lag]:
-                    header.push(sw, epoch)
+                path = path[:len(path) - lag]
+                ranges = {sw: EpochRange(epoch, epoch) for sw in path}
+                for decoders in (fast, full):
+                    decoders[key.dst].store.record_for(key).observe(
+                        size, now, prio, path, ranges, epoch)
             else:
                 vlan = (stale if mode == 1 else links)[key.src,
                                                        key.dst].vlan_id
@@ -123,10 +127,10 @@ def test_repeat_fold_equals_full_parse(steps, bound, int_mixed):
                 if header is None:
                     header = tags[vlan, epoch] = VlanDoubleTag.embed(vlan,
                                                                      epoch)
-            assert (deliver(fast, Packet(key, size, prio,
-                                         telemetry=header), now)
-                    == deliver(full, Packet(key, size, prio,
-                                            telemetry=header), now))
+                assert (deliver(fast, Packet(key, size, prio,
+                                             telemetry=header), now)
+                        == deliver(full, Packet(key, size, prio,
+                                                telemetry=header), now))
         for name in HOSTS:
             assert (store_state(fast[name].store)
                     == store_state(full[name].store)), (i, step, name)

@@ -85,35 +85,6 @@ def all_shortest_paths(g: nx.Graph, src: str, dst: str) -> list[list[str]]:
         return []
 
 
-def multi_homed() -> Network:
-    """h0 is cabled to both leaves; h1..h3 hang off one switch each.
-
-    :class:`Host` carries a single NIC, so a two-port device registered
-    under ``hosts`` stands in for the dual-homed server.
-    """
-    net = Network()
-    for name in ("s0", "s1", "s2"):
-        net.add_switch(name)
-    net.hosts["h0"] = Switch(net.sim, "h0")
-    for name in ("h1", "h2", "h3"):
-        net.add_host(name)
-    for a, b in (("s0", "s2"), ("s1", "s2"), ("h0", "s0"), ("h0", "s1"),
-                 ("h1", "s0"), ("h2", "s1"), ("h3", "s2")):
-        net.connect(net.node(a), net.node(b))
-    return net
-
-
-def host_host_wire() -> Network:
-    """h2—h3 are wired back to back, apart from the switched hosts."""
-    net = Network()
-    net.add_switch("s0")
-    for name in ("h0", "h1", "h2", "h3"):
-        net.add_host(name)
-    for a, b in (("h0", "s0"), ("h1", "s0"), ("h2", "h3")):
-        net.connect(net.node(a), net.node(b))
-    return net
-
-
 def route_entries(sw: Switch) -> int:
     """Installed FIB entries of ``sw``, both levels (host routes and
     rack routes; the shared rack map is not one)."""

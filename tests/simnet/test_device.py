@@ -158,17 +158,6 @@ class TestEcmp:
 
 
 class TestRouteTable:
-    def test_install_route_deduplicates(self):
-        sim = Simulator()
-        sw = Switch(sim, "S")
-        peer = Host(sim, "h")
-        link = Link(sim, sw, peer)
-        iface = link.iface_of(sw)
-        sw.attach(iface)
-        sw.install_route("h", iface)
-        sw.install_route("h", iface)
-        assert sw.routes_for("h") == [iface]
-
     def test_attach_rejects_foreign_interface(self):
         sim = Simulator()
         sw1 = Switch(sim, "S1")
@@ -178,12 +167,38 @@ class TestRouteTable:
         with pytest.raises(ValueError):
             sw2.attach(link.iface_of(sw1))
 
+    def test_set_routes_replaces_the_candidate_set(self):
+        sim = Simulator()
+        sw = Switch(sim, "S")
+        peer = Host(sim, "h")
+        link = Link(sim, sw, peer)
+        iface = link.iface_of(sw)
+        sw.attach(iface)
+        sw.set_routes("h", (iface, iface))
+        sw.set_routes("h", (iface,))
+        assert sw.routes_for("h") == [iface]
+
+    def test_host_route_wins_over_rack_route(self):
+        sim = Simulator()
+        sw = Switch(sim, "S")
+        up = Link(sim, sw, Switch(sim, "R")).iface_of(sw)
+        down = Link(sim, sw, Host(sim, "h")).iface_of(sw)
+        sw.attach(up)
+        sw.attach(down)
+        sw.set_rack_routes({"h": "R", "g": "R"}, {"R": (up,)})
+        assert sw.routes_for("g") == [up]
+        assert sw.routes_for("h") == [up]
+        sw.set_routes("h", (down,))
+        assert sw.routes_for("h") == [down]
+        assert sw.routes_for("g") == [up]
+        assert sw.routes_for("ghost") == []
+
     def test_clear_routes(self):
         sim = Simulator()
         sw = Switch(sim, "S")
         h = Host(sim, "h")
         link = Link(sim, sw, h)
         sw.attach(link.iface_of(sw))
-        sw.install_route("h", link.iface_of(sw))
+        sw.set_routes("h", (link.iface_of(sw),))
         sw.clear_routes()
         assert sw.routes_for("h") == []

@@ -15,8 +15,7 @@ from repro.simnet.topology import (TopologyError, build_fat_tree,
                                    build_fat_tree_for_hosts,
                                    build_leaf_spine, build_linear,
                                    build_star)
-from tests.simnet.oracles import (host_host_wire, multi_homed, nx_graph,
-                                   route_entries)
+from tests.simnet.oracles import nx_graph, route_entries
 
 
 def reference_routes(net) -> dict[tuple[str, str], list[int]]:
@@ -87,39 +86,11 @@ class TestComputeRoutesEquivalence:
         assert installed_routes(net) == reference_routes(net)
 
 
-    @pytest.mark.parametrize("build, cut", [
-        pytest.param(multi_homed, ("h0", "s0"), id="multi_homed"),
-        pytest.param(host_host_wire, ("h1", "s0"), id="host_host_wire"),
-    ])
-    def test_generic_path_matches_reference(self, build, cut):
-        """Fabrics the fast path declines.  A dual-homed host is a
-        transit node of the live graph distances are read from, but
-        hosts never forward: it is a next hop only as the destination."""
-        net = build()
-        assert not net._compute_routes_fast()
-
-        def reference():
-            by_id = {link.vlan_id: link for link in net.links}
-            out = {}
-            for (sw, dst), ids in reference_routes(net).items():
-                kept = [i for i in ids
-                        if by_id[i].peer_of(net.switches[sw]).name
-                        in (dst, *net.switches)]
-                if kept:
-                    out[sw, dst] = kept
-            return out
-
-        net.compute_routes()
-        healthy = installed_routes(net)
-        assert healthy and healthy == reference()
-        net.set_link_state(*cut, up=False)
-        assert healthy != installed_routes(net) == reference()
-
-
 class TestGenericAndFastRoutesAgree:
-    """``compute_routes`` has a single-homed fast path and a generic
-    one; both read distances off the same BFS helper and must install
-    identical candidate tuples in identical order."""
+    """``compute_routes`` routes to the rack over the switch-only links;
+    what a packet sees must equal the networkx reference, candidate
+    tuples and their order included, healthy, degraded and
+    reconverged."""
 
     BUILDS = [
         pytest.param(lambda: build_star(5), None, id="star"),
@@ -142,9 +113,8 @@ class TestGenericAndFastRoutesAgree:
                 for dst in net.hosts
                 if (ifaces := sw.routes_for(dst))}
 
-    def both_ways(self, net, monkeypatch):
-        assert net._compute_routes_fast()  # the precondition holds
-        fast_fib = self.fib(net)
+    def checked(self, net):
+        fib = self.fib(net)
         # to the rack, not to the host: a switch holds at most one entry
         # per other switch plus one per host it serves itself
         for name, sw in net.switches.items():
@@ -152,30 +122,28 @@ class TestGenericAndFastRoutesAgree:
             assert route_entries(sw) <= len(net.switches) - 1 + served
         assert sum(route_entries(sw) for sw in net.switches.values()) \
             <= len(net.switches) ** 2 + len(net.hosts)
-        with monkeypatch.context() as patched:
-            patched.setattr(net, "_compute_routes_fast", lambda: False)
-            net.compute_routes()
-        assert self.fib(net) == fast_fib
-        assert fast_fib == {pair: tuple(ids) for pair, ids
-                            in reference_routes(net).items()}
-        return fast_fib
+        net.compute_routes()  # a second convergence installs the same
+        assert self.fib(net) == fib
+        assert fib == {pair: tuple(ids) for pair, ids
+                       in reference_routes(net).items()}
+        return fib
 
     @pytest.mark.parametrize("build, cut", BUILDS)
-    def test_down_partition_and_reconvergence(self, build, cut, monkeypatch):
+    def test_down_partition_and_reconvergence(self, build, cut):
         net = build()
-        healthy = self.both_ways(net, monkeypatch)
+        healthy = self.checked(net)
         if cut is None:
             return
         net.set_link_state(*cut, up=False)
-        degraded = self.both_ways(net, monkeypatch)
+        degraded = self.checked(net)
         assert degraded != healthy
         net.set_link_state(*cut, up=True)
-        assert self.both_ways(net, monkeypatch) == healthy
+        assert self.checked(net) == healthy
 
-    def test_partitioned_chain(self, monkeypatch):
+    def test_partitioned_chain(self):
         net = build_linear(3, hosts_per_switch=1)
         net.set_link_state("S1", "S2", up=False)
-        routes = self.both_ways(net, monkeypatch)
+        routes = self.checked(net)
         assert ("S1", "h2_0") not in routes and ("S1", "h1_0") in routes
 
 
@@ -201,7 +169,7 @@ class TestTwoLevelFib:
         via_rack = leaf0.routes_for("h1_0")
         assert len(via_rack) == 2 and leaf0.routes_for("h1_1") == via_rack
         down = leaf0.routes_for("h0_0")[0]
-        leaf0.install_route("h1_0", down)  # copies the rack's, then adds
+        leaf0.set_routes("h1_0", (*via_rack, down))
         assert leaf0.routes_for("h1_0") == [*via_rack, down]
         assert leaf0.routes_for("h1_1") == via_rack
         leaf0.set_routes("h1_1", [down])

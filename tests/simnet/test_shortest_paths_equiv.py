@@ -2,14 +2,14 @@
 
 ``Network`` keeps the fabric as ``{node: {peer: link}}`` and derives
 everything from one BFS helper (see docs/PERFORMANCE.md):
-``shortest_paths`` expands a per-target distance table — over the
-switches alone whenever every host is single-homed — and
-``tree_path`` (what the analyzer prunes by) reads the first-discovered
-tree of its source's root.  These tests assert both are bit-identical
-to networkx on the oracle graph of ``tests/simnet/oracles.py`` —
-including sort order, memoized re-queries, *which* of several equally
-short paths a node gets, and the no-path failure mode — on every
-builder fabric and on fabrics that break the single-homed precondition.
+``shortest_paths`` expands a per-target distance table over the
+switches alone — hosts are leaves — and ``tree_path`` (what the
+analyzer prunes by) reads the first-discovered tree of its source's
+root.  These tests assert both are bit-identical to networkx on the
+oracle graph of ``tests/simnet/oracles.py`` — including sort order,
+memoized re-queries, *which* of several equally short paths a node
+gets, and the no-path failure mode — on every builder fabric and on one
+with a host not cabled yet.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from repro.simnet.topology import (
     build_linear,
     build_star,
 )
-from tests.simnet.oracles import host_host_wire, multi_homed, nx_graph
+from tests.simnet.oracles import nx_graph
 
 BUILDERS = [
     pytest.param(lambda: build_leaf_spine(4, 2, 3), id="leaf_spine"),
@@ -37,9 +37,17 @@ BUILDERS = [
     pytest.param(lambda: build_fat_tree_for_hosts(40, k=4),
                  id="fat_tree_for_hosts"),
 ]
+
+
+def with_uncabled_host() -> Network:
+    """A leaf-spine plus one host that has no cable yet."""
+    net = build_leaf_spine(2, 2, 2)
+    net.add_host("idle")
+    return net
+
+
 EVERY_FABRIC = BUILDERS + [
-    pytest.param(multi_homed, id="multi_homed"),
-    pytest.param(host_host_wire, id="host_host_wire"),
+    pytest.param(with_uncabled_host, id="uncabled_host"),
 ]
 
 
@@ -74,28 +82,13 @@ def _assert_equivalent(net: Network) -> None:
         assert _ours(net, src, dst) == want, (src, dst)
 
 
-@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("build", EVERY_FABRIC)
 def test_builder_fabrics_match_brute_force(build) -> None:
     net = build()
     _assert_equivalent(net)
     assert net._derived()[0]  # the switch-only tables actually engaged
     # one BFS per target asked about, however many pairs were asked
     assert net.path_searches <= 2 * len(net.adjacency)
-
-
-def test_multi_homed_host_falls_back_to_full_graph() -> None:
-    net = multi_homed()
-    _assert_equivalent(net)
-    assert not net._derived()[0]
-    # the dual-homed server is a transit node of a shortest path
-    assert ["h1", "s0", "h0", "s1", "h2"] in net.shortest_paths("h1", "h2")
-
-
-def test_host_to_host_wire_falls_back_to_full_graph() -> None:
-    net = host_host_wire()
-    _assert_equivalent(net)
-    assert not net._derived()[0]
-    assert net.shortest_paths("h2", "h3") == [["h2", "h3"]]
 
 
 def _assert_tree_paths(net: Network) -> None:
@@ -120,11 +113,10 @@ def test_tree_path_follows_the_first_discovered_tree(build) -> None:
     the links of this one path, so *which* shortest path is contract."""
     net = build()
     _assert_tree_paths(net)
-    if net._derived()[0]:
-        # single-homed: one tree per switch, each holding switches only
-        assert set(net._trees) == set(net.switches)
-        assert all(set(tree) <= set(net.switches)
-                   for tree in net._trees.values())
+    # one tree per switch, each holding switches only
+    assert set(net._trees) == set(net.switches)
+    assert all(set(tree) <= set(net.switches)
+               for tree in net._trees.values())
 
 
 def test_tree_path_follows_link_order_not_names() -> None:

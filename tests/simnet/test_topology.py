@@ -27,7 +27,7 @@ class TestNetwork:
 
     def test_link_between(self):
         net = Network()
-        a, b = net.add_host("a"), net.add_host("b")
+        a, b = net.add_host("a"), net.add_switch("b")
         link = net.connect(a, b)
         assert net.link_between("a", "b") is link
         assert net.link_between("b", "a") is link
@@ -51,6 +51,49 @@ class TestNetwork:
             net.link_between("a", "c")  # both known, not cabled
         with pytest.raises(TopologyError):
             net.link_between("ghost", "a")
+
+
+class TestHostsAreLeaves:
+    """A host takes one cable, and only to a switch; a refused cable is
+    refused before anything is built."""
+
+    @staticmethod
+    def refused(net, a, b, match):
+        def state():
+            return ({n: list(sw.interfaces)
+                     for n, sw in net.switches.items()},
+                    {n: h.nic for n, h in net.hosts.items()},
+                    list(net.links),
+                    {n: dict(peers) for n, peers in net.adjacency.items()},
+                    net.topology_version)
+
+        before = state()
+        with pytest.raises(TopologyError, match=match):
+            net.connect(a, b)
+        assert state() == before
+
+    def test_second_cable_on_a_host_is_refused_first(self):
+        net = Network()
+        s0, s1 = net.add_switch("s0"), net.add_switch("s1")
+        h = net.add_host("h")
+        net.connect(h, s0)
+        self.refused(net, s1, h, "host 'h' is already cabled to 's0'")
+        assert s1.interfaces == []  # no orphan port on the switch
+        self.refused(net, h, s0, "host 'h' is already cabled")
+
+    def test_host_to_host_wire_is_refused(self):
+        net = Network()
+        a, b = net.add_host("a"), net.add_host("b")
+        self.refused(net, a, b, "host 'a' cannot be wired to host 'b'")
+        assert (a.nic, b.nic) == (None, None)
+
+    def test_unknown_node_is_refused(self):
+        net = Network()
+        s = net.add_switch("s")
+        stray = Network().add_host("h")  # another network's host
+        self.refused(net, s, stray, "unknown node 'h'")
+        net.add_host("h")
+        self.refused(net, stray, s, "unknown node 'h'")
 
 
 class TestLinear:

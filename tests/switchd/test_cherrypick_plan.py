@@ -4,9 +4,8 @@
 ``Network.attach_pair`` (see docs/PERFORMANCE.md).  The oracle here
 knows nothing of plans: it enumerates the shortest paths of each host
 pair on the full graph and scans them for the link, the way the planner
-did before.  Every host pair × every link must agree, on the builders'
-single-homed fabrics (plans shared through the attach switches) and on
-fabrics that break the precondition (plans keyed by the hosts).
+did before.  Every host pair × every link must agree on the builders'
+fabrics, where plans are shared through the attach switches.
 """
 from __future__ import annotations
 
@@ -25,18 +24,14 @@ from repro.simnet.topology import (
     build_star,
 )
 from repro.switchd.cherrypick import CherryPickPlanner
-from tests.simnet.oracles import (all_shortest_paths, host_host_wire,
-                                  multi_homed, nx_graph)
+from tests.simnet.oracles import all_shortest_paths, nx_graph
 
 
 FABRICS = [
-    pytest.param(lambda: build_leaf_spine(3, 2, 2), True, id="leaf_spine"),
-    pytest.param(lambda: build_fat_tree(4), True, id="fat_tree"),
-    pytest.param(lambda: build_linear(4, hosts_per_switch=2), True,
-                 id="linear"),
-    pytest.param(lambda: build_star(5), True, id="star"),
-    pytest.param(multi_homed, False, id="multi_homed"),
-    pytest.param(host_host_wire, False, id="host_host_wire"),
+    pytest.param(lambda: build_leaf_spine(3, 2, 2), id="leaf_spine"),
+    pytest.param(lambda: build_fat_tree(4), id="fat_tree"),
+    pytest.param(lambda: build_linear(4, hosts_per_switch=2), id="linear"),
+    pytest.param(lambda: build_star(5), id="star"),
 ]
 
 
@@ -55,8 +50,8 @@ def _oracle(net: Network, paths: list[list[str]], link: Link
                             if path[i] in net.switches else -1)
 
 
-@pytest.mark.parametrize("build, single_homed", FABRICS)
-def test_every_pair_and_link_matches_brute_force(build, single_homed):
+@pytest.mark.parametrize("build", FABRICS)
+def test_every_pair_and_link_matches_brute_force(build):
     net = build()
     planner = CherryPickPlanner(net)
     graph = nx_graph(net)
@@ -84,7 +79,6 @@ def test_every_pair_and_link_matches_brute_force(build, single_homed):
             assert planner.decode_path(
                 src, dst, link.vlan_id) == (tuple(switches), embed), where
     assert pinned
-    assert bool(net._derived()[0]) is single_homed
 
 
 def test_answers_are_the_callers_own():

@@ -4,17 +4,18 @@ import pytest
 
 from repro import SwitchPointerDeployment
 from repro.core.epoch import EpochClock, EpochRange
-from repro.core.headers import IntStack, VlanDoubleTag
+from repro.core.headers import VlanDoubleTag
 from repro.core.mphf import HostDirectory
 from repro.core.pointer import HierarchicalPointerStore
 from repro.simnet.packet import PROTO_UDP, make_udp
-from repro.simnet.topology import build_linear
+from repro.simnet.topology import build_fat_tree, build_linear
 from repro.switchd.cherrypick import CherryPickPlanner
-from repro.switchd.datapath import (MODE_INT, MODE_NONE, MODE_VLAN,
-                                    SwitchPointerDatapath, VanillaDatapath)
+from repro.switchd.datapath import SwitchPointerDatapath
+
+from benchmarks.test_fig9_datapath import VanillaDatapath
 
 
-def instrumented_linear(mode=MODE_VLAN, alpha_ms=10, k=2):
+def instrumented_linear(alpha_ms=10, k=2):
     net = build_linear(3, 1)
     directory = HostDirectory(net.host_names)
     planner = CherryPickPlanner(net)
@@ -23,7 +24,7 @@ def instrumented_linear(mode=MODE_VLAN, alpha_ms=10, k=2):
         store = HierarchicalPointerStore(directory.n, alpha=alpha_ms, k=k)
         dps[name] = SwitchPointerDatapath(
             sw, EpochClock(alpha_ms), directory.mphf, store,
-            planner=planner, mode=mode)
+            planner=planner)
     return net, directory, dps
 
 
@@ -58,11 +59,10 @@ class TestClockBehind:
     """A switch clock behind true time reads epoch -1 at the start of a
     run; until its counter reaches 0 the switch records epoch 0."""
 
-    @pytest.mark.parametrize("mode", [MODE_VLAN, MODE_INT])
-    def test_packet_at_time_zero_lands_in_epoch_zero(self, mode):
+    def test_packet_at_time_zero_lands_in_epoch_zero(self):
         net = build_linear(3, 1)
         deploy = SwitchPointerDeployment(
-            net, alpha_ms=10, k=2, mode=mode,
+            net, alpha_ms=10, k=2,
             skew_of=lambda name: -0.002 if name in net.switches else 0.0)
         assert deploy.datapaths["S1"].clock.epoch_of(0.0) == -1
         net.hosts["h1_0"].send(make_udp("h1_0", "h3_0", 1, 9, 500))
@@ -79,7 +79,7 @@ class TestClockBehind:
 
 class TestVlanEmbedding:
     def test_single_tag_embedded_at_pinning_hop(self):
-        net, _, dps = instrumented_linear(MODE_VLAN)
+        net, _, dps = instrumented_linear()
         got = []
         net.hosts["h3_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
         net.hosts["h1_0"].send(make_udp("h1_0", "h3_0", 1, 9, 500))
@@ -90,7 +90,7 @@ class TestVlanEmbedding:
         assert sum(dp.tags_embedded for dp in dps.values()) == 1
 
     def test_tag_carries_pinning_link_and_epoch(self):
-        net, _, dps = instrumented_linear(MODE_VLAN)
+        net, _, dps = instrumented_linear()
         got = []
         net.hosts["h3_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
         net.sim.schedule(0.033, lambda: net.hosts["h1_0"].send(
@@ -102,7 +102,7 @@ class TestVlanEmbedding:
         assert tag.epoch_tag == 3
 
     def test_downstream_switch_does_not_overwrite(self):
-        net, _, dps = instrumented_linear(MODE_VLAN)
+        net, _, dps = instrumented_linear()
         got = []
         net.hosts["h3_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
         net.hosts["h1_0"].send(make_udp("h1_0", "h3_0", 1, 9, 500))
@@ -113,7 +113,7 @@ class TestVlanEmbedding:
     def test_one_frozen_tag_per_link_and_epoch(self):
         """Packets a switch tags on one link in one epoch carry the same
         tag object; the next epoch gets a tag of its own."""
-        net, _, dps = instrumented_linear(MODE_VLAN)
+        net, _, dps = instrumented_linear()
         got = []
         net.hosts["h3_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
         for at in (0.001, 0.002, 0.012):
@@ -127,59 +127,56 @@ class TestVlanEmbedding:
         with pytest.raises(AttributeError):
             first.epoch_tag = 5
 
-    def test_vlan_mode_requires_planner(self):
+    def test_non_pinning_hop_records_pointer_without_tagging(self):
+        """An inter-pod packet leaves its edge switch on one of two
+        shortest paths: the edge records the pointer but embeds nothing,
+        and the aggregate-core hop that pins the path tags it."""
+        net = build_fat_tree(4)
+        deploy = SwitchPointerDeployment(net, alpha_ms=10, k=2)
+        got = []
+        net.hosts["h1_0_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
+        net.hosts["h0_0_0"].send(make_udp("h0_0_0", "h1_0_0", 1, 9, 500))
+        net.run()
+        edge = deploy.datapaths["edge0_0"]
+        assert edge.packets_processed == 1
+        assert edge.tags_embedded == 0
+        assert edge.store.updates == 1
+        tagged = [name for name, dp in deploy.datapaths.items()
+                  if dp.tags_embedded]
+        assert len(tagged) == 1 and tagged[0].startswith("agg0_")
+        assert isinstance(got[0].telemetry, VlanDoubleTag)
+
+    def test_planner_is_required(self):
         net = build_linear(2, 1)
         directory = HostDirectory(net.host_names)
         store = HierarchicalPointerStore(directory.n, alpha=10, k=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="planner"):
             SwitchPointerDatapath(net.switches["S1"], EpochClock(10),
-                                  directory.mphf, store, mode=MODE_VLAN)
+                                  directory.mphf, store)
 
 
-class TestIntEmbedding:
-    def test_every_hop_appends_record(self):
-        net, _, dps = instrumented_linear(MODE_INT)
-        got = []
-        net.hosts["h3_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
-        net.hosts["h1_0"].send(make_udp("h1_0", "h3_0", 1, 9, 500))
-        net.run()
-        stack = got[0].telemetry
-        assert isinstance(stack, IntStack)
-        assert stack.switch_path() == ["S1", "S2", "S3"]
+class TestOneHeader:
+    """The VLAN double tag is the only header: no ``mode`` option is
+    left to select another."""
 
-    def test_int_records_per_switch_epochs(self):
-        net, _, dps = instrumented_linear(MODE_INT, alpha_ms=10)
-        got = []
-        net.hosts["h3_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
-        net.sim.schedule(0.015, lambda: net.hosts["h1_0"].send(
-            make_udp("h1_0", "h3_0", 1, 9, 500)))
-        net.run()
-        stack = got[0].telemetry
-        assert [(h.switch_id, h.epoch) for h in stack.hops] == [
-            ("S1", 1), ("S2", 1), ("S3", 1)]
-
-
-class TestModes:
-    def test_none_mode_embeds_nothing(self):
-        net, _, dps = instrumented_linear(MODE_NONE)
-        got = []
-        net.hosts["h3_0"].bind(PROTO_UDP, 9, lambda p, t: got.append(p))
-        net.hosts["h1_0"].send(make_udp("h1_0", "h3_0", 1, 9, 500))
-        net.run()
-        assert got[0].telemetry is None
-        # pointers still maintained (directory-only deployment)
-        assert dps["S1"].store.updates == 1
-
-    def test_unknown_mode_rejected(self):
+    def test_datapath_takes_no_mode(self):
         net = build_linear(2, 1)
         directory = HostDirectory(net.host_names)
         store = HierarchicalPointerStore(directory.n, alpha=10, k=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="mode"):
             SwitchPointerDatapath(net.switches["S1"], EpochClock(10),
-                                  directory.mphf, store, mode="bogus")
+                                  directory.mphf, store,
+                                  planner=CherryPickPlanner(net),
+                                  mode="int")
+
+    def test_deployment_takes_no_mode(self):
+        with pytest.raises(TypeError, match="mode"):
+            SwitchPointerDeployment(build_linear(2, 1), mode="int")
 
 
 class TestVanillaBaseline:
+    """The Fig 9 benchmark's forwarding-only baseline."""
+
     def test_flow_table_probe(self):
         vanilla = VanillaDatapath([f"h{i}" for i in range(100)])
         port = vanilla.process("h5")
