@@ -24,7 +24,8 @@ is how the Fig 7/8/12 latency decompositions are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterator, Mapping, Optional,
+                    Sequence)
 
 from ..core.epoch import EpochRange
 from ..core.mphf import HostDirectory
@@ -61,7 +62,7 @@ class Analyzer:
 
     def __init__(self, *, network: Network, directory: HostDirectory,
                  switch_agents: dict[str, SwitchAgent],
-                 host_agents: dict[str, HostAgent],
+                 host_agents: Mapping[str, HostAgent],
                  rpc: Optional[RpcFabric] = None,
                  directory_backend: str = "exact"):
         self.network = network

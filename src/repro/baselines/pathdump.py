@@ -9,7 +9,7 @@ servers in the network" — the exact behaviour Fig 12 compares against.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from ..core.epoch import EpochRange
 from ..hostd.agent import HostAgent
@@ -20,7 +20,7 @@ from ..rpc.fabric import Breakdown, RpcFabric
 class PathDumpAnalyzer:
     """Query runner that must contact every server."""
 
-    def __init__(self, host_agents: dict[str, HostAgent],
+    def __init__(self, host_agents: Mapping[str, HostAgent],
                  rpc: Optional[RpcFabric] = None):
         self.host_agents = host_agents
         self.rpc = rpc if rpc is not None else RpcFabric()

@@ -3,14 +3,17 @@
 :class:`SwitchPointerDeployment` is the one-stop constructor the
 examples, tests, and benchmarks use: given a :class:`repro.simnet.Network`
 it builds the host directory (MPHF), installs a datapath + control-plane
-agent on every switch, a telemetry agent on every host, and an analyzer
-on top — the full system of §3.  Every datapath embeds the one header,
-the VLAN double tag, at the link that pins a packet's path.
+agent on every switch and an analyzer on top — the full system of §3 —
+and gives every host a telemetry agent once the host is first touched:
+by a packet, a trigger, a fault or a query.  Most hosts of a large
+fabric never are, and cost no agent.  Every datapath embeds the one
+header, the VLAN double tag, at the link that pins a packet's path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import ItemsView, Mapping, ValuesView
+from typing import Callable, Iterator, Optional
 
 from .analyzer.analyzer import Analyzer
 from .core.epoch import EpochClock, EpochRangeEstimator
@@ -20,7 +23,8 @@ from .directory import DIRECTORIES, make_directory_set
 from .hostd.agent import HostAgent
 from .hostd.triggers import ThroughputDropTrigger, VictimAlert
 from .rpc.fabric import LatencyModel, RpcFabric
-from .simnet.packet import FlowKey
+from .simnet.host import Host
+from .simnet.packet import FlowKey, Packet
 from .simnet.topology import Network
 from .switchd.agent import SwitchAgent
 from .switchd.cherrypick import CherryPickPlanner
@@ -30,6 +34,47 @@ from .switchd.datapath import SwitchPointerDatapath
 #: α = 10 ms, k = 3 levels, ε = α, Δ = 2α (§4.2.1).
 DEFAULT_ALPHA_MS = 10
 DEFAULT_K = 3
+
+
+class HostAgents(Mapping[str, HostAgent]):
+    """Every deployed host's agent, built when the host is first touched.
+
+    Keys, ``len`` and ``in`` answer for every host; ``[name]`` and
+    ``get`` build the agent on first access.  ``values`` and ``items``
+    yield only the agents that exist: one never built holds zero in
+    every counter, so a sum over them reads the same, and reading it
+    builds nothing.
+    """
+
+    __slots__ = ("_hosts", "_build", "built")
+
+    def __init__(self, hosts: Mapping[str, Host],
+                 build: Callable[[Host], HostAgent]):
+        self._hosts = hosts
+        self._build = build
+        #: the agents that exist, in the order they were built
+        self.built: dict[str, HostAgent] = {}
+
+    def __getitem__(self, name: str) -> HostAgent:
+        agent = self.built.get(name)
+        if agent is None:
+            agent = self.built[name] = self._build(self._hosts[name])
+        return agent
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._hosts
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._hosts)
+
+    def __len__(self) -> int:
+        return len(self._hosts)
+
+    def values(self) -> ValuesView[HostAgent]:
+        return self.built.values()
+
+    def items(self) -> ItemsView[str, HostAgent]:
+        return self.built.items()
 
 
 class SwitchPointerDeployment:
@@ -49,6 +94,8 @@ class SwitchPointerDeployment:
     skew_of:
         Optional callable node-name → clock skew in seconds, to exercise
         the asynchrony handling.  Skews must respect |skew(a)−skew(b)| ≤ ε.
+        A host's skew is kept, when it is not 0, until its agent's clock
+        is built.
     records_per_host:
         The per-host record-table bound (None = unbounded).
     directory_backend / directory_bits / directory_hashes:
@@ -109,13 +156,16 @@ class SwitchPointerDeployment:
             self.datapaths[name] = dp
             self.switch_agents[name] = SwitchAgent(name, store)
 
-        self.host_agents: dict[str, HostAgent] = {}
-        for name, host in network.hosts.items():
-            clock = EpochClock(alpha_ms, skew_s=skew(name))
-            self.host_agents[name] = HostAgent(
-                host, clock=clock, planner=self.planner,
-                estimator=self.estimator,
-                max_records=records_per_host)
+        self.records_per_host = records_per_host
+        #: the skew of each host that has no agent yet, where it is not 0
+        self._skews: dict[str, float] = {}
+        if skew_of is not None:
+            self._skews = {name: s for name in network.hosts
+                           if (s := skew_of(name))}
+        self.host_agents = HostAgents(network.hosts, self._build_agent)
+        untouched = (self._on_first_packet,)  # one tuple every host shares
+        for host in network.hosts.values():
+            host.add_sniffers(untouched)
 
         #: stripped-switch stash: name -> (datapath, agent), maintained
         #: by uninstrument_switch/reinstrument_switch
@@ -128,6 +178,40 @@ class SwitchPointerDeployment:
             switch_agents=self.switch_agents,
             host_agents=self.host_agents, rpc=rpc_fabric,
             directory_backend=self.directory_backend)
+
+    # -- host agents, built on first touch -------------------------------------
+
+    def _build_agent(self, host: Host) -> HostAgent:
+        sniffers = host.sniffers
+        agent = HostAgent(
+            host, clock=EpochClock(self.alpha_ms,
+                                   skew_s=self._skews.pop(host.name, 0.0)),
+            planner=self.planner, estimator=self.estimator,
+            max_records=self.records_per_host)
+        # the decoder the agent appended takes the first-touch hook's place
+        first = self._on_first_packet
+        if first in sniffers:
+            sniffers[sniffers.index(first)] = sniffers.pop()
+        return agent
+
+    def _on_first_packet(self, host: Host, pkt: Packet, now: float) -> None:
+        """Build the agent of the host this packet is the first to reach,
+        and decode the packet; later packets go to the agent's own
+        sniffers."""
+        self.host_agents[host.name].decoder.on_packet(host, pkt, now)
+
+    def shift_host_skew(self, name: str, delta_s: float) -> None:
+        """Move one host's clock by ``delta_s`` seconds (the clock-skew
+        fault); a host with no agent yet keeps the shift for its clock."""
+        agent = self.host_agents.built.get(name)
+        if agent is not None:
+            agent.clock.set_skew(agent.clock.skew_s + delta_s)
+            return
+        skew = self._skews.get(name, 0.0) + delta_s
+        if skew:
+            self._skews[name] = skew
+        else:
+            self._skews.pop(name, None)
 
     # -- partial deployment (the partial-deployment fault) ---------------------
 

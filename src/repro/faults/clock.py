@@ -14,7 +14,7 @@ beyond ε, diagnosis accuracy is allowed to degrade, and the sweep
 from __future__ import annotations
 
 import zlib
-from typing import Any, Iterator
+from typing import Any
 
 from .base import Fault, FaultContext, FaultError, FaultParam, FaultSpec, register_fault
 
@@ -56,32 +56,33 @@ class ClockSkewFault(Fault):
                 f"clock-skew: targets must be one of {_TARGETS}, "
                 f"got {self.p['targets']!r}"
             )
-        #: (clock object, delta applied) pairs.  Heal *subtracts* the
-        #: delta instead of restoring an absolute offset, so overlapping
-        #: skew faults unwind correctly in any heal order; the clock
-        #: object is held directly because a concurrent
-        #: partial-deployment fault may remove the device from the
-        #: deployment's membership between inject and heal
+        #: (switch clock object, delta applied) pairs.  Heal *subtracts*
+        #: the delta instead of restoring an absolute offset, so
+        #: overlapping skew faults unwind correctly in any heal order;
+        #: the clock object is held directly because a concurrent
+        #: partial-deployment fault may remove the switch from the
+        #: deployment's membership between inject and heal.  Hosts never
+        #: leave it, and are shifted by name: a host with no agent yet
+        #: keeps its shift until its clock is built
         self._applied: list = []
 
-    def _clocks(self, ctx: FaultContext) -> Iterator[tuple[str, Any]]:
-        deploy = ctx.require_deployment(self)
-        which = self.p["targets"]
-        if which in ("switches", "all"):
-            for name, dp in deploy.datapaths.items():
-                yield name, dp.clock
-        if which in ("hosts", "all"):
-            for name, agent in deploy.host_agents.items():
-                yield name, agent.clock
+    def _shift_hosts(self, ctx: FaultContext, sign: float) -> None:
+        if self.p["targets"] in ("hosts", "all"):
+            deploy, skew_ms = ctx.require_deployment(self), self.p["skew_ms"]
+            for name in deploy.host_agents:
+                deploy.shift_host_skew(name, sign * skew_for(name, skew_ms))
 
     def inject(self, ctx: FaultContext) -> None:
-        skew_ms = self.p["skew_ms"]
-        for name, clock in self._clocks(ctx):
-            delta = skew_for(name, skew_ms)
-            self._applied.append((clock, delta))
-            clock.set_skew(clock.skew_s + delta)
+        deploy, skew_ms = ctx.require_deployment(self), self.p["skew_ms"]
+        if self.p["targets"] in ("switches", "all"):
+            for name, dp in deploy.datapaths.items():
+                delta = skew_for(name, skew_ms)
+                self._applied.append((dp.clock, delta))
+                dp.clock.set_skew(dp.clock.skew_s + delta)
+        self._shift_hosts(ctx, 1.0)
 
     def heal(self, ctx: FaultContext) -> None:
         for clock, delta in self._applied:
             clock.set_skew(clock.skew_s - delta)
         self._applied.clear()
+        self._shift_hosts(ctx, -1.0)

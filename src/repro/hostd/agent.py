@@ -1,7 +1,8 @@
 """Host agent: the end-host daemon (§4.2).
 
-One :class:`HostAgent` per server wires together everything the paper's
-flask-based agent does:
+One :class:`HostAgent` per touched server (a deployment builds it when a
+packet, trigger, fault or query first reaches the host) wires together
+everything the paper's flask-based agent does:
 
 * a sniffer on the host datapath feeding the telemetry decoder,
 * the flow-record store,

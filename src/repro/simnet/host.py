@@ -7,7 +7,9 @@ SwitchPointer:
 
 * ``sniffers`` run on *every* received packet before socket delivery;
   the end-host telemetry collector (:mod:`repro.hostd`) attaches here,
-  mirroring PathDump's position on the host datapath.
+  mirroring PathDump's position on the host datapath.  Many hosts can
+  share one read-only tuple of hooks (``add_sniffers``) until a host's
+  own list is first read.
 * ``send`` stamps ``created_at`` so latency and inter-arrival metrics
   have a consistent origin.
 """
@@ -15,7 +17,7 @@ SwitchPointer:
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import Simulator
 from .link import Interface
@@ -34,7 +36,7 @@ _NO_SOCKETS: Mapping[tuple[int, int], SocketHandler] = MappingProxyType({})
 class Host:
     """A server attached to the network by a single NIC."""
 
-    __slots__ = ("sim", "name", "nic", "_sockets", "sniffers", "rx_packets",
+    __slots__ = ("sim", "name", "nic", "_sockets", "_sniffers", "rx_packets",
                  "rx_bytes", "tx_packets", "tx_bytes", "undeliverable")
 
     def __init__(self, sim: Simulator, name: str):
@@ -42,7 +44,8 @@ class Host:
         self.name = name
         self.nic: Optional[Interface] = None
         self._sockets = _NO_SOCKETS  # a table of its own at the first bind
-        self.sniffers: list[Sniffer] = []
+        #: a tuple is shared with other hosts, a list is this host's own
+        self._sniffers: Sequence[Sniffer] = ()
         self.rx_packets = 0
         self.rx_bytes = 0
         self.tx_packets = 0
@@ -57,6 +60,25 @@ class Host:
         if self.nic is not None:
             raise ValueError(f"host {self.name} already has a NIC")
         self.nic = iface
+
+    @property
+    def sniffers(self) -> list[Sniffer]:
+        """The hooks run on every received packet, in order; the first
+        read gives the host a list of its own, so a change to it never
+        reaches another host."""
+        hooks = self._sniffers
+        if not isinstance(hooks, list):
+            hooks = self._sniffers = list(hooks)
+        return hooks
+
+    def add_sniffers(self, hooks: tuple[Sniffer, ...]) -> None:
+        """Run ``hooks`` after the sniffers already attached.  A host
+        with none shares the tuple itself: a hook given to every host
+        costs no list per host until one is read."""
+        if self._sniffers:
+            self.sniffers.extend(hooks)
+        else:
+            self._sniffers = hooks
 
     def bind(self, proto: int, port: int, handler: SocketHandler) -> None:
         """Register ``handler`` for packets to (proto, port)."""
@@ -86,7 +108,7 @@ class Host:
         now = self.sim.now
         self.rx_packets += 1
         self.rx_bytes += pkt.size
-        for sniffer in self.sniffers:
+        for sniffer in self._sniffers:
             sniffer(self, pkt, now)
         handler = self._sockets.get((pkt.flow.proto, pkt.flow.dport))
         if handler is None:

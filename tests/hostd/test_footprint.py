@@ -1,9 +1,12 @@
 """What a SwitchPointer deployment costs per host.
 
-Most hosts of a large fabric never receive a packet, so a host agent is
-built to cost a few slots until its traffic arrives: its record store
-shares one read-only empty table with every other idle store, and its
-query engine is built by the first query.  The fabric under it follows
+Most hosts of a large fabric never receive a packet, so a host has no
+agent until something touches it — a packet, a trigger, a fault or a
+query — and every untouched host shares one read-only tuple holding the
+deployment's first-touch sniffer.  A built agent costs a few slots until
+its traffic arrives: its record store shares one read-only empty table
+with every other idle store, and its query engine is built by the first
+query.  The fabric under it follows
 the same rule: a host that bound no port shares one empty socket table,
 an attached host's route is one tuple, a port allocates a buffer only
 when a packet has to wait, and a pointer set exists only once a packet
@@ -29,9 +32,11 @@ from repro.simnet.topology import build_leaf_spine
 
 #: per-host budget of what a deployment adds on a 4,096-host fabric
 #: (CPython 3.11: 8.30 objects and ~1.3 KB before agents went lazy,
-#: 6.30 objects and ~0.7 KB after)
-MAX_OBJECTS_PER_HOST = 7
-MAX_BYTES_PER_HOST = 900
+#: 6.30 objects and ~0.7 KB after, 0.17 objects and 35 B once an agent
+#: waits for its host's first touch: what is left is the switches'
+#: pointer stores and the host directory)
+MAX_OBJECTS_PER_HOST = 0.2
+MAX_BYTES_PER_HOST = 45
 
 
 def holds_table(store: FlowRecordStore) -> bool:
@@ -68,11 +73,22 @@ class TestIdleAgent:
         net = build_leaf_spine(2, 1, 2)
         return net, SwitchPointerDeployment(net, **kwargs)
 
-    def test_idle_agent_has_no_engine_and_no_table(self):
+    def test_no_agent_exists_before_traffic(self):
+        net, deployment = self.deploy()
+        agents = deployment.host_agents
+        assert len(agents) == 4 and sorted(agents) == sorted(net.hosts)
+        assert "h0_0" in agents and "nowhere" not in agents
+        assert not agents.built and list(agents.values()) == []
+        assert deployment.record_stats()["ingested_records"] == 0
+        assert deployment.analyzer.ingest_seq() == 0
+        assert not agents.built  # reading the sums built nothing
+
+    def test_a_built_agent_has_no_engine_and_no_table(self):
         _net, deployment = self.deploy()
-        for agent in deployment.host_agents.values():
-            assert agent._query is None
-            assert not holds_table(agent.store)
+        agent = deployment.host_agents["h0_0"]
+        assert list(deployment.host_agents.values()) == [agent]
+        assert agent._query is None
+        assert not holds_table(agent.store)
 
     def test_one_delivered_packet_builds_the_table_and_first_query_engine(
             self):
@@ -87,7 +103,9 @@ class TestIdleAgent:
         # the first query built the engine, later ones reuse it
         assert busy._query is not None and busy.query is busy._query
         assert busy.query.queries_served == 1
-        # the sender and the bystanders stay idle
+        # the sender and the bystanders have no agent, and one built
+        # now is idle
+        assert set(deployment.host_agents.built) == {"h1_0"}
         for name in ("h0_0", "h0_1", "h1_1"):
             idle = deployment.host_agents[name]
             assert idle._query is None
@@ -137,13 +155,39 @@ def test_no_per_host_state_outlives_its_scenario():
     seed_run(1)
     first = run_scenario("incast", hosts=32, bg_flows=50)
     held = census()
-    assert held[HostAgent] - base[HostAgent] == 32
+    touched = len(first.deployment.host_agents.built)
+    assert 0 < touched < 32
+    assert held[HostAgent] - base[HostAgent] == touched
     del first
-    seed_run(2)
+    seed_run(1)  # the same cell again: it touches the same hosts
     second = run_scenario("incast", hosts=32, bg_flows=50)
     assert census() == held
     del second
     assert census() == base
+
+
+def test_agents_are_built_for_exactly_the_touched_hosts():
+    """After one small incast, a host has an agent exactly when a
+    packet reached it, a trigger watches a flow into it, or the
+    analyzer consulted it."""
+    seed_run(1)
+    result = run_scenario("incast", hosts=32, bg_flows=50)
+    deployment = result.deployment
+    received = {name for name, host in result.network.hosts.items()
+                if host.rx_packets}
+    watched = {agent.name for agent in deployment.host_agents.values()
+               if agent.triggers}
+    consulted = {h for v in result.verdicts for h in v.hosts_consulted}
+    assert watched and consulted
+    built = set(deployment.host_agents.built)
+    assert built == received | watched | consulted
+    assert len(built) < len(result.network.hosts)
+    # an untouched host still shares the one first-touch sniffer tuple
+    idle = [host for name, host in result.network.hosts.items()
+            if name not in built]
+    assert idle and all(type(host._sniffers) is tuple
+                        and host._sniffers is idle[0]._sniffers
+                        for host in idle)
 
 
 class TestUntouchedFabricState:

@@ -15,7 +15,7 @@ buckets and eviction victims — and a header a cabling edit stopped
 pinning must fail alike in both.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.core.epoch import EpochClock, EpochRange, EpochRangeEstimator
 from repro.core.headers import VlanDoubleTag
@@ -77,7 +77,13 @@ def world(cls, net, planner, estimator, bound):
             for name in HOSTS}
 
 
-@settings(max_examples=60, deadline=None)
+#: no shrink phase: a failing step sequence is reported as generated.
+#: Shrinking one ran for minutes and grew past 1.5 GB, since every
+#: candidate replays up to 120 steps through two worlds.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(steps=steps, bound=st.sampled_from([None, 1, 2, 3]),
        hand_folds=st.booleans())
 def test_repeat_fold_equals_full_parse(steps, bound, hand_folds):
