@@ -12,8 +12,8 @@ Two measurements, both gated by the committed baseline
   size the satellite calls out.
 * **bloom fold** — the sketch ops :class:`HierarchicalPointerStore`
   drives per epoch under a sub-S bit budget: ``set_slot`` inserts,
-  ``union_into`` coalescing, ``to_bytes``/``decode_directory_set``
-  round-trip, and an ``estimate``.  The superset contract is asserted
+  ``union_into`` coalescing and a ``to_bytes``/``decode_directory_set``
+  round-trip.  The superset contract is asserted
   over every inserted slot (a sketch may flood, never drop).
 
 Emits ``results/directory.json`` for the CI bench-gate artifact.
@@ -75,7 +75,7 @@ def bench_recount(sets):
 
 
 def bench_bloom_fold(samples):
-    """Insert + coalesce + serialize round-trip + estimate, timed."""
+    """Insert + coalesce + serialize round-trip, timed."""
     start = time.perf_counter()
     acc = make_directory_set("bloom", N_SLOTS, bits=BLOOM_BITS,
                              hashes=HASHES)
@@ -87,8 +87,7 @@ def bench_bloom_fold(samples):
         sketch.union_into(acc)
     decoded = decode_directory_set("bloom", N_SLOTS, acc.to_bytes(),
                                    bits=BLOOM_BITS, hashes=HASHES)
-    estimate = decoded.estimate()
-    return time.perf_counter() - start, decoded, estimate
+    return time.perf_counter() - start, decoded
 
 
 def run_bench():
@@ -100,17 +99,16 @@ def run_bench():
     ref_s, ref_acc = min(
         (bench_recount(sets) for _ in range(ROUNDS)),
         key=lambda x: x[0])
-    bloom_s, decoded, estimate = min(
+    bloom_s, decoded = min(
         (bench_bloom_fold(samples) for _ in range(ROUNDS)),
         key=lambda x: x[0])
-    return samples, inc_s, inc_acc, ref_s, ref_acc, bloom_s, decoded, \
-        estimate
+    return samples, inc_s, inc_acc, ref_s, ref_acc, bloom_s, decoded
 
 
 @pytest.mark.benchmark(group="directory")
 def test_directory_union_and_sketch_ops(benchmark):
-    (samples, inc_s, inc_acc, ref_s, ref_acc, bloom_s, decoded,
-     estimate) = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    (samples, inc_s, inc_acc, ref_s, ref_acc, bloom_s,
+     decoded) = benchmark.pedantic(run_bench, rounds=1, iterations=1)
 
     truth = set()
     for slots in samples:
@@ -123,10 +121,9 @@ def test_directory_union_and_sketch_ops(benchmark):
         f"reference (byte OR + full rescan): {ref_s * 1e3:8.2f} ms",
         f"speedup: {speedup:5.2f}x",
         f"bloom fold ({BLOOM_SETS} sets @ {BLOOM_BITS} bits, "
-        f"k={HASHES}): {bloom_s * 1e3:8.2f} ms   "
-        f"estimate: {estimate}",
+        f"k={HASHES}): {bloom_s * 1e3:8.2f} ms",
         "(union_into counts only merged^theirs; the bloom fold times "
-        "insert + coalesce + serialize round-trip + estimate)"],
+        "insert + coalesce + serialize round-trip)"],
         data={
             "n_slots": N_SLOTS,
             "n_sets": N_SETS,
@@ -137,7 +134,6 @@ def test_directory_union_and_sketch_ops(benchmark):
             "bloom_sets": BLOOM_SETS,
             "bloom_bits": BLOOM_BITS,
             "bloom_fold_s": round(bloom_s, 4),
-            "bloom_estimate": estimate,
         })
 
     # both union paths must agree bit for bit, and with the drawn truth

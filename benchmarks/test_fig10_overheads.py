@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.mphf import MinimalPerfectHash
 from repro.core.pointer import HierarchicalPointerStore
-from repro.core.sizing import (push_bandwidth_bps, sweep,
-                               total_switch_memory_bytes)
+from repro.core.sizing import push_bandwidth_bps, total_switch_memory_bytes
 from repro.switchd.agent import SwitchAgent
 
 from benchmarks.reporting import emit
@@ -27,14 +26,17 @@ KS = [1, 2, 3, 4, 5]
 
 @pytest.mark.benchmark(group="fig10")
 def test_fig10_overheads_sweep(benchmark):
-    points = benchmark.pedantic(
-        lambda: sweep(NS, ALPHAS, KS), rounds=1, iterations=1)
+    def rows():
+        """The paper sweep, row-major in (n, alpha, k)."""
+        return [(n, a, k, total_switch_memory_bytes(n, a, k) / 1e6,
+                 push_bandwidth_bps(n, a, k) / 1e6)
+                for n in NS for a in ALPHAS for k in KS]
+
+    points = benchmark.pedantic(rows, rounds=1, iterations=1)
     lines = ["      n  alpha_ms  k   memory_MB  bandwidth_Mbps"]
-    for p in points:
-        row = p.as_row()
-        lines.append(f"{row['n']:8d}  {row['alpha_ms']:7d}  "
-                     f"{row['k']:2d}  {row['memory_MB']:9.3f}  "
-                     f"{row['bandwidth_Mbps']:13.4f}")
+    for n, a, k, memory_mb, bandwidth_mbps in points:
+        lines.append(f"{n:8d}  {a:7d}  {k:2d}  {memory_mb:9.3f}  "
+                     f"{bandwidth_mbps:13.4f}")
     lines.append("(paper anchors: 3.45 MB @ n=1M,alpha=10,k=3; "
                  "345 KB @ n=100K; 100->10 Mbps from k=1->2 @ n=1M,"
                  "alpha=10)")

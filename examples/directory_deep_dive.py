@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Deep dive into the directory service: MPHF, hierarchy, push/pull.
 
-Walks the §4.1 machinery directly — no traffic scenario, just the data
-structures — and prints the resource arithmetic of Figs 10/11 for your
-own parameters.
+Walks the §4.1 machinery directly — the data structures, no traffic —
+and prints the resource arithmetic of Figs 10/11 for your own
+parameters.  Then runs one gray failure under every directory backend
+and prints the switches each one ranks as co-suspects of the culprit.
 
 Run:  python examples/directory_deep_dive.py [n_hosts] [alpha] [k]
 """
@@ -13,6 +14,8 @@ import sys
 from repro.core import (HierarchicalPointerStore, HostDirectory,
                         push_bandwidth_bps, recycling_period_ms,
                         total_switch_memory_bytes)
+from repro.directory import DIRECTORIES
+from repro.scenarios import run_scenario
 from repro.switchd import SwitchAgent
 
 
@@ -68,6 +71,16 @@ def main() -> None:
     # older epochs have been recycled at level 1, so a coarser level or
     # the pushed top-level history (the offline path) answers instead
     read(3, 5)
+
+    # the similarity query: which switches saw the hosts the culprit saw?
+    # exact and bloom answer it from decoded slots, lsh from its minhash
+    # signatures without decoding a bit
+    print("\nco-suspects of a gray failure, per directory backend:")
+    for backend in DIRECTORIES.names():
+        verdict = run_scenario("gray-failure",
+                               directory_backend=backend).verdicts[0]
+        print(f"  {backend:6s} suspect {verdict.suspect}; co-suspects: "
+              f"{', '.join(verdict.co_suspects) or '-'}")
 
 
 if __name__ == "__main__":

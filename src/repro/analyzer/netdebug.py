@@ -45,10 +45,6 @@ class DropLocalization:
     suspect_hop: Optional[tuple[str, str]] = None
     breakdown: Breakdown = field(default_factory=Breakdown)
 
-    @property
-    def localized(self) -> bool:
-        return self.suspect_hop is not None
-
 
 def localize_packet_drops(analyzer: Analyzer, flow: FlowKey,
                           switch_path: list[str],

@@ -155,22 +155,12 @@ class DiagnosisSession:
 
     # -- outcome ---------------------------------------------------------------
 
-    @property
-    def diagnosis_latency_sim(self) -> float:
-        """Simulated seconds consumed since the session opened."""
-        return self.analyzer.network.sim.now - self.started_at
-
-    @property
-    def freshness(self) -> int:
-        """Ingest seq now minus ingest seq at trigger (records absorbed
-        network-wide while this diagnosis was running)."""
-        return self.analyzer.ingest_seq() - self.seq_at_trigger
-
     def status(self) -> str:
         if self.missing_hosts:
             return STATUS_DEGRADED
         if (self.stale_after_s is not None
-                and self.diagnosis_latency_sim > self.stale_after_s):
+                and self.analyzer.network.sim.now - self.started_at
+                > self.stale_after_s):
             return STATUS_STALE
         return STATUS_COMPLETE
 

@@ -15,10 +15,10 @@ from .epoch import (EpochClock, EpochRange, EpochRangeEstimator,
                     unwrap_epoch)
 from .pointer import HierarchicalPointerStore, PointerSet, PointerSnapshot
 from .headers import HeaderError, VlanDoubleTag, VLAN_ID_MODULUS
-from .sizing import (MPHF_BITS_PER_KEY, SizingPoint, mphf_bytes,
-                     pointer_set_bits, pointer_sets_total,
-                     push_bandwidth_bps, recycling_period_ms,
-                     store_memory_bits, sweep, total_switch_memory_bytes)
+from .sizing import (MPHF_BITS_PER_KEY, mphf_bytes, pointer_set_bits,
+                     pointer_sets_total, push_bandwidth_bps,
+                     recycling_period_ms, store_memory_bits,
+                     total_switch_memory_bytes)
 
 __all__ = [
     "MinimalPerfectHash", "HostDirectory", "MphfBuildError",
@@ -27,5 +27,5 @@ __all__ = [
     "VlanDoubleTag", "HeaderError", "VLAN_ID_MODULUS",
     "pointer_set_bits", "pointer_sets_total", "store_memory_bits",
     "mphf_bytes", "total_switch_memory_bytes", "push_bandwidth_bps",
-    "recycling_period_ms", "SizingPoint", "sweep", "MPHF_BITS_PER_KEY",
+    "recycling_period_ms", "MPHF_BITS_PER_KEY",
 ]

@@ -23,11 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-def ms(x: float) -> float:
-    """Milliseconds → seconds."""
-    return x / 1000.0
-
-
 class EpochClock:
     """A device's local epoch counter.
 

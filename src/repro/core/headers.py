@@ -6,7 +6,7 @@ sampled link that pins the end-to-end path on clos topologies); the
 inner tag carries the *epochID* of the switch that embedded the link
 tag.  Each VLAN ID field is 12 bits, so the epoch travels modulo 4096
 and the decoder unwraps it (:func:`repro.core.epoch.unwrap_epoch`).
-``wire_overhead_bytes()`` is the header tax experiments account for.
+``2 * VLAN_TAG_BYTES`` is the header tax experiments account for.
 """
 
 from __future__ import annotations
@@ -50,20 +50,4 @@ class VlanDoubleTag:
             raise HeaderError("epoch cannot be negative")
         return cls(link_id=link_id,
                    epoch_tag=absolute_epoch % VLAN_ID_MODULUS)
-
-    def wire_overhead_bytes(self) -> int:
-        return 2 * VLAN_TAG_BYTES
-
-    def encode(self) -> bytes:
-        """Pack both tags as they would appear on the wire (TCI only)."""
-        return bytes(((self.link_id >> 8) & 0x0F, self.link_id & 0xFF,
-                      (self.epoch_tag >> 8) & 0x0F, self.epoch_tag & 0xFF))
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "VlanDoubleTag":
-        if len(blob) != 4:
-            raise HeaderError(f"expected 4 TCI bytes, got {len(blob)}")
-        link = ((blob[0] & 0x0F) << 8) | blob[1]
-        epoch = ((blob[2] & 0x0F) << 8) | blob[3]
-        return cls(link_id=link, epoch_tag=epoch)
 

@@ -210,10 +210,6 @@ class HostDirectory:
     def n(self) -> int:
         return self.mphf.n
 
-    @property
-    def hosts(self) -> list[str]:
-        return list(self._hosts)
-
     def slot_of(self, host: str) -> int:
         return self.mphf.lookup(host)
 

@@ -76,10 +76,6 @@ class PointerSet:
             raise IndexError(f"slot {slot} out of range [0, {self.n_slots})")
         return bool(self._bits[slot >> 3] & _BIT_MASKS[slot & 7])
 
-    def clear(self) -> None:
-        self._bits[:] = bytes(len(self._bits))
-        self.popcount = 0
-
     def iter_slots(self) -> Iterator[int]:
         """Yield the indices of all set bits, ascending."""
         return iter(bitmap_slots(self._bits))
@@ -108,12 +104,6 @@ class PointerSet:
     def to_bytes(self) -> bytes:
         return bytes(self._bits)
 
-    @classmethod
-    def from_bytes(cls, n_slots: int, blob: bytes) -> "PointerSet":
-        ps = cls(n_slots)
-        ps.load(blob)
-        return ps
-
     def load(self, blob: bytes) -> None:
         """Deserialize a :meth:`to_bytes` payload (directory surface)."""
         if len(blob) != len(self._bits):
@@ -130,14 +120,6 @@ class PointerSet:
                 f"{self.n_slots} slots")
         self._bits[:] = blob
         self.popcount = value.bit_count()
-
-    def estimate(self) -> int:
-        """Member-count estimate (exact for the bitmap: the popcount)."""
-        return self.popcount
-
-    def truth_bytes(self) -> bytes:
-        """The exact membership bitmap — for this backend, the payload."""
-        return self.to_bytes()
 
     @property
     def sketch_params(self) -> tuple[int, int]:
@@ -170,8 +152,7 @@ class PointerSnapshot:
     :mod:`repro.directory` registry with the recorded ``bits_budget``/
     ``hashes`` geometry).  ``truth_bits`` is the measurement-only exact
     shadow bitmap a sketch carries so the analyzer can score false
-    positives — it never feeds :meth:`slots` and contributes nothing to
-    ``size_bits``.
+    positives — it never feeds :meth:`slots`.
     """
 
     level: int
@@ -182,16 +163,11 @@ class PointerSnapshot:
     backend: str = "exact"
     bits_budget: int = 0
     hashes: int = 0
-    sketch_bits: int = 0
     truth_bits: bytes = b""
 
     @property
     def epoch_lo(self) -> int:
         return self.segment * self.epochs_covered
-
-    @property
-    def epoch_hi(self) -> int:
-        return (self.segment + 1) * self.epochs_covered - 1
 
     def slots(self) -> list[int]:
         """The recorded slot *superset* (exact for the bitmap backend)."""
@@ -211,11 +187,6 @@ class PointerSnapshot:
             return self.slots()
         return bitmap_slots(self.truth_bits)
 
-    @property
-    def size_bits(self) -> int:
-        """Modeled memory/transfer cost of this set (sketch-aware)."""
-        return self.sketch_bits or self.n_slots
-
 
 #: builds one empty directory set (PointerSet or a registered sketch)
 SetFactory = Callable[[], Any]
@@ -232,11 +203,8 @@ class _LevelSlot:
         self.segment: Optional[int] = None  # None = never used
 
     def rotate(self, segment: int, factory: SetFactory) -> None:
-        """Start ``segment``'s window with an empty set."""
-        if self.pointer is None:
-            self.pointer = factory()
-        else:
-            self.pointer.clear()
+        """Start ``segment``'s window with a fresh empty set."""
+        self.pointer = factory()
         self.segment = segment
 
 
@@ -368,7 +336,6 @@ class HierarchicalPointerStore:
                                backend=backend,
                                bits_budget=p.sketch_params[0],
                                hashes=p.sketch_params[1],
-                               sketch_bits=p.size_bits,
                                truth_bits=(b"" if backend == "exact"
                                            else p.truth_bytes()))
 

@@ -9,7 +9,6 @@ per-level fan-out, k = hierarchy depth, S = pointer-set size = n bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 #: §6.1: the FCH perfect hash accounts for ~70 KB at n = 100K and
 #: ~700 KB at n = 1M, i.e. 5.6 bits per key of auxiliary state.
@@ -77,40 +76,3 @@ def _check_alpha_k(alpha: int, k: int) -> None:
         raise ValueError("alpha must be >= 2")
     if k < 1:
         raise ValueError("k must be >= 1")
-
-
-@dataclass(frozen=True)
-class SizingPoint:
-    """One (n, α, k) configuration with every derived quantity."""
-
-    n_hosts: int
-    alpha: int
-    k: int
-
-    @property
-    def memory_bytes(self) -> float:
-        return total_switch_memory_bytes(self.n_hosts, self.alpha, self.k)
-
-    @property
-    def bandwidth_bps(self) -> float:
-        return push_bandwidth_bps(self.n_hosts, self.alpha, self.k)
-
-    @property
-    def pointer_sets(self) -> int:
-        return pointer_sets_total(self.alpha, self.k)
-
-    def as_row(self) -> dict:
-        return {
-            "n": self.n_hosts,
-            "alpha_ms": self.alpha,
-            "k": self.k,
-            "memory_MB": self.memory_bytes / 1e6,
-            "bandwidth_Mbps": self.bandwidth_bps / 1e6,
-            "pointer_sets": self.pointer_sets,
-        }
-
-
-def sweep(ns: list[int], alphas: list[int],
-          ks: list[int]) -> list[SizingPoint]:
-    """The Fig 10 parameter sweep, row-major in (n, α, k)."""
-    return [SizingPoint(n, a, k) for n in ns for a in alphas for k in ks]

@@ -12,7 +12,7 @@ header, the VLAN double tag, at the link that pins a packet's path.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping, ValuesView
 from typing import Callable, Iterator, Optional
 
 from .analyzer.analyzer import Analyzer
@@ -40,10 +40,10 @@ class HostAgents(Mapping[str, HostAgent]):
     """Every deployed host's agent, built when the host is first touched.
 
     Keys, ``len`` and ``in`` answer for every host; ``[name]`` and
-    ``get`` build the agent on first access.  ``values`` and ``items``
-    yield only the agents that exist: one never built holds zero in
-    every counter, so a sum over them reads the same, and reading it
-    builds nothing.
+    ``get`` build the agent on first access.  ``values`` yields only the
+    agents that exist (``built`` holds them by name): one never built
+    holds zero in every counter, so a sum over them reads the same, and
+    reading it builds nothing.
     """
 
     __slots__ = ("_hosts", "_build", "built")
@@ -72,9 +72,6 @@ class HostAgents(Mapping[str, HostAgent]):
 
     def values(self) -> ValuesView[HostAgent]:
         return self.built.values()
-
-    def items(self) -> ItemsView[str, HostAgent]:
-        return self.built.items()
 
 
 class SwitchPointerDeployment:

@@ -22,7 +22,6 @@ Every set carries a shadow exact bitmap (``truth_bytes``) used only to
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from ..core.pointer import PointerSet
@@ -80,11 +79,6 @@ class BloomDirectorySet:
             for idx in self._indexes(slot)
         )
 
-    def clear(self) -> None:
-        for i in range(len(self._bits)):
-            self._bits[i] = 0
-        self._truth.clear()
-
     def iter_slots(self) -> Iterator[int]:
         """The member *superset*, ascending (every slot that tests in)."""
         for slot in range(self.n_slots):
@@ -112,17 +106,6 @@ class BloomDirectorySet:
                 other._bits[:] = merged.to_bytes(len(other._bits), "little")
         self._truth.union_into(other._truth)
 
-    def estimate(self) -> int:
-        """Standard bloom cardinality estimate, clamped to the universe."""
-        if self._identity:
-            return self._truth.popcount
-        x = int.from_bytes(self._bits, "little").bit_count()
-        m, k = self.m_bits, self.k_hashes
-        if x >= m:
-            return self.n_slots
-        est = -(m / k) * math.log(1.0 - x / m)
-        return min(self.n_slots, round(est))
-
     def to_bytes(self) -> bytes:
         return bytes(self._bits)
 
@@ -135,7 +118,7 @@ class BloomDirectorySet:
         self._bits[:] = blob
         # truth is not serialized (it is measurement-only shadow state);
         # a decoded set answers queries, it does not measure FPR
-        self._truth.clear()
+        self._truth = PointerSet(self.n_slots)
 
     def truth_bytes(self) -> bytes:
         return self._truth.to_bytes()

@@ -52,10 +52,6 @@ class LshDirectorySet(BloomDirectorySet):
             if h < sig[row]:
                 sig[row] = h
 
-    def clear(self) -> None:
-        super().clear()
-        self._sig = [EMPTY_ROW] * SIG_ROWS
-
     def union_into(self, other: "DirectorySet") -> None:
         super().union_into(other)
         assert isinstance(other, LshDirectorySet)

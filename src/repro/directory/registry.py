@@ -32,7 +32,7 @@ This module is the registry deployments select from:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, runtime_checkable
+from typing import Callable, Iterator, Protocol
 
 from ..registry import Registry
 
@@ -41,15 +41,14 @@ class DirectoryError(Exception):
     """Raised for registry misuse or a backend breaking the contract."""
 
 
-@runtime_checkable
 class DirectorySet(Protocol):
     """The surface every directory backend must implement.
 
     ``n_slots`` is the MPHF range (one logical slot per end-host);
     ``size_bits`` is the *modeled* switch-memory cost of one set —
-    shadow bookkeeping a sketch keeps for measurement (the exact truth
-    bitmap behind :meth:`truth_bytes`) is excluded by definition and
-    must never influence query answers.
+    shadow bookkeeping a sketch keeps for measurement (a sketch's exact
+    truth bitmap) is excluded by definition and must never influence
+    query answers.
     """
 
     n_slots: int
@@ -64,10 +63,6 @@ class DirectorySet(Protocol):
         """Approximate membership: may false-positive, never false-negative."""
         ...
 
-    def clear(self) -> None:
-        """Reset for window rotation (lazy recycling)."""
-        ...
-
     def iter_slots(self) -> Iterator[int]:
         """Enumerate the member superset, ascending."""
         ...
@@ -76,20 +71,12 @@ class DirectorySet(Protocol):
         """Merge this set into ``other`` (level coalescing)."""
         ...
 
-    def estimate(self) -> int:
-        """Estimated member count (exact popcount for the bitmap)."""
-        ...
-
     def to_bytes(self) -> bytes:
         """Serialize the sketch payload (what a push transfers)."""
         ...
 
     def load(self, blob: bytes) -> None:
         """Deserialize a :meth:`to_bytes` payload into this set."""
-        ...
-
-    def truth_bytes(self) -> bytes:
-        """Shadow exact bitmap (measurement-only; not in ``size_bits``)."""
         ...
 
     @property

@@ -146,6 +146,7 @@ def _check_experiment(spec: ExperimentSpec) -> None:
     # call-time import: pulling the sweep registry loads the
     # scenario packages, which this module must not force at import
     from ..scenarios.base import REGISTRY as scenarios
+    from ..scenarios.base import ScenarioError, check_knobs
     from ..sweep import SWEEPS, SweepError
 
     try:
@@ -166,15 +167,16 @@ def _check_experiment(spec: ExperimentSpec) -> None:
             f"experiment {spec.name!r}: base_knobs would override "
             f"swept axis knob(s) {sorted(clash)}"
         )
-    declared = scenarios.get(sweep.scenario).spec.knobs
-    for knob in spec.base_knobs:
-        if knob not in declared:
-            raise ExperimentError(
-                f"experiment {spec.name!r}: base_knobs names knob "
-                f"{knob!r}, which scenario {sweep.scenario!r} "
-                f"does not declare; declared: "
-                f"{', '.join(sorted(declared))}"
-            )
+    scenario = scenarios.get(sweep.scenario).spec
+    try:
+        for axis, values in spec.axes.items():
+            for value in values:
+                check_knobs(
+                    scenario,
+                    {**sweep.knobs_for({axis: value}), **spec.base_knobs},
+                )
+    except ScenarioError as exc:
+        raise ExperimentError(f"experiment {spec.name!r}: {exc}") from None
     if spec.figure is not None and spec.figure.x_axis not in spec.axes:
         raise ExperimentError(
             f"experiment {spec.name!r}: figure x_axis "

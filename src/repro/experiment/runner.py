@@ -64,6 +64,7 @@ class Experiment:
         extra_knobs: Optional[dict[str, Any]] = None,
         extra_points: Sequence[dict[str, Any]] = (),
     ):
+        from ..scenarios.base import REGISTRY, check_knobs
         from ..sweep import SWEEPS
 
         self.spec = spec
@@ -98,6 +99,9 @@ class Experiment:
         self.knobs = [
             {**self.sweep.knobs_for(run.params), **pins} for run in self.runs
         ]
+        scenario = REGISTRY.get(self.sweep.scenario).spec
+        for knobs in self.knobs:
+            check_knobs(scenario, knobs)
 
     # -- artifact layout ----------------------------------------------------
 

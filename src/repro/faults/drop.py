@@ -59,7 +59,7 @@ class SilentDropFault(Fault):
         except KeyError:
             raise FaultError(
                 f"silent-drop: unknown switch {name!r}; known: "
-                f"{', '.join(ctx.network.switch_names)}"
+                f"{', '.join(sorted(ctx.network.switches))}"
             ) from None
 
     def schedule(self, ctx: FaultContext) -> None:

@@ -67,7 +67,7 @@ class EcmpPolarizationFault(Fault):
         except KeyError:
             raise FaultError(
                 f"ecmp-polarization: unknown switch {name!r}; known: "
-                f"{', '.join(ctx.network.switch_names)}"
+                f"{', '.join(sorted(ctx.network.switches))}"
             ) from None
 
     def schedule(self, ctx: FaultContext) -> None:

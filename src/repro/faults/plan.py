@@ -38,8 +38,6 @@ from .base import (
     Fault,
     FaultContext,
     FaultError,
-    HEALED,
-    PENDING,
 )
 
 
@@ -101,22 +99,6 @@ class FaultPlan:
             fault.finalize(ctx)
 
     # -- state reporting ----------------------------------------------------
-
-    def by_state(self, state: str) -> list[Fault]:
-        return [f for f in self.faults if f.state == state]
-
-    @property
-    def pending(self) -> list[Fault]:
-        """Faults that never injected (start beyond the run window)."""
-        return self.by_state(PENDING)
-
-    @property
-    def active(self) -> list[Fault]:
-        return self.by_state(ACTIVE)
-
-    @property
-    def healed(self) -> list[Fault]:
-        return self.by_state(HEALED)
 
     def mark_diagnosis_start(self, now: float) -> None:
         """Record when the diagnosis phase began (simulated seconds).

@@ -52,41 +52,24 @@ class QueryResult:
 class FlowSummary:
     """Wire form of one flow's telemetry sent back to the analyzer.
 
-    Scalars are snapshotted when the summary is built; the container
-    fields (``switch_path``, ``epoch_ranges``, ``bytes_by_epoch``) of a
-    summary built from a record via :meth:`of` are materialized lazily,
-    so queries that return many summaries but whose consumers read only
-    flow/bytes (top-k merge, contention filtering) never pay for
-    copying per-switch telemetry they do not look at.  All three
-    containers snapshot *together* on the first access to any of them,
+    Scalars are snapshotted when the summary is built (:meth:`of`); the
+    container fields (``switch_path``, ``epoch_ranges``) are
+    materialized lazily, so queries that return many summaries but whose
+    consumers read only flow/bytes (top-k merge, contention filtering)
+    never pay for copying per-switch telemetry they do not look at.
+    Both containers snapshot *together* on the first access to either,
     so a summary is always internally consistent; when querying a store
     that is still ingesting, touch the summary before the next ingest
     to pin its contents.
     """
 
     __slots__ = ("flow", "bytes", "packets", "priority",
-                 "_switch_path", "_epoch_ranges", "_bytes_by_epoch", "_rec")
-
-    def __init__(self, flow: FlowKey, bytes: int, packets: int,
-                 priority: int,
-                 switch_path: Optional[list[str]] = None,
-                 epoch_ranges: Optional[dict[str,
-                                             tuple[int, int]]] = None,
-                 bytes_by_epoch: Optional[dict[int, int]] = None):
-        self.flow = flow
-        self.bytes = bytes
-        self.packets = packets
-        self.priority = priority
-        self._switch_path = switch_path if switch_path is not None else []
-        self._epoch_ranges = epoch_ranges if epoch_ranges is not None else {}
-        self._bytes_by_epoch = (bytes_by_epoch
-                                if bytes_by_epoch is not None else {})
-        self._rec: Optional[FlowRecord] = None
+                 "_switch_path", "_epoch_ranges", "_rec")
 
     @classmethod
     def of(cls, rec: FlowRecord) -> "FlowSummary":
-        # hot path: one summary per returned record on every query —
-        # set slots directly instead of going through __init__
+        """The summary of ``rec`` (the only way one is built): one per
+        returned record on every query, so its slots are set directly."""
         summary = cls.__new__(cls)
         summary.flow = rec.flow
         summary.bytes = rec.bytes
@@ -94,7 +77,6 @@ class FlowSummary:
         summary.priority = rec.priority
         summary._switch_path = None
         summary._epoch_ranges = None
-        summary._bytes_by_epoch = None
         summary._rec = rec
         return summary
 
@@ -103,7 +85,6 @@ class FlowSummary:
         self._switch_path = list(rec.switch_path)
         self._epoch_ranges = {sw: (r.lo, r.hi)
                               for sw, r in rec.epoch_ranges.items()}
-        self._bytes_by_epoch = dict(rec.bytes_by_epoch)
 
     @property
     def switch_path(self) -> list[str]:
@@ -117,19 +98,13 @@ class FlowSummary:
             self._materialize()
         return self._epoch_ranges
 
-    @property
-    def bytes_by_epoch(self) -> dict[int, int]:
-        if self._bytes_by_epoch is None:
-            self._materialize()
-        return self._bytes_by_epoch
-
     def epochs_at(self, switch: str) -> Optional[EpochRange]:
         pair = self.epoch_ranges.get(switch)
         return EpochRange(*pair) if pair else None
 
     def _astuple(self) -> tuple:
         return (self.flow, self.bytes, self.packets, self.priority,
-                self.switch_path, self.epoch_ranges, self.bytes_by_epoch)
+                self.switch_path, self.epoch_ranges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowSummary):
@@ -140,8 +115,7 @@ class FlowSummary:
         return (f"FlowSummary(flow={self.flow!r}, bytes={self.bytes}, "
                 f"packets={self.packets}, priority={self.priority}, "
                 f"switch_path={self.switch_path!r}, "
-                f"epoch_ranges={self.epoch_ranges!r}, "
-                f"bytes_by_epoch={self.bytes_by_epoch!r})")
+                f"epoch_ranges={self.epoch_ranges!r})")
 
 
 def _topk_key(rec: FlowRecord) -> tuple:

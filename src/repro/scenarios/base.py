@@ -54,7 +54,7 @@ class Knob:
 
     A knob's type is its default's type: an int knob takes an int, a
     float knob an int or a float, a bool knob only a bool and a str
-    knob only a str (:func:`knob_type_error`).
+    knob only a str (:func:`check_knobs`).
     """
 
     default: Any
@@ -198,18 +198,37 @@ class ScenarioResult:
         return out
 
 
-def knob_type_error(knob: Knob, value: Any) -> Optional[str]:
-    """Why ``value`` cannot set ``knob`` (its default's type), or None."""
-    kind = type(knob.default)
-    if isinstance(value, bool) or kind is bool:
-        fits = isinstance(value, bool) and kind is bool
-    else:
-        fits = isinstance(value, kind) or (kind is float
-                                           and isinstance(value, int))
-    if fits:
-        return None
-    return (f"takes {'an' if kind is int else 'a'} {kind.__name__}, got "
-            f"{value!r} ({type(value).__name__})")
+def check_knobs(spec: ScenarioSpec, knobs: dict[str, Any]) -> None:
+    """The one knob contract, held by scenarios, run tables and sweep and
+    experiment registration before any run: an undeclared name, a value
+    under its knob's ``minimum`` (or not finite) or of another type than
+    the default's raises a :class:`ScenarioError` naming knob and scenario.
+    """
+    unknown = set(knobs) - set(spec.knobs)
+    if unknown:
+        raise ScenarioError(
+            f"unknown knob(s) for {spec.name!r}: "
+            f"{sorted(unknown)}; valid: {sorted(spec.knobs)}")
+    for name, value in knobs.items():
+        knob = spec.knobs[name]
+        # NaN compares False either way: require finite, then >=
+        if (knob.minimum is not None and isinstance(value, (int, float))
+                and not (math.isfinite(value) and value >= knob.minimum)):
+            what = "" if math.isfinite(value) else "a finite number "
+            raise ScenarioError(
+                f"knob {name!r} of {spec.name!r} must be {what}>= "
+                f"{knob.minimum:g}, got {value!r}")
+        kind = type(knob.default)
+        if isinstance(value, bool) or kind is bool:
+            fits = isinstance(value, bool) and kind is bool
+        else:
+            fits = isinstance(value, kind) or (kind is float
+                                               and isinstance(value, int))
+        if not fits:
+            raise ScenarioError(
+                f"knob {name!r} of {spec.name!r} takes "
+                f"{'an' if kind is int else 'a'} {kind.__name__}, got "
+                f"{value!r} ({type(value).__name__})")
 
 
 class Scenario(abc.ABC):
@@ -225,27 +244,10 @@ class Scenario(abc.ABC):
     spec: ClassVar[ScenarioSpec]
 
     def __init__(self, **knobs: Any):
-        unknown = set(knobs) - set(self.spec.knobs)
-        if unknown:
-            raise ScenarioError(
-                f"unknown knob(s) for {self.spec.name!r}: "
-                f"{sorted(unknown)}; valid: {sorted(self.spec.knobs)}")
+        check_knobs(self.spec, knobs)
         self.p: dict[str, Any] = {
             name: knobs.get(name, knob.default)
             for name, knob in self.spec.knobs.items()}
-        for name, knob in self.spec.knobs.items():
-            value = self.p[name]
-            # NaN compares False either way: require finite, then >=
-            if (knob.minimum is not None and isinstance(value, (int, float))
-                    and not (math.isfinite(value) and value >= knob.minimum)):
-                what = "" if math.isfinite(value) else "a finite number "
-                raise ScenarioError(
-                    f"knob {name!r} of {self.spec.name!r} must be {what}>= "
-                    f"{knob.minimum:g}, got {value!r}")
-            wrong = knob_type_error(knob, value)
-            if wrong is not None:
-                raise ScenarioError(
-                    f"knob {name!r} of {self.spec.name!r} {wrong}")
         self.network: Optional[Network] = None
         self.deployment: Optional[SwitchPointerDeployment] = None
         #: the fault composition this run injects; build() populates it
@@ -380,7 +382,8 @@ class Scenario(abc.ABC):
 
 
 def _check_scenario(cls: type[Scenario]) -> None:
-    """Registration checks: a spec, registered faults, declared smoke knobs."""
+    """Registration checks: a spec, registered faults, and defaults and
+    smoke knobs that pass the knob contract."""
     spec = getattr(cls, "spec", None)
     if not isinstance(spec, ScenarioSpec):
         raise ScenarioError(
@@ -390,11 +393,9 @@ def _check_scenario(cls: type[Scenario]) -> None:
         raise ScenarioError(
             f"{cls.__name__} declares unregistered fault(s) "
             f"{unknown_faults}; known: {', '.join(FAULTS.names())}")
-    bad_smoke = sorted(set(spec.smoke_knobs) - set(spec.knobs))
-    if bad_smoke:
-        raise ScenarioError(
-            f"{cls.__name__} smoke_knobs name undeclared knob(s) "
-            f"{bad_smoke}; declared: {sorted(spec.knobs)}")
+    check_knobs(spec, {name: knob.default
+                       for name, knob in spec.knobs.items()})
+    check_knobs(spec, spec.smoke_knobs)
 
 
 #: The process-wide registry every scenario module registers into.

@@ -123,17 +123,17 @@ def fault_knobs() -> dict[str, Knob]:
     """
     return {
         "skew_ms": Knob(0.0, "clock-skew fault: max per-device epoch "
-                             "clock offset (ms; 0 = synchronized)"),
+                             "clock offset (ms; 0 = synchronized)", minimum=0),
         "deploy_frac": Knob(1.0, "partial-deployment fault: fraction "
                                  "of switches instrumented (<1.0 "
-                                 "strips the rest)"),
+                                 "strips the rest)", minimum=0),
         "deploy_spare": Knob("", "switches never stripped by partial "
                                  "deployment (comma-separated; the "
                                  "path-pinning embedder is always "
                                  "spared)"),
         "crash_host": Knob("", "agent-crash fault: host whose agent "
                                "dies mid-run ('' = none)"),
-        "crash_at": Knob(0.0, "when the agent crash fires (s)"),
+        "crash_at": Knob(0.0, "when the agent crash fires (s)", minimum=0),
     }
 
 

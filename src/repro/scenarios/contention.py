@@ -64,7 +64,8 @@ def _build_dumbbell(m_flows: int, *, queue_factory) -> Network:
 
 def _contention_knobs(discipline: str) -> dict[str, Knob]:
     return {
-        "m_flows": Knob(8, "burst flows contending with the victim"),
+        "m_flows": Knob(8, "burst flows contending with the victim",
+                        minimum=0),
         "discipline": Knob(discipline, "'priority' or 'fifo' queueing"),
         "duration": Knob(0.100, "victim TCP flow duration (s)"),
         "burst_start": Knob(0.030, "burst onset (s)"),
@@ -101,8 +102,6 @@ class ContentionScenario(Scenario):
         p = self.p
         if p["discipline"] not in ("priority", "fifo"):
             raise ValueError("discipline must be 'priority' or 'fifo'")
-        if p["m_flows"] < 0:
-            raise ValueError(f"m_flows must be >= 0, got {p['m_flows']}")
         qf = (priority_queue if p["discipline"] == "priority"
               else fifo_queue)
         net = _build_dumbbell(p["m_flows"], queue_factory=qf)

@@ -249,7 +249,8 @@ register_sweep(SweepSpec(
         "mix": "bg_mix",
     },
     default_grid={"hosts": (64, 256, 1024, 4096)},
-    nightly_grid={"hosts": (64, 256, 1024)},
+    nightly_grid={"hosts": (64, 256, 1024),
+                  "fabric": ("leaf-spine", "fat-tree")},
 ))
 
 register_sweep(SweepSpec(

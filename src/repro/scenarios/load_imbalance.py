@@ -56,7 +56,7 @@ class LoadImbalanceScenario(Scenario):
         paper_ref="Fig 8; §5.4 'load imbalance'",
         expected_diagnosis="load-imbalance (imbalanced=True)",
         knobs={
-            "n_servers": Knob(8, "sender/receiver pairs (≥ 2)"),
+            "n_servers": Knob(8, "sender/receiver pairs (≥ 2)", minimum=2),
             "small_bytes": Knob(500_000, "small flow size (bytes)"),
             "large_bytes": Knob(2_000_000, "large flow size (bytes)"),
             "size_threshold": Knob(1_000_000,
@@ -71,9 +71,6 @@ class LoadImbalanceScenario(Scenario):
     def build(self) -> None:
         p = self.p
         n = p["n_servers"]
-        if n < 2:
-            raise ValueError(
-                "need at least two servers for two size classes")
         net = build_load_imbalance_network(n)
         deploy = SwitchPointerDeployment(net, alpha_ms=p["alpha_ms"],
                                          k=p["k"])

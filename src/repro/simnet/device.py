@@ -135,10 +135,6 @@ class Switch:
         self.rx_packets += 1
         self.forward(pkt, iface)
 
-    def inject(self, pkt: Packet) -> None:
-        """Feed a locally originated packet into the pipeline (tests)."""
-        self.forward(pkt, in_iface=None)
-
     def forward(self, pkt: Packet, in_iface: Optional[Interface]) -> None:
         if self.drop_filter is not None and self.drop_filter(pkt):
             # Silent drop: no pipeline hooks, no forwarding — upstream

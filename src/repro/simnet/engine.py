@@ -108,13 +108,6 @@ class Simulator:
         """Number of events executed so far (cancelled events excluded)."""
         return self._processed
 
-    @property
-    def pending(self) -> int:
-        """Heap entries still queued: every live event, plus cancelled
-        ones up to the compaction bound (at most the live count or
-        :data:`COMPACT_MIN`, whichever is larger)."""
-        return len(self._heap)
-
     def schedule(self, delay: float, fn: Callable, *args: Any) -> int:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
@@ -245,10 +238,6 @@ class PeriodicTimer:
         self._stopped = False
         self.ticks = 0
         self._event = sim.schedule(period, self._tick)
-
-    @property
-    def period(self) -> float:
-        return self._period
 
     def _tick(self) -> None:
         self.ticks += 1

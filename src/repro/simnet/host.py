@@ -89,10 +89,6 @@ class Host:
             self._sockets = {}
         self._sockets[key] = handler
 
-    def unbind(self, proto: int, port: int) -> None:
-        if self._sockets:
-            self._sockets.pop((proto, port), None)
-
     # -- datapath ------------------------------------------------------------
 
     def send(self, pkt: Packet) -> bool:

@@ -95,10 +95,6 @@ class Interface:
         #: attaching a tap rebinds it — so an untapped port allocates none.
         self.tx_taps: tuple[Callable[[Packet, float], None], ...] = ()
 
-    @property
-    def name(self) -> str:
-        return f"{self.owner.name}->{self.peer_node.name if self.peer_node else '?'}"
-
     def send(self, pkt: Packet) -> bool:
         """Queue ``pkt`` for transmission; returns False if tail-dropped
         or if the link is down (the packet vanishes, as on a dead wire)."""

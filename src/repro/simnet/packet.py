@@ -109,14 +109,6 @@ class Packet:
         if self.size <= 0:
             raise ValueError(f"packet size must be positive, got {self.size}")
 
-    @property
-    def dst(self) -> str:
-        return self.flow.dst
-
-    @property
-    def src(self) -> str:
-        return self.flow.src
-
 
 def make_udp(src: str, dst: str, sport: int, dport: int, size: int,
              priority: int = PRIO_LOW, created_at: float = 0.0) -> Packet:

@@ -63,17 +63,6 @@ class PacketQueue:
     def stats(self) -> "PacketQueue":
         return self
 
-    def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in self.COUNTERS}
-
-    def enqueue(self, pkt: Packet) -> bool:
-        """Add ``pkt``; return ``False`` (and count a drop) on overflow."""
-        raise NotImplementedError
-
-    def dequeue(self) -> Optional[Packet]:
-        """Remove and return the next packet to serve, or ``None``."""
-        raise NotImplementedError
-
     def __len__(self) -> int:
         raise NotImplementedError
 

@@ -191,13 +191,6 @@ class Network:
 
     # -- lookup ----------------------------------------------------------------
 
-    def node(self, name: str) -> Node:
-        if name in self.hosts:
-            return self.hosts[name]
-        if name in self.switches:
-            return self.switches[name]
-        raise TopologyError(f"unknown node {name!r}")
-
     def link_between(self, a: str, b: str) -> Link:
         link = self.adjacency.get(a, {}).get(b)
         if link is None:
@@ -213,10 +206,6 @@ class Network:
     @property
     def host_names(self) -> list[str]:
         return sorted(self.hosts)
-
-    @property
-    def switch_names(self) -> list[str]:
-        return sorted(self.switches)
 
     # -- fabric & paths ----------------------------------------------------
 

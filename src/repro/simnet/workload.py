@@ -269,7 +269,6 @@ class BackgroundTraffic:
         self.packets_sent = 0
         self.bytes_sent = 0
         self.delivered = 0
-        self._stopped = False
         self._psize: list[int] = []
         self._remaining: list[int] = []
         self._interval: list[float] = []
@@ -296,8 +295,6 @@ class BackgroundTraffic:
 
     def _pump(self, _arg: object = None) -> None:
         """Emit every due packet, then sleep until the next one."""
-        if self._stopped:
-            return
         heap = self._heap
         now = self.sim.now
         hosts = self.network.hosts
@@ -330,11 +327,6 @@ class BackgroundTraffic:
         self.bytes_sent += nbytes
         if heap:
             self.sim.call_at(heap[0][0], self._pump)
-
-    def stop(self) -> None:
-        """Cancel all pending emissions."""
-        self._stopped = True
-        self._heap.clear()
 
     @property
     def n_flows(self) -> int:

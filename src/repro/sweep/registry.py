@@ -190,7 +190,9 @@ def _check_sweep(spec: SweepSpec) -> None:
 
 
 def _check_knob_bindings(spec: SweepSpec) -> None:
-    """Every axis/base knob must be declared by the spec's scenario.
+    """Every axis and the suspect knob must be declared by the spec's
+    scenario, and every grid value, point and base knob must pass its
+    knob contract (:func:`repro.scenarios.base.check_knobs`).
 
     Sweeps are declared right after their scenario class in the
     same module, so the scenario is normally resolvable here; when
@@ -202,10 +204,12 @@ def _check_knob_bindings(spec: SweepSpec) -> None:
     # call-time import: scenario modules import this package to
     # register their sweeps, so module scope would be a cycle
     from ..scenarios.base import REGISTRY as scenarios
+    from ..scenarios.base import ScenarioError, check_knobs
 
     if spec.scenario not in scenarios:
         return
-    declared = scenarios.get(spec.scenario).spec.knobs
+    scenario = scenarios.get(spec.scenario).spec
+    declared = scenario.knobs
     for axis, knob in spec.axes.items():
         if knob not in declared:
             raise SweepError(
@@ -213,18 +217,25 @@ def _check_knob_bindings(spec: SweepSpec) -> None:
                 f"{knob!r}, which scenario {spec.scenario!r} does "
                 f"not declare; declared: {', '.join(sorted(declared))}"
             )
-    for source, names in (
-        ("base_knobs", spec.base_knobs),
-        ("expect_suspect_knob", [spec.expect_suspect_knob]),
-    ):
-        for knob in names:
-            if knob is not None and knob not in declared:
-                raise SweepError(
-                    f"sweep {spec.name!r}: {source} names knob "
-                    f"{knob!r}, which scenario {spec.scenario!r} "
-                    f"does not declare; declared: "
-                    f"{', '.join(sorted(declared))}"
-                )
+    knob = spec.expect_suspect_knob
+    if knob is not None and knob not in declared:
+        raise SweepError(
+            f"sweep {spec.name!r}: expect_suspect_knob names knob {knob!r}, "
+            f"which scenario {spec.scenario!r} does not declare; declared: "
+            f"{', '.join(sorted(declared))}"
+        )
+    points = [
+        {axis: value}
+        for grid in (spec.default_grid, spec.nightly_grid)
+        for axis, values in grid.items()
+        for value in values
+    ]
+    try:
+        # {}: the base knobs on their own
+        for point in [{}, *points, *spec.nightly_points]:
+            check_knobs(scenario, spec.knobs_for(point))
+    except ScenarioError as exc:
+        raise SweepError(f"sweep {spec.name!r}: {exc}") from None
 
 
 #: The process-wide registry scenario modules register sweeps into.

@@ -54,7 +54,7 @@ class SwitchPointerDatapath:
                  planner: CherryPickPlanner):
         self.switch = switch
         self.clock = clock
-        self.mphf = mphf
+        self.install_mphf(mphf)
         self.store = store
         self.planner = planner
         self.packets_processed = 0
@@ -65,14 +65,10 @@ class SwitchPointerDatapath:
         self._tags: dict[int, VlanDoubleTag] = {}
         switch.pipeline.append(self._hook)
 
-    @property
-    def mphf(self) -> MinimalPerfectHash:
-        """The distributed MPHF; assigning a rebuilt one (the analyzer's
-        push, §4.3) drops every slot remembered under the old function."""
-        return self._mphf
-
-    @mphf.setter
-    def mphf(self, mphf: MinimalPerfectHash) -> None:
+    def install_mphf(self, mphf: MinimalPerfectHash) -> None:
+        """Use the distributed MPHF; installing a rebuilt one (the
+        analyzer's push, §4.3) drops every slot remembered under the old
+        function."""
         self._mphf = mphf
         #: dst -> slot: the MPHF is static (rebuilt only offline, §4.1.2),
         #: so one evaluation per destination suffices — the cache stands

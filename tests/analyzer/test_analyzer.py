@@ -127,7 +127,7 @@ class TestOnDemandLinkSets:
             if leg == "cold cache":
                 # a leaf0-leaf3 shortcut moves the victim's path and
                 # every hop count through it: a stale tree would show
-                net.connect(net.node("leaf0"), net.node("leaf3"))
+                net.connect(net.switches["leaf0"], net.switches["leaf3"])
 
 
 class TestPruneAllocation:

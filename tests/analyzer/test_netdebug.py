@@ -40,7 +40,7 @@ class TestDropLocalization:
         loc = localize_packet_drops(
             deploy.analyzer, flow, ["S1", "S2", "S3", "S4"],
             EpochRange(2, 4))
-        assert loc.localized
+        assert loc.suspect_hop is not None
         # S3 dropped: S1, S2 kept forwarding; S3's pointer has the bit
         # only if it forwarded — routes cleared, so it did not
         assert loc.suspect_hop == ("S2", "S3")
@@ -52,7 +52,7 @@ class TestDropLocalization:
         loc = localize_packet_drops(
             deploy.analyzer, flow, ["S1", "S2", "S3", "S4"],
             EpochRange(2, 4))
-        assert loc.localized
+        assert loc.suspect_hop is not None
         assert loc.suspect_hop == ("h1_0", "S1")
         assert loc.forwarding == []
 
@@ -61,7 +61,7 @@ class TestDropLocalization:
         loc = localize_packet_drops(
             deploy.analyzer, flow, ["S1", "S2", "S3", "S4"],
             EpochRange(0, 1))
-        assert not loc.localized
+        assert loc.suspect_hop is None
         assert loc.silent == []
 
     def test_breakdown_charges_pointer_pulls(self):

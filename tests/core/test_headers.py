@@ -24,18 +24,5 @@ class TestVlanDoubleTag:
         with pytest.raises(HeaderError):
             VlanDoubleTag.embed(link_id=0, absolute_epoch=-1)
 
-    def test_wire_overhead_is_two_tags(self):
-        tag = VlanDoubleTag.embed(1, 1)
-        assert tag.wire_overhead_bytes() == 8  # 2 x 802.1Q tag
-
-    def test_encode_decode_roundtrip(self):
-        for link, epoch in ((0, 0), (4095, 4095), (123, 456)):
-            tag = VlanDoubleTag(link_id=link, epoch_tag=epoch)
-            assert VlanDoubleTag.decode(tag.encode()) == tag
-
-    def test_decode_length_check(self):
-        with pytest.raises(HeaderError):
-            VlanDoubleTag.decode(b"\x00\x01\x02")
-
     def test_modulus_constant(self):
         assert VLAN_ID_MODULUS == 4096

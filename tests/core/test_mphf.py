@@ -173,9 +173,3 @@ class TestHostDirectory:
 
     def test_n_matches(self):
         assert HostDirectory(hosts(17)).n == 17
-
-    def test_hosts_property_copies(self):
-        directory = HostDirectory(hosts(5))
-        listing = directory.hosts
-        listing.append("intruder")
-        assert len(directory.hosts) == 5

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.pointer import HierarchicalPointerStore
-from repro.core.sizing import (SizingPoint, mphf_bytes, pointer_set_bits,
+from repro.core.sizing import (mphf_bytes, pointer_set_bits,
                                pointer_sets_total, push_bandwidth_bps,
                                recycling_period_ms, store_memory_bits,
-                               sweep, total_switch_memory_bytes)
+                               total_switch_memory_bytes)
 
 
 class TestPaperAnchors:
@@ -93,13 +93,8 @@ class TestFormulaConsistency:
             recycling_period_ms(10, 0)
 
 
-class TestSweep:
-    def test_fig10_sweep_shape(self):
-        points = sweep([100_000, 1_000_000], [10, 20], [1, 2, 3, 4, 5])
-        assert len(points) == 2 * 2 * 5
-
-    def test_sizing_point_row(self):
-        row = SizingPoint(100_000, 10, 3).as_row()
-        assert row["n"] == 100_000
-        assert row["pointer_sets"] == 21
-        assert row["memory_MB"] == pytest.approx(0.3325, rel=0.01)
+class TestFig10Row:
+    def test_one_row_of_the_paper_sweep(self):
+        assert pointer_sets_total(10, 3) == 21
+        assert total_switch_memory_bytes(100_000, 10, 3) / 1e6 == \
+            pytest.approx(0.3325, rel=0.01)

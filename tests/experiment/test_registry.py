@@ -25,8 +25,8 @@ def test_valid_study_registers(registry):
 
 def test_base_knob_the_scenario_does_not_declare_is_rejected(registry):
     with pytest.raises(ExperimentError, match=(
-            r"experiment 'probe': base_knobs names knob 'no_such_knob', "
-            r"which scenario 'gray-failure' does not declare; declared: ")):
+            r"experiment 'probe': unknown knob\(s\) for 'gray-failure': "
+            r"\['no_such_knob'\]; valid: ")):
         registry.register(_spec(base_knobs={"no_such_knob": 1}))
     assert "probe" not in registry
 

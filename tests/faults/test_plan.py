@@ -116,7 +116,8 @@ class TestLateFault:
         plan.add_named("silent-drop", switch="S1", start=0.050)
         plan.schedule(_ctx(net))
         net.run(until=0.010)        # "diagnosis" would happen here
-        assert [f.spec.name for f in plan.pending] == ["silent-drop"]
+        assert [(f.spec.name, f.state) for f in plan.faults] == [
+            ("silent-drop", "pending")]
         assert net.switches["S1"].drop_filter is None
 
     def test_pending_fault_fires_if_the_run_continues(self):

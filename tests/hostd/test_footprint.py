@@ -197,14 +197,11 @@ class TestUntouchedFabricState:
         net = build_leaf_spine(2, 1, 2)
         assert all(h._sockets is _NO_SOCKETS for h in net.hosts.values())
         host = net.hosts["h0_0"]
-        host.unbind(17, 9)  # nothing bound: a no-op on the shared table
         host.bind(17, 9, lambda pkt, now: None)
         assert host._sockets is not _NO_SOCKETS and len(host._sockets) == 1
         assert len(_NO_SOCKETS) == 0
         with pytest.raises(TypeError):
             _NO_SOCKETS[17, 9] = None  # read-only: no host can fill it
-        host.unbind(17, 9)
-        assert len(host._sockets) == 0
         assert net.hosts["h1_0"]._sockets is _NO_SOCKETS
 
     def test_an_attached_hosts_route_is_one_tuple(self):

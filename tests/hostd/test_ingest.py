@@ -31,7 +31,7 @@ def run_deployment(before_run=None):
 
 
 def assert_all_decoded_within_bound(result, bound):
-    for name, agent in result.deployment.host_agents.items():
+    for name, agent in result.deployment.host_agents.built.items():
         decoder = agent.decoder
         assert (decoder.decoded + decoder.undecodable
                 == result.network.hosts[name].rx_packets), name
@@ -73,7 +73,7 @@ class TestDecodeOnArrival:
 
     def test_decoder_accounts_for_every_received_packet(self):
         net, deploy, sinks = run_deployment()
-        for name, agent in deploy.host_agents.items():
+        for name, agent in deploy.host_agents.built.items():
             decoder = agent.decoder
             assert (decoder.decoded + decoder.undecodable
                     == net.hosts[name].rx_packets), name
@@ -90,11 +90,11 @@ class TestDecodeOnArrival:
     def test_record_stats_reads_without_decoding(self):
         _, deploy, sinks = run_deployment()
         decoded = {name: agent.decoder.decoded
-                   for name, agent in deploy.host_agents.items()}
+                   for name, agent in deploy.host_agents.built.items()}
         stats = deploy.record_stats()
         assert deploy.record_stats() == stats
         assert {name: agent.decoder.decoded for name, agent
-                in deploy.host_agents.items()} == decoded
+                in deploy.host_agents.built.items()} == decoded
         assert stats["total_records"] == len(sinks)
         assert stats["ingested_records"] == sum(decoded.values())
 

@@ -54,7 +54,7 @@ def tables(name, knobs):
     result = REGISTRY.get(name)(**knobs).execute(with_diagnosis=False)
     return {host: (store_state(agent.store), agent.decoder.decoded,
                    agent.decoder.undecodable)
-            for host, agent in result.deployment.host_agents.items()}
+            for host, agent in result.deployment.host_agents.built.items()}
 
 
 @pytest.mark.parametrize("name, knobs", RUNS)

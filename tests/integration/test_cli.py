@@ -147,6 +147,7 @@ class TestRunCommand:
         ("incast", "hosts=-5"),
         ("incast", "records_per_host=-1"),
         ("gray-failure", "records_per_host=-1"),
+        ("gray-failure", "skew_ms=-3"),
     ])
     def test_negative_size_knob_names_the_knob(self, scenario, knob,
                                                capsys):
@@ -166,6 +167,10 @@ class TestRunCommand:
         ("gray-failure", "records_per_host=nan", 0),
         ("incast", "bg_flows=nan", 0),
         ("incast", "bg_flow_kb=nan", 1),
+        # a nan fault knob ran as if no skew, stripping or crash was set
+        ("gray-failure", "skew_ms=nan", 0),
+        ("gray-failure", "deploy_frac=nan", 0),
+        ("gray-failure", "crash_at=nan", 0),
     ])
     def test_non_finite_bounded_knob_names_the_knob(self, scenario, knob,
                                                     minimum, capsys):

@@ -110,7 +110,7 @@ class TestDirectoryChurn:
         # distribute: swap MPHF on every datapath (what the paper's
         # analyzer push does)
         for dp in deploy.datapaths.values():
-            dp.mphf = new_dir.mphf
+            dp.install_mphf(new_dir.mphf)
         net.hosts["h1_0"].send(make_udp("h1_0", "h2_0", 1, 9, 500))
         net.run()
         assert deploy.analyzer.hosts_for("S1", EpochRange(0, 0)) == ["h2_0"]
@@ -133,7 +133,7 @@ class TestDirectoryChurn:
         assert new_dir.slot_of("h2_0") != deploy.directory.slot_of("h2_0")
         deploy.analyzer.directory = new_dir
         for dp in deploy.datapaths.values():
-            dp.mphf = new_dir.mphf
+            dp.install_mphf(new_dir.mphf)
         net.sim.schedule_at(0.050, send)
         net.run()
         assert deploy.analyzer.hosts_for("S1", EpochRange(5, 5)) == ["h2_0"]

@@ -189,9 +189,11 @@ class TestRecordsAgreeWithDirectory:
         assert sum(per_switch.values()) <= 3 * delivered
 
     def test_epoch_telemetry_accounts_for_every_byte(self, fabric):
-        _, _, summaries = fabric
+        deploy, _, summaries = fabric
+        for agent in deploy.host_agents.built.values():
+            for rec in agent.store:
+                assert sum(rec.bytes_by_epoch.values()) == rec.bytes
         for s in summaries:
-            assert sum(s.bytes_by_epoch.values()) == s.bytes
             assert set(s.epoch_ranges) == set(s.switch_path)
             for sw in s.switch_path:
                 rng = s.epochs_at(sw)

@@ -4,7 +4,7 @@ examples, tests, and benchmarks all share them."""
 
 import pytest
 
-from repro.scenarios import (build_cascades_network,
+from repro.scenarios import (ScenarioError, build_cascades_network,
                              build_load_imbalance_network,
                              build_red_lights_network, run_scenario)
 
@@ -16,8 +16,9 @@ class TestContentionScenario:
 
     @pytest.mark.parametrize("name", ["contention", "microburst"])
     def test_negative_burst_size_rejected(self, name):
-        # refused at build time, before any MPHF is built over zero keys
-        with pytest.raises(ValueError, match="m_flows"):
+        # refused by the knob contract, before any MPHF is built over
+        # zero keys
+        with pytest.raises(ScenarioError, match="knob 'm_flows' of"):
             run_scenario(name, m_flows=-1)
 
     def test_burst_flows_have_distinct_pairs(self, payload_of):
@@ -67,7 +68,7 @@ class TestCascadesTopology:
 
 class TestLoadImbalanceScenario:
     def test_needs_two_servers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match="knob 'n_servers' of"):
             run_scenario("load-imbalance", n_servers=1)
 
     def test_two_egress_candidates_at_s1(self):

@@ -34,7 +34,8 @@ def story(result):
         "switches": sorted((sw.name, sw.rx_packets, sw.forwarded,
                             sw.no_route_drops, sw.gray_drops)
                            for sw in switches),
-        "ports": sorted((i.name, i.tx_packets, i.tx_bytes,
+        "ports": sorted((i.owner.name, i.peer_node.name, i.tx_packets,
+                         i.tx_bytes,
                          i.dropped_link_down,
                          *(getattr(i.queue, c) for c in totals))
                         for i in ports(net)),

@@ -36,7 +36,7 @@ def send_and_reconstruct(net, planner, trail, src, dst, sport):
                                      20_000 + sport, 400))
         net.run()
     finally:
-        net.hosts[dst].unbind(PROTO_UDP, 20_000 + sport)
+        net.hosts[dst]._sockets.pop((PROTO_UDP, 20_000 + sport), None)
     assert got, "packet must arrive"
     true_hops = trail.of(got[0])
     nodes = [src] + true_hops + [dst]

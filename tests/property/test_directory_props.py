@@ -72,7 +72,6 @@ def test_saturating_bloom_is_bit_identical_to_exact(members, bits, hashes):
         bloom.set_slot(slot)
     assert bloom.to_bytes() == exact.to_bytes()
     assert set(bloom.iter_slots()) == members
-    assert bloom.estimate() == len(members)
     assert not any(
         bloom.test_slot(s) for s in range(N_SLOTS) if s not in members)
 

@@ -183,7 +183,7 @@ def test_engine_matches_sorted_list_oracle(script, initial, early_cancels,
         assert engine.now == oracle.now
         assert engine.sim.events_processed == oracle.events_processed
     assert not mine.clock_went_back
-    assert engine.sim.pending == 0
+    assert len(engine.sim._heap) == 0
     assert not engine.sim._armed   # no live or leftover cancellable id
 
 
@@ -222,8 +222,8 @@ class BurstPlayer(Player):
         if isinstance(self.api, EngineApi):
             sim = self.api.sim
             # the dead count that triggers compaction is exact
-            assert sim._cancelled == sim.pending - len(self.live)
-            excess = sim.pending - 2 * len(self.live)
+            assert sim._cancelled == len(sim._heap) - len(self.live)
+            excess = len(sim._heap) - 2 * len(self.live)
             self.worst_excess = max(self.worst_excess, excess)
 
     def cancel(self, pick):
@@ -285,5 +285,5 @@ def test_compaction_matches_uncompacted_oracle(script, initial, cuts):
         assert engine.sim.events_processed == oracle.events_processed
     assert mine.worst_excess <= COMPACT_MIN
     assert not mine.clock_went_back
-    assert engine.sim.pending == 0
+    assert len(engine.sim._heap) == 0
     assert not engine.sim._armed

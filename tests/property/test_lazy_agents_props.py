@@ -69,7 +69,7 @@ def host_tables(deploy):
     return {name: (store_state(agent.store), agent.decoder.decoded,
                    agent.decoder.undecodable, agent.alive,
                    agent.clock.skew_s, len(agent.triggers))
-            for name, agent in sorted(deploy.host_agents.items())
+            for name, agent in sorted(deploy.host_agents.built.items())
             if not untouched(agent)}
 
 

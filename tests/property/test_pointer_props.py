@@ -99,7 +99,8 @@ def test_pointer_set_bytes_roundtrip(slots):
     ps = PointerSet(256)
     for s in slots:
         ps.set_slot(s)
-    clone = PointerSet.from_bytes(256, ps.to_bytes())
+    clone = PointerSet(256)
+    clone.load(ps.to_bytes())
     assert set(clone.iter_slots()) == slots
     assert clone.popcount == len(slots)
 
@@ -141,7 +142,9 @@ def test_byte_table_decode_equals_bit_loop(pattern):
     assert want == sorted(slots)
     assert bitmap_slots(bits) == want
     assert list(ps.iter_slots()) == want
-    assert list(PointerSet.from_bytes(n_slots, bits).iter_slots()) == want
+    clone = PointerSet(n_slots)
+    clone.load(bits)
+    assert list(clone.iter_slots()) == want
     snap = PointerSnapshot(level=1, segment=0, epochs_covered=1, bits=bits,
                            n_slots=n_slots)
     assert snap.slots() == want and snap.true_slots() == want
@@ -248,7 +251,7 @@ def test_rank_co_suspects_matches_set_path(n_slots, traffic, backend, lo,
 
 class EagerPointerStore(HierarchicalPointerStore):
     """The store before its sets went lazy: every level slot holds a set
-    from construction on, and a rotation clears it in place."""
+    from construction on, and a rotation starts a fresh one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -261,14 +264,14 @@ class EagerPointerStore(HierarchicalPointerStore):
             seg = epoch // self._divisors[level_idx]
             ls = slots[seg % self.alpha]
             if ls.segment != seg:
-                ls.pointer.clear()
+                ls.pointer = self.set_factory()
                 ls.segment = seg
             ls.pointer.set_slot(slot)
         seg = epoch // self._divisors[self.k - 1]
         if self._top.segment != seg:
             if self._top.segment is not None:
                 self._push_top()
-            self._top.pointer.clear()
+            self._top.pointer = self.set_factory()
             self._top.segment = seg
         self._top.pointer.set_slot(slot)
 

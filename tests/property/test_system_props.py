@@ -56,7 +56,7 @@ def test_pointer_never_misses_a_relevant_host(sends):
             # query a 1-epoch pad
             hosts = deploy.analyzer.hosts_for(
                 sw, EpochRange(epoch, epoch + 1))
-            assert pkt.dst in hosts, (sw, epoch, pkt.dst, hosts)
+            assert pkt.flow.dst in hosts, (sw, epoch, pkt.flow.dst, hosts)
 
 
 @settings(max_examples=15, deadline=None)
@@ -72,7 +72,7 @@ def test_decoded_records_match_ground_truth_paths(sends):
             lambda src=src, dst=dst: net.hosts[src].send(
                 make_udp(src, dst, 1, 9, 300)))
     net.run()
-    for name, agent in deploy.host_agents.items():
+    for name, agent in deploy.host_agents.built.items():
         for rec in agent.store:
             assert rec.flow.dst == name
             assert rec.switch_path == ["S1", "S2"]

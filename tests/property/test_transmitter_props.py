@@ -99,7 +99,8 @@ def drive(iface_cls, schedule, fabric, discipline, capacity, *, late=False):
     assert len(iface.queue) == 0
     sizes = {i: a[2] for i, a in enumerate(schedule)}
     departures = {start + sizes[i] * 8 / rate for i, start in taps}
-    return {"delivered": sink.got, "queue": iface.queue.snapshot(),
+    return {"delivered": sink.got, "queue": {name: getattr(iface.queue, name)
+                                          for name in iface.queue.COUNTERS},
             "tx": (iface.tx_packets, iface.tx_bytes), "taps": taps,
             "down_drops": iface.dropped_link_down, "accepted": accepted,
             "coincide": bool(departures & set(arrivals.values())),

@@ -13,7 +13,8 @@ from benchmarks.ledger.workloads import WORKLOADS, make_workload
 from repro.cli import main
 from repro.experiment import EXPERIMENTS
 from repro.scenarios import REGISTRY
-from repro.scenarios.base import Knob, knob_type_error
+from repro.scenarios.base import (Knob, ScenarioError, ScenarioSpec,
+                                  check_knobs)
 from repro.sweep import SWEEPS
 
 
@@ -40,9 +41,14 @@ def test_cli_names_the_knob_its_type_and_the_value(scenario, knob, want,
     ("S2", ["", "h1_0"], [2, 2.0, True]),
 ])
 def test_the_rule(default, fits, misfits):
-    knob = Knob(default, "probe")
-    assert [knob_type_error(knob, v) for v in fits] == [None] * len(fits)
-    assert all(knob_type_error(knob, v) for v in misfits)
+    spec = ScenarioSpec(name="probe", summary="s", paper_ref="p",
+                        expected_diagnosis="d",
+                        knobs={"k": Knob(default, "probe")})
+    for value in fits:
+        check_knobs(spec, {"k": value})
+    for value in misfits:
+        with pytest.raises(ScenarioError, match="knob 'k' of 'probe' takes"):
+            check_knobs(spec, {"k": value})
 
 
 def registered_values():
@@ -83,7 +89,6 @@ def registered_values():
 def test_every_registered_value_obeys_the_rule():
     seen = 0
     for where, scenario, name, value in registered_values():
-        knob = REGISTRY.get(scenario).spec.knobs[name]
-        assert knob_type_error(knob, value) is None, (where, name, value)
+        check_knobs(REGISTRY.get(scenario).spec, {name: value})
         seen += 1
     assert seen > 100

@@ -69,7 +69,7 @@ class TestRegistration:
                             smoke_knobs={"flowz": 2})
         bad = type("Bad", (_Dummy,), {"spec": spec})
         with pytest.raises(ScenarioError,
-                           match=r"smoke_knobs name undeclared knob\(s\) "
+                           match=r"unknown knob\(s\) for 'sk': "
                                  r"\['flowz'\]"):
             reg.register(bad)
 

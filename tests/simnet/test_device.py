@@ -36,7 +36,7 @@ class TestForwarding:
     def test_no_route_drops_counted(self):
         net = tiny_net()
         sw = net.switches["S"]
-        sw.inject(make_udp("ha", "nowhere", 1, 9, 500))
+        sw.forward(make_udp("ha", "nowhere", 1, 9, 500), in_iface=None)
         assert sw.no_route_drops == 1
         assert sw.forwarded == 0
 

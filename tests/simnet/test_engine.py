@@ -70,7 +70,7 @@ class TestScheduling:
             sim.call_after(bad, lambda _: None)
         with pytest.raises(SimulationError, match="finite"):
             sim.call_at(bad, lambda _: None)
-        assert sim.pending == 0
+        assert len(sim._heap) == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
@@ -110,7 +110,7 @@ class TestCancellation:
         sim.run()
         assert fired == []
         assert sim.events_processed == 0
-        assert sim.pending == 0
+        assert len(sim._heap) == 0
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
@@ -166,12 +166,12 @@ class TestCancellation:
             if i % 4:
                 sim.cancel(event)
                 live = n - (i - i // 4)
-                assert sim.pending <= 2 * live + COMPACT_MIN
+                assert len(sim._heap) <= 2 * live + COMPACT_MIN
         # the heap was rebuilt without the dead: far fewer than n remain
-        assert sim.pending < n // 2
+        assert len(sim._heap) < n // 2
         sim.run()
         assert fired == list(range(0, n, 4))
-        assert sim.events_processed == n // 4 and sim.pending == 0
+        assert sim.events_processed == n // 4 and len(sim._heap) == 0
 
     def test_cancelled_head_does_not_hold_the_clock(self):
         sim = Simulator()
@@ -180,7 +180,7 @@ class TestCancellation:
         sim.cancel(dead)
         sim.run(until=10, max_events=1)
         # only the cancelled event is left at or before `until`
-        assert sim.now == 10 and sim.pending == 0
+        assert sim.now == 10 and len(sim._heap) == 0
 
 
 class TestRunControl:
@@ -249,9 +249,9 @@ class TestRunControl:
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        assert sim.pending == 2
+        assert len(sim._heap) == 2
         sim.run()
-        assert sim.pending == 0
+        assert len(sim._heap) == 0
 
 
 class TestPeriodicTimer:

@@ -46,14 +46,6 @@ class TestSockets:
         a.bind(PROTO_UDP, 50, lambda p, t: None)
         a.bind(PROTO_TCP, 50, lambda p, t: None)
 
-    def test_unbind(self):
-        net, a, b = pair()
-        b.bind(PROTO_UDP, 50, lambda p, t: None)
-        b.unbind(PROTO_UDP, 50)
-        a.send(make_udp("a", "b", 1, 50, 500))
-        net.run()
-        assert b.undeliverable == 1
-
 
 class TestSniffers:
     def test_sniffers_run_before_sockets(self):

@@ -30,11 +30,6 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(flow=key, size=0)
 
-    def test_src_dst_shortcuts(self):
-        pkt = make_udp("src", "dst", 1, 2, 100)
-        assert pkt.src == "src"
-        assert pkt.dst == "dst"
-
 
 class TestConstructors:
     def test_make_udp_defaults(self):

@@ -71,10 +71,10 @@ class TestDropTailFIFO:
         q = DropTailFIFO()
         q.enqueue(pkt(100))
         q.dequeue()
-        snap = q.stats.snapshot()
-        assert snap["enqueued"] == 1
-        assert snap["dequeued"] == 1
-        assert snap["bytes_enqueued"] == 100
+        stats = q.stats
+        assert stats.enqueued == 1
+        assert stats.dequeued == 1
+        assert stats.bytes_enqueued == 100
 
 
 class TestStrictPriorityQueue:

@@ -129,9 +129,9 @@ def test_tree_path_follows_link_order_not_names() -> None:
             net.add_switch(name)
         for a, b in (("top", first), ("top", second),
                      (first, "bottom"), (second, "bottom")):
-            net.connect(net.node(a), net.node(b))
+            net.connect(net.switches[a], net.switches[b])
         for host, switch in (("ht", "top"), ("hb", "bottom")):
-            net.connect(net.add_host(host), net.node(switch))
+            net.connect(net.add_host(host), net.switches[switch])
         assert net.tree_path("top", "bottom") == ["top", first, "bottom"]
         assert net.tree_path("ht", "hb") == [
             "ht", "top", first, "bottom", "hb"]
@@ -146,7 +146,7 @@ def test_topology_edits_reset_the_path_memo() -> None:
     net.add_host("hx")
     assert net._spaths == {} and net._toward == {} and net._trees == {}
     assert net.topology_version > version
-    net.connect(net.node("hx"), net.node("leaf0"))
+    net.connect(net.hosts["hx"], net.switches["leaf0"])
     assert net.shortest_paths("h0_0", "h1_0") == before
     assert net.shortest_paths("hx", "h1_0") == [
         [src, *mid, "h1_0"]

@@ -16,15 +16,6 @@ class TestNetwork:
         with pytest.raises(TopologyError):
             net.add_switch("x")
 
-    def test_node_lookup(self):
-        net = Network()
-        h = net.add_host("h")
-        s = net.add_switch("s")
-        assert net.node("h") is h
-        assert net.node("s") is s
-        with pytest.raises(TopologyError):
-            net.node("ghost")
-
     def test_link_between(self):
         net = Network()
         a, b = net.add_host("a"), net.add_switch("b")
@@ -229,7 +220,7 @@ class TestRouting:
         delivered = []
         for dst in hosts[1:4]:
             net.hosts[dst].bind(PROTO_UDP, 9,
-                                lambda p, t: delivered.append(p.dst))
+                                lambda p, t: delivered.append(p.flow.dst))
             src.send(make_udp(src.name, dst, 1, 9, 200))
         net.run()
         assert sorted(delivered) == sorted(hosts[1:4])

@@ -151,14 +151,6 @@ class TestBatchedLaunch:
         assert [f.flow for f in gen.flows] == [p.flow for p in bg.plans]
         assert gen.size_percentiles()[50] > 0
 
-    def test_stop_halts_emission(self):
-        net, gen, bg = self.launch()
-        net.run(until=0.001)
-        sent_at_stop = bg.packets_sent
-        bg.stop()
-        net.run(until=0.2)
-        assert bg.packets_sent == sent_at_stop
-
 
 class TestHeavyTail:
     def test_elephants_carry_most_bytes(self):

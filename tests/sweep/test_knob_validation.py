@@ -43,7 +43,8 @@ def test_axis_bound_to_undeclared_knob_fails(registry):
 
 def test_base_knob_naming_undeclared_knob_fails(registry):
     with pytest.raises(SweepError,
-                       match="base_knobs names knob 'not_a_knob'"):
+                       match=r"sweep 'probe': unknown knob\(s\) for "
+                             r"'incast': \['not_a_knob'\]"):
         registry.register(_spec(base_knobs={"not_a_knob": 3}))
 
 
@@ -64,3 +65,37 @@ def test_every_registered_sweep_passed_validation():
     """The import-time catalogue re-validates cleanly (no legacy escape)."""
     for spec in SWEEPS.values():
         SWEEPS.check(spec)
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"default_grid": {"senders": (2, 4.5)}}, "'n_senders' of 'incast'"),
+    ({"nightly_grid": {"senders": ("4",)}}, "'n_senders' of 'incast'"),
+    ({"nightly_points": ({"senders": True},)}, "'n_senders' of 'incast'"),
+    ({"base_knobs": {"hosts": 70.5}}, "'hosts' of 'incast'"),
+])
+def test_grid_values_obey_the_knob_contract(registry, overrides, named):
+    # a value the scenario would refuse fails at registration, not as
+    # an errored run in the middle of a nightly sweep
+    with pytest.raises(SweepError, match=f"sweep 'probe': knob {named}"):
+        registry.register(_spec(**overrides))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "run", "incast", "--grid", "hosts=70.5"],
+     "knob 'hosts' of 'incast' takes an int, got 70.5 (float)"),
+    (["sweep", "run", "incast", "--knob", "bg_flows=-3"],
+     "knob 'bg_flows' of 'incast' must be >= 0, got -3"),
+    (["experiment", "run", "skew-degradation", "--grid", "skew_ms=fast"],
+     "knob 'skew_ms' of 'gray-failure' takes a float, got 'fast' (str)"),
+    (["experiment", "run", "skew-degradation", "--knob", "ghost=1"],
+     "unknown knob(s) for 'gray-failure': ['ghost']"),
+])
+def test_a_bad_cell_exits_2_before_any_run(argv, named, tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "table"
+    assert main([*argv, "--workers", "1", "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert not out.exists()

@@ -153,7 +153,7 @@ class TestCaching:
         link = net.link_between("S1", "S2")
         hx = net.add_host("hx")
         assert not planner.pins_path("h1_0", "hx", link)  # unreachable
-        net.connect(hx, net.node("S3"))
+        net.connect(hx, net.switches["S3"])
         assert CherryPickPlanner(net).pins_path("h1_0", "hx", link)
         assert planner.pins_path("h1_0", "hx", link)
         assert planner.reconstruct_path("h1_0", "hx", link.vlan_id) == [

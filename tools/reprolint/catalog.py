@@ -8,6 +8,7 @@ drift from the rules that actually run.
 
 from __future__ import annotations
 
+from .. import reach
 from . import RULES, RuleSpec
 from . import rules as _rules  # noqa: F401  (registers the catalogue)
 
@@ -68,6 +69,9 @@ def rules_markdown() -> str:
     parts = [_HEADER]
     for spec in RULES.specs():
         parts.append(_spec_markdown(spec))
+    census = reach.__doc__.split("\n", 1)[1].strip()
+    reasons = "".join(f"- `{name}`: {why}\n" for name, why in reach.REASONS.items())
+    parts.append(f"## Reach census\n\n{census}\n\nReasons:\n\n{reasons}")
     parts.append(
         "## Adding a rule\n\n"
         "Subclass `Rule` in `tools/reprolint/rules.py`, give it a\n"
