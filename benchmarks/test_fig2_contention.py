@@ -24,12 +24,12 @@ def run_sweep(discipline: str) -> dict[int, dict]:
     for m in FLOW_COUNTS:
         res = run_scenario("contention", with_diagnosis=False, m_flows=m,
                            discipline=discipline, duration=0.045,
-                           burst_start=0.010, watch=False).payload
+                           burst_start=0.010, watch=False)
         rows[m] = {
-            "starvation_ms": res.starvation_ms(),
-            "max_gap_ms": res.max_gap_ms(),
-            "timeouts": res.tcp_timeouts,
-            "result": res,
+            "starvation_ms": res.scenario.starvation_ms(),
+            "max_gap_ms": res.scenario.max_gap_ms(),
+            "timeouts": res.measurements["tcp_timeouts"],
+            "scenario": res.scenario,
         }
     return rows
 
@@ -46,7 +46,7 @@ def test_fig2a_priority_contention(benchmark):
     lines.append("")
     lines.append("victim throughput timeline, m=16 (paper: ~0 Gbps for "
                  "~10 ms):")
-    series = rows[16]["result"].throughput.series(until=0.045)
+    series = rows[16]["scenario"].tput.series(until=0.045)
     lines += fmt_series(series, every=2)
     emit("fig2a_priority_contention", lines)
 
@@ -74,7 +74,7 @@ def test_fig2b_microburst_contention(benchmark):
     # though throughput still dips (the victim shares the trunk fairly).
     assert rows[16]["max_gap_ms"] < 4.0
     assert rows[16]["max_gap_ms"] < rows[16]["starvation_ms"] + 4.0
-    dips = [rows[m]["result"].throughput.rate_at(0.0105)
+    dips = [rows[m]["scenario"].tput.rate_at(0.0105)
             for m in FLOW_COUNTS]
     assert dips[-1] < 0.9  # visible throughput dip during the burst
 
@@ -84,7 +84,7 @@ def test_fig2_priority_vs_fifo_gap_contrast(benchmark):
     def run_pair():
         prio, fifo = (run_scenario("contention", with_diagnosis=False,
                                    m_flows=8, discipline=discipline,
-                                   duration=0.045, watch=False).payload
+                                   duration=0.045, watch=False).scenario
                       for discipline in ("priority", "fifo"))
         return prio.max_gap_ms(), fifo.max_gap_ms()
 

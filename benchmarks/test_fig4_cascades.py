@@ -21,7 +21,7 @@ from benchmarks.reporting import emit, fmt_series
 def test_fig4_cascades(benchmark):
     def run_both():
         return tuple(run_scenario("cascades", with_diagnosis=False,
-                                  cascaded=cascaded).payload
+                                  cascaded=cascaded).scenario
                      for cascaded in (False, True))
 
     base, casc = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -39,17 +39,17 @@ def test_fig4_cascades(benchmark):
         lines.append("flow C-E throughput (first 40 ms):")
         lines += fmt_series([(t, g) for t, g in res.tput_ce.series()
                              if t <= 0.040], every=4)
-        done = res.ce_completed_at
+        done = res.ce_app.completed_at
         lines.append(f"C-E (2 MB TCP) completed at: "
                      f"{done * 1000:.1f} ms" if done else
                      "C-E did not complete")
         lines.append("")
     emit("fig4_cascades", lines)
 
-    assert base.ce_completed_at is not None
-    assert casc.ce_completed_at is not None
+    base_done, casc_done = base.ce_app.completed_at, casc.ce_app.completed_at
+    assert base_done is not None and casc_done is not None
     # the cascade visibly delays the low-priority victim
-    assert casc.ce_completed_at > base.ce_completed_at + 0.004
+    assert casc_done > base_done + 0.004
     # A-F's delivery stretches out when it loses at S1
     af_tail_base = max(t for t, g in base.tput_af.series() if g > 0)
     af_tail_casc = max(t for t, g in casc.tput_af.series() if g > 0)

@@ -31,13 +31,13 @@ def test_gray_failure_localization(benchmark):
     data = {}
     for n in FLOW_COUNTS:
         res = rows[n]
-        affected = res.payload.affected
+        affected = res.scenario.affected
         localized = sum(1 for v in res.verdicts if v.suspect == "S3")
         healthy_clear = sum(
-            1 for flow in res.payload.healthy
+            1 for flow in res.scenario.healthy
             if diagnose_gray_failure(
                 res.deployment.analyzer, flow,
-                silence_epochs=res.payload.silence_epochs).suspect is None)
+                silence_epochs=res.scenario.silence_epochs).suspect is None)
         per_flow_ms = (sum(v.total_time_s for v in res.verdicts)
                        / max(1, len(res.verdicts)) * 1e3)
         drops = res.measurements["gray_drops"]

@@ -18,16 +18,15 @@ from repro.scenarios import run_scenario
 def main() -> None:
     n_servers = 16
     res = run_scenario("load-imbalance", with_diagnosis=False,
-                       n_servers=n_servers).payload
+                       n_servers=n_servers).scenario
     epochs = EpochRange(0, res.last_epoch)
 
-    print(f"scenario: {n_servers} flows through suspect switch "
-          f"{res.suspect_switch}; flows < 1 MB forced out via "
-          f"{res.small_egress}, >= 1 MB via {res.large_egress}")
+    print(f"scenario: {n_servers} flows through suspect switch S1; "
+          f"flows < 1 MB forced out via SPA, >= 1 MB via SPB")
 
     # --- SwitchPointer: directory-guided diagnosis --------------------
     verdict = diagnose_load_imbalance(
-        res.deployment.analyzer, res.suspect_switch, epochs=epochs)
+        res.deployment.analyzer, "S1", epochs=epochs)
     print(f"\nSwitchPointer verdict: imbalanced={verdict.imbalanced}")
     print(f"  {verdict.narrative}")
     for egress, sizes in sorted(verdict.distribution.items()):
@@ -39,8 +38,7 @@ def main() -> None:
 
     # --- PathDump: no directory, ask everyone --------------------------
     pd = PathDumpAnalyzer(res.deployment.host_agents)
-    dist, bd = pd.flow_size_distribution(switch=res.suspect_switch,
-                                         epochs=epochs)
+    dist, bd = pd.flow_size_distribution(switch="S1", epochs=epochs)
     print("\nPathDump (same query, no directory):")
     print(f"  servers contacted: {len(pd.all_servers)} (all of them)")
     print(f"  response time: {bd.total * 1e3:.1f} ms")

@@ -26,14 +26,14 @@ def red_lights() -> None:
     print("=" * 64)
     print("TOO MANY RED LIGHTS (Fig 1b / Fig 3 / §5.2)")
     print("=" * 64)
-    res = run_scenario("red-lights", with_diagnosis=False).payload
+    res = run_scenario("red-lights", with_diagnosis=False).scenario
     print("\nvictim A->F throughput at S1 egress:")
-    print("\n".join(ascii_series(res.tput_at_s1.series(), 0.008)))
+    print("\n".join(ascii_series(res.tput_s1.series(), 0.008)))
     print("\nvictim A->F throughput at S2 egress "
           "(note the deeper, later dip — degradation accumulates):")
-    print("\n".join(ascii_series(res.tput_at_s2.series(), 0.008)))
+    print("\n".join(ascii_series(res.tput_s2.series(), 0.008)))
 
-    alert = res.alerts[0]
+    alert = res.deployment.alerts()[0]
     print(f"\ntrigger fired at {alert.time * 1e3:.1f} ms; alert covers "
           f"switches {alert.switch_path}")
     verdict = diagnose_red_lights(res.deployment.analyzer, alert)
@@ -47,13 +47,13 @@ def cascades() -> None:
     print("TRAFFIC CASCADES (Fig 1c / Fig 4 / §5.3)")
     print("=" * 64)
     base, casc = (run_scenario("cascades", with_diagnosis=False,
-                               cascaded=cascaded).payload
+                               cascaded=cascaded).scenario
                   for cascaded in (False, True))
     print("\nC-E (2 MB, low priority TCP) completion:")
-    print(f"  without cascade: {base.ce_completed_at * 1e3:.1f} ms")
-    print(f"  with cascade:    {casc.ce_completed_at * 1e3:.1f} ms")
+    print(f"  without cascade: {base.ce_app.completed_at * 1e3:.1f} ms")
+    print(f"  with cascade:    {casc.ce_app.completed_at * 1e3:.1f} ms")
 
-    alert = casc.alerts[0]
+    alert = casc.deployment.alerts()[0]
     verdict = diagnose_cascade(casc.deployment.analyzer, alert)
     print(f"\nrecursive diagnosis ({verdict.total_time_s * 1e3:.0f} ms):")
     print(f"  {verdict.narrative}")

@@ -25,9 +25,9 @@ Scenario ↔ figure/fault map
 :func:`run_scenario` (name or alias plus knobs) is the one way in: the
 CLI, sweeps, experiments, examples, tests and the benchmark harness all
 call it, so the numbers in the benchmark results come from the same
-code the test suite validates.  A caller that wants the scenario's
-measurement objects (the ``*Result`` dataclasses) reads
-``ScenarioResult.payload``.
+code the test suite validates.  A caller that wants the run's probes,
+victim flows or other state reads them from the executed scenario,
+``ScenarioResult.scenario``.
 """
 
 from __future__ import annotations
@@ -36,18 +36,15 @@ from .base import (REGISTRY, Knob, Scenario, ScenarioError,
                    ScenarioResult, ScenarioSpec, SwitchStats, register,
                    run_scenario)
 from .common import DEEP_BUFFER_BYTES, GBPS
-from .contention import (ContentionResult, ContentionScenario,
-                         MicroburstScenario)
-from .red_lights import (RedLightsResult, RedLightsScenario,
-                         build_red_lights_network)
-from .cascades import (CascadesResult, CascadesScenario,
-                       build_cascades_network)
-from .load_imbalance import (LoadImbalanceResult, LoadImbalanceScenario,
+from .contention import ContentionScenario, MicroburstScenario
+from .red_lights import RedLightsScenario, build_red_lights_network
+from .cascades import CascadesScenario, build_cascades_network
+from .load_imbalance import (LoadImbalanceScenario,
                              build_load_imbalance_network)
-from .incast import IncastResult, IncastScenario
-from .gray_failure import GrayFailureResult, GrayFailureScenario
-from .polarization import PolarizationResult, PolarizationScenario
-from .link_flap import LinkFlapResult, LinkFlapScenario
+from .incast import IncastScenario
+from .gray_failure import GrayFailureScenario
+from .polarization import PolarizationScenario
+from .link_flap import LinkFlapScenario
 from .multi_fault import MultiFaultScenario
 from .catalog import catalog_markdown
 
@@ -58,16 +55,12 @@ __all__ = [
     "Knob", "catalog_markdown",
     # shared constants
     "DEEP_BUFFER_BYTES", "GBPS",
-    # paper scenarios (classes, result payloads, topology builders)
-    "ContentionScenario", "MicroburstScenario", "ContentionResult",
-    "RedLightsScenario", "RedLightsResult", "build_red_lights_network",
-    "CascadesScenario", "CascadesResult", "build_cascades_network",
-    "LoadImbalanceScenario", "LoadImbalanceResult",
-    "build_load_imbalance_network",
+    # paper scenarios (classes, topology builders)
+    "ContentionScenario", "MicroburstScenario",
+    "RedLightsScenario", "build_red_lights_network",
+    "CascadesScenario", "build_cascades_network",
+    "LoadImbalanceScenario", "build_load_imbalance_network",
     # extended fault scenarios
-    "IncastScenario", "IncastResult",
-    "GrayFailureScenario", "GrayFailureResult",
-    "PolarizationScenario", "PolarizationResult",
-    "LinkFlapScenario", "LinkFlapResult",
-    "MultiFaultScenario",
+    "IncastScenario", "GrayFailureScenario", "PolarizationScenario",
+    "LinkFlapScenario", "MultiFaultScenario",
 ]

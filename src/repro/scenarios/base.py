@@ -126,10 +126,10 @@ class SwitchStats:
 class ScenarioResult:
     """What :meth:`Scenario.execute` returns, for every scenario.
 
-    ``measurements`` holds the scenario-specific series/numbers from the
-    collect phase; ``payload`` the scenario's own result object where
-    one exists (the paper scenarios' ``*Result`` dataclasses, whose
-    probes and series the examples, tests and figure benchmarks read).
+    ``measurements`` holds the scenario-specific numbers from the
+    collect phase; ``scenario`` is the executed instance itself, whose
+    probes, victim flows and other run state the examples, tests and
+    figure benchmarks read.
     """
 
     name: str
@@ -139,7 +139,7 @@ class ScenarioResult:
     switch_stats: dict[str, SwitchStats] = field(default_factory=dict)
     verdicts: list[Verdict] = field(default_factory=list)
     measurements: dict[str, Any] = field(default_factory=dict)
-    payload: Any = None
+    scenario: Optional[Scenario] = None
     network: Optional[Network] = None
     deployment: Optional[SwitchPointerDeployment] = None
     #: simulated seconds the diagnosis phase consumed (0.0 when the
@@ -363,7 +363,7 @@ class Scenario(abc.ABC):
             sim_time=self.network.sim.now,
             switch_stats=self._switch_stats(),
             verdicts=verdicts, measurements=measurements,
-            payload=getattr(self, "payload", None),
+            scenario=self,
             network=self.network, deployment=self.deployment,
             diagnosis_latency_sim=self.network.sim.now - diag_started_sim,
             freshness=(self.deployment.analyzer.ingest_seq()

@@ -2,35 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from ..analyzer.apps import Verdict, diagnose_cascade
 from ..deployment import SwitchPointerDeployment
-from ..hostd.triggers import VictimAlert
-from ..simnet.packet import PRIO_HIGH, PRIO_LOW, PRIO_MEDIUM, FlowKey
+from ..simnet.packet import PRIO_HIGH, PRIO_LOW, PRIO_MEDIUM
 from ..simnet.stats import ThroughputProbe
 from ..simnet.topology import Network
 from ..simnet.traffic import TcpBulkTransfer, UdpCbrSource, UdpSink
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import GBPS, priority_queue
-
-
-@dataclass
-class CascadesResult:
-    """Output of one Fig 4 run (with or without the cascade)."""
-
-    cascaded: bool
-    deployment: SwitchPointerDeployment
-    network: Network
-    tput_bd: ThroughputProbe
-    tput_af: ThroughputProbe
-    tput_ce: ThroughputProbe
-    flow_bd: FlowKey
-    flow_af: FlowKey
-    flow_ce: FlowKey
-    ce_completed_at: Optional[float]
-    alerts: list[VictimAlert] = field(default_factory=list)
 
 
 def build_cascades_network(*, reroute_bd: bool) -> Network:
@@ -124,20 +103,11 @@ class CascadesScenario(Scenario):
         self.network.run(until=0.080)
 
     def collect(self) -> dict:
-        p = self.p
-        self.payload = CascadesResult(
-            cascaded=p["cascaded"], deployment=self.deployment,
-            network=self.network, tput_bd=self.tput_bd,
-            tput_af=self.tput_af, tput_ce=self.tput_ce,
-            flow_bd=self.src_bd.flow, flow_af=self.src_af.flow,
-            flow_ce=self.flow_ce,
-            ce_completed_at=self.ce_app.completed_at,
-            alerts=list(self.deployment.alerts()))
-        done = self.payload.ce_completed_at
+        done = self.ce_app.completed_at
         return {
             "ce_completed_ms": (round(done * 1e3, 2)
                                 if done is not None else None),
-            "alerts": len(self.payload.alerts),
+            "alerts": len(self.deployment.alerts()),
         }
 
     def diagnose(self) -> list[Verdict]:

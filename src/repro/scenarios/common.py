@@ -3,8 +3,10 @@ traffic-population plumbing shared by the scenario modules."""
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
+from ..core.epoch import EpochClock, EpochRange
 from ..core.rng import run_stream
 from ..faults import parse_spare
 from ..simnet.device import _flow_hash
@@ -159,6 +161,26 @@ def install_fault_knobs(scenario: Scenario, *,
     if p.get("crash_host"):
         scenario.add_fault("agent-crash", host=p["crash_host"],
                            start=p.get("crash_at", 0.0))
+
+
+def silence_window(scenario: Scenario, clock: EpochClock) -> EpochRange:
+    """The epochs, read on ``clock``, that a silent drop starting at the
+    ``fault_time`` knob has silenced: the first whole epoch after the
+    fault up to now.
+
+    Under the ``skew_ms`` knob (the all-device clock-skew fault) the
+    per-device offsets span ±skew_ms, so a switch may run up to
+    2·skew_ms ahead of ``clock`` and mark that much more pre-fault
+    epoch residue; the lower edge moves up by ``ceil(2·skew_ms/α)``
+    epochs so the residue is never misread as forwarding-in-silence.
+    """
+    p = scenario.p
+    first = clock.epoch_of(p["fault_time"])
+    if p["fault_time"] > clock.epoch_start(first):
+        first += 1          # fault mid-epoch: that epoch is mixed
+    if p["skew_ms"] > 0:
+        first += math.ceil(2 * p["skew_ms"] / p["alpha_ms"])
+    return EpochRange(first, clock.epoch_of(scenario.network.sim.now))
 
 
 def launch_background(network: Network, p: dict, *, duration: float,

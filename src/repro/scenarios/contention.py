@@ -2,49 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..analyzer.apps import Verdict, diagnose_contention
 from ..deployment import SwitchPointerDeployment
-from ..hostd.triggers import VictimAlert
-from ..simnet.packet import PRIO_HIGH, PRIO_LOW, FlowKey
+from ..simnet.packet import PRIO_HIGH, PRIO_LOW
 from ..simnet.stats import InterArrivalProbe, ThroughputProbe
 from ..simnet.topology import Network
 from ..simnet.traffic import TcpTimedFlow, UdpSink, schedule_burst_batches
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import GBPS, fifo_queue, priority_queue
-
-
-@dataclass
-class ContentionResult:
-    """Output of one Fig 2 run (a single burst size m)."""
-
-    m_flows: int
-    discipline: str
-    throughput: ThroughputProbe
-    interarrival: InterArrivalProbe
-    deployment: SwitchPointerDeployment
-    network: Network
-    victim: FlowKey
-    burst_start: float
-    burst_duration: float
-    alerts: list[VictimAlert] = field(default_factory=list)
-    tcp_timeouts: int = 0
-
-    def starvation_ms(self) -> float:
-        """Length of the post-burst window with ~zero victim throughput."""
-        zero = 0.0
-        for t, gbps in self.throughput.series():
-            if t < self.burst_start:
-                continue
-            if gbps < 0.02:
-                zero += self.throughput.window
-        return zero * 1000
-
-    def max_gap_ms(self) -> float:
-        """Largest victim inter-packet gap around the burst."""
-        return self.interarrival.max_gap_in(
-            self.burst_start, self.burst_start + 0.040) * 1000
 
 
 def _build_dumbbell(m_flows: int, *, queue_factory) -> Network:
@@ -144,21 +109,27 @@ class ContentionScenario(Scenario):
             self.trigger.stop()
 
     def collect(self) -> dict:
-        p = self.p
-        self.payload = ContentionResult(
-            m_flows=p["m_flows"], discipline=p["discipline"],
-            throughput=self.tput, interarrival=self.interarrival,
-            deployment=self.deployment, network=self.network,
-            victim=self.victim, burst_start=p["burst_start"],
-            burst_duration=p["burst_duration"],
-            alerts=list(self.deployment.alerts()),
-            tcp_timeouts=self.victim_app.sender.timeouts)
         return {
-            "starvation_ms": round(self.payload.starvation_ms(), 2),
-            "max_gap_ms": round(self.payload.max_gap_ms(), 3),
-            "tcp_timeouts": self.payload.tcp_timeouts,
-            "alerts": len(self.payload.alerts),
+            "starvation_ms": round(self.starvation_ms(), 2),
+            "max_gap_ms": round(self.max_gap_ms(), 3),
+            "tcp_timeouts": self.victim_app.sender.timeouts,
+            "alerts": len(self.deployment.alerts()),
         }
+
+    def starvation_ms(self) -> float:
+        """Length of the post-burst window with ~zero victim throughput."""
+        zero = 0.0
+        for t, gbps in self.tput.series():
+            if t < self.p["burst_start"]:
+                continue
+            if gbps < 0.02:
+                zero += self.tput.window
+        return zero * 1000
+
+    def max_gap_ms(self) -> float:
+        """Largest victim inter-packet gap around the burst."""
+        start = self.p["burst_start"]
+        return self.interarrival.max_gap_in(start, start + 0.040) * 1000
 
     def diagnose(self) -> list[Verdict]:
         alerts = self.deployment.alerts()

@@ -11,34 +11,17 @@ do, and the boundary of that spatial cut is the suspect.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 from ..analyzer.apps import Verdict, diagnose_gray_failure_online
-from ..core.epoch import EpochRange
 from ..deployment import SwitchPointerDeployment
 from ..rpc.fabric import LatencyModel
 from ..simnet.packet import PRIO_LOW, FlowKey
-from ..simnet.topology import Network, build_linear
+from ..simnet.topology import build_linear
 from ..simnet.traffic import UdpCbrSource, UdpSink
 from ..sweep import SweepSpec, register_sweep
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import (background_knobs, directory_knobs, fault_knobs,
-                     install_fault_knobs, launch_background)
-
-
-@dataclass
-class GrayFailureResult:
-    """Output of one gray-failure run."""
-
-    deployment: SwitchPointerDeployment
-    network: Network
-    fault_switch: str
-    fault_time: float
-    silence_epochs: EpochRange
-    affected: list[FlowKey] = field(default_factory=list)
-    healthy: list[FlowKey] = field(default_factory=list)
-    gray_drops: int = 0
+                     install_fault_knobs, launch_background,
+                     silence_window)
 
 
 @register
@@ -62,7 +45,7 @@ class GrayFailureScenario(Scenario):
         expected_diagnosis="gray-failure (suspect: the injected switch)",
         knobs={
             "n_flows": Knob(4, "concurrent h1_i→h4_i flows (even-indexed "
-                               "ones are dropped)"),
+                               "ones are dropped)", minimum=1),
             "fault_switch": Knob("S3", "the gray-failing switch"),
             "fault_time": Knob(0.020, "when the silent drops begin (s)"),
             "duration": Knob(0.050, "total run time (s)"),
@@ -148,27 +131,11 @@ class GrayFailureScenario(Scenario):
     def collect(self) -> dict:
         p = self.p
         net, deploy = self.network, self.deployment
-        clock = deploy.datapaths["S1"].clock
-        fault_epoch = clock.epoch_of(p["fault_time"])
-        if p["fault_time"] > clock.epoch_start(fault_epoch):
-            fault_epoch += 1       # fault mid-epoch: that epoch is mixed
-        if p["skew_ms"] > 0:
-            # per-device offsets span ±skew_ms, so a switch may run up
-            # to 2·skew_ms ahead of S1 and mark that much more
-            # pre-fault epoch residue; widen the window's lower edge
-            # so the residue is never misread as forwarding-in-silence
-            fault_epoch += math.ceil(2 * p["skew_ms"] / p["alpha_ms"])
-        self.silence_epochs = EpochRange(fault_epoch,
-                                         clock.epoch_of(net.sim.now))
-        self.payload = GrayFailureResult(
-            deployment=deploy, network=net,
-            fault_switch=p["fault_switch"], fault_time=p["fault_time"],
-            silence_epochs=self.silence_epochs,
-            affected=list(self.affected), healthy=list(self.healthy),
-            gray_drops=net.switches[p["fault_switch"]].gray_drops)
+        self.silence_epochs = silence_window(
+            self, deploy.datapaths["S1"].clock)
         bg = self.background
         return {
-            "gray_drops": self.payload.gray_drops,
+            "gray_drops": net.switches[p["fault_switch"]].gray_drops,
             "silence_epochs": (self.silence_epochs.lo,
                                self.silence_epochs.hi),
             "affected_flows": len(self.affected),

@@ -11,12 +11,9 @@ the victim's own destination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..analyzer.apps import Verdict, diagnose_incast
 from ..deployment import SwitchPointerDeployment
-from ..hostd.triggers import VictimAlert
-from ..simnet.packet import PRIO_LOW, FlowKey
+from ..simnet.packet import PRIO_LOW
 from ..simnet.stats import ThroughputProbe
 from ..simnet.topology import (Network, build_fat_tree_for_hosts,
                                build_leaf_spine)
@@ -25,24 +22,6 @@ from ..sweep import SweepSpec, register_sweep
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import (GBPS, background_knobs, fault_knobs,
                      install_fault_knobs, launch_background)
-
-
-@dataclass
-class IncastResult:
-    """Output of one incast run."""
-
-    n_senders: int
-    deployment: SwitchPointerDeployment
-    network: Network
-    victim: FlowKey
-    throughput: ThroughputProbe
-    burst_start: float
-    burst_duration: float
-    receiver: str
-    convergence_switch: str
-    alerts: list[VictimAlert] = field(default_factory=list)
-    tcp_timeouts: int = 0
-    downlink_queue_drops: int = 0
 
 
 @register
@@ -200,23 +179,13 @@ class IncastScenario(Scenario):
         leaf = net.switches[self.convergence_switch]
         downlink = net.link_between(self.convergence_switch,
                                     self.receiver).iface_of(leaf)
-        self.payload = IncastResult(
-            n_senders=p["n_senders"], deployment=self.deployment,
-            network=net, victim=self.victim, throughput=self.tput,
-            burst_start=p["burst_start"],
-            burst_duration=p["burst_duration"],
-            receiver=self.receiver,
-            convergence_switch=self.convergence_switch,
-            alerts=list(self.deployment.alerts()),
-            tcp_timeouts=self.victim_app.sender.timeouts,
-            downlink_queue_drops=downlink.queue.stats.dropped)
         bg = self.background
         return {
-            "alerts": len(self.payload.alerts),
+            "alerts": len(self.deployment.alerts()),
             "fabric_hosts": len(net.hosts),
             "fabric_switches": len(net.switches),
-            "tcp_timeouts": self.payload.tcp_timeouts,
-            "downlink_queue_drops": self.payload.downlink_queue_drops,
+            "tcp_timeouts": self.victim_app.sender.timeouts,
+            "downlink_queue_drops": downlink.queue.stats.dropped,
             "victim_rate_at_burst_gbps": round(
                 self.tput.rate_at(p["burst_start"] + 0.0005), 3),
             # n_senders bursts + the victim + the background population

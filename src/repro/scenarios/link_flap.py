@@ -16,13 +16,10 @@ flapping one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..analyzer.apps import Verdict, diagnose_link_flap
 from ..core.epoch import EpochRange
 from ..deployment import SwitchPointerDeployment
 from ..simnet.packet import PRIO_LOW, PROTO_TCP, FlowKey
-from ..simnet.topology import Network
 from ..simnet.traffic import TcpTimedFlow, UdpCbrSource, UdpSink
 from ..sweep import SweepSpec, register_sweep
 from .base import Knob, Scenario, ScenarioSpec, register
@@ -33,21 +30,6 @@ from .common import (GBPS, background_knobs, build_diamond, fault_knobs,
 #: extra tx/rx pairs added to the diamond when a background population
 #: is requested (its endpoints; see the bg_flows knob help)
 _BG_PAIRS = 8
-
-
-@dataclass
-class LinkFlapResult:
-    """Output of one link-flap run."""
-
-    deployment: SwitchPointerDeployment
-    network: Network
-    flapped_link: tuple[str, str]
-    flaps: int
-    down_drops: int
-    tcp_timeouts: int
-    #: flows hashed to the flapping spine (ground truth: these reroute)
-    flapping_side_flows: list[FlowKey] = field(default_factory=list)
-    stable_side_flows: list[FlowKey] = field(default_factory=list)
 
 
 @register
@@ -155,21 +137,12 @@ class LinkFlapScenario(Scenario):
         self.network.run(until=self.p["duration"])
 
     def collect(self) -> dict:
-        net = self.network
-        link = net.link_between("S1", "SPA")
-        timeouts = (self.tcp_app.sender.timeouts
-                    if self.tcp_app is not None else 0)
-        self.payload = LinkFlapResult(
-            deployment=self.deployment, network=net,
-            flapped_link=("S1", "SPA"), flaps=self.flap_fault.flaps,
-            down_drops=link.down_drops, tcp_timeouts=timeouts,
-            flapping_side_flows=list(self.flapping_side),
-            stable_side_flows=list(self.stable_side))
         bg = self.background
         return {
-            "flaps": self.payload.flaps,
-            "down_drops": self.payload.down_drops,
-            "tcp_timeouts": timeouts,
+            "flaps": self.flap_fault.flaps,
+            "down_drops": self.network.link_between("S1", "SPA").down_drops,
+            "tcp_timeouts": (self.tcp_app.sender.timeouts
+                             if self.tcp_app is not None else 0),
             "flow_count": (len(self.flapping_side)
                            + len(self.stable_side)
                            + (bg.n_flows if bg is not None else 0)),

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..analyzer.apps import Verdict, diagnose_load_imbalance
 from ..core.epoch import EpochRange
 from ..deployment import SwitchPointerDeployment
@@ -12,20 +10,6 @@ from ..simnet.topology import Network
 from ..simnet.traffic import UdpCbrSource, UdpSink
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import GBPS, build_diamond
-
-
-@dataclass
-class LoadImbalanceResult:
-    """Output of one Fig 8 run (n servers with relevant flows)."""
-
-    n_servers: int
-    deployment: SwitchPointerDeployment
-    network: Network
-    suspect_switch: str
-    flow_sizes: dict[FlowKey, int]
-    small_egress: str
-    large_egress: str
-    last_epoch: int
 
 
 def build_load_imbalance_network(n_servers: int) -> Network:
@@ -111,24 +95,20 @@ class LoadImbalanceScenario(Scenario):
         self.network.run(until=0.050)
 
     def collect(self) -> dict:
-        net, deploy = self.network, self.deployment
-        last_epoch = deploy.datapaths["S1"].clock.epoch_of(net.sim.now)
-        self.payload = LoadImbalanceResult(
-            n_servers=self.p["n_servers"], deployment=deploy, network=net,
-            suspect_switch="S1", flow_sizes=self.flow_sizes,
-            small_egress="SPA", large_egress="SPB", last_epoch=last_epoch)
+        net = self.network
+        self.last_epoch = self.deployment.datapaths["S1"].clock.epoch_of(
+            net.sim.now)
         s1 = net.switches["S1"]
         spa = net.link_between("S1", "SPA").iface_of(s1)
         spb = net.link_between("S1", "SPB").iface_of(s1)
         return {
             "spa_tx_bytes": spa.tx_bytes,
             "spb_tx_bytes": spb.tx_bytes,
-            "last_epoch": last_epoch,
+            "last_epoch": self.last_epoch,
         }
 
     def diagnose(self) -> list[Verdict]:
-        res = self.payload
         return [diagnose_load_imbalance(
-            self.deployment.analyzer, res.suspect_switch,
-            epochs=EpochRange(0, res.last_epoch),
+            self.deployment.analyzer, "S1",
+            epochs=EpochRange(0, self.last_epoch),
             size_threshold=self.p["size_threshold"])]

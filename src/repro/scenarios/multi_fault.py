@@ -31,7 +31,7 @@ from ..simnet.traffic import UdpCbrSource, UdpSink
 from ..sweep import SweepSpec, register_sweep
 from .base import Knob, Scenario, ScenarioError, ScenarioSpec, register
 from .common import (directory_knobs, fault_knobs, install_fault_knobs,
-                     sport_for_side)
+                     silence_window, sport_for_side)
 
 
 @dataclass
@@ -127,12 +127,8 @@ class _SilentDropSlot(_SlotBase):
         site.expected_suspect = site.dst_leaf
 
     def diagnose(self, scn, site):
-        clock = scn.deployment.datapaths[site.src_leaf].clock
-        fault_epoch = clock.epoch_of(scn.p["fault_time"])
-        if scn.p["fault_time"] > clock.epoch_start(fault_epoch):
-            fault_epoch += 1
-        silence = EpochRange(fault_epoch,
-                             clock.epoch_of(scn.network.sim.now))
+        silence = silence_window(
+            scn, scn.deployment.datapaths[site.src_leaf].clock)
         return diagnose_gray_failure(scn.deployment.analyzer,
                                      site.affected[0],
                                      silence_epochs=silence)
@@ -219,7 +215,7 @@ class MultiFaultScenario(Scenario):
                            "the composition: '+'-separated registered "
                            "fault names (silent-drop, "
                            "ecmp-polarization, link-flap, link-down)"),
-            "slot_flows": Knob(8, "flows per fault site"),
+            "slot_flows": Knob(8, "flows per fault site", minimum=1),
             "duration": Knob(0.060, "total run time (s)"),
             "fault_time": Knob(0.020, "when timed faults inject (s)"),
             "rate_mbps": Knob(10.0, "per-flow CBR rate (Mbit/s)"),

@@ -14,34 +14,17 @@ non-conformance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..analyzer.apps import Verdict, diagnose_polarization
 from ..analyzer.netdebug import check_path_conformance
 from ..core.epoch import EpochRange
 from ..deployment import SwitchPointerDeployment
 from ..simnet.packet import PRIO_LOW, PROTO_UDP, FlowKey
-from ..simnet.topology import Network, build_leaf_spine
+from ..simnet.topology import build_leaf_spine
 from ..simnet.traffic import UdpCbrSource, UdpSink
 from ..sweep import SweepSpec, register_sweep
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import (background_knobs, fault_knobs, install_fault_knobs,
                      launch_background, sport_for_side)
-
-
-@dataclass
-class PolarizationResult:
-    """Output of one polarization run."""
-
-    deployment: SwitchPointerDeployment
-    network: Network
-    polarized: bool
-    branch_switch: str
-    flows: list[FlowKey] = field(default_factory=list)
-    #: healthy-hash spine assignment (what ECMP *should* have done)
-    expected_spine: dict[FlowKey, str] = field(default_factory=dict)
-    spine_tx_bytes: dict[str, int] = field(default_factory=dict)
-    off_policy_flows: int = 0
 
 
 @register
@@ -157,17 +140,10 @@ class PolarizationScenario(Scenario):
             for flow, spine in self.expected_spine.items()}
         conformance = check_path_conformance(
             self.deployment.analyzer, expected_paths=expected_paths)
-        self.payload = PolarizationResult(
-            deployment=self.deployment, network=net,
-            polarized=self.p["polarized"],
-            branch_switch=self.branch_switch, flows=list(self.flows),
-            expected_spine=dict(self.expected_spine),
-            spine_tx_bytes=spine_bytes,
-            off_policy_flows=len(conformance.violations))
         bg = self.background
         return {
             "spine_tx_bytes": spine_bytes,
-            "off_policy_flows": self.payload.off_policy_flows,
+            "off_policy_flows": len(conformance.violations),
             "flow_count": len(self.flows) +
                           (bg.n_flows if bg is not None else 0),
             "bg_packets_delivered": (bg.delivered

@@ -2,32 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..analyzer.apps import Verdict, diagnose_red_lights
 from ..deployment import SwitchPointerDeployment
-from ..hostd.triggers import VictimAlert
-from ..simnet.packet import PRIO_HIGH, PRIO_LOW, FlowKey
+from ..simnet.packet import PRIO_HIGH, PRIO_LOW
 from ..simnet.stats import ThroughputProbe, attach_flow_tap
 from ..simnet.topology import Network
 from ..simnet.traffic import TcpTimedFlow, UdpCbrSource, UdpSink
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import GBPS, priority_queue
-
-
-@dataclass
-class RedLightsResult:
-    """Output of the Fig 3 run."""
-
-    deployment: SwitchPointerDeployment
-    network: Network
-    victim: FlowKey
-    tput_at_s1: ThroughputProbe      # victim throughput leaving S1
-    tput_at_s2: ThroughputProbe      # victim throughput leaving S2
-    tput_at_dst: ThroughputProbe
-    alerts: list[VictimAlert] = field(default_factory=list)
-    burst1: tuple[float, float] = (0.0, 0.0)   # (start, duration) at S1
-    burst2: tuple[float, float] = (0.0, 0.0)   # at S2
 
 
 def build_red_lights_network() -> Network:
@@ -113,16 +95,8 @@ class RedLightsScenario(Scenario):
         self.network.run(until=self.p["tcp_duration"] + 0.020)
 
     def collect(self) -> dict:
-        p = self.p
-        self.payload = RedLightsResult(
-            deployment=self.deployment, network=self.network,
-            victim=self.victim, tput_at_s1=self.tput_s1,
-            tput_at_s2=self.tput_s2, tput_at_dst=self.tput_dst,
-            alerts=list(self.deployment.alerts()),
-            burst1=(p["first_burst"], p["burst_duration"]),
-            burst2=(self.second_burst, p["burst_duration"]))
         return {
-            "alerts": len(self.payload.alerts),
+            "alerts": len(self.deployment.alerts()),
             "victim_bytes": self.tput_dst.total_bytes,
         }
 

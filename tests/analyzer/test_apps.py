@@ -19,27 +19,27 @@ from tests.simnet.test_shortest_paths_equiv import EVERY_FABRIC
 
 
 @pytest.fixture(scope="module")
-def contention_priority(payload_of):
-    return payload_of("contention", m_flows=4)
+def contention_priority(scenario_of):
+    return scenario_of("contention", m_flows=4)
 
 
 @pytest.fixture(scope="module")
-def contention_fifo(payload_of):
-    return payload_of("contention", m_flows=4, discipline="fifo")
+def contention_fifo(scenario_of):
+    return scenario_of("contention", m_flows=4, discipline="fifo")
 
 
 class TestDiagnoseContention:
     def test_classifies_priority_contention(self, contention_priority):
         res = contention_priority
-        assert res.alerts, "trigger must have fired"
+        assert res.deployment.alerts(), "trigger must have fired"
         verdict = diagnose_contention(res.deployment.analyzer,
-                                      res.alerts[0])
+                                      res.deployment.alerts()[0])
         assert verdict.problem == "priority-contention"
 
     def test_culprits_are_the_burst_flows(self, contention_priority):
         res = contention_priority
         verdict = diagnose_contention(res.deployment.analyzer,
-                                      res.alerts[0])
+                                      res.deployment.alerts()[0])
         culprit_srcs = {c.flow.src for c in verdict.culprits}
         expected = {f"h1_{j}" for j in range(1, 5)}
         assert expected <= culprit_srcs
@@ -47,7 +47,7 @@ class TestDiagnoseContention:
     def test_culprit_metadata(self, contention_priority):
         res = contention_priority
         verdict = diagnose_contention(res.deployment.analyzer,
-                                      res.alerts[0])
+                                      res.deployment.alerts()[0])
         udp_culprits = [c for c in verdict.culprits
                         if c.flow.proto == PROTO_UDP]
         assert udp_culprits
@@ -59,7 +59,7 @@ class TestDiagnoseContention:
     def test_breakdown_has_fig7_phases(self, contention_priority):
         res = contention_priority
         verdict = diagnose_contention(res.deployment.analyzer,
-                                      res.alerts[0])
+                                      res.deployment.alerts()[0])
         parts = verdict.breakdown.parts
         for phase in ("problem_detection", "alert_to_analyzer",
                       "pointer_retrieval", "diagnosis"):
@@ -70,28 +70,28 @@ class TestDiagnoseContention:
     def test_classifies_microburst_without_priorities(self,
                                                       contention_fifo):
         res = contention_fifo
-        assert res.alerts
+        assert res.deployment.alerts()
         verdict = diagnose_contention(res.deployment.analyzer,
-                                      res.alerts[0])
+                                      res.deployment.alerts()[0])
         assert verdict.problem == "microburst-contention"
 
     def test_hosts_consulted_excludes_victim_destination(
             self, contention_priority):
         res = contention_priority
         verdict = diagnose_contention(res.deployment.analyzer,
-                                      res.alerts[0])
+                                      res.deployment.alerts()[0])
         assert res.victim.dst not in verdict.hosts_consulted
 
 
 class TestDiagnoseRedLights:
     @pytest.fixture(scope="class")
-    def result(self, payload_of):
-        return payload_of("red-lights")
+    def result(self, scenario_of):
+        return scenario_of("red-lights")
 
     def test_finds_culprits_at_both_switches(self, result):
-        assert result.alerts
+        assert result.deployment.alerts()
         verdict = diagnose_red_lights(result.deployment.analyzer,
-                                      result.alerts[0])
+                                      result.deployment.alerts()[0])
         by_switch = {}
         for c in verdict.culprits:
             by_switch.setdefault(c.switch, set()).add(c.flow.src)
@@ -100,79 +100,80 @@ class TestDiagnoseRedLights:
 
     def test_culprits_share_epochs_with_victim(self, result):
         verdict = diagnose_red_lights(result.deployment.analyzer,
-                                      result.alerts[0])
+                                      result.deployment.alerts()[0])
         assert all(c.shared_epochs is not None for c in verdict.culprits)
 
     def test_throughput_drops_at_each_switch(self, result):
         """The Fig 3 signal itself: dips at S1 and (deeper) at S2."""
-        b1_lo, b1_len = result.burst1
-        b2_lo, b2_len = result.burst2
-        s1_min = min(g for t, g in result.tput_at_s1.series()
-                     if b1_lo <= t <= b1_lo + 2 * b1_len)
-        s2_min = min(g for t, g in result.tput_at_s2.series()
-                     if b1_lo <= t <= b2_lo + 2 * b2_len)
+        b1_lo, b_len = result.p["first_burst"], result.p["burst_duration"]
+        b2_lo = result.second_burst
+        s1_min = min(g for t, g in result.tput_s1.series()
+                     if b1_lo <= t <= b1_lo + 2 * b_len)
+        s2_min = min(g for t, g in result.tput_s2.series()
+                     if b1_lo <= t <= b2_lo + 2 * b_len)
         assert s1_min < 0.6   # degraded at S1
         assert s2_min <= s1_min  # cumulative at S2
 
 
 class TestDiagnoseCascade:
     @pytest.fixture(scope="class")
-    def cascaded(self, payload_of):
-        return payload_of("cascades", cascaded=True)
+    def cascaded(self, scenario_of):
+        return scenario_of("cascades", cascaded=True)
 
     def test_full_chain_recovered(self, cascaded):
-        assert cascaded.alerts
+        assert cascaded.deployment.alerts()
         verdict = diagnose_cascade(cascaded.deployment.analyzer,
-                                   cascaded.alerts[0])
+                                   cascaded.deployment.alerts()[0])
         assert verdict.cascade_chain == [cascaded.flow_ce,
-                                         cascaded.flow_af,
-                                         cascaded.flow_bd]
+                                         cascaded.src_af.flow,
+                                         cascaded.src_bd.flow]
 
     def test_chain_priorities_ascend(self, cascaded):
         verdict = diagnose_cascade(cascaded.deployment.analyzer,
-                                   cascaded.alerts[0])
+                                   cascaded.deployment.alerts()[0])
         prios = [c.priority for c in verdict.culprits]
         assert prios == sorted(prios)
 
-    def test_no_cascade_baseline_finishes_earlier(self, payload_of):
-        base = payload_of("cascades", cascaded=False)
-        casc = payload_of("cascades", cascaded=True)
-        assert base.ce_completed_at is not None
-        assert casc.ce_completed_at is not None
-        assert casc.ce_completed_at > base.ce_completed_at + 0.004
+    def test_no_cascade_baseline_finishes_earlier(self, scenario_of):
+        base = scenario_of("cascades", cascaded=False)
+        casc = scenario_of("cascades", cascaded=True)
+        base_done = base.ce_app.completed_at
+        casc_done = casc.ce_app.completed_at
+        assert base_done is not None and casc_done is not None
+        assert casc_done > base_done + 0.004
 
 
 class TestDiagnoseLoadImbalance:
     @pytest.fixture(scope="class")
-    def result(self, payload_of):
-        return payload_of("load-imbalance", n_servers=8)
+    def result(self, scenario_of):
+        return scenario_of("load-imbalance", n_servers=8)
 
     def test_detects_clean_separation(self, result):
         verdict = diagnose_load_imbalance(
-            result.deployment.analyzer, result.suspect_switch,
+            result.deployment.analyzer, "S1",
             epochs=EpochRange(0, result.last_epoch))
         assert verdict.imbalanced
-        assert result.small_egress in verdict.distribution
-        assert result.large_egress in verdict.distribution
+        assert "SPA" in verdict.distribution
+        assert "SPB" in verdict.distribution
 
     def test_distribution_split_matches_threshold(self, result):
         verdict = diagnose_load_imbalance(
-            result.deployment.analyzer, result.suspect_switch,
+            result.deployment.analyzer, "S1",
             epochs=EpochRange(0, result.last_epoch))
         assert all(s < 1_000_000
-                   for s in verdict.distribution[result.small_egress])
+                   for s in verdict.distribution["SPA"])
         assert all(s >= 900_000
-                   for s in verdict.distribution[result.large_egress])
+                   for s in verdict.distribution["SPB"])
 
     def test_consults_only_receivers(self, result):
         verdict = diagnose_load_imbalance(
-            result.deployment.analyzer, result.suspect_switch,
+            result.deployment.analyzer, "S1",
             epochs=EpochRange(0, result.last_epoch))
         assert all(h.startswith("rx") for h in verdict.hosts_consulted)
         assert len(verdict.hosts_consulted) == 8
 
-    def test_healthy_ecmp_not_flagged(self, payload_of):
-        res = payload_of("load-imbalance", n_servers=8)
+    def test_healthy_ecmp_not_flagged(self, scenario_of):
+        res = scenario_of("load-imbalance", n_servers=8)
         # remove the malfunction and replay fresh traffic: new scenario
         # without override
         net = res.network

@@ -59,12 +59,12 @@ class TestDeduplication:
 
 class TestDispatch:
     @pytest.fixture(scope="class")
-    def contention(self, payload_of):
-        return payload_of("contention", m_flows=4)
+    def contention(self, scenario_of):
+        return scenario_of("contention", m_flows=4)
 
     def test_contention_incident_diagnosed(self, contention):
         auto = AutoDebugger(contention.deployment.analyzer)
-        for alert in contention.alerts:
+        for alert in list(contention.deployment.alerts()):
             auto.ingest(alert)
         incidents = auto.diagnose_all()
         assert incidents
@@ -76,15 +76,15 @@ class TestDispatch:
                                                           contention):
         auto = AutoDebugger(contention.deployment.analyzer,
                             cascade_priorities=False)
-        auto.ingest(contention.alerts[0])
+        auto.ingest(contention.deployment.alerts()[0])
         auto.diagnose_all()
         # dumbbell: culprits appear at both S1 and S2 pointer pulls
         assert auto.incidents[0].escalated_to in (None, "red-lights")
 
-    def test_cascade_escalation_end_to_end(self, payload_of):
-        res = payload_of("cascades", cascaded=True)
+    def test_cascade_escalation_end_to_end(self, scenario_of):
+        res = scenario_of("cascades", cascaded=True)
         auto = AutoDebugger(res.deployment.analyzer)
-        for alert in res.alerts:
+        for alert in list(res.deployment.alerts()):
             auto.ingest(alert)
         auto.diagnose_all()
         escalations = {i.escalated_to for i in auto.incidents}
@@ -95,7 +95,7 @@ class TestDispatch:
 
     def test_diagnose_all_idempotent(self, contention):
         auto = AutoDebugger(contention.deployment.analyzer)
-        auto.ingest(contention.alerts[0])
+        auto.ingest(contention.deployment.alerts()[0])
         auto.diagnose_all()
         verdict = auto.incidents[0].verdict
         auto.diagnose_all()
@@ -106,10 +106,10 @@ class TestReporting:
     def test_empty_report(self):
         assert AutoDebugger(FakeAnalyzer()).report() == "no incidents"
 
-    def test_render_contains_essentials(self, payload_of):
-        res = payload_of("contention", m_flows=2)
+    def test_render_contains_essentials(self, scenario_of):
+        res = scenario_of("contention", m_flows=2)
         auto = AutoDebugger(res.deployment.analyzer)
-        auto.ingest(res.alerts[0])
+        auto.ingest(res.deployment.alerts()[0])
         auto.diagnose_all()
         text = auto.report()
         assert "incident #1" in text

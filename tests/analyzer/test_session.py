@@ -43,12 +43,12 @@ class TestCompleteVerdicts:
     def test_offline_mode_costs_no_simulated_time(self):
         result = GrayFailureScenario(n_flows=2).execute(
             with_diagnosis=False)
-        payload, sim = result.payload, result.network.sim
+        scn, sim = result.scenario, result.network.sim
         before = sim.now
         verdicts = [diagnose_gray_failure(
                         result.deployment.analyzer, flow,
-                        silence_epochs=payload.silence_epochs)
-                    for flow in payload.affected]
+                        silence_epochs=scn.silence_epochs)
+                    for flow in scn.affected]
         assert sim.now == before
         assert all(v.hosts_consulted == [] for v in verdicts)
         assert any(v.suspect == "S3" for v in verdicts)

@@ -33,13 +33,13 @@ def empty_like():
 
 
 @pytest.fixture(scope="session")
-def payload_of():
-    """``payload_of(name, **knobs)``: run a registered scenario without
-    its own diagnosis and return its result object (``*Result``), for
-    tests that read its probes or call a ``diagnose_*`` app themselves."""
+def scenario_of():
+    """``scenario_of(name, **knobs)``: run a registered scenario without
+    its own diagnosis and return the executed scenario, for tests that
+    read its probes or call a ``diagnose_*`` app themselves."""
 
     def run(name, **knobs):
-        return run_scenario(name, with_diagnosis=False, **knobs).payload
+        return run_scenario(name, with_diagnosis=False, **knobs).scenario
 
     return run
 

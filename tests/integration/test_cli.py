@@ -148,16 +148,20 @@ class TestRunCommand:
         ("incast", "records_per_host=-1"),
         ("gray-failure", "records_per_host=-1"),
         ("gray-failure", "skew_ms=-3"),
+        ("gray-failure", "n_flows=0"),
+        ("multi-fault", "slot_flows=0"),
     ])
     def test_negative_size_knob_names_the_knob(self, scenario, knob,
                                                capsys):
         # hosts=-5 used to build the minimal fabric and exit 0;
-        # records_per_host=-1 blamed an internal max_records
+        # records_per_host=-1 blamed an internal max_records; n_flows=0
+        # raised MphfBuildError and slot_flows=0 an IndexError (exit 1)
         assert main(["run", scenario, "--knob", knob]) == 2
         captured = capsys.readouterr()
         name, _, value = knob.partition("=")
+        minimum = REGISTRY.get(scenario).spec.knobs[name].minimum
         assert captured.err == (f"error: knob {name!r} of {scenario!r} "
-                                f"must be >= 0, got {value}\n")
+                                f"must be >= {minimum:g}, got {value}\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("scenario, knob, minimum", [

@@ -27,36 +27,36 @@ class TestTooMuchTraffic:
                         if c.flow.proto == PROTO_UDP}
         assert {f"h1_{j}" for j in range(1, m + 1)} <= udp_culprits
 
-    def test_starvation_grows_with_burst_size(self, payload_of):
+    def test_starvation_grows_with_burst_size(self, scenario_of):
         """Fig 2(a): larger m, longer victim starvation."""
         starvation = {}
         for m in (2, 8, 16):
-            res = payload_of("contention", m_flows=m, watch=False)
+            res = scenario_of("contention", m_flows=m, watch=False)
             starvation[m] = res.starvation_ms()
         assert starvation[2] < starvation[8] < starvation[16]
         # m bursts of 1 ms each need ~m ms to drain at line rate
         assert starvation[16] > 8.0
 
-    def test_interarrival_grows_with_burst_size(self, payload_of):
+    def test_interarrival_grows_with_burst_size(self, scenario_of):
         gaps = {}
         for m in (1, 4, 8):
-            res = payload_of("contention", m_flows=m, watch=False)
+            res = scenario_of("contention", m_flows=m, watch=False)
             gaps[m] = res.max_gap_ms()
         assert gaps[1] < gaps[4] < gaps[8]
         assert gaps[8] == pytest.approx(8.0, rel=0.3)
 
-    def test_fifo_microburst_smaller_gap_inflation(self, payload_of):
+    def test_fifo_microburst_smaller_gap_inflation(self, scenario_of):
         """Fig 2(b): FIFO spreads the pain; inter-arrival inflation is
         far milder than under strict priority."""
-        prio = payload_of("contention", m_flows=8, watch=False)
-        fifo = payload_of("contention", m_flows=8, discipline="fifo",
+        prio = scenario_of("contention", m_flows=8, watch=False)
+        fifo = scenario_of("contention", m_flows=8, discipline="fifo",
                           watch=False)
         assert fifo.max_gap_ms() < prio.max_gap_ms() / 4
 
-    def test_large_burst_causes_timeout(self, payload_of):
+    def test_large_burst_causes_timeout(self, scenario_of):
         """§2.1: 'may, at the extreme, lead to TCP timeout'."""
-        res = payload_of("contention", m_flows=16, watch=False)
-        assert res.tcp_timeouts >= 1
+        res = scenario_of("contention", m_flows=16, watch=False)
+        assert res.victim_app.sender.timeouts >= 1
 
 
 class TestTooManyRedLights:
@@ -65,14 +65,14 @@ class TestTooManyRedLights:
         return run_scenario("red-lights")
 
     def test_cumulative_degradation_across_switches(self, result):
-        res = result.payload
-        b1, d1 = res.burst1
-        window = (b1, res.burst2[0] + res.burst2[1] + 0.001)
-        s1_min = min(g for t, g in res.tput_at_s1.series()
+        res = result.scenario
+        window = (result.knobs["first_burst"],
+                  res.second_burst + result.knobs["burst_duration"] + 0.001)
+        s1_min = min(g for t, g in res.tput_s1.series()
                      if window[0] <= t <= window[1])
-        s2_min = min(g for t, g in res.tput_at_s2.series()
+        s2_min = min(g for t, g in res.tput_s2.series()
                      if window[0] <= t <= window[1])
-        dst_min = min(g for t, g in res.tput_at_dst.series()
+        dst_min = min(g for t, g in res.tput_dst.series()
                       if window[0] <= t <= window[1])
         assert s2_min <= s1_min
         assert dst_min <= s1_min
@@ -88,7 +88,7 @@ class TestTooManyRedLights:
         assert ("S2", "C") in srcs
 
     def test_alert_names_full_path(self, result):
-        alert = result.payload.alerts[0]
+        alert = result.deployment.alerts()[0]
         assert alert.switch_path == ["S1", "S2", "S3"]
 
 
@@ -96,23 +96,23 @@ class TestTrafficCascades:
     def test_cascade_chain_via_recursive_reexamination(self):
         result = run_scenario("cascades", cascaded=True)
         assert result.verdicts
-        verdict, res = result.verdicts[0], result.payload
-        assert verdict.cascade_chain == [res.flow_ce, res.flow_af,
-                                         res.flow_bd]
+        verdict, res = result.verdicts[0], result.scenario
+        assert verdict.cascade_chain == [res.flow_ce, res.src_af.flow,
+                                         res.src_bd.flow]
         assert "cascade chain" in verdict.narrative
 
-    def test_without_contention_no_chain_found(self, payload_of):
-        res = payload_of("cascades", cascaded=False)
+    def test_without_contention_no_chain_found(self, scenario_of):
+        res = scenario_of("cascades", cascaded=False)
         # even if a completion artifact alert fires, no cascade exists
-        if res.alerts:
+        if res.deployment.alerts():
             verdict = diagnose_cascade(res.deployment.analyzer,
-                                       res.alerts[0])
-            assert res.flow_bd not in verdict.cascade_chain
+                                       res.deployment.alerts()[0])
+            assert res.src_bd.flow not in verdict.cascade_chain
 
-    def test_cascade_slows_victim_completion(self, payload_of):
-        base = payload_of("cascades", cascaded=False)
-        casc = payload_of("cascades", cascaded=True)
-        assert casc.ce_completed_at > base.ce_completed_at
+    def test_cascade_slows_victim_completion(self, scenario_of):
+        base = scenario_of("cascades", cascaded=False)
+        casc = scenario_of("cascades", cascaded=True)
+        assert casc.ce_app.completed_at > base.ce_app.completed_at
 
 
 class TestLoadImbalance:

@@ -21,24 +21,24 @@ class TestContentionScenario:
         with pytest.raises(ScenarioError, match="knob 'm_flows' of"):
             run_scenario(name, m_flows=-1)
 
-    def test_burst_flows_have_distinct_pairs(self, payload_of):
-        res = payload_of("contention", m_flows=4, duration=0.030,
+    def test_burst_flows_have_distinct_pairs(self, scenario_of):
+        res = scenario_of("contention", m_flows=4, duration=0.030,
                          burst_start=0.005, watch=False)
         # m+1 sender/receiver pairs exist; victim uses pair 0
         assert res.victim.src == "h1_0" and res.victim.dst == "h2_0"
         assert len(res.network.hosts) == 2 * (4 + 1)
 
-    def test_result_metrics_present(self, payload_of):
-        res = payload_of("contention", m_flows=2, duration=0.030,
+    def test_result_metrics_present(self, scenario_of):
+        res = scenario_of("contention", m_flows=2, duration=0.030,
                          burst_start=0.005, watch=False)
         assert res.starvation_ms() >= 0
         assert res.max_gap_ms() > 0
-        assert res.throughput.total_bytes > 0
+        assert res.tput.total_bytes > 0
 
     def test_no_watch_means_no_alerts(self):
         result = run_scenario("contention", m_flows=2, duration=0.030,
                               watch=False)
-        assert result.payload.alerts == []
+        assert result.deployment.alerts() == []
         assert result.verdicts == []
 
 
@@ -77,8 +77,8 @@ class TestLoadImbalanceScenario:
         routes = s1.routes_for("rx0")
         assert len(routes) == 2  # SPA and SPB (ECMP set)
 
-    def test_malfunction_splits_cleanly(self, payload_of):
-        res = payload_of("load-imbalance", n_servers=6)
+    def test_malfunction_splits_cleanly(self, scenario_of):
+        res = scenario_of("load-imbalance", n_servers=6)
         s1 = res.network.switches["S1"]
         spa = res.network.link_between("S1", "SPA").iface_of(s1)
         spb = res.network.link_between("S1", "SPB").iface_of(s1)
@@ -87,10 +87,10 @@ class TestLoadImbalanceScenario:
         # small flows sum < large flows sum per construction
         assert spa.tx_bytes < spb.tx_bytes
 
-    def test_detection_via_interface_counters(self, payload_of):
+    def test_detection_via_interface_counters(self, scenario_of):
         """§5.4: 'detected by monitoring interface byte counts per
         second' — the per-port counters show persistent skew."""
-        res = payload_of("load-imbalance", n_servers=6)
+        res = scenario_of("load-imbalance", n_servers=6)
         s1 = res.network.switches["S1"]
         spa = res.network.link_between("S1", "SPA").iface_of(s1)
         spb = res.network.link_between("S1", "SPB").iface_of(s1)

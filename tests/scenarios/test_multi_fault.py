@@ -1,9 +1,12 @@
 """Multi-fault scenario: every composed fault must be attributed
 independently — right problem, right suspect, per site."""
 
+import math
+
 import pytest
 
-from repro.scenarios import ScenarioError, run_scenario
+from repro.core.epoch import EpochRange
+from repro.scenarios import ScenarioError, multi_fault, run_scenario
 
 
 def _summary(result):
@@ -65,6 +68,34 @@ class TestOtherCompositions:
         suspects = [v.suspect for v in result.verdicts
                     if v.problem == "link-flap"]
         assert suspects == ["leaf0-spine0", "leaf2-spine0"]
+
+
+class TestSilenceWindow:
+    @pytest.mark.parametrize("skew_ms", [0.0, 2.0])
+    def test_window_widens_under_skew_like_gray_failure(self, skew_ms,
+                                                         monkeypatch):
+        # the silent-drop slot reads gray-failure's window: the first
+        # whole epoch after fault_time, its lower edge moved up
+        # ceil(2·skew_ms/α) epochs under the all-device clock skew
+        windows = []
+        diagnose = multi_fault.diagnose_gray_failure
+
+        def spy(analyzer, flow, *, silence_epochs):
+            windows.append(silence_epochs)
+            return diagnose(analyzer, flow, silence_epochs=silence_epochs)
+
+        monkeypatch.setattr(multi_fault, "diagnose_gray_failure", spy)
+        result = run_scenario("multi-fault", faults="silent-drop",
+                              slot_flows=4, duration=0.045,
+                              skew_ms=skew_ms)
+        clock = result.deployment.datapaths["leaf0"].clock
+        first = clock.epoch_of(0.020)
+        if 0.020 > clock.epoch_start(first):
+            first += 1
+        first += math.ceil(2 * skew_ms / 10)
+        assert windows == [EpochRange(first,
+                                      clock.epoch_of(result.sim_time))]
+        assert result.verdict("gray-failure").suspect == "leaf1"
 
 
 class TestValidation:

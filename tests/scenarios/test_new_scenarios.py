@@ -53,7 +53,7 @@ class TestGrayFailure:
             assert v.suspect == "S3"
 
     def test_one_verdict_per_affected_flow(self, result):
-        assert len(result.verdicts) == len(result.payload.affected) == 2
+        assert len(result.verdicts) == len(result.scenario.affected) == 2
 
     def test_drops_are_silent(self, result):
         stats = result.switch_stats["S3"]
@@ -62,10 +62,10 @@ class TestGrayFailure:
 
     def test_healthy_flows_not_localized(self, result):
         analyzer = result.deployment.analyzer
-        for flow in result.payload.healthy:
+        for flow in result.scenario.healthy:
             v = diagnose_gray_failure(
                 analyzer, flow,
-                silence_epochs=result.payload.silence_epochs)
+                silence_epochs=result.scenario.silence_epochs)
             assert v.suspect is None, f"{flow} wrongly localized"
 
     def test_other_fault_switch_knob(self):
@@ -96,7 +96,7 @@ class TestPolarization:
         # off-policy under the polarized hash: half of them, exactly
         v = result.verdict("ecmp-polarization")
         expected_other = sum(
-            1 for spine in result.payload.expected_spine.values()
+            1 for spine in result.scenario.expected_spine.values()
             if spine != v.suspect)
         assert result.measurements["off_policy_flows"] == expected_other
         assert expected_other == 4  # build pins a 4/4 healthy split

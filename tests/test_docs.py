@@ -238,15 +238,10 @@ class TestDiagnosisPage:
 class TestBenchmarksPage:
     def test_benchmarks_md_matches_baselines(self):
         """docs/BENCHMARKS.md must be regenerated when the committed
-        baselines change (python tools/gen_bench_docs.py)."""
-        sys.path.insert(0, str(REPO / "tools"))
-        try:
-            from gen_bench_docs import benchmarks_markdown
-        finally:
-            sys.path.pop(0)
+        baselines change (python tools/gen_docs.py benchmarks)."""
         page = (REPO / "docs" / "BENCHMARKS.md").read_text(
             encoding="utf-8")
-        assert page == benchmarks_markdown()
+        assert page == gen_docs.benchmarks_markdown()
 
     def test_every_baseline_documented(self):
         page = (REPO / "docs" / "BENCHMARKS.md").read_text(
@@ -264,8 +259,8 @@ class TestBenchmarksPage:
 
     def test_generator_check_mode_passes(self):
         proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "gen_bench_docs.py"),
-             "--check"],
+            [sys.executable, str(REPO / "tools" / "gen_docs.py"),
+             "--check", "benchmarks"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -21,14 +21,10 @@ REPO = Path(__file__).resolve().parent.parent
 #: (label, argv) — every check the docs job runs, in order.
 CHECKS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("intra-repo markdown links", ("tools/check_links.py",)),
-    ("docs catalogues vs their registries", ("tools/gen_docs.py", "--check")),
+    ("generated docs pages vs their sources", ("tools/gen_docs.py", "--check")),
     (
         "results/figures vs committed experiment reports",
         ("tools/plot_experiments.py", "--check"),
-    ),
-    (
-        "docs/BENCHMARKS.md vs committed baselines",
-        ("tools/gen_bench_docs.py", "--check"),
     ),
 )
 

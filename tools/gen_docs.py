@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Generate the registry-driven catalogue pages under docs/.
+"""Generate the registry-driven catalogue pages under docs/ and the
+benchmark-baseline table (docs/BENCHMARKS.md).
 
 Usage::
 
@@ -8,13 +9,15 @@ Usage::
     python tools/gen_docs.py --check [catalogue ...] # exit 1 if any is stale
 
 Each page and its CLI listing render the same registry metadata, so a
-catalogue cannot drift from the code.  ``--check`` writes nothing and
-names every stale page, not only the first.
+catalogue cannot drift from the code; the benchmarks page renders the
+committed baselines the CI regression gate reads.  ``--check`` writes
+nothing and names every stale page, not only the first.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Callable
@@ -30,6 +33,65 @@ from repro.scenarios import catalog_markdown  # noqa: E402
 from repro.sweep import sweeps_markdown  # noqa: E402
 from tools.reprolint.catalog import rules_markdown  # noqa: E402
 
+_BENCHMARKS_PREAMBLE = """\
+# Benchmark baselines
+
+<!-- GENERATED FILE — do not edit by hand.
+     Regenerate with: python tools/gen_docs.py benchmarks -->
+
+Every file under `benchmarks/baselines/` pins the wall-time reference
+for one gated benchmark.  CI's blocking `bench-gate` job re-runs the
+benchmarks, then `tools/check_bench_regression.py` compares each
+metric below against its committed reference and **fails the build**
+when a metric exceeds `baseline x max_factor` (scaled by a CPU
+calibration probe, so a slower runner gets proportional headroom — a
+baseline's `calibration_s` records the probe time on the machine that
+committed it).
+
+## Refreshing the numbers
+
+Run the gated benchmarks, then rewrite the baselines from the fresh
+results and commit the diff deliberately — it is the new reference:
+
+```sh
+python -m pytest benchmarks/test_query_index.py \\
+    benchmarks/test_sweep_smoke.py \\
+    benchmarks/test_engine_eventloop.py -q
+python tools/check_bench_regression.py --update
+```
+
+One-off noisy runners can widen the allowance without touching the
+committed files via the `BENCH_REGRESSION_FACTOR` environment
+variable.
+"""
+
+
+def _baseline_markdown(path: Path) -> str:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    lines = [f"## `{path.stem}`", ""]
+    description = doc.get("description")
+    if description:
+        lines.extend([description, ""])
+    lines.append(f"- **Baseline file:** `benchmarks/baselines/{path.name}`")
+    lines.append(f"- **Gated results document:** `results/{doc['source']}`")
+    lines.append(f"- **Allowed factor:** {doc.get('max_factor', '(default)')}")
+    calibration = doc.get("calibration_s")
+    if calibration is not None:
+        lines.append(f"- **Baseline machine calibration:** {calibration} s")
+    lines.append("")
+    lines.append("| metric | baseline |")
+    lines.append("|---|---|")
+    for metric, value in sorted(doc.get("metrics", {}).items()):
+        lines.append(f"| `{metric}` | {value} |")
+    return "\n".join(lines) + "\n"
+
+
+def benchmarks_markdown() -> str:
+    """The baselines ``tools/check_bench_regression.py`` gates on."""
+    baselines = sorted((REPO / "benchmarks" / "baselines").glob("*.json"))
+    return "\n".join([_BENCHMARKS_PREAMBLE, *map(_baseline_markdown, baselines)])
+
+
 #: catalogue name → (page, renderer)
 CATALOGUES: dict[str, tuple[str, Callable[[], str]]] = {
     "scenarios": ("docs/SCENARIOS.md", catalog_markdown),
@@ -38,6 +100,7 @@ CATALOGUES: dict[str, tuple[str, Callable[[], str]]] = {
     "sweeps": ("docs/SWEEPS.md", sweeps_markdown),
     "experiments": ("docs/EXPERIMENTS.md", experiments_markdown),
     "lint": ("docs/LINTING.md", rules_markdown),
+    "benchmarks": ("docs/BENCHMARKS.md", benchmarks_markdown),
 }
 
 
