@@ -248,13 +248,15 @@ register_sweep(SweepSpec(
     budget_note="measured on 2 shared cores (wall times vary up to "
                 "~2.5x between days; peak RSS repeats), Python 3.11, seed "
                 "1729, two runs, every packet decoded on arrival, a "
-                "host agent built when its host is first touched: "
-                "hosts=4096 flows=2000 at 0.99-1.00 s wall (build "
-                "0.13 s, run 0.85-0.86 s, diagnose 0.003 s; 43 MB peak "
-                "RSS; 80-switch leaf-spine, 2009 concurrent flows, 1,563 "
-                "host agents); hosts=65536 flows=100000 at 32.9-33.6 s "
-                "wall (build 1.8-2.5 s, run 30.9-31.0 s, diagnose "
-                "0.05-0.06 s; 496 MB peak RSS; 64-leaf/16-spine fabric, "
+                "host agent built when its host is first touched, a "
+                "port's queue built at its first packet: "
+                "hosts=4096 flows=2000 at 0.79-0.82 s wall (build "
+                "0.11-0.12 s, run 0.67-0.69 s, diagnose 0.002 s; 42 MB "
+                "peak RSS; 80-switch leaf-spine, 2009 concurrent flows, "
+                "1,563 host agents); hosts=65536 flows=100000 at "
+                "30.7-31.9 s wall (build 2.0-2.7 s, run 27.9-29.8 s, "
+                "diagnose 0.04-0.05 s; 483 MB peak RSS; 64-leaf/16-spine "
+                "fabric, "
                 "65,536 hosts, 100k background flows, 51,192 host "
                 "agents; 1,677,454 events). Adding further "
                 "top-end points must re-measure and keep the whole "

@@ -10,7 +10,10 @@ transmission model is store-and-forward:
 
 Only one packet serializes at a time per direction; everything else waits
 in the interface's output queue.  That queue is where all of the paper's
-§2 contention effects materialize.
+§2 contention effects materialize.  A port builds it at its first packet,
+from the one ``queue_factory`` its link keeps: until then the port holds
+the shared :data:`~.queues.IDLE_QUEUE`, so of a large fabric's access
+links only those that carried a packet cost a queue.
 
 Event budget: the transmitter is a ``busy_until`` timestamp.  A packet
 offered to a free port with nothing waiting is admitted and released
@@ -35,7 +38,7 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 
 from .engine import Simulator
 from .packet import Packet
-from .queues import DropTailFIFO, PacketQueue
+from .queues import IDLE_QUEUE, DropTailFIFO, PacketQueue
 
 _NEVER = float("-inf")  # ``busy_until`` before the first packet, shared
 
@@ -66,22 +69,22 @@ class Interface:
     link:
         The parent :class:`Link`.
     queue:
-        The output queue; replaceable before traffic starts to select a
-        discipline (FIFO vs strict priority).
+        The output queue: the shared :data:`~.queues.IDLE_QUEUE` until
+        the first packet builds one from ``link.queue_factory``.  A queue
+        set before traffic starts is kept (FIFO vs strict priority).
     """
 
     __slots__ = ("sim", "owner", "link", "peer_node", "peer_iface", "queue",
                  "busy_until", "_armed", "tx_packets", "tx_bytes",
                  "dropped_link_down", "tx_taps")
 
-    def __init__(self, sim: Simulator, owner: Node, link: "Link",
-                 queue: Optional[PacketQueue] = None):
+    def __init__(self, sim: Simulator, owner: Node, link: "Link"):
         self.sim = sim
         self.owner = owner
         self.link = link
         self.peer_node: Optional[Node] = None  # set by Link
         self.peer_iface: Optional["Interface"] = None  # set by Link
-        self.queue: PacketQueue = queue if queue is not None else DropTailFIFO()
+        self.queue: PacketQueue = IDLE_QUEUE
         self.busy_until = _NEVER
         self._armed = False  # a ``_depart`` event is pending
         self.tx_packets = 0
@@ -106,6 +109,8 @@ class Interface:
         # waits.  The same-instant rule: a departure due now goes first.
         if self.sim.now >= self.busy_until:
             if not queue.depth_bytes:  # nothing waits: no buffer
+                if queue is IDLE_QUEUE:  # the port's first packet
+                    queue = self.queue = self.link.queue_factory()
                 admitted = queue._admit(pkt)
                 if admitted:
                     self._transmit(queue._release(pkt))
@@ -157,12 +162,12 @@ class Link:
     propagation_delay:
         One-way propagation in seconds (datacenter scale: a few µs).
     queue_factory:
-        Zero-argument callable producing the output queue for each
-        direction; defaults to :class:`DropTailFIFO`.
+        Zero-argument callable producing the output queue of a direction
+        at its first packet; defaults to :class:`DropTailFIFO`.
     """
 
     __slots__ = ("sim", "rate_bps", "propagation_delay", "vlan_id", "up",
-                 "iface_a", "iface_b", "a", "b")
+                 "queue_factory", "iface_a", "iface_b", "a", "b")
 
     def __init__(self, sim: Simulator, a: Node, b: Node, *,
                  rate_bps: float = 1e9, propagation_delay: float = 2e-6,
@@ -184,9 +189,10 @@ class Link:
         #: either direction.  Packets already serializing or propagating
         #: still arrive — a flap loses what is sent *during* the outage.
         self.up = True
-        qf = queue_factory if queue_factory is not None else DropTailFIFO
-        self.iface_a = Interface(sim, a, self, qf())
-        self.iface_b = Interface(sim, b, self, qf())
+        self.queue_factory: Callable[[], PacketQueue] = (
+            queue_factory if queue_factory is not None else DropTailFIFO)
+        self.iface_a = Interface(sim, a, self)
+        self.iface_b = Interface(sim, b, self)
         self.iface_a.peer_node = b
         self.iface_a.peer_iface = self.iface_b
         self.iface_b.peer_node = a

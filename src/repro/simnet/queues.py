@@ -12,14 +12,17 @@ The paper's §2 phenomena are created by exactly two disciplines:
 
 Both share the :class:`PacketQueue` interface consumed by
 :class:`repro.simnet.link.Link` transmitters, and both keep drop/enqueue
-statistics that the experiment harnesses read.
+statistics that the experiment harnesses read.  A port no packet has
+reached holds neither: it holds :data:`IDLE_QUEUE`, one shared queue
+that reads zero counters and refuses every write, until its first
+packet builds the link's discipline.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterator, Optional
+from typing import Iterator, NoReturn, Optional
 
 from .packet import Packet
 
@@ -149,3 +152,31 @@ class StrictPriorityQueue(PacketQueue):
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._q or ())
+
+
+class _IdleQueue(PacketQueue):
+    """The queue of every port no packet has reached (:data:`IDLE_QUEUE`).
+
+    Empty with zero counters for any reader; a packet or a counter
+    written to it raises, because the transmitter swaps in the port's
+    own queue before the first packet touches it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self):
+        for name in PacketQueue.__slots__:
+            object.__setattr__(self, name, None if name == "_q" else 0)
+
+    def _refuse(self, *_args) -> NoReturn:
+        raise TypeError("an idle port's shared queue holds nothing: "
+                        "the port builds its own at its first packet")
+
+    _admit = _release = enqueue = __setattr__ = _refuse
+
+    def __len__(self) -> int:
+        return 0
+
+
+#: shared by every port until its first packet (``Interface.send``)
+IDLE_QUEUE = _IdleQueue()

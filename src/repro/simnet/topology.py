@@ -6,8 +6,10 @@ map (§4.2.1, §4.3): one adjacency map ``{node: {peer: link}}`` in
 link-creation order, versioned by ``topology_version``.  Hosts are
 leaves: :meth:`Network.connect` gives a host one cable, to a switch, so
 every path between hosts runs between their attach switches over the
-switches alone.  Forwarding tables (:meth:`Network.compute_routes`, one
-route per remote rack), the per-target distance tables behind
+switches alone, and a host's adjacency is a read-only view of that
+cable, its NIC, not a dict of its own.  Forwarding tables
+(:meth:`Network.compute_routes`, one route per remote rack), the
+per-target distance tables behind
 :meth:`Network.shortest_paths` and the first-discovered paths the
 analyzer prunes by (:meth:`Network.tree_path`, one tree per root switch,
 a host's path built at lookup) all come from one level-order BFS over
@@ -24,15 +26,19 @@ Builders cover the topologies the paper uses:
   whole path).
 
 All builders accept a ``queue_factory`` so a single switch flag flips the
-whole fabric between FIFO (microburst) and strict-priority experiments.
+whole fabric between FIFO (microburst) and strict-priority experiments;
+a port builds its queue from it at its first packet, and
+:meth:`Network.connect` tries each distinct factory once so a bad one
+fails at the cable, not mid-run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import Simulator
-from .link import Link, Node
+from .link import Interface, Link, Node
 from .queues import PacketQueue
 from .device import Switch
 from .host import Host
@@ -42,6 +48,33 @@ QueueFactory = Callable[[], PacketQueue]
 
 
 NodePath = tuple[str, ...]
+
+
+class _Cable(Mapping[str, Link]):
+    """A cabled host's adjacency, ``{peer: link}`` read off its NIC."""
+
+    __slots__ = ("nic",)
+
+    def __init__(self, nic: Interface):
+        self.nic = nic
+
+    def __getitem__(self, peer: str) -> Link:
+        if peer == self.nic.peer_node.name:
+            return self.nic.link
+        raise KeyError(peer)
+
+    def __contains__(self, peer: object) -> bool:
+        return peer == self.nic.peer_node.name
+
+    def __iter__(self) -> Iterator[str]:
+        return iter((self.nic.peer_node.name,))
+
+    def __len__(self) -> int:
+        return 1
+
+
+#: the adjacency every uncabled host shares
+_NO_CABLE: Mapping[str, Link] = MappingProxyType({})
 
 
 class TopologyError(Exception):
@@ -103,8 +136,11 @@ class Network:
         self.links: list[Link] = []
         #: the fabric itself: ``{node: {peer: first link to it}}``, peers
         #: in link-creation order.  Cabling only — a downed link stays
-        #: (routing reads ``link.up`` off :attr:`links` instead)
-        self.adjacency: dict[str, dict[str, Link]] = {}
+        #: (routing reads ``link.up`` off :attr:`links` instead).  A
+        #: host's entry is a read-only view of its one cable
+        self.adjacency: dict[str, Mapping[str, Link]] = {}
+        #: the queue factories :meth:`connect` has tried once
+        self._factories: set[QueueFactory] = set()
         #: bumped by every add_host / add_switch / connect and by
         #: nothing else: what planners and the analyzer key their
         #: caches on (a link flap moves no cable)
@@ -129,7 +165,7 @@ class Network:
         self._check_fresh_name(name)
         host = Host(self.sim, name)
         self.hosts[name] = host
-        self.adjacency[name] = {}
+        self.adjacency[name] = _NO_CABLE
         self._edited()
         return host
 
@@ -147,8 +183,9 @@ class Network:
         """Create a full-duplex link and register its interfaces.
 
         Hosts are leaves: a host takes one cable, and only to a switch.
-        Both ends are checked before anything is built, so a refused
-        cable leaves the network as it was.
+        Both ends, and the first use of each ``queue_factory``, are
+        checked before anything is built, so a refused cable leaves the
+        network as it was.
         """
         for node in (a, b):
             if node is not self.hosts.get(node.name, self.switches.get(
@@ -165,16 +202,21 @@ class Network:
                 raise TopologyError(
                     f"host {host.name!r} is already cabled to "
                     f"{host.nic.peer_node.name!r}")
+        if queue_factory is not None and queue_factory not in self._factories:
+            queue_factory()  # ports build lazily: a bad factory fails here
+            self._factories.add(queue_factory)
         link = Link(self.sim, a, b, rate_bps=rate_bps,
                     propagation_delay=propagation_delay,
                     queue_factory=queue_factory)
-        for node, iface in ((a, link.iface_a), (b, link.iface_b)):
+        for node, iface, peer in ((a, link.iface_a, b),
+                                  (b, link.iface_b, a)):
             node.attach(iface)
+            if node.name in self.hosts:
+                self.adjacency[node.name] = _Cable(iface)
+            else:  # the first-created of parallel links keeps the entry
+                self.adjacency[node.name].setdefault(peer.name, link)
         link.vlan_id = len(self.links)  # network-local 12-bit wire id
         self.links.append(link)
-        # the first-created of parallel links keeps the adjacency entry
-        self.adjacency.setdefault(a.name, {}).setdefault(b.name, link)
-        self.adjacency.setdefault(b.name, {}).setdefault(a.name, link)
         self._edited()
         return link
 

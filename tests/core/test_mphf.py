@@ -1,6 +1,7 @@
 """Unit tests for the minimal perfect hash function."""
 
 import hashlib
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -170,6 +171,24 @@ class TestHostDirectory:
         directory = HostDirectory(names)
         slots = [directory.slot_of(h) for h in ("h3", "h1", "h7")]
         assert directory.hosts_of(slots) == ["h1", "h3", "h7"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hosts_of_equals_sorting_the_names(self, seed):
+        """The same answer as sorting the slots' names, on any slot set
+        (the names arrive unsorted; a repeated slot repeats its host)."""
+        rng = random.Random(seed)
+        names = [f"{rng.choice('abh')}{rng.randrange(10 ** 4)}"
+                 for _ in range(600)]
+        names = list(dict.fromkeys(names))
+        directory = HostDirectory(names)
+        name_of = {directory.slot_of(h): h for h in names}
+        for k in (0, 1, 2, 17, len(names)):
+            slots = rng.sample(range(directory.n), k)
+            slots += rng.choices(slots, k=k // 4)
+            assert directory.hosts_of(slots) == sorted(
+                name_of[s] for s in slots)
+            assert directory.hosts_of(set(slots)) == sorted(
+                {name_of[s] for s in slots})
 
     def test_n_matches(self):
         assert HostDirectory(hosts(17)).n == 17

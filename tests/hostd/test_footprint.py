@@ -8,10 +8,11 @@ its traffic arrives: its record store shares one read-only empty table
 with every other idle store, and its query engine is built by the first
 query.  The fabric under it follows
 the same rule: a host that bound no port shares one empty socket table,
-an attached host's route is one tuple, a port allocates a buffer only
-when a packet has to wait, and a pointer set exists only once a packet
-wrote it.  These tests pin that footprint and the lifetime of per-host
-state.
+a host's adjacency is a view of its one cable, an attached host's route
+is one tuple, a port shares one idle queue until its first packet and
+allocates a buffer only when a packet has to wait, and a pointer set
+exists only once a packet wrote it.  These tests pin that footprint and
+the lifetime of per-host state.
 """
 
 import gc
@@ -28,7 +29,9 @@ from repro.hostd.records import _IDLE, FlowRecordStore
 from repro.scenarios import run_scenario
 from repro.simnet.host import _NO_SOCKETS, Host
 from repro.simnet.packet import make_udp
-from repro.simnet.topology import build_leaf_spine
+from repro.simnet.queues import (IDLE_QUEUE, DropTailFIFO, PacketQueue,
+                                 StrictPriorityQueue)
+from repro.simnet.topology import Network, build_leaf_spine
 
 #: per-host budget of what a deployment adds on a 4,096-host fabric
 #: (CPython 3.11: 8.30 objects and ~1.3 KB before agents went lazy,
@@ -37,6 +40,11 @@ from repro.simnet.topology import build_leaf_spine
 #: pointer stores and the host directory)
 MAX_OBJECTS_PER_HOST = 0.2
 MAX_BYTES_PER_HOST = 45
+#: per-host budget of the fabric itself on the same 4,096 hosts
+#: (CPython 3.11: ~1,160 B with a queue per port and an adjacency dict
+#: per host, ~810 B once ports share the idle queue and a host's
+#: adjacency is a view of its NIC)
+MAX_FABRIC_BYTES_PER_HOST = 900
 
 
 def holds_table(store: FlowRecordStore) -> bool:
@@ -66,6 +74,23 @@ def test_deployment_cost_per_host_stays_in_budget():
     assert len(deployment.host_agents) == n_hosts
     assert objects_per_host <= MAX_OBJECTS_PER_HOST, objects_per_host
     assert bytes_per_host <= MAX_BYTES_PER_HOST, bytes_per_host
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="byte budgets are pinned on CPython 3.11")
+def test_fabric_cost_per_host_stays_in_budget():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bytes_before = tracemalloc.get_traced_memory()[0]
+        net = build_leaf_spine(16, 4, 256)
+        gc.collect()
+        bytes_after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(net.hosts) == 4096
+    bytes_per_host = (bytes_after - bytes_before) / len(net.hosts)
+    assert bytes_per_host <= MAX_FABRIC_BYTES_PER_HOST, bytes_per_host
 
 
 class TestIdleAgent:
@@ -261,6 +286,65 @@ class TestUntouchedFabricState:
         assert sum(i.tx_packets for i in ports) == 3 * 4  # four hops each
         assert all(i.queue._q is None for i in ports)
         assert net.hosts["h1_1"].rx_packets == 3
+
+    def test_an_untouched_port_shares_the_idle_queue(self):
+        net = build_leaf_spine(2, 1, 2)
+        ports = [i for sw in net.switches.values() for i in sw.interfaces]
+        ports += [h.nic for h in net.hosts.values()]
+        assert all(i.queue is IDLE_QUEUE for i in ports)
+        assert len(IDLE_QUEUE) == 0 and not IDLE_QUEUE
+        assert all(getattr(IDLE_QUEUE.stats, c) == 0
+                   for c in PacketQueue.COUNTERS)
+        pkt = make_udp("h0_0", "h0_1", 1, 9, 500)
+        for write in (IDLE_QUEUE.enqueue, IDLE_QUEUE._admit):
+            with pytest.raises(TypeError):
+                write(pkt)
+        with pytest.raises(TypeError):
+            IDLE_QUEUE.dropped = 1
+        assert IDLE_QUEUE.dropped == 0
+
+    def test_the_first_packet_builds_the_ports_own_queue(self):
+        net = build_leaf_spine(2, 1, 2,
+                               queue_factory=lambda: DropTailFIFO(3000))
+        nic = net.hosts["h0_0"].nic
+        assert nic.link.queue_factory is net.links[0].queue_factory
+        nic.send(make_udp("h0_0", "h0_1", 1, 9, 500))
+        net.run()
+        built = [i for sw in net.switches.values() for i in sw.interfaces
+                 if i.queue is not IDLE_QUEUE]
+        assert type(nic.queue) is DropTailFIFO
+        assert nic.queue.capacity_bytes == 3000 and nic.queue.enqueued == 1
+        # one hop out of the NIC, one out of leaf0: no other port built
+        assert [(i.owner.name, i.peer_node.name) for i in built] == [
+            ("leaf0", "h0_1")]
+        assert built[0].queue is not nic.queue
+        assert net.hosts["h0_1"].nic.queue is IDLE_QUEUE
+
+    def test_a_queue_set_before_traffic_is_kept(self):
+        net = build_leaf_spine(2, 1, 2)
+        nic = net.hosts["h0_0"].nic
+        nic.queue = queue = StrictPriorityQueue(2)
+        nic.send(make_udp("h0_0", "h0_1", 1, 9, 500, priority=1))
+        net.run()
+        assert nic.queue is queue and queue.enqueued == 1
+        assert net.hosts["h0_1"].rx_packets == 1
+
+    def test_a_hosts_adjacency_is_a_view_of_its_nic(self):
+        net = build_leaf_spine(2, 2, 2)
+        for h in net.hosts.values():
+            cable = net.adjacency[h.name]
+            assert cable == {h.nic.peer_node.name: h.nic.link}
+            assert list(cable) == [h.nic.peer_node.name] and len(cable) == 1
+            assert "spine0" not in cable and h.nic.peer_node.name in cable
+            with pytest.raises(TypeError):
+                cable["spine0"] = h.nic.link  # read-only
+            with pytest.raises(AttributeError):
+                cable.extra = 1  # slotted: no dict of its own
+        loose = Network()
+        loose.add_host("a")
+        loose.add_host("b")
+        assert loose.adjacency["a"] is loose.adjacency["b"]
+        assert dict(loose.adjacency["a"]) == {}
 
 
 def slots_of(store):

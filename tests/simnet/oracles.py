@@ -17,6 +17,7 @@ import networkx as nx
 from repro.simnet.device import Switch
 from repro.simnet.link import Interface
 from repro.simnet.packet import Packet
+from repro.simnet.queues import IDLE_QUEUE
 from repro.simnet.topology import Network
 
 
@@ -26,7 +27,8 @@ class EagerInterface(Interface):
     A ``busy`` flag, cleared by a ``_finish_tx`` event that exists for
     every packet whether or not another one waits; the delivery is
     scheduled from that event.  Same admission, counters, taps and
-    delivery times as the runtime's ``busy_until`` transmitter — except
+    delivery times as the runtime's ``busy_until`` transmitter, and the
+    same first-packet queue from ``link.queue_factory`` — except
     that an arrival at the very instant of a departure is judged before
     or after it by event scheduling order, where the runtime states a
     rule (departure first).  Substitute it with
@@ -41,6 +43,8 @@ class EagerInterface(Interface):
         if not self.link.up:
             self.dropped_link_down += 1
             return False
+        if self.queue is IDLE_QUEUE:  # the port's first packet
+            self.queue = self.link.queue_factory()
         if not self.queue.enqueue(pkt):
             return False
         if not self.busy:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet.packet import PROTO_UDP, make_udp
+from repro.simnet.queues import DropTailFIFO
 from repro.simnet.topology import (Network, TopologyError, build_fat_tree,
                                    build_leaf_spine, build_linear,
                                    build_star)
@@ -49,7 +50,7 @@ class TestHostsAreLeaves:
     refused before anything is built."""
 
     @staticmethod
-    def refused(net, a, b, match):
+    def refused(net, a, b, match, error=TopologyError, **kwargs):
         def state():
             return ({n: list(sw.interfaces)
                      for n, sw in net.switches.items()},
@@ -59,8 +60,8 @@ class TestHostsAreLeaves:
                     net.topology_version)
 
         before = state()
-        with pytest.raises(TopologyError, match=match):
-            net.connect(a, b)
+        with pytest.raises(error, match=match):
+            net.connect(a, b, **kwargs)
         assert state() == before
 
     def test_second_cable_on_a_host_is_refused_first(self):
@@ -77,6 +78,34 @@ class TestHostsAreLeaves:
         a, b = net.add_host("a"), net.add_host("b")
         self.refused(net, a, b, "host 'a' cannot be wired to host 'b'")
         assert (a.nic, b.nic) == (None, None)
+
+    def test_a_bad_queue_factory_fails_at_the_cable(self):
+        """Ports build their queues at their first packet, so connect
+        tries each new factory once: a bad one fails here, not mid-run."""
+        net = Network()
+        s, h = net.add_switch("s"), net.add_host("h")
+        self.refused(net, h, s, "capacity_bytes", error=ValueError,
+                     queue_factory=lambda: DropTailFIFO(capacity_bytes=0))
+        assert h.nic is None and s.interfaces == []
+
+    def test_each_queue_factory_is_tried_once_per_network(self):
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return DropTailFIFO()
+
+        net = Network()
+        s = net.add_switch("s")
+        a, b = net.add_host("a"), net.add_host("b")
+        net.connect(a, s, queue_factory=factory)
+        net.connect(b, s, queue_factory=factory)
+        assert len(calls) == 1  # the check; no port holds a queue yet
+        net.compute_routes()
+        a.send(make_udp("a", "b", 1, 9, 500))
+        net.run()
+        assert len(calls) == 3  # a's NIC and the switch's port to b
+        assert b.rx_packets == 1
 
     def test_unknown_node_is_refused(self):
         net = Network()
