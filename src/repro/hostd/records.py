@@ -8,9 +8,12 @@ implemented using MongoDB".  We reproduce the same record schema in an
 in-memory table; a record evicted past the table's bound is dropped
 (the storage backend is irrelevant to system behaviour; see DESIGN.md).
 
-Beyond the flat table, the store maintains a **per-switch inverted
-index** so the (switchID, epochID) header filter of §3 no longer scans
-every record on the host.  Index invariants:
+Beyond the flat table, the store keeps a **per-switch inverted index**
+so the (switchID, epochID) header filter of §3 no longer scans every
+record on the host.  Only scans read the index, and a diagnosis asks
+only the hosts its pointers name, so the index is built by the store's
+first scan, in one pass over the table, and kept from then on; a store
+no scan reached keeps none.  Index invariants, from the first scan on:
 
 * ``_by_switch[sw]`` holds exactly the live records ``r`` with
   ``sw in r.epoch_ranges`` — membership is added the moment a record
@@ -34,16 +37,19 @@ leading run of equal ``last_seen``.  An observation earlier than the
 latest (only a direct :meth:`FlowRecord.observe` caller can make one;
 the simulator's clock is monotone) re-sorts the table.  Readers that
 promise creation order sort by ``_seq`` themselves: iteration sorts the
-table, :meth:`linear_flows_through` only its matches.
+table, :meth:`linear_flows_through` only its matches, and a scan its
+bucket — so the order in which records entered a bucket never shows.
 
 Most hosts of a large fabric never receive a packet, so a store is
 **idle** until its first record arrives: its three tables are the one
 shared, read-only, empty mapping ``_IDLE``, which answers every read
 exactly as an empty table would.  :meth:`FlowRecordStore._open` gives
-the store tables of its own; the one place a record arrives
+the store a record table of its own; the one place a record arrives
 (``record_for``) calls it, and every other write touches a table only
-through a record already in it.  Losing every record (``drop_all``)
-makes the store idle again.
+through a record already in it.  The two index tables stay ``_IDLE``
+until the first scan (:meth:`FlowRecordStore._index`), and while they
+are, index upkeep does nothing.  Losing every record (``drop_all``)
+makes the store idle again, with no index.
 """
 
 from __future__ import annotations
@@ -177,9 +183,9 @@ class FlowRecordStore:
     table is back under the bound — read off the front of the table,
     which is kept in recency order (module docstring).
 
-    The per-switch inverted index (module docstring) makes
-    :meth:`flows_through` cost O(records at the switch) instead of
-    O(records on the host).
+    The per-switch inverted index (module docstring), built by the
+    first scan, makes :meth:`flows_through` cost O(records at the
+    switch) instead of O(records on the host).
     """
 
     __slots__ = ("host_name", "max_records", "_records", "_by_switch",
@@ -205,14 +211,8 @@ class FlowRecordStore:
         self.ingested = 0
 
     def _open(self) -> None:
-        """Give an idle store tables of its own (its first record)."""
+        """Give an idle store a table of its own (its first record)."""
         self._records: dict[FlowKey, FlowRecord] = {}
-        #: switchID -> {flow -> record}: exactly the records that
-        #: traversed the switch (index invariant 1)
-        self._by_switch: dict[str, dict[FlowKey, FlowRecord]] = {}
-        #: switchID -> ([lo epochs], [(lo, seq, record)]) sorted cache
-        self._sorted: dict[str, tuple[list[int],
-                                      list[tuple[int, int, FlowRecord]]]] = {}
 
     def _close(self) -> None:
         """Make the store idle: every table is the shared ``_IDLE``."""
@@ -291,9 +291,27 @@ class FlowRecordStore:
 
     # -- inverted-index maintenance ------------------------------------------
 
+    def _index(self) -> Mapping[str, dict[FlowKey, FlowRecord]]:
+        """The per-switch index, built in one pass over the table the
+        first time a scan asks for it (``_IDLE`` while the store is)."""
+        if self._by_switch is _IDLE and self._records:
+            #: switchID -> {flow -> record}: exactly the records that
+            #: traversed the switch (index invariant 1)
+            self._by_switch: dict[str, dict[FlowKey, FlowRecord]] = {}
+            #: switchID -> ([lo epochs], [(lo, seq, record)]) sorted cache
+            self._sorted: dict[str, tuple[
+                list[int], list[tuple[int, int, FlowRecord]]]] = {}
+            for rec in self._records.values():
+                for sw in rec.epoch_ranges:
+                    self._by_switch.setdefault(sw, {})[rec.flow] = rec
+        return self._by_switch
+
     def _on_epochs_updated(self, rec: FlowRecord, new_switches: list[str],
                            lo_moved: list[str]) -> None:
-        """Record listener: keep per-switch membership + sort fresh."""
+        """Record listener: keep per-switch membership + sort fresh (an
+        index no scan has built yet needs no upkeep)."""
+        if self._by_switch is _IDLE:
+            return
         for sw in new_switches:
             self._by_switch.setdefault(sw, {})[rec.flow] = rec
             self._sorted.pop(sw, None)
@@ -302,6 +320,8 @@ class FlowRecordStore:
 
     def _unindex_record(self, rec: FlowRecord) -> None:
         rec._store = None
+        if self._by_switch is _IDLE:
+            return
         for sw in rec.epoch_ranges:
             bucket = self._by_switch.get(sw)
             if bucket is not None:
@@ -317,7 +337,7 @@ class FlowRecordStore:
         if cached is None:
             entries = sorted(
                 (rec.epoch_ranges[switch].lo, rec._seq, rec)
-                for rec in self._by_switch.get(switch, {}).values())
+                for rec in self._by_switch[switch].values())
             cached = ([lo for lo, _, _ in entries], entries)
             self._sorted[switch] = cached
         return cached
@@ -404,7 +424,7 @@ class FlowRecordStore:
         is monotone — re-reading deltas and merging by flow reproduces
         exactly the one-shot answer at the same watermark.
         """
-        bucket = self._by_switch.get(switch)
+        bucket = self._index().get(switch)
         if not bucket:
             return [], 0
         if epochs is None:

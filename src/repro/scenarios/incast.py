@@ -249,13 +249,15 @@ register_sweep(SweepSpec(
                 "~2.5x between days; peak RSS repeats), Python 3.11, seed "
                 "1729, two runs, every packet decoded on arrival, a "
                 "host agent built when its host is first touched, a "
-                "port's queue built at its first packet: "
-                "hosts=4096 flows=2000 at 0.79-0.82 s wall (build "
-                "0.11-0.12 s, run 0.67-0.69 s, diagnose 0.002 s; 42 MB "
+                "port's queue built at its first packet, a background "
+                "flow's state held only while it sends, a record index "
+                "built at its first scan: "
+                "hosts=4096 flows=2000 at 0.59-0.93 s wall (build "
+                "0.08-0.12 s, run 0.51-0.81 s, diagnose 0.002 s; 40 MB "
                 "peak RSS; 80-switch leaf-spine, 2009 concurrent flows, "
                 "1,563 host agents); hosts=65536 flows=100000 at "
-                "30.7-31.9 s wall (build 2.0-2.7 s, run 27.9-29.8 s, "
-                "diagnose 0.04-0.05 s; 483 MB peak RSS; 64-leaf/16-spine "
+                "27.7-35.5 s wall (build 1.9-2.3 s, run 25.7-33.2 s, "
+                "diagnose 0.06 s; 396 MB peak RSS; 64-leaf/16-spine "
                 "fabric, "
                 "65,536 hosts, 100k background flows, 51,192 host "
                 "agents; 1,677,454 events). Adding further "

@@ -17,18 +17,21 @@ Everything is seeded and deterministic.  Generation is split into two
 layers so large populations stay cheap:
 
 * :class:`FlowPlanner` produces the flow *plan* (who talks to whom,
-  how much, starting when) with **no simulator objects at all**.
-  :meth:`FlowPlanner.plan` draws endpoint indices in 4096-wide C-level
-  ``random.choices`` batches (sizes are one cheap ``random()`` call
-  per flow).  Every attribute consumes its own derived RNG stream, so
-  the plan does not depend on draw order: a property test holds it
-  equal to a per-flow planner (one draw call per attribute per flow,
-  kept under ``tests/`` as the oracle) for equal seeds.
+  how much, starting when) with **no simulator objects at all**: a
+  :class:`FlowPlan` is four ``array`` columns (sender index, receiver
+  index, size, start), 24 bytes a flow.  :meth:`FlowPlanner.plan`
+  draws endpoint indices in 4096-wide C-level ``random.choices``
+  batches (sizes are one cheap ``random()`` call per flow).  Every
+  attribute consumes its own derived RNG stream, so the plan does not
+  depend on draw order: a property test holds it equal to a per-flow
+  planner (one draw call per attribute per flow, kept under ``tests/``
+  as the oracle) for equal seeds.
 * :class:`BackgroundTraffic` materializes a plan with one heap-driven
-  emitter for the *whole* population (flow state lives in parallel
-  lists), instead of one :class:`~repro.simnet.traffic.UdpCbrSource`
-  object + callback chain per flow — the per-flow Python overhead that
-  used to dominate at thousands of flows.
+  emitter for the *whole* population, instead of one
+  :class:`~repro.simnet.traffic.UdpCbrSource` object + callback chain
+  per flow.  A flow holds state (its ``FlowKey``, packet size, packets
+  left, spacing) only while it sends: from its start to its last
+  packet.
 
 ``docs/WORKLOADS.md`` documents the model and how the sweep ``flows=``
 axis maps onto it.
@@ -40,6 +43,7 @@ import heapq
 import math
 import random
 import zlib
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -105,13 +109,37 @@ class WorkloadSpec:
             raise ValueError("packet size must be >= 64 bytes")
 
 
-@dataclass(frozen=True)
-class PlannedFlow:
-    """One flow of a planned population (no simulator objects)."""
+class FlowPlan:
+    """A planned population as columns (no simulator objects).
 
-    flow: FlowKey
-    size_bytes: int
-    start: float
+    Flow ``i`` runs from ``senders[src[i]]`` to ``receivers[dst[i]]``
+    (never to itself) on UDP port ``base_port + i`` at both ends,
+    carries ``size[i]`` bytes and starts at ``start[i]``.  The columns
+    are machine-typed arrays; a flow's :class:`FlowKey` is made
+    only when the emitter starts it (:meth:`key`).
+    """
+
+    __slots__ = ("senders", "receivers", "base_port", "src", "dst", "size",
+                 "start")
+
+    def __init__(self, senders: list[str], receivers: list[str],
+                 base_port: int, start: array[float]) -> None:
+        self.senders = senders
+        self.receivers = receivers
+        self.base_port = base_port
+        self.src: array[int] = array("I")
+        self.dst: array[int] = array("I")
+        self.size: array[int] = array("q")
+        self.start = start
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def key(self, i: int) -> FlowKey:
+        """Flow ``i``'s 5-tuple."""
+        port = self.base_port + i
+        return FlowKey(self.senders[self.src[i]],
+                       self.receivers[self.dst[i]], port, port, PROTO_UDP)
 
 
 def _stream(seed: int, label: str) -> random.Random:
@@ -128,8 +156,8 @@ def _stream(seed: int, label: str) -> random.Random:
 class FlowPlanner:
     """Plans a :class:`WorkloadSpec` population over endpoint lists.
 
-    Pure planning: the output is a list of :class:`PlannedFlow` — no
-    sinks, sources, or simulator state.  Draws are batched because one
+    Pure planning: the output is a :class:`FlowPlan` — no sinks,
+    sources, or simulator state.  Draws are batched because one
     ``random.choices(k=4096)`` call runs the draw loop in C where a
     per-flow draw pays Python call overhead per flow.
     """
@@ -176,16 +204,16 @@ class FlowPlanner:
         return int(min(max(size, spec.min_flow_bytes),
                        spec.max_flow_bytes))
 
-    def _starts(self, t0: float) -> list[float]:
-        """Flow start times (the ``arrival`` stream)."""
+    def _starts(self, t0: float) -> array[float]:
+        """Flow start times (the ``arrival`` stream), none before ``t0``."""
         spec = self.spec
         rng = _stream(spec.seed, "arrival")
         if spec.n_flows is not None:
             if spec.spread_s == 0:
-                return [t0] * spec.n_flows
-            return [t0 + rng.random() * spec.spread_s
-                    for _ in range(spec.n_flows)]
-        starts = []
+                return array("d", [t0]) * spec.n_flows
+            return array("d", (t0 + rng.random() * spec.spread_s
+                               for _ in range(spec.n_flows)))
+        starts = array("d")
         t = t0
         end = t0 + spec.duration_s
         while True:
@@ -195,40 +223,30 @@ class FlowPlanner:
             starts.append(t)
         return starts
 
-    def _make_flow(self, i: int, s_i: int, d_i: int, size: int,
-                   start: float) -> PlannedFlow:
-        """Assemble flow ``i`` from its drawn endpoint indices and size."""
-        src = self.senders[s_i]
-        dst = self.receivers[d_i]
-        if src == dst:
-            # deterministic self-pair fix-up: step to the next receiver
-            # (no extra RNG draw, so stream consumption stays the same
-            # however the draws are batched)
-            for off in range(1, len(self.receivers) + 1):
-                cand = (d_i + off) % len(self.receivers)
-                if self.receivers[cand] != src:
-                    d_i, dst = cand, self.receivers[cand]
-                    break
-            else:
-                raise ValueError(
-                    f"no receiver other than {src!r} available")
-        port = self.base_port + i
-        return PlannedFlow(
-            flow=FlowKey(src, dst, port, port, PROTO_UDP),
-            size_bytes=size, start=start)
+    def _other_receiver(self, d_i: int, src: str) -> int:
+        """The deterministic self-pair fix-up: the first receiver after
+        ``d_i`` that is not ``src`` (no extra RNG draw, so stream
+        consumption stays the same however the draws are batched)."""
+        receivers = self.receivers
+        for off in range(1, len(receivers) + 1):
+            cand = (d_i + off) % len(receivers)
+            if receivers[cand] != src:
+                return cand
+        raise ValueError(f"no receiver other than {src!r} available")
 
     # -- planning -------------------------------------------------------------
 
-    def plan(self, t0: float = 0.0) -> list[PlannedFlow]:
+    def plan(self, t0: float = 0.0) -> FlowPlan:
         """The population: endpoint draws in ``BATCH``-sized C-level
         ``choices`` calls, size draws a single cheap ``random()`` per
         flow."""
-        starts = self._starts(t0)
-        n = len(starts)
+        plan = FlowPlan(self.senders, self.receivers, self.base_port,
+                        self._starts(t0))
+        n = len(plan)
         rng_src = _stream(self.spec.seed, "src")
         rng_dst = _stream(self.spec.seed, "dst")
         rng_size = _stream(self.spec.seed, "size")
-        flows: list[PlannedFlow] = []
+        senders, receivers = self.senders, self.receivers
         pos = 0
         while pos < n:
             k = min(self.BATCH, n - pos)
@@ -236,72 +254,92 @@ class FlowPlanner:
                                      cum_weights=self._src_cum, k=k)
             dst_is = rng_dst.choices(self._dst_idx,
                                      cum_weights=self._dst_cum, k=k)
-            sizes = [self._size_of(rng_size.random()) for _ in range(k)]
-            for j in range(k):
-                i = pos + j
-                flows.append(self._make_flow(i, src_is[j], dst_is[j],
-                                             sizes[j], starts[i]))
+            plan.src.extend(src_is)
+            plan.dst.extend(
+                d_i if receivers[d_i] != senders[s_i]
+                else self._other_receiver(d_i, senders[s_i])
+                for s_i, d_i in zip(src_is, dst_is))
+            plan.size.extend(self._size_of(rng_size.random())
+                             for _ in range(k))
             pos += k
-        return flows
+        return plan
+
+
+#: a heap entry of :class:`BackgroundTraffic`: ``(time, flow, key,
+#: packet size, packets left, spacing)``; a pending start has no key
+_Entry = tuple[float, int, Optional[FlowKey], int, int, float]
 
 
 class BackgroundTraffic:
     """One emitter driving a whole planned population.
 
-    Flow state (remaining packets, per-flow packet size and spacing)
-    lives in parallel lists; a single min-heap of ``(next_emit, flow)``
-    entries drives one simulator callback for the entire population.
-    Compared to one :class:`UdpCbrSource` per flow this removes the
-    per-flow object, closure, and scheduler-entry overhead — the
-    difference between hundreds and thousands of concurrent flows
-    being tractable.
+    A single min-heap drives one simulator callback for the entire
+    population — no per-flow object, closure or scheduler entry, the
+    difference between hundreds and thousands of concurrent flows being
+    tractable.  The heap holds each live flow's next emission, whose
+    entry carries the flow's whole state, plus the one next pending
+    start.  Flows start in ``(start, index)`` order (``_order``, a
+    stable sort of the plan's start column), so pops come out exactly
+    as from a heap of every flow's ``(t, i)``; popping a start makes
+    the flow's key and state and queues the following start, and a
+    flow's state goes with its last packet.
 
-    Sinks are bound once per ``(dst, port)``; deliveries are counted
-    on ``self.delivered``.
+    Every flow's ``(dst, port)`` is bound at construction, all to one
+    handler (a conflict with a port already bound fails here);
+    deliveries are counted on ``self.delivered``.  The plan's starts
+    must not precede the simulator's clock.
     """
 
-    def __init__(self, network: Network, plans: list[PlannedFlow],
-                 spec: WorkloadSpec):
+    def __init__(self, network: Network, plan: FlowPlan,
+                 spec: WorkloadSpec) -> None:
         self.network = network
         self.sim = network.sim
         self.spec = spec
-        self.plans = plans
+        self.plan = plan
         self.packets_sent = 0
         self.bytes_sent = 0
         self.delivered = 0
-        self._psize: list[int] = []
-        self._remaining: list[int] = []
-        self._interval: list[float] = []
-        self._heap: list[tuple[float, int]] = []
-        bound: set[tuple[str, int]] = set()
-        now = self.sim.now
-        for i, p in enumerate(plans):
-            psize = min(spec.packet_size, max(64, p.size_bytes))
-            self._psize.append(psize)
-            self._remaining.append(max(1, -(-p.size_bytes // psize)))
-            self._interval.append(psize * 8 / spec.flow_rate_bps)
-            key = (p.flow.dst, p.flow.dport)
-            if key not in bound:
-                network.hosts[p.flow.dst].bind(PROTO_UDP, p.flow.dport,
-                                               self._on_delivery)
-                bound.add(key)
-            self._heap.append((max(p.start, now), i))
-        heapq.heapify(self._heap)
+        hosts = network.hosts
+        receivers = plan.receivers
+        deliver = self._on_delivery
+        for i, d_i in enumerate(plan.dst):
+            hosts[receivers[d_i]].bind(PROTO_UDP, plan.base_port + i,
+                                       deliver)
+        self._order = array("I", sorted(range(len(plan)),
+                                        key=plan.start.__getitem__))
+        #: flows started so far: ``_order[_started]`` starts next
+        self._started = 0
+        self._heap: list[_Entry] = []
+        self._queue_next_start()
         if self._heap:
             self.sim.call_at(self._heap[0][0], self._pump)
 
     def _on_delivery(self, _pkt: Packet, _now: float) -> None:
         self.delivered += 1
 
+    def _queue_next_start(self) -> None:
+        k = self._started
+        if k < len(self._order):
+            i = self._order[k]
+            heapq.heappush(self._heap, (self.plan.start[i], i, None, 0, 0,
+                                        0.0))
+            self._started = k + 1
+
+    def _start(self, i: int) -> tuple[FlowKey, int, int, float]:
+        """Flow ``i`` starts: queue the next start, and make the flow's
+        key, packet size, packet count and spacing."""
+        self._queue_next_start()
+        spec = self.spec
+        size = self.plan.size[i]
+        psize = min(spec.packet_size, max(64, size))
+        return (self.plan.key(i), psize, max(1, -(-size // psize)),
+                psize * 8 / spec.flow_rate_bps)
+
     def _pump(self, _arg: object = None) -> None:
         """Emit every due packet, then sleep until the next one."""
         heap = self._heap
         now = self.sim.now
         hosts = self.network.hosts
-        plans = self.plans
-        psizes = self._psize
-        remaining = self._remaining
-        intervals = self._interval
         priority = self.spec.priority
         pop = heapq.heappop
         push = heapq.heappush
@@ -309,10 +347,10 @@ class BackgroundTraffic:
         nbytes = 0
         cutoff = now + 1e-12
         while heap and heap[0][0] <= cutoff:
-            t, i = pop(heap)
-            key = plans[i].flow
-            psize = psizes[i]
-            # direct construction with the planned FlowKey — make_udp
+            t, i, key, psize, left, interval = pop(heap)
+            if key is None:
+                key, psize, left, interval = self._start(i)
+            # direct construction with the flow's FlowKey — make_udp
             # minus the per-packet 5-tuple rebuild
             pkt = Packet(flow=key, size=psize, priority=priority,
                          payload_bytes=psize - HEADER_BYTES
@@ -320,9 +358,9 @@ class BackgroundTraffic:
             hosts[key.src].send(pkt)
             sent += 1
             nbytes += psize
-            remaining[i] -= 1
-            if remaining[i] > 0:
-                push(heap, (t + intervals[i], i))
+            if left > 1:
+                push(heap, (t + interval, i, key, psize, left - 1,
+                            interval))
         self.packets_sent += sent
         self.bytes_sent += nbytes
         if heap:
@@ -330,7 +368,7 @@ class BackgroundTraffic:
 
     @property
     def n_flows(self) -> int:
-        return len(self.plans)
+        return len(self.plan)
 
 
 class WorkloadGenerator:
@@ -342,13 +380,13 @@ class WorkloadGenerator:
 
     :meth:`launch` materializes the :class:`FlowPlanner` plan through
     one :class:`BackgroundTraffic` emitter and keeps the plan in
-    :attr:`flows` for the post-run statistics.
+    :attr:`flows` (empty before) for the post-run statistics.
     """
 
     def __init__(self, network: Network, spec: WorkloadSpec, *,
                  senders: Optional[list[str]] = None,
                  receivers: Optional[list[str]] = None,
-                 base_port: int = 40_000):
+                 base_port: int = 40_000) -> None:
         self.network = network
         self.spec = spec
         hosts = network.host_names
@@ -357,12 +395,13 @@ class WorkloadGenerator:
             senders if senders is not None else hosts,
             receivers if receivers is not None else hosts,
             base_port=base_port)
-        self.flows: list[PlannedFlow] = []
+        self.flows = FlowPlan(self.planner.senders, self.planner.receivers,
+                              base_port, array("d"))
         self.traffic: Optional[BackgroundTraffic] = None
 
     # -- planning -------------------------------------------------------------
 
-    def plan(self) -> list[PlannedFlow]:
+    def plan(self) -> FlowPlan:
         """The flow plan for this generator (no simulator objects)."""
         return self.planner.plan(self.network.sim.now)
 
@@ -380,7 +419,7 @@ class WorkloadGenerator:
     def size_percentiles(
         self, ps: Sequence[int] = (50, 90, 99)
     ) -> dict[int, int]:
-        sizes = sorted(f.size_bytes for f in self.flows)
+        sizes = sorted(self.flows.size)
         if not sizes:
             return {p: 0 for p in ps}
         out = {}
@@ -391,9 +430,8 @@ class WorkloadGenerator:
 
     def elephant_byte_share(self, threshold: int = 1_000_000) -> float:
         """Fraction of bytes in flows >= threshold (tail check)."""
-        total = sum(f.size_bytes for f in self.flows)
+        sizes = self.flows.size
+        total = sum(sizes)
         if total == 0:
             return 0.0
-        big = sum(f.size_bytes for f in self.flows
-                  if f.size_bytes >= threshold)
-        return big / total
+        return sum(s for s in sizes if s >= threshold) / total

@@ -45,8 +45,11 @@ def record_state(rec):
 
 
 def store_state(store):
-    """A store's counters, table order, records and index buckets."""
+    """A store's counters, table order, records and index buckets.
+
+    The store's first scan builds its index; reading the buckets builds
+    it here, so both stores compared keep a built index from then on."""
     return (store.ingested, store.evicted, store.peak_records,
             store._next_seq,
             [record_state(rec) for rec in store._records.values()],
-            [(sw, list(bucket)) for sw, bucket in store._by_switch.items()])
+            [(sw, list(bucket)) for sw, bucket in store._index().items()])

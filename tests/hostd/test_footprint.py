@@ -5,8 +5,8 @@ agent until something touches it — a packet, a trigger, a fault or a
 query — and every untouched host shares one read-only tuple holding the
 deployment's first-touch sniffer.  A built agent costs a few slots until
 its traffic arrives: its record store shares one read-only empty table
-with every other idle store, and its query engine is built by the first
-query.  The fabric under it follows
+with every other idle store, its query engine is built by the first
+query, and its record index by the first scan.  The fabric under it follows
 the same rule: a host that bound no port shares one empty socket table,
 a host's adjacency is a view of its one cable, an attached host's route
 is one tuple, a port shares one idle queue until its first packet and
@@ -136,6 +136,28 @@ class TestIdleAgent:
             assert idle._query is None
             assert not holds_table(idle.store)
 
+    def test_a_store_no_scan_reached_has_no_index(self):
+        net, deployment = self.deploy()
+        for src, dst in (("h0_0", "h1_0"), ("h0_1", "h1_0"),
+                         ("h1_1", "h0_0")):
+            net.hosts[src].send(make_udp(src, dst, 1, 9, 500))
+        net.run()
+        stores = {name: deployment.host_agents[name].store
+                  for name in ("h1_0", "h0_0")}
+        assert [len(s) for s in stores.values()] == [2, 1]
+        assert all(s._by_switch is _IDLE and s._sorted is _IDLE
+                   for s in stores.values())
+        # a query that reads no switch builds none either
+        assert len(deployment.host_agents["h1_0"].query.all_flows()
+                   .payload) == 2
+        assert stores["h1_0"]._by_switch is _IDLE
+        # the first scan builds exactly the scanned store's index
+        res = deployment.host_agents["h1_0"].query.flows_matching("leaf1")
+        assert len(res.payload) == 2
+        assert set(stores["h1_0"]._by_switch) == {"leaf0", "leaf1",
+                                                   "spine0"}
+        assert stores["h0_0"]._by_switch is _IDLE
+
     def test_packet_is_decoded_before_any_engine_exists(self):
         net, deployment = self.deploy()
         agent = deployment.host_agents["h1_0"]
@@ -153,6 +175,9 @@ class TestIdleAgent:
         net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", 1, 9, 500))
         net.run()
         agent = deployment.host_agents["h1_0"]
+        # a scan builds the index; the crash takes it with the table
+        assert len(agent.query.flows_matching("leaf1").payload) == 1
+        assert agent.store._by_switch is not _IDLE
         assert agent.crash() == 1
         assert not holds_table(agent.store) and len(agent.store) == 0
         agent.restart()

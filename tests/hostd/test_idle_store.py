@@ -1,7 +1,8 @@
 """An idle record store answers like an empty one at every entry point.
 
 A store no record has reached holds no table of its own (it shares one
-read-only empty mapping with every other idle store).  Every read must
+read-only empty mapping with every other idle store), and a store no
+scan has reached holds no index.  Every read must
 return exactly what an empty table returns and build nothing; every
 write that is legal on an empty store must work on an idle one.
 """
@@ -77,9 +78,16 @@ class TestFirstRecordAndBack:
         one, other = FlowRecordStore("a"), FlowRecordStore("b")
         ingest(one)
         assert holds_table(one) and not holds_table(other)
-        assert one._records is not one._by_switch
+        # the table is its own; the index waits for the first scan
+        assert one._by_switch is _IDLE and one._sorted is _IDLE
         assert [r.flow for r in one.flows_through("S2")] == [FLOW]
         assert other.flows_through("S2") == []
+        assert not holds_table(other)
+        index = one._by_switch
+        assert index is not _IDLE and index is not one._records
+        assert one._sorted is not _IDLE and one._sorted is not index
+        assert {sw: list(bucket) for sw, bucket in index.items()} == {
+            "S1": [FLOW], "S2": [FLOW]}
 
     def test_records_are_numbered_in_creation_order_across_a_crash(self):
         store = FlowRecordStore("h")
@@ -96,6 +104,9 @@ class TestFirstRecordAndBack:
     def test_crash_detaches_lost_records(self):
         store = FlowRecordStore("h")
         lost = ingest(store)
+        # a scan builds the index; the crash takes it with the table
+        assert [r.flow for r in store.flows_through("S1")] == [FLOW]
+        assert store._by_switch is not _IDLE
         assert store.drop_all() == 1
         assert lost._store is None and not holds_table(store)
         # a lost record that keeps observing no longer feeds the index

@@ -60,10 +60,11 @@ def build(ops, max_records=None, tie_every=None, crash_at=None):
 
 
 def assert_idle_iff_empty(store):
-    """A store holds tables of its own exactly when it holds a record."""
-    idle = all(table is _IDLE for table in (
-        store._records, store._by_switch, store._sorted))
-    assert idle == (len(store) == 0)
+    """A scanned store holds tables of its own — its record table and a
+    built index — exactly when it holds a record (callers scan first)."""
+    empty = len(store) == 0
+    for table in (store._records, store._by_switch, store._sorted):
+        assert (table is _IDLE) == empty
 
 
 def payload_bytes(summaries: list[FlowSummary]) -> list[tuple]:

@@ -10,8 +10,9 @@ reason about the simple one."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.simnet.workload import (MIX_UNIFORM, MIX_ZIPF, FlowPlanner,
-                                   PlannedFlow, WorkloadSpec, _stream)
+from repro.simnet.packet import PROTO_UDP, FlowKey
+from repro.simnet.workload import (MIX_UNIFORM, MIX_ZIPF, FlowPlan,
+                                   FlowPlanner, WorkloadSpec, _stream)
 
 HOSTS = [f"h{i}" for i in range(12)]
 
@@ -42,13 +43,16 @@ endpoint_subsets = st.lists(st.sampled_from(HOSTS), unique=True,
                             min_size=2, max_size=len(HOSTS))
 
 
-def plan_per_flow(planner: FlowPlanner, t0: float = 0.0) -> list[PlannedFlow]:
+def plan_per_flow(planner: FlowPlanner,
+                  t0: float = 0.0) -> list[tuple[FlowKey, int, float]]:
     """The oracle: one draw call per attribute per flow, from the same
-    derived streams :meth:`FlowPlanner.plan` batches."""
+    derived streams :meth:`FlowPlanner.plan` batches, each flow
+    assembled on its own as ``(key, size, start)``."""
     seed = planner.spec.seed
     rng_src = _stream(seed, "src")
     rng_dst = _stream(seed, "dst")
     rng_size = _stream(seed, "size")
+    senders, receivers = planner.senders, planner.receivers
     flows = []
     for i, start in enumerate(planner._starts(t0)):
         s_i = rng_src.choices(planner._src_idx,
@@ -56,17 +60,30 @@ def plan_per_flow(planner: FlowPlanner, t0: float = 0.0) -> list[PlannedFlow]:
         d_i = rng_dst.choices(planner._dst_idx,
                               cum_weights=planner._dst_cum, k=1)[0]
         size = planner._size_of(rng_size.random())
-        flows.append(planner._make_flow(i, s_i, d_i, size, start))
+        src = senders[s_i]
+        # the self-pair fix-up: step to the next receiver that differs
+        while receivers[d_i] == src:
+            d_i = (d_i + 1) % len(receivers)
+        port = planner.base_port + i
+        flows.append((FlowKey(src, receivers[d_i], port, port, PROTO_UDP),
+                      size, start))
     return flows
 
 
+def rows(plan: FlowPlan) -> list[tuple[FlowKey, int, float]]:
+    """A column plan as the oracle's ``(key, size, start)`` rows."""
+    assert len(plan.src) == len(plan.dst) == len(plan.size) == len(plan)
+    return [(plan.key(i), plan.size[i], plan.start[i])
+            for i in range(len(plan))]
+
+
 def assert_paths_identical(planner: FlowPlanner, t0: float = 0.0):
-    batched = planner.plan(t0)
+    batched = rows(planner.plan(t0))
     per_flow = plan_per_flow(planner, t0)
     # full structural equality: same flows (src, dst, ports), same
     # sizes, same start times, same order
     assert batched == per_flow
-    assert all(p.flow.src != p.flow.dst for p in batched)
+    assert all(key.src != key.dst for key, _, _ in batched)
     return batched
 
 
@@ -96,18 +113,18 @@ class TestBatchedEqualsNaive:
         small = FlowPlanner(spec, HOSTS, HOSTS)
         small.BATCH = batch  # instance attribute shadows the class one
         planner = FlowPlanner(spec, HOSTS, HOSTS)
-        assert small.plan() == planner.plan() == plan_per_flow(planner)
+        assert (rows(small.plan()) == rows(planner.plan())
+                == plan_per_flow(planner))
 
     @given(spec=fixed_population_specs)
     @settings(max_examples=30, deadline=None)
     def test_plans_stable_across_planner_instances(self, spec):
         a = FlowPlanner(spec, HOSTS, HOSTS).plan()
         b = FlowPlanner(spec, HOSTS, HOSTS).plan()
-        assert a == b
+        assert rows(a) == rows(b)
 
     @given(spec=fixed_population_specs)
     @settings(max_examples=30, deadline=None)
     def test_sizes_respect_bounds(self, spec):
-        for p in FlowPlanner(spec, HOSTS, HOSTS).plan():
-            assert (spec.min_flow_bytes <= p.size_bytes
-                    <= spec.max_flow_bytes)
+        for size in FlowPlanner(spec, HOSTS, HOSTS).plan().size:
+            assert spec.min_flow_bytes <= size <= spec.max_flow_bytes

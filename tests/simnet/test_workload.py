@@ -7,6 +7,10 @@ from repro.simnet.workload import (FlowPlanner, WorkloadGenerator,
                                    WorkloadSpec)
 
 
+def keys(plan):
+    return [plan.key(i) for i in range(len(plan))]
+
+
 def fabric():
     return build_leaf_spine(n_leaves=2, n_spines=2, hosts_per_leaf=4,
                             rate_bps=10e9)
@@ -32,15 +36,15 @@ class TestGeneration:
         spec = WorkloadSpec(duration_s=0.02, seed=7)
         flows1 = WorkloadGenerator(net1, spec).plan()
         flows2 = WorkloadGenerator(net2, spec).plan()
-        assert [(f.flow, f.size_bytes, f.start) for f in flows1] == \
-            [(f.flow, f.size_bytes, f.start) for f in flows2]
+        assert keys(flows1) == keys(flows2)
+        assert flows1.size == flows2.size and flows1.start == flows2.start
 
     def test_different_seed_differs(self):
         spec_a = WorkloadSpec(duration_s=0.02, seed=1)
         spec_b = WorkloadSpec(duration_s=0.02, seed=2)
         fa = WorkloadGenerator(fabric(), spec_a).plan()
         fb = WorkloadGenerator(fabric(), spec_b).plan()
-        assert [f.size_bytes for f in fa] != [f.size_bytes for f in fb]
+        assert fa.size != fb.size
 
     def test_arrival_count_near_rate(self):
         spec = WorkloadSpec(arrival_rate_per_s=5000, duration_s=0.1,
@@ -53,13 +57,13 @@ class TestGeneration:
                             max_flow_bytes=50_000, seed=5)
         flows = WorkloadGenerator(fabric(), spec).plan()
         assert flows
-        for f in flows:
-            assert 2000 <= f.size_bytes <= 50_000
+        for size in flows.size:
+            assert 2000 <= size <= 50_000
 
     def test_no_self_flows(self):
         spec = WorkloadSpec(duration_s=0.05, seed=6)
         flows = WorkloadGenerator(fabric(), spec).plan()
-        assert all(f.flow.src != f.flow.dst for f in flows)
+        assert all(f.src != f.dst for f in keys(flows))
 
     def test_sender_receiver_scoping(self):
         net = fabric()
@@ -67,8 +71,8 @@ class TestGeneration:
         gen = WorkloadGenerator(net, spec, senders=["h0_0", "h0_1"],
                                 receivers=["h1_0"])
         flows = gen.plan()
-        assert {f.flow.src for f in flows} <= {"h0_0", "h0_1"}
-        assert {f.flow.dst for f in flows} == {"h1_0"}
+        assert {f.src for f in keys(flows)} <= {"h0_0", "h0_1"}
+        assert {f.dst for f in keys(flows)} == {"h1_0"}
 
     def test_traffic_actually_delivered(self):
         net = fabric()
@@ -93,24 +97,24 @@ class TestFixedPopulation:
     def test_starts_within_spread_window(self):
         spec = WorkloadSpec(n_flows=100, spread_s=0.02, seed=5)
         plan = FlowPlanner(spec, ["a", "b"], ["a", "b"]).plan(t0=0.5)
-        assert all(0.5 <= p.start <= 0.52 for p in plan)
+        assert all(0.5 <= t <= 0.52 for t in plan.start)
 
     def test_zero_spread_starts_together(self):
         spec = WorkloadSpec(n_flows=40, spread_s=0.0, seed=6)
         plan = FlowPlanner(spec, ["a", "b"], ["a", "b"]).plan(t0=0.1)
-        assert {p.start for p in plan} == {0.1}
+        assert set(plan.start) == {0.1}
 
     def test_zipf_mix_skews_toward_low_ranks(self):
         hosts = [f"h{i}" for i in range(12)]
         spec = WorkloadSpec(n_flows=3000, mix="zipf", zipf_s=1.1, seed=7)
         plan = FlowPlanner(spec, hosts, hosts).plan()
-        srcs = [p.flow.src for p in plan]
+        srcs = [f.src for f in keys(plan)]
         assert srcs.count("h0") > 4 * srcs.count("h11")
 
     def test_unique_ports_per_flow(self):
         spec = WorkloadSpec(n_flows=50, seed=8)
         plan = FlowPlanner(spec, ["a", "b"], ["a", "b"]).plan()
-        assert len({p.flow.sport for p in plan}) == 50
+        assert len({f.sport for f in keys(plan)}) == 50
 
     def test_bad_mix_rejected(self):
         with pytest.raises(ValueError, match="mix"):
@@ -144,11 +148,11 @@ class TestBatchedLaunch:
         assert bg.packets_sent >= 120
         assert bg.delivered >= 120
         # nothing left pending once every flow drained
-        assert not bg._heap
+        assert not bg._heap and bg._started == bg.n_flows
 
     def test_flows_match_the_plan(self):
         net, gen, bg = self.launch()
-        assert [f.flow for f in gen.flows] == [p.flow for p in bg.plans]
+        assert gen.flows is bg.plan and len(gen.flows) == 120
         assert gen.size_percentiles()[50] > 0
 
 
