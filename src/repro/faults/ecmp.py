@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..simnet.device import Switch, _flow_hash
-from ..simnet.packet import FlowKey
+from ..simnet.device import Switch
+from ..simnet.packet import FlowKey, _flow_hash
 from .base import Fault, FaultContext, FaultError, FaultParam, FaultSpec, register_fault
 
 
@@ -20,14 +20,17 @@ def port_blind_hash(flow: FlowKey) -> int:
     return _flow_hash(FlowKey(flow.src, flow.dst, 0, 0, flow.proto))
 
 
-class _InstalledPortBlindHash(dict[FlowKey, int]):
+class _InstalledPortBlindHash(dict[tuple[str, str, int], int]):
     """:func:`port_blind_hash` as one injection installs it: called per
-    packet, memoized per flow in itself for as long as it is installed."""
+    packet, memoized in itself for as long as it is installed.  The hash
+    ignores ports, so the memo is keyed per host pair and protocol — its
+    entries are bounded by host pairs, not by flows."""
 
     def __call__(self, flow: FlowKey) -> int:
-        h = self.get(flow)
+        pair = (flow.src, flow.dst, flow.proto)
+        h = self.get(pair)
         if h is None:
-            h = self[flow] = port_blind_hash(flow)
+            h = self[pair] = port_blind_hash(flow)
         return h
 
 

@@ -9,8 +9,7 @@ from typing import Iterable, Optional
 from ..core.epoch import EpochClock, EpochRange
 from ..core.rng import run_stream
 from ..faults import parse_spare
-from ..simnet.device import _flow_hash
-from ..simnet.packet import PROTO_UDP, FlowKey
+from ..simnet.packet import PROTO_UDP, FlowKey, _flow_hash
 from ..simnet.queues import DropTailFIFO, StrictPriorityQueue
 from ..simnet.topology import Network
 from ..simnet.workload import (BackgroundTraffic, WorkloadGenerator,

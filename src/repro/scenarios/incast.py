@@ -251,13 +251,14 @@ register_sweep(SweepSpec(
                 "host agent built when its host is first touched, a "
                 "port's queue built at its first packet, a background "
                 "flow's state held only while it sends, a record index "
-                "built at its first scan: "
-                "hosts=4096 flows=2000 at 0.59-0.93 s wall (build "
-                "0.08-0.12 s, run 0.51-0.81 s, diagnose 0.002 s; 40 MB "
+                "built at its first scan, a flow's ECMP hash carried by "
+                "its packets and one shared port block per receiver: "
+                "hosts=4096 flows=2000 at 0.54-0.56 s wall (build "
+                "0.06 s, run 0.48-0.50 s, diagnose 0.002 s; 39 MB "
                 "peak RSS; 80-switch leaf-spine, 2009 concurrent flows, "
                 "1,563 host agents); hosts=65536 flows=100000 at "
-                "27.7-35.5 s wall (build 1.9-2.3 s, run 25.7-33.2 s, "
-                "diagnose 0.06 s; 396 MB peak RSS; 64-leaf/16-spine "
+                "19.8 s wall (build 1.3-2.0 s, run 17.7-18.5 s, "
+                "diagnose 0.03 s; 369 MB peak RSS; 64-leaf/16-spine "
                 "fabric, "
                 "65,536 hosts, 100k background flows, 51,192 host "
                 "agents; 1,677,454 events). Adding further "

@@ -9,8 +9,11 @@ forwarded packet.  The SwitchPointer switch component
 simulator core stays monitoring-agnostic.
 
 ECMP is supported by storing several candidate egress interfaces per
-destination and hashing the flow key, which keeps a flow on one path
-(per-flow consistent hashing, as datacenter switches do).
+destination and picking one by the flow's hash, which keeps a flow on
+one path (per-flow consistent hashing, as datacenter switches do).  The
+hash rides in the packet (``Packet.ecmp``, computed once by the flow's
+owner), so a switch keeps no per-flow state; an installed ``ecmp_hash``
+hook hashes the key itself instead.
 
 The ``forwarding_override`` hook reproduces the §5.4 load-imbalance
 scenario: the paper configures a switch to "malfunction" and split flows
@@ -42,27 +45,6 @@ EcmpHash = Callable[[FlowKey], int]
 DropFilter = Callable[[Packet], bool]
 
 
-def _flow_hash(key: FlowKey) -> int:
-    """Deterministic per-flow hash for ECMP (stable across runs).
-
-    FNV-1a with a murmur-style finalizer: plain FNV's low bit is linear
-    in the input's parity, which makes ``hash % 2`` blind to symmetric
-    field changes (e.g. sport and dport varied together) — a real ECMP
-    hash must not have that artifact.
-
-    Pure function of the key; :meth:`Switch.forward` memoizes it per
-    network, so the loop runs once per flow, not per packet per hop.
-    """
-    h = 2166136261
-    for part in key:
-        for ch in str(part):
-            h = ((h ^ ord(ch)) * 16777619) & 0xFFFFFFFF
-    h ^= h >> 16
-    h = (h * 0x45D9F3B) & 0xFFFFFFFF
-    h ^= h >> 16
-    return h
-
-
 class Switch:
     """Output-queued switch with a static, two-level destination FIB.
 
@@ -77,13 +59,9 @@ class Switch:
     link is down is absent and so has no route on any switch.
     """
 
-    def __init__(self, sim: Simulator, name: str, *,
-                 flow_hashes: Optional[dict[FlowKey, int]] = None):
+    def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        #: the default ECMP hash per flow: the dict of the Network that
-        #: created this switch (shared by all its switches), else our own
-        self.flow_hashes = {} if flow_hashes is None else flow_hashes
         self.interfaces: list[Interface] = []
         self._host_routes: dict[str, Sequence[Interface]] = {}
         self._rack_routes: Mapping[str, Sequence[Interface]] = {}
@@ -142,8 +120,7 @@ class Switch:
             # what drop localization exploits.
             self.gray_drops += 1
             return
-        flow = pkt.flow
-        dst = flow.dst
+        dst = pkt.flow.dst
         candidates = self._host_routes.get(dst)
         if candidates is None:
             candidates = self._rack_routes.get(self._rack_of.get(dst))
@@ -154,12 +131,8 @@ class Switch:
         if self.forwarding_override is not None:
             out = self.forwarding_override(pkt, list(candidates))
         if out is None:
-            if self.ecmp_hash is not None:
-                h = self.ecmp_hash(flow)
-            else:
-                h = self.flow_hashes.get(flow)
-                if h is None:
-                    h = self.flow_hashes[flow] = _flow_hash(flow)
+            h = (pkt.ecmp if self.ecmp_hash is None
+                 else self.ecmp_hash(pkt.flow))
             out = candidates[h % len(candidates)]
         for hook in self.pipeline:
             hook(self, pkt, in_iface, out)

@@ -2,8 +2,12 @@
 
 A :class:`Host` terminates one link (its NIC) and demultiplexes arriving
 packets to bound handlers by ``(protocol, destination port)`` — the role
-sockets play on a real server.  Two extension points matter to
-SwitchPointer:
+sockets play on a real server.  A handler is bound to one port
+(``bind``) or to a block of ports (``bind_blocks``: a whole background
+population's receiving ports, one entry however many flows a host
+receives, and one tuple shared by every receiving host); the exact port
+is looked up first, then the blocks, and the two never overlap.  Two
+extension points matter to SwitchPointer:
 
 * ``sniffers`` run on *every* received packet before socket delivery;
   the end-host telemetry collector (:mod:`repro.hostd`) attaches here,
@@ -28,6 +32,10 @@ SocketHandler = Callable[[Packet, float], None]
 #: Sniffer: called with (host, packet, arrival_time).
 Sniffer = Callable[["Host", Packet, float], None]
 
+#: A block binding: ``(proto, lo, hi, handler)`` serves ports ``lo <=
+#: port < hi``.
+PortBlock = tuple[int, int, int, SocketHandler]
+
 #: the socket table of every host that bound no port: shared, so it is
 #: read-only (``bind`` gives a host its own first)
 _NO_SOCKETS: Mapping[tuple[int, int], SocketHandler] = MappingProxyType({})
@@ -36,14 +44,17 @@ _NO_SOCKETS: Mapping[tuple[int, int], SocketHandler] = MappingProxyType({})
 class Host:
     """A server attached to the network by a single NIC."""
 
-    __slots__ = ("sim", "name", "nic", "_sockets", "_sniffers", "rx_packets",
-                 "rx_bytes", "tx_packets", "tx_bytes", "undeliverable")
+    __slots__ = ("sim", "name", "nic", "_sockets", "_blocks", "_sniffers",
+                 "rx_packets", "rx_bytes", "tx_packets", "tx_bytes",
+                 "undeliverable")
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
         self.nic: Optional[Interface] = None
         self._sockets = _NO_SOCKETS  # a table of its own at the first bind
+        #: port blocks: a tuple shared with every host bound alike
+        self._blocks: tuple[PortBlock, ...] = ()
         #: a tuple is shared with other hosts, a list is this host's own
         self._sniffers: Sequence[Sniffer] = ()
         self.rx_packets = 0
@@ -83,11 +94,39 @@ class Host:
     def bind(self, proto: int, port: int, handler: SocketHandler) -> None:
         """Register ``handler`` for packets to (proto, port)."""
         key = (proto, port)
-        if key in self._sockets:
+        if key in self._sockets or self._block_at(proto, port) is not None:
             raise ValueError(f"port {key} already bound on {self.name}")
         if self._sockets is _NO_SOCKETS:
             self._sockets = {}
         self._sockets[key] = handler
+
+    def bind_blocks(self, blocks: tuple[PortBlock, ...]) -> None:
+        """Register each ``(proto, lo, hi, handler)`` of ``blocks`` for
+        packets to (proto, port), ``lo <= port < hi``: one entry however
+        many ports.  A host with no block shares the tuple itself, as
+        :meth:`add_sniffers` does, so one block given to every receiver
+        costs no tuple per host.  A block that overlaps a bound port or
+        another block is refused, and nothing is bound."""
+        bound = self._blocks
+        for block in blocks:
+            proto, lo, hi, _ = block
+            for p, port in self._sockets:
+                if p == proto and lo <= port < hi:
+                    raise ValueError(
+                        f"port {(proto, port)} already bound on {self.name}")
+            for p, b_lo, b_hi, _ in bound:
+                if p == proto and lo < b_hi and b_lo < hi:
+                    raise ValueError(f"port {(proto, max(lo, b_lo))} "
+                                     f"already bound on {self.name}")
+            bound += (block,)
+        self._blocks = bound if self._blocks else blocks
+
+    def _block_at(self, proto: int, port: int) -> Optional[SocketHandler]:
+        """The handler of the block serving (proto, port), if any."""
+        for p, lo, hi, handler in self._blocks:
+            if p == proto and lo <= port < hi:
+                return handler
+        return None
 
     # -- datapath ------------------------------------------------------------
 
@@ -106,10 +145,13 @@ class Host:
         self.rx_bytes += pkt.size
         for sniffer in self._sniffers:
             sniffer(self, pkt, now)
-        handler = self._sockets.get((pkt.flow.proto, pkt.flow.dport))
+        flow = pkt.flow
+        handler = self._sockets.get((flow.proto, flow.dport))
         if handler is None:
-            self.undeliverable += 1
-            return
+            handler = self._block_at(flow.proto, flow.dport)
+            if handler is None:
+                self.undeliverable += 1
+                return
         handler(pkt, now)
 
     def __repr__(self) -> str:

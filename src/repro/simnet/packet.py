@@ -5,9 +5,14 @@ A :class:`Packet` is the unit moved by the simulator.  It carries:
 * a :class:`FlowKey` (the classic 5-tuple),
 * a size in bytes (headers included — serialization delay uses this),
 * a DSCP priority class (the paper's experiments use strict priorities),
-* protocol payload metadata (TCP sequence/ack numbers and flags), and
+* protocol payload metadata (TCP sequence/ack numbers and flags),
 * a telemetry header area that SwitchPointer switches write into
-  (:mod:`repro.core.headers`).
+  (:mod:`repro.core.headers`), and
+* its flow's ECMP hash (``ecmp``, :func:`_flow_hash` of the key): whoever
+  owns a flow — a traffic source, a TCP endpoint, the background
+  emitter — hashes its key once and hands the value to every packet, so
+  switches pick among equal-cost paths without hashing, and no table of
+  per-flow hashes outlives the flow.
 
 Packets are intentionally plain mutable objects: a single Python object
 travels end to end, the way a real packet's header region is edited in
@@ -58,6 +63,28 @@ class FlowKey(NamedTuple):
         return f"{proto}:{self.src}:{self.sport}->{self.dst}:{self.dport}"
 
 
+def _flow_hash(key: FlowKey) -> int:
+    """Deterministic per-flow hash for ECMP (stable across runs).
+
+    FNV-1a with a murmur-style finalizer: plain FNV's low bit is linear
+    in the input's parity, which makes ``hash % 2`` blind to symmetric
+    field changes (e.g. sport and dport varied together) — a real ECMP
+    hash must not have that artifact.
+
+    Pure function of the key; a flow's owner computes it once and every
+    packet of the flow carries it (:attr:`Packet.ecmp`), so the loop
+    runs once per flow, not per packet per hop.
+    """
+    h = 2166136261
+    for part in key:
+        for ch in str(part):
+            h = ((h ^ ord(ch)) * 16777619) & 0xFFFFFFFF
+    h ^= h >> 16
+    h = (h * 0x45D9F3B) & 0xFFFFFFFF
+    h ^= h >> 16
+    return h
+
+
 @dataclass(slots=True)
 class TcpMeta:
     """TCP metadata carried by a segment.
@@ -95,6 +122,10 @@ class Packet:
         first switch on the path embeds something.  The concrete object is
         a codec class from :mod:`repro.core.headers`; the simulator treats
         it opaquely.
+    ecmp:
+        ``_flow_hash(flow)``: a flow's owner passes the value it computed
+        once for the flow; a packet built without one (the default -1,
+        never a hash value) hashes its key.
     """
 
     flow: FlowKey
@@ -104,10 +135,13 @@ class Packet:
     payload_bytes: int = 0
     tcp: Optional[TcpMeta] = None
     telemetry: Any = None
+    ecmp: int = -1
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"packet size must be positive, got {self.size}")
+        if self.ecmp < 0:
+            self.ecmp = _flow_hash(self.flow)
 
 
 def make_udp(src: str, dst: str, sport: int, dport: int, size: int,
@@ -121,10 +155,12 @@ def make_udp(src: str, dst: str, sport: int, dport: int, size: int,
 
 def make_tcp(flow: FlowKey, *, payload: int, seq: int = 0, ack: int = 0,
              is_ack: bool = False, syn: bool = False, fin: bool = False,
-             priority: int = PRIO_LOW, created_at: float = 0.0) -> Packet:
+             priority: int = PRIO_LOW, created_at: float = 0.0,
+             ecmp: int = -1) -> Packet:
     """A TCP segment of ``flow`` — the TCP stack passes each flow's one
-    key, which the hops' ECMP hash and the host's record probe then hit
-    by identity."""
+    key, which the host's record probe then hits by identity, and the
+    flow's ECMP hash (``ecmp``), computed once per flow."""
     meta = TcpMeta(seq=seq, ack=ack, is_ack=is_ack, syn=syn, fin=fin)
     return Packet(flow=flow, size=payload + HEADER_BYTES, priority=priority,
-                  created_at=created_at, payload_bytes=payload, tcp=meta)
+                  created_at=created_at, payload_bytes=payload, tcp=meta,
+                  ecmp=ecmp)

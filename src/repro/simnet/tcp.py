@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from .engine import Simulator
 from .host import Host
 from .packet import (DEFAULT_MSS, PRIO_LOW, PROTO_TCP, FlowKey, Packet,
-                     make_tcp)
+                     _flow_hash, make_tcp)
 
 #: Datacenter-tuned minimum RTO, as in the DCTCP line of work.  The
 #: default Linux 200 ms floor would hide every sub-100 ms dynamic the
@@ -43,9 +43,11 @@ class TcpReceiver:
         self.acks_sent = 0
         self._ooo: dict[int, int] = {}  # seq -> payload length
         self._on_payload = on_payload
-        #: the data flow last acknowledged and its ACK key (one per flow)
+        #: the data flow last acknowledged, and its ACK key and that
+        #: key's ECMP hash (one per flow)
         self._acked: Optional[FlowKey] = None
         self._ack_flow: Optional[FlowKey] = None
+        self._ack_ecmp = -1
         host.bind(PROTO_TCP, port, self._on_segment)
 
     def _on_segment(self, pkt: Packet, now: float) -> None:
@@ -69,8 +71,10 @@ class TcpReceiver:
         key = data_pkt.flow
         if key is not self._acked:
             self._acked, self._ack_flow = key, key.reversed()
+            self._ack_ecmp = _flow_hash(self._ack_flow)
         ack = make_tcp(self._ack_flow, payload=0, ack=self.rcv_next,
-                       is_ack=True, priority=data_pkt.priority)
+                       is_ack=True, priority=data_pkt.priority,
+                       ecmp=self._ack_ecmp)
         self.acks_sent += 1
         self.host.send(ack)
 
@@ -97,6 +101,7 @@ class TcpSender:
         self.sim = sim
         self.host = host
         self.flow = FlowKey(host.name, dst, sport, dport, PROTO_TCP)
+        self._ecmp = _flow_hash(self.flow)
         self.total_bytes = total_bytes
         self.priority = priority
         self.mss = mss
@@ -168,9 +173,9 @@ class TcpSender:
             self._arm_rto()
 
     def _transmit(self, seq: int, payload: int, *, first_time: bool) -> None:
-        # every segment carries the flow's one key (see make_tcp)
+        # every segment carries the flow's one key and hash (see make_tcp)
         pkt = make_tcp(self.flow, payload=payload, seq=seq,
-                       priority=self.priority)
+                       priority=self.priority, ecmp=self._ecmp)
         self.segments_sent += 1
         if first_time:
             self._send_times[seq] = self.sim.now

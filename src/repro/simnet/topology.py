@@ -42,7 +42,6 @@ from .link import Interface, Link, Node
 from .queues import PacketQueue
 from .device import Switch
 from .host import Host
-from .packet import FlowKey
 
 QueueFactory = Callable[[], PacketQueue]
 
@@ -147,8 +146,6 @@ class Network:
         self.topology_version = 0
         #: searches :meth:`attach_paths` has run, for tests to count
         self.path_searches = 0
-        #: ECMP hash memo all our switches share; dies with the network
-        self.flow_hashes: dict[FlowKey, int] = {}
         # derived from the cabling and dropped with every edit: the
         # (host -> attach switch, switch-only adjacency) pair, the
         # per-target predecessor tables, the shortest-path memo (one
@@ -171,7 +168,7 @@ class Network:
 
     def add_switch(self, name: str) -> Switch:
         self._check_fresh_name(name)
-        sw = Switch(self.sim, name, flow_hashes=self.flow_hashes)
+        sw = Switch(self.sim, name)
         self.switches[name] = sw
         self.adjacency[name] = {}
         self._edited()

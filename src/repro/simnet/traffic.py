@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .engine import Simulator
 from .host import Host
 from .packet import (DEFAULT_MTU, HEADER_BYTES, PRIO_HIGH, PRIO_LOW,
-                     PROTO_UDP, FlowKey, Packet)
+                     PROTO_UDP, FlowKey, Packet, _flow_hash)
 from .tcp import TcpReceiver, TcpSender, open_tcp_flow
 
 
@@ -61,6 +61,7 @@ class UdpCbrSource:
         self.sim = sim
         self.host = host
         self.flow = FlowKey(host.name, dst, sport, dport, PROTO_UDP)
+        self._ecmp = _flow_hash(self.flow)
         self.rate_bps = rate_bps
         self.packet_size = packet_size
         self.priority = priority
@@ -78,10 +79,11 @@ class UdpCbrSource:
     def _emit(self, _arg: object = None) -> None:
         if self.sim.now >= self.end_time:
             return
-        # direct construction with the cached FlowKey/payload — this is
-        # make_udp minus the per-packet 5-tuple rebuild
+        # direct construction with the cached FlowKey/hash/payload — this
+        # is make_udp minus the per-packet 5-tuple rebuild and hashing
         pkt = Packet(flow=self.flow, size=self.packet_size,
-                     priority=self.priority, payload_bytes=self._payload)
+                     priority=self.priority, payload_bytes=self._payload,
+                     ecmp=self._ecmp)
         self.host.send(pkt)
         self.packets_sent += 1
         self.bytes_sent += self.packet_size

@@ -29,9 +29,12 @@ layers so large populations stay cheap:
 * :class:`BackgroundTraffic` materializes a plan with one heap-driven
   emitter for the *whole* population, instead of one
   :class:`~repro.simnet.traffic.UdpCbrSource` object + callback chain
-  per flow.  A flow holds state (its ``FlowKey``, packet size, packets
-  left, spacing) only while it sends: from its start to its last
-  packet.
+  per flow.  A flow holds state (its ``FlowKey``, ECMP hash, packet
+  size, packets left, spacing) only while it sends: from its start to
+  its last packet.  Receiving costs one port block per distinct
+  receiver (:meth:`~repro.simnet.host.Host.bind_blocks`, one tuple
+  shared by them all), not a socket per flow, so a finished flow leaves
+  nothing behind.
 
 ``docs/WORKLOADS.md`` documents the model and how the sweep ``flows=``
 axis maps onto it.
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .packet import (DEFAULT_MTU, HEADER_BYTES, PRIO_LOW, PROTO_UDP, FlowKey,
-                     Packet)
+                     Packet, _flow_hash)
 from .topology import Network
 
 #: Endpoint-mix families (`WorkloadSpec.mix`).
@@ -265,9 +268,9 @@ class FlowPlanner:
         return plan
 
 
-#: a heap entry of :class:`BackgroundTraffic`: ``(time, flow, key,
-#: packet size, packets left, spacing)``; a pending start has no key
-_Entry = tuple[float, int, Optional[FlowKey], int, int, float]
+#: a heap entry of :class:`BackgroundTraffic`: ``(time, flow, key, ECMP
+#: hash, packet size, packets left, spacing)``; a pending start has no key
+_Entry = tuple[float, int, Optional[FlowKey], int, int, int, float]
 
 
 class BackgroundTraffic:
@@ -284,8 +287,10 @@ class BackgroundTraffic:
     the flow's key and state and queues the following start, and a
     flow's state goes with its last packet.
 
-    Every flow's ``(dst, port)`` is bound at construction, all to one
-    handler (a conflict with a port already bound fails here);
+    The plan's UDP ports ``[base_port, base_port + n)`` are bound at
+    construction as one port block on each distinct receiver, all to
+    one handler and in one shared tuple (a conflict with a port already
+    bound fails here);
     deliveries are counted on ``self.delivered``.  The plan's starts
     must not precede the simulator's clock.
     """
@@ -301,10 +306,11 @@ class BackgroundTraffic:
         self.delivered = 0
         hosts = network.hosts
         receivers = plan.receivers
-        deliver = self._on_delivery
-        for i, d_i in enumerate(plan.dst):
-            hosts[receivers[d_i]].bind(PROTO_UDP, plan.base_port + i,
-                                       deliver)
+        # one block tuple, shared by every receiver that had none
+        blocks = ((PROTO_UDP, plan.base_port, plan.base_port + len(plan),
+                   self._on_delivery),)
+        for d_i in sorted(set(plan.dst)):
+            hosts[receivers[d_i]].bind_blocks(blocks)
         self._order = array("I", sorted(range(len(plan)),
                                         key=plan.start.__getitem__))
         #: flows started so far: ``_order[_started]`` starts next
@@ -322,17 +328,18 @@ class BackgroundTraffic:
         if k < len(self._order):
             i = self._order[k]
             heapq.heappush(self._heap, (self.plan.start[i], i, None, 0, 0,
-                                        0.0))
+                                        0, 0.0))
             self._started = k + 1
 
-    def _start(self, i: int) -> tuple[FlowKey, int, int, float]:
+    def _start(self, i: int) -> tuple[FlowKey, int, int, int, float]:
         """Flow ``i`` starts: queue the next start, and make the flow's
-        key, packet size, packet count and spacing."""
+        key, ECMP hash, packet size, packet count and spacing."""
         self._queue_next_start()
         spec = self.spec
         size = self.plan.size[i]
         psize = min(spec.packet_size, max(64, size))
-        return (self.plan.key(i), psize, max(1, -(-size // psize)),
+        key = self.plan.key(i)
+        return (key, _flow_hash(key), psize, max(1, -(-size // psize)),
                 psize * 8 / spec.flow_rate_bps)
 
     def _pump(self, _arg: object = None) -> None:
@@ -347,19 +354,19 @@ class BackgroundTraffic:
         nbytes = 0
         cutoff = now + 1e-12
         while heap and heap[0][0] <= cutoff:
-            t, i, key, psize, left, interval = pop(heap)
+            t, i, key, ecmp, psize, left, interval = pop(heap)
             if key is None:
-                key, psize, left, interval = self._start(i)
-            # direct construction with the flow's FlowKey — make_udp
-            # minus the per-packet 5-tuple rebuild
+                key, ecmp, psize, left, interval = self._start(i)
+            # direct construction with the flow's FlowKey and hash —
+            # make_udp minus the per-packet 5-tuple rebuild and hashing
             pkt = Packet(flow=key, size=psize, priority=priority,
                          payload_bytes=psize - HEADER_BYTES
-                         if psize > HEADER_BYTES else 0)
+                         if psize > HEADER_BYTES else 0, ecmp=ecmp)
             hosts[key.src].send(pkt)
             sent += 1
             nbytes += psize
             if left > 1:
-                push(heap, (t + interval, i, key, psize, left - 1,
+                push(heap, (t + interval, i, key, ecmp, psize, left - 1,
                             interval))
         self.packets_sent += sent
         self.bytes_sent += nbytes

@@ -6,8 +6,7 @@ import pytest
 from repro.deployment import SwitchPointerDeployment
 from repro.faults import (FAULTS, FaultContext, FaultError, FaultPlan,
                           port_blind_hash)
-from repro.simnet.device import _flow_hash
-from repro.simnet.packet import PRIO_LOW, PROTO_UDP, FlowKey, make_udp
+from repro.simnet.packet import PRIO_LOW, PROTO_UDP, FlowKey, _flow_hash, make_udp
 from repro.simnet.topology import build_leaf_spine, build_linear
 from repro.simnet.traffic import UdpCbrSource, UdpSink
 
@@ -179,19 +178,28 @@ class TestEcmpPolarizationGroundTruth:
         assert fault.expected_egress(ctx, flow) in ("spine0", "spine1")
 
     def test_installed_hash_memoizes_for_itself_and_heals(self, fabric):
-        """Each injection's hash keeps its own per-flow memo (gone with
-        the heal); the switch's default memo never sees a blind hash,
-        and a hash stacked on top survives the polarization's heal."""
+        """Each injection's hash keeps its own memo per host pair (gone
+        with the heal): flows of one pair share an entry.  Packets still
+        carry their healthy hash, which the switch overrides only while
+        the blind one is installed, and a hash stacked on top survives
+        the polarization's heal."""
         net, fault, ctx = fabric
         sw = net.switches["leaf0"]
         fault.inject(ctx)
         blind = sw.ecmp_hash
-        net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", 5, 9, 500))
+        seen = []
+        sw.pipeline.append(lambda s, p, i, o: seen.append((p, o)))
+        for sport in (5, 6, 7):
+            net.hosts["h0_0"].send(make_udp("h0_0", "h1_0", sport, 9, 500))
         net.run()
         key = FlowKey("h0_0", "h1_0", 5, 9, PROTO_UDP)
-        assert dict(blind) == {key: port_blind_hash(key)}
-        # filled by the spine and leaf1, which hash the healthy way
-        assert sw.flow_hashes == {key: _flow_hash(key)}
+        assert dict(blind) == {("h0_0", "h1_0", PROTO_UDP):
+                               port_blind_hash(key)}
+        candidates = sw.routes_for("h1_0")
+        assert len(seen) == 3
+        for pkt, out in seen:
+            assert pkt.ecmp == _flow_hash(pkt.flow)
+            assert out is candidates[port_blind_hash(key) % len(candidates)]
         fault.heal(ctx)
         assert sw.ecmp_hash is None
         fault.inject(ctx)

@@ -15,8 +15,7 @@ from repro.simnet.queues import StrictPriorityQueue
 from repro.simnet.tcp import open_tcp_flow
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.traffic import UdpCbrSource, UdpSink
-from repro.simnet.device import _flow_hash
-from repro.simnet.packet import FlowKey, PROTO_TCP, PROTO_UDP
+from repro.simnet.packet import FlowKey, PROTO_TCP, PROTO_UDP, _flow_hash
 
 
 def predict_path(net, flow: FlowKey) -> list[str]:

@@ -6,9 +6,12 @@ each live flow's next emission plus the single next pending start.
 :class:`EagerEmitter` below is the emitter it replaced, kept as the
 oracle: every flow's key, packet size, packets left and spacing in
 parallel lists for the whole run, and one ``(t, i)`` heap entry per
-flow from the start.  For equal plans both must send the same sequence
-of ``(time, FlowKey, size)`` packets and end on equal ``packets_sent``,
-``bytes_sent`` and ``delivered`` — across start ties (``spread_s=0``),
+flow from the start, each flow's socket bound on its own, and packets
+that hash their own key.  For equal plans both must send the same
+sequence of ``(time, FlowKey, size, ECMP hash)`` packets and end on
+equal ``packets_sent``, ``bytes_sent`` and ``delivered``, while the
+streaming emitter binds one port block per distinct receiver and no
+socket — across start ties (``spread_s=0``),
 Poisson arrivals planned at a clock past zero, flows under 64 B and of
 several MB, zipf endpoint mixes and sender/receiver subsets.
 """
@@ -18,7 +21,7 @@ import heapq
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.simnet.engine import Simulator
-from repro.simnet.packet import HEADER_BYTES, PROTO_UDP, Packet
+from repro.simnet.packet import HEADER_BYTES, PROTO_UDP, Packet, _flow_hash
 from repro.simnet.workload import (MIX_UNIFORM, MIX_ZIPF, BackgroundTraffic,
                                    FlowPlanner, WorkloadSpec)
 
@@ -96,19 +99,33 @@ class WireHost:
         self.wire = wire
         self.name = name
         self.sockets = {}
+        self.blocks = ()
 
     def bind(self, proto, port, handler):
         assert (proto, port) not in self.sockets
         self.sockets[proto, port] = handler
 
+    def bind_blocks(self, blocks):
+        assert not any(p == proto and lo < b_hi and b_lo < hi
+                       for p, b_lo, b_hi, _ in self.blocks
+                       for proto, lo, hi, _ in blocks)
+        self.blocks = self.blocks + blocks if self.blocks else blocks
+
+    def handler_for(self, proto, port):
+        handler = self.sockets.get((proto, port))
+        if handler is None:
+            (handler,) = [h for p, lo, hi, h in self.blocks
+                          if p == proto and lo <= port < hi]
+        return handler
+
     def send(self, pkt):
         wire = self.wire
         assert pkt.flow.src == self.name
         wire.sent.append((wire.sim.now, pkt.flow, pkt.size, pkt.priority,
-                          pkt.payload_bytes))
+                          pkt.payload_bytes, pkt.ecmp))
         flow = pkt.flow
-        wire.hosts[flow.dst].sockets[flow.proto, flow.dport](pkt,
-                                                              wire.sim.now)
+        wire.hosts[flow.dst].handler_for(flow.proto, flow.dport)(
+            pkt, wire.sim.now)
 
 
 def run(emitter_cls, spec, senders, receivers, t0):
@@ -128,6 +145,19 @@ def assert_same_emission(spec, senders=HOSTS, receivers=HOSTS, t0=0.0):
                                      eager.delivered)
     assert streaming.packets_sent == len(wire.sent)
     assert streaming.delivered == len(wire.sent)
+    assert all(ecmp == _flow_hash(key) for _, key, *_, ecmp in wire.sent)
+    # receiving costs one block on each distinct receiver, all of them
+    # sharing one tuple, and no socket per flow
+    plan = streaming.plan
+    block = (PROTO_UDP, plan.base_port, plan.base_port + len(plan))
+    receiving = {plan.receivers[d_i] for d_i in plan.dst}
+    assert all(host.sockets == {} for host in wire.hosts.values())
+    assert all(host.blocks == () for name, host in wire.hosts.items()
+               if name not in receiving)
+    shared = {id(wire.hosts[name].blocks) for name in receiving}
+    assert len(shared) <= 1
+    for name in receiving:
+        assert [b[:3] for b in wire.hosts[name].blocks] == [block]
     # every flow started and ended: nothing of any flow is left
     assert streaming._started == streaming.n_flows and not streaming._heap
     return wire

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.simnet.device import Switch, _flow_hash
+from repro.simnet.device import Switch
 from repro.simnet.engine import Simulator
 from repro.simnet.host import Host
 from repro.simnet.link import Link
-from repro.simnet.packet import FlowKey, PROTO_UDP, make_udp
+from repro.simnet.packet import FlowKey, PROTO_UDP, Packet, _flow_hash, make_udp
 from repro.simnet.topology import Network
 from tests.simnet.trajectory import Trajectories
 
@@ -114,29 +114,39 @@ class TestEcmp:
         net.run()
         assert all(o is target for o in chosen)
 
-    def test_flow_hash_memo_belongs_to_the_network(self):
-        """Every switch of a network shares one memo; a standalone
-        switch has its own, and another network never sees either."""
+    def test_flow_hash_rides_in_the_packet(self):
+        """The egress is picked by the hash the packet carries, not by
+        one the switch computes or keeps: neither the network nor a
+        switch holds any per-flow hash, and a packet built without one
+        hashes its own key."""
         net = self.build_ecmp()
-        s1, s2 = net.switches["S1"], net.switches["S2"]
-        assert s1.flow_hashes is s2.flow_hashes is net.flow_hashes
-        net.hosts["tx"].send(make_udp("tx", "rx", 5, 9, 500))
-        net.run()
+        s1 = net.switches["S1"]
         key = FlowKey("tx", "rx", 5, 9, PROTO_UDP)
-        assert net.flow_hashes == {key: _flow_hash(key)}
-        assert self.build_ecmp().flow_hashes == {}
-        assert Switch(Simulator(), "S").flow_hashes == {}
+        assert make_udp("tx", "rx", 5, 9, 500).ecmp == _flow_hash(key)
+        routes = s1.routes_for("rx")
+        chosen = []
+        s1.pipeline.append(lambda s, p, i, o: chosen.append(o))
+        for h in range(4):
+            net.hosts["tx"].send(Packet(flow=key, size=500, ecmp=h))
+        net.run()
+        assert chosen == [routes[h % 2] for h in range(4)]
+        assert not any("hash" in name for sw in net.switches.values()
+                       for name in vars(sw) if name != "ecmp_hash")
+        assert not any("hash" in name for name in vars(net))
 
     def test_forwarding_leaves_no_module_state_behind(self):
-        """Two incasts in one process: nothing held by the device
-        module grows (a sweep or experiment worker runs cell after
-        cell, and each network's flows must die with it)."""
+        """Two incasts in one process: nothing held by the device or
+        packet module grows (a sweep or experiment worker runs cell
+        after cell, and each network's flows must die with it)."""
         import repro.simnet.device as device
+        import repro.simnet.packet as packet
         from repro.core.rng import seed_run
         from repro.scenarios import run_scenario
 
         def sizes():
-            return {name: len(value) for name, value in vars(device).items()
+            return {(mod.__name__, name): len(value)
+                    for mod in (device, packet)
+                    for name, value in vars(mod).items()
                     if isinstance(value, (dict, list, set))}
 
         seed_run(1)

@@ -4,9 +4,8 @@ scenarios)."""
 
 import pytest
 
-from repro.simnet.device import _flow_hash
 from repro.faults import FAULTS, FaultContext, FaultError, FaultPlan
-from repro.simnet.packet import PROTO_UDP, FlowKey, make_udp
+from repro.simnet.packet import PROTO_UDP, FlowKey, _flow_hash, make_udp
 from repro.simnet.topology import Network, build_linear
 from tests.simnet.oracles import nx_graph
 

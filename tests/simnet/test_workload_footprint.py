@@ -2,9 +2,10 @@
 
 A plan is four ``array`` columns, 24 bytes a flow, and the emitter adds
 one 4-byte start order: a flow has a key and state of its own only from
-its start to its last packet.  These tests pin that footprint — at
-launch, during the run and after it.  Binding every flow's receiving
-socket is the fabric's cost, not the emitter's, and is measured apart.
+its start to its last packet.  Receiving costs one port block per
+distinct receiver, not a socket per flow.  These tests pin that
+footprint — at launch (binding included), during the run and after it,
+in the emitter and in the hosts' socket tables.
 """
 
 import gc
@@ -14,13 +15,14 @@ from types import ModuleType
 
 import pytest
 
-from repro.simnet.packet import PROTO_UDP, FlowKey
+from repro.simnet.packet import FlowKey
 from repro.simnet.topology import build_leaf_spine
 from repro.simnet.workload import WorkloadGenerator, WorkloadSpec
 
-#: traced bytes a launched flow costs beyond its socket (CPython 3.11:
-#: ~29 B with column plans and a streaming emitter; ~490 B when the plan
-#: was one object per flow and the emitter kept four lists over it)
+#: traced bytes a launched flow costs, binding included (CPython 3.11:
+#: ~29 B with column plans, a streaming emitter and one port block per
+#: receiver; ~147 B when every flow bound a socket of its own, ~610 B
+#: when the plan was also one object per flow)
 MAX_LAUNCH_BYTES_PER_FLOW = 40
 N_FLOWS = 20_000
 
@@ -47,23 +49,28 @@ def traced(fn):
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="byte budgets are pinned on CPython 3.11")
 def test_launch_cost_per_flow_stays_in_budget():
-    gen = WorkloadGenerator(build_leaf_spine(4, 2, 8), spec(N_FLOWS))
+    net = build_leaf_spine(4, 2, 8)
+    gen = WorkloadGenerator(net, spec(N_FLOWS))
     launched, traffic = traced(gen.launch)
-    plan = traffic.plan
     assert traffic.n_flows == N_FLOWS
-
-    # the same sockets bound by hand on a fresh fabric: what launching
-    # costs the hosts
-    hosts = build_leaf_spine(4, 2, 8).hosts
-
-    def bind_every_socket():
-        for i, d_i in enumerate(plan.dst):
-            hosts[plan.receivers[d_i]].bind(PROTO_UDP, plan.base_port + i,
-                                            print)
-
-    sockets, _ = traced(bind_every_socket)
-    per_flow = (launched - sockets) / N_FLOWS
+    # every host received some flow, and bound one block for all of them
+    assert all(len(host._blocks) == 1 for host in net.hosts.values())
+    per_flow = launched / N_FLOWS
     assert per_flow <= MAX_LAUNCH_BYTES_PER_FLOW, per_flow
+
+
+@pytest.mark.parametrize("n", [200, 2_000])
+def test_socket_tables_do_not_grow_with_the_flow_count(n):
+    """After a run each receiving host holds one block and no socket,
+    however many flows it received."""
+    net = build_leaf_spine(2, 2, 4)
+    traffic = WorkloadGenerator(net, spec(n)).launch()
+    net.run()
+    assert traffic.delivered == traffic.packets_sent > n
+    receiving = {traffic.plan.receivers[d_i] for d_i in traffic.plan.dst}
+    assert receiving == set(net.hosts)
+    for host in net.hosts.values():
+        assert len(host._sockets) == 0 and len(host._blocks) == 1
 
 
 def reachable(*roots):
