@@ -1,7 +1,8 @@
 """Sweep-smoke benchmark: the CI regression-gate anchor for sweeps.
 
-Runs the incast scale sweep at its two smallest populations as a
-one-repetition run table (inline, one worker, fixed seed) and persists
+Runs the registered ``incast`` scale sweep at its two smallest
+populations — its one-repetition run table with the grid overridden
+(inline, one worker, fixed seed) — and persists
 its run artifacts to ``results/sweep_smoke.json`` as ``{"runs": [...],
 "wall_time_s": total}``.  ``tools/check_bench_regression.py`` checks
 each run document, then compares the per-run wall times in it against
@@ -16,8 +17,9 @@ import time
 
 import pytest
 
-from repro.experiment import Experiment, ExperimentSpec, RunArtifact
-from repro.sweep import SWEEPS
+from repro.experiment import EXPERIMENTS
+from repro.experiment.report import RunArtifact
+from repro.experiment.runner import Experiment
 
 from benchmarks.reporting import emit
 
@@ -26,9 +28,9 @@ BASE_SEED = 1729
 
 
 def run_sweep(out_dir):
-    spec = SWEEPS.get("incast")
     experiment = Experiment(
-        ExperimentSpec(sweep=spec.name, summary=spec.summary, axes=GRID, reps=1),
+        EXPERIMENTS.get("incast"),
+        grid=GRID,
         base_seed=BASE_SEED,
         extra_knobs={"duration": 0.02, "burst_start": 0.008},
     )

@@ -5,7 +5,7 @@ seed a scenario mints in ``launch_background``, the switch mask a
 ``partial-deployment`` fault samples — comes from one process-wide
 seeded :class:`random.Random` instance, never from the module-level
 ``random`` functions.  The distinction is what makes a sweep point
-replayable: ``sweep`` workers call :func:`seed_run` with the point's
+replayable: run-table workers call :func:`seed_run` with the point's
 recorded seed before the scenario builds, and ``cli run --seed`` does
 the same, so a point reproduces bit-for-bit from its report entry.
 

@@ -1,28 +1,31 @@
-"""Experiment subsystem: seeded run tables over registered sweeps.
+"""Experiment subsystem: seeded run tables over registered scenarios.
 
-Public surface:
+This package exports the spec and its registry — what a scenario
+module needs to declare its studies:
 
 * :class:`ExperimentSpec` / :class:`FigureSpec` /
-  :func:`register_experiment` / :data:`EXPERIMENTS` — declare a study:
-  which sweep, which axes, how many repetitions, how the degradation
-  figure renders.
-* :class:`Experiment` — the one runner: expand the run table, execute
-  every ``(point, rep)`` cell with its own collision-free seed, persist
-  a resumable artifact directory, aggregate the report.  A sweep run
-  is an unregistered spec over the sweep's grid with ``reps=1``.
-* :class:`ExperimentReport` / :func:`validate_experiment_report` — the
-  machine-readable result document CI archives and figures render from,
-  declared in the report table (:mod:`repro.sweep.report`).
-* ``table`` helpers — run-table expansion and canonical seed
-  derivation.
-* :func:`figure_svg` — deterministic SVG degradation curves.
+  :func:`register_experiment` / :data:`EXPERIMENTS` — declare (next to
+  a scenario) a run table: the scenario's knobs as its grid, how many
+  repetitions, the verdict a correct run reaches, how the degradation
+  figure renders.  A scale sweep is the spec with one repetition.
 
-See ``docs/EXPERIMENTS.md`` (generated from this registry) for the
-run-table methodology, the artifact layout, and the JSON schema.
+Every scenario module imports this package, so it imports nothing
+else.  The machinery behind a run lives in its own modules, imported
+by the CLI and tools that run tables:
+
+* :mod:`.runner` — :class:`~.runner.Experiment`, the one runner:
+  expand the run table, execute every ``(point, rep)`` cell with its
+  own collision-free seed, persist a resumable artifact directory,
+  aggregate the report;
+* :mod:`.cells` — the cell executor (inline or a process pool);
+* :mod:`.report` / :mod:`.records` — the report documents and the
+  record table they are declared in;
+* :mod:`.table` / :mod:`.grid` — run-table expansion, seeds and the
+  ``--grid`` syntax;
+* :mod:`.catalog` / :mod:`.figures` — ``docs/EXPERIMENTS.md`` and the
+  SVG degradation curves.
 """
 
-from .catalog import experiments_markdown
-from .figures import figure_svg
 from .registry import (
     EXPERIMENTS,
     ExperimentError,
@@ -30,46 +33,11 @@ from .registry import (
     FigureSpec,
     register_experiment,
 )
-from .report import (
-    MANIFEST_SCHEMA,
-    RUN_SCHEMA,
-    SCHEMA,
-    ExperimentReport,
-    PointAggregate,
-    RunArtifact,
-    RunRecord,
-    aggregate_runs,
-    validate_experiment_report,
-)
-from .runner import EXECUTED, RESUMED, Experiment
-from .table import Run, canonical_key, derive_seeds, expand_run_table
-
-# registration is an import side effect: the studies join the registry
-# when the package loads, the way scenario modules do
-from . import studies  # noqa: E402,F401  isort:skip
 
 __all__ = [
-    "EXECUTED",
     "EXPERIMENTS",
-    "MANIFEST_SCHEMA",
-    "RESUMED",
-    "RUN_SCHEMA",
-    "SCHEMA",
-    "Experiment",
     "ExperimentError",
-    "ExperimentReport",
     "ExperimentSpec",
     "FigureSpec",
-    "PointAggregate",
-    "Run",
-    "RunArtifact",
-    "RunRecord",
-    "aggregate_runs",
-    "canonical_key",
-    "derive_seeds",
-    "expand_run_table",
-    "experiments_markdown",
-    "figure_svg",
     "register_experiment",
-    "validate_experiment_report",
 ]

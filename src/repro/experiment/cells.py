@@ -1,8 +1,9 @@
-"""The cell runner: every sweep and experiment run executes here.
+"""The cell runner: every run-table cell executes here.
 
 :func:`run_cells` is the one executor behind run tables
-(:class:`repro.experiment.Experiment`; a sweep is the one-repetition
-table).  A cell (:data:`~repro.sweep.registry.Cell`) is one scenario
+(:class:`repro.experiment.runner.Experiment`; a scale sweep is the
+one-repetition table).  A cell
+(:data:`~repro.experiment.registry.Cell`) is one scenario
 execution at fixed knobs and seed; cells are independent, so they run
 in ``multiprocessing`` workers (forked where available, spawned
 otherwise), one per task, results streamed back as they finish, or
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 
 from ..core.rng import seed_run
 from .registry import Cell
-from .report import PointResult
+from .records import PointResult
 
 DEFAULT_BASE_SEED = 1729
 
@@ -39,8 +40,8 @@ def execute_point(payload: Cell) -> PointResult:
     try:
         # imported here so pool workers (and spawn children) pull in the
         # scenario registry themselves, and so this module never imports
-        # scenarios at module scope (scenario modules import the sweep
-        # registry to declare their sweeps)
+        # scenarios at module scope (scenario modules import the
+        # experiment registry to declare their run tables)
         from ..scenarios import run_scenario
 
         outcome = run_scenario(scenario, **knobs)

@@ -1,4 +1,4 @@
-"""Parameter-grid parsing and expansion for sweeps and run tables.
+"""Parameter-grid parsing and expansion for run tables.
 
 Grid syntax (the ``--grid`` CLI flag, repeatable)::
 

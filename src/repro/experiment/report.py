@@ -6,14 +6,15 @@ document per ``(point, rep)`` run, and a final ``report.json``
 aggregating the runs into per-point curves.  This module owns the
 report side — the persisted run, the deterministic per-run record, the
 per-point aggregate (mean/min/max accuracy and timing across
-repetitions) — declared in the report table of
-:mod:`repro.sweep.report`, which derives every writer and validator.
+repetitions) — declared in the record table of
+:mod:`repro.experiment.records`, which derives every writer and
+validator.
 
 **Determinism contract.**  Everything in the report derives from the
 run seeds alone — diagnosis outcomes, simulated time, record counts —
 and nothing derives from the host (wall-clock timings stay in the
 per-run artifact files, which keep the full
-:class:`~repro.sweep.report.PointResult` payload).  That is what makes
+:class:`~repro.experiment.records.PointResult` payload).  That is what makes
 the resumability guarantee byte-exact: a study interrupted after K of N
 runs and re-invoked produces the same ``report.json``, byte for byte,
 as an uninterrupted one.
@@ -24,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Optional
 
-from ..sweep.report import PointResult, Record, col, derived, validate
+from .records import PointResult, Record, col, derived, validate
 
-SCHEMA = "switchpointer.experiment-report/v2"
+SCHEMA = "switchpointer.experiment-report/v3"
 RUN_SCHEMA = "switchpointer.experiment-run/v1"
-MANIFEST_SCHEMA = "switchpointer.experiment-manifest/v1"
+MANIFEST_SCHEMA = "switchpointer.experiment-manifest/v2"
 
 
 @dataclass(slots=True)
@@ -171,7 +172,6 @@ class ExperimentReport(Record):
     SCHEMA: ClassVar[Optional[str]] = SCHEMA
 
     experiment: str = col(str)
-    sweep: str = col(str)
     scenario: str = col(str)
     expect_problem: str = col(str)
     base_seed: int = col(int)
@@ -198,7 +198,6 @@ class ExperimentReport(Record):
 def aggregate_runs(
     *,
     experiment: str,
-    sweep: str,
     scenario: str,
     expect_problem: str,
     base_seed: int,
@@ -225,7 +224,6 @@ def aggregate_runs(
     ]
     return ExperimentReport(
         experiment=experiment,
-        sweep=sweep,
         scenario=scenario,
         expect_problem=expect_problem,
         base_seed=base_seed,

@@ -2,8 +2,9 @@
 
 :class:`Experiment` expands an :class:`~repro.experiment.registry.
 ExperimentSpec` into its run table (``table.py``), executes every
-``(point, rep)`` cell through the sweep's cell runner
-(:func:`repro.sweep.run_cells` — same cell, same replay contract), and
+``(point, rep)`` cell through the cell runner
+(:func:`repro.experiment.cells.run_cells` — one cell, one replay
+contract), and
 persists one artifact directory per study:
 
     <dir>/manifest.json            # table identity (refuses mismatches)
@@ -30,8 +31,8 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from ..sweep import DEFAULT_BASE_SEED, PointResult, SweepSpec, run_cells
-from ..sweep.report import write_json, write_report
+from .cells import DEFAULT_BASE_SEED, run_cells
+from .records import PointResult, write_json, write_report
 from .registry import ExperimentError, ExperimentSpec
 from .report import (
     MANIFEST_SCHEMA,
@@ -48,29 +49,23 @@ EXECUTED = "executed"
 
 
 class Experiment:
-    """One study: a sweep × a run table × derived seeds.
-
-    Registered studies come from :data:`EXPERIMENTS`; a sweep run is an
-    unregistered spec over the sweep's own grid with ``reps=1``.
-    """
+    """One study: a scenario × a run table × derived seeds."""
 
     def __init__(
         self,
         spec: ExperimentSpec,
         *,
-        grid: Optional[dict[str, list[Any]]] = None,
+        grid: Optional[dict[str, Sequence[Any]]] = None,
         reps: Optional[int] = None,
         base_seed: int = DEFAULT_BASE_SEED,
         extra_knobs: Optional[dict[str, Any]] = None,
         extra_points: Sequence[dict[str, Any]] = (),
     ):
         from ..scenarios.base import REGISTRY, check_knobs
-        from ..sweep import SWEEPS
 
         self.spec = spec
-        self.sweep: SweepSpec = SWEEPS.get(spec.sweep)
-        axes: dict[str, Any] = spec.axes if grid is None else grid
-        self.grid = {axis: list(vals) for axis, vals in axes.items()}
+        table = spec.grid if grid is None else grid
+        self.grid = {knob: list(values) for knob, values in table.items()}
         self.reps = spec.reps if reps is None else reps
         self.base_seed = base_seed
         self.runs: list[Run] = expand_run_table(
@@ -78,28 +73,8 @@ class Experiment:
         )
         # resolve every run's knobs up front: an invalid table fails
         # before any run burns wall time
-        used = dict.fromkeys(axis for run in self.runs for axis in run.params)
-        for axis in used:
-            if axis not in self.sweep.axes:
-                raise ExperimentError(
-                    f"unknown axis {axis!r} for experiment "
-                    f"{spec.name!r} (sweep {spec.sweep!r}); valid: "
-                    f"{', '.join(sorted(self.sweep.axes))}"
-                )
-        swept = {self.sweep.axes[axis] for axis in used}
-        pins = {**spec.base_knobs, **(extra_knobs or {})}
-        # a pin on a swept knob would run every point at the pinned
-        # value while the report claims the swept ones
-        clash = swept & set(pins)
-        if clash:
-            raise ExperimentError(
-                f"--knob would silently override swept axis knob(s) "
-                f"{sorted(clash)}; drop the knob or the axis"
-            )
-        self.knobs = [
-            {**self.sweep.knobs_for(run.params), **pins} for run in self.runs
-        ]
-        scenario = REGISTRY.get(self.sweep.scenario).spec
+        self.knobs = [spec.knobs_for(run.params, extra_knobs) for run in self.runs]
+        scenario = REGISTRY.get(spec.scenario).spec
         for knobs in self.knobs:
             check_knobs(scenario, knobs)
 
@@ -114,8 +89,7 @@ class Experiment:
         return {
             "schema": MANIFEST_SCHEMA,
             "experiment": self.spec.name,
-            "sweep": self.sweep.name,
-            "scenario": self.sweep.scenario,
+            "scenario": self.spec.scenario,
             "base_seed": self.base_seed,
             "reps": self.reps,
             "grid": self.grid,
@@ -230,7 +204,7 @@ class Experiment:
                 on_run(run, EXECUTED)
 
         cells = [
-            self.sweep.cell(run.index, run.params, self.knobs[run.index], run.seed)
+            self.spec.cell(run.index, run.params, self.knobs[run.index], run.seed)
             for run in todo
         ]
         run_cells(cells, workers, record)
@@ -238,9 +212,8 @@ class Experiment:
             return None
         report = aggregate_runs(
             experiment=self.spec.name,
-            sweep=self.sweep.name,
-            scenario=self.sweep.scenario,
-            expect_problem=self.sweep.expect_problem,
+            scenario=self.spec.scenario,
+            expect_problem=self.spec.expect_problem,
             base_seed=self.base_seed,
             reps=self.reps,
             grid=self.grid,

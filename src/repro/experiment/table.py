@@ -28,7 +28,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..sweep import expand_grid
+from .grid import expand_grid
 from .registry import ExperimentError
 
 #: Safety bound on the collision salt search (the probability of even

@@ -1,8 +1,8 @@
 """One name → item registry for everything looked up by name.
 
-Scenarios, faults, switch directory backends, sweeps and experiments
+Scenarios, faults, switch directory backends and experiments
 are each declared once, next to their code, and found again by name
-from the CLI, the sweep and experiment drivers, and the generated docs
+from the CLI, the experiment driver, and the generated docs
 catalogues.  :class:`Registry` is that lookup, written once:
 
 * an item is stored under a canonical name plus optional aliases (the
@@ -10,17 +10,17 @@ catalogues.  :class:`Registry` is that lookup, written once:
   a name or alias that clashes with an existing entry, or with another
   key of the same item, is rejected;
 * ``check`` runs every registration through the owning layer's own
-  validation (spec types, declared faults, grid axes, the directory
+  validation (spec types, declared faults, grid knobs, the directory
   superset probe) before the item is stored;
 * ``load`` runs once, before the first read, for registries whose
   declarations live in modules a reader may not have imported yet
-  (sweeps are declared beside their scenarios);
+  (experiments are declared beside their scenarios);
 * an unknown name raises the owner's error class with one message
-  form: ``unknown sweep 'x'; known: clock-skew, ...``.
+  form: ``unknown experiment 'x'; known: clock-skew, ...``.
 
 :meth:`Registry.register` returns its argument, so it serves both as a
 class decorator (``@register``) and as a plain call
-(``register_sweep(SweepSpec(...))``).
+(``register_experiment(ExperimentSpec(...))``).
 """
 
 from __future__ import annotations

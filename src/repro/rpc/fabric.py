@@ -76,7 +76,7 @@ class LatencyModel:
         """A copy with ``extra_s`` added to every per-RPC wire constant.
 
         This is what the ``rpc_latency_ms`` scenario knob (and the
-        ``rpc-latency`` sweep axis behind it) scales: each pointer
+        ``rpc-latency`` sweep over it) scales: each pointer
         pull, each fan-out request, and the alert RTT get the same
         additive slowdown, modelling a congested or distant control
         network without touching the per-record execution costs.

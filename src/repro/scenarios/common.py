@@ -82,13 +82,13 @@ def sport_for_side(src: str, dst: str, side: int, *, start: int,
 def background_knobs() -> dict[str, Knob]:
     """The background-population knobs traffic-scale scenarios share.
 
-    ``bg_flows`` is what the sweep ``flows=`` axis binds: the size of
+    ``bg_flows`` is what the scale sweeps' grids vary: the size of
     the synthetic flow population running alongside the scenario's own
     workload (see ``docs/WORKLOADS.md``).
     """
     return {
         "bg_flows": Knob(0, "background workload flows (0 = none; "
-                            "the sweep flows= axis)", minimum=0),
+                            "the scale sweeps' traffic axis)", minimum=0),
         "bg_mix": Knob("uniform", "background endpoint mix: "
                                   "uniform or zipf"),
         "bg_flow_kb": Knob(4, "mean background flow size "
@@ -100,7 +100,7 @@ def directory_knobs() -> dict[str, Knob]:
     """The switch-directory backend knobs pointer-bearing scenarios share.
 
     Each maps onto a :class:`~repro.deployment.SwitchPointerDeployment`
-    constructor argument; the sweep ``dir_bits=`` axis binds
+    constructor argument; the ``directory-bits`` sweep varies
     ``directory_bits`` so nightly runs chart diagnosis accuracy (and the
     pointer false-positive rate) against per-set sketch memory — see
     ``docs/DIRECTORIES.md``.
@@ -118,8 +118,8 @@ def fault_knobs() -> dict[str, Knob]:
     """The ambient-fault knobs fault-capable scenarios share.
 
     Each knob arms one registered fault (``repro.faults``) on top of
-    the scenario's own declared fault — the sweep ``skew_ms=`` and
-    ``deploy=`` axes bind here, so nightly runs measure diagnosis
+    the scenario's own declared fault — the ``skew_ms`` and
+    ``deploy_frac`` grids vary them, so nightly runs measure diagnosis
     accuracy under clock skew and partial deployment.
     """
     return {

@@ -17,7 +17,7 @@ from ..rpc.fabric import LatencyModel
 from ..simnet.packet import PRIO_LOW, FlowKey
 from ..simnet.topology import build_linear
 from ..simnet.traffic import UdpCbrSource, UdpSink
-from ..sweep import SweepSpec, register_sweep
+from ..experiment import ExperimentSpec, FigureSpec, register_experiment
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import (background_knobs, directory_knobs, fault_knobs,
                      install_fault_knobs, launch_background,
@@ -115,7 +115,7 @@ class GrayFailureScenario(Scenario):
         # would erase every host record, so it is always spared.
         install_fault_knobs(self, extra_spare=("S1",))
 
-        # the background flow population (the sweep flows= axis): load
+        # the background flow population (the bg_flows knob): load
         # on every record table while the blackhole is localized.  The
         # victim destinations are excluded — localization cuts on
         # "which hops stopped naming the destination", so unrelated
@@ -162,110 +162,180 @@ class GrayFailureScenario(Scenario):
                     for flow in self.affected]
 
 
-register_sweep(SweepSpec(
+# Every gray-failure run table expects problem="gray-failure" *and* the
+# injected switch among the suspects: diagnose_gray_failure_online
+# reports the problem even when localization finds nothing, so only a
+# verdict naming fault_switch counts as correct.
+
+register_experiment(ExperimentSpec(
     scenario="gray-failure",
     summary="blackhole localization as the concurrent flow population "
             "(and record tables) scales",
     expect_problem="gray-failure",
-    # diagnose_gray_failure_online reports problem="gray-failure" even when
-    # localization finds nothing — a point only counts as correct when
-    # a verdict names the injected switch
     expect_suspect_knob="fault_switch",
-    axes={
-        "flows": "bg_flows",
-        "victims": "n_flows",
-        "records": "records_per_host",
-        "alpha_ms": "alpha_ms",
-        "mix": "bg_mix",
-        "skew_ms": "skew_ms",
-    },
-    default_grid={"flows": (0, 200, 1000), "victims": (4, 16)},
-    nightly_grid={"flows": (0, 200), "victims": (4,)},
+    grid={"bg_flows": (0, 200, 1000), "n_flows": (4, 16)},
+    nightly_grid={"bg_flows": (0, 200), "n_flows": (4,)},
 ))
 
-register_sweep(SweepSpec(
+register_experiment(ExperimentSpec(
     scenario="gray-failure",
     name="clock-skew",
     summary="blackhole localization accuracy as per-device clock skew "
             "grows toward and past the ε bound",
     expect_problem="gray-failure",
     expect_suspect_knob="fault_switch",
-    axes={
-        "skew_ms": "skew_ms",
-        "victims": "n_flows",
-        "alpha_ms": "alpha_ms",
-    },
     # α = 10 ms here and offsets span ±skew_ms, so pairwise skew
-    # reaches 2·skew_ms: the whole default grid stays within the
-    # ε = α bound and must diagnose correctly; pushing the axis past
-    # 5.0 charts the degradation curve beyond the bound
-    default_grid={"skew_ms": (0.0, 2.0, 5.0)},
+    # reaches 2·skew_ms: the whole grid stays within the ε = α bound
+    # and must diagnose correctly; skew-degradation pushes the knob
+    # past 5.0 to chart the curve beyond the bound
+    grid={"skew_ms": (0.0, 2.0, 5.0)},
     nightly_grid={"skew_ms": (0.0, 2.0)},
 ))
 
-register_sweep(SweepSpec(
+# h4_0's agent dies at 100 ms, with the sources still transmitting: at
+# rpc_latency_ms=0 the diagnosis finishes first (the crash stays
+# pending); beyond that it races the query window — the verdict
+# degrades (missing h4_0), and past ~5.4 ms the path query itself is
+# lost before the crash, so localization fails too
+_MID_DIAGNOSIS_CRASH = {"n_flows": 2, "overrun_ms": 250.0,
+                        "crash_host": "h4_0", "crash_at": 0.1}
+
+register_experiment(ExperimentSpec(
     scenario="gray-failure",
     name="rpc-latency",
     summary="online diagnosis as per-RPC latency stretches the query "
             "window across a mid-diagnosis agent crash",
     expect_problem="gray-failure",
     expect_suspect_knob="fault_switch",
-    axes={
-        "rpc_ms": "rpc_latency_ms",
-        "victims": "n_flows",
-        "stale_ms": "stale_after_ms",
-    },
-    default_grid={"rpc_ms": (0.0, 2.0, 5.0, 10.0, 20.0)},
-    nightly_grid={"rpc_ms": (0.0, 2.0)},
-    # h4_0's agent dies at 100 ms, with the sources still transmitting:
-    # at rpc_ms=0 the diagnosis finishes first (the crash stays
-    # pending); beyond that it races the query window — the verdict
-    # degrades (missing h4_0), and past ~5.4 ms the path query itself
-    # is lost before the crash, so localization fails too
-    base_knobs={"n_flows": 2, "overrun_ms": 250.0,
-                "crash_host": "h4_0", "crash_at": 0.1},
+    grid={"rpc_latency_ms": (0.0, 2.0, 5.0, 10.0, 20.0)},
+    nightly_grid={"rpc_latency_ms": (0.0, 2.0)},
+    base_knobs=_MID_DIAGNOSIS_CRASH,
 ))
 
-register_sweep(SweepSpec(
+register_experiment(ExperimentSpec(
     scenario="gray-failure",
     name="directory-bits",
     summary="blackhole localization accuracy and pointer false-positive "
             "rate as the per-set sketch bit budget shrinks",
     expect_problem="gray-failure",
     expect_suspect_knob="fault_switch",
-    axes={
-        "dir_bits": "directory_bits",
-        "backend": "directory_backend",
-        "hashes": "directory_hashes",
-        "victims": "n_flows",
-    },
     # the default topology has 16 hosts, so the exact bitmap costs
-    # S = 16 bits per set: dir_bits=0 saturates (bit-identical to
-    # exact, FPR 0), and shrinking budgets chart the memory↔accuracy
+    # S = 16 bits per set: directory_bits=0 saturates (bit-identical
+    # to exact, FPR 0), and shrinking budgets chart the memory↔accuracy
     # trade — false positives inflate the search radius first, then
     # erase the spatial cut and cost localization itself
-    default_grid={"dir_bits": (0, 12, 8, 4, 2)},
-    nightly_grid={"dir_bits": (0, 8)},
+    grid={"directory_bits": (0, 12, 8, 4, 2)},
+    nightly_grid={"directory_bits": (0, 8)},
     base_knobs={"directory_backend": "bloom"},
 ))
 
-register_sweep(SweepSpec(
+register_experiment(ExperimentSpec(
     scenario="gray-failure",
     name="partial-deployment",
     summary="blackhole localization with only a fraction of switches "
             "instrumented (host-only evidence elsewhere)",
     expect_problem="gray-failure",
     expect_suspect_knob="fault_switch",
-    axes={
-        "deploy": "deploy_frac",
-        "victims": "n_flows",
-        "flows": "bg_flows",
-    },
-    default_grid={"deploy": (1.0, 0.75, 0.5)},
-    nightly_grid={"deploy": (1.0, 0.75)},
+    grid={"deploy_frac": (1.0, 0.75, 0.5)},
+    nightly_grid={"deploy_frac": (1.0, 0.75)},
     # the fault switch stays instrumented so the nightly points are
     # deterministic: the cut boundary may coarsen across stripped
     # neighbors but still names S3 (the embedder S1 is always spared
     # by the scenario itself)
     base_knobs={"deploy_spare": "S3"},
+))
+
+# The degradation studies: five repetitions per point, charted as the
+# curves the paper's robustness claims are (tools/plot_experiments.py).
+
+register_experiment(ExperimentSpec(
+    scenario="gray-failure",
+    name="skew-degradation",
+    summary="diagnosis accuracy falling off as victim clock skew "
+            "crosses the ε-asynchrony bound",
+    expect_problem="gray-failure",
+    expect_suspect_knob="fault_switch",
+    # timestamp reconciliation tolerates pairwise skew up to ε = α
+    # (10 ms): victim skew of 5 ms puts pairwise divergence exactly at
+    # the bound, and past it ordering breaks down.  The grid stops at
+    # α — skew beyond one full epoch breaks epoch arithmetic outright
+    # rather than degrading
+    grid={"skew_ms": (0.0, 2.0, 5.0, 8.0, 10.0)},
+    reps=5,
+    figure=FigureSpec(
+        x_axis="skew_ms",
+        x_label="injected victim clock skew (ms)",
+        title="Diagnosis accuracy vs clock skew",
+        vline=5.0,
+        vline_label="ε bound (pairwise skew = α)",
+    ),
+))
+
+register_experiment(ExperimentSpec(
+    scenario="gray-failure",
+    name="deploy-degradation",
+    summary="diagnosis accuracy decaying as partial deployment strips "
+            "switch telemetry below spare coverage",
+    expect_problem="gray-failure",
+    expect_suspect_knob="fault_switch",
+    grid={"deploy_frac": (1.0, 0.9, 0.75, 0.5, 0.25)},
+    reps=5,
+    # partial-deployment pins deploy_spare="S3" so its nightly grid
+    # never strips the fault switch; the study spares nothing — the
+    # curve exists only when coverage genuinely thins, seed by seed
+    base_knobs={"deploy_spare": ""},
+    figure=FigureSpec(
+        x_axis="deploy_frac",
+        x_label="fraction of switches running telemetry",
+        title="Diagnosis accuracy vs deployment fraction",
+    ),
+))
+
+register_experiment(ExperimentSpec(
+    scenario="gray-failure",
+    name="rpc-latency-degradation",
+    summary="online diagnosis accuracy collapsing — and verdict "
+            "freshness cost growing — as per-RPC latency stretches the "
+            "query window across a mid-diagnosis agent crash",
+    expect_problem="gray-failure",
+    expect_suspect_knob="fault_switch",
+    grid={"rpc_latency_ms": (0.0, 2.0, 5.0, 10.0, 20.0)},
+    reps=5,
+    base_knobs=_MID_DIAGNOSIS_CRASH,
+    figure=FigureSpec(
+        x_axis="rpc_latency_ms",
+        x_label="extra per-RPC latency (ms, simulated)",
+        title="Online diagnosis vs RPC latency",
+        # measured crossing: past ~5.4 ms the victim's path query is
+        # still in flight when the h4_0 agent dies at 100 ms, so
+        # localization loses its trajectory evidence
+        vline=5.4,
+        vline_label="path query crosses the crash",
+        freshness_series=True,
+    ),
+))
+
+register_experiment(ExperimentSpec(
+    scenario="gray-failure",
+    name="directory-degradation",
+    summary="blackhole localization accuracy collapsing — and pointer "
+            "false positives rising — as the bloom directory's per-set "
+            "bit budget shrinks below one bit per host",
+    expect_problem="gray-failure",
+    expect_suspect_knob="fault_switch",
+    # the 16-bit point saturates (bit-identical to exact) and every
+    # budget below it is genuinely lossy — a monotone memory axis: the
+    # figure charts accuracy *and* the measured pointer false-positive
+    # rate against the budget
+    grid={"directory_bits": (2, 4, 6, 8, 12, 16)},
+    reps=5,
+    base_knobs={"directory_backend": "bloom"},
+    figure=FigureSpec(
+        x_axis="directory_bits",
+        x_label="sketch bit budget per pointer set (0 = saturating)",
+        title="Diagnosis accuracy vs directory memory",
+        vline=16.0,
+        vline_label="S = one bit per host",
+        fpr_series=True,
+    ),
 ))

@@ -18,7 +18,7 @@ from ..simnet.stats import ThroughputProbe
 from ..simnet.topology import (Network, build_fat_tree_for_hosts,
                                build_leaf_spine)
 from ..simnet.traffic import TcpTimedFlow, UdpCbrSource, UdpSink
-from ..sweep import SweepSpec, register_sweep
+from ..experiment import ExperimentSpec, register_experiment
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import (GBPS, background_knobs, fault_knobs,
                      install_fault_knobs, launch_background)
@@ -163,7 +163,7 @@ class IncastScenario(Scenario):
         install_fault_knobs(
             self, extra_spare=(embedder,) if embedder else ())
 
-        # the background flow population (the sweep flows= axis): kept
+        # the background flow population (the bg_flows knob): kept
         # away from the receiver so none of it can masquerade as a
         # fan-in culprit at the convergence switch
         self.background = launch_background(
@@ -203,65 +203,49 @@ class IncastScenario(Scenario):
                                 min_fan_in=self.p["min_fan_in"])]
 
 
-register_sweep(SweepSpec(
+register_experiment(ExperimentSpec(
     scenario="incast",
     summary="fan-in collapse diagnosed at fabric populations from 64 "
             "to 4096 hosts",
     expect_problem="incast",
-    axes={
-        "hosts": "hosts",
-        "flows": "bg_flows",
-        "records": "records_per_host",
-        "alpha_ms": "alpha_ms",
-        "senders": "n_senders",
-        "fabric": "fabric",
-        "mix": "bg_mix",
-    },
-    default_grid={"hosts": (64, 256, 1024, 4096)},
+    grid={"hosts": (64, 256, 1024, 4096)},
     nightly_grid={"hosts": (64, 256, 1024),
                   "fabric": ("leaf-spine", "fat-tree")},
 ))
 
-register_sweep(SweepSpec(
+register_experiment(ExperimentSpec(
     scenario="incast",
     name="incast-scale",
     summary="fan-in collapse diagnosed under background populations of "
             "hundreds to thousands of concurrent flows",
     expect_problem="incast",
-    axes={
-        "hosts": "hosts",
-        "flows": "bg_flows",
-        "mix": "bg_mix",
-        "flow_kb": "bg_flow_kb",
-        "alpha_ms": "alpha_ms",
-        "records": "records_per_host",
-    },
-    default_grid={"hosts": (256,), "flows": (200, 1000, 2000)},
-    nightly_grid={"hosts": (64,), "flows": (200, 1000)},
+    grid={"hosts": (256,), "bg_flows": (200, 1000, 2000)},
+    nightly_grid={"hosts": (64,), "bg_flows": (200, 1000)},
     # the combined top ends of both scale axes ride along as explicit
     # points — the full cross product would not fit the nightly
     # budget, these two points do (see budget_note)
     nightly_points=(
-        {"hosts": 4096, "flows": 2000},
-        {"hosts": 65536, "flows": 100000},
+        {"hosts": 4096, "bg_flows": 2000},
+        {"hosts": 65536, "bg_flows": 100000},
     ),
     budget_note="measured on 2 shared cores (wall times vary up to "
-                "~2.5x between days; peak RSS repeats), Python 3.11, seed "
-                "1729, two runs, every packet decoded on arrival, a "
+                "~2.5x between days; peak RSS repeats), Python 3.11, base "
+                "seed 1729, two runs (the nightly table inline, then the "
+                "cell alone), every packet decoded on arrival, a "
                 "host agent built when its host is first touched, a "
                 "port's queue built at its first packet, a background "
                 "flow's state held only while it sends, a record index "
                 "built at its first scan, a flow's ECMP hash carried by "
                 "its packets and one shared port block per receiver: "
-                "hosts=4096 flows=2000 at 0.54-0.56 s wall (build "
-                "0.06 s, run 0.48-0.50 s, diagnose 0.002 s; 39 MB "
+                "hosts=4096 bg_flows=2000 at 0.62-0.69 s wall (build "
+                "0.07-0.09 s, run 0.55-0.59 s, diagnose 0.003 s; 37 MB "
                 "peak RSS; 80-switch leaf-spine, 2009 concurrent flows, "
-                "1,563 host agents); hosts=65536 flows=100000 at "
-                "19.8 s wall (build 1.3-2.0 s, run 17.7-18.5 s, "
-                "diagnose 0.03 s; 369 MB peak RSS; 64-leaf/16-spine "
-                "fabric, "
-                "65,536 hosts, 100k background flows, 51,192 host "
-                "agents; 1,677,454 events). Adding further "
-                "top-end points must re-measure and keep the whole "
-                "nightly run under ~10 min.",
+                "1,610 host agents); hosts=65536 bg_flows=100000 at "
+                "27.7-31.0 s wall (build 1.7 s, run 26.0-29.2 s, "
+                "diagnose 0.06 s; 366-369 MB peak RSS; 64-leaf/16-spine "
+                "fabric, 65,536 hosts, 100k background flows, 51,307 "
+                "host agents; 1,702,316 events), the whole nightly "
+                "table in 39 s. Adding further top-end points must "
+                "re-measure and keep the whole nightly run under "
+                "~10 min.",
 ))

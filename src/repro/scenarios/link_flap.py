@@ -21,7 +21,7 @@ from ..core.epoch import EpochRange
 from ..deployment import SwitchPointerDeployment
 from ..simnet.packet import PRIO_LOW, PROTO_TCP, FlowKey
 from ..simnet.traffic import TcpTimedFlow, UdpCbrSource, UdpSink
-from ..sweep import SweepSpec, register_sweep
+from ..experiment import ExperimentSpec, register_experiment
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import (GBPS, background_knobs, build_diamond, fault_knobs,
                      install_fault_knobs, launch_background,
@@ -121,7 +121,7 @@ class LinkFlapScenario(Scenario):
         # partial deployment always spares it
         install_fault_knobs(self, extra_spare=("S1",))
 
-        # the background flow population (the sweep flows= axis): its
+        # the background flow population (the bg_flows knob): its
         # endpoints are dedicated tx-side pairs, so every background
         # flow hairpins at S1 and never crosses the flapping trunk —
         # short-lived flows that outlive no flap would otherwise count
@@ -157,19 +157,11 @@ class LinkFlapScenario(Scenario):
                                    epochs=EpochRange(0, last_epoch))]
 
 
-register_sweep(SweepSpec(
+register_experiment(ExperimentSpec(
     scenario="link-flap",
     summary="flapping-trunk localization as the crossing and background "
             "flow populations scale",
     expect_problem="link-flap",
-    axes={
-        "victims": "n_flows",
-        "flows": "bg_flows",
-        "mix": "bg_mix",
-        "flow_kb": "bg_flow_kb",
-        "alpha_ms": "alpha_ms",
-        "down_for": "down_for",
-    },
-    default_grid={"victims": (8, 16, 32), "flows": (0, 200)},
-    nightly_grid={"victims": (8, 16), "flows": (0, 200)},
+    grid={"n_flows": (8, 16, 32), "bg_flows": (0, 200)},
+    nightly_grid={"n_flows": (8, 16), "bg_flows": (0, 200)},
 ))

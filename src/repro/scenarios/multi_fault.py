@@ -12,7 +12,7 @@ suspect per site, with the other sites' disturbances live in the same
 simulation and the spine tier shared by all of them.
 
 The ``faults`` knob is a ``+``-separated composition
-(``silent-drop+ecmp-polarization``); the sweep ``faults=`` axis varies
+(``silent-drop+ecmp-polarization``); the ``multi-fault`` sweep varies
 it, so nightly runs chart diagnosis accuracy as a function of fault
 count and mix.
 """
@@ -28,7 +28,7 @@ from ..faults import FaultContext
 from ..simnet.packet import PRIO_LOW, FlowKey
 from ..simnet.topology import build_leaf_spine
 from ..simnet.traffic import UdpCbrSource, UdpSink
-from ..sweep import SweepSpec, register_sweep
+from ..experiment import ExperimentSpec, register_experiment
 from .base import Knob, Scenario, ScenarioError, ScenarioSpec, register
 from .common import (directory_knobs, fault_knobs, install_fault_knobs,
                      silence_window, sport_for_side)
@@ -303,20 +303,15 @@ class MultiFaultScenario(Scenario):
         return verdicts
 
 
-register_sweep(SweepSpec(
+register_experiment(ExperimentSpec(
     scenario="multi-fault",
     summary="diagnosis accuracy as a function of concurrent fault "
             "count and mix (every fault must be attributed)",
     expect_problem="multi-fault",
-    axes={
-        "faults": "faults",
-        "victims": "slot_flows",
-        "alpha_ms": "alpha_ms",
-    },
-    default_grid={"faults": ("silent-drop",
-                             "silent-drop+ecmp-polarization",
-                             "silent-drop+link-flap",
-                             "ecmp-polarization+link-down")},
+    grid={"faults": ("silent-drop",
+                     "silent-drop+ecmp-polarization",
+                     "silent-drop+link-flap",
+                     "ecmp-polarization+link-down")},
     nightly_grid={"faults": ("silent-drop+ecmp-polarization",
                              "silent-drop+link-flap")},
 ))

@@ -21,7 +21,7 @@ from ..deployment import SwitchPointerDeployment
 from ..simnet.packet import PRIO_LOW, PROTO_UDP, FlowKey
 from ..simnet.topology import build_leaf_spine
 from ..simnet.traffic import UdpCbrSource, UdpSink
-from ..sweep import SweepSpec, register_sweep
+from ..experiment import ExperimentSpec, register_experiment
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import (background_knobs, fault_knobs, install_fault_knobs,
                      launch_background, sport_for_side)
@@ -115,7 +115,7 @@ class PolarizationScenario(Scenario):
         # deployment always spares it
         install_fault_knobs(self, extra_spare=(self.branch_switch,))
 
-        # the background flow population (the sweep flows= axis): kept
+        # the background flow population (the bg_flows knob): kept
         # entirely off the polarized branch — its endpoints exclude
         # every leaf0-attached host, so the per-egress census at leaf0
         # counts only the parallel connections under test and the
@@ -160,19 +160,11 @@ class PolarizationScenario(Scenario):
             skew_threshold=self.p["skew_threshold"])]
 
 
-register_sweep(SweepSpec(
+register_experiment(ExperimentSpec(
     scenario="polarization",
     summary="port-blind hash skew flagged as connection count and the "
             "background flow population scale",
     expect_problem="ecmp-polarization",
-    axes={
-        "conns": "n_flows",
-        "flows": "bg_flows",
-        "mix": "bg_mix",
-        "flow_kb": "bg_flow_kb",
-        "alpha_ms": "alpha_ms",
-        "rate_mbps": "rate_mbps",
-    },
-    default_grid={"conns": (8, 32, 128), "flows": (0, 200)},
-    nightly_grid={"conns": (8, 32), "flows": (0, 200)},
+    grid={"n_flows": (8, 32, 128), "bg_flows": (0, 200)},
+    nightly_grid={"n_flows": (8, 32), "bg_flows": (0, 200)},
 ))

@@ -10,7 +10,7 @@ datacenter statistics:
   the paper cites for packet sizes);
 * **Poisson flow arrivals** with a configurable rate, *or* a
   fixed-size population (``n_flows``) spread over a start window —
-  the mode the ``flows=`` sweep axis drives;
+  the mode the ``bg_flows`` knob drives;
 * **uniform or zipf-skewed endpoint selection** over the host set.
 
 Everything is seeded and deterministic.  Generation is split into two
@@ -36,8 +36,8 @@ layers so large populations stay cheap:
   shared by them all), not a socket per flow, so a finished flow leaves
   nothing behind.
 
-``docs/WORKLOADS.md`` documents the model and how the sweep ``flows=``
-axis maps onto it.
+``docs/WORKLOADS.md`` documents the model and how the ``bg_flows``
+knob maps onto it.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class WorkloadSpec:
       ``arrival_rate_per_s`` for ``duration_s`` seconds;
     * ``n_flows=N`` — exactly ``N`` flows, their start times uniform
       over ``[t0, t0 + spread_s]`` (``spread_s=0`` starts them all at
-      once).  This is the mode the sweep ``flows=`` axis uses.
+      once).  This is the mode the ``bg_flows`` knob uses.
 
     ``mix`` selects the endpoint distribution: ``uniform`` over the
     sender/receiver lists, or ``zipf`` with exponent ``zipf_s`` (rank =

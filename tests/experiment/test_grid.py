@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sweep import (
+from repro.experiment.grid import (
     GridError,
     expand_grid,
     parse_axis,

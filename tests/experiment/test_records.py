@@ -6,13 +6,13 @@ import json
 
 import pytest
 
-from repro.experiment import (
+from repro.experiment.records import PointResult
+from repro.experiment.report import (
     ExperimentReport,
     RunArtifact,
     aggregate_runs,
     validate_experiment_report,
 )
-from repro.sweep import PointResult
 
 
 def make_points() -> list[PointResult]:
@@ -55,10 +55,10 @@ def make_artifacts() -> list[dict]:
 
 
 def make_report() -> ExperimentReport:
-    """A one-repetition table over three points: what a sweep writes."""
+    """A one-repetition table over three points: what a scale sweep
+    writes."""
     return aggregate_runs(
         experiment="incast",
-        sweep="incast",
         scenario="incast",
         expect_problem="incast",
         base_seed=1729,
@@ -161,10 +161,10 @@ POINT_RESULT = [
 #: this test until the pin changes — and the pin changes under a new
 #: schema string, so a reader never meets two shapes under one name.
 PINNED = {
-    "switchpointer.experiment-report/v2": {
+    "switchpointer.experiment-report/v3": {
         "ExperimentReport": [
             "base_seed", "expect_problem", "experiment", "grid", "points",
-            "reps", "runs", "scenario", "schema", "summary", "sweep",
+            "reps", "runs", "scenario", "schema", "summary",
         ],
         "RunRecord": [
             "diagnosis_latency_sim_s", "diagnosis_ok", "directory_fpr",

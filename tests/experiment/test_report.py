@@ -6,12 +6,9 @@ import copy
 
 import pytest
 
-from repro.experiment import (
-    EXPERIMENTS,
-    Experiment,
-    RunRecord,
-    validate_experiment_report,
-)
+from repro.experiment import EXPERIMENTS
+from repro.experiment.report import RunRecord, validate_experiment_report
+from repro.experiment.runner import Experiment
 
 
 @pytest.fixture(scope="module")

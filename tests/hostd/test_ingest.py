@@ -5,12 +5,12 @@ catch up on and the record-table bound holds at every instant."""
 from repro.core.epoch import EpochRange
 from repro.core.rng import seed_run
 from repro.deployment import SwitchPointerDeployment
+from repro.experiment import EXPERIMENTS
 from repro.hostd.records import FlowRecordStore
 from repro.scenarios import run_scenario
 from repro.simnet.packet import PRIO_LOW
 from repro.simnet.topology import build_linear
 from repro.simnet.traffic import UdpCbrSource, UdpSink
-from repro.sweep import SWEEPS
 
 
 def run_deployment(before_run=None):
@@ -117,7 +117,8 @@ def test_incast_sweep_cell_decodes_every_packet_within_the_bound():
     """The nightly incast cell with a 4-record bound: when the run
     returns, every packet a host received has been decoded, and no
     table ever held more than one record over its bound."""
-    knobs = SWEEPS.get("incast").knobs_for({"hosts": 64, "records": 4})
+    knobs = EXPERIMENTS.get("incast").knobs_for(
+        {"hosts": 64, "records_per_host": 4})
     seed_run(1729)
     result = run_scenario("incast", **knobs)
     assert_all_decoded_within_bound(result, knobs["records_per_host"])
@@ -125,8 +126,8 @@ def test_incast_sweep_cell_decodes_every_packet_within_the_bound():
 
 def test_gray_failure_sweep_cell_decodes_every_packet_within_the_bound():
     """The nightly gray-failure cell with background load, bounded."""
-    knobs = SWEEPS.get("gray-failure").knobs_for(
-        {"flows": 200, "victims": 4, "records": 4})
+    knobs = EXPERIMENTS.get("gray-failure").knobs_for(
+        {"bg_flows": 200, "n_flows": 4, "records_per_host": 4})
     seed_run(1729)
     result = run_scenario("gray-failure", **knobs)
     assert result.verdicts

@@ -1,13 +1,16 @@
 """Integration: `cli experiment run` produces a schema-valid
 ExperimentReport through the resumable artifact directory, the error
-paths name their offender (mirroring the sweep CLI coverage), and the
-committed studies regenerate bit-identically."""
+paths name their offender, and the committed studies regenerate
+bit-identically."""
 
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
-from repro.experiment import EXPERIMENTS, validate_experiment_report
+from repro.experiment import EXPERIMENTS
+from repro.experiment.report import validate_experiment_report
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
@@ -37,7 +40,7 @@ class TestExperimentCli:
             (out_dir / "report.json").read_text(encoding="utf-8"))
         assert validate_experiment_report(doc) == []
         assert doc["experiment"] == "skew-degradation"
-        assert doc["sweep"] == "clock-skew"
+        assert doc["scenario"] == "gray-failure"
         assert doc["grid"] == {"skew_ms": [0.0, 8.0]}
         assert doc["summary"]["runs"] == 4
         assert (out_dir / "manifest.json").exists()
@@ -85,12 +88,35 @@ class TestExperimentCli:
         err = capsys.readouterr().err
         assert "unknown experiment 'no-such-study'" in err
 
-    def test_unknown_axis_fails_cleanly(self, tmp_path, capsys):
+    def test_unknown_grid_knob_fails_cleanly(self, tmp_path, capsys):
         code = main(
             ["experiment", "run", "skew-degradation",
              "--grid", "bogus=1", "--out-dir", str(tmp_path / "x")])
         assert code == 2
-        assert "unknown axis 'bogus'" in capsys.readouterr().err
+        assert "['bogus']" in capsys.readouterr().err
+
+    def test_pinned_grid_knob_runs_the_grid_value(self, tmp_path, capsys):
+        """--knob on a grid knob is no clash: every cell runs the grid
+        value, so the run reads exactly as it does unpinned."""
+        runs = []
+        for name, pin in (("plain", []), ("pinned", ["--knob", "skew_ms=8.0"])):
+            out_dir = tmp_path / name
+            assert main(["experiment", "run", "skew-degradation",
+                         "--grid", "skew_ms=0.0", "--reps", "1",
+                         "--workers", "1", "--out-dir", str(out_dir),
+                         *pin]) == 0
+            doc = json.loads(
+                (out_dir / "report.json").read_text(encoding="utf-8"))
+            runs.append(doc["runs"])
+        assert runs[0] == runs[1]
+        assert runs[1][0]["params"] == {"skew_ms": 0.0}
+
+    def test_sweep_verb_is_gone(self, capsys):
+        """A scale sweep runs as `experiment run`; no alias command."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "list"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
     def test_zero_reps_fails_cleanly(self, tmp_path, capsys):
         code = main(
@@ -98,13 +124,6 @@ class TestExperimentCli:
              "--out-dir", str(tmp_path / "x")])
         assert code == 2
         assert "reps must be >= 1, got 0" in capsys.readouterr().err
-
-    def test_knob_axis_collision_fails_cleanly(self, tmp_path, capsys):
-        code = main(
-            ["experiment", "run", "skew-degradation",
-             "--knob", "skew_ms=3.0", "--out-dir", str(tmp_path / "x")])
-        assert code == 2
-        assert "override swept axis" in capsys.readouterr().err
 
 
 class TestExperimentNightlyCli:
@@ -121,7 +140,7 @@ class TestExperimentNightlyCli:
         assert validate_experiment_report(doc) == []
         spec = EXPERIMENTS.get("skew-degradation")
         assert doc["grid"] == {
-            axis: list(vals) for axis, vals in spec.axes.items()}
+            knob: list(vals) for knob, vals in spec.grid.items()}
         assert doc["reps"] == spec.reps
 
     def test_nightly_unknown_only_fails_cleanly(self, tmp_path, capsys):
@@ -134,10 +153,13 @@ class TestExperimentNightlyCli:
 
 class TestCommittedStudies:
     def test_committed_reports_regenerate_bit_identically(self, tmp_path):
-        """The checked-in degradation studies are reproducible: the same
-        registry spec and default base seed rebuild results/experiments/
-        <name>/report.json byte for byte."""
-        for name in EXPERIMENTS.names():
+        """The checked-in degradation studies — every experiment with a
+        figure — are reproducible: the same registry spec and default
+        base seed rebuild results/experiments/<name>/report.json byte
+        for byte."""
+        studies = [s.name for s in EXPERIMENTS.values() if s.figure]
+        assert len(studies) == 4
+        for name in studies:
             committed = (
                 REPO / "results" / "experiments" / name / "report.json")
             assert committed.exists(), committed

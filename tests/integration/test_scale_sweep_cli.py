@@ -1,22 +1,24 @@
-"""Integration: `cli sweep run` executes a one-repetition run table into a
-resumable artifact directory with a schema-valid report, and every run
-replays as the single run with its recorded seed and knobs (the
-reproducibility contract docs/SWEEPS.md promises)."""
+"""Integration: a scale sweep — a registered one-repetition run table —
+runs through `cli experiment run` into a resumable artifact directory
+with a schema-valid report, every run replays as the single run with
+its recorded seed and knobs (the reproducibility contract
+docs/EXPERIMENTS.md promises), and `experiment nightly` runs each
+registered table at its nightly grid."""
 
 import json
 
 from repro.cli import build_parser, main
 from repro.core.rng import seed_run
-from repro.experiment import validate_experiment_report
+from repro.experiment import EXPERIMENTS
+from repro.experiment.report import validate_experiment_report
 from repro.scenarios import run_scenario
-from repro.sweep import SWEEPS
 
 FAST = ["--knob", "duration=0.02", "--knob", "burst_start=0.008"]
 
 
 def run_cli_sweep(out_dir, *extra, grid="hosts=64,128"):
     return main(
-        ["sweep", "run", "incast", "--grid", grid,
+        ["experiment", "run", "incast", "--grid", grid,
          "--workers", "1", "--out-dir", str(out_dir), *FAST, *extra])
 
 
@@ -26,7 +28,7 @@ def read_report(out_dir):
 
 class TestSweepCli:
     def test_list(self, capsys):
-        assert main(["sweep", "list"]) == 0
+        assert main(["experiment", "list"]) == 0
         out = capsys.readouterr().out
         for name in ("incast", "incast-scale", "gray-failure",
                      "polarization", "link-flap"):
@@ -39,7 +41,7 @@ class TestSweepCli:
         assert "2/2 runs diagnosed correctly" in printed
         doc = read_report(tmp_path)
         assert validate_experiment_report(doc) == []
-        assert doc["experiment"] == doc["sweep"] == "incast"
+        assert doc["experiment"] == "incast"
         assert doc["scenario"] == "incast"
         assert doc["reps"] == 1
         assert doc["grid"] == {"hosts": [64, 128]}
@@ -52,7 +54,7 @@ class TestSweepCli:
         """Replay each run artifact as a `cli run`-style single execution
         with its recorded knobs and seed: identical verdicts."""
         assert run_cli_sweep(tmp_path) == 0
-        spec = SWEEPS.get("incast")
+        spec = EXPERIMENTS.get("incast")
         artifacts = run_artifacts(tmp_path)
         assert len(artifacts) == 2
         for doc in artifacts:
@@ -99,29 +101,25 @@ class TestSweepCli:
         assert code == 2
         assert "--knob pins changed" in capsys.readouterr().err
 
-    def test_sweep_grades_strictly_experiment_does_not(
+    def test_sweep_grades_strictly_a_charted_study_does_not(
             self, tmp_path, capsys):
         """Past the ε bound the skewed run misdiagnoses: a sweep fails on
-        it, the experiment over the same point records it."""
-        assert main(["sweep", "run", "clock-skew", "--grid", "skew_ms=8",
+        it, the study charting the same point records it."""
+        assert main(["experiment", "run", "clock-skew", "--grid", "skew_ms=8",
                      "--out-dir", str(tmp_path / "sweep")]) == 1
         assert main(["experiment", "run", "skew-degradation",
                      "--grid", "skew_ms=8", "--reps", "1",
                      "--out-dir", str(tmp_path / "experiment")]) == 0
         assert "0/1 runs diagnosed correctly" in capsys.readouterr().out
 
-    def test_unknown_sweep_fails_cleanly(self, capsys):
-        assert main(["sweep", "run", "no-such-sweep"]) == 2
-        assert "unknown sweep 'no-such-sweep'" in capsys.readouterr().err
-
-    def test_unknown_axis_fails_cleanly(self, capsys):
+    def test_unknown_grid_knob_fails_cleanly(self, capsys):
         assert main(
-            ["sweep", "run", "incast", "--grid", "bogus=1"]) == 2
-        assert "unknown axis" in capsys.readouterr().err
+            ["experiment", "run", "incast", "--grid", "bogus=1"]) == 2
+        assert "unknown knob(s) for 'incast'" in capsys.readouterr().err
 
     def test_failing_point_sets_exit_code(self, tmp_path, capsys):
         code = main(
-            ["sweep", "run", "incast", "--grid", "hosts=64",
+            ["experiment", "run", "incast", "--grid", "hosts=64",
              "--workers", "1", "--out-dir", str(tmp_path),
              "--knob", "duration=-1.0"])
         assert code == 1
@@ -129,24 +127,18 @@ class TestSweepCli:
         assert validate_experiment_report(doc) == []
         assert doc["runs"][0]["error"] is not None
 
-    def test_knob_axis_collision_fails_cleanly(self, capsys):
-        assert main(
-            ["sweep", "run", "incast", "--grid", "hosts=64,128",
-             "--knob", "hosts=32"]) == 2
-        assert "override swept axis" in capsys.readouterr().err
-
     def test_traffic_scale_sweep_carries_flow_metrics(
             self, tmp_path, run_artifacts):
         """The acceptance shape: a traffic-axis point reports its flow
         count and ingest throughput in a schema-valid document."""
         code = main(
-            ["sweep", "run", "incast-scale",
-             "--grid", "hosts=64", "--grid", "flows=200",
+            ["experiment", "run", "incast-scale",
+             "--grid", "hosts=64", "--grid", "bg_flows=200",
              "--workers", "1", "--out-dir", str(tmp_path), *FAST])
         assert code == 0
         doc = read_report(tmp_path)
         assert validate_experiment_report(doc) == []
-        assert doc["sweep"] == "incast-scale"
+        assert doc["experiment"] == "incast-scale"
         assert doc["scenario"] == "incast"
         (artifact,) = run_artifacts(tmp_path)
         point = artifact["result"]
@@ -156,11 +148,10 @@ class TestSweepCli:
         assert doc["runs"][0]["flow_count"] == point["flow_count"]
 
     def test_every_run_verb_defaults_workers_to_cpu_count(self):
-        """One --workers default for all four run verbs: None, which the
+        """One --workers default for both run verbs: None, which the
         runner resolves to the CPU count capped at the run count."""
         parser = build_parser()
-        for argv in (["sweep", "run", "incast"], ["sweep", "nightly"],
-                     ["experiment", "run", "skew-degradation"],
+        for argv in (["experiment", "run", "skew-degradation"],
                      ["experiment", "nightly"]):
             assert parser.parse_args(argv).workers is None, argv
 
@@ -168,37 +159,31 @@ class TestSweepCli:
 class TestSweepNightlyCli:
     def test_nightly_writes_one_directory_per_sweep(self, tmp_path, capsys):
         code = main(
-            ["sweep", "nightly", "--out-dir", str(tmp_path),
+            ["experiment", "nightly", "--out-dir", str(tmp_path),
              "--workers", "1",
              "--only", "polarization", "--only", "link-flap"])
         assert code == 0
         printed = capsys.readouterr().out
-        assert "2/2 sweeps ok" in printed
+        assert "2/2 experiments ok" in printed
         for name in ("polarization", "link-flap"):
             path = tmp_path / name / "report.json"
             assert path.exists(), path
             doc = json.loads(path.read_text(encoding="utf-8"))
             assert validate_experiment_report(doc) == []
-            spec = SWEEPS.get(name)
+            spec = EXPERIMENTS.get(name)
             assert doc["grid"] == {
-                axis: list(vals)
-                for axis, vals in spec.nightly_grid.items()}
+                knob: list(vals)
+                for knob, vals in spec.nightly_grid.items()}
             assert all(r["ok"] for r in doc["runs"])
 
     def test_only_runs_one_sweep_at_its_nightly_grid(self, tmp_path):
         code = main(
-            ["sweep", "nightly", "--out-dir", str(tmp_path),
+            ["experiment", "nightly", "--out-dir", str(tmp_path),
              "--workers", "1", "--only", "gray-failure"])
         assert code == 0
         (path,) = tmp_path.iterdir()
         assert path.name == "gray-failure"
         doc = read_report(path)
-        spec = SWEEPS.get("gray-failure")
+        spec = EXPERIMENTS.get("gray-failure")
         assert doc["grid"] == {
-            axis: list(vals) for axis, vals in spec.nightly_grid.items()}
-
-    def test_nightly_unknown_only_fails_cleanly(self, tmp_path, capsys):
-        code = main(["sweep", "nightly", "--out-dir", str(tmp_path),
-                     "--only", "no-such-sweep"])
-        assert code == 2
-        assert "unknown sweep 'no-such-sweep'" in capsys.readouterr().err
+            knob: list(vals) for knob, vals in spec.nightly_grid.items()}

@@ -1,9 +1,9 @@
-"""Fixture: every knob access and sweep binding is declared,
+"""Fixture: every knob access and experiment grid knob is declared,
 including knobs merged in through the shared-helper idiom."""
 
 from typing import Any
 
-from .base import Knob, Scenario, ScenarioSpec, SweepSpec, register_sweep
+from .base import ExperimentSpec, Knob, Scenario, ScenarioSpec, register_experiment
 
 
 def shared_knobs() -> dict[str, Knob]:
@@ -31,11 +31,13 @@ class FxScenario(Scenario):
         return p["duration"], p.get("warmup")
 
 
-register_sweep(
-    SweepSpec(
+register_experiment(
+    ExperimentSpec(
         name="fx-sweep",
         scenario="fx",
-        axes={"x": "flows"},
+        grid={"flows": (2, 4)},
+        nightly_grid={"warmup": (0.0,)},
+        nightly_points=({"flows": 8, "duration": 0.3},),
         base_knobs={"duration": 0.2},
         expect_suspect_knob="flows",
     )

@@ -1,4 +1,4 @@
-"""Fixture stand-ins for the scenario/sweep declaration surface."""
+"""Fixture stand-ins for the scenario/experiment declaration surface."""
 
 from typing import Any
 
@@ -14,7 +14,7 @@ class ScenarioSpec:
         self.kw = kw
 
 
-class SweepSpec:
+class ExperimentSpec:
     def __init__(self, **kw: Any) -> None:
         self.kw = kw
 
@@ -23,5 +23,5 @@ class Scenario:
     p: dict[str, Any] = {}
 
 
-def register_sweep(spec: SweepSpec) -> SweepSpec:
+def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
     return spec

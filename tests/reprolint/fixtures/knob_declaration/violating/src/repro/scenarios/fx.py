@@ -1,8 +1,8 @@
-"""Fixture: undeclared knob use plus a sweep bound to ghost knobs."""
+"""Fixture: undeclared knob use plus an experiment over ghost knobs."""
 
 from typing import Any
 
-from .base import Knob, Scenario, ScenarioSpec, SweepSpec, register_sweep
+from .base import ExperimentSpec, Knob, Scenario, ScenarioSpec, register_experiment
 
 
 class FxScenario(Scenario):
@@ -23,11 +23,13 @@ class FxScenario(Scenario):
         return p["burst_len"], p.get("warmup")
 
 
-register_sweep(
-    SweepSpec(
+register_experiment(
+    ExperimentSpec(
         name="fx-sweep",
         scenario="fx",
-        axes={"x": "ghost_axis"},
+        grid={"ghost_grid": (1, 2), "flows": (2,)},
+        nightly_grid={"ghost_nightly": (1,)},
+        nightly_points=({"flows": 8, "ghost_point": 3},),
         base_knobs={"phantom": 9},
         expect_suspect_knob="missing",
     )

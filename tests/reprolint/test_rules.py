@@ -122,9 +122,9 @@ def test_module_state_names_each_module_counter_a_function_advances():
 def test_gc_policy_names_each_call_outside_the_scenario_driver():
     violations = lint_fixture("gc-policy", "violating")
     # collect, aliased freeze, set_threshold, from-imported disable,
-    # enable, unfreeze — all in the sweep runner; the scenario
+    # enable, unfreeze — all in the cell runner; the scenario
     # driver's own collect/disable/enable are the policy
-    assert {v.rel for v in violations} == {"src/repro/sweep/runner.py"}
+    assert {v.rel for v in violations} == {"src/repro/experiment/cells.py"}
     blob = "\n".join(v.message for v in violations)
     for name in ("gc.collect()", "gc.freeze()", "gc.set_threshold()",
                  "gc.disable()", "gc.enable()", "gc.unfreeze()"):
@@ -193,11 +193,14 @@ def test_knob_declaration_names_every_offender():
     assert "'burst_len'" in blob
     assert "'warmup'" in blob
     assert "smoke_knobs names undeclared knob 'rate'" in blob
-    # sweep-side: axis, base knob, suspect knob
-    assert "axis 'x' binds knob 'ghost_axis'" in blob
+    # experiment-side: grid, nightly grid, nightly point, base knob,
+    # suspect knob
+    assert "grid names undeclared knob 'ghost_grid'" in blob
+    assert "nightly_grid names undeclared knob 'ghost_nightly'" in blob
+    assert "nightly_points names undeclared knob 'ghost_point'" in blob
     assert "base_knobs names undeclared knob 'phantom'" in blob
     assert "expect_suspect_knob names undeclared knob 'missing'" in blob
-    assert len(violations) == 6
+    assert len(violations) == 8
 
 
 def test_fault_protocol_catches_all_three_breaches():

@@ -15,7 +15,6 @@ from repro.experiment import EXPERIMENTS
 from repro.scenarios import REGISTRY
 from repro.scenarios.base import (Knob, ScenarioError, ScenarioSpec,
                                   check_knobs)
-from repro.sweep import SWEEPS
 
 
 @pytest.mark.parametrize("scenario, knob, want", [
@@ -58,24 +57,15 @@ def registered_values():
         spec = cls.spec
         for knob, value in spec.smoke_knobs.items():
             yield f"{spec.name} smoke", spec.name, knob, value
-    for sweep in SWEEPS.values():
-        where = f"sweep {sweep.name}"
-        for knob, value in sweep.base_knobs.items():
-            yield where, sweep.scenario, knob, value
-        for grid in (sweep.default_grid, sweep.nightly_grid,
-                     *sweep.nightly_points):
-            for axis, values in grid.items():
-                values = values if isinstance(values, tuple) else (values,)
-                for value in values:
-                    yield where, sweep.scenario, sweep.axes[axis], value
     for exp in EXPERIMENTS.values():
-        sweep = SWEEPS.get(exp.sweep)
         where = f"experiment {exp.name}"
         for knob, value in exp.base_knobs.items():
-            yield where, sweep.scenario, knob, value
-        for axis, values in exp.axes.items():
-            for value in values:
-                yield where, sweep.scenario, sweep.axes[axis], value
+            yield where, exp.scenario, knob, value
+        for grid in (exp.grid, exp.nightly_grid, *exp.nightly_points):
+            for knob, values in grid.items():
+                values = values if isinstance(values, tuple) else (values,)
+                for value in values:
+                    yield where, exp.scenario, knob, value
     for name in WORKLOADS:
         for toy in (False, True):
             workload = make_workload(name, toy=toy)

@@ -6,7 +6,7 @@ scale point pays unconditionally — fabric construction plus full route
 computation — under a wall-time budget, so a routing or topology
 regression shows up in CI as a slow test here rather than as a blown
 nightly budget.  The full scenario at that population (with the 100k
-background flows) is the skip-marked variant below; the nightly sweep
+background flows) is the skip-marked variant below; the nightly run table
 runs it for real.
 """
 
@@ -53,7 +53,7 @@ def test_65k_fabric_builds_and_routes_within_budget():
 @pytest.mark.skip(reason="slow: the full hosts=65536 flows=100000 "
                          "incast point (14-15 s and 596 MB peak RSS on "
                          "2 cores); the nightly incast-scale "
-                         "sweep runs it for real")
+                         "table runs it for real")
 def test_65k_incast_point_full_flows():
     from repro.scenarios import run_scenario
 

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiment import EXPERIMENTS, experiments_markdown
+from repro.experiment import EXPERIMENTS
+from repro.experiment.catalog import experiments_markdown
 from repro.faults import FAULTS, faults_markdown
 from repro.scenarios import REGISTRY, catalog_markdown
-from repro.sweep import SWEEPS, sweeps_markdown
 from tools import gen_docs
 
 REPO = Path(__file__).resolve().parent.parent
@@ -71,51 +71,6 @@ class TestFaultCatalog:
         assert "Injects (fault registry" in page
 
 
-class TestSweepCatalog:
-    def test_sweeps_md_matches_registry(self):
-        """docs/SWEEPS.md must be regenerated when the sweep registry
-        changes (python tools/gen_docs.py sweeps)."""
-        page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
-        assert page == sweeps_markdown()
-
-    def test_every_sweep_documented(self):
-        page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
-        for spec in SWEEPS.values():
-            assert f"## `{spec.name}`" in page
-            assert spec.summary in page
-            for axis in spec.axes:
-                assert f"`{axis}`" in page
-
-    def test_page_documents_grids_and_nightly_driver(self):
-        page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
-        assert "sweep nightly" in page
-        assert "| axis | binds knob | default grid | nightly grid |" in page
-        for spec in SWEEPS.values():
-            for axis, values in spec.default_grid.items():
-                assert ",".join(str(v) for v in values) in page
-        # the traffic axis and its per-point report fields
-        assert "`flows`" in page
-        assert "`flow_count`" in page
-        assert "`ingest_records_per_s`" in page
-        assert "WORKLOADS.md" in page
-        # the combined top-end point and its wall-time budget note
-        assert "`hosts=4096 flows=2000`" in page
-        assert "**Wall-time budget:**" in page
-
-    def test_page_documents_the_one_repetition_run_table(self):
-        """A sweep run is a run table: its artifact directory, seeds and
-        report are EXPERIMENTS.md's, and it grades every run."""
-        page = (REPO / "docs" / "SWEEPS.md").read_text(encoding="utf-8")
-        assert "[EXPERIMENTS.md](EXPERIMENTS.md)" in page
-        assert "`results/sweeps/<name>/`" in page
-        assert "`ExperimentReport`" in page
-        assert "**every** run diagnosed correctly" in page
-
-    def test_readme_links_sweeps_doc(self):
-        readme = (REPO / "README.md").read_text(encoding="utf-8")
-        assert "docs/SWEEPS.md" in readme
-
-
 class TestExperimentCatalog:
     def test_experiments_md_matches_registry(self):
         """docs/EXPERIMENTS.md must be regenerated when the experiment
@@ -130,8 +85,36 @@ class TestExperimentCatalog:
         for spec in EXPERIMENTS.values():
             assert f"## `{spec.name}`" in page
             assert spec.summary in page
-            for axis in spec.axes:
-                assert f"`{axis}`" in page
+            for knob in spec.grid:
+                assert f"`{knob}`" in page
+
+    def test_page_documents_grids_and_nightly_grids(self):
+        page = (REPO / "docs" / "EXPERIMENTS.md").read_text(
+            encoding="utf-8")
+        assert "| knob | grid | nightly grid |" in page
+        for spec in EXPERIMENTS.values():
+            for grid in (spec.grid, spec.nightly_grid):
+                for values in grid.values():
+                    assert ",".join(str(v) for v in values) in page
+        # the traffic knob and its per-run report fields
+        assert "`bg_flows`" in page
+        assert "`flow_count`" in page
+        assert "`ingest_records_per_s`" in page
+        assert "WORKLOADS.md" in page
+        # the combined top-end point and its wall-time budget note
+        assert "`hosts=4096 bg_flows=2000`" in page
+        assert "**Wall-time budget:**" in page
+
+    def test_page_documents_one_repetition_sweeps_and_grading(self):
+        """A scale sweep is the one-repetition run table, in the same
+        artifact directory, graded on every run unless it charts a
+        figure."""
+        page = (REPO / "docs" / "EXPERIMENTS.md").read_text(
+            encoding="utf-8")
+        assert "one repetition" in page
+        assert "`results/experiments/<name>/`" in page
+        assert "**every** run diagnosed correctly" in page
+        assert "run *errored*" in page
 
     def test_page_documents_the_run_table_contract(self):
         page = (REPO / "docs" / "EXPERIMENTS.md").read_text(
@@ -140,7 +123,7 @@ class TestExperimentCatalog:
         assert "byte-identical" in page
         assert "manifest.json" in page
         assert "pending" in page
-        assert "switchpointer.experiment-report/v2" in page
+        assert "switchpointer.experiment-report/v3" in page
 
     def test_committed_figures_match_committed_reports(self):
         """results/figures/*.svg must be regenerated when a committed

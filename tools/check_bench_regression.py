@@ -56,7 +56,7 @@ DEFAULT_MAX_FACTOR = 1.3
 
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.experiment import RunArtifact  # noqa: E402
+from repro.experiment.report import RunArtifact  # noqa: E402
 
 
 def calibrate() -> float:

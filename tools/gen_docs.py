@@ -27,10 +27,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO)]
 
 from repro.directory import directory_markdown  # noqa: E402
-from repro.experiment import experiments_markdown  # noqa: E402
+from repro.experiment.catalog import experiments_markdown  # noqa: E402
 from repro.faults import faults_markdown  # noqa: E402
 from repro.scenarios import catalog_markdown  # noqa: E402
-from repro.sweep import sweeps_markdown  # noqa: E402
 from tools.reprolint.catalog import rules_markdown  # noqa: E402
 
 _BENCHMARKS_PREAMBLE = """\
@@ -97,7 +96,6 @@ CATALOGUES: dict[str, tuple[str, Callable[[], str]]] = {
     "scenarios": ("docs/SCENARIOS.md", catalog_markdown),
     "faults": ("docs/FAULTS.md", faults_markdown),
     "directories": ("docs/DIRECTORIES.md", directory_markdown),
-    "sweeps": ("docs/SWEEPS.md", sweeps_markdown),
     "experiments": ("docs/EXPERIMENTS.md", experiments_markdown),
     "lint": ("docs/LINTING.md", rules_markdown),
     "benchmarks": ("docs/BENCHMARKS.md", benchmarks_markdown),

@@ -9,7 +9,7 @@ Usage::
 Every ``results/experiments/<name>/report.json`` whose registered
 ``ExperimentSpec`` declares a figure becomes
 ``results/figures/<name>.svg`` via the deterministic pure-Python SVG
-renderer (:func:`repro.experiment.figure_svg`) — same bytes from the
+renderer (:func:`repro.experiment.figures.figure_svg`) — same bytes from the
 same report, so ``--check`` can hold the committed figures to the
 committed reports exactly like the generated-docs checks.  Reports are
 schema-validated before anything renders; an invalid report fails the
@@ -28,12 +28,9 @@ FIGURES = REPO / "results" / "figures"
 
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.experiment import (  # noqa: E402
-    EXPERIMENTS,
-    ExperimentError,
-    figure_svg,
-    validate_experiment_report,
-)
+from repro.experiment import EXPERIMENTS, ExperimentError  # noqa: E402
+from repro.experiment.figures import figure_svg  # noqa: E402
+from repro.experiment.report import validate_experiment_report  # noqa: E402
 
 
 def render_all() -> dict[Path, str]:

@@ -9,9 +9,9 @@ started.  Dunders other than ``__init__`` / ``__post_init__`` are out of
 scope: they decide how an object behaves in ``if``, ``for`` and ``==``.
 
 The entry set: every ``list`` command and ``sizing``; every scenario at
-default knobs; every sweep at its full ``nightly_grid``; every
-experiment at ``--max-runs 1``; ``sweep nightly`` and ``experiment
-nightly`` on one cheap item; the five examples; ``tools/gen_docs.py
+default knobs; every one-repetition experiment at its full
+``nightly_grid``; every repeated one at ``--max-runs 1``; ``experiment
+nightly`` on one cheap experiment; the five examples; ``tools/gen_docs.py
 --check`` and ``tools/plot_experiments.py --check``; the figure
 benchmarks; and one setup → prepare → op → finish of each ledger
 workload at its ledger shape.  Run tables run at ``--workers 1``.
@@ -137,7 +137,6 @@ def entries(out: Path) -> list[Entry]:
     from repro import cli
     from repro.experiment import EXPERIMENTS
     from repro.scenarios import REGISTRY
-    from repro.sweep import SWEEPS
 
     seed = ("--seed", str(SEED))
 
@@ -147,19 +146,21 @@ def entries(out: Path) -> list[Entry]:
     def table(name: str) -> tuple[str, ...]:
         return ("--workers", "1", *seed, "--out-dir", str(out / name))
 
-    lists = ("list", "sweep list", "experiment list", "faults list", "directory list")
+    lists = ("list", "experiment list", "faults list", "directory list")
     found = [command(*argv.split()) for argv in (*lists, "sizing")]
     found += [command("run", name, extra=seed) for name in REGISTRY.names()]
-    for sweep in SWEEPS.values():
-        grid = [f"{a}={','.join(map(str, vs))}" for a, vs in sweep.nightly_grid.items()]
-        extra = table(f"sweep-{sweep.name}")
-        found.append(command("sweep", "run", sweep.name, "--grid", *grid, extra=extra))
-    for study in EXPERIMENTS.values():
-        argv = ("experiment", "run", study.name, "--max-runs", "1")
-        found.append(command(*argv, extra=table(f"experiment-{study.name}")))
-    for kind, only in (("sweep", "clock-skew"), ("experiment", "skew-degradation")):
-        argv = (kind, "nightly", "--only", only)
-        found.append(command(*argv, extra=table(f"nightly-{kind}")))
+    for spec in EXPERIMENTS.values():
+        argv: tuple[str, ...] = ("experiment", "run", spec.name)
+        if spec.reps == 1:
+            grid = [
+                f"{k}={','.join(map(str, vs))}" for k, vs in spec.nightly_grid.items()
+            ]
+            argv += ("--grid", *grid)
+        else:
+            argv += ("--max-runs", "1")
+        found.append(command(*argv, extra=table(spec.name)))
+    argv = ("experiment", "nightly", "--only", "clock-skew")
+    found.append(command(*argv, extra=table("nightly")))
     for path in sorted((REPO / "examples").glob("*.py")):
         found.append((f"example {path.name}", partial(_script, path)))
     for tool in ("gen_docs.py", "plot_experiments.py"):

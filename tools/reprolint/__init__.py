@@ -2,10 +2,10 @@
 
 The repo's correctness story rests on invariants that live *between*
 modules — bit-identical seeded RNG streams, simulated-time discipline,
-the decorator-registry contracts scenarios/sweeps/faults share, the
+the decorator-registry contracts scenarios/experiments/faults share, the
 typed core's annotations.  Each one is encoded here as a registered
 :class:`Rule` (the same decorator-registry idiom as the scenario, fault
-and sweep registries) and enforced by a blocking CI job::
+and experiment registries) and enforced by a blocking CI job::
 
     python -m tools.reprolint                # lint the tree (src/)
     python -m tools.reprolint --list         # rule catalogue
@@ -19,7 +19,7 @@ A violation can be suppressed two ways, both deliberately loud:
 
 * a ``# reprolint: allow[<token>]`` pragma on the offending line, for
   rules that declare a pragma token (e.g. ``wall-clock`` measurement
-  sites in the sweep/scenario runners);
+  sites in the cell/scenario runners);
 * a baseline entry (``.reprolint-baseline.json`` at the project root,
   written by ``--fix-baseline``) — a ratchet for onboarding a rule to a
   tree that does not yet pass it.  Stale entries fail the run, so the

@@ -1,6 +1,6 @@
 """Render the rule registry as the docs/LINTING.md catalogue.
 
-Same single-source-of-truth idiom as the scenario/fault/sweep
+Same single-source-of-truth idiom as the scenario/fault/experiment
 catalogues: ``python -m tools.reprolint --list`` and the generated page
 both read :data:`tools.reprolint.RULES`, so the documentation cannot
 drift from the rules that actually run.
@@ -20,7 +20,7 @@ _HEADER = """\
 
 `tools/reprolint` is an AST-based checker for invariants no stock
 linter sees: determinism (simulated time, seeded RNG streams), the
-registry contracts scenarios/faults/sweeps share, and the typed core's
+registry contracts scenarios/faults/experiments share, and the typed core's
 annotations.  It never imports the code it checks.
 
 ```console

@@ -62,7 +62,6 @@ SIMULATED_TIME_CORE = (
 #: (tests/reprolint/test_mypy.py holds the two equal).
 TYPED_CORE = (
     f"{SRC}/registry.py",
-    f"{SRC}/sweep",
     f"{SRC}/experiment",
     f"{SRC}/faults",
     f"{SRC}/analyzer",
@@ -76,7 +75,6 @@ TYPED_CORE = (
 REGISTRY_PACKAGES = (
     f"{SRC}/scenarios",
     f"{SRC}/faults",
-    f"{SRC}/sweep",
     f"{SRC}/experiment",
     f"{SRC}/directory",
 )
@@ -491,13 +489,14 @@ class KnobDeclaration(Rule):
     spec = RuleSpec(
         name="knob-declaration",
         summary="every self.p[...] access in a Scenario must be a "
-        "declared knob, and every SweepSpec binding must name one",
-        rationale="Knobs are the contract between scenarios, sweeps, "
-        "the CLI and the generated docs: an undeclared access dies as "
-        "a KeyError mid-run (after minutes of build time at scale), "
-        "and a sweep axis bound to a misspelled knob silently sweeps "
-        "nothing.",
-        scope="src/repro/ (Scenario subclasses and SweepSpec "
+        "declared knob, and every ExperimentSpec grid, point, pinned "
+        "and suspect knob must name one",
+        rationale="Knobs are the contract between scenarios, "
+        "experiments, the CLI and the generated docs: an undeclared "
+        "access dies as a KeyError mid-run (after minutes of build time "
+        "at scale), and a run table over a misspelled knob fails every "
+        "cell instead of charting anything.",
+        scope="src/repro/ (Scenario subclasses and ExperimentSpec "
         "declarations; knob sets resolved through the "
         "background_knobs()/fault_knobs() helper idiom)",
         pragma=None,
@@ -535,9 +534,9 @@ class KnobDeclaration(Rule):
                                 f"{cls_name} smoke_knobs names "
                                 f"undeclared knob {key.value!r}",
                             )
-        yield from self._check_sweep_specs(project, by_scenario_name)
+        yield from self._check_experiment_specs(project, by_scenario_name)
 
-    def _check_sweep_specs(
+    def _check_experiment_specs(
         self,
         project: Project,
         scenarios: dict[str, ScenarioModel],
@@ -546,34 +545,25 @@ class KnobDeclaration(Rule):
             for node in ast.walk(module.tree):
                 if not (
                     isinstance(node, ast.Call)
-                    and _callee_name(node) == "SweepSpec"
+                    and _callee_name(node) == "ExperimentSpec"
                 ):
                     continue
                 scenario = _str_kwarg(node, "scenario")
                 model = scenarios.get(scenario) if scenario else None
                 if model is None or not model.closed:
                     continue
-                sweep = _str_kwarg(node, "name") or scenario
-                axes = _kwarg(node, "axes")
-                if isinstance(axes, ast.Dict):
-                    for key, value in zip(axes.keys, axes.values):
-                        if not (
-                            isinstance(value, ast.Constant)
-                            and isinstance(value.value, str)
-                        ):
-                            continue
-                        if value.value not in model.knobs:
-                            axis = key.value if isinstance(key, ast.Constant) else "?"
-                            yield self.violation(
-                                module,
-                                value.lineno,
-                                f"sweep {sweep!r}: axis {axis!r} binds "
-                                f"knob {value.value!r}, which scenario "
-                                f"{scenario!r} does not declare",
-                            )
-                base_knobs = _kwarg(node, "base_knobs")
-                if isinstance(base_knobs, ast.Dict):
-                    for key in base_knobs.keys:
+                name = _str_kwarg(node, "name") or scenario
+                dicts = [
+                    (kwarg, _kwarg(node, kwarg))
+                    for kwarg in ("grid", "nightly_grid", "base_knobs")
+                ]
+                points = _kwarg(node, "nightly_points")
+                if isinstance(points, (ast.Tuple, ast.List)):
+                    dicts += [("nightly_points", point) for point in points.elts]
+                for kwarg, value in dicts:
+                    if not isinstance(value, ast.Dict):
+                        continue
+                    for key in value.keys:
                         if (
                             isinstance(key, ast.Constant)
                             and isinstance(key.value, str)
@@ -582,7 +572,7 @@ class KnobDeclaration(Rule):
                             yield self.violation(
                                 module,
                                 key.lineno,
-                                f"sweep {sweep!r}: base_knobs names "
+                                f"experiment {name!r}: {kwarg} names "
                                 f"undeclared knob {key.value!r} of "
                                 f"scenario {scenario!r}",
                             )
@@ -595,7 +585,7 @@ class KnobDeclaration(Rule):
                     yield self.violation(
                         module,
                         suspect.lineno,
-                        f"sweep {sweep!r}: expect_suspect_knob names "
+                        f"experiment {name!r}: expect_suspect_knob names "
                         f"undeclared knob {suspect.value!r} of "
                         f"scenario {scenario!r}",
                     )
@@ -710,7 +700,7 @@ class FaultProtocol(Rule):
 # ---------------------------------------------------------------------------
 
 _REGISTER_DECORATORS = {"register", "register_fault"}
-_REGISTER_CALLS = {"register_sweep", "register_experiment", "register_directory"}
+_REGISTER_CALLS = {"register_experiment", "register_directory"}
 
 
 def _registers_something(
@@ -744,16 +734,16 @@ class RegistryCoverage(Rule):
 
     spec = RuleSpec(
         name="registry-coverage",
-        summary="every scenarios/, faults/, sweep/, experiment/, directory/ "
+        summary="every scenarios/, faults/, experiment/, directory/ "
         "module that registers something must be imported by its package "
         "__init__.py",
         rationale="Registration is an import side effect: a module the "
         "package aggregator never imports simply vanishes — its "
-        "scenario/fault/sweep/experiment is absent from the CLI, the "
+        "scenario/fault/experiment is absent from the CLI, the "
         "nightly driver, and the generated catalogues, with no error "
         "anywhere.",
         scope="src/repro/scenarios/, src/repro/faults/, "
-        "src/repro/sweep/, src/repro/experiment/, src/repro/directory/",
+        "src/repro/experiment/, src/repro/directory/",
         pragma=None,
         fix="Import the module from the package __init__.py (the "
         "catalogue aggregator), the way every sibling module is.",
@@ -800,14 +790,14 @@ class TypedDefs(Rule):
     spec = RuleSpec(
         name="typed-defs",
         summary="every function in the typed-core subset (registry.py, "
-        "sweep/, experiment/, faults/, analyzer/, directory/, "
+        "experiment/, faults/, analyzer/, directory/, "
         "scenarios/base.py, simnet/workload.py) has complete parameter "
         "and return annotations",
         rationale="CI runs mypy over exactly this subset with "
         "disallow_untyped_defs; this rule enforces the same "
         "completeness from the AST, so the gap surfaces in any "
         "environment — including ones without mypy installed.",
-        scope="src/repro/registry.py, src/repro/sweep/, "
+        scope="src/repro/registry.py, "
         "src/repro/experiment/, src/repro/faults/, src/repro/analyzer/, "
         "src/repro/directory/, "
         "src/repro/scenarios/base.py, "
