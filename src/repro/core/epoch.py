@@ -14,13 +14,19 @@ epochs that certainly contains the packet's true epoch there:
 
 with Δ the maximum one-hop delay.  Fractions are rounded outward
 (ceiling) so the range always covers the truth.
+
+The widening depends only on the path's length and the embedder's
+position on it, so :meth:`EpochRangeEstimator.offsets` derives it once
+per such shape, as one shared tuple of per-position ``(lo, hi)``
+offsets.  A host's flow record keeps that tuple and the span of epochs
+it observed, and derives every switch's range from the two
+(``hostd/records.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class EpochClock:
@@ -78,7 +84,7 @@ class EpochClock:
         return epoch * self.alpha_s - self.skew_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpochRange:
     """Closed integer range of epochIDs ``[lo, hi]``."""
 
@@ -97,9 +103,6 @@ class EpochRange:
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
-
-    def union(self, other: "EpochRange") -> "EpochRange":
-        return EpochRange(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def intersects(self, other: "EpochRange") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -156,26 +159,27 @@ class EpochRangeEstimator:
             return EpochRange(observed_epoch - span, observed_epoch + eps)
         return EpochRange(observed_epoch - eps, observed_epoch + span)
 
-    def ranges_for_path(self, switch_path: Sequence[str], embed_index: int,
-                        observed_epoch: int) -> dict[str, EpochRange]:
-        """Ranges for every switch on the path.
+    def offsets(self, path_len: int,
+                embed_index: int) -> tuple[tuple[int, int], ...]:
+        """Per-position ``(lo, hi)`` widening of the observed epoch.
 
-        ``switch_path`` lists switch names in traversal order;
-        ``embed_index`` is the position of the switch whose epochID the
-        packet carried.  The widening depends only on the two positions,
-        so it is derived once per (path length, embed index).
+        ``embed_index`` is the position, on a path of ``path_len``
+        switches, of the switch whose epochID the packet carried; the
+        range at position ``pos`` is ``observed + offsets[pos]``.  The
+        widening depends only on the two positions, so it is derived
+        once per (path length, embed index), and every caller asking
+        for the same shape gets the same tuple.
         """
-        shape = (len(switch_path), embed_index)
+        shape = (path_len, embed_index)
         offsets = self._offsets.get(shape)
         if offsets is None:
-            if not 0 <= embed_index < len(switch_path):
+            if not 0 <= embed_index < path_len:
                 raise ValueError("embed_index outside the path")
             spans = (self.range_for(0, pos - embed_index)
-                     for pos in range(len(switch_path)))
+                     for pos in range(path_len))
             offsets = self._offsets[shape] = tuple(
                 (rng.lo, rng.hi) for rng in spans)
-        return {name: EpochRange(observed_epoch + lo, observed_epoch + hi)
-                for name, (lo, hi) in zip(switch_path, offsets)}
+        return offsets
 
 
 def unwrap_epoch(tag_epoch: int, reference_epoch: int,

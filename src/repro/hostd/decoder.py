@@ -4,13 +4,17 @@ When a packet arrives, the host turns its VLAN double tag into a
 flow-record update.  The two tags give (linkID, epochID mod 4096).  The
 switch path and the embedder's place on it come from the CherryPick
 plan of (src, dst, linkID); the epoch tag is unwrapped against the
-host's own epoch estimate; and the §4.2.1 range extrapolation assigns
-every switch on the path an epoch range around the embedder's observed
-epoch.  The store folds a packet carrying the tag object its flow's
-record folded last, in the same host epoch and topology version, with
-one probe and no parse (``FlowRecordStore.refold``); other packets with
-the same tag over the same path in one host epoch share one parse
-(``_parsed``), which the store only reads.  A packet without a tag is
+host's own epoch estimate; and the §4.2.1 range extrapolation's
+per-position offsets for the path's (length, embed index) shape say how
+far every switch's epoch range reaches around the embedder's observed
+epoch.  A parse hands the record store the plan's own path tuple, the
+estimator's own offsets tuple and the observed epoch: no per-switch
+range is built here, the record derives them.  The store folds a
+packet carrying the tag object its flow's record folded last, in the
+same host epoch and topology version, with one probe and no parse
+(``FlowRecordStore.refold``); other packets with the same tag over the
+same path in one host epoch share one parse (``_parsed``), which the
+store only reads.  A packet without a tag is
 counted (``undecodable``); nothing is invented.
 """
 
@@ -18,16 +22,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.epoch import (EpochClock, EpochRange, EpochRangeEstimator,
-                          unwrap_epoch)
+from ..core.epoch import EpochClock, EpochRangeEstimator, unwrap_epoch
 from ..core.headers import VlanDoubleTag
 from ..simnet.host import Host
 from ..simnet.packet import Packet
 from ..switchd.cherrypick import CherryPickPlanner
-from .records import FlowRecordStore
+from .records import FlowRecordStore, Offsets
 
-#: what one header parses to: (switch path, ranges, observed epoch)
-Parsed = tuple[list[str], dict[str, EpochRange], int]
+#: what one header parses to: (switch path, its shape's offsets,
+#: observed epoch)
+Parsed = tuple[tuple[str, ...], Offsets, int]
 
 
 class TelemetryDecoder:
@@ -76,10 +80,10 @@ class TelemetryDecoder:
         reference = self.host_clock.epoch_of(now)
         version = self.planner.network.topology_version
         if not store.refold(pkt, now, telemetry, reference, version):
-            switches, ranges, observed = self._parse_vlan(
+            switches, offsets, observed = self._parse_vlan(
                 pkt, telemetry, reference)
             store.ingest(pkt.flow, pkt.size, now, pkt.priority,
-                         switches, ranges, observed, telemetry,
+                         switches, offsets, observed, telemetry,
                          reference, version)
         self.decoded += 1
 
@@ -96,10 +100,8 @@ class TelemetryDecoder:
         parsed = memo[1].get(tagged)
         if parsed is None:
             switches, embed_index = decoded
-            observed = unwrap_epoch(tag.epoch_tag, reference)
             parsed = memo[1][tagged] = (
-                list(switches),
-                self.estimator.ranges_for_path(switches, embed_index,
-                                               observed),
-                observed)
+                switches,
+                self.estimator.offsets(len(switches), embed_index),
+                unwrap_epoch(tag.epoch_tag, reference))
         return parsed

@@ -83,8 +83,7 @@ class FlowSummary:
     def _materialize(self) -> None:
         rec = self._rec
         self._switch_path = list(rec.switch_path)
-        self._epoch_ranges = {sw: (r.lo, r.hi)
-                              for sw, r in rec.epoch_ranges.items()}
+        self._epoch_ranges = rec.epoch_ranges
 
     @property
     def switch_path(self) -> list[str]:

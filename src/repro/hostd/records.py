@@ -7,6 +7,9 @@ switchID, byte/packet counts, and a DSCP value as flow priority —
 implemented using MongoDB".  We reproduce the same record schema in an
 in-memory table; a record evicted past the table's bound is dropped
 (the storage backend is irrelevant to system behaviour; see DESIGN.md).
+The per-switch ranges are not stored: a record holds its path, the
+shared offsets of its §4.2.1 shape and one span of observed epochs, and
+derives each switch's range from them (:class:`FlowRecord`).
 
 Beyond the flat table, the store keeps a **per-switch inverted index**
 so the (switchID, epochID) header filter of §3 no longer scans every
@@ -15,16 +18,19 @@ only the hosts its pointers name, so the index is built by the store's
 first scan, in one pass over the table, and kept from then on; a store
 no scan reached keeps none.  Index invariants, from the first scan on:
 
-* ``_by_switch[sw]`` holds exactly the live records ``r`` with
-  ``sw in r.epoch_ranges`` — membership is added the moment a record
-  first observes ``sw`` (via the record's store listener) and removed
-  when the record is evicted or replaced.
+* ``_by_switch[sw]`` holds exactly the live records ``r`` whose switch
+  set — ``r.switch_path`` and the switches of its folded ranges, the
+  keys of ``r.epoch_ranges`` — holds ``sw``; membership is added the
+  moment a record takes a shape with ``sw`` on its path (via the
+  record's store listener) and removed when the record is evicted or
+  replaced.
 * ``_sorted[sw]``, when present, is a cache of the bucket ordered by
   ``(epoch lo at sw, record creation seq)``; it is dropped whenever the
-  bucket's membership changes or any member's ``lo`` at ``sw`` moves
-  (``lo`` only ever decreases under :meth:`EpochRange.union`), and
-  rebuilt lazily on the next windowed query.  ``hi`` extensions never
-  invalidate it: queries read ``hi`` from the live record.
+  bucket's membership changes or any member's ``lo`` at ``sw`` may have
+  moved (a new shape, or a span whose ``lo`` moved down; ``lo`` only
+  ever decreases), and rebuilt lazily on the next windowed query.
+  ``hi`` extensions never invalidate it: queries derive ``hi`` from the
+  live record.
 * query results are ordered by record creation sequence — indexed
   queries return byte-identical payloads to a linear scan of
   ``_records`` in creation order.
@@ -65,15 +71,33 @@ from ..core.headers import VlanDoubleTag
 from ..simnet.packet import FlowKey, Packet
 
 
+#: the per-position ``(lo, hi)`` widening of one (path length, embed
+#: index) shape (:meth:`~repro.core.epoch.EpochRangeEstimator.offsets`)
+Offsets = tuple[tuple[int, int], ...]
+
+
 @dataclass(slots=True)
 class FlowRecord:
     """Telemetry accumulated for one flow at its destination host.
 
-    ``epoch_ranges`` maps switchID → the union of per-packet epoch
-    ranges at that switch; ``bytes_by_epoch`` counts payload bytes per
-    *observed* (embedding-switch) epochID — the "<switchID, a list of
-    epochIDs, a list of byte counts per epoch>" tuples of §5.1 are
-    assembled from these two.
+    A packet's §4.2.1 range at each switch of its path is the one epoch
+    it observed (the embedding switch's) widened by a fixed offset per
+    (path length, embedder position).  So a record keeps its
+    ``switch_path`` and that shape's offsets (``_shape``) — the
+    CherryPick plan's and the estimator's own shared tuples — and the
+    span ``[_span_lo, _span_hi]`` of the epochs it observed over them:
+    the union of every packet's range at the switch in position ``pos``
+    is ``(_span_lo + lo_pos, _span_hi + hi_pos)``.  A packet over
+    another path or embed shape folds the ranges derived so far into
+    ``_folded`` (switchID → ``(lo, hi)``; None while the shape never
+    changed) and restarts the span on the new shape.
+    :attr:`epoch_ranges` and :meth:`epochs_at` read ``_folded`` ∪ the
+    current shape.  A path names each switch once (a decoded path is a
+    shortest path).
+
+    ``bytes_by_epoch`` counts payload bytes per *observed* epochID — the
+    "<switchID, a list of epochIDs, a list of byte counts per epoch>"
+    tuples of §5.1 are assembled from the two.
 
     A record owned by a :class:`FlowRecordStore` carries a back-pointer
     (``_store``) so :meth:`observe` can keep the store's per-switch
@@ -86,14 +110,18 @@ class FlowRecord:
     """
 
     flow: FlowKey
-    switch_path: list[str] = field(default_factory=list)
-    epoch_ranges: dict[str, EpochRange] = field(default_factory=dict)
+    switch_path: tuple[str, ...] = ()
     bytes_by_epoch: dict[int, int] = field(default_factory=dict)
     packets: int = 0
     bytes: int = 0
     priority: int = 0
     first_seen: Optional[float] = None
     last_seen: Optional[float] = None
+    _shape: Offsets = field(default=(), repr=False)
+    _span_lo: int = field(default=0, repr=False)
+    _span_hi: int = field(default=0, repr=False)
+    _folded: Optional[dict[str, tuple[int, int]]] = field(default=None,
+                                                          repr=False)
     _store: Optional["FlowRecordStore"] = field(
         default=None, repr=False, compare=False)
     _seq: int = field(default=0, repr=False, compare=False)
@@ -111,14 +139,14 @@ class FlowRecord:
     _tag_observed: int = field(default=0, repr=False, compare=False)
 
     def observe(self, nbytes: int, t: float, priority: int,
-                switch_path: list[str],
-                ranges: dict[str, EpochRange],
-                observed_epoch: Optional[int]) -> None:
+                switch_path: tuple[str, ...], offsets: Offsets,
+                observed_epoch: int) -> None:
         """Fold one decoded packet into the record.
 
-        ``switch_path`` and ``ranges`` are only read — the decoder hands
-        the same objects to every packet that decodes alike — and the
-        record keeps its own list and dict.
+        ``switch_path`` (non-empty) and ``offsets`` are kept by
+        reference: the decoder hands every packet that decodes alike
+        the same two tuples, so a packet over the record's shape
+        compares two identities and moves at most one end of the span.
         """
         self._tag = None
         self.packets += 1
@@ -130,27 +158,69 @@ class FlowRecord:
         store = self._store
         if store is not None:
             store._observed(self, t)
-        if switch_path and switch_path != self.switch_path:
-            self.switch_path = list(switch_path)
-        new_switches: list[str] = []
-        lo_moved: list[str] = []
-        for sw, rng in ranges.items():
-            prev = self.epoch_ranges.get(sw)
-            if prev is None:
-                self.epoch_ranges[sw] = rng
-                new_switches.append(sw)
-            elif rng.lo < prev.lo or rng.hi > prev.hi:
-                self.epoch_ranges[sw] = prev.union(rng)
-                if rng.lo < prev.lo:
-                    lo_moved.append(sw)
-        if store is not None and (new_switches or lo_moved):
-            store._on_epochs_updated(self, new_switches, lo_moved)
-        if observed_epoch is not None:
-            self.bytes_by_epoch[observed_epoch] = (
-                self.bytes_by_epoch.get(observed_epoch, 0) + nbytes)
+        self.bytes_by_epoch[observed_epoch] = (
+            self.bytes_by_epoch.get(observed_epoch, 0) + nbytes)
+        if ((switch_path is not self.switch_path
+                or offsets is not self._shape)
+                and (switch_path != self.switch_path
+                     or offsets != self._shape)):
+            if self._shape:
+                self._folded = self.epoch_ranges
+            self.switch_path = tuple(switch_path)
+            self._shape = tuple(offsets)
+            self._span_lo = self._span_hi = observed_epoch
+        elif observed_epoch < self._span_lo:
+            self._span_lo = observed_epoch
+        else:
+            if observed_epoch > self._span_hi:
+                self._span_hi = observed_epoch
+            return
+        # a new shape, or ``lo`` moved down at every switch on the path
+        if store is not None:
+            store._on_epochs_updated(self)
+
+    @property
+    def epoch_ranges(self) -> dict[str, tuple[int, int]]:
+        """switchID → the ``(lo, hi)`` union of the flow's per-packet
+        ranges there, in the order the switches were first seen
+        (derived: a fresh dict on every read)."""
+        lo, hi = self._span_lo, self._span_hi
+        current = {sw: (lo + a, hi + b)
+                   for sw, (a, b) in zip(self.switch_path, self._shape)}
+        folded = self._folded
+        if folded is None:
+            return current
+        ranges = dict(folded)
+        for sw, (a, b) in current.items():
+            prev = ranges.get(sw)
+            ranges[sw] = ((a, b) if prev is None
+                          else (min(prev[0], a), max(prev[1], b)))
+        return ranges
+
+    def _bounds_at(self, switch: str) -> Optional[tuple[int, int]]:
+        """``epoch_ranges.get(switch)`` without deriving the others."""
+        path = self.switch_path
+        bounds = None
+        if switch in path:
+            a, b = self._shape[path.index(switch)]
+            bounds = (self._span_lo + a, self._span_hi + b)
+        folded = self._folded
+        if folded is not None:
+            prev = folded.get(switch)
+            if prev is not None:
+                bounds = prev if bounds is None else (
+                    min(prev[0], bounds[0]), max(prev[1], bounds[1]))
+        return bounds
+
+    def _switches(self) -> tuple[str, ...]:
+        """Every switch the record holds a range at (repeats allowed)."""
+        folded = self._folded
+        path = self.switch_path
+        return path if folded is None else (*folded, *path)
 
     def epochs_at(self, switch: str) -> Optional[EpochRange]:
-        return self.epoch_ranges.get(switch)
+        bounds = self._bounds_at(switch)
+        return None if bounds is None else EpochRange(*bounds)
 
 
 #: the latest observation time of a store with none yet (shared)
@@ -237,9 +307,8 @@ class FlowRecordStore:
         return rec
 
     def ingest(self, flow: FlowKey, nbytes: int, t: float,
-               priority: int, switch_path: list[str],
-               ranges: dict[str, EpochRange],
-               observed_epoch: Optional[int],
+               priority: int, switch_path: tuple[str, ...],
+               offsets: Offsets, observed_epoch: int,
                tag: Optional[VlanDoubleTag] = None, epoch: int = 0,
                version: int = 0) -> FlowRecord:
         """One decoded packet → record update (decoder entry point); a
@@ -249,7 +318,7 @@ class FlowRecordStore:
         if rec is None:
             rec = self.record_for(flow)
         rec._update_seq = self.ingested
-        rec.observe(nbytes, t, priority, switch_path, ranges,
+        rec.observe(nbytes, t, priority, switch_path, offsets,
                     observed_epoch)
         rec._tag, rec._tag_epoch, rec._tag_version, rec._tag_observed = (
             tag, epoch, version, observed_epoch)
@@ -302,27 +371,25 @@ class FlowRecordStore:
             self._sorted: dict[str, tuple[
                 list[int], list[tuple[int, int, FlowRecord]]]] = {}
             for rec in self._records.values():
-                for sw in rec.epoch_ranges:
+                for sw in rec._switches():
                     self._by_switch.setdefault(sw, {})[rec.flow] = rec
         return self._by_switch
 
-    def _on_epochs_updated(self, rec: FlowRecord, new_switches: list[str],
-                           lo_moved: list[str]) -> None:
-        """Record listener: keep per-switch membership + sort fresh (an
-        index no scan has built yet needs no upkeep)."""
+    def _on_epochs_updated(self, rec: FlowRecord) -> None:
+        """Record listener: ``rec`` took a new shape, or its ``lo`` moved
+        down along its path — keep per-switch membership + sort fresh
+        (an index no scan has built yet needs no upkeep)."""
         if self._by_switch is _IDLE:
             return
-        for sw in new_switches:
+        for sw in rec.switch_path:
             self._by_switch.setdefault(sw, {})[rec.flow] = rec
-            self._sorted.pop(sw, None)
-        for sw in lo_moved:
             self._sorted.pop(sw, None)
 
     def _unindex_record(self, rec: FlowRecord) -> None:
         rec._store = None
         if self._by_switch is _IDLE:
             return
-        for sw in rec.epoch_ranges:
+        for sw in rec._switches():
             bucket = self._by_switch.get(sw)
             if bucket is not None:
                 bucket.pop(rec.flow, None)
@@ -336,7 +403,7 @@ class FlowRecordStore:
         cached = self._sorted.get(switch)
         if cached is None:
             entries = sorted(
-                (rec.epoch_ranges[switch].lo, rec._seq, rec)
+                (rec._bounds_at(switch)[0], rec._seq, rec)
                 for rec in self._by_switch[switch].values())
             cached = ([lo for lo, _, _ in entries], entries)
             self._sorted[switch] = cached
@@ -439,7 +506,7 @@ class FlowRecordStore:
         los, entries = self._sorted_bucket(switch)
         cut = bisect_right(los, epochs.hi)
         hits = [(seq, rec) for _, seq, rec in entries[:cut]
-                if rec.epoch_ranges[switch].hi >= epochs.lo
+                if rec._bounds_at(switch)[1] >= epochs.lo
                 and (since_seq is None or rec._update_seq > since_seq)]
         hits.sort()
         return [rec for _, rec in hits], cut
@@ -455,10 +522,11 @@ class FlowRecordStore:
         """
         out = []
         for rec in self._records.values():
-            rng = rec.epochs_at(switch)
-            if rng is None:
+            bounds = rec._bounds_at(switch)
+            if bounds is None:
                 continue
-            if epochs is not None and not rng.intersects(epochs):
+            if epochs is not None and not (bounds[0] <= epochs.hi
+                                           and epochs.lo <= bounds[1]):
                 continue
             out.append(rec)
         out.sort(key=_record_seq)

@@ -1,5 +1,8 @@
 """Unit tests for epoch arithmetic and range extrapolation."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.epoch import (EpochClock, EpochRange, EpochRangeEstimator,
@@ -74,12 +77,17 @@ class TestEpochRange:
         with pytest.raises(ValueError):
             EpochRange(5, 4)
 
-    def test_union(self):
-        assert EpochRange(1, 3).union(EpochRange(5, 8)) == EpochRange(1, 8)
-
     def test_intersects(self):
         assert EpochRange(1, 5).intersects(EpochRange(5, 9))
         assert not EpochRange(1, 4).intersects(EpochRange(5, 9))
+
+    def test_slotted_frozen_and_picklable(self):
+        rng = EpochRange(3, 6)
+        assert not hasattr(rng, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rng.lo = 0
+        assert pickle.loads(pickle.dumps(rng)) == rng
+        assert hash(EpochRange(3, 6)) == hash(rng)
 
 
 class TestEstimatorPaperExample:
@@ -104,17 +112,19 @@ class TestEstimatorPaperExample:
         assert (rng.lo, rng.hi) == (99, 101)
 
     def test_figure6_path(self, est):
-        # S1 S2 [S3=embedder] S4 S5 with ei=100:
-        ranges = est.ranges_for_path(["S1", "S2", "S3", "S4", "S5"],
-                                     embed_index=2, observed_epoch=100)
-        assert (ranges["S2"].lo, ranges["S2"].hi) == (97, 101)
-        assert (ranges["S4"].lo, ranges["S4"].hi) == (99, 103)
-        assert (ranges["S1"].lo, ranges["S1"].hi) == (95, 101)
-        assert (ranges["S5"].lo, ranges["S5"].hi) == (99, 105)
+        # S1 S2 [S3=embedder] S4 S5 with ei=100: range = ei + offset
+        offsets = est.offsets(5, embed_index=2)
+        assert offsets == ((-5, 1), (-3, 1), (-1, 1), (-1, 3), (-1, 5))
+        assert [est.range_for(100, pos - 2) for pos in range(5)] == [
+            EpochRange(100 + lo, 100 + hi) for lo, hi in offsets]
+        # one shared tuple per (path length, embed index)
+        assert est.offsets(5, 2) is offsets
+        assert est.offsets(5, 1) != offsets
 
     def test_embed_index_validation(self, est):
-        with pytest.raises(ValueError):
-            est.ranges_for_path(["S1"], embed_index=2, observed_epoch=0)
+        for bad in (2, -1):
+            with pytest.raises(ValueError):
+                est.offsets(1, embed_index=bad)
 
 
 class TestEstimatorGeneral:

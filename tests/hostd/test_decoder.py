@@ -1,7 +1,6 @@
 """Unit tests for destination-side telemetry decoding."""
 
-from repro.core.epoch import (EpochClock, EpochRange, EpochRangeEstimator,
-                              unwrap_epoch)
+from repro.core.epoch import EpochClock, EpochRangeEstimator, unwrap_epoch
 from repro.core.mphf import HostDirectory
 from repro.core.pointer import HierarchicalPointerStore
 from repro.hostd.decoder import TelemetryDecoder
@@ -11,6 +10,7 @@ from repro.simnet.topology import (build_fat_tree, build_leaf_spine,
                                    build_linear)
 from repro.switchd.cherrypick import CherryPickPlanner
 from repro.switchd.datapath import SwitchPointerDatapath
+from tests.hostd.eager_records import ranges_of
 from tests.simnet.trajectory import Trajectories
 
 
@@ -46,7 +46,7 @@ class TestVlanDecoding:
             net.hosts["h1_0"].nic.link.iface_a and
             next(iter(decoders["h3_0"].store)).flow)
         rec = next(iter(decoders["h3_0"].store))
-        assert rec.switch_path == ["S1", "S2", "S3"]
+        assert rec.switch_path == ("S1", "S2", "S3")
         assert decoders["h3_0"].decoded == 1
 
     def test_epoch_range_covers_true_epoch_every_switch(self):
@@ -69,7 +69,7 @@ class TestVlanDecoding:
         net.hosts[src].send(make_udp(src, dst, 1, 9, 500))
         net.run()
         rec = next(iter(decoders[dst].store))
-        assert rec.switch_path == trail.of(caught[0])  # ground truth
+        assert list(rec.switch_path) == trail.of(caught[0])  # ground truth
         assert len(rec.switch_path) == 5
 
     def test_bytes_accumulate_per_observed_epoch(self):
@@ -121,7 +121,7 @@ class TestUnskewedDecoding:
             make_udp("h1_0", "h3_0", 1, 9, 500)))
         net.run()
         rec = next(iter(decoders["h3_0"].store))
-        assert rec.switch_path == ["S1", "S2", "S3"]
+        assert rec.switch_path == ("S1", "S2", "S3")
         for sw in rec.switch_path:
             assert rec.epochs_at(sw) is not None
             assert 2 in rec.epochs_at(sw)
@@ -189,15 +189,16 @@ class TestPlanDecodeEquivalence:
             reference = decoders[host].host_clock.epoch_of(now)
             observed = unwrap_epoch(epoch_tag, reference)
             wrapped += reference // 4096 != observed // 4096
-            ranges = estimator.ranges_for_path(
-                switches, switches.index(embedder), observed)
+            ranges = ranges_of(switches, estimator.offsets(
+                len(switches), switches.index(embedder)), observed)
             rec = want.setdefault((host, flow), {
                 "switch_path": switches, "epoch_ranges": {},
                 "bytes_by_epoch": {}, "packets": 0, "bytes": 0})
-            rec["switch_path"] = switches
+            rec["switch_path"] = tuple(switches)
             for sw, rng in ranges.items():
-                prev = rec["epoch_ranges"].get(sw, rng)
-                rec["epoch_ranges"][sw] = prev.union(rng)
+                lo, hi = rec["epoch_ranges"].get(sw, (rng.lo, rng.hi))
+                rec["epoch_ranges"][sw] = (min(lo, rng.lo),
+                                           max(hi, rng.hi))
             rec["bytes_by_epoch"][observed] = (
                 rec["bytes_by_epoch"].get(observed, 0) + size)
             rec["packets"] += 1
@@ -219,19 +220,23 @@ class TestPlanDecodeEquivalence:
         # both spines carried traffic, so several paths share each plan
         assert len({tuple(r["switch_path"]) for r in got.values()}) >= 4
 
-    def test_records_over_one_plan_do_not_alias(self):
+    def test_records_over_one_plan_share_its_tuples(self):
         net, decoders, _seen = self._run()
         store = decoders["h1_0"].store
         # two source hosts behind leaf0, one plan, the same spine
         first, second = next(
             (a, b) for a in store for b in store
             if a.flow.src != b.flow.src and a.switch_path == b.switch_path)
-        path = list(second.switch_path)
-        ranges = dict(second.epoch_ranges)
-        first.switch_path.append("mutated")
-        first.epoch_ranges["mutated"] = EpochRange(0, 0)
-        del first.epoch_ranges[path[0]]
-        assert second.switch_path == path
+        # the plan's path and the estimator's offsets, not copies
+        assert first.switch_path is second.switch_path
+        assert first._shape is second._shape
+        path = second.switch_path
+        ranges = second.epoch_ranges
+        # a view is the reader's own dict
+        view = first.epoch_ranges
+        view["mutated"] = (0, 0)
+        del view[path[0]]
+        assert list(first.epoch_ranges) == list(path)
         assert second.epoch_ranges == ranges
         # nor did the mutation reach what the decoder hands the next flow
         now = net.sim.now

@@ -6,6 +6,8 @@ from repro.core.epoch import EpochRange
 from repro.hostd.records import FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
+from tests.hostd.eager_records import shaped
+
 
 def key(i):
     return FlowKey(f"s{i}", f"d{i}", i, i, PROTO_UDP)
@@ -13,8 +15,8 @@ def key(i):
 
 def touch(store, i, t):
     rec = store.record_for(key(i))
-    rec.observe(nbytes=100, t=t, priority=0, switch_path=["S1"],
-                ranges={"S1": EpochRange(0, 0)}, observed_epoch=0)
+    rec.observe(nbytes=100, t=t, priority=0, switch_path=("S1",),
+                offsets=((0, 0),), observed_epoch=0)
     return rec
 
 
@@ -96,8 +98,7 @@ class TestEviction:
 def touch_at(store, i, t, ranges):
     """Like :func:`touch`, on the switches and epochs of ``ranges``."""
     rec = store.record_for(key(i))
-    rec.observe(nbytes=100, t=t, priority=0, switch_path=list(ranges),
-                ranges=ranges, observed_epoch=None)
+    rec.observe(nbytes=100, t=t, priority=0, **shaped(ranges))
     return rec
 
 
@@ -142,8 +143,8 @@ class TestEvictionDrops:
         store = FlowRecordStore("h", max_records=1)
         stale = touch_at(store, 0, 0.001, {"S1": EpochRange(0, 0)})
         touch_at(store, 1, 0.002, {"S1": EpochRange(0, 0)})
-        stale.observe(nbytes=100, t=0.003, priority=0, switch_path=["S9"],
-                      ranges={"S9": EpochRange(3, 3)}, observed_epoch=None)
+        stale.observe(nbytes=100, t=0.003, priority=0, switch_path=("S9",),
+                      offsets=((0, 0),), observed_epoch=3)
         assert store.flows_through("S9") == []
         assert len(store) == 1 and store.get(key(0)) is None
 

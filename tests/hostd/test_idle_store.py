@@ -14,6 +14,8 @@ from repro.hostd.query import QueryEngine, QueryResult
 from repro.hostd.records import _IDLE, FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
+from tests.hostd.eager_records import shaped
+
 FLOW = FlowKey("a", "b", 1, 9, PROTO_UDP)
 WINDOW = EpochRange(0, 10)
 
@@ -26,10 +28,8 @@ def holds_table(store: FlowRecordStore) -> bool:
 
 def ingest(store, flow=FLOW, *, nbytes=100, t=0.0):
     return store.ingest(flow, nbytes=nbytes, t=t, priority=0,
-                        switch_path=["S1", "S2"],
-                        ranges={"S1": EpochRange(4, 6),
-                                "S2": EpochRange(5, 7)},
-                        observed_epoch=5)
+                        **shaped({"S1": EpochRange(4, 6),
+                                  "S2": EpochRange(5, 7)}, 5))
 
 
 @pytest.fixture
@@ -110,7 +110,7 @@ class TestFirstRecordAndBack:
         assert store.drop_all() == 1
         assert lost._store is None and not holds_table(store)
         # a lost record that keeps observing no longer feeds the index
-        lost.observe(nbytes=1, t=1.0, priority=0, switch_path=["S3"],
-                     ranges={"S3": EpochRange(1, 2)}, observed_epoch=1)
+        lost.observe(nbytes=1, t=1.0, priority=0,
+                     **shaped({"S3": EpochRange(1, 2)}, 1))
         assert store.flows_through("S3") == []
         assert not holds_table(store)

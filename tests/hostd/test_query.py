@@ -7,16 +7,18 @@ from repro.hostd.query import QueryEngine
 from repro.hostd.records import FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_TCP, PROTO_UDP
 
+from tests.hostd.eager_records import shaped
+
 
 def populate(store, specs):
     """specs: (i, nbytes, path, switch->range, priority)."""
     for i, nbytes, path, ranges, prio in specs:
         key = FlowKey(f"s{i}", f"d{i}", 10 + i, 20 + i, PROTO_UDP)
         rec = store.record_for(key)
+        assert tuple(ranges) == path
         rec.observe(nbytes=nbytes, t=0.001 * i, priority=prio,
-                    switch_path=list(path),
-                    ranges={sw: EpochRange(*r) for sw, r in ranges.items()},
-                    observed_epoch=1)
+                    **shaped({sw: EpochRange(*r)
+                              for sw, r in ranges.items()}, 1))
     return store
 
 

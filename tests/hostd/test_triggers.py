@@ -9,6 +9,8 @@ from repro.hostd.triggers import (ThroughputDropTrigger,
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import FlowKey, PROTO_TCP, make_tcp
 
+from tests.hostd.eager_records import shaped
+
 
 def key():
     return FlowKey("a", "b", 1, 2, PROTO_TCP)
@@ -91,10 +93,8 @@ class TestThroughputDropTrigger:
         store = FlowRecordStore("b")
         rec = store.record_for(key())
         rec.observe(nbytes=100, t=0.0, priority=0,
-                    switch_path=["S1", "S2"],
-                    ranges={"S1": EpochRange(0, 1),
-                            "S2": EpochRange(0, 2)},
-                    observed_epoch=0)
+                    **shaped({"S1": EpochRange(0, 1),
+                              "S2": EpochRange(0, 2)}, 0))
         trig = ThroughputDropTrigger(sim, key(), "b", store, alerts.append)
         feed(trig, sim, gbps=1.0, duration=0.005)
         sim.run(until=0.012)
@@ -107,8 +107,8 @@ class TestThroughputDropTrigger:
         store = FlowRecordStore("b")
         rec = store.record_for(key())
         # record spans a long history: epochs 0..50
-        rec.observe(nbytes=100, t=0.0, priority=0, switch_path=["S1"],
-                    ranges={"S1": EpochRange(0, 50)}, observed_epoch=0)
+        rec.observe(nbytes=100, t=0.0, priority=0,
+                    **shaped({"S1": EpochRange(0, 50)}, 0))
         trig = ThroughputDropTrigger(sim, key(), "b", store, alerts.append,
                                      clock=EpochClock(1), slack_epochs=1)
         feed(trig, sim, gbps=1.0, duration=0.005)
@@ -128,10 +128,9 @@ class TestAlertTuples:
     def test_restrict_intersects(self):
         store = FlowRecordStore("b")
         rec = store.record_for(key())
-        rec.observe(nbytes=1, t=0.0, priority=0, switch_path=["S1", "S2"],
-                    ranges={"S1": EpochRange(0, 10),
-                            "S2": EpochRange(5, 20)},
-                    observed_epoch=3)
+        rec.observe(nbytes=1, t=0.0, priority=0,
+                    **shaped({"S1": EpochRange(0, 10),
+                              "S2": EpochRange(5, 20)}, 3))
         tuples = alert_tuples_from_record(rec, restrict=EpochRange(8, 12))
         by_sw = {t.switch: t.epochs for t in tuples}
         assert by_sw["S1"] == EpochRange(8, 10)
@@ -140,7 +139,7 @@ class TestAlertTuples:
     def test_disjoint_restriction_keeps_recorded_range(self):
         store = FlowRecordStore("b")
         rec = store.record_for(key())
-        rec.observe(nbytes=1, t=0.0, priority=0, switch_path=["S1"],
-                    ranges={"S1": EpochRange(0, 2)}, observed_epoch=0)
+        rec.observe(nbytes=1, t=0.0, priority=0,
+                    **shaped({"S1": EpochRange(0, 2)}, 0))
         tuples = alert_tuples_from_record(rec, restrict=EpochRange(90, 95))
         assert tuples[0].epochs == EpochRange(0, 2)

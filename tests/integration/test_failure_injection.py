@@ -146,7 +146,7 @@ class TestLossyPath:
         net.run()
         agent = deploy.host_agents["h3_0"]
         rec = next(iter(agent.store))
-        assert rec.switch_path == ["S1", "S2", "S3"]
+        assert rec.switch_path == ("S1", "S2", "S3")
         assert agent.decoder.undecodable == 0
         # some drops must actually have happened for this test to bite
         # (with the shallow queues they occur at the sender's NIC)

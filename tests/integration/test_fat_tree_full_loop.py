@@ -80,7 +80,7 @@ class TestFatTreeVlanLoop:
         net, deploy, sender, victim_path, tags = diagnosed
         rec = deploy.host_agents["h2_0_0"].store.get(sender.flow)
         assert rec is not None
-        assert rec.switch_path == victim_path  # the hops it really took
+        assert list(rec.switch_path) == victim_path  # the hops it really took
         assert len(rec.switch_path) == 5
         assert rec.switch_path[0] == "edge0_0"
 

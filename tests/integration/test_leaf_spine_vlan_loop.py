@@ -59,7 +59,7 @@ class TestLeafSpineVlanLoop:
     def test_record_path_is_leaf_spine_leaf(self, diagnosed):
         net, deploy, sender = diagnosed
         rec = deploy.host_agents["h1_0"].store.get(sender.flow)
-        assert rec.switch_path == ["leaf0", "spine0", "leaf1"]
+        assert rec.switch_path == ("leaf0", "spine0", "leaf1")
 
     def test_alert_and_diagnosis(self, diagnosed):
         net, deploy, sender = diagnosed

@@ -43,8 +43,8 @@ def records_digest(deployment):
             h.update(repr((
                 name, tuple(rec.flow), rec.packets, rec.bytes,
                 tuple(rec.switch_path),
-                tuple((sw, r.lo, r.hi)
-                      for sw, r in rec.epoch_ranges.items()),
+                tuple((sw, lo, hi)
+                      for sw, (lo, hi) in rec.epoch_ranges.items()),
                 tuple(rec.bytes_by_epoch.items()),
                 rec.first_seen, rec.last_seen)).encode())
     return h.hexdigest()

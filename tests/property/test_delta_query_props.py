@@ -15,6 +15,8 @@ from repro.hostd.query import QueryEngine
 from repro.hostd.records import FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
+from tests.hostd.eager_records import shaped
+
 SWITCH_SETS = (("S1",), ("S2",), ("S1", "S2"))
 
 
@@ -40,9 +42,7 @@ def ingest_script(draw):
 
 def _ingest(store, i, switches, lo, t):
     store.ingest(flow_key(i), nbytes=100, t=t, priority=0,
-                 switch_path=list(switches),
-                 ranges={sw: EpochRange(lo, lo + 1) for sw in switches},
-                 observed_epoch=lo)
+                 **shaped({sw: EpochRange(lo, lo + 1) for sw in switches}))
 
 
 def _merged_delta_rounds(store, ops, cuts, switch, epochs):

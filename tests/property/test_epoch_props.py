@@ -49,11 +49,10 @@ def test_ranges_cover_true_epochs(scenario):
 
     est = EpochRangeEstimator(alpha_ms=ALPHA_MS, epsilon_ms=EPS_MS,
                               delta_ms=DELTA_MS)
-    path = [f"S{i}" for i in range(n)]
-    ranges = est.ranges_for_path(path, embed_index, observed)
-    for i in range(n):
-        assert true_epochs[i] in ranges[path[i]], (
-            i, embed_index, true_epochs, ranges[path[i]])
+    offsets = est.offsets(n, embed_index)
+    for i, (lo, hi) in enumerate(offsets):
+        assert observed + lo <= true_epochs[i] <= observed + hi, (
+            i, embed_index, true_epochs, offsets[i])
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,7 +13,6 @@ import math
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.epoch import EpochRange
 from repro.hostd.records import FlowRecordStore
 from repro.simnet.packet import PROTO_UDP, FlowKey
 
@@ -81,9 +80,8 @@ def test_eviction_matches_the_stalest_record_oracle(bound, ops):
         # each victim is the oracle's: what left the table is exactly it
         assert (before | {flow}) - {r.flow for r in store} == set(victims)
         if observe:
-            rec.observe(nbytes=100, t=t, priority=0, switch_path=["S1"],
-                        ranges={"S1": EpochRange(0, 0)},
-                        observed_epoch=0)
+            rec.observe(nbytes=100, t=t, priority=0, switch_path=("S1",),
+                        offsets=((0, 0),), observed_epoch=0)
             oracle.observe(flow, t)
         assert {r.flow for r in store} == set(oracle.table)
         # iteration promises creation order, whatever the table's order

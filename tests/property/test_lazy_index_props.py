@@ -25,6 +25,8 @@ from repro.core.epoch import EpochRange
 from repro.hostd.records import _IDLE, FlowRecordStore
 from repro.simnet.packet import PROTO_UDP, FlowKey
 
+from tests.hostd.eager_records import shaped
+
 SWITCHES = ["S1", "S2", "S3"]
 FLOWS = [FlowKey(f"s{i}", "d", 1000 + i, 9, PROTO_UDP) for i in range(6)]
 
@@ -64,8 +66,10 @@ ingest = st.tuples(
     # a step back in time: an observation out of order (a direct
     # ``observe`` caller; re-sorts the table)
     st.sampled_from([1, 1, 1, 0, -3]),
+    # the packet's range at each switch of its path (the path runs in
+    # the dict's order)
     st.dictionaries(st.sampled_from(SWITCHES), epoch_range,
-                    min_size=0, max_size=3))
+                    min_size=1, max_size=3))
 touch = st.tuples(st.just("touch"), st.integers(0, len(FLOWS) - 1))
 scan = st.tuples(st.just("scan"), st.sampled_from(SWITCHES), window,
                  st.one_of(st.none(), st.integers(0, 30)))
@@ -103,11 +107,7 @@ def replay(steps, max_records):
             t += dt
             for store in (lazy, eager):
                 store.ingest(FLOWS[fid], nbytes=nbytes, t=0.001 * t,
-                             priority=0, switch_path=sorted(ranges),
-                             ranges=ranges,
-                             observed_epoch=min(
-                                 (r.lo for r in ranges.values()),
-                                 default=None))
+                             priority=0, **shaped(ranges))
         elif kind == "touch":
             for store in (lazy, eager):
                 store.record_for(FLOWS[step[1]])

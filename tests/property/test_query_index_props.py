@@ -14,6 +14,8 @@ from repro.hostd.query import FlowSummary, QueryEngine
 from repro.hostd.records import _IDLE, FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
+from tests.hostd.eager_records import shaped
+
 SWITCHES = ["S1", "S2", "S3", "S4", "S5"]
 
 
@@ -52,10 +54,7 @@ def build(ops, max_records=None, tie_every=None, crash_at=None):
             store.drop_all()
         tick = i if tie_every is None else i // tie_every
         store.ingest(flow_key(fid), nbytes=nbytes, t=0.001 * tick,
-                     priority=0, switch_path=sorted(ranges),
-                     ranges=ranges, observed_epoch=min(r.lo
-                                                       for r in
-                                                       ranges.values()))
+                     priority=0, **shaped(ranges))
     return store
 
 

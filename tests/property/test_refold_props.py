@@ -17,7 +17,7 @@ pinning must fail alike in both.
 
 from hypothesis import Phase, given, settings, strategies as st
 
-from repro.core.epoch import EpochClock, EpochRange, EpochRangeEstimator
+from repro.core.epoch import EpochClock, EpochRangeEstimator
 from repro.core.headers import VlanDoubleTag
 from repro.hostd.decoder import TelemetryDecoder
 from repro.hostd.records import FlowRecordStore
@@ -121,11 +121,11 @@ def test_repeat_fold_equals_full_parse(steps, bound, hand_folds):
                 # a fold that is no refold — with a lag, a path short of
                 # its last hop, which the next VLAN parse must overwrite
                 path = paths[key.src, key.dst]
-                path = path[:len(path) - lag]
-                ranges = {sw: EpochRange(epoch, epoch) for sw in path}
+                path = tuple(path[:len(path) - lag])
+                offsets = ((0, 0),) * len(path)
                 for decoders in (fast, full):
                     decoders[key.dst].store.record_for(key).observe(
-                        size, now, prio, path, ranges, epoch)
+                        size, now, prio, path, offsets, epoch)
             else:
                 vlan = (stale if mode == 1 else links)[key.src,
                                                        key.dst].vlan_id

@@ -75,7 +75,7 @@ def test_decoded_records_match_ground_truth_paths(sends):
     for name, agent in deploy.host_agents.built.items():
         for rec in agent.store:
             assert rec.flow.dst == name
-            assert rec.switch_path == ["S1", "S2"]
+            assert rec.switch_path == ("S1", "S2")
             # decoder can never invent epochs the estimator disallows
             for sw in rec.switch_path:
                 assert rec.epochs_at(sw) is not None

@@ -159,13 +159,15 @@ def test_sim_clock_names_each_write_outside_the_engine():
 
 def test_record_write_names_each_write_outside_the_store():
     violations = lint_fixture("record-write", "violating")
-    # a whole-field write, an item write and two unpacked header writes
-    # in the decoder; its own packet count, a local read and the
-    # store's writes are not reported
+    # a whole-field write, an item write, two unpacked header writes,
+    # the shape (path and offsets), a span end and the folded dict in
+    # the decoder; its own packet count, a local read and the store's
+    # writes are not reported
     assert {v.rel for v in violations} == {"src/repro/hostd/decoder.py"}
     assert sorted((v.line, v.message.split()[1]) for v in violations) == [
         (6, ".last_seen"), (7, ".bytes_by_epoch"), (8, "._tag"),
-        (8, "._tag_epoch")]
+        (8, "._tag_epoch"), (10, "._shape"), (10, ".switch_path"),
+        (11, "._span_hi"), (12, "._folded")]
     assert all("only the record store writes a flow record" in v.message
                for v in violations)
 

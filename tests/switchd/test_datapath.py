@@ -68,7 +68,7 @@ class TestClockBehind:
         net.hosts["h1_0"].send(make_udp("h1_0", "h3_0", 1, 9, 500))
         net.run()
         (rec,) = deploy.host_agents["h3_0"].store
-        assert (rec.packets, rec.switch_path) == (1, ["S1", "S2", "S3"])
+        assert (rec.packets, rec.switch_path) == (1, ("S1", "S2", "S3"))
         slot = deploy.directory.slot_of("h3_0")
         for name in ("S1", "S2", "S3"):
             store = deploy.datapaths[name].store

@@ -1500,7 +1500,8 @@ class TestOnly(Rule):
 RECORD_OWNER = f"{SRC}/hostd/records.py"
 RECORD_FIELDS = frozenset({
     "_update_seq", "last_seen", "first_seen", "bytes_by_epoch",
-    "epoch_ranges", "_tag", "_tag_epoch", "_tag_version", "_tag_observed"})
+    "switch_path", "_shape", "_span_lo", "_span_hi", "_folded",
+    "_tag", "_tag_epoch", "_tag_version", "_tag_observed"})
 
 
 @register_rule
@@ -1510,8 +1511,9 @@ class RecordWrite(Rule):
     spec = RuleSpec(
         name="record-write",
         summary="assignments to a FlowRecord's fold state (_update_seq, "
-        "first/last_seen, bytes_by_epoch, epoch_ranges, _tag*) are banned "
-        "in src/repro outside hostd/records.py",
+        "first/last_seen, bytes_by_epoch, the shape switch_path/_shape, "
+        "the span _span_lo/_span_hi, _folded, _tag*) are banned in "
+        "src/repro outside hostd/records.py",
         rationale="The store folds a packet whose header a record folded "
         "last without parsing it (FlowRecordStore.refold); that is exact "
         "only while every write to a record goes through the store, so a "
