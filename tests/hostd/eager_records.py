@@ -35,9 +35,9 @@ def shaped(ranges, observed=None):
     """The ``switch_path``, ``offsets`` and ``observed_epoch`` arguments
     of a packet whose :func:`ranges_of` is ``ranges``; the path runs in
     the dict's order and the observed epoch defaults to the least
-    ``lo``."""
+    ``lo`` (0 for a packet with no path)."""
     if observed is None:
-        observed = min(r.lo for r in ranges.values())
+        observed = min((r.lo for r in ranges.values()), default=0)
     return {"switch_path": tuple(ranges),
             "offsets": tuple((r.lo - observed, r.hi - observed)
                              for r in ranges.values()),

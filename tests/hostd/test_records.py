@@ -2,6 +2,7 @@
 
 from repro.core.epoch import EpochRange
 from repro.hostd.records import FlowRecord, FlowRecordStore
+from repro.hostd.triggers import alert_tuples_from_record
 from repro.simnet.packet import FlowKey, PROTO_TCP
 
 from tests.hostd.eager_records import shaped
@@ -132,6 +133,20 @@ class TestDerivedRanges:
             ("S1", (2, 6)), ("S2", (4, 9)), ("S3", (4, 9)),
             ("S4", (9, 9))]
         assert rec.epochs_at("S2") == EpochRange(4, 9)
+
+    def test_a_packet_with_no_path_counts_and_moves_no_range(self):
+        rec = FlowRecord(flow=key())
+        path = ("S1", "S2", "S3")
+        rec.observe(nbytes=1, t=0.0, priority=0, switch_path=path,
+                    offsets=self.OFFSETS, observed_epoch=5)
+        rec.observe(nbytes=2, t=0.1, priority=0, switch_path=(),
+                    offsets=(), observed_epoch=1)
+        assert rec.switch_path is path and rec._shape is self.OFFSETS
+        assert (rec._span_lo, rec._span_hi, rec._folded) == (5, 5, None)
+        assert (rec.packets, rec.bytes_by_epoch) == (2, {5: 1, 1: 2})
+        assert [(a.switch, a.epochs) for a in alert_tuples_from_record(
+            rec)] == [("S1", EpochRange(2, 6)), ("S2", EpochRange(4, 6)),
+                      ("S3", EpochRange(4, 9))]
 
     def test_the_view_is_a_fresh_dict(self):
         rec = FlowRecord(flow=key())

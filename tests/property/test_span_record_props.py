@@ -8,7 +8,7 @@ and restarts the span.  ``tests/hostd/eager_records.py`` keeps the
 per-switch dicts eagerly, unioning every packet's range.  Both stores
 replay the same random ops — ingest over paths and embed positions that
 change mid-flow (and paths handed as equal copies, which are no
-change), observed epochs skewed and out of order, observation times
+change, and packets with no path, which move no range), observed epochs skewed and out of order, observation times
 stepping back, repeats of a flow's last header through ``refold``,
 records created and never observed, evictions from a bounded table and
 crash losses — and must agree after every step on ``epochs_at``, the
@@ -61,8 +61,9 @@ ingest = st.tuples(
     st.integers(1, 5_000),
     # a step back in time re-sorts the table
     st.sampled_from([1, 1, 1, 0, -3]),
-    # None: the flow's current path (mostly), else a new one
-    st.sampled_from([None, None, None, *range(len(PATHS))]),
+    # None: the flow's current path (mostly), "empty": a packet with no
+    # path, else a new one
+    st.sampled_from([None, None, None, "empty", *range(len(PATHS))]),
     st.sampled_from([None, None, 0, 1, 3]),
     # skewed and out of order
     st.integers(0, 30),
@@ -131,21 +132,25 @@ def replay(steps, max_records):
         kind = step[0]
         if kind == "ingest":
             _, fid, nbytes, dt, path_i, embed, observed, copy = step
-            path, embed_at = route.get(fid, (PATHS[fid], 0))
-            if path_i is not None:
-                path = PATHS[path_i]
-            if embed is not None:
-                embed_at = embed
-            embed_at %= len(path)
-            route[fid] = (path, embed_at)
-            handed = tuple(list(path)) if copy else path
-            offsets = ESTIMATOR.offsets(len(path), embed_at)
+            if lazy.get(FLOWS[fid]) is None:
+                shapes[fid] = set()
+            if path_i == "empty":
+                # no path: counts, moves no range, keeps the shape
+                handed = offsets = ()
+            else:
+                path, embed_at = route.get(fid, (PATHS[fid], 0))
+                if path_i is not None:
+                    path = PATHS[path_i]
+                if embed is not None:
+                    embed_at = embed
+                embed_at %= len(path)
+                route[fid] = (path, embed_at)
+                handed = tuple(list(path)) if copy else path
+                offsets = ESTIMATOR.offsets(len(path), embed_at)
+                shapes[fid].add((path, offsets))
             t += dt
             args = (FLOWS[fid], nbytes, 0.001 * t, fid % 3, handed,
                     offsets, observed)
-            if lazy.get(FLOWS[fid]) is None:
-                shapes[fid] = set()
-            shapes[fid].add((path, offsets))
             tag = object()
             lazy.ingest(*args, tag, 0, 0)
             eager.ingest(*args)
@@ -163,7 +168,8 @@ def replay(steps, max_records):
                 shapes[fid] = set()
             if not lazy.refold(pkt, args[2], tag, 0, 0):
                 lazy.ingest(*args, tag, 0, 0)
-            shapes[fid].add((tuple(args[4]), args[5]))
+            if args[4]:
+                shapes[fid].add((tuple(args[4]), args[5]))
             eager.ingest(*args)
         elif kind == "touch":
             fid = step[1]
