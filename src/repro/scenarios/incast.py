@@ -236,15 +236,16 @@ register_experiment(ExperimentSpec(
                 "port's queue built at its first packet, a background "
                 "flow's state held only while it sends, a record index "
                 "built at its first scan, a flow's ECMP hash carried by "
-                "its packets and one shared port block per receiver: "
-                "hosts=4096 bg_flows=2000 at 0.62-0.69 s wall (build "
-                "0.07-0.09 s, run 0.55-0.59 s, diagnose 0.003 s; 37 MB "
+                "its packets, one shared port block per receiver and a "
+                "flow record holding one observed-epoch span: "
+                "hosts=4096 bg_flows=2000 at 0.44 s wall (build "
+                "0.05 s, run 0.39 s, diagnose 0.003 s; 35 MB "
                 "peak RSS; 80-switch leaf-spine, 2009 concurrent flows, "
-                "1,610 host agents); hosts=65536 bg_flows=100000 at "
-                "27.7-31.0 s wall (build 1.7 s, run 26.0-29.2 s, "
-                "diagnose 0.06 s; 366-369 MB peak RSS; 64-leaf/16-spine "
-                "fabric, 65,536 hosts, 100k background flows, 51,307 "
-                "host agents; 1,702,316 events), the whole nightly "
+                "1,563 host agents); hosts=65536 bg_flows=100000 at "
+                "16.9-17.6 s wall (build 1.1 s, run 15.7-16.5 s, "
+                "diagnose 0.03 s; 293 MB peak RSS; 64-leaf/16-spine "
+                "fabric, 65,536 hosts, 100k background flows, 51,192 "
+                "host agents; 1,677,454 events), the whole nightly "
                 "table in 39 s. Adding further top-end points must "
                 "re-measure and keep the whole nightly run under "
                 "~10 min.",
