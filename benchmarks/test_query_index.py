@@ -4,8 +4,8 @@ Populates one host's record store with 10k+ flow records spread across
 a 64-switch fabric, then times the two Fig 12 query primitives —
 ``flows_matching`` and ``top_k_flows`` — through the per-switch
 inverted index versus the pre-index linear scan
-(:meth:`FlowRecordStore.linear_flows_through`, the old implementation
-kept as reference).  Asserts the ≥5× speedup the index exists for,
+(``tests/hostd/eager_records.py::linear_flows_through``, the old
+implementation, kept with the test oracles).  Asserts the ≥5× speedup the index exists for,
 its deterministic twin — the indexed scans examine ≥5× fewer records
 than a linear scan of every query's table — and that both paths return
 byte-identical payloads (the equivalence the property suite checks
@@ -21,6 +21,7 @@ from repro.hostd.records import FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
 from benchmarks.reporting import emit
+from tests.hostd.eager_records import linear_flows_through
 
 N_RECORDS = 10_000
 N_SWITCHES = 64
@@ -50,12 +51,12 @@ def build_store() -> FlowRecordStore:
 def linear_flows_matching(store, switch, epochs):
     """The pre-index implementation of the §3 header filter."""
     return [FlowSummary.of(r)
-            for r in store.linear_flows_through(switch, epochs)]
+            for r in linear_flows_through(store, switch, epochs)]
 
 
 def linear_top_k(store, k, switch, epochs):
     """The pre-index implementation: full scan + full sort."""
-    matches = store.linear_flows_through(switch, epochs)
+    matches = linear_flows_through(store, switch, epochs)
     top = sorted(matches, key=lambda r: (-r.bytes, r.flow))[:k]
     return [FlowSummary.of(r) for r in top]
 

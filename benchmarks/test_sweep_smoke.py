@@ -1,15 +1,12 @@
-"""Sweep-smoke benchmark: the CI regression-gate anchor for sweeps.
+"""Sweep-smoke benchmark: the sweep path end to end in CI.
 
 Runs the registered ``incast`` scale sweep at its two smallest
 populations — its one-repetition run table with the grid overridden
-(inline, one worker, fixed seed) — and persists
-its run artifacts to ``results/sweep_smoke.json`` as ``{"runs": [...],
-"wall_time_s": total}``.  ``tools/check_bench_regression.py`` checks
-each run document, then compares the per-run wall times in it against
-the committed baseline in ``benchmarks/baselines/sweep_smoke.json`` and
-fails CI on a >30% regression — this file is what keeps the runner's
-per-point overhead honest, while the nightly scheduled run covers the
-thousand-host end of the grid.
+(inline, one worker, fixed seed) — checks every run document with
+:meth:`RunArtifact.check` and persists the run artifacts to
+``results/sweep_smoke.json`` as ``{"runs": [...], "wall_time_s":
+total}``.  The nightly scheduled run covers the thousand-host end of
+the grid.
 """
 
 import json

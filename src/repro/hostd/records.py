@@ -43,8 +43,8 @@ leading run of equal ``last_seen``.  An observation earlier than the
 latest (only a direct :meth:`FlowRecord.observe` caller can make one;
 the simulator's clock is monotone) re-sorts the table.  Readers that
 promise creation order sort by ``_seq`` themselves: iteration sorts the
-table, :meth:`linear_flows_through` only its matches, and a scan its
-bucket — so the order in which records entered a bucket never shows.
+table and a scan its bucket — so the order in which records entered a
+bucket never shows.
 
 Most hosts of a large fabric never receive a packet, so a store is
 **idle** until its first record arrives: its three tables are the one
@@ -510,24 +510,3 @@ class FlowRecordStore:
                 and (since_seq is None or rec._update_seq > since_seq)]
         hits.sort()
         return [rec for _, rec in hits], cut
-
-    def linear_flows_through(self, switch: str,
-                             epochs: Optional[EpochRange] = None
-                             ) -> list[FlowRecord]:
-        """Reference O(N) scan of the flat table (pre-index behaviour).
-
-        Kept as the equivalence oracle for the index property tests and
-        the baseline for the query benchmarks; not used on the query
-        path.  Answers in creation order, as the index does.
-        """
-        out = []
-        for rec in self._records.values():
-            bounds = rec._bounds_at(switch)
-            if bounds is None:
-                continue
-            if epochs is not None and not (bounds[0] <= epochs.hi
-                                           and epochs.lo <= bounds[1]):
-                continue
-            out.append(rec)
-        out.sort(key=_record_seq)
-        return out

@@ -11,7 +11,9 @@ and logs each victim.  Both take what the decoder hands the store — a
 path, the offsets of its shape and the observed epoch.
 
 :func:`shaped` turns a switchID → range dict into such a triple, so
-tests can keep stating the ranges they mean.
+tests can keep stating the ranges they mean.  :func:`linear_flows_through`
+is the linear scan the real store's per-switch index is checked (and
+benchmarked) against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.epoch import EpochRange
+from repro.hostd.records import _record_seq
 from repro.simnet.packet import FlowKey
 
 
@@ -29,6 +32,27 @@ def ranges_of(path, offsets, observed):
     ``ranges_for_path``)."""
     return {sw: EpochRange(observed + lo, observed + hi)
             for sw, (lo, hi) in zip(path, offsets)}
+
+
+def linear_flows_through(store, switch, epochs=None):
+    """Reference O(N) scan of a :class:`FlowRecordStore`'s flat table
+    (pre-index behaviour).
+
+    The equivalence oracle for the index property tests and the
+    baseline for the query benchmark.  Answers in creation order, as
+    the index does.
+    """
+    out = []
+    for rec in store._records.values():
+        bounds = rec._bounds_at(switch)
+        if bounds is None:
+            continue
+        if epochs is not None and not (bounds[0] <= epochs.hi
+                                       and epochs.lo <= bounds[1]):
+            continue
+        out.append(rec)
+    out.sort(key=_record_seq)
+    return out
 
 
 def shaped(ranges, observed=None):

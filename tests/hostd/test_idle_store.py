@@ -14,7 +14,7 @@ from repro.hostd.query import QueryEngine, QueryResult
 from repro.hostd.records import _IDLE, FlowRecordStore
 from repro.simnet.packet import FlowKey, PROTO_UDP
 
-from tests.hostd.eager_records import shaped
+from tests.hostd.eager_records import linear_flows_through, shaped
 
 FLOW = FlowKey("a", "b", 1, 9, PROTO_UDP)
 WINDOW = EpochRange(0, 10)
@@ -52,7 +52,7 @@ class TestIdleReads:
         assert idle.scan_through("S1", epochs,
                                  since_seq=since_seq) == ([], 0)
         assert idle.flows_through("S1", epochs) == []
-        assert idle.linear_flows_through("S1", epochs) == []
+        assert linear_flows_through(idle, "S1", epochs) == []
 
     def test_every_query(self, idle):
         engine = QueryEngine(idle)

@@ -5,7 +5,7 @@ from repro.hostd.records import FlowRecord, FlowRecordStore
 from repro.hostd.triggers import alert_tuples_from_record
 from repro.simnet.packet import FlowKey, PROTO_TCP
 
-from tests.hostd.eager_records import shaped
+from tests.hostd.eager_records import linear_flows_through, shaped
 
 
 def key(i=0, proto=PROTO_TCP):
@@ -180,7 +180,7 @@ class TestObserveKeepsTheIndexFresh:
         for window in (EpochRange(0, 15), EpochRange(21, 21),
                        EpochRange(0, 99)):
             assert (store.flows_through("S1", window)
-                    == store.linear_flows_through("S1", window))
+                    == linear_flows_through(store, "S1", window))
 
     def test_higher_hi_keeps_the_cache_and_is_read_live(self):
         store = self._store()
@@ -192,7 +192,7 @@ class TestObserveKeepsTheIndexFresh:
         assert [r.flow for r in store.flows_through("S1", window)] == [
             key(0)]
         assert (store.flows_through("S1", window)
-                == store.linear_flows_through("S1", window))
+                == linear_flows_through(store, "S1", window))
 
     def test_lower_lo_still_invalidates(self):
         store = self._store()
@@ -203,7 +203,7 @@ class TestObserveKeepsTheIndexFresh:
         assert [r.flow for r in store.flows_through("S1", window)] == [
             key(2)]
         assert (store.flows_through("S1", window)
-                == store.linear_flows_through("S1", window))
+                == linear_flows_through(store, "S1", window))
 
     def test_a_new_shape_reindexes_and_folded_switches_stay(self):
         store = self._store()
@@ -218,3 +218,49 @@ class TestObserveKeepsTheIndexFresh:
         store.max_records = 1
         store.record_for(key(9))  # evicts flows 1 and 2, then 0
         assert store.flows_through("S1") == store.flows_through("S2") == []
+
+
+class TestLinearOracle:
+    """The reference scan that the index tests and the query benchmark
+    compare against, checked against answers worked out by hand."""
+
+    def test_answers_every_flow_through_the_switch_in_creation_order(self):
+        store = FlowRecordStore("h")
+        for i in (2, 0, 1):
+            ingest(store, i, t=0.0, lo=10, hi=12, epoch=10)
+        store.ingest(key(3), nbytes=1, t=0.0, priority=0,
+                     **shaped({"S2": EpochRange(10, 12)}, 10))
+        ingest(store, 2, t=0.1, lo=11, hi=13, epoch=11)
+        assert [r.flow for r in linear_flows_through(store, "S1")] == [
+            key(2), key(0), key(1)]
+        assert [r.flow for r in linear_flows_through(store, "S2")] == [
+            key(3)]
+        assert linear_flows_through(store, "S9") == []
+
+    def test_a_window_keeps_ranges_that_touch_it(self):
+        store = FlowRecordStore("h")
+        for i, lo in enumerate((10, 20, 30)):
+            ingest(store, i, t=0.0, lo=lo, hi=lo + 2, epoch=lo)
+
+        def flows(lo, hi):
+            return [r.flow for r in
+                    linear_flows_through(store, "S1", EpochRange(lo, hi))]
+
+        assert flows(12, 20) == [key(0), key(1)]
+        assert flows(13, 19) == []
+        assert flows(32, 99) == [key(2)]
+        assert flows(0, 9) == []
+
+    def test_each_switch_of_a_path_answers_with_its_derived_range(self):
+        store = FlowRecordStore("h")
+        store.ingest(key(0), nbytes=1, t=0.0, priority=0,
+                     **shaped({"S1": EpochRange(4, 6),
+                               "S2": EpochRange(5, 7)}, 5))
+        window = EpochRange(7, 7)
+        assert linear_flows_through(store, "S1", window) == []
+        assert [r.flow for r in linear_flows_through(store, "S2", window)] \
+            == [key(0)]
+        ingest(store, 0, t=0.1, lo=40, hi=40, epoch=40)
+        assert [r.flow for r in
+                linear_flows_through(store, "S1", EpochRange(35, 36))] \
+            == [key(0)]

@@ -25,7 +25,7 @@ from repro.core.epoch import EpochRange
 from repro.hostd.records import _IDLE, FlowRecordStore
 from repro.simnet.packet import PROTO_UDP, FlowKey
 
-from tests.hostd.eager_records import shaped
+from tests.hostd.eager_records import linear_flows_through, shaped
 
 SWITCHES = ["S1", "S2", "S3"]
 FLOWS = [FlowKey(f"s{i}", "d", 1000 + i, 9, PROTO_UDP) for i in range(6)]
@@ -143,7 +143,7 @@ def replay(steps, max_records):
                     # the oracle shares the upkeep code: the flat scan
                     # checks both
                     assert got[0] == [r.flow for r in
-                                      lazy.linear_flows_through(sw, epochs)]
+                                      linear_flows_through(lazy, sw, epochs)]
         elif len(lazy):
             # no scan since the table opened: nothing was built
             assert lazy._sorted is _IDLE

@@ -50,7 +50,6 @@ REASONS = {
     "fire, or a helper only that verb calls",
     "ledger-traced": "named in benchmarks/ledger/trace.py's TABLE (frozen)",
     "item-1b": "AutoDebugger/Incident, kept for ROADMAP item 1b",
-    "item-3d": "FlowRecordStore.linear_flows_through, ROADMAP item 3(d)",
 }
 
 #: The run seed of every scenario and run table the census drives.
