@@ -11,7 +11,6 @@ from .netdebug import (ConformanceReport, ConformanceViolation,
                        localize_packet_drops)
 from .session import (DiagnosisSession, STATUS_COMPLETE, STATUS_DEGRADED,
                       STATUS_STALE, VERDICT_STATES)
-from .autodebug import AutoDebugger, Incident
 
 __all__ = [
     "Analyzer", "HostsPerSwitch",
@@ -25,5 +24,4 @@ __all__ = [
     "DropLocalization", "localize_packet_drops",
     "ConformanceReport", "ConformanceViolation",
     "check_path_conformance",
-    "AutoDebugger", "Incident",
 ]

@@ -279,7 +279,14 @@ class Scenario(abc.ABC):
 
     @abc.abstractmethod
     def diagnose(self) -> list[Verdict]:
-        """Run the analyzer app(s) and return their verdicts."""
+        """Run the analyzer app(s) and return their verdicts.
+
+        This is the one diagnosis path.  An alert-driven scenario
+        diagnoses the run's first alert, the onset.  Which alert is
+        diagnosed changes the verdict: at contention's default knobs
+        the 31 ms alert reads priority-contention from 9 hosts, the
+        103 ms one microburst-contention from 1 host.
+        """
 
     # -- driver --------------------------------------------------------------
 

@@ -18,11 +18,6 @@ def traced_step():
     return None
 
 
-class Planned:  # reprolint: allow[test-only]
-    def later(self):
-        return None
-
-
 @register_backend("exact")
 def _exact_factory():
     return Store()

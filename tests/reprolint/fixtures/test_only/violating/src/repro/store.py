@@ -1,7 +1,8 @@
-"""Fixture: three definitions only tests reach.
+"""Fixture: five definitions only tests reach.
 
 spill_to_disk, orphan_helper and comment_only are named here, in a
-docstring, which is not a use.
+docstring, which is not a use.  Planned and its method later are named
+nowhere else at all.
 """
 
 from .registry import register_backend
@@ -36,7 +37,7 @@ def traced_step():
     return None
 
 
-class Planned:  # reprolint: allow[test-only]
+class Planned:
     def later(self):
         return None
 

@@ -175,16 +175,17 @@ def test_record_write_names_each_write_outside_the_store():
 def test_test_only_names_what_only_tests_reach():
     violations = lint_fixture("test-only", "violating")
     # a method its own body and a docstring name, a function only the
-    # package re-exports, one only a comment names; tests/ calls all three
+    # package re-exports, one only a comment names (tests/ calls all
+    # three), and a class nothing names with its method
     assert {v.rel for v in violations} == {"src/repro/store.py"}
     assert [v.message.split(" is named")[0] for v in violations] == [
-        "def spill_to_disk", "def orphan_helper", "def comment_only"]
+        "def spill_to_disk", "def orphan_helper", "def comment_only",
+        "class Planned", "def later"]
     # exempt or used: a dunder, the registered factory, a method a tool
-    # reads, a function a trace string names, and the allow[test-only]
-    # class with its method
+    # reads, a function a trace string names
     blob = "\n".join(v.message for v in violations)
     for name in ("__len__", "_exact_factory", "describe", "traced_step",
-                 "Planned", "later", "main"):
+                 "main"):
         assert f" {name} " not in blob
 
 

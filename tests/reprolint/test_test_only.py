@@ -114,38 +114,49 @@ EXEMPT = {
         def _factory():
             return 1
     """,
-    "pragma-on-def": """
-        def target():  # reprolint: allow[test-only]
-            return 1
-    """,
-    "pragma-on-decorator": """
-        import functools
-
-
-        @functools.lru_cache(maxsize=8)  # reprolint: allow[test-only]
-        def target():
-            return 1
-    """,
-    "pragma-on-a-signature-line": """
-        def target(
-            a: int = 1,  # reprolint: allow[test-only]
-        ):
-            return a
-    """,
-    "pragma-on-class-covers-methods": """
-        class Planned:  # reprolint: allow[test-only]
-            def later(self):
-                return 1
-
-            def much_later(self):
-                return 2
-    """,
 }
 
 
 @pytest.mark.parametrize("source", EXEMPT.values(), ids=EXEMPT.keys())
 def test_exempt_definitions_are_not_flagged(tmp_path, source):
     assert flagged(tmp_path, {"src/repro/mod.py": source}) == []
+
+
+# -- no pragma: a comment exempts nothing ----------------------------------
+
+PRAGMAS = {
+    "pragma-on-def": ("""
+        def target():  # reprolint: allow[test-only]
+            return 1
+    """, ["def target"]),
+    "pragma-on-decorator": ("""
+        import functools
+
+
+        @functools.lru_cache(maxsize=8)  # reprolint: allow[test-only]
+        def target():
+            return 1
+    """, ["def target"]),
+    "pragma-on-a-signature-line": ("""
+        def target(
+            a: int = 1,  # reprolint: allow[test-only]
+        ):
+            return a
+    """, ["def target"]),
+    "pragma-on-class": ("""
+        class Planned:  # reprolint: allow[test-only]
+            def later(self):
+                return 1
+
+            def much_later(self):
+                return 2
+    """, ["class Planned", "def later", "def much_later"]),
+}
+
+
+@pytest.mark.parametrize("source, expected", PRAGMAS.values(), ids=PRAGMAS.keys())
+def test_an_allow_comment_does_not_exempt(tmp_path, source, expected):
+    assert flagged(tmp_path, {"src/repro/mod.py": source}) == expected
 
 
 # -- reporting and scope ---------------------------------------------------
@@ -190,14 +201,6 @@ def test_unused_nested_function(tmp_path):
 
         outer()
     """}) == ["def inner"]
-
-
-def test_pragma_on_a_method_does_not_cover_its_class(tmp_path):
-    assert flagged(tmp_path, {"src/repro/mod.py": """
-        class Orphan:
-            def later(self):  # reprolint: allow[test-only]
-                return 1
-    """}) == ["class Orphan"]
 
 
 def test_another_rules_pragma_does_not_exempt(tmp_path):
@@ -256,10 +259,11 @@ def test_a_dataclass_field_src_reads_is_kept(tmp_path):
     }) == []
 
 
-def test_a_pragma_on_the_field_line_exempts_it(tmp_path):
+def test_a_pragma_on_the_field_line_does_not_exempt_it(tmp_path):
     source = FIELDS.replace("field(default=0)",
                             "field(default=0)  # reprolint: allow[test-only]")
-    assert flagged(tmp_path, {"src/repro/mod.py": source}) == []
+    assert flagged(tmp_path, {"src/repro/mod.py": source}) == [
+        "field Packet.pkt_id"]
 
 
 def test_a_slot_named_nowhere_else_is_flagged(tmp_path):

@@ -49,7 +49,6 @@ REASONS = {
     "fault-verb": "a registered fault's inject/heal the entry set does not "
     "fire, or a helper only that verb calls",
     "ledger-traced": "named in benchmarks/ledger/trace.py's TABLE (frozen)",
-    "item-1b": "AutoDebugger/Incident, kept for ROADMAP item 1b",
 }
 
 #: The run seed of every scenario and run table the census drives.

@@ -1362,12 +1362,6 @@ def _is_registered(node: ast.AST) -> bool:
     return False
 
 
-def _header_lines(node: ast.AST) -> range:
-    """The decorator, signature and class lines a pragma may sit on."""
-    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-    return range(first, max(node.lineno, node.body[0].lineno - 1) + 1)
-
-
 def _is_class_var(annotation: ast.expr) -> bool:
     """``ClassVar[...]`` / ``KW_ONLY``: annotations that make no field."""
     target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
@@ -1421,11 +1415,8 @@ class TestOnly(Rule):
         "keywords and identifier-only strings in src/ (less package "
         "re-exports), tools/, benchmarks/ and examples/ — never "
         "docstrings, comments or tests/",
-        pragma="test-only",
-        fix="Delete it (and its tests), or give it a caller on purpose; "
-        "a definition whose caller is planned carries the pragma on its "
-        "def or class line, which also covers a class's methods and "
-        "fields, or on the field's own line.",
+        pragma=None,
+        fix="Delete it (and its tests), or give it a caller.",
     )
 
     def check(self, project: Project) -> Iterator[Violation]:
@@ -1435,37 +1426,30 @@ class TestOnly(Rule):
             for name, line in _name_sites(module):
                 sites.setdefault(name, []).append((module.rel, line))
         for module in project.under(SRC):
-            yield from self._check_body(module, module.tree.body, sites, False)
+            yield from self._check_body(module, module.tree.body, sites)
 
     def _check_body(
         self,
         module: Module,
         body: list[ast.stmt],
         sites: dict[str, list[tuple[str, int]]],
-        allowed: bool,
     ) -> Iterator[Violation]:
         for node in body:
             if not isinstance(node, _DEFS):
                 continue
-            exempt = allowed or any(
-                "test-only" in module.pragmas.get(line, ())
-                for line in _header_lines(node)
-            )
-            if not (exempt or _is_dunder(node.name) or _is_registered(node)):
+            if not (_is_dunder(node.name) or _is_registered(node)):
                 if self._unused(module, node.name, node, sites):
                     kind = "class" if isinstance(node, ast.ClassDef) else "def"
                     yield self._flag(module, node.lineno, kind, node.name)
-            if isinstance(node, ast.ClassDef) and not exempt:
+            if isinstance(node, ast.ClassDef):
                 for kind, name, stmt in _fields(node):
                     if not (
-                        _is_dunder(name)
-                        or "test-only" in module.pragmas.get(stmt.lineno, ())
-                        or not self._unused(module, name, stmt, sites)
+                        _is_dunder(name) or not self._unused(module, name, stmt, sites)
                     ):
                         yield self._flag(
                             module, stmt.lineno, kind, f"{node.name}.{name}"
                         )
-            yield from self._check_body(module, node.body, sites, exempt)
+            yield from self._check_body(module, node.body, sites)
 
     @staticmethod
     def _unused(
