@@ -203,6 +203,14 @@ def test_unused_nested_function(tmp_path):
     """}) == ["def inner"]
 
 
+def test_pragma_on_a_method_does_not_cover_its_class(tmp_path):
+    assert flagged(tmp_path, {"src/repro/mod.py": """
+        class Orphan:
+            def later(self):  # reprolint: allow[test-only]
+                return 1
+    """}) == ["class Orphan", "def later"]
+
+
 def test_another_rules_pragma_does_not_exempt(tmp_path):
     assert flagged(tmp_path, {"src/repro/mod.py": """
         def target():  # reprolint: allow[wall-clock]
