@@ -392,15 +392,17 @@ def diagnose_incast(analyzer: Analyzer, alert: VictimAlert, *,
 # ---------------------------------------------------------------------------
 
 def diagnose_gray_failure(analyzer: Analyzer, flow: FlowKey, *,
-                          silence_epochs: EpochRange) -> Verdict:
+                          silence_epochs: Optional[EpochRange]) -> Verdict:
     """Localize a silent (gray) drop of ``flow`` to one hop.
 
     ``silence_epochs`` is the window in which the destination stopped
-    seeing the flow.  The trajectory is the flow record at the
-    destination host (captured while the flow was still healthy); the
-    per-switch pointers over the silence window then form the spatial
-    cut that :func:`~repro.analyzer.netdebug.localize_packet_drops`
-    turns into a suspect hop.
+    seeing the flow (:func:`~repro.analyzer.netdebug.silence_window`;
+    None when no whole epoch went silent).  The trajectory is the flow
+    record at the destination host (captured while the flow was still
+    healthy); the per-switch pointers over the silence window then form
+    the spatial cut that
+    :func:`~repro.analyzer.netdebug.localize_packet_drops` turns into a
+    suspect hop.
     """
     agent = analyzer.host_agents.get(flow.dst)
     rec = agent.store.get(flow) if agent is not None else None
@@ -411,7 +413,7 @@ def diagnose_gray_failure(analyzer: Analyzer, flow: FlowKey, *,
 
 
 def diagnose_gray_failure_online(analyzer: Analyzer, flow: FlowKey, *,
-                                 silence_epochs: EpochRange,
+                                 silence_epochs: Optional[EpochRange],
                                  session: "DiagnosisSession"
                                  ) -> Verdict:
     """The incremental, simulated-time variant of gray-failure diagnosis.
@@ -449,7 +451,7 @@ def diagnose_gray_failure_online(analyzer: Analyzer, flow: FlowKey, *,
     bd = bd.merged(loc.breakdown)
 
     # step 3: catch evidence that landed while steps 1-2 consumed time
-    if path:
+    if path and silence_epochs is not None:
         _, d_bd = session.delta_flows([flow.dst], path[0], silence_epochs)
         bd = bd.merged(d_bd)
 
@@ -458,23 +460,31 @@ def diagnose_gray_failure_online(analyzer: Analyzer, flow: FlowKey, *,
 
 
 def _gray_verdict(analyzer: Analyzer, flow: FlowKey, loc: DropLocalization,
-                  window: EpochRange, bd: Breakdown,
+                  window: Optional[EpochRange], bd: Breakdown,
                   consulted: list[str]) -> Verdict:
     """Turn a spatial cut into a gray-failure verdict.
 
     The suspect is the first silent hop when it runs SwitchPointer (the
     last forwarding one otherwise), named with the switches whose
-    directories over ``window`` look most like its own.
+    directories over ``window`` look most like its own.  The upstream
+    switches named are the forwarding ones before the cut.
     """
-    if loc.suspect_hop is None:
+    if window is None or loc.suspect_hop is None:
+        if window is None:
+            narrative = (f"{flow.dst}'s record of {flow.pretty()} shows "
+                         f"no whole epoch of silence: nothing to cut "
+                         f"over at α")
+        else:
+            narrative = (f"no spatial cut on {flow.pretty()}'s path "
+                         f"in epochs {window.lo}-{window.hi}")
         return _stamp_approx(analyzer, Verdict(
             problem="gray-failure", victim=flow, breakdown=bd,
             suspect=None, hosts_consulted=consulted,
-            narrative=(f"no spatial cut on {flow.pretty()}'s path "
-                       f"in epochs {window.lo}-{window.hi}")))
+            narrative=narrative))
     here, nxt = loc.suspect_hop
     suspect = nxt if nxt in analyzer.switch_agents else here
-    upstream = ", ".join(loc.forwarding) if loc.forwarding else "no"
+    upstream = (", ".join(loc.forwarding[:loc.forwarding.index(here) + 1])
+                if loc.forwarding else "no")
     ranked = rank_co_suspects(analyzer, suspect, window)
     return _stamp_approx(analyzer, Verdict(
         problem="gray-failure", victim=flow, breakdown=bd, suspect=suspect,

@@ -9,7 +9,8 @@ primitives as the §5 apps:
   victim flow stops arriving; the per-epoch pointers along its path form
   a *spatial cut*: upstream switches kept forwarding to the destination
   (bit set) while switches past the fault did not (bit clear).  The
-  faulty hop is the boundary.
+  faulty hop is the boundary.  :func:`silence_window` reads the epochs
+  to cut over from the victim's own destination record.
 * :func:`check_path_conformance` — routing-policy validation.  Host
   flow records carry reconstructed trajectories; comparing them against
   the topology's shortest paths flags reroutes, loops, and
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.epoch import EpochRange
+from ..hostd.records import FlowRecord
 from ..rpc.fabric import Breakdown
 from ..simnet.packet import FlowKey
 from ..simnet.topology import Network, NoPathError
@@ -33,38 +35,53 @@ class DropLocalization:
     """Outcome of blackhole localization for one flow."""
 
     flow: FlowKey
-    epochs: EpochRange
     #: switches on the path that still forwarded to the destination
     forwarding: list[str] = field(default_factory=list)
     #: switches past the cut that never saw the flow in the window
     silent: list[str] = field(default_factory=list)
-    #: on-path switches with no pointer to consult (partial deployment):
-    #: evidence gaps, counted on neither side of the cut
-    uninstrumented: list[str] = field(default_factory=list)
     #: (last forwarding switch, first silent switch) — the faulty hop
     suspect_hop: Optional[tuple[str, str]] = None
     breakdown: Breakdown = field(default_factory=Breakdown)
 
 
+def silence_window(rec: Optional[FlowRecord],
+                   now: int) -> Optional[EpochRange]:
+    """The first run of closed epochs in which the victim's destination
+    record ``rec`` (``bytes_by_epoch``, keyed by embedder-tagged epoch)
+    counts no bytes after the flow's first epoch, up to where bytes
+    resume or to ``now - 1`` (``now``: the embedder's open epoch).
+    None without such a run: a drop that silences no whole epoch
+    cannot be cut at α.
+    """
+    seen = rec.bytes_by_epoch if rec is not None else {}
+    closed = range(min(seen, default=now) + 1, now)
+    lo = next((e for e in closed if not seen.get(e)), None)
+    if lo is None:
+        return None
+    hi = next((e for e in range(lo, now) if seen.get(e)), now) - 1
+    return EpochRange(lo, hi)
+
+
 def localize_packet_drops(analyzer: Analyzer, flow: FlowKey,
                           switch_path: list[str],
-                          epochs: EpochRange) -> DropLocalization:
+                          epochs: Optional[EpochRange]) -> DropLocalization:
     """Find the hop where ``flow``'s packets silently vanish.
 
     ``switch_path`` is the flow's known trajectory (from its record,
     before the blackhole), ``epochs`` the window in which the
-    destination observed silence.  Pointers are pulled per switch; the
-    first on-path switch whose pointer does *not* name the destination
-    in the window marks the downstream side of the cut.
+    destination observed silence (:func:`silence_window`).  Pointers
+    are pulled per switch; the first on-path switch whose pointer does
+    *not* name the destination in the window marks the downstream side
+    of the cut.  With no window nothing is pulled and no hop is named.
     """
+    if epochs is None:
+        return DropLocalization(flow=flow)
     # uninstrumented switches (partial deployment) have no pointer to
     # pull: they are evidence *gaps*, excluded from the cut computation
     # rather than misread as silent — the boundary is found over the
     # instrumented subsequence, so localization coarsens (the suspect
     # hop may span a gap) but never flips sides
     evidenced = [sw for sw in switch_path if analyzer.is_instrumented(sw)]
-    uninstrumented = [sw for sw in switch_path
-                      if not analyzer.is_instrumented(sw)]
     bd = Breakdown()
     bd.add("pointer_retrieval",
            analyzer.rpc.pointer_pull_cost(len(evidenced)))
@@ -86,10 +103,9 @@ def localize_packet_drops(analyzer: Analyzer, flow: FlowKey,
         # nothing forwarded at all: fault is upstream of the first
         # evidenced hop
         suspect = (flow.src, evidenced[0])
-    return DropLocalization(flow=flow, epochs=epochs,
-                            forwarding=forwarding, silent=silent,
-                            uninstrumented=uninstrumented,
-                            suspect_hop=suspect, breakdown=bd)
+    return DropLocalization(flow=flow, forwarding=forwarding,
+                            silent=silent, suspect_hop=suspect,
+                            breakdown=bd)
 
 
 @dataclass

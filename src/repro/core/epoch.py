@@ -58,30 +58,22 @@ class EpochClock:
 
         Every consumer holding the clock — pointer store rotation,
         telemetry decoder, triggers — sees the new offset on its next
-        ``epoch_of``/``epoch_start`` call; nothing is cached.
+        ``epoch_of`` call; nothing is cached.
         """
         if not math.isfinite(skew_s):
             raise ValueError(f"skew must be finite, got {skew_s!r}")
         self.skew_s = skew_s
 
-    @property
-    def alpha_s(self) -> float:
-        return self.alpha_ms / 1000.0
-
     def epoch_of(self, true_time_s: float) -> int:
         """EpochID at true simulated time ``true_time_s``.
 
-        A tiny guard absorbs float error at exact epoch boundaries
-        (``epoch_start(e)`` must map back to ``e``).
+        A tiny guard absorbs float error at exact epoch boundaries (the
+        true time epoch ``e`` begins must map back to ``e``).
         """
         # local time over α in seconds, spelled out: every forwarded
         # packet and every decoded one reads its epoch here
         return math.floor((true_time_s + self.skew_s)
                           / (self.alpha_ms / 1000.0) + 1e-9)
-
-    def epoch_start(self, epoch: int) -> float:
-        """True time when this device's ``epoch`` begins."""
-        return epoch * self.alpha_s - self.skew_s
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,9 +35,9 @@ this one seed?" — the thousand-host **fabric** axis and the
 thousand-flow **traffic** axis the single-run catalogue does not
 cover.  A *degradation study* repeats every point: it answers "*how
 often* does it hold, and where does it stop?" — the paper's claims are
-curves (accuracy falling as clock skew crosses the ε bound, as partial
-deployment thins coverage), and a curve needs statistical weight
-behind every point.  Run one with
+curves (accuracy as partial deployment thins coverage, as the
+directory's bit budget shrinks, as clock skew grows), and a curve needs
+statistical weight behind every point.  Run one with
 
 ```sh
 python -m repro.cli experiment run <name> [--grid knob=v1,v2,...]

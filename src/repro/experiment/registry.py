@@ -12,7 +12,7 @@ directory backends:
     register_experiment(ExperimentSpec(
         scenario="gray-failure",
         name="skew-degradation",
-        summary="accuracy falling off as skew crosses the ε bound",
+        summary="accuracy as clock skew grows",
         expect_problem="gray-failure",
         grid={"skew_ms": (0.0, 2.0, 5.0, 8.0, 10.0)},
         reps=5,

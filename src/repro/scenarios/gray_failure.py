@@ -12,6 +12,7 @@ do, and the boundary of that spatial cut is the suspect.
 from __future__ import annotations
 
 from ..analyzer.apps import Verdict, diagnose_gray_failure_online
+from ..analyzer.netdebug import silence_window
 from ..deployment import SwitchPointerDeployment
 from ..rpc.fabric import LatencyModel
 from ..simnet.packet import PRIO_LOW, FlowKey
@@ -20,8 +21,7 @@ from ..simnet.traffic import UdpCbrSource, UdpSink
 from ..experiment import ExperimentSpec, FigureSpec, register_experiment
 from .base import Knob, Scenario, ScenarioSpec, register
 from .common import (background_knobs, directory_knobs, fault_knobs,
-                     install_fault_knobs, launch_background,
-                     silence_window)
+                     install_fault_knobs, launch_background)
 
 
 @register
@@ -32,8 +32,9 @@ class GrayFailureScenario(Scenario):
     ``fault_time`` the fault switch starts silently dropping the
     even-indexed flows (the deterministic slice) while forwarding the
     rest untouched — the defining gray-failure asymmetry.  Diagnosis
-    pulls per-epoch pointers along the recorded path for the silence
-    window and finds the spatial cut.
+    pulls per-epoch pointers along the recorded path over each victim's
+    silence window, read from its destination record, and finds the
+    spatial cut.
     """
 
     spec = ScenarioSpec(
@@ -131,13 +132,17 @@ class GrayFailureScenario(Scenario):
     def collect(self) -> dict:
         p = self.p
         net, deploy = self.network, self.deployment
-        self.silence_epochs = silence_window(
-            self, deploy.datapaths["S1"].clock)
+        # each victim's window, on the embedder S1's clock, as of now
+        now = deploy.datapaths["S1"].clock.epoch_of(net.sim.now)
+        self.silence_epochs = {
+            flow: silence_window(
+                deploy.host_agents[flow.dst].store.get(flow), now)
+            for flow in self.affected}
         bg = self.background
         return {
             "gray_drops": net.switches[p["fault_switch"]].gray_drops,
-            "silence_epochs": (self.silence_epochs.lo,
-                               self.silence_epochs.hi),
+            "silence_epochs": [None if w is None else (w.lo, w.hi)
+                               for w in self.silence_epochs.values()],
             "affected_flows": len(self.affected),
             "uninstrumented_switches": deploy.uninstrumented_switches,
             "flow_count": p["n_flows"] +
@@ -157,7 +162,7 @@ class GrayFailureScenario(Scenario):
         with session:
             return [diagnose_gray_failure_online(
                         analyzer, flow,
-                        silence_epochs=self.silence_epochs,
+                        silence_epochs=self.silence_epochs[flow],
                         session=session)
                     for flow in self.affected]
 
@@ -185,9 +190,7 @@ register_experiment(ExperimentSpec(
     expect_problem="gray-failure",
     expect_suspect_knob="fault_switch",
     # α = 10 ms here and offsets span ±skew_ms, so pairwise skew
-    # reaches 2·skew_ms: the whole grid stays within the ε = α bound
-    # and must diagnose correctly; skew-degradation pushes the knob
-    # past 5.0 to chart the curve beyond the bound
+    # (2·skew_ms) stays within one epoch on this grid
     grid={"skew_ms": (0.0, 2.0, 5.0)},
     nightly_grid={"skew_ms": (0.0, 2.0)},
 ))
@@ -251,23 +254,21 @@ register_experiment(ExperimentSpec(
 register_experiment(ExperimentSpec(
     scenario="gray-failure",
     name="skew-degradation",
-    summary="diagnosis accuracy falling off as victim clock skew "
-            "crosses the ε-asynchrony bound",
+    summary="diagnosis accuracy as per-device clock skew grows until "
+            "pairwise skew spans two epochs",
     expect_problem="gray-failure",
     expect_suspect_knob="fault_switch",
-    # timestamp reconciliation tolerates pairwise skew up to ε = α
-    # (10 ms): victim skew of 5 ms puts pairwise divergence exactly at
-    # the bound, and past it ordering breaks down.  The grid stops at
-    # α — skew beyond one full epoch breaks epoch arithmetic outright
-    # rather than degrading
+    # skew_ms = 5 puts pairwise skew at one epoch (α = 10 ms).  The
+    # silence window is read from each victim's record on the
+    # embedder's clock, so skew moves no window edge
     grid={"skew_ms": (0.0, 2.0, 5.0, 8.0, 10.0)},
     reps=5,
     figure=FigureSpec(
         x_axis="skew_ms",
-        x_label="injected victim clock skew (ms)",
+        x_label="max per-device clock offset (ms)",
         title="Diagnosis accuracy vs clock skew",
         vline=5.0,
-        vline_label="ε bound (pairwise skew = α)",
+        vline_label="pairwise skew = α",
     ),
 ))
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from ..analyzer.apps import (Verdict, diagnose_gray_failure,
                              diagnose_link_flap, diagnose_polarization)
+from ..analyzer.netdebug import silence_window
 from ..core.epoch import EpochRange
 from ..faults import FaultContext
 from ..simnet.packet import PRIO_LOW, FlowKey
@@ -31,7 +32,7 @@ from ..simnet.traffic import UdpCbrSource, UdpSink
 from ..experiment import ExperimentSpec, register_experiment
 from .base import Knob, Scenario, ScenarioError, ScenarioSpec, register
 from .common import (directory_knobs, fault_knobs, install_fault_knobs,
-                     silence_window, sport_for_side)
+                     sport_for_side)
 
 
 @dataclass
@@ -127,11 +128,12 @@ class _SilentDropSlot(_SlotBase):
         site.expected_suspect = site.dst_leaf
 
     def diagnose(self, scn, site):
-        silence = silence_window(
-            scn, scn.deployment.datapaths[site.src_leaf].clock)
-        return diagnose_gray_failure(scn.deployment.analyzer,
-                                     site.affected[0],
-                                     silence_epochs=silence)
+        victim = site.affected[0]
+        rec = scn.deployment.host_agents[victim.dst].store.get(victim)
+        return diagnose_gray_failure(
+            scn.deployment.analyzer, victim,
+            silence_epochs=silence_window(rec,
+                                          self.last_epoch(scn, site)))
 
 
 class _PolarizationSlot(_SlotBase):

@@ -47,7 +47,7 @@ class TestCompleteVerdicts:
         before = sim.now
         verdicts = [diagnose_gray_failure(
                         result.deployment.analyzer, flow,
-                        silence_epochs=scn.silence_epochs)
+                        silence_epochs=scn.silence_epochs[flow])
                     for flow in scn.affected]
         assert sim.now == before
         assert all(v.hosts_consulted == [] for v in verdicts)

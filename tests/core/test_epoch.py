@@ -26,7 +26,7 @@ class TestEpochClock:
     def test_epoch_start_inverse(self):
         clock = EpochClock(alpha_ms=10, skew_s=0.003)
         for e in (0, 5, 123):
-            start = clock.epoch_start(e)
+            start = e * 0.010 - 0.003    # true time epoch e begins
             assert clock.epoch_of(start) == e
             assert clock.epoch_of(start - 1e-9) == e - 1
 

@@ -103,12 +103,14 @@ class TestSweepCli:
 
     def test_sweep_grades_strictly_a_charted_study_does_not(
             self, tmp_path, capsys):
-        """Past the ε bound the skewed run misdiagnoses: a sweep fails on
-        it, the study charting the same point records it."""
-        assert main(["experiment", "run", "clock-skew", "--grid", "skew_ms=8",
+        """At a 2-bit sketch budget the bloom directory's false positives
+        erase the spatial cut: a sweep fails on it, the study charting
+        the same point records it."""
+        assert main(["experiment", "run", "directory-bits",
+                     "--grid", "directory_bits=2",
                      "--out-dir", str(tmp_path / "sweep")]) == 1
-        assert main(["experiment", "run", "skew-degradation",
-                     "--grid", "skew_ms=8", "--reps", "1",
+        assert main(["experiment", "run", "directory-degradation",
+                     "--grid", "directory_bits=2", "--reps", "1",
                      "--out-dir", str(tmp_path / "experiment")]) == 0
         assert "0/1 runs diagnosed correctly" in capsys.readouterr().out
 

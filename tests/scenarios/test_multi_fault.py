@@ -1,8 +1,6 @@
 """Multi-fault scenario: every composed fault must be attributed
 independently — right problem, right suspect, per site."""
 
-import math
-
 import pytest
 
 from repro.core.epoch import EpochRange
@@ -71,12 +69,17 @@ class TestOtherCompositions:
 
 
 class TestSilenceWindow:
-    @pytest.mark.parametrize("skew_ms", [0.0, 2.0])
-    def test_window_widens_under_skew_like_gray_failure(self, skew_ms,
-                                                         monkeypatch):
-        # the silent-drop slot reads gray-failure's window: the first
-        # whole epoch after fault_time, its lower edge moved up
-        # ceil(2·skew_ms/α) epochs under the all-device clock skew
+    @pytest.mark.parametrize("skew_ms, window", [
+        (0.0, EpochRange(2, 3)),
+        # leaf0's skewed clock tags 1000 bytes of pre-fault residue into
+        # epoch 2, so the record's first silent epoch is 3
+        (2.0, EpochRange(3, 3)),
+    ])
+    def test_window_is_the_victims_silent_record_epochs(
+            self, skew_ms, window, monkeypatch):
+        # the silent-drop slot reads gray-failure's rule: the first run
+        # of closed epochs in which the victim's destination record holds
+        # no bytes, on the site's embedder (source leaf) clock
         windows = []
         diagnose = multi_fault.diagnose_gray_failure
 
@@ -88,13 +91,15 @@ class TestSilenceWindow:
         result = run_scenario("multi-fault", faults="silent-drop",
                               slot_flows=4, duration=0.045,
                               skew_ms=skew_ms)
-        clock = result.deployment.datapaths["leaf0"].clock
-        first = clock.epoch_of(0.020)
-        if 0.020 > clock.epoch_start(first):
-            first += 1
-        first += math.ceil(2 * skew_ms / 10)
-        assert windows == [EpochRange(first,
-                                      clock.epoch_of(result.sim_time))]
+        victim = result.scenario.sites[0].affected[0]
+        seen = result.deployment.host_agents[victim.dst].store.get(
+            victim).bytes_by_epoch
+        now = result.deployment.datapaths["leaf0"].clock.epoch_of(
+            result.sim_time)
+        assert windows == [window]
+        assert all(seen.get(e) for e in range(min(seen), window.lo))
+        assert not any(seen.get(e) for e in window)
+        assert window.hi + 1 == now or seen.get(window.hi + 1)
         assert result.verdict("gray-failure").suspect == "leaf1"
 
 
